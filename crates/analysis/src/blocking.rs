@@ -10,6 +10,8 @@
 //! the legitimate streams for the false-positive cost.
 
 use crate::classify::Classified;
+use taster_ecosystem::buffer::NO_CHAFF;
+use taster_ecosystem::spill::SpillError;
 use taster_feeds::{Feed, FeedId, FeedSet};
 use taster_mailsim::MailWorld;
 
@@ -67,11 +69,14 @@ fn ratio(n: u64, d: u64) -> f64 {
     }
 }
 
-/// Evaluates a set of feeds in one streaming pass over the event
-/// replay. The spam counters are stateless per event, so a single
-/// generation-order pass scores every feed at once — the event stream
-/// is replayed exactly once however many feeds are under test.
-fn evaluate_feeds(world: &MailWorld, under_test: &[&Feed]) -> Vec<BlockingResult> {
+/// Evaluates a set of feeds in one pass over the time-sorted event
+/// log. The spam counters are stateless per event, so a single pass
+/// scores every feed at once, however many feeds are under test. Fails
+/// only when the out-of-core spill cannot be read.
+fn evaluate_feeds(
+    world: &MailWorld,
+    under_test: &[&Feed],
+) -> Result<Vec<BlockingResult>, SpillError> {
     let blocked_at = |feed: &Feed, d: taster_domain::DomainId, t: taster_sim::SimTime| -> bool {
         feed.stats(d).is_some_and(|s| s.first_seen < t)
     };
@@ -108,27 +113,19 @@ fn evaluate_feeds(world: &MailWorld, under_test: &[&Feed]) -> Vec<BlockingResult
                 }
             }
         };
-        // The counters are order-free, so any full pass over the log
-        // works: the sorted cache when in core, the replay otherwise.
-        if let Some(cache) = world.truth.cache() {
-            use taster_ecosystem::buffer::NO_CHAFF;
-            for r in 0..cache.len() {
-                let chaff = cache.chaff[r];
-                tally(
-                    cache.time[r].0,
-                    cache.advertised[r] as usize * nf,
-                    (chaff != NO_CHAFF).then(|| chaff as usize * nf),
-                );
-            }
-        } else {
-            for ev in world.truth.events() {
-                tally(
-                    ev.time.0,
-                    ev.advertised.index() * nf,
-                    ev.chaff.map(|c| c.index() * nf),
-                );
-            }
-        }
+        world
+            .truth
+            .visit_sorted(0..world.truth.log.len, usize::MAX, |buf, rows| {
+                for r in rows {
+                    let chaff = buf.chaff[r];
+                    tally(
+                        buf.time[r].0,
+                        buf.advertised[r] as usize * nf,
+                        (chaff != NO_CHAFF).then(|| chaff as usize * nf),
+                    );
+                }
+                Ok::<(), SpillError>(())
+            })?;
     }
 
     let mut ham_total = 0u64;
@@ -155,7 +152,7 @@ fn evaluate_feeds(world: &MailWorld, under_test: &[&Feed]) -> Vec<BlockingResult
         }
     }
 
-    under_test
+    Ok(under_test
         .iter()
         .enumerate()
         .map(|(k, feed)| BlockingResult {
@@ -166,20 +163,21 @@ fn evaluate_feeds(world: &MailWorld, under_test: &[&Feed]) -> Vec<BlockingResult
             ham_total,
             ham_blocked: ham_blocked[k],
         })
-        .collect()
+        .collect())
 }
 
 /// Evaluates one feed as a filter over the whole scenario.
-pub fn evaluate_feed(world: &MailWorld, feed: &Feed) -> BlockingResult {
-    evaluate_feeds(world, &[feed])[0]
+pub fn evaluate_feed(world: &MailWorld, feed: &Feed) -> Result<BlockingResult, SpillError> {
+    let results = evaluate_feeds(world, &[feed])?;
+    Ok(results[0])
 }
 
-/// Evaluates every feed in a single pass over the event stream.
+/// Evaluates every feed in a single pass over the event log.
 pub fn blocking_study(
     world: &MailWorld,
     feeds: &FeedSet,
     _classified: &Classified,
-) -> Vec<BlockingResult> {
+) -> Result<Vec<BlockingResult>, SpillError> {
     let all: Vec<&Feed> = FeedId::ALL.iter().map(|&id| feeds.get(id)).collect();
     evaluate_feeds(world, &all)
 }
@@ -205,7 +203,7 @@ mod tests {
     #[test]
     fn invariants_hold_for_every_feed() {
         let (world, feeds, c) = setup();
-        for r in blocking_study(&world, &feeds, &c) {
+        for r in blocking_study(&world, &feeds, &c).unwrap() {
             assert!(r.spam_blocked <= r.spam_blocked_eventually);
             assert!(r.spam_blocked_eventually <= r.spam_total);
             assert!(r.ham_blocked <= r.ham_total);
@@ -217,7 +215,7 @@ mod tests {
     #[test]
     fn blacklists_block_with_low_fp_honeypots_cost_ham() {
         let (world, feeds, c) = setup();
-        let results = blocking_study(&world, &feeds, &c);
+        let results = blocking_study(&world, &feeds, &c).unwrap();
         let get = |id: FeedId| results.iter().find(|r| r.feed == id).copied().unwrap();
         let dbl = get(FeedId::Dbl);
         let mx1 = get(FeedId::Mx1);
@@ -233,7 +231,7 @@ mod tests {
     #[test]
     fn latency_costs_honeypots_real_blocking() {
         let (world, feeds, c) = setup();
-        let results = blocking_study(&world, &feeds, &c);
+        let results = blocking_study(&world, &feeds, &c).unwrap();
         let mx2 = results.iter().find(|r| r.feed == FeedId::Mx2).unwrap();
         // mx2 knows a lot eventually but learns it late.
         assert!(

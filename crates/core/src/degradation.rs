@@ -22,9 +22,9 @@ pub fn degradation_sweep(scenario: &Scenario) -> Result<Vec<ProfileDegradation>,
         .validate()
         .map_err(PipelineError::InvalidScenario)?;
     let truth = GroundTruth::generate(&scenario.ecosystem, scenario.seed)
-        .map_err(PipelineError::Generation)?;
-    let world =
-        MailWorld::build(truth, scenario.mail.clone()).map_err(PipelineError::InvalidScenario)?;
+        .map_err(|e| PipelineError::from_world(e, PipelineError::Generation))?;
+    let world = MailWorld::build(truth, scenario.mail.clone())
+        .map_err(|e| PipelineError::from_world(e, PipelineError::InvalidScenario))?;
     let clean = run_profile(&world, scenario, FaultProfile::off())?;
     FaultProfile::canonical()
         .into_iter()

@@ -89,12 +89,12 @@ impl Experiment {
         let world = obs.stage(STAGE_GENERATE, || -> Result<MailWorld, PipelineError> {
             let truth = {
                 let _span = obs.span("generate/ground_truth");
-                GroundTruth::generate(&scenario.ecosystem, scenario.seed)
-                    .map_err(PipelineError::Generation)?
+                GroundTruth::generate_observed(&scenario.ecosystem, scenario.seed, &obs)
+                    .map_err(|e| PipelineError::from_world(e, PipelineError::Generation))?
             };
             let _span = obs.span("generate/mail_world");
             let world = MailWorld::build(truth, scenario.mail.clone())
-                .map_err(PipelineError::InvalidScenario)?;
+                .map_err(|e| PipelineError::from_world(e, PipelineError::InvalidScenario))?;
             obs.metrics
                 .add("generate/events", world.truth.log.len as u64);
             obs.metrics
@@ -187,6 +187,16 @@ impl Experiment {
         text
     }
 
+    /// [`Experiment::render_report`], failing with the typed error
+    /// instead of rendering it when a study cannot read the event log.
+    pub fn try_render_report(&self) -> Result<String, PipelineError> {
+        let text = self
+            .obs
+            .stage(STAGE_RENDER, || self.report().try_full_report())?;
+        self.obs.metrics.add("render/bytes", text.len() as u64);
+        Ok(text)
+    }
+
     // ------------------------------------------------ typed results
 
     /// Table 1 rows.
@@ -267,8 +277,9 @@ impl Experiment {
     }
 
     /// Time-aware filter evaluation of every feed (beyond the paper).
-    pub fn blocking(&self) -> Vec<BlockingResult> {
-        blocking_study(&self.world, &self.feeds, &self.classified)
+    /// Fails only when the out-of-core event spill cannot be read.
+    pub fn blocking(&self) -> Result<Vec<BlockingResult>, PipelineError> {
+        Ok(blocking_study(&self.world, &self.feeds, &self.classified)?)
     }
 
     /// Greedy feed-acquisition order (beyond the paper; §5 guidance).

@@ -355,34 +355,51 @@ impl ScaleBench {
 }
 
 /// Estimates peak bytes resident in the streaming event buffers: the
-/// larger of one collection chunk and one provider sorting bucket
-/// (struct-of-arrays rows), plus the always-resident `u32` rank
-/// permutation. Deliberately excludes the feeds themselves — their
-/// size depends on capture probabilities, not on the streaming core.
+/// larger of one collection chunk and one provider bucket
+/// (struct-of-arrays rows). Deliberately excludes the feeds themselves
+/// — their size depends on capture probabilities, not on the streaming
+/// core.
 pub fn stream_peak_bytes(events: u64, chunk_size: usize) -> u64 {
     let row = EventBuffer::bytes_per_event() as u64;
     let chunk_rows = (chunk_size as u64).min(events);
     let bucket_rows = (PROVIDER_BUCKET as u64).min(events);
-    chunk_rows.max(bucket_rows) * row + 4 * events
+    chunk_rows.max(bucket_rows) * row
 }
 
-/// Peak event-buffer bytes a run actually holds under `config`'s
-/// memory budget: the sorted-cache footprint when the log fits in
-/// core, otherwise [`stream_peak_bytes`] with both the collection
-/// chunk and the provider bucket clamped to the budget rows.
+/// Peak event-row bytes a run holds under `config`'s memory budget:
+/// the rows the budget governs. In core that is the sorted cache as it
+/// is built ([`EcosystemConfig::cache_peak_bytes`]). Out of core it is
+/// the widest of three buffers that are never resident together — the
+/// collection chunk and the provider bucket (struct-of-arrays rows, at
+/// most [`taster_ecosystem::spill::MAX_READ_ROWS`] per read) and the
+/// sort run (encoded spill rows) — each clamped to
+/// [`EcosystemConfig::budget_rows`].
+///
+/// Left out: the per-second time histogram of the sort (4 bytes per
+/// second of the horizon, ~37 MB at the default 92 days), the sort's
+/// fixed I/O blocks, its single-pass run floor
+/// ([`taster_ecosystem::spill::run_rows`], about √(683 n) rows) where
+/// that exceeds the budget, and everything that is not an event row:
+/// the domain universe, campaigns, feeds, crawl and analysis state.
+///
+/// [`EcosystemConfig::cache_peak_bytes`]: taster_ecosystem::EcosystemConfig::cache_peak_bytes
+/// [`EcosystemConfig::budget_rows`]: taster_ecosystem::EcosystemConfig::budget_rows
 pub fn budget_peak_bytes(
     config: &taster_ecosystem::EcosystemConfig,
     events: u64,
     chunk_size: usize,
 ) -> u64 {
+    use taster_ecosystem::spill::{MAX_READ_ROWS, MAX_RUN_ROWS, ROW_BYTES};
     if config.wants_cache(events) {
         return taster_ecosystem::EcosystemConfig::cache_peak_bytes(events);
     }
     let row = EventBuffer::bytes_per_event() as u64;
-    let budget = config.budget_rows(events) as u64;
-    let chunk_rows = (chunk_size as u64).min(budget).min(events);
-    let bucket_rows = (PROVIDER_BUCKET as u64).min(budget).min(events);
-    chunk_rows.max(bucket_rows) * row + 4 * events
+    let budget = (config.budget_rows(events) as u64).min(events);
+    let read = budget.min(MAX_READ_ROWS as u64);
+    let chunk_rows = (chunk_size as u64).min(read);
+    let bucket_rows = (PROVIDER_BUCKET as u64).min(read);
+    let sort_bytes = (MAX_RUN_ROWS as u64).min(budget) * ROW_BYTES as u64;
+    (chunk_rows.max(bucket_rows) * row).max(sort_bytes)
 }
 
 /// Collect-stage throughput in events per second (0 when the stage
@@ -595,15 +612,15 @@ mod tests {
     fn stream_peak_estimate_tracks_chunk_and_bucket() {
         let row = EventBuffer::bytes_per_event() as u64;
         // Tiny log: both buffers clamp to the event count.
-        assert_eq!(stream_peak_bytes(10, 1 << 20), 10 * row + 40);
+        assert_eq!(stream_peak_bytes(10, 1 << 20), 10 * row);
         // Paper-scale log: the provider bucket dominates a small chunk.
         let events = 4_000_000u64;
-        let expect = (PROVIDER_BUCKET as u64) * row + 4 * events;
+        let expect = (PROVIDER_BUCKET as u64) * row;
         assert_eq!(stream_peak_bytes(events, 1024), expect);
         // A chunk wider than the bucket dominates instead, clamped to
         // the log length.
         let wide = 1 << 22;
-        assert_eq!(stream_peak_bytes(events, wide), events * row + 4 * events);
+        assert_eq!(stream_peak_bytes(events, wide), events * row);
         assert_eq!(events_per_sec(100, 0.0), 0.0);
         assert!((events_per_sec(100, 2.0) - 50.0).abs() < 1e-9);
     }

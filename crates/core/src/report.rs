@@ -12,11 +12,12 @@
 
 use crate::experiment::Experiment;
 use std::fmt::Write as _;
+use taster_analysis::blocking::BlockingResult;
 use taster_analysis::classify::Category;
 use taster_analysis::coverage::CoverageRow;
 use taster_analysis::matrix::OverlapCell;
 use taster_analysis::PairwiseMatrix;
-use taster_feeds::FeedId;
+use taster_feeds::{FeedId, PipelineError};
 use taster_stats::summary::{count_label, grouped, percent_label};
 use taster_stats::Boxplot;
 
@@ -533,14 +534,19 @@ impl<'a> Report<'a> {
         }
     }
 
-    /// Beyond the paper: each feed replayed as a production filter.
+    /// Beyond the paper: each feed replayed as a production filter. A
+    /// failed read of the event log renders as a one-line error.
     pub fn blocking_study(&self) -> String {
         let mut out = String::new();
-        self.write_blocking_study(&mut out);
+        self.write_blocking_study(&mut out, &self.experiment.blocking());
         out
     }
 
-    fn write_blocking_study(&self, out: &mut String) {
+    fn write_blocking_study(
+        &self,
+        out: &mut String,
+        rows: &Result<Vec<BlockingResult>, PipelineError>,
+    ) {
         self.header(out, "Filter replay: each feed as a domain blacklist");
         w!(
             out,
@@ -551,7 +557,14 @@ impl<'a> Report<'a> {
             "latency loss",
             "ham lost"
         );
-        for r in self.experiment.blocking() {
+        let rows = match rows {
+            Ok(rows) => rows,
+            Err(e) => {
+                w!(out, "blocking study failed: {e}\n");
+                return;
+            }
+        };
+        for r in rows {
             w!(
                 out,
                 "{:<6} {:>8.1}% {:>9.1}% {:>12.1}% {:>8.2}%\n",
@@ -639,14 +652,27 @@ impl<'a> Report<'a> {
 
     /// Every table and figure, in paper order. Faulted runs prepend
     /// the fault model; metrics-observed runs append the metrics
-    /// section; a plain run renders exactly the clean sections.
+    /// section; a plain run renders exactly the clean sections. A
+    /// failed read of the event log renders inside the blocking
+    /// section; [`Report::try_full_report`] returns it instead.
     pub fn full_report(&self) -> String {
+        self.render_full(&self.experiment.blocking())
+    }
+
+    /// [`Report::full_report`], or the typed error when the blocking
+    /// study cannot read the event log.
+    pub fn try_full_report(&self) -> Result<String, PipelineError> {
+        let blocking = self.experiment.blocking()?;
+        Ok(self.render_full(&Ok(blocking)))
+    }
+
+    fn render_full(&self, blocking: &Result<Vec<BlockingResult>, PipelineError>) -> String {
         let mut out = String::with_capacity(32 * 1024);
         if !self.experiment.faults.is_off() {
             self.write_fault_model(&mut out);
             out.push('\n');
         }
-        self.write_clean_sections(&mut out);
+        self.write_clean_sections(&mut out, blocking);
         if self.experiment.obs.metrics.is_on() {
             out.push('\n');
             self.write_metrics_section(&mut out);
@@ -654,7 +680,11 @@ impl<'a> Report<'a> {
         out
     }
 
-    fn write_clean_sections(&self, out: &mut String) {
+    fn write_clean_sections(
+        &self,
+        out: &mut String,
+        blocking: &Result<Vec<BlockingResult>, PipelineError>,
+    ) {
         // Table 3's rows also drive Fig 1: compute them once.
         let table3 = self.experiment.table3();
         self.write_table1(out);
@@ -733,7 +763,7 @@ impl<'a> Report<'a> {
         out.push('\n');
         self.write_selection_study(out, Category::Tagged);
         out.push('\n');
-        self.write_blocking_study(out);
+        self.write_blocking_study(out, blocking);
         out.push('\n');
         self.write_campaign_study(out);
         out.push('\n');

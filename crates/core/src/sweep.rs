@@ -44,11 +44,12 @@ fn measure(world: &MailWorld, feed: &Feed, label: String) -> SweepPoint {
 }
 
 /// Builds the world for a scenario (shared by both sweeps). Fails
-/// only when the scenario is invalid.
+/// when the scenario is invalid or the event spill fails.
 pub fn build_world(scenario: &Scenario) -> Result<MailWorld, String> {
     scenario.validate()?;
-    let truth = GroundTruth::generate(&scenario.ecosystem, scenario.seed)?;
-    MailWorld::build(truth, scenario.mail.clone())
+    let truth =
+        GroundTruth::generate(&scenario.ecosystem, scenario.seed).map_err(|e| e.to_string())?;
+    MailWorld::build(truth, scenario.mail.clone()).map_err(|e| e.to_string())
 }
 
 /// Sweeps honey-account seeding breadth: 1..=n harvest vectors at

@@ -1,8 +1,8 @@
 //! Chunked struct-of-arrays event buffer for streaming consumers.
 //!
-//! The fused generate+collect pass never holds the event log: it fills
-//! one [`EventBuffer`] per chunk from the replay stream and processes
-//! it in place. Struct-of-arrays layout keeps the per-member match
+//! The resident sorted cache is one [`EventBuffer`]; out of core, each
+//! read of the time-sorted spill fills one per chunk, and consumers
+//! process it in place. Struct-of-arrays layout keeps the per-member match
 //! loop columnar — the structural filters touch only the `target`,
 //! `delivery` and `campaign` columns, so members that skip an event
 //! never pull its other columns through the cache.
@@ -75,33 +75,6 @@ impl EventBuffer {
         }
     }
 
-    /// Resizes to exactly `len` zero-filled rows for scatter writes
-    /// via [`Self::set`]. Callers must overwrite every row before
-    /// reading it back (sorted-position scatters from a permutation
-    /// do, by construction).
-    pub fn reset_for_scatter(&mut self, len: usize) {
-        self.clear();
-        self.time.resize(len, SimTime::ZERO);
-        self.campaign.resize(len, 0);
-        self.advertised.resize(len, 0);
-        self.chaff.resize(len, NO_CHAFF);
-        self.target.resize(len, TargetClass::BruteForce);
-        self.delivery.resize(len, DeliveryVector::Direct);
-        self.sorted_idx.resize(len, 0);
-    }
-
-    /// Overwrites row `r` with `event` (scatter counterpart of
-    /// [`Self::push`]).
-    pub fn set(&mut self, r: usize, event: &SpamEvent, sorted_idx: u32) {
-        self.time[r] = event.time;
-        self.campaign[r] = event.campaign.0;
-        self.advertised[r] = event.advertised.0;
-        self.chaff[r] = event.chaff.map_or(NO_CHAFF, |d| d.0);
-        self.target[r] = event.target;
-        self.delivery[r] = event.delivery;
-        self.sorted_idx[r] = sorted_idx;
-    }
-
     /// Chaff domain of row `r`, if any.
     pub fn chaff(&self, r: usize) -> Option<DomainId> {
         let c = self.chaff[r];
@@ -130,7 +103,8 @@ impl EventBuffer {
     }
 
     /// Consumes a generation-order buffer and returns the time-sorted
-    /// equivalent: output row `rank[g]` is input row `g`, and
+    /// equivalent: output row `rank[g]` is input row `g` (`rank` is the
+    /// sorted position of every row), and
     /// `sorted_idx[r] == r` for every row. Columns are scattered one
     /// at a time, each source column dropped as soon as its sorted
     /// copy exists, so peak memory is one extra column (the 8-byte

@@ -206,9 +206,9 @@ pub struct EcosystemConfig {
     /// Peak bytes the streaming event core may hold resident at once
     /// (`--max-mem-bytes`). `None` uses [`DEFAULT_MEM_BUDGET`]. The
     /// budget decides whether the sorted event cache is built and, when
-    /// it is not, how many rows the streaming chunk/bucket buffers may
-    /// hold. It never changes any output byte — cached and streaming
-    /// runs replay the exact same draw sequence.
+    /// it is not, how many rows the sort runs and the streaming
+    /// chunk/bucket buffers may hold. It never changes any output byte
+    /// — cached and spilled runs hold the same time-sorted rows.
     pub max_mem_bytes: Option<u64>,
 }
 
@@ -374,8 +374,8 @@ impl EcosystemConfig {
 
     /// Peak bytes building and holding the sorted event cache costs:
     /// the generation-order columns, the widest scatter column (the
-    /// 8-byte time column, transient during the column-wise re-sort)
-    /// and the rank permutation.
+    /// 8-byte time column) and the `u32` sorted positions, both
+    /// transient during the column-wise re-sort.
     pub fn cache_peak_bytes(events: u64) -> u64 {
         events * (crate::buffer::EventBuffer::bytes_per_event() as u64 + 8 + 4)
     }
@@ -386,13 +386,12 @@ impl EcosystemConfig {
         Self::cache_peak_bytes(events) <= self.mem_budget()
     }
 
-    /// Rows the streaming chunk/bucket buffers may hold under this
-    /// budget once the always-resident rank permutation (4 bytes per
-    /// event) is paid for. At least 1 — a starved budget degrades to
-    /// row-at-a-time streaming rather than failing.
+    /// Rows one out-of-core buffer — a sort run, a provider bucket or
+    /// a collection chunk — may hold under this budget. Nothing else
+    /// scales with the log out of core. At least 1 — a starved budget
+    /// degrades to row-at-a-time streaming rather than failing.
     pub fn budget_rows(&self, events: u64) -> usize {
-        let avail = self.mem_budget().saturating_sub(4 * events);
-        let rows = avail / crate::buffer::EventBuffer::bytes_per_event() as u64;
+        let rows = self.mem_budget() / crate::buffer::EventBuffer::bytes_per_event() as u64;
         rows.clamp(1, events.max(1)) as usize
     }
 }

@@ -246,44 +246,6 @@ impl DomainUniverse {
         id
     }
 
-    /// Replays one [`register_poison`](Self::register_poison) call
-    /// against the *final* universe without mutating it, consuming the
-    /// identical RNG draws. `expected` is the dense id the original
-    /// call handed out.
-    ///
-    /// The acceptance rule exploits dense monotonic ids: at original
-    /// registration time the table held exactly the ids `< expected`,
-    /// so a candidate name was fresh back then iff it is absent from
-    /// the final table *or* was interned at id `>= expected` (i.e.
-    /// later — including by this very call, which owns `expected`
-    /// itself). Candidates the original loop rejected are all interned
-    /// with ids `< expected`, so the replay rejects exactly the same
-    /// names and draws the same number of candidates.
-    pub fn replay_poison<R: Rng>(
-        &self,
-        registered_prob: f64,
-        expected: u32,
-        rng: &mut R,
-    ) -> DomainId {
-        let gen = self.dga.clone();
-        let mut name = String::new();
-        for _ in 0..1000 {
-            name.clear();
-            gen.domain_into(rng, &mut name);
-            if self.table.get(&name).is_none_or(|id| id.0 >= expected) {
-                // Same draw order as the original: registered, then
-                // liveness only when registered (short-circuit).
-                let registered = rng.random_bool(registered_prob);
-                if registered {
-                    let _live = rng.random_bool(0.5);
-                }
-                return DomainId(expected);
-            }
-        }
-        // lint:allow(no-panic) -- mirrors intern_fresh: 1000 straight collisions is a configuration error, and a replay that diverged from the first pass must abort loudly
-        panic!("domain namespace exhausted: 1000 consecutive collisions");
-    }
-
     /// Samples one chaff domain by popularity (for message bodies).
     pub fn sample_chaff<R: Rng>(&self, rng: &mut R) -> DomainId {
         self.benign_by_rank[self.benign_zipf.sample(rng)]

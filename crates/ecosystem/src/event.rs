@@ -7,15 +7,11 @@
 //! proportional sample, which preserves every relative quantity the
 //! paper measures.)
 //!
-//! Since the streaming rework the event log is never materialised:
-//! generation is a pure function of `(config, campaigns, seed)`, so
-//! consumers replay it on demand through [`EventStream`] instead of
-//! reading a stored vector. The draw sequence is pinned — one
-//! sequential `ecosystem/events` stream across all campaigns, then the
-//! `ecosystem/poison` stream — and both the registering first pass
-//! (inside `GroundTruth::generate`) and every replay consume exactly
-//! the same draws in the same order, so a replayed event `g` is
-//! bit-identical to the one the first pass produced at position `g`.
+//! Generation is a pure function of `(config, campaigns, seed)` with a
+//! pinned draw sequence — one sequential `ecosystem/events` stream
+//! across all campaigns, then the `ecosystem/poison` stream. It runs
+//! exactly once, inside `GroundTruth::generate`, which keeps the rows
+//! in time-sorted order (resident or spilled) for every consumer.
 
 use crate::campaign::{Campaign, DeliveryVector, TargetClass};
 use crate::config::{EcosystemConfig, PoisonConfig};
@@ -23,7 +19,7 @@ use crate::domains::DomainUniverse;
 use crate::ids::CampaignId;
 use rand::{Rng, RngExt};
 use taster_domain::DomainId;
-use taster_sim::{RngStream, SimTime, TimeWindow};
+use taster_sim::{SimTime, TimeWindow};
 
 /// One delivered spam copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,7 +41,8 @@ pub struct SpamEvent {
 
 /// Per-plan copy split: how many warm-up and blast copies one
 /// [`DomainPlan`](crate::campaign::DomainPlan) emits. Shared between
-/// the first pass and replay so the two can never disagree.
+/// the generator and [`campaign_event_count`] so the two can never
+/// disagree.
 fn plan_copies(config: &EcosystemConfig, campaign: &Campaign, plan_idx: usize) -> (u64, u64) {
     let total_secs = campaign
         .domains
@@ -105,7 +102,7 @@ fn draw_campaign_event<R: Rng>(
 }
 
 /// Draws one poison event given the freshly-decided advertised domain
-/// (the registration/replay split lives in the caller).
+/// (registration lives in the caller).
 fn draw_poison_tail<R: Rng>(
     window: TimeWindow,
     campaign_id: CampaignId,
@@ -176,8 +173,7 @@ pub fn generate_campaign_events<R: Rng>(
 /// domain that is fresh with probability `1 / copies_per_domain` (so
 /// the mean copies per unique domain matches the config), targeted
 /// mostly at brute-force lists plus real users. Registers the poison
-/// domains into `universe` as it goes (the *first pass*; replay uses
-/// [`EventStream`]).
+/// domains into `universe` as it goes.
 pub fn stream_poison_events<R: Rng, F: FnMut(SpamEvent)>(
     poison: &PoisonConfig,
     campaign_id: CampaignId,
@@ -227,172 +223,6 @@ fn poison_window(poison: &PoisonConfig) -> TimeWindow {
         SimTime::from_days(poison.start_day),
         SimTime::from_days(poison.start_day + poison.days),
     )
-}
-
-/// Replays the generation-order event stream of a fully-generated
-/// world without mutating anything: campaign events first (one
-/// sequential `ecosystem/events` stream across campaigns in order),
-/// then the poisoning stream (`ecosystem/poison`), whose domain
-/// registrations are replayed against the final universe via
-/// [`DomainUniverse::replay_poison`].
-///
-/// Event `g` of the stream is bit-identical to entry `g` of the log
-/// the first pass produced; `GroundTruth::rank` maps `g` to the
-/// event's position in time-sorted order.
-pub struct EventStream<'a> {
-    config: &'a EcosystemConfig,
-    campaigns: &'a [Campaign],
-    universe: &'a DomainUniverse,
-    event_rng: RngStream,
-    // Campaign-phase cursor: campaign index, plan index, phase and
-    // copies left in the current phase.
-    ci: usize,
-    pi: usize,
-    warmup: bool,
-    remaining: u64,
-    primed: bool,
-    // Poison-phase cursor.
-    poison_rng: RngStream,
-    poison_left: u64,
-    poison_current: Option<DomainId>,
-    poison_next_id: u32,
-}
-
-impl<'a> EventStream<'a> {
-    /// Opens a replay over an already-generated world. `poison_base`
-    /// is the dense [`DomainId`] the first poison registration
-    /// received in the first pass.
-    pub(crate) fn new(
-        config: &'a EcosystemConfig,
-        campaigns: &'a [Campaign],
-        universe: &'a DomainUniverse,
-        seed: u64,
-        poison_base: u32,
-    ) -> EventStream<'a> {
-        let poison_left = match (&config.poison, campaigns.last()) {
-            (Some(p), Some(c)) if c.poison => p.volume,
-            _ => 0,
-        };
-        EventStream {
-            config,
-            campaigns,
-            universe,
-            event_rng: RngStream::new(seed, "ecosystem/events"),
-            ci: 0,
-            pi: 0,
-            warmup: true,
-            remaining: 0,
-            primed: false,
-            poison_rng: RngStream::new(seed, "ecosystem/poison"),
-            poison_left,
-            poison_current: None,
-            poison_next_id: poison_base,
-        }
-    }
-
-    /// Advances the campaign cursor to the next non-empty phase,
-    /// returning false once all campaigns are exhausted.
-    fn advance_campaign_cursor(&mut self) -> bool {
-        loop {
-            let Some(campaign) = self.campaigns.get(self.ci) else {
-                return false;
-            };
-            if campaign.poison {
-                // The poison pseudo-campaign is generated from its own
-                // stream below, never from the campaign phase.
-                self.ci += 1;
-                continue;
-            }
-            if !self.primed {
-                // Entering a (campaign, plan) pair: compute its split.
-                if self.pi >= campaign.domains.len() {
-                    self.ci += 1;
-                    self.pi = 0;
-                    continue;
-                }
-                let (w, b) = plan_copies(self.config, campaign, self.pi);
-                self.warmup = true;
-                self.remaining = w;
-                self.primed = true;
-                // Fall through to the emptiness check (warmup ≥ 2 by
-                // construction, but stay defensive).
-                if self.remaining == 0 {
-                    self.warmup = false;
-                    self.remaining = b;
-                }
-                if self.remaining == 0 {
-                    self.primed = false;
-                    self.pi += 1;
-                    continue;
-                }
-                return true;
-            }
-            if self.remaining > 0 {
-                return true;
-            }
-            if self.warmup {
-                let (_, b) = plan_copies(self.config, campaign, self.pi);
-                self.warmup = false;
-                self.remaining = b;
-                if self.remaining > 0 {
-                    return true;
-                }
-            }
-            // Phase pair exhausted: move to the next plan.
-            self.primed = false;
-            self.pi += 1;
-        }
-    }
-}
-
-impl Iterator for EventStream<'_> {
-    type Item = SpamEvent;
-
-    fn next(&mut self) -> Option<SpamEvent> {
-        if self.advance_campaign_cursor() {
-            let campaign = &self.campaigns[self.ci];
-            self.remaining -= 1;
-            return Some(draw_campaign_event(
-                self.config,
-                campaign,
-                self.universe,
-                self.pi,
-                self.warmup,
-                &mut self.event_rng,
-            ));
-        }
-        if self.poison_left == 0 {
-            return None;
-        }
-        self.poison_left -= 1;
-        // poison_left > 0 implies both exist (see `new`); an
-        // inconsistent cursor ends the stream rather than panicking.
-        let (Some(poison), Some(campaign)) = (self.config.poison.as_ref(), self.campaigns.last())
-        else {
-            self.poison_left = 0;
-            return None;
-        };
-        let fresh_prob = (1.0 / poison.copies_per_domain).clamp(0.0, 1.0);
-        let rng = &mut self.poison_rng;
-        let advertised = match self.poison_current {
-            Some(d) if !rng.random_bool(fresh_prob) => d,
-            _ => {
-                let d =
-                    self.universe
-                        .replay_poison(poison.registered_prob, self.poison_next_id, rng);
-                self.poison_next_id += 1;
-                self.poison_current = Some(d);
-                d
-            }
-        };
-        Some(draw_poison_tail(
-            poison_window(poison),
-            campaign.id,
-            campaign.delivery,
-            advertised,
-            rng,
-        ))
-    }
 }
 
 fn advertised_domain<R: Rng>(

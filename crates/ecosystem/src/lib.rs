@@ -32,6 +32,7 @@
 //! * [`event`] — per-delivered-copy spam events.
 //! * [`ground_truth`] — ties it together: [`ground_truth::GroundTruth`]
 //!   is a pure function of ([`config::EcosystemConfig`], seed).
+//! * [`spill`] — the out-of-core, time-sorted event log.
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 #![forbid(unsafe_code)]
@@ -46,7 +47,8 @@ pub mod event;
 pub mod ground_truth;
 pub mod ids;
 pub mod program;
+pub mod spill;
 
 pub use config::EcosystemConfig;
-pub use ground_truth::GroundTruth;
+pub use ground_truth::{GroundTruth, WorldError};
 pub use ids::{AffiliateId, BotnetId, CampaignId, ProgramId, Vertical};

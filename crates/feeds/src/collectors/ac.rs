@@ -6,11 +6,10 @@
 //! Ac2 sits on a narrow vector set, which is what makes it the outlier
 //! of the proportionality analysis (Figs 7–8).
 
-use crate::config::{AcConfig, DEFAULT_CHUNK_SIZE};
-use crate::engine::{collect_content, MemberSpec};
+use crate::config::AcConfig;
+use crate::engine::{collect_one, MemberSpec};
 use crate::feed::Feed;
 use taster_mailsim::MailWorld;
-use taster_sim::{FaultPlan, Obs, Parallelism};
 
 /// Collects honey-account feed `index` (0 = Ac1, 1 = Ac2).
 ///
@@ -19,21 +18,13 @@ use taster_sim::{FaultPlan, Obs, Parallelism};
 /// slot in [`crate::pipeline::collect_all`].
 pub fn collect_ac(world: &MailWorld, config: &AcConfig, index: u8) -> Feed {
     assert!(index < 2);
-    let member = MemberSpec::Ac {
-        config: *config,
-        index,
-    };
-    collect_content(
+    collect_one(
         world,
-        std::slice::from_ref(&member),
-        &FaultPlan::off(world.truth.seed),
-        &Parallelism::serial(),
-        &Obs::off(),
-        DEFAULT_CHUNK_SIZE,
+        MemberSpec::Ac {
+            config: *config,
+            index,
+        },
     )
-    .pop()
-    // lint:allow(no-panic) -- the engine yields exactly one feed per member; losing it must fail loudly rather than fabricate an empty feed
-    .unwrap_or_else(|| unreachable!("engine yields one feed per member"))
 }
 
 #[cfg(test)]
@@ -76,7 +67,7 @@ mod tests {
         // harvest mask includes vector 4 (benign pollution aside).
         use taster_ecosystem::campaign::TargetClass;
         let mut eligible = std::collections::HashSet::new();
-        for e in w.truth.events() {
+        for e in w.truth.sorted_events().expect("events") {
             if matches!(e.target, TargetClass::Harvested(4)) {
                 eligible.insert(e.advertised);
                 if let Some(c) = e.chaff {

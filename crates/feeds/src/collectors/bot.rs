@@ -6,11 +6,10 @@
 //! every campaign of the unmonitored botnets. During the poisoning
 //! window the stream is dominated by random non-domains (§4.1.1).
 
-use crate::config::{BotConfig, DEFAULT_CHUNK_SIZE};
-use crate::engine::{collect_content, MemberSpec};
+use crate::config::BotConfig;
+use crate::engine::{collect_one, MemberSpec};
 use crate::feed::Feed;
 use taster_mailsim::MailWorld;
-use taster_sim::{FaultPlan, Obs, Parallelism};
 
 /// Collects the `Bot` feed.
 ///
@@ -18,18 +17,7 @@ use taster_sim::{FaultPlan, Obs, Parallelism};
 /// per-event RNG streams make the result bit-identical to this feed's
 /// slot in [`crate::pipeline::collect_all`].
 pub fn collect_bot(world: &MailWorld, config: &BotConfig) -> Feed {
-    let member = MemberSpec::Bot { config: *config };
-    collect_content(
-        world,
-        std::slice::from_ref(&member),
-        &FaultPlan::off(world.truth.seed),
-        &Parallelism::serial(),
-        &Obs::off(),
-        DEFAULT_CHUNK_SIZE,
-    )
-    .pop()
-    // lint:allow(no-panic) -- the engine yields exactly one feed per member; losing it must fail loudly rather than fabricate an empty feed
-    .unwrap_or_else(|| unreachable!("engine yields one feed per member"))
+    collect_one(world, MemberSpec::Bot { config: *config })
 }
 
 #[cfg(test)]
@@ -72,7 +60,7 @@ mod tests {
         let feed = collect_bot(&w, &FeedsConfig::default().bot);
         // Build the set of domains deliverable by monitored botnets.
         let mut allowed = std::collections::HashSet::new();
-        for e in w.truth.events() {
+        for e in w.truth.sorted_events().expect("events") {
             if let DeliveryVector::Botnet(b) = e.delivery {
                 if w.truth.botnets[b.index()].monitored {
                     allowed.insert(e.advertised);

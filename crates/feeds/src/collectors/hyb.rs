@@ -9,11 +9,10 @@
 //! volume (the paper's hypothesis in §4.2.2: "one possibility is that
 //! this feed contains spam domains not derived from e-mail spam").
 
-use crate::config::{HybConfig, DEFAULT_CHUNK_SIZE};
-use crate::engine::{collect_content, MemberSpec};
+use crate::config::HybConfig;
+use crate::engine::{collect_one, MemberSpec};
 use crate::feed::Feed;
 use taster_mailsim::MailWorld;
-use taster_sim::{FaultPlan, Obs, Parallelism};
 
 /// Collects the `Hyb` feed.
 ///
@@ -22,18 +21,7 @@ use taster_sim::{FaultPlan, Obs, Parallelism};
 /// per-event RNG streams make the result bit-identical to this feed's
 /// slot in [`crate::pipeline::collect_all`].
 pub fn collect_hyb(world: &MailWorld, config: &HybConfig) -> Feed {
-    let member = MemberSpec::Hyb { config: *config };
-    collect_content(
-        world,
-        std::slice::from_ref(&member),
-        &FaultPlan::off(world.truth.seed),
-        &Parallelism::serial(),
-        &Obs::off(),
-        DEFAULT_CHUNK_SIZE,
-    )
-    .pop()
-    // lint:allow(no-panic) -- the engine yields exactly one feed per member; losing it must fail loudly rather than fabricate an empty feed
-    .unwrap_or_else(|| unreachable!("engine yields one feed per member"))
+    collect_one(world, MemberSpec::Hyb { config: *config })
 }
 
 #[cfg(test)]

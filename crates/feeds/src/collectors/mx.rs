@@ -12,11 +12,10 @@
 //! so domains are recovered exactly as a real MX sink recovers them.
 //! It also receives the doppelganger/sign-up pollution stream.
 
-use crate::config::{MxConfig, DEFAULT_CHUNK_SIZE};
-use crate::engine::{collect_content, MemberSpec};
+use crate::config::MxConfig;
+use crate::engine::{collect_one, MemberSpec};
 use crate::feed::Feed;
 use taster_mailsim::MailWorld;
-use taster_sim::{FaultPlan, Obs, Parallelism};
 
 /// Collects MX honeypot `index` (0 = mx1, 1 = mx2, 2 = mx3).
 ///
@@ -25,21 +24,13 @@ use taster_sim::{FaultPlan, Obs, Parallelism};
 /// slot in [`crate::pipeline::collect_all`].
 pub fn collect_mx(world: &MailWorld, config: &MxConfig, index: u8) -> Feed {
     assert!(index < 3);
-    let member = MemberSpec::Mx {
-        config: *config,
-        index,
-    };
-    collect_content(
+    collect_one(
         world,
-        std::slice::from_ref(&member),
-        &FaultPlan::off(world.truth.seed),
-        &Parallelism::serial(),
-        &Obs::off(),
-        DEFAULT_CHUNK_SIZE,
+        MemberSpec::Mx {
+            config: *config,
+            index,
+        },
     )
-    .pop()
-    // lint:allow(no-panic) -- the engine yields exactly one feed per member; losing it must fail loudly rather than fabricate an empty feed
-    .unwrap_or_else(|| unreachable!("engine yields one feed per member"))
 }
 
 #[cfg(test)]

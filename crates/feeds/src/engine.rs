@@ -9,11 +9,11 @@
 //!
 //! This engine makes the work streaming, shardable and shareable:
 //!
-//! * **Chunked streaming over the replay stream.** The event log is
-//!   never materialised: the generator's replay stream fills one
-//!   struct-of-arrays [`EventBuffer`] per chunk and the collectors
-//!   consume it in place — peak memory is O(chunk), independent of the
-//!   run length.
+//! * **One pass over the time-sorted log.** In core the collectors
+//!   consume the resident sorted cache in place; out of core each chunk
+//!   of the time-sorted spill is read into one struct-of-arrays
+//!   [`EventBuffer`] — peak memory is O(chunk), independent of the run
+//!   length.
 //! * **Per-event RNG streams keyed by sorted index.** Each member's
 //!   capture decision for the event at time-sorted position *i* draws
 //!   from a stream derived from `(seed, member name, i)` — a pure
@@ -35,7 +35,7 @@
 //!   domains) fall back to a full render; either way every member
 //!   sees the same copy, drawn from the same per-event render stream.
 
-use crate::config::{AcConfig, BotConfig, HybConfig, MxConfig};
+use crate::config::{AcConfig, BotConfig, HybConfig, MxConfig, DEFAULT_CHUNK_SIZE};
 use crate::feed::Feed;
 use crate::id::FeedId;
 use crate::parse::{fnv64_parts, DomainExtractor};
@@ -44,6 +44,7 @@ use std::ops::Range;
 use taster_domain::DomainId;
 use taster_ecosystem::buffer::EventBuffer;
 use taster_ecosystem::campaign::{DeliveryVector, TargetClass};
+use taster_ecosystem::spill::SpillError;
 use taster_mailsim::benign::BenignDest;
 use taster_mailsim::render::{render_spam_into, replay_spam_url_hosts, SUBDOMAINS};
 use taster_mailsim::MailWorld;
@@ -197,7 +198,8 @@ pub(crate) fn compute_fast_ok(world: &MailWorld) -> Vec<bool> {
 /// `(seed, feed label, sorted event index)` — a pure function of the
 /// event, never of chunk or shard boundaries — so faulted runs stay
 /// bit-identical at any chunk size and worker count, and an off plan
-/// leaves the output untouched.
+/// leaves the output untouched. Fails only when the out-of-core spill
+/// cannot be read.
 pub(crate) fn collect_content(
     world: &MailWorld,
     members: &[MemberSpec],
@@ -205,66 +207,58 @@ pub(crate) fn collect_content(
     par: &Parallelism,
     obs: &Obs,
     chunk_size: usize,
-) -> Vec<Feed> {
-    let chunk_size = chunk_size.max(1);
+) -> Result<Vec<Feed>, SpillError> {
     let metrics_on = obs.metrics.is_on();
     let truth = &world.truth;
     let ctx = RunCtx::build(world, members, plan, compute_fast_ok(world));
 
     let mut merged: Vec<Feed> = members.iter().map(MemberSpec::empty_feed).collect();
     let mut metric_shards: Vec<MetricsShard> = Vec::new();
-    if let Some(cache) = truth.cache() {
-        // In-core: the sorted cache already holds every column keyed
-        // by sorted index, so the whole log shards in one pass — no
-        // replay, no per-chunk scatter. Shard boundaries cannot change
-        // any output: every per-event stream is keyed by `sorted_idx`
-        // and [`Feed::merge`] is commutative.
-        let shards = shard_ranges(cache.len(), par.workers());
-        let results = par.par_map(shards, |range| run_rows(&ctx, cache, range, metrics_on));
+    // In core the whole sorted cache shards in one visit; out of core
+    // each chunk of the spill does. Shard boundaries cannot change any
+    // output: every per-event stream is keyed by `sorted_idx` and
+    // [`Feed::merge`] is commutative.
+    truth.visit_sorted(0..truth.log.len, chunk_size.max(1), |buf, rows| {
+        let shards = shard_ranges(rows, par.workers());
+        let results = par.par_map(shards, |range| run_rows(&ctx, buf, range, metrics_on));
         for (shard, shard_metrics) in results {
             for (acc, piece) in merged.iter_mut().zip(shard) {
                 acc.merge(piece);
             }
             metric_shards.push(shard_metrics);
         }
-    } else {
-        // Out of core: stream the replay in chunks. The chunk width
-        // obeys the memory budget on top of the configured size.
-        let chunk_size = chunk_size.min(truth.config.budget_rows(truth.log.len as u64));
-        let rank = &truth.log.rank;
-        let mut buf = EventBuffer::with_capacity(chunk_size.min(truth.log.len.max(1)));
-        let mut stream = truth.events().enumerate();
-        let mut first = true;
-        loop {
-            buf.clear();
-            for (g, ev) in stream.by_ref().take(chunk_size) {
-                buf.push(&ev, rank[g]);
-            }
-            if buf.is_empty() && !first {
-                break;
-            }
-            first = false;
-            let shards = shard_ranges(buf.len(), par.workers());
-            let results = par.par_map(shards, |range| run_rows(&ctx, &buf, range, metrics_on));
-            for (shard, shard_metrics) in results {
-                for (acc, piece) in merged.iter_mut().zip(shard) {
-                    acc.merge(piece);
-                }
-                metric_shards.push(shard_metrics);
-            }
-            if buf.len() < chunk_size {
-                break;
-            }
-        }
-    }
-    // Chunks stream in generation order and shards split each chunk in
-    // row order; their metric totals are commutative sums, absorbed in
-    // that same (chunk, shard) order.
+        Ok::<(), SpillError>(())
+    })?;
+    // Chunks stream in sorted order and shards split each chunk in row
+    // order; their metric totals are commutative sums, absorbed in that
+    // same (chunk, shard) order.
     obs.metrics.absorb_in_order(&metric_shards);
     for (feed, member) in merged.iter_mut().zip(members) {
         finalize(world, feed, member, plan, obs);
     }
-    merged
+    Ok(merged)
+}
+
+/// Collects one member alone, fault-free and serially: the body of the
+/// single-feed wrappers ([`crate::collectors`]). Per-event RNG streams
+/// make the result bit-identical to this feed's slot in
+/// [`crate::pipeline::collect_all`]. Panics when the out-of-core spill
+/// cannot be read; the fallible path is
+/// [`crate::pipeline::try_collect_all_faulted`].
+pub(crate) fn collect_one(world: &MailWorld, member: MemberSpec) -> Feed {
+    let feeds = collect_content(
+        world,
+        std::slice::from_ref(&member),
+        &FaultPlan::off(world.truth.seed),
+        &Parallelism::serial(),
+        &Obs::off(),
+        DEFAULT_CHUNK_SIZE,
+    );
+    match feeds.map(|mut f| f.pop()) {
+        Ok(Some(feed)) => feed,
+        // lint:allow(no-panic) -- documented panicking wrapper; the engine yields one feed per member, and a spill read failure has no empty-feed stand-in
+        other => panic!("single-feed collection failed: {other:?}"),
+    }
 }
 
 /// Shard-local observability accumulator: plain integers on the hot
@@ -339,14 +333,15 @@ impl ShardObs {
     }
 }
 
-/// Splits `0..n` into up to `parts` contiguous ranges of near-equal
+/// Splits `rows` into up to `parts` contiguous ranges of near-equal
 /// size. The split only affects scheduling: shard outputs merge to the
 /// same feeds wherever the boundaries fall.
-pub(crate) fn shard_ranges(n: usize, parts: usize) -> Vec<Range<usize>> {
+pub(crate) fn shard_ranges(rows: Range<usize>, parts: usize) -> Vec<Range<usize>> {
+    let n = rows.len();
     let parts = parts.clamp(1, n.max(1));
     let base = n / parts;
     let extra = n % parts;
-    let mut start = 0;
+    let mut start = rows.start;
     (0..parts)
         .map(|i| {
             let len = base + usize::from(i < extra);
@@ -804,6 +799,18 @@ mod tests {
         ]
     }
 
+    /// The engine under test, which reads in-core worlds only.
+    fn collect_content(
+        world: &MailWorld,
+        members: &[MemberSpec],
+        plan: &FaultPlan,
+        par: &Parallelism,
+        obs: &Obs,
+        chunk_size: usize,
+    ) -> Vec<Feed> {
+        super::collect_content(world, members, plan, par, obs, chunk_size).expect("collect")
+    }
+
     fn assert_feeds_equal(a: &Feed, b: &Feed) {
         assert_eq!(a.id, b.id);
         assert_eq!(a.samples, b.samples, "{}", a.id);
@@ -990,13 +997,15 @@ mod tests {
     #[test]
     fn shard_ranges_cover_exactly() {
         for (n, parts) in [(0, 4), (1, 4), (10, 3), (100, 7), (5, 9)] {
-            let ranges = shard_ranges(n, parts);
-            let mut next = 0;
-            for r in &ranges {
-                assert_eq!(r.start, next);
-                next = r.end;
+            for lo in [0, 13] {
+                let ranges = shard_ranges(lo..lo + n, parts);
+                let mut next = lo;
+                for r in &ranges {
+                    assert_eq!(r.start, next);
+                    next = r.end;
+                }
+                assert_eq!(next, lo + n, "n={n} parts={parts}");
             }
-            assert_eq!(next, n, "n={n} parts={parts}");
         }
     }
 }

@@ -7,6 +7,9 @@
 //! fails validation — surface as a [`PipelineError`] instead of a
 //! panic.
 
+use taster_ecosystem::spill::SpillError;
+use taster_ecosystem::WorldError;
+
 /// An unrecoverable error in the collection pipeline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PipelineError {
@@ -22,6 +25,26 @@ pub enum PipelineError {
     /// that explains it — a silent zero row in a sweep or benchmark
     /// would hide real breakage, so this surfaces as a typed error.
     EmptyCollection(String),
+    /// The out-of-core event spill could not be created, written or
+    /// read back intact.
+    Spill(SpillError),
+}
+
+impl PipelineError {
+    /// Maps a world-building failure: spill faults keep their type, a
+    /// rejected configuration becomes `invalid`'s variant.
+    pub fn from_world(e: WorldError, invalid: fn(String) -> PipelineError) -> PipelineError {
+        match e {
+            WorldError::Invalid(msg) => invalid(msg),
+            WorldError::Spill(e) => PipelineError::Spill(e),
+        }
+    }
+}
+
+impl From<SpillError> for PipelineError {
+    fn from(e: SpillError) -> PipelineError {
+        PipelineError::Spill(e)
+    }
 }
 
 impl std::fmt::Display for PipelineError {
@@ -34,6 +57,7 @@ impl std::fmt::Display for PipelineError {
             PipelineError::InvalidScenario(msg) => write!(f, "invalid scenario: {msg}"),
             PipelineError::Generation(msg) => write!(f, "ground-truth generation failed: {msg}"),
             PipelineError::EmptyCollection(msg) => write!(f, "empty collection: {msg}"),
+            PipelineError::Spill(e) => write!(f, "event spill: {e}"),
         }
     }
 }

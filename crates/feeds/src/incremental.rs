@@ -36,8 +36,6 @@ use crate::error::PipelineError;
 use crate::feed::{Feed, FeedSet};
 use crate::id::FeedId;
 use crate::pipeline::content_members;
-use std::ops::Range;
-use taster_ecosystem::buffer::EventBuffer;
 use taster_mailsim::MailWorld;
 use taster_sim::{FaultPlan, Parallelism, SimTime};
 
@@ -154,7 +152,7 @@ impl IngestState {
                 FeedId::ALL.len()
             )));
         }
-        state.watermark = watermark_at(world, rows_done);
+        state.watermark = watermark_at(world, rows_done)?;
         state.rows_done = rows_done;
         state.feeds = feeds;
         for s in &mut state.sources {
@@ -190,51 +188,46 @@ impl IngestState {
 
     /// Ingests time-sorted rows `rows_done..target_row` on `par`
     /// workers, then replays every pre-decided source record up to the
-    /// new watermark. Returns the number of rows applied.
+    /// new watermark. Returns the number of rows applied; fails only
+    /// when the out-of-core spill cannot be read, leaving the state as
+    /// it was.
     pub fn advance(
         &mut self,
         world: &MailWorld,
         plan: &FaultPlan,
         par: &Parallelism,
         target_row: usize,
-    ) -> usize {
+    ) -> Result<usize, PipelineError> {
         let target = target_row.min(self.total_rows);
         if target <= self.rows_done {
-            return 0;
+            return Ok(0);
         }
         let ctx = RunCtx::build(world, &self.members, plan, self.fast_ok.clone());
         let range = self.rows_done..target;
-        let results = if let Some(cache) = world.truth.cache() {
-            let shards: Vec<Range<usize>> = shard_ranges(range.len(), par.workers())
-                .into_iter()
-                .map(|r| r.start + range.start..r.end + range.start)
-                .collect();
-            par.par_map(shards, |rows| run_rows(&ctx, cache, rows, false))
-        } else {
-            // Out of core: replay the generation-order stream, keeping
-            // only rows whose sorted rank falls inside the slice. The
-            // scratch buffer carries each row's global sorted index, so
-            // every keyed decision is identical to the in-core path.
-            let rank = &world.truth.log.rank;
-            let mut buf = EventBuffer::with_capacity(range.len());
-            for (g, ev) in world.truth.events().enumerate() {
-                let r = rank[g] as usize;
-                if range.contains(&r) {
-                    buf.push(&ev, rank[g]);
+        // Every row carries its global sorted index, so each keyed
+        // decision is the same however the slice is read. The slice
+        // lands in the building feeds only once all of it was read.
+        let mut pieces = Vec::new();
+        let mut watermark = self.watermark;
+        world
+            .truth
+            .visit_sorted(range.clone(), range.len(), |buf, rows| {
+                if let Some(last) = rows.clone().next_back() {
+                    watermark = buf.time[last];
                 }
-            }
-            let shards = shard_ranges(buf.len(), par.workers());
-            par.par_map(shards, |rows| run_rows(&ctx, &buf, rows, false))
-        };
-        for (shard, _metrics) in results {
+                let shards = shard_ranges(rows, par.workers());
+                pieces.extend(par.par_map(shards, |rows| run_rows(&ctx, buf, rows, false)));
+                Ok::<(), PipelineError>(())
+            })?;
+        for (shard, _metrics) in pieces {
             for (piece, member) in shard.into_iter().zip(&self.members) {
                 self.feeds[member_feed_index(member)].merge(piece);
             }
         }
         self.rows_done = target;
-        self.watermark = watermark_at(world, target);
+        self.watermark = watermark;
         self.replay_sources_to(self.watermark);
-        target - range.start
+        Ok(target - range.start)
     }
 
     /// Applies every pre-decided source record with `time <= limit`.
@@ -271,21 +264,17 @@ impl IngestState {
 
 /// The sim-time watermark after `rows` time-sorted rows: the time of
 /// the last ingested row (or zero before any row).
-fn watermark_at(world: &MailWorld, rows: usize) -> SimTime {
-    if rows == 0 {
-        return SimTime::ZERO;
+fn watermark_at(world: &MailWorld, rows: usize) -> Result<SimTime, PipelineError> {
+    let mut watermark = SimTime::ZERO;
+    if rows > 0 {
+        world.truth.visit_sorted(rows - 1..rows, 1, |buf, last| {
+            if let Some(r) = last.last() {
+                watermark = buf.time[r];
+            }
+            Ok::<(), PipelineError>(())
+        })?;
     }
-    if let Some(cache) = world.truth.cache() {
-        return cache.time[rows - 1];
-    }
-    let want = (rows - 1) as u32;
-    let rank = &world.truth.log.rank;
-    for (g, ev) in world.truth.events().enumerate() {
-        if rank[g] == want {
-            return ev.time;
-        }
-    }
-    SimTime::ZERO
+    Ok(watermark)
 }
 
 /// Attaches outage windows as gap markers, as the batch pipeline does.
@@ -340,7 +329,7 @@ mod tests {
             // Ragged epochs on purpose: boundaries must not matter.
             let total = state.total_rows();
             for target in [total / 7, total / 3, total / 2 + 11, total] {
-                state.advance(&w, &plan, &par, target);
+                state.advance(&w, &plan, &par, target).expect("advance");
             }
             let incremental = state.finish(&plan);
             assert_sets_equal(&batch, &incremental);
@@ -356,18 +345,18 @@ mod tests {
 
         let mut full = IngestState::new(&w, &cfg, &plan).expect("state");
         let total = full.total_rows();
-        full.advance(&w, &plan, &par, total);
+        full.advance(&w, &plan, &par, total).expect("advance");
         let uninterrupted = full.finish(&plan);
 
         // "Crash" after 40% of the rows: keep only the building feeds
         // and the row counter, as a checkpoint would.
         let mut first = IngestState::new(&w, &cfg, &plan).expect("state");
         let stop = total * 2 / 5;
-        first.advance(&w, &plan, &par, stop);
+        first.advance(&w, &plan, &par, stop).expect("advance");
         let feeds = first.feeds().to_vec();
 
         let mut resumed = IngestState::resume(&w, &cfg, &plan, feeds, stop).expect("resume");
-        resumed.advance(&w, &plan, &par, total);
+        resumed.advance(&w, &plan, &par, total).expect("advance");
         let replayed = resumed.finish(&plan);
         assert_sets_equal(&uninterrupted, &replayed);
     }

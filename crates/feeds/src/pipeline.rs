@@ -119,6 +119,7 @@ pub fn try_collect_all_observed(
         };
         (content, hu)
     });
+    let content = content?;
     let blacklists = obs.stage(STAGE_BLACKLIST, || {
         let _span = obs.span("collect/blacklists");
         // Counter adds are saturating (commutative + associative), so

@@ -197,6 +197,7 @@ mod tests {
         let mut rng = RngStream::new(5, "mbox-test");
         let messages: Vec<MboxMessage> = truth
             .sorted_events()
+            .unwrap()
             .iter()
             .take(50)
             .map(|e| {

@@ -288,7 +288,7 @@ mod tests {
         let psl = SuffixList::builtin();
         let mut rng = RngStream::new(1, "render-test");
         let mut checked = 0;
-        for e in truth.sorted_events().iter().take(300) {
+        for e in truth.sorted_events().unwrap().iter().take(300) {
             let msg = render_spam(&truth, e.advertised, e.chaff, e.time, &mut rng);
             let urls = extract_urls(&msg.text);
             assert!(!urls.is_empty(), "no URLs extracted from:\n{}", msg.text);
@@ -331,7 +331,7 @@ mod tests {
         let mut rng_a = RngStream::new(5, "render-into");
         let mut rng_b = rng_a.clone();
         let mut buf = String::new();
-        for e in truth.sorted_events().iter().take(200) {
+        for e in truth.sorted_events().unwrap().iter().take(200) {
             let msg = render_spam(&truth, e.advertised, e.chaff, e.time, &mut rng_a);
             let headers =
                 render_spam_into(&mut buf, &truth, e.advertised, e.chaff, e.time, &mut rng_b);
@@ -348,7 +348,7 @@ mod tests {
         // per-event stream.
         let truth = world();
         let base = RngStream::new(truth.seed, "replay-pin");
-        for (i, e) in truth.sorted_events().iter().take(400).enumerate() {
+        for (i, e) in truth.sorted_events().unwrap().iter().take(400).enumerate() {
             let mut full_rng = base.child(truth.seed, "replay-pin", i as u64);
             let mut replay_rng = full_rng.clone();
             let mut buf = String::new();

@@ -3,7 +3,7 @@
 use crate::benign::{generate_benign_traffic, BenignMailEvent};
 use crate::config::MailConfig;
 use crate::provider::{run_provider, ProviderOutputs};
-use taster_ecosystem::GroundTruth;
+use taster_ecosystem::{GroundTruth, WorldError};
 
 /// Relative address-space sizes of the three MX honeypots. mx2 is the
 /// big abandoned-domain portfolio (the paper's mx2 was by far the
@@ -27,10 +27,10 @@ pub struct MailWorld {
 
 impl MailWorld {
     /// Builds the world: benign traffic first (extends the universe),
-    /// then the provider model. Fails only when `mail_config` is
-    /// invalid.
-    pub fn build(mut truth: GroundTruth, mail_config: MailConfig) -> Result<MailWorld, String> {
-        mail_config.validate()?;
+    /// then the provider model. Fails when `mail_config` is invalid or
+    /// the out-of-core event spill cannot be read.
+    pub fn build(mut truth: GroundTruth, mail_config: MailConfig) -> Result<MailWorld, WorldError> {
+        mail_config.validate().map_err(WorldError::Invalid)?;
         let benign_mail = generate_benign_traffic(&mut truth, &mail_config, &MX_SIZE_FACTORS);
         let provider = run_provider(&truth, &mail_config)?;
         Ok(MailWorld {

@@ -39,12 +39,7 @@ pub struct Checkpoint {
 
 /// FNV-1a 64-bit, the repo's deterministic hash of choice.
 fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    taster_sim::rng::fnv1a64(taster_sim::rng::FNV1A64_OFFSET, bytes)
 }
 
 fn put_u64(out: &mut Vec<u8>, v: u64) {

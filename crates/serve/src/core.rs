@@ -134,14 +134,15 @@ impl ServeCore {
 
     /// Ingests up to `rows` more event rows (bounded work slice for
     /// the daemon loop; the watchdog shrinks `rows` under pressure).
-    /// Does not seal. Returns rows actually applied.
-    pub fn advance_rows(&mut self, par: &Parallelism, rows: usize) -> usize {
+    /// Does not seal. Returns rows actually applied; fails only when
+    /// the out-of-core event spill cannot be read.
+    pub fn advance_rows(&mut self, par: &Parallelism, rows: usize) -> Result<usize, ServeError> {
         let target = self
             .state
             .rows_done()
             .saturating_add(rows)
             .min(self.next_epoch_target());
-        self.state.advance(&self.world, &self.plan, par, target)
+        Ok(self.state.advance(&self.world, &self.plan, par, target)?)
     }
 
     /// Seals the current building state into a queryable epoch, writes
@@ -222,7 +223,7 @@ impl ServeCore {
     pub fn run_to_completion(&mut self, par: &Parallelism) -> Result<(), ServeError> {
         while !self.state.ingest_complete() {
             let target = self.next_epoch_target();
-            self.state.advance(&self.world, &self.plan, par, target);
+            self.state.advance(&self.world, &self.plan, par, target)?;
             self.seal(par)?;
         }
         if self.sealed.is_none() {
@@ -266,7 +267,7 @@ impl ServeCore {
                 faults: self.plan.clone(),
                 obs: Obs::off(),
             };
-            self.final_report = Some(experiment.render_report());
+            self.final_report = Some(experiment.try_render_report()?);
         }
         self.final_report
             .as_deref()
@@ -292,8 +293,8 @@ fn build_world(scenario: &Scenario) -> Result<(MailWorld, FaultPlan), ServeError
         .validate()
         .map_err(|e| ServeError::Pipeline(PipelineError::InvalidScenario(e)))?;
     let truth = GroundTruth::generate(&scenario.ecosystem, scenario.seed)
-        .map_err(|e| ServeError::Pipeline(PipelineError::Generation(e)))?;
+        .map_err(|e| PipelineError::from_world(e, PipelineError::Generation))?;
     let world = MailWorld::build(truth, scenario.mail.clone())
-        .map_err(|e| ServeError::Pipeline(PipelineError::InvalidScenario(e)))?;
+        .map_err(|e| PipelineError::from_world(e, PipelineError::InvalidScenario))?;
     Ok((world, scenario.fault_plan()))
 }

@@ -180,7 +180,7 @@ pub fn run(
         if !core.ingest_complete() {
             let boundary = core.next_epoch_target();
             let sw = MetricsRegistry::stopwatch();
-            core.advance_rows(par, tick_rows);
+            core.advance_rows(par, tick_rows)?;
             if sw.elapsed_secs() > cfg.watchdog.as_secs_f64() {
                 stats.watchdog_trips += 1;
                 tick_rows = (tick_rows / 2).max(MIN_TICK_ROWS);

@@ -151,13 +151,24 @@ fn splitmix64(x: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
+/// The FNV-1a 64-bit offset basis: the `seed` that starts a fresh hash
+/// in [`fnv1a64`].
+pub const FNV1A64_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+
+/// FNV-1a 64-bit over `bytes`, continuing from `seed`. Incremental:
+/// hashing `a` then `b` from the returned value equals hashing `a ++ b`
+/// from [`FNV1A64_OFFSET`].
+pub fn fnv1a64(seed: u64, bytes: &[u8]) -> u64 {
+    let mut h = seed;
     for &b in bytes {
-        h ^= b as u64;
+        h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a64(FNV1A64_OFFSET, bytes)
 }
 
 #[cfg(test)]

@@ -35,7 +35,7 @@ fn main() {
     // already sorted).
     let tagged = e.classified.union(&FeedId::ALL, Category::Tagged);
     let mut deliveries: HashMap<DomainId, Vec<SimTime>> = HashMap::new();
-    for ev in &e.world.truth.sorted_events() {
+    for ev in e.world.truth.sorted_events().expect("event log") {
         if tagged.contains(ev.advertised) {
             deliveries.entry(ev.advertised).or_default().push(ev.time);
         }

@@ -41,7 +41,7 @@ fn main() {
     let mut rng = RngStream::new(world.truth.seed, "example/export-corpus");
     let (mut server, _) = HoneypotServer::connect("mx.corpus-trap.example");
     let mut corpus: Vec<MboxMessage> = Vec::new();
-    for event in &world.truth.sorted_events() {
+    for event in world.truth.sorted_events().expect("event log") {
         if event.target != TargetClass::BruteForce || !rng.random_bool(0.05) {
             continue;
         }

@@ -647,7 +647,13 @@ fn report(scenario: &Scenario, args: &Args) {
         // The full render goes through the timed stage wrapper, so
         // `--trace`/profiled runs see it on the same clock as every
         // other stage. Byte-identical to `r.full_report()`.
-        "all" => e.render_report(),
+        "all" => match e.try_render_report() {
+            Ok(text) => text,
+            Err(err) => {
+                eprintln!("cannot render report: {err}");
+                std::process::exit(1);
+            }
+        },
         "table1" => r.table1_feed_summary(),
         "table2" => r.table2_purity(),
         "table3" => r.table3_coverage(),

@@ -46,7 +46,7 @@ fn feeds_only_contain_universe_domains_within_time_bounds() {
 fn spam_collectors_see_only_advertised_or_chaff_domains() {
     let e = experiment();
     let mut email_visible: HashSet<DomainId> = HashSet::new();
-    for ev in e.world.truth.events() {
+    for ev in e.world.truth.sorted_events().unwrap() {
         email_visible.insert(ev.advertised);
         if let Some(c) = ev.chaff {
             email_visible.insert(c);

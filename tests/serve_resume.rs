@@ -90,7 +90,9 @@ fn kill_at_random_epoch_resumes_byte_identical() {
             let mut doomed = ServeCore::new(&scn, config()).expect("doomed core");
             for _ in 0..kill_after {
                 let target = doomed.next_epoch_target();
-                doomed.advance_rows(&par, target - doomed.rows_done());
+                doomed
+                    .advance_rows(&par, target - doomed.rows_done())
+                    .expect("advance");
                 doomed.seal(&par).expect("seal");
             }
             assert!(
@@ -116,6 +118,62 @@ fn kill_at_random_epoch_resumes_byte_identical() {
     }
 }
 
+/// Out of core every ingest slice and every watermark reads the
+/// time-sorted spill instead of the resident cache. Under a budget far
+/// below the cache, the served final report must still equal the batch
+/// report, uninterrupted and when killed mid-run and resumed.
+#[test]
+fn out_of_core_serve_matches_batch_and_resumes_byte_identical() {
+    let batch = Experiment::try_run(&scenario("off", 1))
+        .expect("batch run")
+        .render_report();
+    let mut scn = scenario("off", 2);
+    scn.ecosystem.max_mem_bytes = Some(64 << 10);
+    let spilled = Experiment::try_run(&scn).expect("out-of-core batch run");
+    assert!(
+        spilled.world.truth.cache().is_none(),
+        "the budget must force the log out of core"
+    );
+    assert_eq!(spilled.render_report(), batch, "out-of-core batch report");
+    drop(spilled);
+
+    let par = scn.parallelism;
+    let dir = scratch("out-of-core");
+    let config = || ServeConfig {
+        epoch_events: 2_000,
+        checkpoint_dir: Some(dir.clone()),
+    };
+    let mut clean = ServeCore::new(&scn, config()).expect("clean core");
+    clean.run_to_completion(&par).expect("clean run");
+    assert_eq!(
+        clean.final_report(&par).expect("clean report"),
+        batch,
+        "out-of-core serve vs batch report"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+
+    let mut doomed = ServeCore::new(&scn, config()).expect("doomed core");
+    for _ in 0..2 {
+        let target = doomed.next_epoch_target();
+        // Ragged ticks, as the daemon's watchdog would make them.
+        while doomed.rows_done() < target {
+            doomed.advance_rows(&par, 777).expect("advance");
+        }
+        doomed.seal(&par).expect("seal");
+    }
+    assert!(!doomed.ingest_complete(), "the kill must land mid-run");
+    drop(doomed);
+    let mut resumed = ServeCore::resume(&scn, config()).expect("resume core");
+    assert!(resumed.rows_done() > 0, "resume starts from the checkpoint");
+    resumed.run_to_completion(&par).expect("resumed run");
+    assert_eq!(
+        resumed.final_report(&par).expect("resumed report"),
+        batch,
+        "out-of-core killed-and-resumed report differs"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// A checkpoint written for one configuration must refuse to resume
 /// another: the fingerprint covers seed, scenario (scale), profile,
 /// chunking and epoch size.
@@ -136,7 +194,7 @@ fn resume_refuses_foreign_checkpoints() {
     )
     .expect("core");
     let target = core.next_epoch_target();
-    core.advance_rows(&par, target);
+    core.advance_rows(&par, target).expect("advance");
     core.seal(&par).expect("seal");
     drop(core);
 
