@@ -8,13 +8,16 @@
 //! it) the observation volume; plus the raw sample count for Table 1.
 //!
 //! A feed has two storage states. During collection it is *building*:
-//! an incremental hash map, because events arrive in arbitrary domain
-//! order. [`FeedSet::new`] *seals* every feed into [`FeedColumns`] —
-//! sorted parallel columns plus a membership bitset — which is what the
-//! analyses scan. The `Feed` API is identical in both states.
+//! hash tables, because events arrive in arbitrary domain order.
+//! [`Feed::seal`] freezes it into [`FeedColumns`] — sorted parallel
+//! columns plus a membership bitset — and an ascending FQDN hash list,
+//! which is what the analyses scan. `Feed::merged` folds a later
+//! delta into a sealed feed in one linear pass; that is how `taster
+//! serve` seals an epoch. The read API is identical in both states.
 
 use crate::id::FeedId;
 use crate::table::FeedColumns;
+use std::borrow::Cow;
 use taster_domain::fx::{FxHashMap, FxHashSet};
 use taster_domain::{DomainBitset, DomainId};
 use taster_sim::{SimTime, TimeWindow};
@@ -31,11 +34,28 @@ pub struct DomainStats {
     pub volume: u64,
 }
 
-/// Either ingestion (map) or analysis (columnar) storage.
+impl DomainStats {
+    /// Folds in `other`, the same domain's stats from another shard or
+    /// epoch: first seen takes the minimum, last seen the maximum, and
+    /// volumes add. Commutative and associative; the one combining
+    /// rule behind [`Feed::record`], [`Feed::merge`] and
+    /// [`FeedColumns::merge`].
+    #[inline]
+    pub(crate) fn absorb(&mut self, other: DomainStats) {
+        self.first_seen = self.first_seen.min(other.first_seen);
+        self.last_seen = self.last_seen.max(other.last_seen);
+        self.volume += other.volume;
+    }
+}
+
+/// Either ingestion (hash) or analysis (sorted) storage. The FQDN set
+/// is `None` for feeds that report no URL granularity.
 #[derive(Debug, Clone)]
 enum Store {
-    Building(FxHashMap<DomainId, DomainStats>),
-    Sealed(FeedColumns),
+    /// Per-domain stats and FQDN hashes as they arrive.
+    Building(FxHashMap<DomainId, DomainStats>, Option<FxHashSet<u64>>),
+    /// Sorted columns and the FQDN hashes, ascending and distinct.
+    Sealed(FeedColumns, Option<Vec<u64>>),
 }
 
 /// One collected feed.
@@ -50,11 +70,10 @@ pub struct Feed {
     /// Whether the feed's records carry usable volume information
     /// (§4.3 restricts proportionality analysis to these feeds).
     pub reports_volume: bool,
+    /// Per-domain stats plus the distinct fully-qualified hostnames
+    /// observed (hashes), for feeds that report URL granularity (not
+    /// blacklists and scrubbed feeds — §2).
     store: Store,
-    /// Distinct fully-qualified hostnames observed (hashes), for feeds
-    /// that report URL granularity; `None` for domain-only feeds
-    /// (blacklists and scrubbed feeds — §2).
-    fqdns: Option<FxHashSet<u64>>,
     /// Known collection gaps: windows during which the collector was
     /// down and recorded nothing. Empty on clean runs.
     gaps: Vec<TimeWindow>,
@@ -67,8 +86,7 @@ impl Feed {
             id,
             samples: None,
             reports_volume,
-            store: Store::Building(FxHashMap::default()),
-            fqdns: None,
+            store: Store::Building(FxHashMap::default(), None),
             gaps: Vec::new(),
         }
     }
@@ -89,40 +107,43 @@ impl Feed {
 
     /// Notes one observed fully-qualified hostname (by stable hash).
     /// The first call switches the feed to URL granularity.
+    ///
+    /// Panics once the feed has been sealed — collection is over.
     pub fn note_fqdn(&mut self, host_hash: u64) {
-        self.fqdns
+        let Store::Building(_, fqdns) = &mut self.store else {
+            // lint:allow(no-panic) -- documented sealed-state contract; noting into a sealed feed is a caller bug
+            panic!("cannot note an FQDN in a sealed feed");
+        };
+        fqdns
             .get_or_insert_with(FxHashSet::default)
             .insert(host_hash);
     }
 
     /// Distinct FQDNs observed, when the feed reports URL granularity.
     pub fn unique_fqdns(&self) -> Option<usize> {
-        self.fqdns.as_ref().map(|s| s.len())
+        match &self.store {
+            Store::Building(_, fqdns) => fqdns.as_ref().map(|s| s.len()),
+            Store::Sealed(_, fqdns) => fqdns.as_ref().map(Vec::len),
+        }
     }
 
     /// Records one observation of `domain` at `time`.
     ///
     /// Panics once the feed has been sealed — collection is over.
     pub fn record(&mut self, domain: DomainId, time: SimTime) {
-        let Store::Building(domains) = &mut self.store else {
+        let Store::Building(domains, _) = &mut self.store else {
             // lint:allow(no-panic) -- documented sealed-state contract; recording into a sealed feed is a caller bug
             panic!("cannot record into a sealed feed");
         };
-        match domains.entry(domain) {
-            std::collections::hash_map::Entry::Occupied(mut e) => {
-                let s = e.get_mut();
-                s.first_seen = s.first_seen.min(time);
-                s.last_seen = s.last_seen.max(time);
-                s.volume += 1;
-            }
-            std::collections::hash_map::Entry::Vacant(v) => {
-                v.insert(DomainStats {
-                    first_seen: time,
-                    last_seen: time,
-                    volume: 1,
-                });
-            }
-        }
+        let seen = DomainStats {
+            first_seen: time,
+            last_seen: time,
+            volume: 1,
+        };
+        domains
+            .entry(domain)
+            .and_modify(|s| s.absorb(seen))
+            .or_insert(seen);
     }
 
     /// Counts one raw sample (a received record/message).
@@ -130,44 +151,49 @@ impl Feed {
         *self.samples.get_or_insert(0) += 1;
     }
 
-    /// Freezes the ingestion map into sorted columns. Idempotent.
+    /// Freezes the ingestion tables into sorted columns and an
+    /// ascending FQDN list: the merge kernel over empty columns.
+    /// Idempotent.
     pub fn seal(&mut self) {
-        if let Store::Building(domains) = &mut self.store {
-            let map = std::mem::take(domains);
-            self.store = Store::Sealed(FeedColumns::from_map(map));
+        if let Store::Building(domains, fqdns) = &mut self.store {
+            let mut rows: Vec<(DomainId, DomainStats)> =
+                std::mem::take(domains).into_iter().collect();
+            rows.sort_unstable_by_key(|&(d, _)| d);
+            let fqdns = fqdns.take().map(|set| sorted_hashes(&set));
+            self.store = Store::Sealed(FeedColumns::default().merge(rows), fqdns);
         }
     }
 
     /// The columnar storage. Panics while still building.
     pub fn columns(&self) -> &FeedColumns {
         match &self.store {
-            Store::Sealed(cols) => cols,
+            Store::Sealed(cols, _) => cols,
             // lint:allow(no-panic) -- documented contract: columns() requires a sealed feed
-            Store::Building(_) => panic!("feed {} has not been sealed", self.id),
+            Store::Building(..) => panic!("feed {} has not been sealed", self.id),
         }
     }
 
     /// Number of unique registered domains.
     pub fn unique_domains(&self) -> usize {
         match &self.store {
-            Store::Building(domains) => domains.len(),
-            Store::Sealed(cols) => cols.len(),
+            Store::Building(domains, _) => domains.len(),
+            Store::Sealed(cols, _) => cols.len(),
         }
     }
 
     /// Stats for one domain.
     pub fn stats(&self, domain: DomainId) -> Option<DomainStats> {
         match &self.store {
-            Store::Building(domains) => domains.get(&domain).copied(),
-            Store::Sealed(cols) => cols.stats(domain),
+            Store::Building(domains, _) => domains.get(&domain).copied(),
+            Store::Sealed(cols, _) => cols.stats(domain),
         }
     }
 
     /// Whether the feed carries `domain`.
     pub fn contains(&self, domain: DomainId) -> bool {
         match &self.store {
-            Store::Building(domains) => domains.contains_key(&domain),
-            Store::Sealed(cols) => cols.contains(domain),
+            Store::Building(domains, _) => domains.contains_key(&domain),
+            Store::Sealed(cols, _) => cols.contains(domain),
         }
     }
 
@@ -175,8 +201,8 @@ impl Feed {
     /// unordered while building.
     pub fn iter(&self) -> impl Iterator<Item = (DomainId, DomainStats)> + '_ {
         let (building, sealed) = match &self.store {
-            Store::Building(domains) => (Some(domains.iter()), None),
-            Store::Sealed(cols) => (None, Some(cols.iter())),
+            Store::Building(domains, _) => (Some(domains.iter()), None),
+            Store::Sealed(cols, _) => (None, Some(cols.iter())),
         };
         building
             .into_iter()
@@ -197,22 +223,23 @@ impl Feed {
     }
 
     /// The feed's FQDN hashes in ascending order, when the feed reports
-    /// URL granularity. Deterministic: the same feed always yields the
-    /// same list, whatever insertion order built the set. Used by the
-    /// serve checkpointer.
-    pub fn fqdn_hashes_sorted(&self) -> Option<Vec<u64>> {
-        self.fqdns.as_ref().map(|s| {
-            let mut v: Vec<u64> = s.iter().copied().collect();
-            v.sort_unstable();
-            v
-        })
+    /// URL granularity: sorted while building, borrowed once sealed.
+    /// Deterministic: the same feed always yields the same list,
+    /// whatever insertion order built the set. Used by the serve
+    /// checkpointer.
+    pub fn fqdn_hashes_sorted(&self) -> Option<Cow<'_, [u64]>> {
+        match &self.store {
+            Store::Building(_, fqdns) => fqdns.as_ref().map(|s| Cow::Owned(sorted_hashes(s))),
+            Store::Sealed(_, fqdns) => fqdns.as_deref().map(Cow::Borrowed),
+        }
     }
 
     /// Rebuilds a *building* feed from checkpointed parts: the inverse
     /// of iterating a snapshot. `entries` may arrive in any order;
     /// duplicates are a caller bug (the last entry wins; volumes are
     /// not merged). The restored feed accepts further [`Feed::record`]
-    /// calls — this is how `serve --resume` replays only the tail.
+    /// and [`Feed::merge`] calls — this is how `serve --resume` folds
+    /// its checkpoint chain.
     pub fn from_parts(
         id: FeedId,
         reports_volume: bool,
@@ -221,16 +248,14 @@ impl Feed {
         fqdns: Option<Vec<u64>>,
         gaps: Vec<TimeWindow>,
     ) -> Feed {
-        let mut map = FxHashMap::default();
-        for (d, s) in entries {
-            map.insert(d, s);
-        }
         let mut feed = Feed {
             id,
             samples,
             reports_volume,
-            store: Store::Building(map),
-            fqdns: fqdns.map(|v| v.into_iter().collect()),
+            store: Store::Building(
+                entries.into_iter().collect(),
+                fqdns.map(|v| v.into_iter().collect()),
+            ),
             gaps: Vec::new(),
         };
         for gap in gaps {
@@ -250,30 +275,20 @@ impl Feed {
     pub fn merge(&mut self, other: Feed) {
         assert_eq!(self.id, other.id, "merging shards of different feeds");
         assert_eq!(self.reports_volume, other.reports_volume);
-        let (Store::Building(ours), Store::Building(theirs)) = (&mut self.store, other.store)
+        let (Store::Building(ours, our_fqdns), Store::Building(theirs, their_fqdns)) =
+            (&mut self.store, other.store)
         else {
-            // lint:allow(no-panic) -- documented contract: only building shards merge
+            // lint:allow(no-panic) -- documented contract: only building shards merge; sealed feeds take deltas through merged()
             panic!("cannot merge sealed feeds");
         };
-        self.samples = match (self.samples, other.samples) {
-            (Some(a), Some(b)) => Some(a + b),
-            (a, b) => a.or(b),
-        };
+        self.samples = add_samples(self.samples, other.samples);
         for (domain, stats) in theirs {
-            match ours.entry(domain) {
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    let s = e.get_mut();
-                    s.first_seen = s.first_seen.min(stats.first_seen);
-                    s.last_seen = s.last_seen.max(stats.last_seen);
-                    s.volume += stats.volume;
-                }
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(stats);
-                }
-            }
+            ours.entry(domain)
+                .and_modify(|s| s.absorb(stats))
+                .or_insert(stats);
         }
-        if let Some(theirs) = other.fqdns {
-            self.fqdns
+        if let Some(theirs) = their_fqdns {
+            our_fqdns
                 .get_or_insert_with(FxHashSet::default)
                 .extend(theirs);
         }
@@ -281,6 +296,68 @@ impl Feed {
             self.note_gap(gap);
         }
     }
+
+    /// The sealed feed holding `self` plus a later `delta`, both
+    /// sealed, in one linear pass: the delta's rows merge into the
+    /// columns ([`FeedColumns::merge`]) and its FQDN hashes into the
+    /// ascending list, while samples add and gaps union as in
+    /// [`Feed::merge`].
+    pub(crate) fn merged(&self, delta: &Feed) -> Feed {
+        assert_eq!(self.id, delta.id, "merging deltas of different feeds");
+        assert_eq!(self.reports_volume, delta.reports_volume);
+        let (Store::Sealed(cols, fqdns), Store::Sealed(rows, delta_fqdns)) =
+            (&self.store, &delta.store)
+        else {
+            // lint:allow(no-panic) -- documented contract: merged() takes sealed feeds; a building delta is sealed first
+            panic!("feed {} merges only sealed feeds", self.id);
+        };
+        let fqdns = match (fqdns.as_deref(), delta_fqdns.as_deref()) {
+            (None, None) => None,
+            (a, b) => Some(union_sorted(a.unwrap_or(&[]), b.unwrap_or(&[]))),
+        };
+        let mut feed = Feed {
+            id: self.id,
+            samples: add_samples(self.samples, delta.samples),
+            reports_volume: self.reports_volume,
+            store: Store::Sealed(cols.merge(rows.iter()), fqdns),
+            gaps: self.gaps.clone(),
+        };
+        for &gap in &delta.gaps {
+            feed.note_gap(gap);
+        }
+        feed
+    }
+}
+
+/// Sample counts add; a feed without samples (a blacklist) stays
+/// without.
+fn add_samples(a: Option<u64>, b: Option<u64>) -> Option<u64> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a + b),
+        (a, b) => a.or(b),
+    }
+}
+
+/// A building FQDN set as an ascending list.
+fn sorted_hashes(set: &FxHashSet<u64>) -> Vec<u64> {
+    let mut v: Vec<u64> = set.iter().copied().collect();
+    v.sort_unstable();
+    v
+}
+
+/// The union of two ascending, distinct lists, in one pass.
+fn union_sorted(a: &[u64], b: &[u64]) -> Vec<u64> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        out.push(x.min(y));
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
 }
 
 /// The full set of collected feeds, indexed by [`FeedId`].
@@ -300,6 +377,21 @@ impl FeedSet {
             f.seal();
         }
         FeedSet { feeds }
+    }
+
+    /// The set holding `self` plus one epoch's `delta` (all ten feeds
+    /// in [`FeedId::ALL`] order): each delta feed is sealed — sorted,
+    /// unless it already is — and merged in one linear pass
+    /// ([`Feed::merged`]).
+    pub(crate) fn merged(&self, delta: Vec<Feed>) -> FeedSet {
+        assert_eq!(delta.len(), self.feeds.len(), "need all ten feeds");
+        let feeds = self.feeds.iter().zip(delta).map(|(f, mut d)| {
+            d.seal();
+            f.merged(&d)
+        });
+        FeedSet {
+            feeds: feeds.collect(),
+        }
     }
 
     /// Access one feed.
@@ -426,6 +518,47 @@ mod tests {
         assert_eq!(s.last_seen, SimTime(10));
         assert_eq!(s.volume, 2);
         assert_eq!(ab.unique_fqdns(), ba.unique_fqdns());
+    }
+
+    #[test]
+    fn merged_delta_equals_sealing_the_merged_shards() {
+        let shard = |times: &[(u32, u64)], fqdns: bool| {
+            let mut f = Feed::new(FeedId::Mx1, true);
+            f.samples = Some(0);
+            for &(d, t) in times {
+                f.count_sample();
+                f.record(DomainId(d), SimTime(t));
+                if fqdns {
+                    f.note_fqdn(u64::from(d) * 31 + t);
+                }
+            }
+            f
+        };
+        let gap = TimeWindow::new(SimTime(3), SimTime(8));
+        for (base_fqdns, delta_fqdns) in
+            [(true, true), (false, true), (true, false), (false, false)]
+        {
+            let mut base = shard(&[(1, 10), (64, 50), (2, 7)], base_fqdns);
+            base.note_gap(gap);
+            let mut delta = shard(&[(1, 5), (65, 99), (63, 1), (1, 10)], delta_fqdns);
+            let mut expected = base.clone();
+            expected.merge(delta.clone());
+            expected.seal();
+            base.seal();
+            delta.seal();
+            let got = base.merged(&delta);
+            assert_eq!(got.samples, expected.samples);
+            assert_eq!(got.gaps(), expected.gaps());
+            assert_eq!(got.fqdn_hashes_sorted(), expected.fqdn_hashes_sorted());
+            assert_eq!(
+                got.iter().collect::<Vec<_>>(),
+                expected.iter().collect::<Vec<_>>()
+            );
+            assert_eq!(
+                got.columns().members().words(),
+                expected.columns().members().words()
+            );
+        }
     }
 
     fn dummy_set() -> FeedSet {

@@ -24,6 +24,13 @@
 //! advances. This is also what makes crash recovery exact: a restored
 //! checkpoint re-presamples the sources (deterministic), repositions
 //! the cursors at the watermark, and replays only the remaining rows.
+//!
+//! A seal costs one epoch, not the whole run. The state keeps the last
+//! sealed [`FeedSet`] and a *delta*: ten building feeds holding only
+//! what was applied since that seal. Sealing sorts the delta and
+//! merges it into the sealed columns in one linear pass
+//! (`FeedSet::merged`); the delta is also exactly what a serve
+//! checkpoint stores.
 
 use crate::collectors::blacklist::blacklist_source_records;
 use crate::collectors::hu::hu_source_records;
@@ -36,6 +43,7 @@ use crate::error::PipelineError;
 use crate::feed::{Feed, FeedSet};
 use crate::id::FeedId;
 use crate::pipeline::content_members;
+use std::sync::Arc;
 use taster_mailsim::MailWorld;
 use taster_sim::{FaultPlan, Parallelism, SimTime};
 
@@ -49,15 +57,19 @@ struct SourceStream {
     records: Vec<SourceRecord>,
 }
 
-/// Running collection state: ten building feeds plus the cursors that
-/// track how much of the event log and the source streams has been
-/// applied. All fields are owned — no borrow of the world — so the
-/// daemon can hold the state and the world side by side.
+/// Running collection state: the last sealed epoch, the delta applied
+/// since, and the cursors that track how much of the event log and the
+/// source streams has been applied. All fields are owned — no borrow of
+/// the world — so the daemon can hold the state and the world side by
+/// side.
 pub struct IngestState {
     members: Vec<MemberSpec>,
     fast_ok: Vec<bool>,
-    /// All ten feeds in [`FeedId::ALL`] order, in the building state.
-    feeds: Vec<Feed>,
+    /// The last sealed epoch, outage gaps attached. Readers share it.
+    sealed: Arc<FeedSet>,
+    /// All ten feeds in [`FeedId::ALL`] order, building, holding only
+    /// what was applied since the last seal.
+    delta: Vec<Feed>,
     /// Time-sorted event rows already ingested (`0..rows_done`).
     rows_done: usize,
     total_rows: usize,
@@ -68,6 +80,18 @@ pub struct IngestState {
 /// Maps a member slot (0..7) to its index in [`FeedId::ALL`] order.
 fn member_feed_index(member: &MemberSpec) -> usize {
     member.feed_id().index()
+}
+
+/// Ten empty building feeds in [`FeedId::ALL`] order, shaped like the
+/// batch pipeline's: content members and Hu count samples, blacklists
+/// do not.
+fn empty_feeds(members: &[MemberSpec]) -> Vec<Feed> {
+    let mut feeds: Vec<Feed> = FeedId::ALL.iter().map(|&id| Feed::new(id, false)).collect();
+    for member in members {
+        feeds[member_feed_index(member)] = member.empty_feed();
+    }
+    feeds[FeedId::Hu.index()].samples = Some(0);
+    feeds
 }
 
 impl IngestState {
@@ -83,11 +107,6 @@ impl IngestState {
             .validate()
             .map_err(PipelineError::InvalidFaultProfile)?;
         let members: Vec<MemberSpec> = content_members(config).to_vec();
-        let mut feeds: Vec<Feed> = FeedId::ALL.iter().map(|&id| Feed::new(id, false)).collect();
-        for member in &members {
-            feeds[member_feed_index(member)] = member.empty_feed();
-        }
-        feeds[FeedId::Hu.index()].samples = Some(0);
 
         let mut obs = ShardObs::new(false);
         let mut sources = Vec::new();
@@ -115,10 +134,16 @@ impl IngestState {
             s.records.sort_by_key(|r| r.time);
         }
 
+        // Outage windows are known up front; every seal carries them
+        // forward from this empty base, as the batch pipeline attaches
+        // them to its final set.
+        let mut base = empty_feeds(&members);
+        note_gaps(&mut base, plan);
         Ok(IngestState {
+            delta: empty_feeds(&members),
+            sealed: Arc::new(FeedSet::new(base)),
             members,
             fast_ok: compute_fast_ok(world),
-            feeds,
             rows_done: 0,
             total_rows: world.truth.log.len,
             watermark: SimTime::ZERO,
@@ -126,11 +151,13 @@ impl IngestState {
         })
     }
 
-    /// Rebuilds state from a checkpoint: `feeds` restored to their
-    /// sealed-epoch contents (building state), `rows_done` rows already
-    /// applied. Source cursors are repositioned at the watermark —
-    /// presampling is deterministic, so the skipped prefix is exactly
-    /// the set of records the checkpointed feeds already contain.
+    /// Rebuilds state from checkpoints: `feeds` is everything applied
+    /// to the first `rows_done` rows (the epoch deltas of a checkpoint
+    /// chain folded with [`Feed::merge`]), in [`FeedId::ALL`] order.
+    /// They become the sealed epoch; source cursors are repositioned at
+    /// the watermark — presampling is deterministic, so the skipped
+    /// prefix is exactly the set of records the restored feeds already
+    /// contain.
     pub fn resume(
         world: &MailWorld,
         config: &FeedsConfig,
@@ -145,16 +172,21 @@ impl IngestState {
                 state.total_rows
             )));
         }
-        if feeds.len() != FeedId::ALL.len() {
+        let shape_ok = feeds.len() == FeedId::ALL.len()
+            && feeds
+                .iter()
+                .zip(&state.delta)
+                .all(|(f, want)| f.id == want.id && f.reports_volume == want.reports_volume);
+        if !shape_ok {
             return Err(PipelineError::InvalidScenario(format!(
-                "checkpoint carries {} feeds, need {}",
+                "checkpoint carries {} feeds that do not match the scenario's {}",
                 feeds.len(),
                 FeedId::ALL.len()
             )));
         }
         state.watermark = watermark_at(world, rows_done)?;
         state.rows_done = rows_done;
-        state.feeds = feeds;
+        state.sealed = Arc::new(state.sealed.merged(feeds));
         for s in &mut state.sources {
             s.cursor = s.records.partition_point(|r| r.time <= state.watermark);
         }
@@ -181,9 +213,15 @@ impl IngestState {
         self.watermark
     }
 
-    /// The ten building feeds in [`FeedId::ALL`] order.
-    pub fn feeds(&self) -> &[Feed] {
-        &self.feeds
+    /// The last sealed epoch (empty feeds before the first seal).
+    pub fn sealed(&self) -> &FeedSet {
+        &self.sealed
+    }
+
+    /// What was applied since the last seal: ten building feeds in
+    /// [`FeedId::ALL`] order.
+    pub fn delta(&self) -> &[Feed] {
+        &self.delta
     }
 
     /// Ingests time-sorted rows `rows_done..target_row` on `par`
@@ -206,7 +244,7 @@ impl IngestState {
         let range = self.rows_done..target;
         // Every row carries its global sorted index, so each keyed
         // decision is the same however the slice is read. The slice
-        // lands in the building feeds only once all of it was read.
+        // lands in the delta only once all of it was read.
         let mut pieces = Vec::new();
         let mut watermark = self.watermark;
         world
@@ -221,7 +259,7 @@ impl IngestState {
             })?;
         for (shard, _metrics) in pieces {
             for (piece, member) in shard.into_iter().zip(&self.members) {
-                self.feeds[member_feed_index(member)].merge(piece);
+                self.delta[member_feed_index(member)].merge(piece);
             }
         }
         self.rows_done = target;
@@ -235,30 +273,37 @@ impl IngestState {
         let mut obs = ShardObs::new(false);
         for s in &mut self.sources {
             while s.cursor < s.records.len() && s.records[s.cursor].time <= limit {
-                apply_source_record(&mut self.feeds[s.feed], &s.records[s.cursor], &mut obs);
+                apply_source_record(&mut self.delta[s.feed], &s.records[s.cursor], &mut obs);
                 s.cursor += 1;
             }
         }
     }
 
-    /// Seals the current state into a queryable [`FeedSet`] without
-    /// disturbing ingestion: readers get this frozen epoch while the
-    /// daemon keeps advancing the building copy. Gap markers for
-    /// outage windows are attached, as in the batch pipeline.
-    pub fn sealed_snapshot(&self, plan: &FaultPlan) -> FeedSet {
-        let mut feeds = self.feeds.clone();
-        note_gaps(&mut feeds, plan);
-        FeedSet::new(feeds)
-    }
-
-    /// Drains every remaining source record (blacklist listings can
-    /// land after the last delivery event) and seals the final set.
-    /// Once every row has been ingested, the result is bit-identical
-    /// to the batch pipeline's [`crate::try_collect_all_faulted`].
-    pub fn finish(&mut self, plan: &FaultPlan) -> FeedSet {
-        debug_assert!(self.ingest_complete(), "finish() before the last row");
-        self.replay_sources_to(SimTime(u64::MAX));
-        self.sealed_snapshot(plan)
+    /// Seals the epoch: sorts the delta once, hands it to `on_delta`,
+    /// and merges it into the sealed columns in one linear pass.
+    /// Readers keep the previous [`FeedSet`] until they take the new
+    /// one. Once every row has been ingested, the source records that
+    /// land after the last event are drained into the new epoch too —
+    /// *after* `on_delta`, which therefore sees what a checkpoint must
+    /// hold: a resume replays those tails itself. The set sealed after
+    /// the last row is bit-identical to the batch pipeline's
+    /// [`crate::try_collect_all_faulted`].
+    pub fn seal_with<R>(&mut self, on_delta: impl FnOnce(&[Feed]) -> R) -> (R, Arc<FeedSet>) {
+        let mut delta = std::mem::replace(&mut self.delta, empty_feeds(&self.members));
+        for feed in &mut delta {
+            feed.seal();
+        }
+        let out = on_delta(&delta);
+        if self.ingest_complete() {
+            self.replay_sources_to(SimTime(u64::MAX));
+            let tail = std::mem::replace(&mut self.delta, empty_feeds(&self.members));
+            for (feed, mut tail) in delta.iter_mut().zip(tail) {
+                tail.seal();
+                *feed = feed.merged(&tail);
+            }
+        }
+        self.sealed = Arc::new(self.sealed.merged(delta));
+        (out, Arc::clone(&self.sealed))
     }
 }
 
@@ -316,23 +361,44 @@ mod tests {
         }
     }
 
+    fn seal(state: &mut IngestState) -> Arc<FeedSet> {
+        state.seal_with(|_| ()).1
+    }
+
+    /// A sealed delta as a checkpoint round trip returns it: building.
+    fn unseal(f: &Feed) -> Feed {
+        Feed::from_parts(
+            f.id,
+            f.reports_volume,
+            f.samples,
+            f.iter(),
+            f.fqdn_hashes_sorted().map(|h| h.into_owned()),
+            f.gaps().to_vec(),
+        )
+    }
+
     #[test]
     fn epoch_ingestion_matches_batch_collection() {
         let w = world(0.02, 67);
         let cfg = FeedsConfig::default();
-        for profile in [FaultProfile::off(), FaultProfile::lossy_feeds()] {
+        for profile in [
+            FaultProfile::off(),
+            FaultProfile::lossy_feeds(),
+            FaultProfile::feed_outage(),
+        ] {
             let plan = FaultPlan::new(profile, w.truth.seed);
             let batch =
                 try_collect_all_faulted(&w, &cfg, &plan, &Parallelism::serial()).expect("batch");
             let mut state = IngestState::new(&w, &cfg, &plan).expect("state");
             let par = Parallelism::fixed(2);
-            // Ragged epochs on purpose: boundaries must not matter.
+            // Ragged epochs on purpose, each sealed: boundaries must
+            // not matter.
             let total = state.total_rows();
             for target in [total / 7, total / 3, total / 2 + 11, total] {
                 state.advance(&w, &plan, &par, target).expect("advance");
+                seal(&mut state);
             }
-            let incremental = state.finish(&plan);
-            assert_sets_equal(&batch, &incremental);
+            assert_sets_equal(&batch, state.sealed());
         }
     }
 
@@ -346,18 +412,30 @@ mod tests {
         let mut full = IngestState::new(&w, &cfg, &plan).expect("state");
         let total = full.total_rows();
         full.advance(&w, &plan, &par, total).expect("advance");
-        let uninterrupted = full.finish(&plan);
+        let uninterrupted = seal(&mut full);
 
-        // "Crash" after 40% of the rows: keep only the building feeds
-        // and the row counter, as a checkpoint would.
+        // "Crash" after 40% of the rows, sealed in two epochs: keep
+        // only the epoch deltas and the row counter, as a checkpoint
+        // chain would, and fold them.
         let mut first = IngestState::new(&w, &cfg, &plan).expect("state");
         let stop = total * 2 / 5;
-        first.advance(&w, &plan, &par, stop).expect("advance");
-        let feeds = first.feeds().to_vec();
+        let mut chain: Vec<Vec<Feed>> = Vec::new();
+        for target in [stop / 2, stop] {
+            first.advance(&w, &plan, &par, target).expect("advance");
+            let (delta, _) = first.seal_with(|d| d.iter().map(unseal).collect());
+            chain.push(delta);
+        }
+        let mut epochs = chain.into_iter();
+        let mut feeds = epochs.next().expect("first epoch");
+        for delta in epochs {
+            for (acc, d) in feeds.iter_mut().zip(delta) {
+                acc.merge(d);
+            }
+        }
 
         let mut resumed = IngestState::resume(&w, &cfg, &plan, feeds, stop).expect("resume");
         resumed.advance(&w, &plan, &par, total).expect("advance");
-        let replayed = resumed.finish(&plan);
+        let replayed = seal(&mut resumed);
         assert_sets_equal(&uninterrupted, &replayed);
     }
 }

@@ -8,9 +8,14 @@
 //! and a [`RankIndex`] so point lookups (`stats`, `contains`) cost one
 //! word probe + popcount instead of a SipHash probe, and whole-feed
 //! unions/intersections run as word-level kernels.
+//!
+//! Columns are built by one kernel, `FeedColumns::merge`: sealing a
+//! building feed merges its sorted rows into empty columns, and
+//! `taster serve` merges each epoch's sorted delta into the last sealed
+//! columns in one linear pass.
 
 use crate::feed::DomainStats;
-use taster_domain::fx::FxHashMap;
+use std::ops::Range;
 use taster_domain::{DomainBitset, DomainId, RankIndex};
 use taster_sim::SimTime;
 
@@ -26,27 +31,71 @@ pub struct FeedColumns {
 }
 
 impl FeedColumns {
-    /// Freezes an ingestion map into sorted columns.
-    pub fn from_map(map: FxHashMap<DomainId, DomainStats>) -> FeedColumns {
-        let mut rows: Vec<(DomainId, DomainStats)> = map.into_iter().collect();
-        rows.sort_unstable_by_key(|&(d, _)| d);
-        let mut cols = FeedColumns {
-            ids: Vec::with_capacity(rows.len()),
-            first_seen: Vec::with_capacity(rows.len()),
-            last_seen: Vec::with_capacity(rows.len()),
-            volume: Vec::with_capacity(rows.len()),
-            members: DomainBitset::with_capacity(rows.last().map_or(0, |&(d, _)| d.index() + 1)),
+    /// The columns holding `self` plus `delta`, built in one linear
+    /// pass. `delta` yields rows in strictly ascending domain order. A
+    /// domain in both combines by [`DomainStats::absorb`], the rule
+    /// [`crate::Feed::merge`] uses; the runs of base rows between two
+    /// delta rows are copied whole. The bitset keeps the base's words
+    /// and gains the delta's bits, so it has the words a bitset built
+    /// from the union would. Merging into empty columns is how a
+    /// building feed seals.
+    pub(crate) fn merge(
+        &self,
+        delta: impl IntoIterator<Item = (DomainId, DomainStats)>,
+    ) -> FeedColumns {
+        let delta = delta.into_iter();
+        let rows = self.len() + delta.size_hint().0;
+        let mut out = FeedColumns {
+            ids: Vec::with_capacity(rows),
+            first_seen: Vec::with_capacity(rows),
+            last_seen: Vec::with_capacity(rows),
+            volume: Vec::with_capacity(rows),
+            members: self.members.clone(),
             rank: RankIndex::default(),
         };
-        for (d, s) in rows {
-            cols.ids.push(d);
-            cols.first_seen.push(s.first_seen);
-            cols.last_seen.push(s.last_seen);
-            cols.volume.push(s.volume);
-            cols.members.insert(d);
+        // First base row not yet copied to `out`.
+        let mut next = 0;
+        for (d, mut stats) in delta {
+            debug_assert!(
+                out.ids.last().is_none_or(|&prev| prev < d),
+                "delta rows must ascend"
+            );
+            let run = self.ids[next..].partition_point(|&b| b < d);
+            out.extend_from(self, next..next + run);
+            next += run;
+            if self.ids.get(next) == Some(&d) {
+                stats.absorb(self.row(next));
+                next += 1;
+            } else {
+                out.members.insert(d);
+            }
+            out.ids.push(d);
+            out.first_seen.push(stats.first_seen);
+            out.last_seen.push(stats.last_seen);
+            out.volume.push(stats.volume);
         }
-        cols.rank = RankIndex::build(&cols.members);
-        cols
+        out.extend_from(self, next..self.len());
+        out.rank = RankIndex::build(&out.members);
+        out
+    }
+
+    /// Appends `src`'s rows `rows` (already sorted past `self`'s last).
+    fn extend_from(&mut self, src: &FeedColumns, rows: Range<usize>) {
+        self.ids.extend_from_slice(&src.ids[rows.clone()]);
+        self.first_seen
+            .extend_from_slice(&src.first_seen[rows.clone()]);
+        self.last_seen
+            .extend_from_slice(&src.last_seen[rows.clone()]);
+        self.volume.extend_from_slice(&src.volume[rows]);
+    }
+
+    /// The stats in row `i`.
+    fn row(&self, i: usize) -> DomainStats {
+        DomainStats {
+            first_seen: self.first_seen[i],
+            last_seen: self.last_seen[i],
+            volume: self.volume[i],
+        }
     }
 
     /// Number of distinct domains.
@@ -71,25 +120,12 @@ impl FeedColumns {
 
     /// Stats for one domain — O(1) rank lookup, no hashing.
     pub fn stats(&self, domain: DomainId) -> Option<DomainStats> {
-        self.row_of(domain).map(|i| DomainStats {
-            first_seen: self.first_seen[i],
-            last_seen: self.last_seen[i],
-            volume: self.volume[i],
-        })
+        self.row_of(domain).map(|i| self.row(i))
     }
 
     /// Iterates `(domain, stats)` in ascending domain order.
     pub fn iter(&self) -> impl Iterator<Item = (DomainId, DomainStats)> + '_ {
-        self.ids.iter().enumerate().map(|(i, &d)| {
-            (
-                d,
-                DomainStats {
-                    first_seen: self.first_seen[i],
-                    last_seen: self.last_seen[i],
-                    volume: self.volume[i],
-                },
-            )
-        })
+        self.ids.iter().enumerate().map(|(i, &d)| (d, self.row(i)))
     }
 
     /// Domain ids, ascending.
@@ -121,20 +157,129 @@ impl FeedColumns {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    fn stats(first: u64, last: u64, volume: u64) -> DomainStats {
+        DomainStats {
+            first_seen: SimTime(first.min(last)),
+            last_seen: SimTime(first.max(last)),
+            volume,
+        }
+    }
+
+    /// Rows in ascending id order; a repeated id keeps its last stats.
+    fn rows(raw: &[(u32, (u64, u64, u64))]) -> Vec<(DomainId, DomainStats)> {
+        let map: BTreeMap<DomainId, DomainStats> = raw
+            .iter()
+            .map(|&(d, (f, l, v))| (DomainId(d), stats(f, l, v)))
+            .collect();
+        map.into_iter().collect()
+    }
 
     fn sample() -> FeedColumns {
-        let mut map: FxHashMap<DomainId, DomainStats> = FxHashMap::default();
-        for &(d, f, l, v) in &[(70u32, 3u64, 9u64, 4u64), (2, 1, 1, 1), (64, 5, 5, 2)] {
-            map.insert(
-                DomainId(d),
-                DomainStats {
-                    first_seen: SimTime(f),
-                    last_seen: SimTime(l),
-                    volume: v,
-                },
+        FeedColumns::default().merge(rows(&[(70, (3, 9, 4)), (2, (1, 1, 1)), (64, (5, 5, 2))]))
+    }
+
+    /// Checks `cols` against the union of `base` and `delta` computed
+    /// without the kernel: ids, the three columns, the bitset words and
+    /// `row_of` for every id up to one word past the largest.
+    fn assert_is_union(
+        cols: &FeedColumns,
+        base: &[(DomainId, DomainStats)],
+        delta: &[(DomainId, DomainStats)],
+    ) -> Result<(), TestCaseError> {
+        let mut union: BTreeMap<DomainId, DomainStats> = base.iter().copied().collect();
+        for &(d, s) in delta {
+            union
+                .entry(d)
+                .and_modify(|u| {
+                    u.first_seen = u.first_seen.min(s.first_seen);
+                    u.last_seen = u.last_seen.max(s.last_seen);
+                    u.volume += s.volume;
+                })
+                .or_insert(s);
+        }
+        let ids: Vec<DomainId> = union.keys().copied().collect();
+        prop_assert_eq!(cols.ids(), &ids[..]);
+        let first: Vec<SimTime> = union.values().map(|s| s.first_seen).collect();
+        let last: Vec<SimTime> = union.values().map(|s| s.last_seen).collect();
+        let volume: Vec<u64> = union.values().map(|s| s.volume).collect();
+        prop_assert_eq!(cols.first_seen(), &first[..]);
+        prop_assert_eq!(cols.last_seen(), &last[..]);
+        prop_assert_eq!(cols.volumes(), &volume[..]);
+        let members = DomainBitset::from_sorted_ids(&ids);
+        prop_assert_eq!(cols.members().words(), members.words());
+        prop_assert_eq!(cols.members().len(), ids.len());
+        let top = ids.last().map_or(0, |d| d.0) + 65;
+        for d in (0..=top).map(DomainId) {
+            prop_assert_eq!(
+                cols.row_of(d),
+                ids.binary_search(&d).ok(),
+                "row_of({:?})",
+                d
             );
         }
-        FeedColumns::from_map(map)
+        Ok(())
+    }
+
+    /// Ids cluster on the 63/64/65 word edge and spill into a third
+    /// word, so merges that grow the bitset are common.
+    fn arb_rows() -> impl Strategy<Value = Vec<(u32, (u64, u64, u64))>> {
+        let id = prop_oneof![Just(63u32), Just(64u32), Just(65u32), 0u32..200];
+        proptest::collection::vec((id, (0u64..1_000, 0u64..1_000, 1u64..50)), 0..40)
+    }
+
+    proptest! {
+        /// Merging an arbitrary delta into arbitrary columns equals the
+        /// columns of their union. `shape` forces the edge cases: an
+        /// empty base, an empty delta, and a delta that re-reports
+        /// every base domain.
+        #[test]
+        fn merge_equals_the_columns_of_the_union(
+            base in arb_rows(),
+            delta in arb_rows(),
+            shape in 0u8..4,
+        ) {
+            let mut base = rows(&base);
+            let mut delta = rows(&delta);
+            match shape {
+                1 => base.clear(),
+                2 => delta.clear(),
+                3 => {
+                    let fresh = delta.iter().map(|&(_, s)| s).cycle();
+                    delta = base.iter().zip(fresh).map(|(&(d, _), s)| (d, s)).collect();
+                    if delta.len() < base.len() {
+                        delta = base.clone();
+                    }
+                }
+                _ => {}
+            }
+            let cols = FeedColumns::default().merge(base.iter().copied());
+            assert_is_union(&cols, &base, &[])?;
+            let merged = cols.merge(delta.iter().copied());
+            assert_is_union(&merged, &base, &delta)?;
+        }
+    }
+
+    #[test]
+    fn merge_across_the_word_edge() {
+        for (base, delta) in [
+            (vec![63], vec![64, 65]),
+            (vec![64], vec![63, 65]),
+            (vec![65], vec![63, 64]),
+            (vec![63, 64, 65], vec![]),
+            (vec![], vec![63, 64, 65]),
+            (vec![63, 64, 65], vec![63, 64, 65]),
+        ] {
+            let base: Vec<_> = base.into_iter().map(|d| (d, (d.into(), 9, 1))).collect();
+            let delta: Vec<_> = delta.into_iter().map(|d| (d, (2, d.into(), 3))).collect();
+            let (base, delta) = (rows(&base), rows(&delta));
+            let merged = FeedColumns::default()
+                .merge(base.iter().copied())
+                .merge(delta.iter().copied());
+            assert_is_union(&merged, &base, &delta).unwrap();
+        }
     }
 
     #[test]

@@ -7,19 +7,22 @@
 //! [`ServeCore`] directly, drop it at an arbitrary epoch, resume from
 //! the checkpoint directory, and compare final report bytes.
 
-use crate::checkpoint::{load_latest, Checkpoint};
+use crate::checkpoint;
 use crate::error::ServeError;
 use std::path::PathBuf;
+use std::sync::Arc;
 use taster_analysis::Classified;
 use taster_core::{Experiment, Scenario};
 use taster_ecosystem::GroundTruth;
-use taster_feeds::{FeedSet, IngestState, PipelineError};
+use taster_feeds::{Feed, FeedSet, IngestState, PipelineError};
 use taster_mailsim::MailWorld;
+use taster_sim::metrics::MetricsRegistry;
 use taster_sim::{FaultPlan, Obs, Parallelism, SimTime};
 
 /// A frozen epoch: what readers query while ingestion advances the
-/// next one. Sealing clones the building state, so queries never see
-/// a half-applied slice (snapshot isolation).
+/// next one. Queries never see a half-applied slice (snapshot
+/// isolation): ingestion only writes the delta, and a seal publishes a
+/// new set instead of changing this one.
 pub struct SealedEpoch {
     /// Epoch counter (1-based; 0 means nothing sealed yet).
     pub epoch: u64,
@@ -27,8 +30,9 @@ pub struct SealedEpoch {
     pub rows_done: usize,
     /// Sim-time watermark of the sealed state.
     pub watermark: SimTime,
-    /// The sealed, queryable feed set.
-    pub feeds: FeedSet,
+    /// The sealed, queryable feed set. The ingestion state holds the
+    /// same copy as the base the next epoch merges into.
+    pub feeds: Arc<FeedSet>,
 }
 
 /// Engine configuration, independent of socket concerns.
@@ -40,6 +44,17 @@ pub struct ServeConfig {
     pub checkpoint_dir: Option<PathBuf>,
 }
 
+/// Seal health, for the daemon's `status` reply.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct SealStats {
+    /// Wall time spent in seals (merge plus checkpoint write).
+    pub(crate) secs_total: f64,
+    /// The longest single seal: how long queries waited at most.
+    pub(crate) secs_max: f64,
+    /// Summed size of the checkpoint chain in the directory.
+    pub(crate) checkpoint_bytes: u64,
+}
+
 /// The serve engine: world + running ingestion + last sealed epoch.
 pub struct ServeCore {
     scenario: Scenario,
@@ -49,14 +64,20 @@ pub struct ServeCore {
     config: ServeConfig,
     epoch: u64,
     sealed: Option<SealedEpoch>,
+    seal_stats: SealStats,
     final_report: Option<String>,
 }
 
 impl ServeCore {
-    /// Builds the world and an empty ingestion state.
+    /// Builds the world and an empty ingestion state. A fresh run owns
+    /// its checkpoint directory: every `ckpt-*.bin` and `ckpt-*.tmp`
+    /// file already there is removed, and a new chain starts.
     pub fn new(scenario: &Scenario, config: ServeConfig) -> Result<ServeCore, ServeError> {
         let (world, plan) = build_world(scenario)?;
         let state = IngestState::new(&world, &scenario.feeds, &plan)?;
+        if let Some(dir) = &config.checkpoint_dir {
+            checkpoint::clear(dir, 0)?;
+        }
         Ok(ServeCore {
             scenario: scenario.clone(),
             world,
@@ -65,14 +86,17 @@ impl ServeCore {
             config,
             epoch: 0,
             sealed: None,
+            seal_stats: SealStats::default(),
             final_report: None,
         })
     }
 
-    /// Builds the world, then restores the newest valid checkpoint
-    /// from the configured directory. Without one (first run, or all
-    /// checkpoints torn) this is [`ServeCore::new`]. A checkpoint from
-    /// a different scenario fingerprint is a typed error.
+    /// Builds the world, then folds the longest valid checkpoint chain
+    /// `ckpt-1..k` from the configured directory and replays only the
+    /// rows after epoch k. Without one (first run, or `ckpt-1` torn)
+    /// this is [`ServeCore::new`]. Files past the chain are removed; a
+    /// checkpoint from a different scenario fingerprint is a typed
+    /// error.
     pub fn resume(scenario: &Scenario, config: ServeConfig) -> Result<ServeCore, ServeError> {
         let fingerprint = fingerprint(scenario, config.epoch_events);
         let Some(dir) = config.checkpoint_dir.clone() else {
@@ -80,28 +104,32 @@ impl ServeCore {
                 "--resume needs a checkpoint directory".to_string(),
             ));
         };
-        let Some(ckpt) = load_latest(&dir, &fingerprint)? else {
+        let Some(chain) = checkpoint::load_chain(&dir, &fingerprint)? else {
             return ServeCore::new(scenario, config);
         };
         let (world, plan) = build_world(scenario)?;
-        let rows_done = usize::try_from(ckpt.rows_done)
+        let rows_done = usize::try_from(chain.rows_done)
             .map_err(|_| ServeError::Checkpoint("row counter overflow".to_string()))?;
-        let state = IngestState::resume(&world, &scenario.feeds, &plan, ckpt.feeds, rows_done)?;
+        let state = IngestState::resume(&world, &scenario.feeds, &plan, chain.feeds, rows_done)?;
+        checkpoint::clear(&dir, chain.epoch)?;
         let mut core = ServeCore {
             scenario: scenario.clone(),
             world,
             plan,
             state,
             config,
-            epoch: ckpt.epoch,
+            epoch: chain.epoch,
             sealed: None,
+            seal_stats: SealStats {
+                checkpoint_bytes: chain.bytes,
+                ..SealStats::default()
+            },
             final_report: None,
         };
-        // Re-seal immediately so queries work before the next epoch
-        // lands (the restored state *is* the sealed epoch). No new
-        // checkpoint: the one we just loaded already covers this state.
-        core.seal_inner(false)?;
-        core.epoch = ckpt.epoch; // seal bumped it; keep the stored count
+        // Re-seal at once so queries work before the next epoch lands
+        // (the restored state *is* epoch k). No new checkpoint: the
+        // chain already covers this state.
+        core.seal_epoch(chain.epoch, false)?;
         Ok(core)
     }
 
@@ -145,43 +173,42 @@ impl ServeCore {
         Ok(self.state.advance(&self.world, &self.plan, par, target)?)
     }
 
-    /// Seals the current building state into a queryable epoch, writes
-    /// a checkpoint (when configured), and — once ingestion is
-    /// complete — drains the source tails so the sealed set is final.
+    /// Seals the epoch's delta into a new queryable epoch, writes it
+    /// as the next checkpoint of the chain (when configured), and —
+    /// once ingestion is complete — drains the source tails so the
+    /// sealed set is final. A failed checkpoint write is returned
+    /// after the epoch sealed in memory; the chain then ends before
+    /// it, and a resume replays from there.
     pub fn seal(&mut self, par: &Parallelism) -> Result<&SealedEpoch, ServeError> {
-        let _ = par; // sealing is clone+freeze; kept for API symmetry
-        self.seal_inner(true)
+        let _ = par; // sealing is one merge pass; kept for API symmetry
+        self.seal_epoch(self.epoch + 1, true)
     }
 
-    fn seal_inner(&mut self, checkpoint: bool) -> Result<&SealedEpoch, ServeError> {
-        self.epoch += 1;
-        // Checkpoint the *pre-drain* building state: resume replays
-        // source tails past the watermark itself, so draining before
-        // the write would double-apply them after a restore.
-        if checkpoint {
-            if let Some(dir) = self.config.checkpoint_dir.clone() {
-                let ckpt = Checkpoint {
-                    fingerprint: fingerprint(&self.scenario, self.config.epoch_events),
-                    epoch: self.epoch,
-                    rows_done: self.state.rows_done() as u64,
-                    feeds: self.state.feeds().to_vec(),
-                };
-                ckpt.write_atomic(&dir)?;
+    fn seal_epoch(&mut self, epoch: u64, checkpoint: bool) -> Result<&SealedEpoch, ServeError> {
+        let sw = MetricsRegistry::stopwatch();
+        let rows_done = self.state.rows_done();
+        let dir = self.config.checkpoint_dir.as_deref().filter(|_| checkpoint);
+        let (scenario, epoch_events) = (&self.scenario, self.config.epoch_events);
+        let (written, feeds) = self.state.seal_with(|delta: &[Feed]| match dir {
+            Some(dir) => {
+                let fingerprint = fingerprint(scenario, epoch_events);
+                checkpoint::write(dir, &fingerprint, epoch, rows_done as u64, delta)
             }
-        }
-        let feeds = if self.state.ingest_complete() {
-            self.state.finish(&self.plan)
-        } else {
-            self.state.sealed_snapshot(&self.plan)
-        };
+            None => Ok(0),
+        });
+        self.epoch = epoch;
         self.sealed = Some(SealedEpoch {
-            epoch: self.epoch,
-            rows_done: self.state.rows_done(),
+            epoch,
+            rows_done,
             watermark: self.state.watermark(),
             feeds,
         });
-        // Unreachable None: assigned on the previous line; avoids an
-        // unwrap under the workspace panic lint.
+        let secs = sw.elapsed_secs();
+        self.seal_stats.secs_total += secs;
+        self.seal_stats.secs_max = self.seal_stats.secs_max.max(secs);
+        self.seal_stats.checkpoint_bytes += written?;
+        // Unreachable None: assigned above; avoids an unwrap under the
+        // workspace panic lint.
         self.sealed
             .as_ref()
             .ok_or_else(|| ServeError::Io("sealed epoch vanished".to_string()))
@@ -197,24 +224,24 @@ impl ServeCore {
         self.epoch
     }
 
-    /// Rough resident-set estimate of the collection state (building
-    /// feeds + sealed copy), for admission control. Deliberately
-    /// simple: entry and hash-set counts times their in-memory record
-    /// sizes — the daemon needs a threshold, not an allocator audit.
+    /// Seal durations and the checkpoint chain's size so far.
+    pub(crate) fn seal_stats(&self) -> SealStats {
+        self.seal_stats
+    }
+
+    /// Rough resident-set estimate of the collection state (sealed
+    /// epoch + delta), for admission control. Deliberately simple and
+    /// allocation-free: entry and FQDN counts times the in-memory size
+    /// of a hash-map record (the sealed columns are smaller, so this
+    /// errs high) — the daemon needs a threshold, not an allocator
+    /// audit.
     pub fn estimated_bytes(&self) -> u64 {
-        let building: u64 = self
-            .state
-            .feeds()
+        self.state
+            .sealed()
             .iter()
-            .map(|f| {
-                let entries = f.unique_domains() as u64;
-                let fqdns = f.fqdn_hashes_sorted().map_or(0, |v| v.len() as u64);
-                entries * 48 + fqdns * 8
-            })
-            .sum();
-        // The sealed snapshot is a columnar clone of roughly the same
-        // cardinality.
-        building * 2
+            .chain(self.state.delta())
+            .map(|f| f.unique_domains() as u64 * 48 + f.unique_fqdns().unwrap_or(0) as u64 * 8)
+            .sum()
     }
 
     /// Runs ingestion to completion in epoch-sized steps (the batch
@@ -249,7 +276,7 @@ impl ServeCore {
                 self.seal(par)?;
             }
             let feeds = match self.sealed.as_ref() {
-                Some(s) => s.feeds.clone(),
+                Some(s) => FeedSet::clone(&s.feeds),
                 None => return Err(ServeError::Io("sealed epoch vanished".to_string())),
             };
             let classified = Classified::build_faulted(
@@ -276,10 +303,12 @@ impl ServeCore {
 }
 
 /// The configuration fingerprint stored in checkpoints: everything
-/// that changes collection output or epoch boundaries.
+/// that changes collection output or epoch boundaries. The `v2` prefix
+/// marks per-epoch deltas; a `v1` (full-state) file fails the
+/// fingerprint check instead of being folded as a delta.
 pub fn fingerprint(scenario: &Scenario, epoch_events: usize) -> String {
     format!(
-        "v1 seed={} scenario={} profile={} chunk={} epoch_events={}",
+        "v2 seed={} scenario={} profile={} chunk={} epoch_events={}",
         scenario.seed,
         scenario.name,
         scenario.fault_plan().profile().name,

@@ -11,7 +11,8 @@
 //!
 //! * [`core`] — the engine: epochs, sealing, checkpoints, the final
 //!   report. No sockets; the determinism tests drive it directly.
-//! * [`checkpoint`] — the atomic write-rename snapshot format.
+//! * [`checkpoint`] — the per-epoch delta chain, written with atomic
+//!   write-rename and folded on resume.
 //! * [`server`] — the single-threaded socket reactor with admission
 //!   control, deadlines, the watchdog and graceful drain.
 //! * [`loadgen`] — deterministic query storms (`taster loadgen`).
@@ -113,7 +114,7 @@ mod tests {
                         f.reports_volume,
                         f.samples,
                         f.iter(),
-                        f.fqdn_hashes_sorted(),
+                        f.fqdn_hashes_sorted().map(|h| h.into_owned()),
                         f.gaps().to_vec(),
                     ),
                     None => Feed::new(id, false),

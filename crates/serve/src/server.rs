@@ -82,12 +82,16 @@ pub struct ServerStats {
 }
 
 impl ServerStats {
-    /// The multi-line `status` reply body: ingestion progress plus
-    /// every guardrail counter, one `key value` pair per line.
+    /// The multi-line `status` reply body: ingestion progress, every
+    /// guardrail counter and the seal health (milliseconds spent
+    /// sealing, the longest seal, the checkpoint chain's bytes), one
+    /// `key value` pair per line.
     pub fn render(&self, core: &ServeCore) -> String {
+        let seals = core.seal_stats();
         format!(
             "rows {}/{}\nepoch {}\ncomplete {}\nmem_bytes {}\nrequests {}\nsheds {}\n\
-             timeouts {}\nmalformed {}\nwatchdog_trips {}\nepochs_sealed {}\nio_errors {}\n",
+             timeouts {}\nmalformed {}\nwatchdog_trips {}\nepochs_sealed {}\nio_errors {}\n\
+             seal_ms_total {:.3}\nseal_ms_max {:.3}\ncheckpoint_bytes {}\n",
             core.rows_done(),
             core.total_rows(),
             core.epoch(),
@@ -100,6 +104,9 @@ impl ServerStats {
             self.watchdog_trips,
             self.epochs_sealed,
             self.io_errors,
+            seals.secs_total * 1e3,
+            seals.secs_max * 1e3,
+            seals.checkpoint_bytes,
         )
     }
 }

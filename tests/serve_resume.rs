@@ -5,15 +5,18 @@
 //! workers, clean and under a faulted profile. The process-level test
 //! drives the real daemon binary through the real socket: `loadgen`'s
 //! `kill-midrun` storm aborts it mid-flight, then `--resume` finishes
-//! the run.
+//! the run. Checkpoints form a chain of per-epoch deltas, so the
+//! tests also tear and rot single links, and reuse a directory across
+//! runs of different configurations.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use rand::RngExt;
 use taster::core::{Experiment, Scenario};
-use taster::serve::{core::fingerprint, ServeConfig, ServeCore};
+use taster::feeds::{Feed, FeedId};
+use taster::serve::{core::fingerprint, Checkpoint, ServeConfig, ServeCore, ServerStats};
 use taster::sim::{FaultProfile, RngStream};
 
 const WORKERS: [usize; 3] = [1, 2, 8];
@@ -35,12 +38,66 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// Event rows in the scenario's log.
+fn total_rows(scn: &Scenario) -> usize {
+    ServeCore::new(
+        scn,
+        ServeConfig {
+            epoch_events: usize::MAX,
+            checkpoint_dir: None,
+        },
+    )
+    .expect("probe core")
+    .total_rows()
+}
+
+/// Advances to each of the next `epochs` boundaries and seals there.
+fn seal_epochs(core: &mut ServeCore, par: &taster::sim::Parallelism, epochs: usize) {
+    for _ in 0..epochs {
+        let target = core.next_epoch_target();
+        core.advance_rows(par, target - core.rows_done())
+            .expect("advance");
+        core.seal(par).expect("seal");
+    }
+}
+
+/// The `ckpt-*` file names in `dir`, sorted.
+fn ckpt_files(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("read checkpoint dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|n| n.starts_with("ckpt-"))
+        .collect();
+    names.sort();
+    names
+}
+
+/// `ckpt-00000001.bin` up to `ckpt-<epochs>.bin`, no gap.
+fn chain_names(epochs: u64) -> Vec<String> {
+    (1..=epochs).map(|e| format!("ckpt-{e:08}.bin")).collect()
+}
+
+/// Summed size of the `ckpt-*` files in `dir`.
+fn chain_bytes(dir: &Path) -> u64 {
+    ckpt_files(dir)
+        .iter()
+        .map(|n| std::fs::metadata(dir.join(n)).expect("ckpt size").len())
+        .sum()
+}
+
 /// Kill at a "random" (deterministic keyed-RNG) epoch, resume from the
 /// checkpoint on disk, and require the final bytes to match both an
 /// uninterrupted serve run and the batch pipeline.
 #[test]
 fn kill_at_random_epoch_resumes_byte_identical() {
-    for profile in ["off", "lossy-feeds"] {
+    // `feed-outage` adds outage windows, which every seal carries as
+    // gap markers.
+    for profile in ["off", "lossy-feeds", "feed-outage"] {
         // The batch pipeline is worker-invariant (pinned elsewhere);
         // render it once per profile as the reference bytes.
         let batch = Experiment::try_run(&scenario(profile, 1))
@@ -49,15 +106,7 @@ fn kill_at_random_epoch_resumes_byte_identical() {
         for workers in WORKERS {
             let scn = scenario(profile, workers);
             let par = scn.parallelism;
-            let total = ServeCore::new(
-                &scn,
-                ServeConfig {
-                    epoch_events: usize::MAX,
-                    checkpoint_dir: None,
-                },
-            )
-            .expect("probe core")
-            .total_rows();
+            let total = total_rows(&scn);
             // Five epochs over the log; crash somewhere strictly
             // inside the run, epoch chosen by a keyed stream so the
             // test is deterministic but not hand-picked.
@@ -88,13 +137,7 @@ fn kill_at_random_epoch_resumes_byte_identical() {
             // Killed run: seal `kill_after` epochs, then drop the core
             // on the floor (the crash) and resume from disk.
             let mut doomed = ServeCore::new(&scn, config()).expect("doomed core");
-            for _ in 0..kill_after {
-                let target = doomed.next_epoch_target();
-                doomed
-                    .advance_rows(&par, target - doomed.rows_done())
-                    .expect("advance");
-                doomed.seal(&par).expect("seal");
-            }
+            seal_epochs(&mut doomed, &par, kill_after);
             assert!(
                 !doomed.ingest_complete(),
                 "{profile}/{workers}w: kill epoch {kill_after} not mid-run"
@@ -212,6 +255,195 @@ fn resume_refuses_foreign_checkpoints() {
         err.to_string().contains("fingerprint"),
         "unexpected error: {err}"
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A torn newest link and a rotted middle link: the resume folds the
+/// consecutive valid prefix of the chain, starts from its last epoch,
+/// removes the unusable files, and still finishes byte-identical.
+#[test]
+fn torn_or_rotted_links_resume_from_the_last_valid_epoch() {
+    let scn = scenario("off", 2);
+    let par = scn.parallelism;
+    let batch = Experiment::try_run(&scenario("off", 1))
+        .expect("batch run")
+        .render_report();
+    let epoch_events = total_rows(&scn).div_ceil(5).max(1);
+    // (damage, the file damaged, the epoch the chain must end at)
+    for (damage, victim, valid) in [("truncate-newest", 4u64, 3u64), ("flip-epoch-2", 2, 1)] {
+        let dir = scratch(damage);
+        let config = || ServeConfig {
+            epoch_events,
+            checkpoint_dir: Some(dir.clone()),
+        };
+        let mut doomed = ServeCore::new(&scn, config()).expect("doomed core");
+        seal_epochs(&mut doomed, &par, 4);
+        assert!(
+            !doomed.ingest_complete(),
+            "{damage}: the kill must land mid-run"
+        );
+        drop(doomed);
+        assert_eq!(
+            ckpt_files(&dir),
+            chain_names(4),
+            "{damage}: one file per seal"
+        );
+
+        let path = dir.join(format!("ckpt-{victim:08}.bin"));
+        let mut bytes = std::fs::read(&path).expect("read victim");
+        if damage == "truncate-newest" {
+            bytes.truncate(bytes.len() - 8); // a torn write
+        } else {
+            let mid = bytes.len() / 2;
+            bytes[mid] ^= 0x5a; // bit rot
+        }
+        std::fs::write(&path, bytes).expect("damage victim");
+
+        let mut resumed = ServeCore::resume(&scn, config()).expect("resume core");
+        assert_eq!(resumed.epoch(), valid, "{damage}: resumed epoch");
+        assert_eq!(
+            resumed.rows_done(),
+            valid as usize * epoch_events,
+            "{damage}: resumed rows"
+        );
+        assert_eq!(
+            ckpt_files(&dir),
+            chain_names(valid),
+            "{damage}: files past the chain are removed"
+        );
+        resumed.run_to_completion(&par).expect("resumed run");
+        assert_eq!(
+            resumed.final_report(&par).expect("resumed report"),
+            batch,
+            "{damage}: resumed report differs"
+        );
+        assert_eq!(ckpt_files(&dir), chain_names(5), "{damage}: chain rebuilt");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// A fresh run owns its checkpoint directory. Run A leaves a complete
+/// chain; a fresh run of A under `lossy-feeds` in the same directory
+/// seals one epoch and dies. Its resume must fold only its own
+/// `ckpt-1` — not A's stale `ckpt-4`/`ckpt-5`, which would be folded
+/// into the wrong state or refused for their fingerprint. Files that
+/// are not checkpoints survive, and a hand-encoded `v1` (full-state)
+/// checkpoint is refused with the fingerprint error.
+#[test]
+fn a_fresh_run_owns_its_checkpoint_directory() {
+    let a = scenario("off", 1);
+    let b = scenario("lossy-feeds", 1);
+    let par = a.parallelism;
+    let epoch_events = total_rows(&a).div_ceil(5).max(1);
+    let dir = scratch("fresh-run");
+    let config = || ServeConfig {
+        epoch_events,
+        checkpoint_dir: Some(dir.clone()),
+    };
+
+    let mut first = ServeCore::new(&a, config()).expect("run A");
+    first.run_to_completion(&par).expect("run A to completion");
+    drop(first);
+    let notes = dir.join("notes.txt");
+    std::fs::write(&notes, "not a checkpoint").expect("unrelated file");
+    std::fs::write(dir.join("ckpt-00000009.tmp"), b"torn").expect("stale temp file");
+
+    let mut doomed = ServeCore::new(&b, config()).expect("fresh run of A under lossy-feeds");
+    seal_epochs(&mut doomed, &par, 1);
+    drop(doomed);
+
+    let mut resumed = ServeCore::resume(&b, config()).expect("resume the fresh run");
+    assert_eq!((resumed.epoch(), resumed.rows_done()), (1, epoch_events));
+    assert_eq!(
+        ckpt_files(&dir),
+        chain_names(1),
+        "only the fresh run's chain"
+    );
+    resumed.run_to_completion(&par).expect("resumed run");
+    let batch = Experiment::try_run(&b).expect("batch run").render_report();
+    assert_eq!(resumed.final_report(&par).expect("resumed report"), batch);
+    drop(resumed);
+    assert_eq!(
+        std::fs::read_to_string(&notes).expect("unrelated file survives"),
+        "not a checkpoint"
+    );
+
+    // The previous format's full-state checkpoint: the same layout
+    // under a `v1` fingerprint.
+    let v1 = Checkpoint {
+        fingerprint: fingerprint(&b, epoch_events).replacen("v2 ", "v1 ", 1),
+        epoch: 1,
+        rows_done: epoch_events as u64,
+        feeds: FeedId::ALL.iter().map(|&id| Feed::new(id, false)).collect(),
+    };
+    assert!(v1.fingerprint.starts_with("v1 seed="), "{}", v1.fingerprint);
+    std::fs::write(dir.join("ckpt-00000001.bin"), v1.encode()).expect("write v1 file");
+    let err = match ServeCore::resume(&b, config()) {
+        Ok(_) => panic!("a v1 checkpoint must be refused"),
+        Err(e) => e,
+    };
+    assert!(
+        err.to_string().contains("fingerprint mismatch in"),
+        "unexpected error: {err}"
+    );
+    assert!(notes.exists(), "a refused resume deletes nothing");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `status` ends with the seal health lines after the existing keys,
+/// and `checkpoint_bytes` is the summed size of the chain on disk.
+#[test]
+fn status_reports_seal_health_and_chain_bytes() {
+    let scn = scenario("off", 1);
+    let par = scn.parallelism;
+    let dir = scratch("status");
+    let config = || ServeConfig {
+        epoch_events: total_rows(&scn).div_ceil(6).max(1),
+        checkpoint_dir: Some(dir.clone()),
+    };
+    let value = |body: &str, key: &str| -> f64 {
+        body.lines()
+            .find_map(|l| l.strip_prefix(&format!("{key} ")))
+            .unwrap_or_else(|| panic!("status lacks {key}: {body}"))
+            .parse()
+            .expect("numeric status value")
+    };
+
+    let mut core = ServeCore::new(&scn, config()).expect("core");
+    seal_epochs(&mut core, &par, 3);
+    let body = ServerStats::default().render(&core);
+    let keys: Vec<&str> = body.lines().filter_map(|l| l.split(' ').next()).collect();
+    assert_eq!(
+        keys,
+        [
+            "rows",
+            "epoch",
+            "complete",
+            "mem_bytes",
+            "requests",
+            "sheds",
+            "timeouts",
+            "malformed",
+            "watchdog_trips",
+            "epochs_sealed",
+            "io_errors",
+            "seal_ms_total",
+            "seal_ms_max",
+            "checkpoint_bytes",
+        ]
+    );
+    assert_eq!(ckpt_files(&dir), chain_names(3));
+    assert_eq!(value(&body, "checkpoint_bytes"), chain_bytes(&dir) as f64);
+    let (total_ms, max_ms) = (value(&body, "seal_ms_total"), value(&body, "seal_ms_max"));
+    assert!(max_ms > 0.0 && max_ms <= total_ms, "{body}");
+
+    // A resume starts from the chain's size and keeps counting.
+    drop(core);
+    let mut resumed = ServeCore::resume(&scn, config()).expect("resume");
+    seal_epochs(&mut resumed, &par, 2);
+    let body = ServerStats::default().render(&resumed);
+    assert_eq!(ckpt_files(&dir), chain_names(5));
+    assert_eq!(value(&body, "checkpoint_bytes"), chain_bytes(&dir) as f64);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
