@@ -189,9 +189,9 @@ mod tests {
     use super::*;
     use crate::classify::ClassifyOptions;
     use taster_ecosystem::{EcosystemConfig, GroundTruth};
-    use taster_feeds::{try_collect_all_faulted, FeedsConfig};
+    use taster_feeds::{try_collect_all_observed, FeedsConfig};
     use taster_mailsim::{MailConfig, MailWorld};
-    use taster_sim::{FaultPlan, FaultProfile};
+    use taster_sim::{FaultPlan, FaultProfile, Obs};
 
     fn world() -> MailWorld {
         let truth =
@@ -202,7 +202,8 @@ mod tests {
     fn run(world: &MailWorld, profile: FaultProfile) -> RunSnapshot {
         let par = Parallelism::serial();
         let plan = FaultPlan::new(profile, world.truth.seed);
-        let feeds = try_collect_all_faulted(world, &FeedsConfig::default(), &plan, &par).unwrap();
+        let cfg = FeedsConfig::default();
+        let feeds = try_collect_all_observed(world, &cfg, &plan, &par, &Obs::off()).unwrap();
         let c = Classified::build_faulted(
             &world.truth,
             &feeds,

@@ -16,9 +16,9 @@ use std::hint::black_box;
 use taster_analysis::classify::Classified;
 use taster_bench::bench_scenario;
 use taster_ecosystem::GroundTruth;
-use taster_feeds::collect_all_with;
+use taster_feeds::{collect_all, try_collect_all_observed};
 use taster_mailsim::MailWorld;
-use taster_sim::Parallelism;
+use taster_sim::{FaultPlan, Obs, Parallelism};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -26,12 +26,16 @@ fn collect_scaling(c: &mut Criterion) {
     let s = bench_scenario();
     let truth = GroundTruth::generate(&s.ecosystem, s.seed).unwrap();
     let world = MailWorld::build(truth, s.mail.clone()).unwrap();
+    let plan = FaultPlan::off(s.seed);
     let mut group = c.benchmark_group("pipeline_scaling/collect_feeds");
     group.sample_size(10);
     for workers in WORKER_COUNTS {
         let par = Parallelism::fixed(workers);
         group.bench_with_input(BenchmarkId::from_parameter(workers), &par, |b, par| {
-            b.iter(|| black_box(collect_all_with(&world, &s.feeds, par)))
+            b.iter(|| {
+                let feeds = try_collect_all_observed(&world, &s.feeds, &plan, par, &Obs::off());
+                black_box(feeds.unwrap())
+            })
         });
     }
     group.finish();
@@ -41,7 +45,7 @@ fn classify_scaling(c: &mut Criterion) {
     let s = bench_scenario();
     let truth = GroundTruth::generate(&s.ecosystem, s.seed).unwrap();
     let world = MailWorld::build(truth, s.mail.clone()).unwrap();
-    let feeds = collect_all_with(&world, &s.feeds, &Parallelism::serial());
+    let feeds = collect_all(&world, &s.feeds);
     let mut group = c.benchmark_group("pipeline_scaling/crawl_classify");
     group.sample_size(10);
     for workers in WORKER_COUNTS {

@@ -9,22 +9,15 @@
 use crate::scenario::Scenario;
 use taster_analysis::degradation::{compare, snapshot, ProfileDegradation, RunSnapshot};
 use taster_analysis::Classified;
-use taster_ecosystem::GroundTruth;
-use taster_feeds::{ensure_nonempty_collection, try_collect_all_faulted, PipelineError};
+use taster_feeds::{ensure_nonempty_collection, try_collect_all_observed, PipelineError};
 use taster_mailsim::MailWorld;
-use taster_sim::{FaultPlan, FaultProfile};
+use taster_sim::{FaultPlan, FaultProfile, Obs};
 
 /// Runs the canonical fault-profile sweep over a scenario. The
 /// scenario's own fault profile is ignored — the sweep always compares
 /// the canonical set against a clean run of the same seed and scale.
 pub fn degradation_sweep(scenario: &Scenario) -> Result<Vec<ProfileDegradation>, PipelineError> {
-    scenario
-        .validate()
-        .map_err(PipelineError::InvalidScenario)?;
-    let truth = GroundTruth::generate(&scenario.ecosystem, scenario.seed)
-        .map_err(|e| PipelineError::from_world(e, PipelineError::Generation))?;
-    let world = MailWorld::build(truth, scenario.mail.clone())
-        .map_err(|e| PipelineError::from_world(e, PipelineError::InvalidScenario))?;
+    let world = crate::build_world(scenario, &Obs::off())?;
     let clean = run_profile(&world, scenario, FaultProfile::off())?;
     FaultProfile::canonical()
         .into_iter()
@@ -43,7 +36,7 @@ fn run_profile(
 ) -> Result<RunSnapshot, PipelineError> {
     let par = &scenario.parallelism;
     let plan = FaultPlan::new(profile, scenario.seed);
-    let feeds = try_collect_all_faulted(world, &scenario.feeds, &plan, par)?;
+    let feeds = try_collect_all_observed(world, &scenario.feeds, &plan, par, &Obs::off())?;
     ensure_nonempty_collection(&feeds, &plan, world.truth.window())?;
     let classified = Classified::build_faulted(&world.truth, &feeds, scenario.classify, &plan, par);
     Ok(snapshot(&feeds, &classified, &world.provider.oracle, par))

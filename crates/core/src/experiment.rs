@@ -52,6 +52,42 @@ pub struct Experiment {
     pub obs: Obs,
 }
 
+/// Validates `scenario` and builds its world — ground truth, then the
+/// mail world — as the `generate` stage under `obs`. Every run builds
+/// its world here (experiments, sweeps, the degradation sweep, the
+/// collect-overhead probe and `taster serve`), so a failure is the
+/// same typed error on every path: an event-spill fault is
+/// [`PipelineError::Spill`], a rejected configuration
+/// [`PipelineError::InvalidScenario`] or [`PipelineError::Generation`].
+pub fn build_world(scenario: &Scenario, obs: &Obs) -> Result<MailWorld, PipelineError> {
+    scenario
+        .validate()
+        .map_err(PipelineError::InvalidScenario)?;
+    // One stage covers ground-truth generation *and* the mail-world
+    // provider replay: both synthesize the world before any feed
+    // exists, and splitting them would leave the span tree as the
+    // only place the split is visible anyway.
+    obs.stage(STAGE_GENERATE, || {
+        let truth = {
+            let _span = obs.span("generate/ground_truth");
+            GroundTruth::generate_observed(&scenario.ecosystem, scenario.seed, obs)
+                .map_err(|e| PipelineError::from_world(e, PipelineError::Generation))?
+        };
+        let _span = obs.span("generate/mail_world");
+        let world = MailWorld::build(truth, scenario.mail.clone())
+            .map_err(|e| PipelineError::from_world(e, PipelineError::InvalidScenario))?;
+        obs.metrics
+            .add("generate/events", world.truth.log.len as u64);
+        obs.metrics
+            .add("generate/domains", world.truth.universe.len() as u64);
+        obs.metrics.add(
+            "generate/cached_events",
+            world.truth.cache().map_or(0, |c| c.len() as u64),
+        );
+        Ok(world)
+    })
+}
+
 impl Experiment {
     /// Runs the scenario end-to-end. Panics on an invalid scenario
     /// (validation errors are programmer errors here; use
@@ -78,33 +114,8 @@ impl Experiment {
     /// counter/histogram lands in `obs.metrics`. With `Obs::off()`
     /// this is `try_run` exactly, byte for byte.
     pub fn try_run_observed(scenario: &Scenario, obs: Obs) -> Result<Experiment, PipelineError> {
-        scenario
-            .validate()
-            .map_err(PipelineError::InvalidScenario)?;
         let par = scenario.parallelism;
-        // One stage covers ground-truth generation *and* the mail-world
-        // provider replay: both synthesize the world before any feed
-        // exists, and splitting them would leave the span tree as the
-        // only place the split is visible anyway.
-        let world = obs.stage(STAGE_GENERATE, || -> Result<MailWorld, PipelineError> {
-            let truth = {
-                let _span = obs.span("generate/ground_truth");
-                GroundTruth::generate_observed(&scenario.ecosystem, scenario.seed, &obs)
-                    .map_err(|e| PipelineError::from_world(e, PipelineError::Generation))?
-            };
-            let _span = obs.span("generate/mail_world");
-            let world = MailWorld::build(truth, scenario.mail.clone())
-                .map_err(|e| PipelineError::from_world(e, PipelineError::InvalidScenario))?;
-            obs.metrics
-                .add("generate/events", world.truth.log.len as u64);
-            obs.metrics
-                .add("generate/domains", world.truth.universe.len() as u64);
-            obs.metrics.add(
-                "generate/cached_events",
-                world.truth.cache().map_or(0, |c| c.len() as u64),
-            );
-            Ok(world)
-        })?;
+        let world = build_world(scenario, &obs)?;
         let plan = scenario.fault_plan();
         // Collect/blacklist staging happens inside the pipeline (the
         // two blacklists are timed as their own stage), and crawl vs.

@@ -29,6 +29,6 @@ pub mod report;
 pub mod scenario;
 pub mod sweep;
 
-pub use experiment::Experiment;
+pub use experiment::{build_world, Experiment};
 pub use report::Report;
 pub use scenario::Scenario;

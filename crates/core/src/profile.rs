@@ -28,8 +28,7 @@ use taster_analysis::timing::{
 };
 use taster_analysis::Classified;
 use taster_ecosystem::buffer::EventBuffer;
-use taster_feeds::PipelineError;
-use taster_feeds::{try_collect_all_faulted, try_collect_all_observed};
+use taster_feeds::{try_collect_all_observed, PipelineError};
 use taster_mailsim::provider::PROVIDER_BUCKET;
 use taster_mailsim::MailWorld;
 use taster_sim::metrics::{
@@ -227,7 +226,7 @@ pub fn bench_stages(
             Classified::build_observed(&world.truth, &feeds, scenario.classify, &off, &par, &obs);
 
         let faulted_feeds = obs.stage(STAGE_COLLECT_FAULTED, || {
-            try_collect_all_faulted(world, &scenario.feeds, &lossy, &par)
+            try_collect_all_observed(world, &scenario.feeds, &lossy, &par, &Obs::off())
         })?;
         taster_feeds::ensure_nonempty_collection(&faulted_feeds, &lossy, world.truth.window())?;
         obs.stage(STAGE_CLASSIFY_FAULTED, || {
@@ -529,7 +528,7 @@ pub fn bench_json_string(seed: u64, reps: usize, scales: &[ScaleBench]) -> Strin
 /// differs (a disabled [`Obs`] vs. a metrics-recording one). The CI
 /// overhead gate fails when `on / off - 1` exceeds its threshold.
 pub fn collect_overhead(scenario: &Scenario, reps: usize) -> Result<(f64, f64), PipelineError> {
-    let world = crate::sweep::build_world(scenario).map_err(PipelineError::InvalidScenario)?;
+    let world = crate::build_world(scenario, &Obs::off())?;
     let par = scenario.parallelism;
     let plan = scenario.fault_plan();
     let off_clock = Obs::with(true, false);
@@ -582,7 +581,7 @@ mod tests {
     #[test]
     fn bench_rows_and_json_cover_all_stages() {
         let scenario = small();
-        let world = crate::sweep::build_world(&scenario).unwrap();
+        let world = crate::build_world(&scenario, &Obs::off()).unwrap();
         let row = bench_stages(&world, &scenario, 2, 1).expect("bench runs");
         assert!(row.collect > 0.0 && row.classify > 0.0);
         let events = world.truth.log.len as u64;

@@ -5,15 +5,15 @@
 //! data feed is likely to provide better coverage … as we will show,
 //! this intuition is misleading.")
 //!
-//! Sweeps build the world once and re-run only the collector under
-//! study, so a multi-point sweep costs little more than one run.
+//! Sweeps build the world once ([`crate::build_world`]) and re-run
+//! only the collector under study, so a multi-point sweep costs little
+//! more than one run.
 
 use crate::scenario::Scenario;
 use taster_crawler::Crawler;
-use taster_ecosystem::GroundTruth;
 use taster_feeds::collectors::{collect_ac, collect_mx};
 use taster_feeds::config::{AcConfig, MxConfig};
-use taster_feeds::Feed;
+use taster_feeds::{Feed, PipelineError};
 use taster_mailsim::MailWorld;
 
 /// One point of a sweep.
@@ -43,20 +43,15 @@ fn measure(world: &MailWorld, feed: &Feed, label: String) -> SweepPoint {
     }
 }
 
-/// Builds the world for a scenario (shared by both sweeps). Fails
-/// when the scenario is invalid or the event spill fails.
-pub fn build_world(scenario: &Scenario) -> Result<MailWorld, String> {
-    scenario.validate()?;
-    let truth =
-        GroundTruth::generate(&scenario.ecosystem, scenario.seed).map_err(|e| e.to_string())?;
-    MailWorld::build(truth, scenario.mail.clone()).map_err(|e| e.to_string())
-}
-
 /// Sweeps honey-account seeding breadth: 1..=n harvest vectors at
 /// fixed capture probability. The paper: "the quality of a honey
 /// account feed is related both to the number of accounts and how
-/// well the accounts are seeded" (§3.2).
-pub fn seeding_sweep(scenario: &Scenario, world: &MailWorld) -> Vec<SweepPoint> {
+/// well the accounts are seeded" (§3.2). Fails only when the
+/// out-of-core event spill cannot be read.
+pub fn seeding_sweep(
+    scenario: &Scenario,
+    world: &MailWorld,
+) -> Result<Vec<SweepPoint>, PipelineError> {
     let vectors = scenario.ecosystem.harvest_vectors;
     let capture = scenario.feeds.ac[1].capture_prob;
     (1..=vectors)
@@ -66,26 +61,31 @@ pub fn seeding_sweep(scenario: &Scenario, world: &MailWorld) -> Vec<SweepPoint> 
                 vector_mask: mask,
                 capture_prob: capture,
             };
-            let feed = collect_ac(world, &cfg, 1);
-            measure(
+            let feed = collect_ac(world, &cfg, 1)?;
+            Ok(measure(
                 world,
                 &feed,
                 format!("{k}/{vectors} harvest vectors (mask {mask:#07b})"),
-            )
+            ))
         })
         .collect()
 }
 
 /// Sweeps MX honeypot size (capture probability): does 8× the trap
-/// space buy 8× the coverage? (It buys ~8× the *samples*.)
-pub fn mx_size_sweep(scenario: &Scenario, world: &MailWorld, probs: &[f64]) -> Vec<SweepPoint> {
+/// space buy 8× the coverage? (It buys ~8× the *samples*.) Fails only
+/// when the out-of-core event spill cannot be read.
+pub fn mx_size_sweep(
+    scenario: &Scenario,
+    world: &MailWorld,
+    probs: &[f64],
+) -> Result<Vec<SweepPoint>, PipelineError> {
     let _ = scenario;
     probs
         .iter()
         .map(|&p| {
             let cfg = MxConfig { capture_prob: p };
-            let feed = collect_mx(world, &cfg, 0);
-            measure(world, &feed, format!("capture probability {p:.3}"))
+            let feed = collect_mx(world, &cfg, 0)?;
+            Ok(measure(world, &feed, format!("capture probability {p:.3}")))
         })
         .collect()
 }
@@ -96,14 +96,14 @@ mod tests {
 
     fn setup() -> (Scenario, MailWorld) {
         let s = Scenario::default_paper().with_scale(0.05).with_seed(19);
-        let w = build_world(&s).unwrap();
+        let w = crate::build_world(&s, &taster_sim::Obs::off()).unwrap();
         (s, w)
     }
 
     #[test]
     fn seeding_breadth_buys_coverage() {
         let (s, w) = setup();
-        let points = seeding_sweep(&s, &w);
+        let points = seeding_sweep(&s, &w).unwrap();
         assert_eq!(points.len(), s.ecosystem.harvest_vectors as usize);
         let first = &points[0];
         let last = points.last().unwrap();
@@ -119,7 +119,7 @@ mod tests {
     #[test]
     fn mx_size_shows_diminishing_coverage_returns() {
         let (s, w) = setup();
-        let points = mx_size_sweep(&s, &w, &[0.05, 0.2, 0.8]);
+        let points = mx_size_sweep(&s, &w, &[0.05, 0.2, 0.8]).unwrap();
         assert_eq!(points.len(), 3);
         // Samples scale ~linearly with size…
         let sample_ratio = points[2].samples as f64 / points[0].samples.max(1) as f64;

@@ -7,16 +7,19 @@
 //! of the proportionality analysis (Figs 7–8).
 
 use crate::config::AcConfig;
-use crate::engine::{collect_one, MemberSpec};
+use crate::engine::MemberSpec;
+use crate::error::PipelineError;
 use crate::feed::Feed;
+use crate::incremental::collect_one;
 use taster_mailsim::MailWorld;
 
-/// Collects honey-account feed `index` (0 = Ac1, 1 = Ac2).
+/// Collects honey-account feed `index` (0 = Ac1, 1 = Ac2), fault-free.
 ///
-/// Thin wrapper over the fused content engine with a single member;
-/// per-event RNG streams make the result bit-identical to this feed's
-/// slot in [`crate::pipeline::collect_all`].
-pub fn collect_ac(world: &MailWorld, config: &AcConfig, index: u8) -> Feed {
+/// The collection driver with a one-member roster; per-event RNG
+/// streams make the result bit-identical to this feed's slot in
+/// [`crate::collect_all`]. Fails only when the out-of-core spill
+/// cannot be read.
+pub fn collect_ac(world: &MailWorld, config: &AcConfig, index: u8) -> Result<Feed, PipelineError> {
     assert!(index < 2);
     collect_one(
         world,
@@ -44,8 +47,8 @@ mod tests {
     fn ac1_outcollects_ac2() {
         let w = world();
         let cfg = FeedsConfig::default();
-        let ac1 = collect_ac(&w, &cfg.ac[0], 0);
-        let ac2 = collect_ac(&w, &cfg.ac[1], 1);
+        let ac1 = collect_ac(&w, &cfg.ac[0], 0).unwrap();
+        let ac2 = collect_ac(&w, &cfg.ac[1], 1).unwrap();
         assert!(ac1.samples > ac2.samples);
         assert!(ac1.unique_domains() > ac2.unique_domains());
     }
@@ -60,8 +63,8 @@ mod tests {
             vector_mask: 0b1_0000,
             capture_prob: 1.0,
         };
-        let feed = collect_ac(&w, &narrow, 1);
-        let broad = collect_ac(&w, &cfg.ac[0], 0);
+        let feed = collect_ac(&w, &narrow, 1).unwrap();
+        let broad = collect_ac(&w, &cfg.ac[0], 0).unwrap();
         assert!(feed.unique_domains() < broad.unique_domains() * 2);
         // Every recorded spam domain belongs to a campaign whose
         // harvest mask includes vector 4 (benign pollution aside).

@@ -11,56 +11,26 @@
 //! all Alexa/ODP-listed domains (hence ≤2 % benign contamination).
 
 use crate::config::{BlacklistConfig, ListingAnchor};
-use crate::engine::{apply_source_record, ShardObs, SourceRecord};
-use crate::feed::Feed;
+use crate::engine::{ShardObs, SourceRecord};
 use crate::id::FeedId;
 use rand::RngExt;
 use taster_domain::DomainId;
 use taster_ecosystem::campaign::CampaignStyle;
 use taster_mailsim::MailWorld;
-use taster_sim::{FaultPlan, Obs, RngStream, SimTime};
+use taster_sim::{FaultPlan, RngStream, SimTime};
 use taster_stats::sample::exponential;
 
-/// Collects one blacklist feed.
+/// Pre-decides one blacklist's listings: every listing draw, delay
+/// draw and snapshot-fault decision happens here in one fixed serial
+/// order, so the emitted records are a pure function of
+/// `(world, config, plan)` and the driver's time cursor can apply them
+/// in any split.
 ///
 /// Under fault injection the snapshot transport degrades: every
 /// listing is delayed by the profile's snapshot latency, individual
 /// snapshot entries can be lost to truncation (keyed by the serial
 /// entry index, so the result is identical at any worker count), and
 /// listings landing inside an outage window are missed entirely.
-pub fn collect_blacklist(
-    world: &MailWorld,
-    config: &BlacklistConfig,
-    id: FeedId,
-    fault_plan: &FaultPlan,
-) -> Feed {
-    collect_blacklist_observed(world, config, id, fault_plan, &Obs::off())
-}
-
-/// [`collect_blacklist`] with observability: counts listings recorded,
-/// snapshot entries lost and outage misses into `obs`. Accumulation is
-/// local and absorbed once, so the metrics totals match a serial pass.
-pub fn collect_blacklist_observed(
-    world: &MailWorld,
-    config: &BlacklistConfig,
-    id: FeedId,
-    fault_plan: &FaultPlan,
-    obs: &Obs,
-) -> Feed {
-    let mut local = ShardObs::new(obs.metrics.is_on());
-    let mut feed = Feed::new(id, false);
-    for rec in blacklist_source_records(world, config, id, fault_plan, &mut local) {
-        apply_source_record(&mut feed, &rec, &mut local);
-    }
-    obs.metrics.absorb(&local.into_shard());
-    feed
-}
-
-/// Pre-decides one blacklist's listings: every listing draw, delay
-/// draw and snapshot-fault decision happens here in the exact serial
-/// order of the batch pass, so the emitted records are a pure function
-/// of `(world, config, plan)` and can be applied all at once or
-/// incrementally by listing time.
 pub(crate) fn blacklist_source_records(
     world: &MailWorld,
     config: &BlacklistConfig,
@@ -158,6 +128,7 @@ pub(crate) fn blacklist_source_records(
 mod tests {
     use super::*;
     use crate::config::FeedsConfig;
+    use crate::pipeline::collect_all;
     use taster_ecosystem::{EcosystemConfig, GroundTruth};
     use taster_mailsim::MailConfig;
 
@@ -170,8 +141,8 @@ mod tests {
     #[test]
     fn listings_are_binary_no_samples_no_volume() {
         let w = world();
-        let cfg = FeedsConfig::default();
-        let dbl = collect_blacklist(&w, &cfg.dbl, FeedId::Dbl, &FaultPlan::off(w.truth.seed));
+        let set = collect_all(&w, &FeedsConfig::default());
+        let dbl = set.get(FeedId::Dbl);
         assert_eq!(dbl.samples, None);
         assert!(!dbl.reports_volume);
         for (_, s) in dbl.iter() {
@@ -183,9 +154,9 @@ mod tests {
     #[test]
     fn curation_enforces_registration_purity() {
         let w = world();
-        let cfg = FeedsConfig::default();
-        for (blc, id) in [(&cfg.dbl, FeedId::Dbl), (&cfg.uribl, FeedId::Uribl)] {
-            let feed = collect_blacklist(&w, blc, id, &FaultPlan::off(w.truth.seed));
+        let set = collect_all(&w, &FeedsConfig::default());
+        for id in [FeedId::Dbl, FeedId::Uribl] {
+            let feed = set.get(id);
             let registered = feed
                 .domain_ids()
                 .filter(|&d| w.truth.universe.record(d).registered)
@@ -198,8 +169,8 @@ mod tests {
     #[test]
     fn benign_contamination_is_tiny() {
         let w = world();
-        let cfg = FeedsConfig::default();
-        let uribl = collect_blacklist(&w, &cfg.uribl, FeedId::Uribl, &FaultPlan::off(w.truth.seed));
+        let set = collect_all(&w, &FeedsConfig::default());
+        let uribl = set.get(FeedId::Uribl);
         let benign = uribl
             .domain_ids()
             .filter(|&d| {
@@ -214,9 +185,8 @@ mod tests {
     #[test]
     fn dbl_lists_earlier_than_uribl() {
         let w = world();
-        let cfg = FeedsConfig::default();
-        let dbl = collect_blacklist(&w, &cfg.dbl, FeedId::Dbl, &FaultPlan::off(w.truth.seed));
-        let uribl = collect_blacklist(&w, &cfg.uribl, FeedId::Uribl, &FaultPlan::off(w.truth.seed));
+        let set = collect_all(&w, &FeedsConfig::default());
+        let (dbl, uribl) = (set.get(FeedId::Dbl), set.get(FeedId::Uribl));
         // Compare mean listing time relative to the domain's first
         // advertisement over the common domains.
         let mut dbl_lag = 0f64;

@@ -6,24 +6,12 @@
 //! every campaign of the unmonitored botnets. During the poisoning
 //! window the stream is dominated by random non-domains (§4.1.1).
 
-use crate::config::BotConfig;
-use crate::engine::{collect_one, MemberSpec};
-use crate::feed::Feed;
-use taster_mailsim::MailWorld;
-
-/// Collects the `Bot` feed.
-///
-/// Thin wrapper over the fused content engine with a single member;
-/// per-event RNG streams make the result bit-identical to this feed's
-/// slot in [`crate::pipeline::collect_all`].
-pub fn collect_bot(world: &MailWorld, config: &BotConfig) -> Feed {
-    collect_one(world, MemberSpec::Bot { config: *config })
-}
-
 #[cfg(test)]
 mod tests {
-    use crate::collectors::collect_bot;
-    use crate::config::FeedsConfig;
+    use crate::config::{BotConfig, FeedsConfig};
+    use crate::engine::MemberSpec;
+    use crate::feed::Feed;
+    use crate::incremental::collect_one;
     use taster_ecosystem::campaign::DeliveryVector;
     use taster_ecosystem::domains::DomainKind;
     use taster_ecosystem::{EcosystemConfig, GroundTruth};
@@ -33,6 +21,10 @@ mod tests {
         let truth =
             GroundTruth::generate(&EcosystemConfig::default().with_scale(0.03), 47).unwrap();
         MailWorld::build(truth, MailConfig::default().with_scale(0.03)).unwrap()
+    }
+
+    fn collect_bot(world: &MailWorld, config: &BotConfig) -> Feed {
+        collect_one(world, MemberSpec::Bot { config: *config }).unwrap()
     }
 
     #[test]

@@ -7,40 +7,16 @@
 //! so the paper excludes it from proportionality analysis, and so do
 //! we (`reports_volume == false`).
 
-use crate::engine::{apply_source_record, ShardObs, SourceRecord};
-use crate::feed::Feed;
+use crate::engine::{ShardObs, SourceRecord};
 use crate::id::FeedId;
 use taster_mailsim::MailWorld;
 use taster_sim::fault::RecordFault;
-use taster_sim::{FaultPlan, Obs};
+use taster_sim::FaultPlan;
 
-/// Collects the `Hu` feed from the provider's report stream.
-///
-/// This collector is serial, so fault decisions keyed by the report
-/// index are deterministic at any worker count.
-pub fn collect_hu(world: &MailWorld, plan: &FaultPlan) -> Feed {
-    collect_hu_observed(world, plan, &Obs::off())
-}
-
-/// [`collect_hu`] with observability: counts captured records, fault
-/// decisions and domains-per-record into `obs`. Accumulation is local
-/// and absorbed once, so the metrics totals match a serial pass.
-pub fn collect_hu_observed(world: &MailWorld, plan: &FaultPlan, obs: &Obs) -> Feed {
-    let mut local = ShardObs::new(obs.metrics.is_on());
-    let mut feed = Feed::new(FeedId::Hu, false);
-    feed.samples = Some(0);
-    for rec in hu_source_records(world, plan, &mut local) {
-        apply_source_record(&mut feed, &rec, &mut local);
-    }
-    obs.metrics.absorb(&local.into_shard());
-    feed
-}
-
-/// Pre-decides the Hu feed's records: every fault decision (keyed by
-/// the serial report index) happens here, so the records are a pure
-/// function of `(world, plan)` and can be applied in any order — all
-/// at once by [`collect_hu_observed`], or incrementally by the serve
-/// daemon's time cursor.
+/// Pre-decides the Hu feed's records from the provider's report
+/// stream: every fault decision (keyed by the serial report index)
+/// happens here, so the records are a pure function of `(world, plan)`
+/// and the driver's time cursor can apply them in any split.
 pub(crate) fn hu_source_records(
     world: &MailWorld,
     plan: &FaultPlan,
@@ -88,15 +64,24 @@ pub(crate) fn hu_source_records(
 
 #[cfg(test)]
 mod tests {
-    use crate::collectors::collect_hu;
+    use crate::config::FeedsConfig;
+    use crate::feed::Feed;
+    use crate::id::FeedId;
+    use crate::pipeline::try_collect_all_observed;
     use taster_ecosystem::{EcosystemConfig, GroundTruth};
     use taster_mailsim::{MailConfig, MailWorld};
-    use taster_sim::FaultPlan;
+    use taster_sim::{FaultPlan, Obs, Parallelism};
 
     fn world() -> MailWorld {
         let truth =
             GroundTruth::generate(&EcosystemConfig::default().with_scale(0.03), 53).unwrap();
         MailWorld::build(truth, MailConfig::default().with_scale(0.03)).unwrap()
+    }
+
+    fn collect_hu(w: &MailWorld, plan: &FaultPlan) -> Feed {
+        let (cfg, par) = (FeedsConfig::default(), Parallelism::serial());
+        let set = try_collect_all_observed(w, &cfg, plan, &par, &Obs::off()).unwrap();
+        set.get(FeedId::Hu).clone()
     }
 
     #[test]

@@ -9,25 +9,12 @@
 //! volume (the paper's hypothesis in §4.2.2: "one possibility is that
 //! this feed contains spam domains not derived from e-mail spam").
 
-use crate::config::HybConfig;
-use crate::engine::{collect_one, MemberSpec};
-use crate::feed::Feed;
-use taster_mailsim::MailWorld;
-
-/// Collects the `Hyb` feed.
-///
-/// Thin wrapper over the fused content engine with a single member
-/// (the engine also applies the report sample and web-spam corpus);
-/// per-event RNG streams make the result bit-identical to this feed's
-/// slot in [`crate::pipeline::collect_all`].
-pub fn collect_hyb(world: &MailWorld, config: &HybConfig) -> Feed {
-    collect_one(world, MemberSpec::Hyb { config: *config })
-}
-
 #[cfg(test)]
 mod tests {
-    use crate::collectors::collect_hyb;
-    use crate::config::FeedsConfig;
+    use crate::config::{FeedsConfig, HybConfig};
+    use crate::engine::MemberSpec;
+    use crate::feed::Feed;
+    use crate::incremental::collect_one;
     use taster_ecosystem::{EcosystemConfig, GroundTruth};
     use taster_mailsim::{MailConfig, MailWorld};
 
@@ -35,6 +22,12 @@ mod tests {
         let truth =
             GroundTruth::generate(&EcosystemConfig::default().with_scale(0.03), 59).unwrap();
         MailWorld::build(truth, MailConfig::default().with_scale(0.03)).unwrap()
+    }
+
+    /// The driver with Hyb alone, which also applies its report
+    /// sample and web-spam corpus.
+    fn collect_hyb(world: &MailWorld, config: &HybConfig) -> Feed {
+        collect_one(world, MemberSpec::Hyb { config: *config }).unwrap()
     }
 
     #[test]

@@ -13,16 +13,19 @@
 //! It also receives the doppelganger/sign-up pollution stream.
 
 use crate::config::MxConfig;
-use crate::engine::{collect_one, MemberSpec};
+use crate::engine::MemberSpec;
+use crate::error::PipelineError;
 use crate::feed::Feed;
+use crate::incremental::collect_one;
 use taster_mailsim::MailWorld;
 
-/// Collects MX honeypot `index` (0 = mx1, 1 = mx2, 2 = mx3).
+/// Collects MX honeypot `index` (0 = mx1, 1 = mx2, 2 = mx3), fault-free.
 ///
-/// Thin wrapper over the fused content engine with a single member;
-/// per-event RNG streams make the result bit-identical to this feed's
-/// slot in [`crate::pipeline::collect_all`].
-pub fn collect_mx(world: &MailWorld, config: &MxConfig, index: u8) -> Feed {
+/// The collection driver with a one-member roster; per-event RNG
+/// streams make the result bit-identical to this feed's slot in
+/// [`crate::collect_all`]. Fails only when the out-of-core spill
+/// cannot be read.
+pub fn collect_mx(world: &MailWorld, config: &MxConfig, index: u8) -> Result<Feed, PipelineError> {
     assert!(index < 3);
     collect_one(
         world,
@@ -50,9 +53,9 @@ mod tests {
     fn sizes_follow_capture_probability() {
         let w = world();
         let cfg = FeedsConfig::default();
-        let mx1 = collect_mx(&w, &cfg.mx[0], 0);
-        let mx2 = collect_mx(&w, &cfg.mx[1], 1);
-        let mx3 = collect_mx(&w, &cfg.mx[2], 2);
+        let mx1 = collect_mx(&w, &cfg.mx[0], 0).unwrap();
+        let mx2 = collect_mx(&w, &cfg.mx[1], 1).unwrap();
+        let mx3 = collect_mx(&w, &cfg.mx[2], 2).unwrap();
         assert!(
             mx2.samples > mx1.samples,
             "{:?} > {:?}",
@@ -67,7 +70,7 @@ mod tests {
     fn mx_feeds_record_volume_and_times() {
         let w = world();
         let cfg = FeedsConfig::default();
-        let mx2 = collect_mx(&w, &cfg.mx[1], 1);
+        let mx2 = collect_mx(&w, &cfg.mx[1], 1).unwrap();
         assert!(mx2.reports_volume);
         let total: u64 = mx2.iter().map(|(_, s)| s.volume).sum();
         assert!(total > 0);
@@ -80,8 +83,8 @@ mod tests {
     fn deterministic() {
         let w = world();
         let cfg = FeedsConfig::default();
-        let a = collect_mx(&w, &cfg.mx[0], 0);
-        let b = collect_mx(&w, &cfg.mx[0], 0);
+        let a = collect_mx(&w, &cfg.mx[0], 0).unwrap();
+        let b = collect_mx(&w, &cfg.mx[0], 0).unwrap();
         assert_eq!(a.samples, b.samples);
         assert_eq!(a.unique_domains(), b.unique_domains());
     }

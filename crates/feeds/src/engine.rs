@@ -1,41 +1,40 @@
-//! Fused, streaming, sharded execution of the content collectors.
+//! The per-event kernel of the content collectors.
 //!
 //! Seven of the ten feeds (mx1–3, Ac1–2, Bot, Hyb's trap/harvest
 //! sources) are *content* collectors: they walk the delivery event
 //! stream, decide per event whether they captured the copy, and reduce
 //! the message content to registered domains. Run naively that is
 //! seven full passes over a materialised log, each rendering its own
-//! copy of every captured message.
+//! copy of every captured message. [`run_rows`] instead fuses them:
+//! one pass over a range of time-sorted rows serves every member, and
+//! the collection driver ([`crate::IngestState`]) feeds it one visit of
+//! the log at a time, split into one contiguous row range per worker.
 //!
-//! This engine makes the work streaming, shardable and shareable:
-//!
-//! * **One pass over the time-sorted log.** In core the collectors
-//!   consume the resident sorted cache in place; out of core each chunk
-//!   of the time-sorted spill is read into one struct-of-arrays
-//!   [`EventBuffer`] — peak memory is O(chunk), independent of the run
-//!   length.
 //! * **Per-event RNG streams keyed by sorted index.** Each member's
 //!   capture decision for the event at time-sorted position *i* draws
 //!   from a stream derived from `(seed, member name, i)` — a pure
 //!   function of the event, not of how many draws earlier events
-//!   consumed, which chunk the event landed in, or how the chunk was
+//!   consumed, which visit the event landed in, or how the visit was
 //!   sharded. Feeds stay mutually independent, and the output is
 //!   *bit-identical at any chunk size and worker count*.
-//! * **Shard-and-merge parallelism.** Each chunk is split into one
-//!   contiguous row range per worker and merged with [`Feed::merge`],
-//!   which is commutative and associative.
+//! * **Shard-and-merge parallelism.** Shard feeds merge with
+//!   [`Feed::merge`], which is commutative and associative.
 //! * **Render-free fast path.** A rendered body only ever contributes
 //!   the advertised and chaff registered domains back to a feed; when
 //!   both domain texts provably survive the host→registered-domain
 //!   reduction unchanged ([`DomainExtractor::fast_reducible`]), the
-//!   engine replays just the renderer's URL-subdomain draws
+//!   kernel replays just the renderer's URL-subdomain draws
 //!   ([`replay_spam_url_hosts`]) and computes the record list and
-//!   FQDN hashes directly — no body, no SMTP dialogue, no URL scan.
-//!   Events that need real text (truncation faults, non-reducible
-//!   domains) fall back to a full render; either way every member
-//!   sees the same copy, drawn from the same per-event render stream.
+//!   FQDN hashes directly — no body, no URL scan. Events that need
+//!   real text (truncation faults, non-reducible domains) fall back to
+//!   a full render; either way every member sees the same copy, drawn
+//!   from the same per-event render stream.
+//!
+//! The non-event sources (benign pollution, Hyb's report sample and
+//! web-spam corpus) are pre-decided here as [`SourceRecord`]s, which
+//! the driver replays by time.
 
-use crate::config::{AcConfig, BotConfig, HybConfig, MxConfig, DEFAULT_CHUNK_SIZE};
+use crate::config::{AcConfig, BotConfig, HybConfig, MxConfig};
 use crate::feed::Feed;
 use crate::id::FeedId;
 use crate::parse::{fnv64_parts, DomainExtractor};
@@ -44,14 +43,13 @@ use std::ops::Range;
 use taster_domain::DomainId;
 use taster_ecosystem::buffer::EventBuffer;
 use taster_ecosystem::campaign::{DeliveryVector, TargetClass};
-use taster_ecosystem::spill::SpillError;
 use taster_mailsim::benign::BenignDest;
 use taster_mailsim::render::{render_spam_into, replay_spam_url_hosts, SUBDOMAINS};
 use taster_mailsim::MailWorld;
 use taster_sim::fault::{truncate_payload, FaultPlan, RecordFault};
 use taster_sim::metrics::{Histogram, MetricsShard};
 use taster_sim::rng::name_key;
-use taster_sim::{Obs, Parallelism, RngStream, SimTime, TimeWindow};
+use taster_sim::{RngStream, SimTime, TimeWindow};
 
 /// Stream name for the shared per-event message render.
 const RENDER_STREAM: &str = "feeds/render-spam";
@@ -125,18 +123,17 @@ pub(crate) struct RunCtx<'w> {
     extractor: DomainExtractor,
     /// Per-domain: does the render-free fast path apply? Indexed by
     /// dense [`DomainId`].
-    fast_ok: Vec<bool>,
+    fast_ok: &'w [bool],
 }
 
 impl<'w> RunCtx<'w> {
-    /// Builds the shared per-run context. `fast_ok` comes from
-    /// [`compute_fast_ok`]; the incremental path computes it once and
-    /// clones per epoch, the batch path computes it inline.
+    /// Builds the shared per-run context over `fast_ok`, the table
+    /// [`compute_fast_ok`] built once for the run.
     pub(crate) fn build(
         world: &'w MailWorld,
         members: &'w [MemberSpec],
         plan: &'w FaultPlan,
-        fast_ok: Vec<bool>,
+        fast_ok: &'w [bool],
     ) -> RunCtx<'w> {
         let truth = &world.truth;
         RunCtx {
@@ -187,78 +184,6 @@ pub(crate) fn compute_fast_ok(world: &MailWorld) -> Vec<bool> {
             ok
         })
         .collect()
-}
-
-/// Runs `members` over the streamed event log in chunks of
-/// `chunk_size`, sharded across `par`'s workers within each chunk,
-/// then applies each member's non-event sources (benign pollution,
-/// Hyb's report sample and web-spam corpus).
-///
-/// Fault decisions come from `plan`, each keyed by
-/// `(seed, feed label, sorted event index)` — a pure function of the
-/// event, never of chunk or shard boundaries — so faulted runs stay
-/// bit-identical at any chunk size and worker count, and an off plan
-/// leaves the output untouched. Fails only when the out-of-core spill
-/// cannot be read.
-pub(crate) fn collect_content(
-    world: &MailWorld,
-    members: &[MemberSpec],
-    plan: &FaultPlan,
-    par: &Parallelism,
-    obs: &Obs,
-    chunk_size: usize,
-) -> Result<Vec<Feed>, SpillError> {
-    let metrics_on = obs.metrics.is_on();
-    let truth = &world.truth;
-    let ctx = RunCtx::build(world, members, plan, compute_fast_ok(world));
-
-    let mut merged: Vec<Feed> = members.iter().map(MemberSpec::empty_feed).collect();
-    let mut metric_shards: Vec<MetricsShard> = Vec::new();
-    // In core the whole sorted cache shards in one visit; out of core
-    // each chunk of the spill does. Shard boundaries cannot change any
-    // output: every per-event stream is keyed by `sorted_idx` and
-    // [`Feed::merge`] is commutative.
-    truth.visit_sorted(0..truth.log.len, chunk_size.max(1), |buf, rows| {
-        let shards = shard_ranges(rows, par.workers());
-        let results = par.par_map(shards, |range| run_rows(&ctx, buf, range, metrics_on));
-        for (shard, shard_metrics) in results {
-            for (acc, piece) in merged.iter_mut().zip(shard) {
-                acc.merge(piece);
-            }
-            metric_shards.push(shard_metrics);
-        }
-        Ok::<(), SpillError>(())
-    })?;
-    // Chunks stream in sorted order and shards split each chunk in row
-    // order; their metric totals are commutative sums, absorbed in that
-    // same (chunk, shard) order.
-    obs.metrics.absorb_in_order(&metric_shards);
-    for (feed, member) in merged.iter_mut().zip(members) {
-        finalize(world, feed, member, plan, obs);
-    }
-    Ok(merged)
-}
-
-/// Collects one member alone, fault-free and serially: the body of the
-/// single-feed wrappers ([`crate::collectors`]). Per-event RNG streams
-/// make the result bit-identical to this feed's slot in
-/// [`crate::pipeline::collect_all`]. Panics when the out-of-core spill
-/// cannot be read; the fallible path is
-/// [`crate::pipeline::try_collect_all_faulted`].
-pub(crate) fn collect_one(world: &MailWorld, member: MemberSpec) -> Feed {
-    let feeds = collect_content(
-        world,
-        std::slice::from_ref(&member),
-        &FaultPlan::off(world.truth.seed),
-        &Parallelism::serial(),
-        &Obs::off(),
-        DEFAULT_CHUNK_SIZE,
-    );
-    match feeds.map(|mut f| f.pop()) {
-        Ok(Some(feed)) => feed,
-        // lint:allow(no-panic) -- documented panicking wrapper; the engine yields one feed per member, and a spill read failure has no empty-feed stand-in
-        other => panic!("single-feed collection failed: {other:?}"),
-    }
 }
 
 /// Shard-local observability accumulator: plain integers on the hot
@@ -603,8 +528,8 @@ pub(crate) fn run_rows(
 /// Hyb's report sample and web-spam corpus; the Hu report stream and
 /// blacklist listings reuse the same shape). Every fault decision has
 /// already been taken — applying a `SourceRecord` draws no randomness
-/// — so a stream of them can be applied in batch order or replayed
-/// incrementally by time cursor and produce the same feed.
+/// — so the driver's time cursor can split a stream's application
+/// anywhere and produce the same feed.
 #[derive(Debug, Clone)]
 pub(crate) struct SourceRecord {
     /// When the record lands in the feed.
@@ -633,10 +558,10 @@ pub(crate) fn apply_source_record(feed: &mut Feed, rec: &SourceRecord, obs: &mut
 }
 
 /// Pre-decides a member's non-event sources: every RNG draw and fault
-/// decision happens here, in the exact order the serial batch pass
-/// makes them, so the emitted records are a pure function of
-/// `(world, member, plan)` — identical whether they are then applied
-/// all at once ([`finalize`]) or incrementally by a time cursor.
+/// decision happens here, in one fixed serial order, so the emitted
+/// records are a pure function of
+/// `(world, member, plan)` — identical however the driver's time
+/// cursor later splits their application.
 pub(crate) fn member_source_records(
     world: &MailWorld,
     member: &MemberSpec,
@@ -747,68 +672,50 @@ pub(crate) fn member_source_records(
     out
 }
 
-/// Applies a member's non-event sources after the sharded event pass.
-///
-/// This pass runs serially per member, so fault decisions keyed by the
-/// serial record index are deterministic at any worker count.
-fn finalize(world: &MailWorld, feed: &mut Feed, member: &MemberSpec, plan: &FaultPlan, obs: &Obs) {
-    let mut local = ShardObs::new(obs.metrics.is_on());
-    for rec in member_source_records(world, member, plan, &mut local) {
-        apply_source_record(feed, &rec, &mut local);
-    }
-    obs.metrics.absorb(&local.into_shard());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::{FeedsConfig, DEFAULT_CHUNK_SIZE};
+    use crate::IngestState;
     use taster_ecosystem::{EcosystemConfig, GroundTruth};
     use taster_mailsim::MailConfig;
+    use taster_sim::{Obs, Parallelism};
 
-    fn world() -> MailWorld {
-        let truth =
-            GroundTruth::generate(&EcosystemConfig::default().with_scale(0.02), 71).unwrap();
+    fn world_under(max_mem_bytes: Option<u64>) -> MailWorld {
+        let mut config = EcosystemConfig::default().with_scale(0.02);
+        config.max_mem_bytes = max_mem_bytes;
+        let truth = GroundTruth::generate(&config, 71).unwrap();
         MailWorld::build(truth, MailConfig::default().with_scale(0.02)).unwrap()
     }
 
-    fn all_members(cfg: &FeedsConfig) -> Vec<MemberSpec> {
-        vec![
-            MemberSpec::Mx {
-                config: cfg.mx[0],
-                index: 0,
-            },
-            MemberSpec::Mx {
-                config: cfg.mx[1],
-                index: 1,
-            },
-            MemberSpec::Mx {
-                config: cfg.mx[2],
-                index: 2,
-            },
-            MemberSpec::Ac {
-                config: cfg.ac[0],
-                index: 0,
-            },
-            MemberSpec::Ac {
-                config: cfg.ac[1],
-                index: 1,
-            },
-            MemberSpec::Bot { config: cfg.bot },
-            MemberSpec::Hyb { config: cfg.hyb },
-        ]
+    fn world() -> MailWorld {
+        world_under(None)
     }
 
-    /// The engine under test, which reads in-core worlds only.
-    fn collect_content(
+    fn all_members(cfg: &FeedsConfig) -> Vec<MemberSpec> {
+        crate::pipeline::content_members(cfg).to_vec()
+    }
+
+    /// The collection driver over `members` alone, advanced over every
+    /// row and sealed once; one feed per member.
+    fn collect(
         world: &MailWorld,
         members: &[MemberSpec],
         plan: &FaultPlan,
         par: &Parallelism,
-        obs: &Obs,
         chunk_size: usize,
     ) -> Vec<Feed> {
-        super::collect_content(world, members, plan, par, obs, chunk_size).expect("collect")
+        let obs = Obs::off();
+        let mut state = IngestState::with_members(world, members.to_vec(), chunk_size, plan, &obs);
+        let total = state.total_rows();
+        state
+            .advance(world, plan, par, total, &obs)
+            .expect("advance");
+        let set = state.finish(&obs);
+        members
+            .iter()
+            .map(|m| set.get(m.feed_id()).clone())
+            .collect()
     }
 
     fn assert_feeds_equal(a: &Feed, b: &Feed) {
@@ -827,21 +734,19 @@ mod tests {
         let cfg = FeedsConfig::default();
         let members = all_members(&cfg);
         let plan = FaultPlan::off(w.truth.seed);
-        let serial = collect_content(
+        let serial = collect(
             &w,
             &members,
             &plan,
             &Parallelism::serial(),
-            &Obs::off(),
             DEFAULT_CHUNK_SIZE,
         );
         for workers in [2, 5, 8] {
-            let parallel = collect_content(
+            let parallel = collect(
                 &w,
                 &members,
                 &plan,
                 &Parallelism::fixed(workers),
-                &Obs::off(),
                 DEFAULT_CHUNK_SIZE,
             );
             for (a, b) in serial.iter().zip(&parallel) {
@@ -852,26 +757,23 @@ mod tests {
 
     #[test]
     fn chunk_size_does_not_change_the_feeds() {
-        let w = world();
         let cfg = FeedsConfig::default();
         let members = all_members(&cfg);
+        let w = world();
         let plan = FaultPlan::off(w.truth.seed);
-        let whole = collect_content(
-            &w,
-            &members,
-            &plan,
-            &Parallelism::serial(),
-            &Obs::off(),
-            usize::MAX,
-        );
+        let whole = collect(&w, &members, &plan, &Parallelism::serial(), usize::MAX);
+        // In core the resident log is read in one visit whatever the
+        // chunk; a 64 KiB budget spills it, so each chunk is its own
+        // visit and the run crosses visit boundaries.
+        let spilled = world_under(Some(64 << 10));
+        assert!(spilled.truth.cache().is_none(), "the budget must spill");
         for chunk in [1, 7, 64, 4096] {
             for workers in [1, 3] {
-                let chunked = collect_content(
-                    &w,
+                let chunked = collect(
+                    &spilled,
                     &members,
                     &plan,
                     &Parallelism::fixed(workers),
-                    &Obs::off(),
                     chunk,
                 );
                 for (a, b) in whole.iter().zip(&chunked) {
@@ -889,21 +791,19 @@ mod tests {
         let cfg = FeedsConfig::default();
         let members = all_members(&cfg);
         let plan = FaultPlan::off(w.truth.seed);
-        let full = collect_content(
+        let full = collect(
             &w,
             &members,
             &plan,
             &Parallelism::serial(),
-            &Obs::off(),
             DEFAULT_CHUNK_SIZE,
         );
         for (i, member) in members.iter().enumerate() {
-            let solo = collect_content(
+            let solo = collect(
                 &w,
                 std::slice::from_ref(member),
                 &plan,
                 &Parallelism::fixed(3),
-                &Obs::off(),
                 DEFAULT_CHUNK_SIZE,
             );
             assert_feeds_equal(&full[i], &solo[0]);
@@ -917,35 +817,31 @@ mod tests {
         let cfg = FeedsConfig::default();
         let members = all_members(&cfg);
         let plan = FaultPlan::new(FaultProfile::lossy_feeds(), w.truth.seed);
-        let serial = collect_content(
+        let serial = collect(
             &w,
             &members,
             &plan,
             &Parallelism::serial(),
-            &Obs::off(),
             DEFAULT_CHUNK_SIZE,
         );
-        for (workers, chunk) in [(2, DEFAULT_CHUNK_SIZE), (8, DEFAULT_CHUNK_SIZE), (3, 113)] {
-            let parallel = collect_content(
-                &w,
-                &members,
-                &plan,
-                &Parallelism::fixed(workers),
-                &Obs::off(),
-                chunk,
-            );
+        let spilled = world_under(Some(64 << 10));
+        for (world, workers, chunk) in [
+            (&w, 2, DEFAULT_CHUNK_SIZE),
+            (&w, 8, DEFAULT_CHUNK_SIZE),
+            (&spilled, 3, 113),
+        ] {
+            let parallel = collect(world, &members, &plan, &Parallelism::fixed(workers), chunk);
             for (a, b) in serial.iter().zip(&parallel) {
                 assert_feeds_equal(a, b);
             }
         }
         // And the faults actually bite: the lossy profile drops more
         // records than it duplicates, so sample counts shrink.
-        let clean = collect_content(
+        let clean = collect(
             &w,
             &members,
             &FaultPlan::off(w.truth.seed),
             &Parallelism::serial(),
-            &Obs::off(),
             DEFAULT_CHUNK_SIZE,
         );
         let faulted_samples: u64 = serial.iter().filter_map(|f| f.samples).sum();
@@ -956,7 +852,7 @@ mod tests {
     #[test]
     fn outage_silences_members_inside_the_window() {
         use taster_sim::fault::Outage;
-        use taster_sim::{FaultProfile, SimTime, TimeWindow};
+        use taster_sim::FaultProfile;
         let w = world();
         let cfg = FeedsConfig::default();
         let members = all_members(&cfg);
@@ -967,20 +863,18 @@ mod tests {
             window: TimeWindow::new(SimTime::ZERO, SimTime(u64::MAX)),
         });
         let plan = FaultPlan::new(profile, w.truth.seed);
-        let feeds = collect_content(
+        let feeds = collect(
             &w,
             &members,
             &plan,
             &Parallelism::fixed(4),
-            &Obs::off(),
             DEFAULT_CHUNK_SIZE,
         );
-        let clean = collect_content(
+        let clean = collect(
             &w,
             &members,
             &FaultPlan::off(w.truth.seed),
             &Parallelism::fixed(4),
-            &Obs::off(),
             DEFAULT_CHUNK_SIZE,
         );
         for (f, c) in feeds.iter().zip(&clean) {

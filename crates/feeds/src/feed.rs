@@ -12,8 +12,9 @@
 //! [`Feed::seal`] freezes it into [`FeedColumns`] — sorted parallel
 //! columns plus a membership bitset — and an ascending FQDN hash list,
 //! which is what the analyses scan. `Feed::merged` folds a later
-//! delta into a sealed feed in one linear pass; that is how `taster
-//! serve` seals an epoch. The read API is identical in both states.
+//! delta into a sealed feed in one linear pass; that is how the
+//! collection driver seals an epoch. The read API is identical in both
+//! states.
 
 use crate::id::FeedId;
 use crate::table::FeedColumns;
@@ -301,28 +302,34 @@ impl Feed {
     /// sealed, in one linear pass: the delta's rows merge into the
     /// columns ([`FeedColumns::merge`]) and its FQDN hashes into the
     /// ascending list, while samples add and gaps union as in
-    /// [`Feed::merge`].
-    pub(crate) fn merged(&self, delta: &Feed) -> Feed {
+    /// [`Feed::merge`]. Into an empty `self` the delta's columns move
+    /// whole, so a run sealed once copies nothing.
+    pub(crate) fn merged(&self, delta: Feed) -> Feed {
         assert_eq!(self.id, delta.id, "merging deltas of different feeds");
         assert_eq!(self.reports_volume, delta.reports_volume);
         let (Store::Sealed(cols, fqdns), Store::Sealed(rows, delta_fqdns)) =
-            (&self.store, &delta.store)
+            (&self.store, delta.store)
         else {
             // lint:allow(no-panic) -- documented contract: merged() takes sealed feeds; a building delta is sealed first
             panic!("feed {} merges only sealed feeds", self.id);
         };
-        let fqdns = match (fqdns.as_deref(), delta_fqdns.as_deref()) {
-            (None, None) => None,
-            (a, b) => Some(union_sorted(a.unwrap_or(&[]), b.unwrap_or(&[]))),
+        let store = if cols.is_empty() && fqdns.is_none() {
+            Store::Sealed(rows, delta_fqdns)
+        } else {
+            let fqdns = match (fqdns.as_deref(), delta_fqdns.as_deref()) {
+                (None, None) => None,
+                (a, b) => Some(union_sorted(a.unwrap_or(&[]), b.unwrap_or(&[]))),
+            };
+            Store::Sealed(cols.merge(rows.iter()), fqdns)
         };
         let mut feed = Feed {
             id: self.id,
             samples: add_samples(self.samples, delta.samples),
             reports_volume: self.reports_volume,
-            store: Store::Sealed(cols.merge(rows.iter()), fqdns),
+            store,
             gaps: self.gaps.clone(),
         };
-        for &gap in &delta.gaps {
+        for gap in delta.gaps {
             feed.note_gap(gap);
         }
         feed
@@ -387,7 +394,7 @@ impl FeedSet {
         assert_eq!(delta.len(), self.feeds.len(), "need all ten feeds");
         let feeds = self.feeds.iter().zip(delta).map(|(f, mut d)| {
             d.seal();
-            f.merged(&d)
+            f.merged(d)
         });
         FeedSet {
             feeds: feeds.collect(),
@@ -535,10 +542,18 @@ mod tests {
             f
         };
         let gap = TimeWindow::new(SimTime(3), SimTime(8));
-        for (base_fqdns, delta_fqdns) in
-            [(true, true), (false, true), (true, false), (false, false)]
-        {
-            let mut base = shard(&[(1, 10), (64, 50), (2, 7)], base_fqdns);
+        let base_rows: &[(u32, u64)] = &[(1, 10), (64, 50), (2, 7)];
+        // The last two cases merge into an empty base, which moves the
+        // delta's columns instead of copying them.
+        for (rows, base_fqdns, delta_fqdns) in [
+            (base_rows, true, true),
+            (base_rows, false, true),
+            (base_rows, true, false),
+            (base_rows, false, false),
+            (&[][..], false, true),
+            (&[][..], false, false),
+        ] {
+            let mut base = shard(rows, base_fqdns);
             base.note_gap(gap);
             let mut delta = shard(&[(1, 5), (65, 99), (63, 1), (1, 10)], delta_fqdns);
             let mut expected = base.clone();
@@ -546,7 +561,7 @@ mod tests {
             expected.seal();
             base.seal();
             delta.seal();
-            let got = base.merged(&delta);
+            let got = base.merged(delta);
             assert_eq!(got.samples, expected.samples);
             assert_eq!(got.gaps(), expected.gaps());
             assert_eq!(got.fqdn_hashes_sorted(), expected.fqdn_hashes_sorted());

@@ -19,10 +19,17 @@
 //! denominator reduction the paper performs (§3). Blacklists are
 //! meta-feeds with binary listing semantics and no volume information.
 //!
-//! The output of [`pipeline::collect_all`] is a [`feed::FeedSet`]: ten
-//! [`feed::Feed`]s, each a map from registered domain to
-//! first-seen/last-seen/volume, plus raw sample counts — everything the
-//! analyses in `taster-analysis` consume.
+//! One driver collects every feed: [`IngestState`] ingests the
+//! time-sorted event log in slices through a fused per-event kernel
+//! and replays each feed's pre-decided non-event records by time.
+//! [`try_collect_all_observed`] advances it over every row and seals
+//! once; `taster serve` advances it epoch by epoch and seals after
+//! each, so the daemon's final set is the batch set by construction.
+//!
+//! The output is a [`feed::FeedSet`]: ten [`feed::Feed`]s, each a map
+//! from registered domain to first-seen/last-seen/volume, plus raw
+//! sample counts — everything the analyses in `taster-analysis`
+//! consume.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -45,9 +52,6 @@ pub use error::PipelineError;
 pub use feed::{DomainStats, Feed, FeedSet};
 pub use id::{FeedId, FeedKind};
 pub use incremental::IngestState;
-pub use pipeline::{
-    collect_all, collect_all_with, ensure_nonempty_collection, try_collect_all_faulted,
-    try_collect_all_observed,
-};
+pub use pipeline::{collect_all, ensure_nonempty_collection, try_collect_all_observed};
 pub use reporting::ReportingPolicy;
 pub use table::FeedColumns;

@@ -1,18 +1,18 @@
-//! Runs all ten collectors.
+//! Runs all ten collectors: the collection driver advanced over every
+//! event row and sealed once.
 
-use crate::collectors::{collect_blacklist_observed, collect_hu_observed};
 use crate::config::FeedsConfig;
-use crate::engine::{collect_content, MemberSpec};
+use crate::engine::MemberSpec;
 use crate::error::PipelineError;
-use crate::feed::{Feed, FeedSet};
+use crate::feed::FeedSet;
 use crate::id::FeedId;
+use crate::incremental::IngestState;
 use taster_mailsim::MailWorld;
 use taster_sim::metrics::{STAGE_BLACKLIST, STAGE_COLLECT};
 use taster_sim::{FaultPlan, Obs, Parallelism, TimeWindow};
 
 /// The seven content collectors in fused-pass order, built from the
-/// configuration. Shared by the batch pipeline and the incremental
-/// (serve) ingestion path so both see identical member specs.
+/// configuration.
 pub(crate) fn content_members(config: &FeedsConfig) -> [MemberSpec; 7] {
     [
         MemberSpec::Mx {
@@ -40,58 +40,39 @@ pub(crate) fn content_members(config: &FeedsConfig) -> [MemberSpec; 7] {
     ]
 }
 
-/// Collects all ten feeds over the world with the default
+/// Collects all ten feeds over the world, fault-free, with the default
 /// [`Parallelism`] (the `TASTER_THREADS` env override, else all
-/// available cores). See [`collect_all_with`].
+/// available cores). Panics when the out-of-core spill cannot be read;
+/// the fallible path is [`try_collect_all_observed`].
 pub fn collect_all(world: &MailWorld, config: &FeedsConfig) -> FeedSet {
-    collect_all_with(world, config, &Parallelism::default())
-}
-
-/// Collects all ten feeds over the world on `par` workers, fault-free.
-/// See [`try_collect_all_faulted`] for the fault-injected variant.
-///
-/// Every collector decision draws from an RNG stream derived from
-/// `(seed, feed, event)`, so the set is reproducible, *bit-identical
-/// at any worker count*, and collectors are independent: removing one
-/// cannot change another's contents. The seven content collectors run
-/// fused and sharded over the event log (one render and one URL
-/// extraction per captured delivery, shared across feeds); the three
-/// cheap stream collectors (Hu and the two blacklists) fan out as
-/// whole tasks.
-pub fn collect_all_with(world: &MailWorld, config: &FeedsConfig, par: &Parallelism) -> FeedSet {
-    match try_collect_all_faulted(world, config, &FaultPlan::off(world.truth.seed), par) {
+    let plan = FaultPlan::off(world.truth.seed);
+    match try_collect_all_observed(world, config, &plan, &Parallelism::default(), &Obs::off()) {
         Ok(set) => set,
-        // lint:allow(no-panic) -- documented panicking wrapper; the fallible path is try_collect_all_faulted
+        // lint:allow(no-panic) -- documented panicking wrapper; the fallible path is try_collect_all_observed
         Err(e) => panic!("feed collection failed: {e}"),
     }
 }
 
-/// Collects all ten feeds under a [`FaultPlan`], validating the
-/// configuration and the fault profile up front.
+/// Collects all ten feeds under a [`FaultPlan`] on `par` workers: one
+/// [`IngestState`] advanced over every event row and sealed once, so
+/// the set is exactly what `taster serve` seals after its last epoch.
 ///
-/// With an off plan the output is byte-identical to
-/// [`collect_all_with`] — fault streams live under disjoint
-/// `fault/…` names and are never derived. With faults enabled, every
-/// decision is keyed by `(seed, stage, event index)`, so the set stays
-/// bit-identical at any worker count. Feeds that suffered outages
-/// carry the outage windows as gap markers ([`Feed::gaps`]).
-pub fn try_collect_all_faulted(
-    world: &MailWorld,
-    config: &FeedsConfig,
-    plan: &FaultPlan,
-    par: &Parallelism,
-) -> Result<FeedSet, PipelineError> {
-    try_collect_all_observed(world, config, plan, par, &Obs::off())
-}
-
-/// [`try_collect_all_faulted`] with observability.
+/// Every collector decision draws from an RNG stream derived from
+/// `(seed, feed, event)`, so the set is reproducible, *bit-identical
+/// at any worker count and chunk size*, and collectors are
+/// independent: removing one cannot change another's contents. With
+/// an off plan no fault stream is derived; with faults enabled every
+/// decision is keyed by `(seed, stage, event index)`. Feeds that
+/// suffered outages carry the outage windows as gap markers
+/// ([`crate::Feed::gaps`]). The configuration and the fault profile are
+/// validated up front.
 ///
 /// Per-feed record/domain counters, fault-decision counters and the
 /// domains-per-record histogram land in `obs.metrics` (worker shards
 /// merged in event-range order, so totals match a serial pass);
 /// per-feed outage gaps are recorded as trace events in feed order.
 /// With `Obs::off()` the output — and every byte the pipeline later
-/// renders — is identical to the unobserved entry points.
+/// renders — is identical to an unobserved run.
 pub fn try_collect_all_observed(
     world: &MailWorld,
     config: &FeedsConfig,
@@ -99,71 +80,41 @@ pub fn try_collect_all_observed(
     par: &Parallelism,
     obs: &Obs,
 ) -> Result<FeedSet, PipelineError> {
-    config.validate().map_err(PipelineError::InvalidConfig)?;
-    plan.profile()
-        .validate()
-        .map_err(PipelineError::InvalidFaultProfile)?;
-    let members = content_members(config);
-    type Task<'w> = Box<dyn FnOnce() -> Feed + Send + 'w>;
     // Two disjoint stages so their wall times sum without overlap:
     // `collect` covers the eight record-capturing feeds (seven content
-    // members + Hu), `blacklist` the two listing simulations.
-    let (content, hu) = obs.stage(STAGE_COLLECT, || {
-        let content = {
+    // members + Hu), `blacklist` the two listing simulations. Hu and
+    // the blacklists join after the event pass; the seal applies them.
+    let mut state = obs.stage(STAGE_COLLECT, || {
+        let mut state = {
             let _span = obs.span("collect/content");
-            collect_content(world, &members, plan, par, obs, config.chunk_size)
+            let mut state = IngestState::content(world, config, plan, obs)?;
+            let total = state.total_rows();
+            state.advance(world, plan, par, total, obs)?;
+            state
         };
-        let hu = {
-            let _span = obs.span("collect/hu");
-            collect_hu_observed(world, plan, obs)
-        };
-        (content, hu)
-    });
-    let content = content?;
-    let blacklists = obs.stage(STAGE_BLACKLIST, || {
+        let _span = obs.span("collect/hu");
+        state.add_hu(world, plan, obs);
+        Ok::<IngestState, PipelineError>(state)
+    })?;
+    obs.stage(STAGE_BLACKLIST, || {
         let _span = obs.span("collect/blacklists");
-        // Counter adds are saturating (commutative + associative), so
-        // concurrent absorption from these two tasks cannot change
-        // the totals.
-        let lists = par.par_run::<Feed, Task<'_>>(vec![
-            Box::new(|| collect_blacklist_observed(world, &config.dbl, FeedId::Dbl, plan, obs)),
-            Box::new(|| collect_blacklist_observed(world, &config.uribl, FeedId::Uribl, plan, obs)),
-        ]);
-        if obs.metrics.is_on() {
-            for feed in &lists {
-                obs.metrics.add(
-                    &format!("blacklist/listings/{}", feed.id.label()),
-                    feed.unique_domains() as u64,
-                );
-            }
-        }
-        lists
+        state.add_blacklists(world, config, plan, obs);
     });
-    let mut feeds: Vec<Feed> = std::iter::once(hu)
-        .chain(blacklists)
-        .chain(content)
-        .collect();
-    if !plan.is_off() {
-        for feed in &mut feeds {
-            for window in plan.outage_windows(feed.id.label()) {
-                feed.note_gap(window);
+    let set = state.finish(obs);
+    if obs.is_on() {
+        for feed in set.iter() {
+            let label = feed.id.label();
+            for window in feed.gaps() {
                 obs.trace.event(
                     "gap",
                     &[
-                        ("feed", feed.id.label()),
+                        ("feed", label),
                         ("start", &window.start.0.to_string()),
                         ("end", &window.end.0.to_string()),
                     ],
                 );
                 obs.metrics.add("collect/gaps", 1);
             }
-        }
-    }
-    let set = FeedSet::new(feeds);
-    if obs.metrics.is_on() {
-        for id in FeedId::ALL {
-            let feed = set.get(id);
-            let label = id.label();
             if let Some(samples) = feed.samples {
                 obs.metrics
                     .add(&format!("collect/samples/{label}"), samples);
@@ -171,6 +122,12 @@ pub fn try_collect_all_observed(
             obs.metrics.add(
                 &format!("collect/unique_domains/{label}"),
                 feed.unique_domains() as u64,
+            );
+        }
+        for id in [FeedId::Dbl, FeedId::Uribl] {
+            obs.metrics.add(
+                &format!("blacklist/listings/{}", id.label()),
+                set.get(id).unique_domains() as u64,
             );
         }
     }
@@ -231,6 +188,7 @@ fn covers(windows: &[TimeWindow], span: TimeWindow) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::feed::Feed;
     use taster_ecosystem::{EcosystemConfig, GroundTruth};
     use taster_mailsim::MailConfig;
 
@@ -285,9 +243,14 @@ mod tests {
             GroundTruth::generate(&EcosystemConfig::default().with_scale(0.02), 67).unwrap();
         let world = MailWorld::build(truth, MailConfig::default().with_scale(0.02)).unwrap();
         let cfg = FeedsConfig::default();
-        let serial = collect_all_with(&world, &cfg, &taster_sim::Parallelism::serial());
+        let plan = FaultPlan::off(world.truth.seed);
+        let collect = |workers| {
+            let par = Parallelism::fixed(workers);
+            try_collect_all_observed(&world, &cfg, &plan, &par, &Obs::off()).unwrap()
+        };
+        let serial = collect(1);
         for workers in [2, 8] {
-            let parallel = collect_all_with(&world, &cfg, &taster_sim::Parallelism::fixed(workers));
+            let parallel = collect(workers);
             for id in FeedId::ALL {
                 let (a, b) = (serial.get(id), parallel.get(id));
                 assert_eq!(a.samples, b.samples, "{id}");

@@ -18,10 +18,7 @@ use std::path::Path;
 /// outside the layering: anything may depend on them, and they must
 /// not depend on workspace crates.
 pub const LAYERS: &[(&str, &[&str])] = &[
-    (
-        "foundation",
-        &["taster-domain", "taster-stats", "taster-smtp"],
-    ),
+    ("foundation", &["taster-domain", "taster-stats"]),
     ("kernel", &["taster-sim"]),
     ("world", &["taster-ecosystem"]),
     ("agents", &["taster-mailsim", "taster-crawler"]),

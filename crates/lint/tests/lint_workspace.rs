@@ -61,7 +61,7 @@ fn the_workspace_graph_matches_the_declared_layering() {
     let names: Vec<&str> = graph.crates.keys().map(String::as_str).collect();
     assert_eq!(
         graph.crates.len(),
-        17,
+        16,
         "crate count changed — update LAYERS and this pin: {names:?}"
     );
 

@@ -12,9 +12,8 @@ use crate::error::ServeError;
 use std::path::PathBuf;
 use std::sync::Arc;
 use taster_analysis::Classified;
-use taster_core::{Experiment, Scenario};
-use taster_ecosystem::GroundTruth;
-use taster_feeds::{Feed, FeedSet, IngestState, PipelineError};
+use taster_core::{build_world, Experiment, Scenario};
+use taster_feeds::{Feed, FeedSet, IngestState};
 use taster_mailsim::MailWorld;
 use taster_sim::metrics::MetricsRegistry;
 use taster_sim::{FaultPlan, Obs, Parallelism, SimTime};
@@ -73,8 +72,9 @@ impl ServeCore {
     /// its checkpoint directory: every `ckpt-*.bin` and `ckpt-*.tmp`
     /// file already there is removed, and a new chain starts.
     pub fn new(scenario: &Scenario, config: ServeConfig) -> Result<ServeCore, ServeError> {
-        let (world, plan) = build_world(scenario)?;
-        let state = IngestState::new(&world, &scenario.feeds, &plan)?;
+        let world = build_world(scenario, &Obs::off())?;
+        let plan = scenario.fault_plan();
+        let state = IngestState::new(&world, &scenario.feeds, &plan, &Obs::off())?;
         if let Some(dir) = &config.checkpoint_dir {
             checkpoint::clear(dir, 0)?;
         }
@@ -107,10 +107,18 @@ impl ServeCore {
         let Some(chain) = checkpoint::load_chain(&dir, &fingerprint)? else {
             return ServeCore::new(scenario, config);
         };
-        let (world, plan) = build_world(scenario)?;
+        let world = build_world(scenario, &Obs::off())?;
+        let plan = scenario.fault_plan();
         let rows_done = usize::try_from(chain.rows_done)
             .map_err(|_| ServeError::Checkpoint("row counter overflow".to_string()))?;
-        let state = IngestState::resume(&world, &scenario.feeds, &plan, chain.feeds, rows_done)?;
+        let state = IngestState::resume(
+            &world,
+            &scenario.feeds,
+            &plan,
+            chain.feeds,
+            rows_done,
+            &Obs::off(),
+        )?;
         checkpoint::clear(&dir, chain.epoch)?;
         let mut core = ServeCore {
             scenario: scenario.clone(),
@@ -170,7 +178,9 @@ impl ServeCore {
             .rows_done()
             .saturating_add(rows)
             .min(self.next_epoch_target());
-        Ok(self.state.advance(&self.world, &self.plan, par, target)?)
+        Ok(self
+            .state
+            .advance(&self.world, &self.plan, par, target, &Obs::off())?)
     }
 
     /// Seals the epoch's delta into a new queryable epoch, writes it
@@ -189,13 +199,15 @@ impl ServeCore {
         let rows_done = self.state.rows_done();
         let dir = self.config.checkpoint_dir.as_deref().filter(|_| checkpoint);
         let (scenario, epoch_events) = (&self.scenario, self.config.epoch_events);
-        let (written, feeds) = self.state.seal_with(|delta: &[Feed]| match dir {
-            Some(dir) => {
-                let fingerprint = fingerprint(scenario, epoch_events);
-                checkpoint::write(dir, &fingerprint, epoch, rows_done as u64, delta)
-            }
-            None => Ok(0),
-        });
+        let (written, feeds) = self
+            .state
+            .seal_with(&Obs::off(), |delta: &[Feed]| match dir {
+                Some(dir) => {
+                    let fingerprint = fingerprint(scenario, epoch_events);
+                    checkpoint::write(dir, &fingerprint, epoch, rows_done as u64, delta)
+                }
+                None => Ok(0),
+            });
         self.epoch = epoch;
         self.sealed = Some(SealedEpoch {
             epoch,
@@ -250,7 +262,8 @@ impl ServeCore {
     pub fn run_to_completion(&mut self, par: &Parallelism) -> Result<(), ServeError> {
         while !self.state.ingest_complete() {
             let target = self.next_epoch_target();
-            self.state.advance(&self.world, &self.plan, par, target)?;
+            self.state
+                .advance(&self.world, &self.plan, par, target, &Obs::off())?;
             self.seal(par)?;
         }
         if self.sealed.is_none() {
@@ -315,15 +328,4 @@ pub fn fingerprint(scenario: &Scenario, epoch_events: usize) -> String {
         scenario.feeds.chunk_size,
         epoch_events
     )
-}
-
-fn build_world(scenario: &Scenario) -> Result<(MailWorld, FaultPlan), ServeError> {
-    scenario
-        .validate()
-        .map_err(|e| ServeError::Pipeline(PipelineError::InvalidScenario(e)))?;
-    let truth = GroundTruth::generate(&scenario.ecosystem, scenario.seed)
-        .map_err(|e| PipelineError::from_world(e, PipelineError::Generation))?;
-    let world = MailWorld::build(truth, scenario.mail.clone())
-        .map_err(|e| PipelineError::from_world(e, PipelineError::InvalidScenario))?;
-    Ok((world, scenario.fault_plan()))
 }

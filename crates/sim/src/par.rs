@@ -141,18 +141,6 @@ impl Parallelism {
 
         slots.into_iter().map(take_slot).collect()
     }
-
-    /// Runs heterogeneous tasks concurrently, returning their results
-    /// in declaration order. Convenience wrapper over
-    /// [`par_map`](Self::par_map) for fan-outs like "run these ten
-    /// collectors at once".
-    pub fn par_run<U, F>(&self, tasks: Vec<F>) -> Vec<U>
-    where
-        U: Send,
-        F: FnOnce() -> U + Send,
-    {
-        self.par_map(tasks, |task| task())
-    }
 }
 
 /// Unwraps one completed result slot. `scope()` propagates worker
@@ -186,16 +174,6 @@ mod tests {
         let par = Parallelism::fixed(4);
         let out = par.par_map_indexed(vec!["a", "b", "c"], |i, s| format!("{i}{s}"));
         assert_eq!(out, vec!["0a", "1b", "2c"]);
-    }
-
-    #[test]
-    fn par_run_preserves_declaration_order() {
-        let par = Parallelism::fixed(3);
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..10usize)
-            .map(|i| Box::new(move || i) as Box<dyn FnOnce() -> usize + Send>)
-            .collect();
-        let out = par.par_run(tasks);
-        assert_eq!(out, (0..10).collect::<Vec<_>>());
     }
 
     #[test]

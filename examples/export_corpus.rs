@@ -1,6 +1,7 @@
-//! Corpus export: capture one honeypot's traffic through the real
-//! SMTP path and write it out as an mbox file — the artifact format
-//! static spam corpora (Enron, TREC2005, CEAS2008; paper §2) ship in —
+//! Corpus export: capture one MX honeypot's take — each message as an
+//! accept-everything sink stores it, the body without its terminating
+//! newline — and write it out as an mbox file, the artifact format
+//! static spam corpora (Enron, TREC2005, CEAS2008; paper §2) ship in;
 //! then re-parse it and verify the round trip.
 //!
 //! ```sh
@@ -17,7 +18,6 @@ use taster::mailsim::mbox::{parse_mbox, write_mbox, MboxMessage};
 use taster::mailsim::render::render_spam;
 use taster::mailsim::{MailConfig, MailWorld};
 use taster::sim::RngStream;
-use taster_smtp::{deliver, HoneypotServer};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -35,11 +35,10 @@ fn main() {
             std::process::exit(2);
         });
 
-    // Run a fresh MX honeypot over the brute-force stream and keep the
-    // stored messages (the collectors drain them; a corpus exporter
-    // keeps them).
+    // Sample a fresh MX honeypot's share of the brute-force stream and
+    // keep the stored messages (the collectors parse and drop them; a
+    // corpus exporter keeps them).
     let mut rng = RngStream::new(world.truth.seed, "example/export-corpus");
-    let (mut server, _) = HoneypotServer::connect("mx.corpus-trap.example");
     let mut corpus: Vec<MboxMessage> = Vec::new();
     for event in world.truth.sorted_events().expect("event log") {
         if event.target != TargetClass::BruteForce || !rng.random_bool(0.05) {
@@ -52,19 +51,11 @@ fn main() {
             event.time,
             &mut rng,
         );
-        deliver(
-            &mut server,
-            "cannon.example",
-            &msg.from,
-            &["trap@corpus-trap.example".to_string()],
-            &msg.text,
-        )
-        .expect("honeypot accepts everything");
-        let stored = server.drain_stored().pop().expect("stored");
+        let stored = msg.text.strip_suffix('\n').unwrap_or(&msg.text);
         corpus.push(MboxMessage {
-            envelope_sender: stored.mail_from,
+            envelope_sender: msg.from.clone(),
             time: event.time,
-            text: stored.data,
+            text: stored.to_string(),
         });
     }
 

@@ -59,9 +59,15 @@
 //! profile` prints — so the bench and the profile can never disagree
 //! about a stage.
 //!
-//! `--chunk N` pins the streaming collection chunk (rows per
-//! generate+collect pass; default 65 536). Chunk size never changes
-//! any output byte — only peak memory and locality.
+//! `--chunk N` caps the event rows one out-of-core read of the
+//! collection driver decodes (default 65 536), for `report` and
+//! `serve` alike; in core the resident log is read in place. Chunk
+//! size never changes any output byte — only peak memory and locality.
+//!
+//! Usage errors exit 2. A scenario that cannot run — an invalid
+//! configuration, or an event spill that cannot be created or read —
+//! exits 1 with `cannot run scenario: …` from every command that
+//! builds a world.
 //!
 //! Observability flags:
 //!
@@ -807,11 +813,17 @@ fn ablate(scenario: &Scenario) {
     );
 }
 
+/// Builds the scenario's world, or exits 1 with the error the way
+/// `report` does.
+fn world_or_exit(scenario: &Scenario) -> taster::mailsim::MailWorld {
+    taster::core::build_world(scenario, &taster::sim::Obs::off()).unwrap_or_else(|e| {
+        eprintln!("cannot run scenario: {e}");
+        std::process::exit(1);
+    })
+}
+
 fn do_sweep(scenario: &Scenario, which: Option<&str>) {
-    let world = sweep::build_world(scenario).unwrap_or_else(|e| {
-        eprintln!("invalid scenario: {e}");
-        std::process::exit(2);
-    });
+    let world = world_or_exit(scenario);
     let points = match which {
         Some("seeding") => sweep::seeding_sweep(scenario, &world),
         Some("mx-size") => {
@@ -822,6 +834,10 @@ fn do_sweep(scenario: &Scenario, which: Option<&str>) {
             std::process::exit(2);
         }
     };
+    let points = points.unwrap_or_else(|e| {
+        eprintln!("cannot run scenario: {e}");
+        std::process::exit(1);
+    });
     println!(
         "{:<44} {:>10} {:>9} {:>8}",
         "parameter", "samples", "unique", "tagged"
@@ -862,10 +878,7 @@ fn bench_json(args: &Args) {
             scenario.ecosystem.max_mem_bytes = Some(b);
         }
         eprintln!("building world for {}", scenario.name);
-        let world = sweep::build_world(&scenario).unwrap_or_else(|e| {
-            eprintln!("invalid scenario: {e}");
-            std::process::exit(2);
-        });
+        let world = world_or_exit(&scenario);
         let events = world.truth.log.len as u64;
         let mut rows: Vec<profile::StageBench> = Vec::new();
         for workers in [1usize, 2, 4, 8] {
@@ -988,10 +1001,7 @@ fn bench_json(args: &Args) {
 }
 
 fn summary(scenario: &Scenario) {
-    let world = sweep::build_world(scenario).unwrap_or_else(|e| {
-        eprintln!("invalid scenario: {e}");
-        std::process::exit(2);
-    });
+    let world = world_or_exit(scenario);
     let t = &world.truth;
     println!("scenario ........ {}", scenario.name);
     println!("seed ............ {}", t.seed);

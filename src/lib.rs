@@ -12,7 +12,6 @@
 //! * [`domain`] — registered domains, URLs, interning, generators.
 //! * [`stats`] — variation distance, Kendall tau-b, quantiles, samplers.
 //! * [`sim`] — deterministic event kernel, time, RNG streams.
-//! * [`smtp`] — the honeypot SMTP substrate (RFC 5321 subset).
 //! * [`ecosystem`] — affiliate programs, campaigns, botnets, ground truth.
 //! * [`mailsim`] — message rendering, delivery, provider filtering, oracle.
 //! * [`crawler`] — DNS/HTTP oracles, redirects, storefront tagging.
@@ -45,5 +44,4 @@ pub use taster_lint as lint;
 pub use taster_mailsim as mailsim;
 pub use taster_serve as serve;
 pub use taster_sim as sim;
-pub use taster_smtp as smtp;
 pub use taster_stats as stats;

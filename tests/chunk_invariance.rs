@@ -4,11 +4,15 @@
 //!
 //! Per-event RNG and fault streams are keyed by each event's
 //! time-sorted index, so where a chunk boundary (or shard boundary
-//! inside a chunk) falls can change nothing. These tests pin that
-//! end-to-end: full reports across a chunk × worker matrix, clean and
-//! fault-injected, the degenerate worlds (empty event log, one chunk
-//! larger than the whole log), and a property test over arbitrary
-//! chunk sizes.
+//! inside a chunk) falls can change nothing. In core the resident log
+//! is read in one visit whatever the chunk, so the chunked runs here
+//! go out of core under a budget that spills the log: there each
+//! chunk is its own read of the spill, and every run crosses chunk
+//! boundaries. These tests pin that end-to-end against the in-core
+//! report: full reports across a chunk × worker matrix, clean and
+//! fault-injected, a chunk at or just above the log length, the empty
+//! event log (which always fits in core), and a property test over
+//! arbitrary chunk sizes.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -23,14 +27,28 @@ use taster::sim::FaultProfile;
 const CHUNKS: [usize; 4] = [1, 7, 64, usize::MAX];
 const WORKERS: [usize; 3] = [1, 2, 8];
 
+/// A memory budget the scale-0.01 log does not fit in, so the run
+/// spills it and reads it back one chunk at a time.
+const SPILL_BUDGET: u64 = 64 << 10;
+
 fn scenario() -> Scenario {
     Scenario::default_paper().with_scale(0.01).with_seed(71)
 }
 
+/// The full report at `chunk` and `workers`, in core.
 fn report_with(mut s: Scenario, chunk: usize, workers: usize) -> String {
     s.feeds.chunk_size = chunk;
     s = s.with_threads(workers);
     Experiment::run(&s).report().full_report()
+}
+
+/// The full report at `chunk` and `workers`, out of core.
+fn spilled_report_with(mut s: Scenario, chunk: usize, workers: usize) -> String {
+    s.feeds.chunk_size = chunk;
+    s.ecosystem.max_mem_bytes = Some(SPILL_BUDGET);
+    let e = Experiment::run(&s.with_threads(workers));
+    assert!(e.world.truth.cache().is_none(), "the budget must spill");
+    e.report().full_report()
 }
 
 fn clean_reference() -> &'static String {
@@ -43,7 +61,7 @@ fn clean_reports_are_chunk_and_worker_invariant() {
     for chunk in CHUNKS {
         for workers in WORKERS {
             assert_eq!(
-                &report_with(scenario(), chunk, workers),
+                &spilled_report_with(scenario(), chunk, workers),
                 clean_reference(),
                 "clean report differs at chunk {chunk}, {workers} workers"
             );
@@ -66,7 +84,7 @@ fn faulted_reports_are_chunk_and_worker_invariant() {
     for chunk in CHUNKS {
         for workers in WORKERS {
             assert_eq!(
-                report_with(faulted(), chunk, workers),
+                spilled_report_with(faulted(), chunk, workers),
                 reference,
                 "faulted report differs at chunk {chunk}, {workers} workers"
             );
@@ -104,10 +122,11 @@ fn empty_event_log_is_chunk_invariant() {
 fn chunk_barely_larger_than_log_matches_exact_fit() {
     let n = Experiment::run(&scenario()).world.truth.log.len;
     assert!(n > 0);
-    // Exact fit, one-over, and vastly-over must all behave as "a
-    // single chunk holds everything".
-    let exact = report_with(scenario(), n, 1);
-    assert_eq!(report_with(scenario(), n + 1, 2), exact);
+    // Exact fit, one-over, and vastly-over must all read like "a
+    // single chunk holds everything"; out of core the budget's rows
+    // cap each read, so the last visit is a short one.
+    let exact = spilled_report_with(scenario(), n, 1);
+    assert_eq!(spilled_report_with(scenario(), n + 1, 2), exact);
     assert_eq!(&exact, clean_reference());
 }
 
@@ -120,9 +139,9 @@ fn memory_budget_matrix_is_invariant_and_within_budget() {
     let events = Experiment::run(&scenario()).world.truth.log.len as u64;
     assert!(events > 0);
     let row = EventBuffer::bytes_per_event() as u64;
-    // Tight: the always-resident rank permutation plus a 64-row
-    // streaming buffer — far below the sorted-cache footprint, so the
-    // run must go out-of-core. Loose: default budget, cache resident.
+    // Tight: a 64-row streaming buffer plus 4 B per event of headroom
+    // — far below the sorted-cache footprint, so the run must go
+    // out-of-core. Loose: default budget, cache resident.
     let tight = 4 * events + 64 * row;
     assert!(
         tight < EcosystemConfig::cache_peak_bytes(events),
@@ -162,7 +181,7 @@ fn arbitrary_chunk_sizes_never_change_the_report() {
             let chunk = Strategy::gen_value(&(1usize..5000), rng);
             let workers = Strategy::gen_value(&(1usize..=8usize), rng);
             prop_assert_eq!(
-                &report_with(scenario(), chunk, workers),
+                &spilled_report_with(scenario(), chunk, workers),
                 clean_reference(),
                 "report differs at chunk {chunk}, {workers} workers"
             );
