@@ -39,9 +39,11 @@
 //!   injection sweeps (`taster degradation`).
 //! * [`error`] — the typed [`error::AnalysisError`] surface.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    test,
+    allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_types)
+)]
 
 pub mod affiliates;
 pub mod blocking;

@@ -72,7 +72,10 @@ impl<T: Copy> PairwiseMatrix<T> {
     pub fn get(&self, row: FeedId, col: FeedId) -> T {
         match self.try_get(row, col) {
             Ok(v) => v,
-            // lint:allow(no-panic) -- documented panicking accessor; the fallible path is try_get
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking accessor; the fallible path is try_get"
+            )]
             Err(e) => panic!("{e}"),
         }
     }
@@ -88,7 +91,10 @@ impl<T: Copy> PairwiseMatrix<T> {
     pub fn get_extra(&self, row: FeedId) -> T {
         match self.try_get_extra(row) {
             Ok(v) => v,
-            // lint:allow(no-panic) -- documented panicking accessor; the fallible path is try_get_extra
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking accessor; the fallible path is try_get_extra"
+            )]
             Err(e) => panic!("{e}"),
         }
     }

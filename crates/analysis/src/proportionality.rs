@@ -89,11 +89,14 @@ impl TaggedColumns {
     /// members of [`FeedId::WITH_VOLUME`], the list the matrices are
     /// built over.
     fn pos(id: FeedId) -> usize {
-        FeedId::WITH_VOLUME
-            .iter()
-            .position(|&f| f == id)
-            // lint:allow(no-panic) -- documented contract: callers only pass members of WITH_VOLUME
-            .unwrap_or_else(|| panic!("{id} reports no volume"))
+        #[expect(
+            clippy::panic,
+            reason = "documented contract: callers only pass members of WITH_VOLUME"
+        )]
+        let Some(i) = FeedId::WITH_VOLUME.iter().position(|&f| f == id) else {
+            panic!("{id} reports no volume");
+        };
+        i
     }
 
     /// Column index of the oracle ("Mail").

@@ -95,7 +95,10 @@ impl Experiment {
     pub fn run(scenario: &Scenario) -> Experiment {
         match Self::try_run(scenario) {
             Ok(e) => e,
-            // lint:allow(no-panic) -- documented panicking wrapper; the fallible path is try_run
+            #[expect(
+                clippy::panic,
+                reason = "documented panicking wrapper; the fallible path is try_run"
+            )]
             Err(e) => panic!("invalid scenario: {e}"),
         }
     }

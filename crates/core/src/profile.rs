@@ -15,6 +15,11 @@
 //!   `<stage>_secs` keys come from the same registry timing map the
 //!   tree is built from, so the two can never disagree.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "`taster profile` and `bench-json` time stages on the wall clock; no report byte depends on it"
+)]
+
 use std::fmt::Write as _;
 
 use crate::experiment::Experiment;

@@ -8,6 +8,11 @@
 //! constant. It is deterministic — no random per-process seed — which
 //! also keeps iteration-order-sensitive code reproducible across runs.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "defines the deterministically seeded FxHashMap/FxHashSet aliases over the std maps"
+)]
+
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 

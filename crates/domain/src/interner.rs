@@ -52,8 +52,11 @@ impl DomainTable {
         if let Some(&id) = self.by_text.get(text) {
             return id;
         }
+        #[expect(
+            clippy::panic,
+            reason = "id aliasing past u32::MAX would silently corrupt every downstream table; abort loudly instead"
+        )]
         let Ok(raw) = u32::try_from(self.by_id.len()) else {
-            // lint:allow(no-panic) -- id aliasing past u32::MAX would silently corrupt every downstream table; abort loudly instead
             panic!("domain interner exhausted: more than u32::MAX distinct domains");
         };
         let id = DomainId(raw);

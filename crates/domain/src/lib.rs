@@ -44,8 +44,16 @@
 //! assert_eq!(reg.as_str(), "cheap-pills.co.uk");
 //! ```
 
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::disallowed_types,
+        clippy::disallowed_methods
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod bitset;

@@ -165,7 +165,10 @@ impl SuffixList {
     pub fn builtin() -> Self {
         match Self::parse(BUILTIN_RULES) {
             Ok(list) => list,
-            // lint:allow(no-panic) -- the builtin table is a compile-time constant covered by tests; failing to parse it is a build defect
+            #[expect(
+                clippy::panic,
+                reason = "the builtin table is a compile-time constant covered by tests; failing to parse it is a build defect"
+            )]
             Err(e) => panic!("builtin PSL rules invalid: {e}"),
         }
     }

@@ -1,6 +1,6 @@
 //! Property-based tests for the domain layer.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_types)]
 
 use proptest::prelude::*;
 use taster_domain::interner::{DomainSet, DomainTable};

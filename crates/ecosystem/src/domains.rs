@@ -351,8 +351,13 @@ fn intern_fresh<F: FnMut(&mut String)>(
             return table.intern_str(scratch);
         }
     }
-    // lint:allow(no-panic) -- 1000 straight collisions means the configured namespace cannot hold the universe; abort loudly instead of looping forever
-    panic!("domain namespace exhausted: 1000 consecutive collisions");
+    #[expect(
+        clippy::panic,
+        reason = "1000 straight collisions means the configured namespace cannot hold the universe; abort loudly instead of looping forever"
+    )]
+    {
+        panic!("domain namespace exhausted: 1000 consecutive collisions");
+    }
 }
 
 /// Picks a TLD for tests and helpers (re-exported convenience).

@@ -111,8 +111,12 @@ impl Feed {
     ///
     /// Panics once the feed has been sealed — collection is over.
     pub fn note_fqdn(&mut self, host_hash: u64) {
-        let Store::Building(_, fqdns) = &mut self.store else {
-            // lint:allow(no-panic) -- documented sealed-state contract; noting into a sealed feed is a caller bug
+        #[expect(
+            clippy::panic,
+            reason = "documented sealed-state contract; noting into a sealed feed is a caller bug"
+        )]
+        let Store::Building(_, fqdns) = &mut self.store
+        else {
             panic!("cannot note an FQDN in a sealed feed");
         };
         fqdns
@@ -132,8 +136,12 @@ impl Feed {
     ///
     /// Panics once the feed has been sealed — collection is over.
     pub fn record(&mut self, domain: DomainId, time: SimTime) {
-        let Store::Building(domains, _) = &mut self.store else {
-            // lint:allow(no-panic) -- documented sealed-state contract; recording into a sealed feed is a caller bug
+        #[expect(
+            clippy::panic,
+            reason = "documented sealed-state contract; recording into a sealed feed is a caller bug"
+        )]
+        let Store::Building(domains, _) = &mut self.store
+        else {
             panic!("cannot record into a sealed feed");
         };
         let seen = DomainStats {
@@ -169,7 +177,10 @@ impl Feed {
     pub fn columns(&self) -> &FeedColumns {
         match &self.store {
             Store::Sealed(cols, _) => cols,
-            // lint:allow(no-panic) -- documented contract: columns() requires a sealed feed
+            #[expect(
+                clippy::panic,
+                reason = "documented contract: columns() requires a sealed feed"
+            )]
             Store::Building(..) => panic!("feed {} has not been sealed", self.id),
         }
     }
@@ -276,10 +287,13 @@ impl Feed {
     pub fn merge(&mut self, other: Feed) {
         assert_eq!(self.id, other.id, "merging shards of different feeds");
         assert_eq!(self.reports_volume, other.reports_volume);
+        #[expect(
+            clippy::panic,
+            reason = "documented contract: only building shards merge; sealed feeds take deltas through merged()"
+        )]
         let (Store::Building(ours, our_fqdns), Store::Building(theirs, their_fqdns)) =
             (&mut self.store, other.store)
         else {
-            // lint:allow(no-panic) -- documented contract: only building shards merge; sealed feeds take deltas through merged()
             panic!("cannot merge sealed feeds");
         };
         self.samples = add_samples(self.samples, other.samples);
@@ -307,10 +321,13 @@ impl Feed {
     pub(crate) fn merged(&self, delta: Feed) -> Feed {
         assert_eq!(self.id, delta.id, "merging deltas of different feeds");
         assert_eq!(self.reports_volume, delta.reports_volume);
+        #[expect(
+            clippy::panic,
+            reason = "documented contract: merged() takes sealed feeds; a building delta is sealed first"
+        )]
         let (Store::Sealed(cols, fqdns), Store::Sealed(rows, delta_fqdns)) =
             (&self.store, delta.store)
         else {
-            // lint:allow(no-panic) -- documented contract: merged() takes sealed feeds; a building delta is sealed first
             panic!("feed {} merges only sealed feeds", self.id);
         };
         let store = if cols.is_empty() && fqdns.is_none() {

@@ -31,9 +31,11 @@
 //! sample counts — everything the analyses in `taster-analysis`
 //! consume.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(
+    test,
+    allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_types)
+)]
 
 pub mod collectors;
 pub mod config;

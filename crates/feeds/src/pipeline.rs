@@ -48,7 +48,10 @@ pub fn collect_all(world: &MailWorld, config: &FeedsConfig) -> FeedSet {
     let plan = FaultPlan::off(world.truth.seed);
     match try_collect_all_observed(world, config, &plan, &Parallelism::default(), &Obs::off()) {
         Ok(set) => set,
-        // lint:allow(no-panic) -- documented panicking wrapper; the fallible path is try_collect_all_observed
+        #[expect(
+            clippy::panic,
+            reason = "documented panicking wrapper; the fallible path is try_collect_all_observed"
+        )]
         Err(e) => panic!("feed collection failed: {e}"),
     }
 }

@@ -25,7 +25,7 @@ pub const LAYERS: &[(&str, &[&str])] = &[
     ("feeds", &["taster-feeds"]),
     ("analysis", &["taster-analysis"]),
     ("driver", &["taster-core"]),
-    ("surface", &["taster-serve", "taster-bench", "taster-lint"]),
+    ("surface", &["taster-serve", "taster-lint"]),
     ("app", &["taster"]),
 ];
 
@@ -49,8 +49,7 @@ pub struct DepEdge {
     /// The manifest line text, trimmed (diagnostic snippet).
     pub snippet: String,
     /// True for `[dev-dependencies]` — exempt from layering, since
-    /// test-only edges (e.g. a benchmark crate pulling the driver)
-    /// cannot leak into shipped determinism.
+    /// test-only edges cannot leak into shipped determinism.
     pub dev: bool,
 }
 
@@ -66,6 +65,9 @@ pub struct CrateNode {
     pub manifest_path: String,
     /// True for `vendor/` crates.
     pub vendor: bool,
+    /// True when the manifest sets `[lints] workspace = true`, so the
+    /// workspace clippy/rustc lint table applies to the crate.
+    pub workspace_lints: bool,
     /// Parsed dependency edges.
     pub deps: Vec<DepEdge>,
 }
@@ -140,10 +142,12 @@ pub fn parse_manifest_str(rel_path: &str, text: &str, vendor: bool) -> Option<Cr
     parse_manifest(rel_path, text, vendor)
 }
 
-/// Parses one manifest's `[package] name` and dependency sections.
+/// Parses one manifest's `[package] name`, `[lints] workspace` key and
+/// dependency sections.
 fn parse_manifest(rel_path: &str, text: &str, vendor: bool) -> Option<CrateNode> {
     let mut section = String::new();
     let mut name: Option<String> = None;
+    let mut workspace_lints = false;
     let mut deps = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let line = raw.trim();
@@ -163,6 +167,10 @@ fn parse_manifest(rel_path: &str, text: &str, vendor: bool) -> Option<CrateNode>
         let dep_name = key.split('.').next().unwrap_or(key).trim_matches('"');
         if section == "package" && key == "name" {
             name = Some(value.trim().trim_matches('"').to_string());
+        } else if (section == "lints" && key == "workspace")
+            || (section.is_empty() && key == "lints.workspace")
+        {
+            workspace_lints = value.trim() == "true";
         } else if section == "dependencies" || section == "dev-dependencies" {
             deps.push(DepEdge {
                 name: dep_name.to_string(),
@@ -181,6 +189,7 @@ fn parse_manifest(rel_path: &str, text: &str, vendor: bool) -> Option<CrateNode>
         dir,
         manifest_path: rel_path.to_string(),
         vendor,
+        workspace_lints,
         deps,
     })
 }
@@ -205,6 +214,21 @@ mod tests {
         let names: Vec<_> = node.deps.iter().map(|d| d.name.as_str()).collect();
         assert_eq!(names, ["taster-domain", "rand", "proptest"]);
         assert!(node.deps.iter().any(|d| d.dev && d.name == "proptest"));
+        assert!(!node.workspace_lints, "no [lints] table");
+    }
+
+    #[test]
+    fn manifest_parsing_reads_workspace_lints_in_both_forms() {
+        for text in [
+            "[package]\nname = \"taster-x\"\n\n[lints]\nworkspace = true\n",
+            "lints.workspace = true\n\n[package]\nname = \"taster-x\"\n",
+        ] {
+            let node = parse_manifest("crates/x/Cargo.toml", text, false).expect("parses");
+            assert!(node.workspace_lints, "{text}");
+        }
+        let off = "[package]\nname = \"taster-x\"\n\n[lints]\nworkspace = false\n";
+        let node = parse_manifest("crates/x/Cargo.toml", off, false).expect("parses");
+        assert!(!node.workspace_lints);
     }
 
     #[test]

@@ -1,16 +1,20 @@
 //! # taster-lint
 //!
-//! Workspace determinism & panic-safety static analysis, run as
-//! `taster lint` and gated in CI.
+//! Workspace determinism static analysis for the invariants clippy
+//! cannot express, run as `taster lint` and gated in CI.
 //!
 //! The reproduction's headline guarantee — bit-identical reports at
 //! any worker count, under any fault profile — rests on a handful of
-//! source-level conventions: randomness flows only through keyed
-//! [`RngStream`](../taster_sim/rng) constructors, wall-clock reads are
-//! quarantined in the trace/metrics timing layers, hash containers use
-//! deterministic seeding, fan-out goes through `sim::par`, and library
-//! code neither panics nor prints. Runtime tests catch violations
-//! after the fact; this crate catches them at build time.
+//! source-level conventions. The ones a type or function name can
+//! express (no wall-clock reads outside the timing layers, no
+//! `RandomState` maps, no raw threads, no unkeyed RNG seeding, no
+//! panics, prints or `unsafe` in library code) are clippy policy:
+//! `clippy.toml` plus the workspace lint table. This crate checks the
+//! rest: the declared crate layering and that every crate inherits the
+//! workspace lint table, that keyed [`RngStream`](../taster_sim/rng)
+//! derivations never collide, that hash-ordered iteration never
+//! reaches emitted bytes or float accumulators unsorted, and that
+//! socket I/O never blocks on a peer without a deadline.
 //!
 //! The engine is a multi-pass analyzer with no external dependencies:
 //! a hand-rolled lexer ([`lexer`]) feeds an item parser ([`parser`])
@@ -21,18 +25,15 @@
 //! The manifests feed a crate-dependency graph ([`graph`]) whose
 //! declared layering, together with the merged per-file collections,
 //! drives the workspace-level rule families (`layering`,
-//! `rng-key-collision`). Findings can be suppressed inline
-//! (`// lint:allow(<rule>) -- <reason>`, reason mandatory) or
-//! grandfathered in a checked-in [`baseline`] (kept empty by policy).
+//! `workspace-lints`, `rng-key-collision`). Findings can be suppressed
+//! inline (`// lint:allow(<rule>) -- <reason>`, reason mandatory).
 //! `--self-test` ([`selftest`]) injects one violation per rule into a
 //! synthetic workspace and asserts each fires, so a rule can never
 //! silently stop matching.
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod graph;
 pub mod lexer;
 pub mod parser;
@@ -40,10 +41,8 @@ pub mod rules;
 pub mod selftest;
 pub mod source;
 
-use baseline::{Baseline, BaselineEntry};
 use graph::CrateGraph;
 use rules::{Diagnostic, FileAnalysis};
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use taster_sim::par::Parallelism;
 
@@ -52,10 +51,6 @@ use taster_sim::par::Parallelism;
 pub struct LintConfig {
     /// Workspace root to scan.
     pub root: PathBuf,
-    /// Also run advisory (`strict_only`) rules.
-    pub strict: bool,
-    /// Baseline file to load, if any.
-    pub baseline: Option<PathBuf>,
     /// Worker threads for the per-file pass (0 = resolve from
     /// `TASTER_THREADS` / available cores). Output is byte-identical
     /// at any worker count.
@@ -63,15 +58,9 @@ pub struct LintConfig {
 }
 
 impl LintConfig {
-    /// Config with defaults for `root`: no strict, no baseline,
-    /// auto worker count.
+    /// Config for `root` with an auto worker count.
     pub fn for_root(root: PathBuf) -> LintConfig {
-        LintConfig {
-            root,
-            strict: false,
-            baseline: None,
-            workers: 0,
-        }
+        LintConfig { root, workers: 0 }
     }
 
     fn parallelism(&self) -> Parallelism {
@@ -83,19 +72,17 @@ impl LintConfig {
     }
 }
 
-/// Engine failure (I/O or malformed baseline) — distinct from
-/// findings, which are data, not errors.
+/// Engine failure (I/O) — distinct from findings, which are data, not
+/// errors.
 #[derive(Debug)]
 pub enum LintError {
-    /// Filesystem problem reading the workspace or baseline.
+    /// Filesystem problem reading the workspace.
     Io {
         /// Path that failed.
         path: String,
         /// OS error text.
         message: String,
     },
-    /// Baseline file did not parse.
-    Baseline(String),
 }
 
 impl LintError {
@@ -111,7 +98,6 @@ impl std::fmt::Display for LintError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LintError::Io { path, message } => write!(f, "lint: {path}: {message}"),
-            LintError::Baseline(msg) => write!(f, "lint: {msg}"),
         }
     }
 }
@@ -121,8 +107,8 @@ impl std::error::Error for LintError {}
 /// Result of one engine run.
 #[derive(Debug, Default)]
 pub struct LintReport {
-    /// Findings that survived suppression and baseline filtering,
-    /// sorted by (path, line, rule).
+    /// Findings that survived suppression, sorted by (path, line,
+    /// rule).
     pub diagnostics: Vec<Diagnostic>,
     /// Files scanned.
     pub files_scanned: usize,
@@ -130,10 +116,6 @@ pub struct LintReport {
     pub crates_scanned: usize,
     /// Findings silenced by well-formed inline suppressions.
     pub suppressed: usize,
-    /// Findings silenced by the baseline.
-    pub baselined: usize,
-    /// Baseline entries that matched nothing (should be pruned).
-    pub stale_baseline: Vec<String>,
 }
 
 impl LintReport {
@@ -151,16 +133,12 @@ impl LintReport {
                 d.path, d.line, d.rule, d.message, d.snippet
             ));
         }
-        for stale in &self.stale_baseline {
-            out.push_str(&format!("stale baseline entry (prune it): {stale}\n"));
-        }
         out.push_str(&format!(
-            "{} file(s) scanned, {} crate(s), {} finding(s), {} suppressed, {} baselined\n",
+            "{} file(s) scanned, {} crate(s), {} finding(s), {} suppressed\n",
             self.files_scanned,
             self.crates_scanned,
             self.diagnostics.len(),
-            self.suppressed,
-            self.baselined
+            self.suppressed
         ));
         out
     }
@@ -188,16 +166,7 @@ impl LintReport {
         out.push_str("],\n");
         out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
         out.push_str(&format!("  \"crates_scanned\": {},\n", self.crates_scanned));
-        out.push_str(&format!("  \"suppressed\": {},\n", self.suppressed));
-        out.push_str(&format!("  \"baselined\": {},\n", self.baselined));
-        out.push_str("  \"stale_baseline\": [");
-        for (i, s) in self.stale_baseline.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&json_str(s));
-        }
-        out.push_str("]\n}\n");
+        out.push_str(&format!("  \"suppressed\": {}\n}}\n", self.suppressed));
         out
     }
 }
@@ -220,58 +189,50 @@ fn json_str(s: &str) -> String {
     out
 }
 
-/// Walks the workspace and runs the rule catalog over every `.rs`
-/// file plus the manifests, applying suppressions and the baseline.
-///
-/// The per-file pass (lex, item-parse, per-file rules, workspace-rule
-/// collections) fans out across [`LintConfig::workers`] threads; the
-/// ordered merge plus the deterministic workspace pass make the
-/// report byte-identical at any worker count.
-pub fn run(config: &LintConfig) -> Result<LintReport, LintError> {
-    let baseline = match &config.baseline {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).map_err(|e| LintError::io(path, &e))?;
-            Baseline::parse(&text).map_err(LintError::Baseline)?
-        }
-        None => Baseline::default(),
-    };
+/// Reads every `.rs` file under the root (serially, in path order)
+/// and analyzes them across [`LintConfig::workers`] threads, then
+/// loads the crate graph. The ordered merge makes the result
+/// independent of the worker count.
+fn analyze_workspace(config: &LintConfig) -> Result<(Vec<FileAnalysis>, CrateGraph), LintError> {
     let mut rels = Vec::new();
     collect_rs_files(&config.root, &config.root, &mut rels)?;
     rels.sort();
-
-    // I/O stays serial (ordered, fallible); analysis fans out.
     let mut inputs: Vec<(String, String)> = Vec::with_capacity(rels.len());
     for rel in rels {
         let abs = config.root.join(&rel);
         let src = std::fs::read_to_string(&abs).map_err(|e| LintError::io(&abs, &e))?;
         inputs.push((rel, src));
     }
-    let strict = config.strict;
-    let analyses: Vec<FileAnalysis> = config
+    let analyses = config
         .parallelism()
-        .par_map(inputs, |(rel, src)| rules::analyze_file(&rel, &src, strict));
+        .par_map(inputs, |(rel, src)| rules::analyze_file(&rel, &src));
+    Ok((analyses, CrateGraph::load(&config.root)))
+}
 
-    let graph = CrateGraph::load(&config.root);
-
+/// Walks the workspace and runs the rule catalog over every `.rs`
+/// file plus the manifests, applying inline suppressions.
+///
+/// The per-file pass (lex, item-parse, per-file rules, workspace-rule
+/// collections) fans out across [`LintConfig::workers`] threads; the
+/// ordered merge plus the deterministic workspace pass make the
+/// report byte-identical at any worker count.
+pub fn run(config: &LintConfig) -> Result<LintReport, LintError> {
+    let (analyses, graph) = analyze_workspace(config)?;
     let mut report = LintReport {
         files_scanned: analyses.len(),
         crates_scanned: graph.crates.len(),
         ..LintReport::default()
     };
-    let mut matched_baseline: BTreeSet<BaselineEntry> = BTreeSet::new();
-    let mut filter = |d: Diagnostic, file: Option<&source::SourceFile>, report: &mut LintReport| {
+    let mut filter = |d: Diagnostic, file: Option<&source::SourceFile>| {
         if file.is_some_and(|f| f.is_suppressed(d.rule, d.line)) {
             report.suppressed += 1;
-        } else if baseline.covers(&d) {
-            report.baselined += 1;
-            matched_baseline.insert(Baseline::entry_for(&d));
         } else {
             report.diagnostics.push(d);
         }
     };
     for fa in &analyses {
         for d in fa.diagnostics.clone() {
-            filter(d, Some(&fa.file), &mut report);
+            filter(d, Some(&fa.file));
         }
     }
     // Workspace-level findings land on .rs files (suppressible inline)
@@ -282,16 +243,11 @@ pub fn run(config: &LintConfig) -> Result<LintReport, LintError> {
             .ok()
             .and_then(|idx| analyses.get(idx))
             .map(|fa| &fa.file);
-        filter(d, file, &mut report);
+        filter(d, file);
     }
     report
         .diagnostics
         .sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
-    report.stale_baseline = baseline
-        .stale(&matched_baseline)
-        .into_iter()
-        .map(|e| format!("{}\t{}\t{}", e.rule, e.path, e.line_hash))
-        .collect();
     Ok(report)
 }
 
@@ -301,19 +257,7 @@ pub fn run(config: &LintConfig) -> Result<LintReport, LintError> {
 /// counts and crate references, and the keyed-RNG / stage-key
 /// inventories the workspace rules run on.
 pub fn graph_json(config: &LintConfig) -> Result<String, LintError> {
-    let mut rels = Vec::new();
-    collect_rs_files(&config.root, &config.root, &mut rels)?;
-    rels.sort();
-    let mut inputs: Vec<(String, String)> = Vec::with_capacity(rels.len());
-    for rel in rels {
-        let abs = config.root.join(&rel);
-        let src = std::fs::read_to_string(&abs).map_err(|e| LintError::io(&abs, &e))?;
-        inputs.push((rel, src));
-    }
-    let analyses: Vec<FileAnalysis> = config
-        .parallelism()
-        .par_map(inputs, |(rel, src)| rules::analyze_file(&rel, &src, false));
-    let graph = CrateGraph::load(&config.root);
+    let (analyses, graph) = analyze_workspace(config)?;
 
     let mut out = String::from("{\n  \"schema\": \"taster-lint-graph/v1\",\n  \"layers\": [");
     for (i, (name, crates)) in graph::LAYERS.iter().enumerate() {
@@ -405,8 +349,8 @@ pub fn graph_json(config: &LintConfig) -> Result<String, LintError> {
 
 /// Lints a single source string — the unit-test entry point for the
 /// per-file rule families.
-pub fn lint_source(rel_path: &str, src: &str, strict: bool) -> Vec<Diagnostic> {
-    let fa = rules::analyze_file(rel_path, src, strict);
+pub fn lint_source(rel_path: &str, src: &str) -> Vec<Diagnostic> {
+    let fa = rules::analyze_file(rel_path, src);
     fa.diagnostics
         .into_iter()
         .filter(|d| !fa.file.is_suppressed(d.rule, d.line))
@@ -415,18 +359,15 @@ pub fn lint_source(rel_path: &str, src: &str, strict: bool) -> Vec<Diagnostic> {
 
 /// Analyzes a set of in-memory sources plus manifests as one
 /// workspace — the unit-test entry point for the workspace-level rule
-/// families (`layering`, `rng-key-collision`). `manifests` maps
+/// families (`layering`, `workspace-lints`, `rng-key-collision`).
+/// `manifests` maps
 /// workspace-relative manifest paths (e.g. `crates/x/Cargo.toml`) to
 /// contents. Returns per-file *and* workspace findings, suppressions
 /// applied, sorted by (path, line, rule).
-pub fn analyze_sources(
-    sources: &[(&str, &str)],
-    manifests: &[(&str, &str)],
-    strict: bool,
-) -> Vec<Diagnostic> {
+pub fn analyze_sources(sources: &[(&str, &str)], manifests: &[(&str, &str)]) -> Vec<Diagnostic> {
     let analyses: Vec<FileAnalysis> = sources
         .iter()
-        .map(|(rel, src)| rules::analyze_file(rel, src, strict))
+        .map(|(rel, src)| rules::analyze_file(rel, src))
         .collect();
     let mut graph = CrateGraph::default();
     for (rel, text) in manifests {

@@ -23,7 +23,7 @@ pub(crate) fn check(file: &SourceFile, _items: &ItemTree, out: &mut Vec<Diagnost
     let t = &file.lexed.tokens;
     for i in 0..t.len() {
         let tok = &t[i];
-        if tok.kind != TokenKind::Ident || file.is_test_line(tok.line) {
+        if tok.kind != TokenKind::Ident || file.in_cfg_test(tok.line) {
             continue;
         }
         let is_accum = (tok.text == "sum" || tok.text == "fold" || tok.text == "product")

@@ -149,7 +149,7 @@ pub(crate) fn check(file: &SourceFile, items: &ItemTree, out: &mut Vec<Diagnosti
     let t = &file.lexed.tokens;
     for i in 0..t.len() {
         let tok = &t[i];
-        if tok.kind != TokenKind::Ident || file.is_test_line(tok.line) {
+        if tok.kind != TokenKind::Ident || file.in_cfg_test(tok.line) {
             continue;
         }
         let Some(binding) = iterated_binding(t, i, &bindings) else {

@@ -1,17 +1,24 @@
-//! `layering`: the declared crate DAG, enforced.
+//! `layering`: the declared crate DAG, enforced; and
+//! `workspace-lints`: every workspace crate inherits the lint table.
 //!
 //! Two edge sources feed the check: `[dependencies]` entries in every
 //! manifest (parsed by [`crate::graph`]) and `taster_*` references in
 //! source code (`use` lines and inline paths alike — any mention of a
 //! sibling crate's extern-prelude name is an edge). Both must point
 //! *strictly downward* in [`crate::graph::LAYERS`]. `dev-dependencies`
-//! and test/bench/example code are exempt: test-only edges cannot leak
-//! into shipped determinism.
+//! and test/example code are exempt: test-only edges cannot leak into
+//! shipped determinism.
+//!
+//! Clippy's restriction lints and `unsafe_code` reach only crates
+//! whose manifest sets `[lints] workspace = true`, so a crate that
+//! drops the key silently leaves the panic/print/determinism policy;
+//! [`check_workspace_lints`] reports it. Vendored shims do not inherit
+//! the table and are exempt.
 
 use super::{Diagnostic, FileAnalysis};
 use crate::graph::{layer_of, CrateGraph};
 use crate::lexer::TokenKind;
-use crate::source::{Context, SourceFile};
+use crate::source::SourceFile;
 
 /// One source-level reference to a workspace crate.
 #[derive(Debug, Clone)]
@@ -29,7 +36,7 @@ pub(crate) fn collect_refs(file: &SourceFile) -> Vec<CrateRef> {
     for tok in &file.lexed.tokens {
         if tok.kind != TokenKind::Ident
             || !tok.text.starts_with("taster_")
-            || file.is_test_line(tok.line)
+            || file.in_cfg_test(tok.line)
         {
             continue;
         }
@@ -117,9 +124,6 @@ pub(crate) fn check(graph: &CrateGraph, files: &[FileAnalysis]) -> Vec<Diagnosti
         }
     }
     for fa in files {
-        if !matches!(fa.file.context, Context::Lib | Context::Bin) {
-            continue;
-        }
         let Some(node) = graph.crate_for_path(&fa.file.path) else {
             continue;
         };
@@ -160,6 +164,27 @@ pub(crate) fn check(graph: &CrateGraph, files: &[FileAnalysis]) -> Vec<Diagnosti
         }
     }
     out
+}
+
+/// Reports every crate, vendored shims included, whose manifest lacks
+/// `[lints] workspace = true`.
+pub(crate) fn check_workspace_lints(graph: &CrateGraph) -> Vec<Diagnostic> {
+    graph
+        .crates
+        .values()
+        .filter(|node| !node.workspace_lints)
+        .map(|node| Diagnostic {
+            rule: "workspace-lints",
+            path: node.manifest_path.clone(),
+            line: 1,
+            message: format!(
+                "crate `{}` does not set `[lints] workspace = true`, so the workspace \
+                 clippy/rustc policy does not reach it",
+                node.name
+            ),
+            snippet: format!("[package] name = \"{}\"", node.name),
+        })
+        .collect()
 }
 
 fn manifest_diag(path: String, line: usize, snippet: String, message: String) -> Diagnostic {

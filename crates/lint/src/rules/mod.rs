@@ -1,11 +1,13 @@
 //! The rule catalog.
 //!
-//! Each rule encodes one repo invariant; the catalog is the executable
-//! form of the determinism contract described in DESIGN.md. The
-//! original families ([`tokens`]) are token-pattern checks over
-//! [`SourceFile`]s; the v2 families work on the item tree and the
-//! crate graph: [`layering`] (declared crate DAG), [`rng_keys`]
-//! (stream-key collisions + stage-registry completeness),
+//! Each rule encodes one repo invariant that clippy configuration
+//! cannot express; together with `clippy.toml` and the workspace lint
+//! table, the catalog is the executable form of the determinism
+//! contract described in DESIGN.md. [`tokens`] holds the token-pattern
+//! checks over [`SourceFile`]s (socket deadlines, suppression syntax);
+//! the other families work on the item tree and the crate graph:
+//! [`layering`] (declared crate DAG, workspace-lint inheritance),
+//! [`rng_keys`] (stream-key collisions + stage-registry completeness),
 //! [`iteration`] (hash iteration reaching render/report/serve sinks),
 //! and [`float_accum`] (order-sensitive float accumulation over hash
 //! iteration). All rules remain cheap, deterministic and conservative
@@ -19,12 +21,12 @@ pub mod tokens;
 
 use crate::graph::CrateGraph;
 use crate::parser::ItemTree;
-use crate::source::{Context, SourceFile};
+use crate::source::SourceFile;
 
 /// A single finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Rule id (`no-panic`, `wall-clock`, …).
+    /// Rule id (`layering`, `float-accum`, …).
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -39,69 +41,27 @@ pub struct Diagnostic {
 /// Static description of one rule.
 #[derive(Debug, Clone, Copy)]
 pub struct Rule {
-    /// Stable identifier used in suppressions and baselines.
+    /// Stable identifier used in suppressions.
     pub id: &'static str,
     /// One-line description for `--format json` and the docs.
     pub summary: &'static str,
-    /// Advisory tier: only checked under `--strict`.
-    pub strict_only: bool,
 }
 
-/// Every rule the engine knows, in reporting order.
+/// Every rule the engine knows, in reporting order. The token rules
+/// clippy can express (wall clock, std hash maps, raw threads, unkeyed
+/// RNG seeding, panics, prints, `unsafe`) live in `clippy.toml` and
+/// the workspace lint table instead.
 pub const RULES: &[Rule] = &[
-    Rule {
-        id: "wall-clock",
-        summary: "no Instant/SystemTime wall-clock reads outside sim::trace, sim::metrics and \
-                  core::profile — wall time must stay quarantined in the timing map",
-        strict_only: false,
-    },
-    Rule {
-        id: "std-hash",
-        summary: "no std::collections::HashMap/HashSet (RandomState iteration order is \
-                  per-process); deterministic paths must use domain::fx or an ordered map",
-        strict_only: false,
-    },
-    Rule {
-        id: "thread-spawn",
-        summary: "no thread::spawn/scope/Builder outside sim::par — all fan-out goes through \
-                  the deterministic ordered-merge pool",
-        strict_only: false,
-    },
-    Rule {
-        id: "no-panic",
-        summary: "no unwrap/expect/panic!/unreachable!/todo!/unimplemented! in library or \
-                  binary code — convert to typed errors or infallible rewrites",
-        strict_only: false,
-    },
-    Rule {
-        id: "no-print",
-        summary: "no println!/print!/eprintln!/eprint!/dbg! in library crates — output goes \
-                  through the report/trace layers",
-        strict_only: false,
-    },
-    Rule {
-        id: "rand-bypass",
-        summary: "no direct rand-shim sampling (SmallRng/SeedableRng/seed_from_u64/from_seed) \
-                  outside sim::rng — randomness comes from keyed RngStream constructors",
-        strict_only: false,
-    },
-    Rule {
-        id: "no-unsafe",
-        summary: "no unsafe blocks anywhere in the workspace, vendored shims included",
-        strict_only: false,
-    },
     Rule {
         id: "socket-deadline",
         summary: "no unbounded socket operations (`.incoming()`, `.read_to_end()`, \
                   `.read_to_string()`) in files that touch listener/stream types — accepts \
                   must be polled nonblocking and reads chunked under an explicit deadline",
-        strict_only: false,
     },
     Rule {
         id: "bad-suppression",
         summary: "lint:allow comments must name known rules and carry a reason: \
                   `// lint:allow(<rule>) -- <reason>`",
-        strict_only: false,
     },
     Rule {
         id: "layering",
@@ -109,7 +69,12 @@ pub const RULES: &[Rule] = &[
                   declared layer map (foundation → kernel → world → agents → feeds → \
                   analysis → driver → surface → app); vendored crates sit outside the \
                   layering and must not depend on workspace crates",
-        strict_only: false,
+    },
+    Rule {
+        id: "workspace-lints",
+        summary: "every crate, vendored shims included, sets `[lints] workspace = true`, so the workspace \
+                  clippy/rustc policy (no panics, prints, unsafe, wall clock, std hash maps, \
+                  raw threads or unkeyed RNG seeding) reaches it",
     },
     Rule {
         id: "rng-key-collision",
@@ -117,47 +82,22 @@ pub const RULES: &[Rule] = &[
                   crates or repeat within one function (identical key + master seed = \
                   identical stream), and every stage key must be registered in \
                   STAGE_KEYS/AUX_STAGE_KEYS with a live call site",
-        strict_only: false,
     },
     Rule {
         id: "unsorted-iteration",
         summary: "FxHashMap/FxHashSet iteration reaching rendering/reporting/serve-response \
                   code must pass through a sort or ordered collect before bytes are emitted",
-        strict_only: false,
     },
     Rule {
         id: "float-accum",
         summary: "f64 sum/fold over hash-ordered iteration is order-sensitive (float addition \
                   is not associative); sort first or accumulate over an ordered container",
-        strict_only: false,
-    },
-    Rule {
-        id: "indexing",
-        summary: "advisory (--strict): bracket indexing in library code without a justifying \
-                  comment on or above the line — prefer get()/first()/last() or a comment \
-                  stating why the index is in bounds",
-        strict_only: true,
     },
 ];
 
 /// Looks a rule up by id.
 pub fn rule_by_id(id: &str) -> Option<&'static Rule> {
     RULES.iter().find(|r| r.id == id)
-}
-
-/// Files where a rule is allowed by design (the quarantine sites the
-/// rule's invariant routes through).
-pub(crate) fn exempt(rule: &str, path: &str) -> bool {
-    match rule {
-        "wall-clock" => matches!(
-            path,
-            "crates/sim/src/trace.rs" | "crates/sim/src/metrics.rs" | "crates/core/src/profile.rs"
-        ),
-        "std-hash" => path == "crates/domain/src/fx.rs",
-        "thread-spawn" => path == "crates/sim/src/par.rs",
-        "rand-bypass" => path == "crates/sim/src/rng.rs",
-        _ => false,
-    }
 }
 
 /// Everything the engine learns about one file in a single pass: the
@@ -185,12 +125,11 @@ pub struct FileAnalysis {
 
 /// Analyzes one file: parse, item tree, per-file rules, and the
 /// collections the workspace rules need. Pure — safe to fan out.
-pub fn analyze_file(rel_path: &str, src: &str, strict: bool) -> FileAnalysis {
+pub fn analyze_file(rel_path: &str, src: &str) -> FileAnalysis {
     let file = SourceFile::parse(rel_path, src);
     let items = ItemTree::parse(&file.lexed);
-    let diagnostics = check_file(&file, &items, strict);
-    let deterministic_code = matches!(file.context, Context::Lib | Context::Bin);
-    let ((key_sites, stage_uses, registries), crate_refs) = if deterministic_code {
+    let diagnostics = check_file(&file, &items);
+    let ((key_sites, stage_uses, registries), crate_refs) = if file.shipped {
         (
             rng_keys::collect(&file, &items),
             layering::collect_refs(&file),
@@ -213,6 +152,7 @@ pub fn analyze_file(rel_path: &str, src: &str, strict: bool) -> FileAnalysis {
 /// analyses and the crate graph.
 pub fn workspace_check(graph: &CrateGraph, files: &[FileAnalysis]) -> Vec<Diagnostic> {
     let mut out = layering::check(graph, files);
+    out.extend(layering::check_workspace_lints(graph));
     out.extend(rng_keys::check_workspace(files));
     out
 }
@@ -220,30 +160,13 @@ pub fn workspace_check(graph: &CrateGraph, files: &[FileAnalysis]) -> Vec<Diagno
 /// Runs every applicable per-file rule over `file`. Suppressions are
 /// *not* applied here — the engine filters them so it can count and
 /// validate them centrally.
-pub fn check_file(file: &SourceFile, items: &ItemTree, strict: bool) -> Vec<Diagnostic> {
+pub fn check_file(file: &SourceFile, items: &ItemTree) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    tokens::check_unsafe(file, &mut out);
     tokens::check_bad_suppressions(file, &mut out);
-    if file.context == Context::Vendor {
-        out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
-        return out;
-    }
-    let lib_or_bin = matches!(file.context, Context::Lib | Context::Bin);
-    if lib_or_bin {
-        tokens::check_wall_clock(file, &mut out);
-        tokens::check_std_hash(file, &mut out);
-        tokens::check_thread_spawn(file, &mut out);
-        tokens::check_no_panic(file, &mut out);
-        tokens::check_rand_bypass(file, &mut out);
+    if file.shipped {
         tokens::check_socket_deadline(file, &mut out);
         iteration::check(file, items, &mut out);
         float_accum::check(file, items, &mut out);
-    }
-    if file.context == Context::Lib {
-        tokens::check_no_print(file, &mut out);
-        if strict {
-            tokens::check_indexing(file, &mut out);
-        }
     }
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out

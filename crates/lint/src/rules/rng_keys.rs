@@ -86,7 +86,7 @@ pub(crate) fn collect(
     let mut registries = Vec::new();
     for i in 0..t.len() {
         let tok = &t[i];
-        if tok.kind != TokenKind::Ident || file.is_test_line(tok.line) {
+        if tok.kind != TokenKind::Ident || file.in_cfg_test(tok.line) {
             continue;
         }
         let next_is_paren = t.get(i + 1).is_some_and(|n| n.is_punct('('));

@@ -1,220 +1,9 @@
-//! The original token-pattern rule family: flat scans over the token
-//! stream, no item or graph context needed.
+//! Token-pattern rules: flat scans over the token stream, no item or
+//! graph context needed.
 
-use super::{diag, exempt, is_path_sep, rule_by_id, Diagnostic};
+use super::{diag, rule_by_id, Diagnostic};
 use crate::lexer::TokenKind;
 use crate::source::SourceFile;
-
-pub(crate) fn check_wall_clock(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if exempt("wall-clock", &file.path) {
-        return;
-    }
-    for tok in &file.lexed.tokens {
-        if (tok.is_ident("Instant") || tok.is_ident("SystemTime") || tok.is_ident("UNIX_EPOCH"))
-            && !file.is_test_line(tok.line)
-        {
-            out.push(diag(
-                file,
-                "wall-clock",
-                tok.line,
-                format!(
-                    "wall-clock read `{}` outside sim::trace/sim::metrics/core::profile; \
-                     record wall time through the Obs timing map instead",
-                    tok.text
-                ),
-            ));
-        }
-    }
-}
-
-pub(crate) fn check_std_hash(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if exempt("std-hash", &file.path) {
-        return;
-    }
-    let t = &file.lexed.tokens;
-    let mut i = 0usize;
-    while i < t.len() {
-        // `std :: collections :: …`
-        let is_std_collections = t[i].is_ident("std")
-            && is_path_sep(t, i + 1)
-            && t.get(i + 3).is_some_and(|x| x.is_ident("collections"))
-            && is_path_sep(t, i + 4);
-        if !is_std_collections {
-            // `hash_map::RandomState` smuggles default hashing in
-            // without naming HashMap.
-            if t[i].is_ident("RandomState") && !file.is_test_line(t[i].line) {
-                out.push(diag(
-                    file,
-                    "std-hash",
-                    t[i].line,
-                    "RandomState (per-process hash seeding) in a deterministic path; \
-                     use domain::fx hashing"
-                        .to_string(),
-                ));
-            }
-            i += 1;
-            continue;
-        }
-        let mut j = i + 6;
-        // Walk the rest of the path / use-group and flag the hash
-        // containers named in it.
-        let mut depth = 0usize;
-        while j < t.len() {
-            let tok = &t[j];
-            if tok.is_punct('{') {
-                depth += 1;
-            } else if tok.is_punct('}') {
-                if depth == 0 {
-                    break;
-                }
-                depth -= 1;
-            } else if tok.is_punct(';') || tok.is_punct('=') {
-                break;
-            } else if (tok.is_ident("HashMap") || tok.is_ident("HashSet"))
-                && !file.is_test_line(tok.line)
-            {
-                out.push(diag(
-                    file,
-                    "std-hash",
-                    tok.line,
-                    format!(
-                        "std::collections::{} uses RandomState (per-process iteration \
-                         order); use domain::fx::Fx{} or an ordered map",
-                        tok.text, tok.text
-                    ),
-                ));
-            } else if depth == 0
-                && tok.kind == TokenKind::Ident
-                && !is_path_sep(t, j + 1)
-                && !tok.is_ident("collections")
-            {
-                // Path ended on a non-hash item (e.g. BTreeMap): fine.
-                break;
-            }
-            j += 1;
-        }
-        i = j.max(i + 1);
-    }
-}
-
-pub(crate) fn check_thread_spawn(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if exempt("thread-spawn", &file.path) {
-        return;
-    }
-    let t = &file.lexed.tokens;
-    for i in 3..t.len() {
-        let callee = &t[i];
-        let named =
-            callee.is_ident("spawn") || callee.is_ident("scope") || callee.is_ident("Builder");
-        if named
-            && t[i - 3].is_ident("thread")
-            && is_path_sep(t, i - 2)
-            && !file.is_test_line(callee.line)
-        {
-            out.push(diag(
-                file,
-                "thread-spawn",
-                callee.line,
-                format!(
-                    "thread::{} outside sim::par; all parallelism goes through \
-                     Parallelism::par_map's deterministic ordered merge",
-                    callee.text
-                ),
-            ));
-        }
-    }
-}
-
-pub(crate) fn check_no_panic(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let t = &file.lexed.tokens;
-    for i in 0..t.len() {
-        let tok = &t[i];
-        if tok.kind != TokenKind::Ident || file.is_test_line(tok.line) {
-            continue;
-        }
-        let method_call = i > 0
-            && t[i - 1].is_punct('.')
-            && t.get(i + 1).is_some_and(|n| n.is_punct('('))
-            && (tok.text == "unwrap" || tok.text == "expect");
-        let panic_macro = t.get(i + 1).is_some_and(|n| n.is_punct('!'))
-            && matches!(
-                tok.text.as_str(),
-                "panic" | "unreachable" | "todo" | "unimplemented"
-            );
-        if method_call || panic_macro {
-            out.push(diag(
-                file,
-                "no-panic",
-                tok.line,
-                format!(
-                    "`{}` can abort the pipeline; return a typed error or restructure \
-                     so the failure case is unrepresentable",
-                    if method_call {
-                        format!(".{}()", tok.text)
-                    } else {
-                        format!("{}!", tok.text)
-                    }
-                ),
-            ));
-        }
-    }
-}
-
-pub(crate) fn check_no_print(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let t = &file.lexed.tokens;
-    for i in 0..t.len() {
-        let tok = &t[i];
-        if tok.kind != TokenKind::Ident || file.is_test_line(tok.line) {
-            continue;
-        }
-        let is_print = matches!(
-            tok.text.as_str(),
-            "println" | "print" | "eprintln" | "eprint" | "dbg"
-        ) && t.get(i + 1).is_some_and(|n| n.is_punct('!'));
-        if is_print {
-            out.push(diag(
-                file,
-                "no-print",
-                tok.line,
-                format!(
-                    "`{}!` writes to the process streams from a library crate; route \
-                     output through the report/trace layers",
-                    tok.text
-                ),
-            ));
-        }
-    }
-}
-
-pub(crate) fn check_rand_bypass(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    if exempt("rand-bypass", &file.path) {
-        return;
-    }
-    for tok in &file.lexed.tokens {
-        let named = matches!(
-            tok.text.as_str(),
-            "SmallRng"
-                | "SeedableRng"
-                | "seed_from_u64"
-                | "from_seed"
-                | "thread_rng"
-                | "from_entropy"
-                | "StdRng"
-        );
-        if tok.kind == TokenKind::Ident && named && !file.is_test_line(tok.line) {
-            out.push(diag(
-                file,
-                "rand-bypass",
-                tok.line,
-                format!(
-                    "`{}` bypasses the keyed-stream constructors; derive randomness \
-                     from RngStream::new/child so draws stay keyed by (seed, stream)",
-                    tok.text
-                ),
-            ));
-        }
-    }
-}
 
 /// A hung peer must never hang the daemon: every socket read carries a
 /// deadline and every accept is a nonblocking poll. The unbounded std
@@ -236,7 +25,7 @@ pub(crate) fn check_socket_deadline(file: &SourceFile, out: &mut Vec<Diagnostic>
     }
     for i in 1..t.len() {
         let tok = &t[i];
-        if tok.kind != TokenKind::Ident || file.is_test_line(tok.line) {
+        if tok.kind != TokenKind::Ident || file.in_cfg_test(tok.line) {
             continue;
         }
         let unbounded = matches!(
@@ -253,21 +42,6 @@ pub(crate) fn check_socket_deadline(file: &SourceFile, out: &mut Vec<Diagnostic>
                      nonblocking and read in bounded chunks under set_read_timeout",
                     tok.text
                 ),
-            ));
-        }
-    }
-}
-
-pub(crate) fn check_unsafe(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    for tok in &file.lexed.tokens {
-        if tok.is_ident("unsafe") {
-            out.push(diag(
-                file,
-                "no-unsafe",
-                tok.line,
-                "`unsafe` is banned workspace-wide (every crate also carries \
-                 #![forbid(unsafe_code)])"
-                    .to_string(),
             ));
         }
     }
@@ -294,27 +68,5 @@ pub(crate) fn check_bad_suppressions(file: &SourceFile, out: &mut Vec<Diagnostic
                 ));
             }
         }
-    }
-}
-
-pub(crate) fn check_indexing(file: &SourceFile, out: &mut Vec<Diagnostic>) {
-    let t = &file.lexed.tokens;
-    for i in 1..t.len() {
-        if !t[i].is_punct('[') {
-            continue;
-        }
-        let prev = &t[i - 1];
-        let indexable = prev.kind == TokenKind::Ident || prev.is_punct(')') || prev.is_punct(']');
-        if !indexable || file.is_test_line(t[i].line) || file.has_comment_near(t[i].line) {
-            continue;
-        }
-        out.push(diag(
-            file,
-            "indexing",
-            t[i].line,
-            "bracket indexing without a justifying comment; use get()/first()/last() \
-             or state why the index is in bounds"
-                .to_string(),
-        ));
     }
 }

@@ -4,9 +4,11 @@
 //! CI would go green while the invariants rot. The self-test writes a
 //! tiny synthetic workspace into a temp directory with exactly one
 //! violation per rule (including a manifest that violates the crate
-//! layering), runs the engine over it, and asserts each rule produced
-//! its diagnostic, that a correctly-suppressed violation stays silent,
-//! and that the report is byte-identical at 1, 2 and 8 workers.
+//! layering and one without the workspace lint table), runs the engine
+//! over it, and asserts each rule produced its diagnostic, that a
+//! correctly-suppressed violation stays silent, and that the report is
+//! byte-identical at 1, 2 and 8 workers. The rules clippy enforces have
+//! their own counterpart in CI (`.github/clippy_policy_selftest.py`).
 
 use crate::{run, LintConfig, LintError};
 use std::path::{Path, PathBuf};
@@ -23,44 +25,10 @@ pub struct SelfTestResult {
 /// Per-rule fixture sources. Each is written into the synthetic
 /// workspace; the violation must be the *only* finding the rule
 /// reports for it. Most are library files; the `layering` fixture is
-/// a manifest that declares an upward dependency.
+/// a manifest that declares an upward dependency, and the
+/// `workspace-lints` fixture a manifest without `[lints]`.
 fn fixtures() -> Vec<(&'static str, &'static str, String)> {
     vec![
-        (
-            "wall-clock",
-            "crates/fixture/src/wall_clock.rs",
-            "pub fn stamp() -> std::time::Instant { std::time::Instant::now() }\n".to_string(),
-        ),
-        (
-            "std-hash",
-            "crates/fixture/src/std_hash.rs",
-            "use std::collections::HashMap;\npub type T = HashMap<u32, u32>;\n".to_string(),
-        ),
-        (
-            "thread-spawn",
-            "crates/fixture/src/thread_spawn.rs",
-            "pub fn go() { std::thread::spawn(|| {}); }\n".to_string(),
-        ),
-        (
-            "no-panic",
-            "crates/fixture/src/no_panic.rs",
-            "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n".to_string(),
-        ),
-        (
-            "no-print",
-            "crates/fixture/src/no_print.rs",
-            "pub fn shout() { println!(\"loud\"); }\n".to_string(),
-        ),
-        (
-            "rand-bypass",
-            "crates/fixture/src/rand_bypass.rs",
-            "pub fn r() { let _ = SmallRng::seed_from_u64(1); }\n".to_string(),
-        ),
-        (
-            "no-unsafe",
-            "crates/fixture/src/no_unsafe.rs",
-            "pub fn u(p: *const u8) -> u8 { unsafe { *p } }\n".to_string(),
-        ),
         (
             "socket-deadline",
             "crates/fixture/src/socket_deadline.rs",
@@ -72,16 +40,23 @@ fn fixtures() -> Vec<(&'static str, &'static str, String)> {
             "bad-suppression",
             "crates/fixture/src/bad_suppression.rs",
             // Reason missing: the suppression is malformed AND inert.
-            "// lint:allow(no-panic)\npub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n".to_string(),
+            "// lint:allow(float-accum)\npub fn f() {}\n".to_string(),
         ),
         (
             // A `kernel`-layer crate declaring a dependency on the
             // `driver` layer: an upward manifest edge.
             "layering",
             "crates/fixture_sim/Cargo.toml",
-            "[package]\nname = \"taster-sim\"\n\n[dependencies]\n\
-             taster-core = { path = \"../core\" }\n"
+            "[package]\nname = \"taster-sim\"\n\n[lints]\nworkspace = true\n\n\
+             [dependencies]\ntaster-core = { path = \"../core\" }\n"
                 .to_string(),
+        ),
+        (
+            // A layered crate whose manifest has no `[lints]` table, so
+            // the workspace clippy/rustc policy would not reach it.
+            "workspace-lints",
+            "crates/fixture_core/Cargo.toml",
+            "[package]\nname = \"taster-core\"\n".to_string(),
         ),
         (
             // The same stream key derived twice in one function body.
@@ -111,17 +86,13 @@ fn fixtures() -> Vec<(&'static str, &'static str, String)> {
              m.values().sum::<f64>()\n}\n"
                 .to_string(),
         ),
-        (
-            "indexing",
-            "crates/fixture/src/indexing.rs",
-            "pub fn first(xs: &[u8]) -> u8 { xs[0] }\n".to_string(),
-        ),
     ]
 }
 
 /// A violation carrying a well-formed suppression; must stay silent.
-const SUPPRESSED_FIXTURE: &str =
-    "pub fn f(x: Option<u8>) -> u8 {\n    x.unwrap() // lint:allow(no-panic) -- self-test fixture\n}\n";
+const SUPPRESSED_FIXTURE: &str = "use std::os::unix::net::UnixListener;\n\
+     pub fn serve(l: &UnixListener) {\n    \
+     for _conn in l.incoming() {} // lint:allow(socket-deadline) -- self-test fixture\n}\n";
 
 /// Runs the self-test. Returns per-rule outcomes; `Err` only on I/O
 /// failure creating the synthetic workspace.
@@ -149,8 +120,6 @@ fn run_fixtures(root: &Path) -> Result<Vec<SelfTestResult>, LintError> {
 
     let config = LintConfig {
         root: root.to_path_buf(),
-        strict: true,
-        baseline: None,
         workers: 1,
     };
     let report = run(&config)?;

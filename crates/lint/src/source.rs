@@ -3,25 +3,6 @@
 
 use crate::lexer::{lex, Lexed};
 
-/// Where a file sits in the workspace, which decides the rule set
-/// applied to it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Context {
-    /// Library source under `crates/*/src/` or the root `src/lib.rs`.
-    Lib,
-    /// Binary source under `src/bin/`.
-    Bin,
-    /// Integration tests (`tests/` directories at any level).
-    Test,
-    /// Criterion benches (`benches/` directories).
-    Bench,
-    /// `examples/` programs.
-    Example,
-    /// Vendored dependency shims (`vendor/`). Only structural rules
-    /// (`no-unsafe`) apply; shim internals mirror upstream APIs.
-    Vendor,
-}
-
 /// One parsed inline suppression: `// lint:allow(rule, …) -- reason`.
 #[derive(Debug, Clone)]
 pub struct Suppression {
@@ -44,11 +25,13 @@ pub struct Suppression {
 pub struct SourceFile {
     /// Workspace-relative path with `/` separators.
     pub path: String,
-    /// Path-derived context.
-    pub context: Context,
+    /// True for library and binary source, the code that ships and
+    /// that the per-file rules check. Integration tests, examples and
+    /// vendored shims only answer for their suppression syntax.
+    pub shipped: bool,
     /// Token stream + comments.
     pub lexed: Lexed,
-    /// Raw source lines (for snippets and baseline hashing).
+    /// Raw source lines (for diagnostic snippets).
     pub lines: Vec<String>,
     /// `in_test[line-1]` is true inside `#[cfg(test)]` item bodies.
     in_test: Vec<bool>,
@@ -66,7 +49,7 @@ impl SourceFile {
         let suppressions = parse_suppressions(&lexed, &lines);
         SourceFile {
             path: rel_path.to_string(),
-            context: classify(rel_path),
+            shipped: is_shipped(rel_path),
             lexed,
             lines,
             in_test,
@@ -74,14 +57,9 @@ impl SourceFile {
         }
     }
 
-    /// True when `line` (1-based) is inside a `#[cfg(test)]` region or
-    /// the whole file is a test/bench/example target.
-    pub fn is_test_line(&self, line: usize) -> bool {
-        matches!(
-            self.context,
-            Context::Test | Context::Bench | Context::Example
-        ) || self
-            .in_test
+    /// True when `line` (1-based) is inside a `#[cfg(test)]` region.
+    pub fn in_cfg_test(&self, line: usize) -> bool {
+        self.in_test
             .get(line.saturating_sub(1))
             .copied()
             .unwrap_or(false)
@@ -101,33 +79,16 @@ impl SourceFile {
             s.malformed.is_none() && s.applies_to == line && s.rules.iter().any(|r| r == rule)
         })
     }
-
-    /// True when any comment is attached to `line` (on the line itself
-    /// or standalone on the line above) — the "indexing with a
-    /// justifying comment" escape hatch.
-    pub fn has_comment_near(&self, line: usize) -> bool {
-        self.lexed
-            .comments
-            .iter()
-            .any(|c| c.line == line || (!c.trailing && c.line + 1 == line))
-    }
 }
 
-/// Classifies a workspace-relative path.
-fn classify(path: &str) -> Context {
-    if path.starts_with("vendor/") {
-        Context::Vendor
-    } else if path.starts_with("examples/") || path.contains("/examples/") {
-        Context::Example
-    } else if path.starts_with("tests/") || path.contains("/tests/") {
-        Context::Test
-    } else if path.starts_with("benches/") || path.contains("/benches/") {
-        Context::Bench
-    } else if path.starts_with("src/bin/") || path.contains("/src/bin/") {
-        Context::Bin
-    } else {
-        Context::Lib
-    }
+/// True unless a workspace-relative path is a vendored shim, an
+/// example or an integration test.
+fn is_shipped(path: &str) -> bool {
+    !(path.starts_with("vendor/")
+        || path.starts_with("examples/")
+        || path.contains("/examples/")
+        || path.starts_with("tests/")
+        || path.contains("/tests/"))
 }
 
 /// Marks the lines covered by `#[cfg(test)]` items (normally the

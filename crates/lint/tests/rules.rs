@@ -1,20 +1,19 @@
 //! Fixture-based tests: one true-positive and one false-positive
-//! fixture per rule, plus suppression and baseline semantics.
+//! fixture per rule, plus suppression semantics.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use taster_lint::baseline::{line_hash, Baseline};
-use taster_lint::rules::Diagnostic;
 use taster_lint::{analyze_sources, lint_source};
 
 const LIB: &str = "crates/demo/src/lib.rs";
 
-fn rules_hit(path: &str, src: &str) -> Vec<String> {
-    rules_hit_strict(path, src, false)
-}
+/// A library file that blocks on its listener: one `socket-deadline`
+/// finding on line 2.
+const BLOCKING_ACCEPT: &str = "use std::os::unix::net::UnixListener;\n\
+                               pub fn serve(l: &UnixListener) { for _c in l.incoming() {} }\n";
 
-fn rules_hit_strict(path: &str, src: &str, strict: bool) -> Vec<String> {
-    let mut ids: Vec<String> = lint_source(path, src, strict)
+fn rules_hit(path: &str, src: &str) -> Vec<String> {
+    let mut ids: Vec<String> = lint_source(path, src)
         .into_iter()
         .map(|d| d.rule.to_string())
         .collect();
@@ -23,283 +22,107 @@ fn rules_hit_strict(path: &str, src: &str, strict: bool) -> Vec<String> {
     ids
 }
 
-// ---------------------------------------------------------- wall-clock
+// ----------------------------------------------------- socket-deadline
 
 #[test]
-fn wall_clock_fires_in_lib_code() {
-    let src = "pub fn now() -> std::time::Instant { std::time::Instant::now() }\n";
-    assert_eq!(rules_hit(LIB, src), ["wall-clock"]);
-    let sys = "pub fn s() -> std::time::SystemTime { std::time::SystemTime::now() }\n";
-    assert_eq!(rules_hit(LIB, sys), ["wall-clock"]);
+fn socket_deadline_fires_on_unbounded_socket_calls() {
+    assert_eq!(rules_hit(LIB, BLOCKING_ACCEPT), ["socket-deadline"]);
+    let read = "use std::os::unix::net::UnixStream;\n\
+                pub fn slurp(s: &mut UnixStream, buf: &mut Vec<u8>) { let _ = s.read_to_end(buf); }\n";
+    assert_eq!(rules_hit(LIB, read), ["socket-deadline"]);
 }
 
 #[test]
-fn wall_clock_exempt_in_observability_modules() {
-    let src = "pub fn now() -> std::time::Instant { std::time::Instant::now() }\n";
-    assert!(rules_hit("crates/sim/src/trace.rs", src).is_empty());
-    assert!(rules_hit("crates/sim/src/metrics.rs", src).is_empty());
-    assert!(rules_hit("crates/core/src/profile.rs", src).is_empty());
-}
-
-#[test]
-fn wall_clock_ignores_unrelated_idents() {
-    let src = "pub struct InstantNoodles;\npub fn f() -> InstantNoodles { InstantNoodles }\n";
-    assert!(rules_hit(LIB, src).is_empty());
-}
-
-// ------------------------------------------------------------ std-hash
-
-#[test]
-fn std_hash_fires_on_default_collections() {
-    let m = "use std::collections::HashMap;\npub fn f() -> HashMap<u32, u32> { HashMap::new() }\n";
-    assert_eq!(rules_hit(LIB, m), ["std-hash"]);
-    let s = "pub fn f() -> std::collections::HashSet<u32> { std::collections::HashSet::new() }\n";
-    assert_eq!(rules_hit(LIB, s), ["std-hash"]);
-    let grouped = "use std::collections::{BTreeMap, HashSet};\n";
-    assert_eq!(rules_hit(LIB, grouped), ["std-hash"]);
-}
-
-#[test]
-fn std_hash_allows_ordered_and_keyed_maps() {
+fn socket_deadline_ignores_files_without_sockets() {
     let src =
-        "use std::collections::BTreeMap;\npub fn f() -> BTreeMap<u32, u32> { BTreeMap::new() }\n";
+        "pub fn slurp(f: &mut std::fs::File, buf: &mut Vec<u8>) { let _ = f.read_to_end(buf); }\n";
     assert!(rules_hit(LIB, src).is_empty());
-    let fx = "use taster_domain::fx::FxHashMap;\npub fn f() -> FxHashMap<u32, u32> { FxHashMap::default() }\n";
-    assert!(rules_hit(LIB, fx).is_empty());
-}
-
-#[test]
-fn std_hash_exempt_in_fx_module_itself() {
-    let src = "use std::collections::{HashMap, HashSet};\npub type M = HashMap<u32, u32>;\n";
-    assert!(rules_hit("crates/domain/src/fx.rs", src).is_empty());
-}
-
-// -------------------------------------------------------- thread-spawn
-
-#[test]
-fn thread_spawn_fires_outside_the_pool() {
-    let src = "pub fn go() { std::thread::spawn(|| {}); }\n";
-    assert_eq!(rules_hit(LIB, src), ["thread-spawn"]);
-    let scoped = "pub fn go() { std::thread::scope(|_| {}); }\n";
-    assert_eq!(rules_hit(LIB, scoped), ["thread-spawn"]);
-}
-
-#[test]
-fn thread_spawn_exempt_in_par_module() {
-    let src = "pub fn go() { std::thread::scope(|_| {}); }\n";
-    assert!(rules_hit("crates/sim/src/par.rs", src).is_empty());
-}
-
-// ------------------------------------------------------------ no-panic
-
-#[test]
-fn no_panic_fires_on_each_macro_and_method() {
-    for src in [
-        "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
-        "pub fn f(x: Option<u8>) -> u8 { x.expect(\"set\") }\n",
-        "pub fn f() { panic!(\"boom\"); }\n",
-        "pub fn f() { unreachable!(); }\n",
-        "pub fn f() { todo!(); }\n",
-        "pub fn f() { unimplemented!(); }\n",
-    ] {
-        assert_eq!(rules_hit(LIB, src), ["no-panic"], "missed: {src}");
-    }
-}
-
-#[test]
-fn no_panic_skips_test_code() {
-    // Integration-test path.
-    let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-    assert!(rules_hit("crates/demo/tests/it.rs", src).is_empty());
-    // cfg(test) module inside a lib file.
-    let lib = "pub fn ok() {}\n\n#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { Some(1u8).unwrap(); }\n}\n";
-    assert!(rules_hit(LIB, lib).is_empty());
-}
-
-#[test]
-fn no_panic_still_fires_before_a_cfg_test_module() {
-    let lib = "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n\n#[cfg(test)]\nmod tests {}\n";
-    assert_eq!(rules_hit(LIB, lib), ["no-panic"]);
-}
-
-#[test]
-fn no_panic_allows_debug_assert_and_assert() {
-    let src = "pub fn f(a: usize) { assert!(a < 10); debug_assert_eq!(a, a); }\n";
-    assert!(rules_hit(LIB, src).is_empty());
-}
-
-// ------------------------------------------------------------ no-print
-
-#[test]
-fn no_print_fires_in_lib_but_not_bin() {
-    let src = "pub fn shout() { println!(\"x\"); eprintln!(\"y\"); }\n";
-    assert_eq!(rules_hit(LIB, src), ["no-print"]);
-    assert!(rules_hit("src/bin/taster.rs", src).is_empty());
-}
-
-#[test]
-fn no_print_ignores_writeln_and_format() {
-    let src = "use std::fmt::Write;\npub fn f(out: &mut String) { let _ = writeln!(out, \"{}\", format!(\"x\")); }\n";
-    assert!(rules_hit(LIB, src).is_empty());
-}
-
-// --------------------------------------------------------- rand-bypass
-
-#[test]
-fn rand_bypass_fires_on_direct_seeding() {
-    let src = "use rand::{RngExt, SeedableRng, SmallRng};\npub fn r() -> SmallRng { SmallRng::seed_from_u64(1) }\n";
-    assert_eq!(rules_hit(LIB, src), ["rand-bypass"]);
-}
-
-#[test]
-fn rand_bypass_exempt_in_rng_shim() {
-    let src = "pub fn r() { let _ = SmallRng::seed_from_u64(1); }\n";
-    assert!(rules_hit("crates/sim/src/rng.rs", src).is_empty());
-}
-
-// ----------------------------------------------------------- no-unsafe
-
-#[test]
-fn no_unsafe_fires_everywhere_even_tests() {
-    let src = "pub fn u(p: *const u8) -> u8 { unsafe { *p } }\n";
-    assert_eq!(rules_hit(LIB, src), ["no-unsafe"]);
-    assert_eq!(
-        rules_hit("crates/demo/tests/it.rs", src),
-        ["no-unsafe"],
-        "unsafe must be denied in test code too"
-    );
-}
-
-#[test]
-fn no_unsafe_ignores_the_word_in_strings_and_comments() {
-    let src = "// unsafe is discussed here\npub const DOC: &str = \"unsafe\";\n";
-    assert!(rules_hit(LIB, src).is_empty());
-}
-
-// ------------------------------------------------------------ indexing
-
-#[test]
-fn indexing_is_strict_only() {
-    let src = "pub fn first(xs: &[u8]) -> u8 { xs[0] }\n";
-    assert!(
-        rules_hit(LIB, src).is_empty(),
-        "advisory rule off by default"
-    );
-    assert_eq!(rules_hit_strict(LIB, src, true), ["indexing"]);
-}
-
-#[test]
-fn indexing_silenced_by_a_nearby_comment() {
-    let src = "pub fn first(xs: &[u8]) -> u8 {\n    // xs is never empty: built from a non-empty roster\n    xs[0]\n}\n";
-    assert!(rules_hit_strict(LIB, src, true).is_empty());
 }
 
 // -------------------------------------------------------- suppressions
 
 #[test]
 fn trailing_suppression_silences_the_same_line() {
-    let src = "pub fn f(x: Option<u8>) -> u8 { x.unwrap() } // lint:allow(no-panic) -- contract\n";
-    assert!(rules_hit(LIB, src).is_empty());
+    let src = BLOCKING_ACCEPT.replace(
+        "{} }\n",
+        "{} } // lint:allow(socket-deadline) -- contract\n",
+    );
+    assert!(rules_hit(LIB, &src).is_empty());
 }
 
 #[test]
 fn standalone_suppression_silences_the_next_code_line() {
-    let src = "pub fn f(x: Option<u8>) -> u8 {\n    // lint:allow(no-panic) -- caller guarantees Some\n    x.unwrap()\n}\n";
-    assert!(rules_hit(LIB, src).is_empty());
+    let src = BLOCKING_ACCEPT.replace(
+        "pub fn",
+        "// lint:allow(socket-deadline) -- the listener is nonblocking\npub fn",
+    );
+    assert!(rules_hit(LIB, &src).is_empty());
 }
 
 #[test]
 fn suppression_only_covers_the_named_rule() {
-    let src = "pub fn f(x: Option<u8>) -> u8 {\n    // lint:allow(no-print) -- wrong rule named\n    x.unwrap()\n}\n";
-    assert_eq!(rules_hit(LIB, src), ["no-panic"]);
+    let src = BLOCKING_ACCEPT.replace(
+        "pub fn",
+        "// lint:allow(float-accum) -- wrong rule named\npub fn",
+    );
+    assert_eq!(rules_hit(LIB, &src), ["socket-deadline"]);
 }
 
 #[test]
 fn suppression_without_reason_is_malformed_and_inert() {
-    let src = "pub fn f(x: Option<u8>) -> u8 {\n    // lint:allow(no-panic)\n    x.unwrap()\n}\n";
-    let ids = rules_hit(LIB, src);
+    let src = BLOCKING_ACCEPT.replace("pub fn", "// lint:allow(socket-deadline)\npub fn");
+    let ids = rules_hit(LIB, &src);
     assert!(ids.contains(&"bad-suppression".to_string()), "{ids:?}");
     assert!(
-        ids.contains(&"no-panic".to_string()),
+        ids.contains(&"socket-deadline".to_string()),
         "malformed must not suppress: {ids:?}"
     );
 }
 
 #[test]
 fn suppression_with_unknown_rule_is_flagged() {
-    let src = "pub fn f() {} // lint:allow(made-up-rule) -- hmm\n";
-    assert_eq!(rules_hit(LIB, src), ["bad-suppression"]);
-}
-
-// ------------------------------------------------------------ baseline
-
-fn diag(rule: &'static str, path: &str, line: usize, snippet: &str) -> Diagnostic {
-    Diagnostic {
-        rule,
-        path: path.to_string(),
-        line,
-        message: String::new(),
-        snippet: snippet.to_string(),
+    // `no-panic` is a rule clippy enforces now; the engine does not
+    // know it, so a leftover suppression naming it is flagged too.
+    for rule in ["made-up-rule", "no-panic"] {
+        let src = format!("pub fn f() {{}} // lint:allow({rule}) -- hmm\n");
+        assert_eq!(rules_hit(LIB, &src), ["bad-suppression"], "{rule}");
     }
-}
-
-#[test]
-fn baseline_round_trips_and_covers() {
-    let d = diag("no-panic", "crates/demo/src/lib.rs", 7, "    x.unwrap()");
-    let b = Baseline::from_diagnostics(std::slice::from_ref(&d));
-    assert_eq!(b.len(), 1);
-    let rendered = b.render();
-    let parsed = Baseline::parse(&rendered).unwrap();
-    assert!(parsed.covers(&d));
-
-    // The key hashes the trimmed line, so the entry survives both a
-    // line move and an indentation change...
-    let moved = diag("no-panic", "crates/demo/src/lib.rs", 99, "  x.unwrap()");
-    assert!(parsed.covers(&moved));
-    // ...but not an edit to the code itself or a different rule.
-    let edited = diag("no-panic", "crates/demo/src/lib.rs", 7, "    y.unwrap()");
-    assert!(!parsed.covers(&edited));
-    let other_rule = diag("no-print", "crates/demo/src/lib.rs", 7, "    x.unwrap()");
-    assert!(!parsed.covers(&other_rule));
-}
-
-#[test]
-fn baseline_parse_accepts_comments_and_rejects_garbage() {
-    let ok = "# a comment\n\nno-panic\tcrates/demo/src/lib.rs\t00c0ffee\n";
-    assert_eq!(Baseline::parse(ok).unwrap().len(), 1);
-    assert!(Baseline::parse("not a baseline line\n").is_err());
-}
-
-#[test]
-fn line_hash_is_stable_and_trims() {
-    assert_eq!(line_hash("  x.unwrap()  "), line_hash("x.unwrap()"));
-    assert_ne!(line_hash("x.unwrap()"), line_hash("y.unwrap()"));
 }
 
 // ----------------------------------------------------------- contexts
 
 #[test]
-fn vendor_code_only_answers_for_unsafe() {
-    let src = "pub fn f(x: Option<u8>) -> u8 { println!(\"{x:?}\"); x.unwrap() }\n";
-    assert!(rules_hit("vendor/rand/src/lib.rs", src).is_empty());
-    let unsafe_src = "pub fn u(p: *const u8) -> u8 { unsafe { *p } }\n";
+fn vendor_code_only_answers_for_suppression_syntax() {
+    assert!(rules_hit("vendor/rand/src/lib.rs", BLOCKING_ACCEPT).is_empty());
+    let bad = "pub fn f() {} // lint:allow(socket-deadline)\n";
     assert_eq!(
-        rules_hit("vendor/rand/src/lib.rs", unsafe_src),
-        ["no-unsafe"]
+        rules_hit("vendor/rand/src/lib.rs", bad),
+        ["bad-suppression"]
     );
 }
 
 #[test]
-fn benches_and_examples_skip_lib_rules() {
-    let src = "fn main() { println!(\"{}\", Some(1u8).unwrap()); }\n";
-    assert!(rules_hit("crates/bench/benches/micro.rs", src).is_empty());
-    assert!(rules_hit("examples/quickstart.rs", src).is_empty());
+fn tests_and_examples_skip_lib_rules() {
+    assert!(rules_hit("crates/demo/tests/it.rs", BLOCKING_ACCEPT).is_empty());
+    assert!(rules_hit("examples/quickstart.rs", BLOCKING_ACCEPT).is_empty());
+}
+
+#[test]
+fn cfg_test_modules_skip_lib_rules() {
+    let lib = "pub fn ok() {}\n\n#[cfg(test)]\nmod tests {\n    \
+               use std::os::unix::net::UnixListener;\n    \
+               fn t(l: &UnixListener) { for _c in l.incoming() {} }\n}\n";
+    assert!(rules_hit(LIB, lib).is_empty());
+    // The test region starts at its `#[cfg(test)]`: code above it is
+    // still checked.
+    let before = format!("{BLOCKING_ACCEPT}\n#[cfg(test)]\nmod tests {{}}\n");
+    assert_eq!(rules_hit(LIB, &before), ["socket-deadline"]);
 }
 
 // ------------------------------------------------------------ layering
 
 fn workspace_rules_hit(sources: &[(&str, &str)], manifests: &[(&str, &str)]) -> Vec<String> {
-    let mut ids: Vec<String> = analyze_sources(sources, manifests, false)
+    let mut ids: Vec<String> = analyze_sources(sources, manifests)
         .into_iter()
         .map(|d| d.rule.to_string())
         .collect();
@@ -308,41 +131,48 @@ fn workspace_rules_hit(sources: &[(&str, &str)], manifests: &[(&str, &str)]) -> 
     ids
 }
 
+/// A workspace-crate manifest that inherits the lint table, followed
+/// by `rest` (dependency sections).
+fn manifest(name: &str, rest: &str) -> String {
+    format!("[package]\nname = \"{name}\"\n\n[lints]\nworkspace = true\n{rest}")
+}
+
 #[test]
 fn layering_fires_on_upward_manifest_dep() {
     // taster-sim (layer 1) must not depend on taster-core (layer 6).
-    let manifests = [(
-        "crates/sim/Cargo.toml",
-        "[package]\nname = \"taster-sim\"\n\n[dependencies]\ntaster-core = { path = \"../core\" }\n",
-    )];
+    let sim = manifest(
+        "taster-sim",
+        "\n[dependencies]\ntaster-core = { path = \"../core\" }\n",
+    );
+    let manifests = [("crates/sim/Cargo.toml", sim.as_str())];
     assert_eq!(workspace_rules_hit(&[], &manifests), ["layering"]);
 }
 
 #[test]
 fn layering_allows_downward_manifest_dep() {
-    let manifests = [(
-        "crates/core/Cargo.toml",
-        "[package]\nname = \"taster-core\"\n\n[dependencies]\ntaster-sim = { path = \"../sim\" }\n",
-    )];
+    let core = manifest(
+        "taster-core",
+        "\n[dependencies]\ntaster-sim = { path = \"../sim\" }\n",
+    );
+    let manifests = [("crates/core/Cargo.toml", core.as_str())];
     assert!(workspace_rules_hit(&[], &manifests).is_empty());
 }
 
 #[test]
 fn layering_exempts_dev_dependencies() {
     // Upward edges in dev-dependencies are test-only and legal.
-    let manifests = [(
-        "crates/sim/Cargo.toml",
-        "[package]\nname = \"taster-sim\"\n\n[dev-dependencies]\ntaster-core = { path = \"../core\" }\n",
-    )];
+    let sim = manifest(
+        "taster-sim",
+        "\n[dev-dependencies]\ntaster-core = { path = \"../core\" }\n",
+    );
+    let manifests = [("crates/sim/Cargo.toml", sim.as_str())];
     assert!(workspace_rules_hit(&[], &manifests).is_empty());
 }
 
 #[test]
 fn layering_fires_on_upward_source_reference() {
-    let manifests = [(
-        "crates/sim/Cargo.toml",
-        "[package]\nname = \"taster-sim\"\n",
-    )];
+    let sim = manifest("taster-sim", "");
+    let manifests = [("crates/sim/Cargo.toml", sim.as_str())];
     let sources = [(
         "crates/sim/src/lib.rs",
         "pub fn go() { taster_core::run(); }\n",
@@ -352,10 +182,8 @@ fn layering_fires_on_upward_source_reference() {
 
 #[test]
 fn layering_allows_downward_source_reference() {
-    let manifests = [(
-        "crates/core/Cargo.toml",
-        "[package]\nname = \"taster-core\"\n",
-    )];
+    let core = manifest("taster-core", "");
+    let manifests = [("crates/core/Cargo.toml", core.as_str())];
     let sources = [(
         "crates/core/src/lib.rs",
         "pub fn go() { taster_sim::run(); }\n",
@@ -365,20 +193,49 @@ fn layering_allows_downward_source_reference() {
 
 #[test]
 fn layering_forbids_vendor_depending_on_workspace() {
-    let manifests = [(
-        "vendor/rand/Cargo.toml",
-        "[package]\nname = \"rand\"\n\n[dependencies]\ntaster-domain = { path = \"../../crates/domain\" }\n",
-    )];
+    let rand = manifest(
+        "rand",
+        "\n[dependencies]\ntaster-domain = { path = \"../../crates/domain\" }\n",
+    );
+    let manifests = [("vendor/rand/Cargo.toml", rand.as_str())];
     assert_eq!(workspace_rules_hit(&[], &manifests), ["layering"]);
 }
 
 #[test]
 fn layering_flags_unlayered_workspace_crate() {
-    let manifests = [(
-        "crates/mystery/Cargo.toml",
-        "[package]\nname = \"taster-mystery\"\n",
-    )];
+    let mystery = manifest("taster-mystery", "");
+    let manifests = [("crates/mystery/Cargo.toml", mystery.as_str())];
     assert_eq!(workspace_rules_hit(&[], &manifests), ["layering"]);
+}
+
+// ----------------------------------------------------- workspace-lints
+
+#[test]
+fn workspace_lints_fires_on_a_crate_without_the_lint_table() {
+    let manifests = [(
+        "crates/sim/Cargo.toml",
+        "[package]\nname = \"taster-sim\"\n\n[dependencies]\nrand.workspace = true\n",
+    )];
+    let diags = analyze_sources(&[], &manifests);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(diags[0].rule, "workspace-lints");
+    assert_eq!(diags[0].path, "crates/sim/Cargo.toml");
+    // Vendored shims answer for it too; either spelling satisfies it.
+    let shim = "[package]\nname = \"rand\"\n";
+    assert_eq!(
+        workspace_rules_hit(&[], &[("vendor/rand/Cargo.toml", shim)]),
+        ["workspace-lints"]
+    );
+    let dotted = "lints.workspace = true\n[package]\nname = \"taster-sim\"\n";
+    let shim = manifest("rand", "");
+    assert!(workspace_rules_hit(
+        &[],
+        &[
+            ("crates/sim/Cargo.toml", dotted),
+            ("vendor/rand/Cargo.toml", &shim)
+        ]
+    )
+    .is_empty());
 }
 
 // --------------------------------------------------- rng-key-collision
@@ -395,7 +252,7 @@ fn rng_key_collision_fires_across_crates() {
             "pub fn b(seed: u64) -> u64 { name_key(\"shared/key\") }\n",
         ),
     ];
-    let diags = analyze_sources(&sources, &[], false);
+    let diags = analyze_sources(&sources, &[]);
     let hits: Vec<_> = diags
         .iter()
         .filter(|d| d.rule == "rng-key-collision")
@@ -409,7 +266,7 @@ fn rng_key_collision_fires_twice_in_one_function() {
         "crates/sim/src/a.rs",
         "pub fn pair(seed: u64) -> (u64, u64) {\n    (name_key(\"dup\"), name_key(\"dup\"))\n}\n",
     )];
-    let diags = analyze_sources(&sources, &[], false);
+    let diags = analyze_sources(&sources, &[]);
     assert_eq!(diags.len(), 1, "{diags:?}");
     assert_eq!(diags[0].rule, "rng-key-collision");
 }
@@ -449,7 +306,7 @@ fn stage_registry_flags_unregistered_stage() {
         "pub const STAGE_KEYS: [&str; 1] = [\"alpha\"];\n\
          pub fn run(obs: &mut Obs) {\n    obs.stage(\"alpha\", 1);\n    obs.time_stage(\"beta\", 2);\n}\n",
     )];
-    let diags = analyze_sources(&sources, &[], false);
+    let diags = analyze_sources(&sources, &[]);
     assert_eq!(diags.len(), 1, "{diags:?}");
     assert!(
         diags[0].message.contains("\"beta\""),
@@ -465,7 +322,7 @@ fn stage_registry_flags_dead_registry_entry() {
         "pub const STAGE_KEYS: [&str; 2] = [\"alpha\", \"ghost\"];\n\
          pub fn run(obs: &mut Obs) {\n    obs.stage(\"alpha\", 1);\n}\n",
     )];
-    let diags = analyze_sources(&sources, &[], false);
+    let diags = analyze_sources(&sources, &[]);
     assert_eq!(diags.len(), 1, "{diags:?}");
     assert!(
         diags[0].message.contains("\"ghost\""),

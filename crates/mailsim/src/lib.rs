@@ -23,8 +23,15 @@
 //! * [`world`] — [`world::MailWorld`]: ground truth plus all derived
 //!   mail-layer streams, the single input the feed layer consumes.
 
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::disallowed_types
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod benign;

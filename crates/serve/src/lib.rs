@@ -18,7 +18,6 @@
 //! * [`loadgen`] — deterministic query storms (`taster loadgen`).
 //! * [`protocol`] / [`error`] — the wire format and typed errors.
 
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 

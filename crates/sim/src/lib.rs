@@ -32,7 +32,6 @@
 //!   deterministic views are bit-identical at any worker count.
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
-#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod fault;

@@ -23,6 +23,11 @@
 //! pipeline), and saturation keeps the merge associative
 //! (`min(a + b, MAX)` composes).
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "the registry timing map is the clock every stage reads; its Stopwatch is the one Instant outside tracing"
+)]
+
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
@@ -349,9 +354,9 @@ impl MetricsRegistry {
     /// Runs `f` and records its wall time under `stage` (best-of
     /// across repeats). Together with [`MetricsRegistry::stopwatch`]
     /// this is the registry's only clock: keeping the `Instant` reads
-    /// here preserves the wall-clock quarantine — the `taster lint`
-    /// wall-clock rule allows `Instant` only in this module, `trace`,
-    /// and `core::profile`.
+    /// here preserves the wall-clock quarantine — `clippy.toml`
+    /// disallows `Instant` everywhere but this module, `trace`, and
+    /// `core::profile`.
     pub fn time_stage<T>(&self, stage: &str, f: impl FnOnce() -> T) -> T {
         let started = std::time::Instant::now();
         let out = f();

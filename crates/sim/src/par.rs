@@ -17,6 +17,11 @@
 //! `TASTER_THREADS` environment variable, then
 //! [`std::thread::available_parallelism`].
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "the one fan-out pool: scoped workers whose results merge in input order"
+)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -148,11 +153,13 @@ impl Parallelism {
 /// results were lost; returning a shortened vector would silently
 /// corrupt the ordered merge, so this is the one place the pool
 /// prefers a loud abort.
-#[allow(clippy::expect_used)]
+#[expect(
+    clippy::expect_used,
+    reason = "scope() propagates worker panics; an empty slot means lost results and must abort rather than silently corrupt the ordered merge"
+)]
 fn take_slot<U>(slot: Mutex<Option<U>>) -> U {
     slot.into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
-        // lint:allow(no-panic) -- scope() propagates worker panics; an empty slot means lost results and must abort rather than silently corrupt the ordered merge
         .expect("worker completed every claimed task")
 }
 

@@ -18,6 +18,11 @@
 //!   is bit-identical at any worker count and is what determinism
 //!   tests snapshot.
 
+#![allow(
+    clippy::disallowed_types,
+    reason = "spans carry wall-clock durations by design; the deterministic view leaves them out"
+)]
+
 use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::Instant;

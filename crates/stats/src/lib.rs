@@ -27,8 +27,15 @@
 //!   shares for the heavy-tail statements the paper makes in prose.
 //! * [`summary`] — means, standard deviations and counting helpers.
 
-#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::disallowed_types,
+        clippy::disallowed_methods
+    )
+)]
 #![warn(missing_docs)]
 
 pub mod bootstrap;

@@ -3,7 +3,12 @@
 //! fallback behaviour, and order-independence of the keyed resample
 //! streams.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::disallowed_types,
+    clippy::disallowed_methods
+)]
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;

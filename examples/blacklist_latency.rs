@@ -11,7 +11,7 @@
 //! cargo run --release --example blacklist_latency [scale]
 //! ```
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_types)]
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use std::collections::HashMap;

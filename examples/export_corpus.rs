@@ -8,7 +8,7 @@
 //! cargo run --release --example export_corpus [scale] [out.mbox]
 //! ```
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_types)]
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use rand::RngExt;

@@ -8,7 +8,7 @@
 //! cargo run --release --example reproduce_paper 1.0 42     # other seed
 //! ```
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_types)]
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use taster::core::{Experiment, Scenario};

@@ -13,6 +13,7 @@
 //! taster loadgen     [--socket P] [--faults STORM] [--out P]  deterministic query storms
 //! taster replicate   [--seeds N] [--resamples N] [--level F]  N-seed replication with CIs
 //! taster ab          --treatment NAME [--baseline NAME]       paired A/B scenario comparison
+//! taster lint        [--self-test] [--graph] [--format json]  workspace invariants clippy cannot check
 //! ```
 //!
 //! `replicate` runs the scenario under N independent derived seeds and
@@ -105,7 +106,7 @@ struct Args {
     section: String,
     format: String,
     threads: Option<usize>,
-    faults: String,
+    faults: Option<String>,
     out: String,
     metrics: bool,
     trace: Option<String>,
@@ -114,10 +115,7 @@ struct Args {
     max_mem_bytes: Option<u64>,
     min_events_per_sec: Option<f64>,
     self_test: bool,
-    strict: bool,
     baseline: Option<String>,
-    write_baseline: bool,
-    prune_baseline: bool,
     graph: bool,
     socket: String,
     checkpoint_dir: Option<String>,
@@ -148,7 +146,7 @@ fn parse_args() -> Result<Args, String> {
         section: "all".to_string(),
         format: "text".to_string(),
         threads: None,
-        faults: "off".to_string(),
+        faults: None,
         out: "BENCH_pipeline.json".to_string(),
         metrics: false,
         trace: None,
@@ -157,10 +155,7 @@ fn parse_args() -> Result<Args, String> {
         max_mem_bytes: None,
         min_events_per_sec: None,
         self_test: false,
-        strict: false,
         baseline: None,
-        write_baseline: false,
-        prune_baseline: false,
         graph: false,
         socket: "taster-serve.sock".to_string(),
         checkpoint_dir: None,
@@ -219,7 +214,7 @@ fn parse_args() -> Result<Args, String> {
                 out.threads = Some(n);
             }
             "--faults" => {
-                out.faults = args.next().ok_or("--faults needs a value")?;
+                out.faults = Some(args.next().ok_or("--faults needs a value")?);
             }
             "--out" => {
                 out.out = args.next().ok_or("--out needs a value")?;
@@ -365,12 +360,9 @@ fn parse_args() -> Result<Args, String> {
             }
             "--metrics" => out.metrics = true,
             "--self-test" => out.self_test = true,
-            "--strict" => out.strict = true,
             "--baseline" => {
-                out.baseline = Some(args.next().ok_or("--baseline needs a path")?);
+                out.baseline = Some(args.next().ok_or("--baseline needs a scenario name")?);
             }
-            "--write-baseline" => out.write_baseline = true,
-            "--prune-baseline" => out.prune_baseline = true,
             "--graph" => out.graph = true,
             "--trace" => {
                 out.trace = Some(args.next().ok_or("--trace needs a path")?);
@@ -408,8 +400,7 @@ fn usage() -> String {
      [--final-report PATH] [--exit-when-done] [--test-hooks]\n       \
      taster loadgen [--socket PATH] [--faults PROFILE] [--rounds N] \
      [--request-timeout-ms MS] [--out PATH]\n       \
-     taster lint [--format json] [--strict] [--self-test] [--graph] [--threads N] \
-     [--baseline PATH] [--write-baseline] [--prune-baseline]"
+     taster lint [--format json] [--self-test] [--graph] [--threads N]"
         .to_string()
 }
 
@@ -429,27 +420,27 @@ fn main() {
         eprintln!("only bench-json accepts a --scale list\n{}", usage());
         std::process::exit(2);
     }
-    let mut scenario = Scenario::default_paper()
-        .with_scale(args.scales[0])
-        .with_seed(args.seed);
-    if let Some(n) = args.threads {
-        scenario = scenario.with_threads(n);
+    // `ab` names its fault profiles as scenarios and `bench-json` times
+    // its own faulted runs, so a `--faults` there would be ignored.
+    if args.faults.is_some() && matches!(args.command.as_str(), "ab" | "bench-json") {
+        eprintln!("{} does not take --faults\n{}", args.command, usage());
+        std::process::exit(2);
     }
-    if let Some(c) = args.chunk {
-        scenario.feeds.chunk_size = c;
-    }
-    if let Some(b) = args.max_mem_bytes {
-        scenario.ecosystem.max_mem_bytes = Some(b);
-    }
-    let Some(profile) = FaultProfile::by_name(&args.faults) else {
+    let faults = args.faults.as_deref().unwrap_or("off");
+    let Some(profile) = FaultProfile::by_name(faults) else {
         eprintln!(
-            "unknown fault profile {}; known: off {}",
-            args.faults,
+            "unknown fault profile {faults}; known: off {}",
             FaultProfile::CANONICAL.join(" ")
         );
         std::process::exit(2);
     };
-    scenario = scenario.with_faults(profile);
+    let scenario = with_flags(
+        Scenario::default_paper()
+            .with_scale(args.scales[0])
+            .with_seed(args.seed),
+        &args,
+    )
+    .with_faults(profile);
 
     match args.command.as_str() {
         "report" => report(&scenario, &args),
@@ -470,8 +461,24 @@ fn main() {
     }
 }
 
-/// `taster lint`: run the workspace determinism/panic-safety static
-/// analysis. Exit codes: 0 clean, 1 findings / stale baseline (or
+/// Applies the flags every world-building command shares
+/// (`--threads`, `--chunk`, `--max-mem-bytes`) to `scenario`.
+fn with_flags(mut scenario: Scenario, args: &Args) -> Scenario {
+    if let Some(n) = args.threads {
+        scenario = scenario.with_threads(n);
+    }
+    if let Some(c) = args.chunk {
+        scenario.feeds.chunk_size = c;
+    }
+    if let Some(b) = args.max_mem_bytes {
+        scenario.ecosystem.max_mem_bytes = Some(b);
+    }
+    scenario
+}
+
+/// `taster lint`: check the workspace invariants clippy cannot express
+/// (layering, workspace-lint inheritance, RNG keys, hash-order
+/// dataflow, socket deadlines). Exit codes: 0 clean, 1 findings (or a
 /// failed self-test), 2 setup problems. `--graph` emits the
 /// item/dependency graph as JSON instead of linting; `--threads` pins
 /// the scan's worker count (output is byte-identical at any count).
@@ -514,88 +521,33 @@ fn lint_cmd(args: &Args) {
         eprintln!("cannot find the workspace root (Cargo.toml + crates/) above {cwd:?}");
         std::process::exit(2);
     };
-    let baseline = args
-        .baseline
-        .clone()
-        .map(std::path::PathBuf::from)
-        .or_else(|| {
-            let default = root.join("lint.baseline");
-            default.is_file().then_some(default)
-        });
     let config = LintConfig {
-        root: root.clone(),
-        strict: args.strict,
-        baseline: if args.write_baseline {
-            None
-        } else {
-            baseline.clone()
-        },
+        root,
         workers: args.threads.unwrap_or(0),
     };
-    if args.graph {
-        match lint::graph_json(&config) {
-            Ok(json) => {
-                print!("{json}");
-                return;
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
+    let rendered = if args.graph {
+        lint::graph_json(&config).map(|json| (json, true))
+    } else {
+        lint::run(&config).map(|report| {
+            let text = if args.format == "json" {
+                report.render_json()
+            } else {
+                report.render_text()
+            };
+            (text, report.is_clean())
+        })
+    };
+    match rendered {
+        Ok((text, clean)) => {
+            print!("{text}");
+            if !clean {
+                std::process::exit(1);
             }
         }
-    }
-    let report = match lint::run(&config) {
-        Ok(r) => r,
         Err(e) => {
             eprintln!("{e}");
             std::process::exit(2);
         }
-    };
-    if args.prune_baseline {
-        let Some(path) = baseline else {
-            eprintln!("--prune-baseline: no baseline file to prune");
-            std::process::exit(2);
-        };
-        match lint::baseline::prune_file(&path, &report.stale_baseline) {
-            Ok(removed) => {
-                eprintln!("pruned {removed} stale entry(ies) from {}", path.display());
-                return;
-            }
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        }
-    }
-    if args.write_baseline {
-        let path = args
-            .baseline
-            .clone()
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(|| root.join("lint.baseline"));
-        let text = lint::baseline::Baseline::from_diagnostics(&report.diagnostics).render();
-        if let Err(e) = std::fs::write(&path, text) {
-            eprintln!("cannot write baseline {}: {e}", path.display());
-            std::process::exit(2);
-        }
-        eprintln!(
-            "wrote {} entry(ies) to {}",
-            report.diagnostics.len(),
-            path.display()
-        );
-        return;
-    }
-    if args.format == "json" {
-        print!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_text());
-    }
-    // Stale baseline entries gate red too: the baseline is a debt
-    // ledger, and entries that match nothing are paid-off debt that
-    // must be pruned (`--prune-baseline`) so it cannot mask a future
-    // regression at the same (rule, path, line-hash).
-    if !report.is_clean() || !report.stale_baseline.is_empty() {
-        std::process::exit(1);
     }
 }
 
@@ -865,18 +817,12 @@ fn bench_json(args: &Args) {
     let reps = 3usize;
     let mut entries: Vec<profile::ScaleBench> = Vec::new();
     for &scale in &args.scales {
-        let mut scenario = Scenario::default_paper()
-            .with_scale(scale)
-            .with_seed(args.seed);
-        if let Some(n) = args.threads {
-            scenario = scenario.with_threads(n);
-        }
-        if let Some(c) = args.chunk {
-            scenario.feeds.chunk_size = c;
-        }
-        if let Some(b) = args.max_mem_bytes {
-            scenario.ecosystem.max_mem_bytes = Some(b);
-        }
+        let scenario = with_flags(
+            Scenario::default_paper()
+                .with_scale(scale)
+                .with_seed(args.seed),
+            args,
+        );
         eprintln!("building world for {}", scenario.name);
         let world = world_or_exit(&scenario);
         let events = world.truth.log.len as u64;
@@ -1132,7 +1078,7 @@ fn replicate_cmd(scenario: &Scenario, args: &Args) {
     let rep = match replicate::replicate(scenario, options) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("replicate failed: {e}");
+            eprintln!("cannot run scenario: {e}");
             std::process::exit(1);
         }
     };
@@ -1153,7 +1099,7 @@ fn replicate_cmd(scenario: &Scenario, args: &Args) {
 fn ab_cmd(args: &Args) {
     let resolve = |label: &str, name: &str| -> Scenario {
         match ab::scenario_by_name(name, args.scales[0], args.seed) {
-            Some(s) => s,
+            Some(s) => with_flags(s, args),
             None => {
                 eprintln!(
                     "unknown {label} scenario {name}; known: {} and batch fault profiles: {}",
@@ -1176,12 +1122,8 @@ fn ab_cmd(args: &Args) {
         eprintln!("ab needs --treatment <scenario>\n{}", usage());
         std::process::exit(2);
     };
-    let mut baseline = resolve("baseline", &baseline_name);
-    let mut treatment = resolve("treatment", &treatment_name);
-    if let Some(n) = args.threads {
-        baseline = baseline.with_threads(n);
-        treatment = treatment.with_threads(n);
-    }
+    let baseline = resolve("baseline", &baseline_name);
+    let treatment = resolve("treatment", &treatment_name);
     let options = replicate::ReplicateOptions {
         seeds: args.seeds,
         resamples: args.resamples,
@@ -1194,7 +1136,7 @@ fn ab_cmd(args: &Args) {
     let cmp = match ab::ab_compare(&baseline, &treatment, options, &taster::sim::Obs::off()) {
         Ok(c) => c,
         Err(e) => {
-            eprintln!("ab failed: {e}");
+            eprintln!("cannot run scenario: {e}");
             std::process::exit(1);
         }
     };

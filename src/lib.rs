@@ -20,7 +20,7 @@
 //! * [`core`] — scenarios, the experiment driver, and report rendering.
 //! * [`serve`] — the `taster serve` daemon: incremental ingestion,
 //!   admission control, checkpoint/resume.
-//! * [`lint`] — the `taster lint` determinism/panic-safety analyzer.
+//! * [`lint`] — the `taster lint` analyzer for the invariants clippy cannot express.
 //!
 //! ## Quick start
 //!

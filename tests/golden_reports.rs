@@ -16,7 +16,7 @@
 //! actual vs. expected, so a drifted table is locatable without a
 //! manual diff.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use taster::core::replicate::ReplicateOptions;
 use taster::core::{ab, degradation, profile, replicate, Experiment, Scenario};

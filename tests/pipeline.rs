@@ -2,7 +2,7 @@
 //! ever see what ground truth emitted, classification must agree with
 //! the crawler, and the analyses must agree with the raw feeds.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_types)]
 
 use std::collections::HashSet;
 use std::sync::OnceLock;

@@ -9,7 +9,7 @@
 //! tests also tear and rot single links, and reuse a directory across
 //! runs of different configurations.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::path::{Path, PathBuf};
 

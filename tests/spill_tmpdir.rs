@@ -4,7 +4,7 @@
 //! their own test binary because the variable holds for the whole
 //! process.
 
-#![allow(clippy::unwrap_used, clippy::expect_used)]
+#![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
@@ -65,11 +65,13 @@ fn every_world_building_command_exits_1_on_a_spill_failure() {
     let base = regular_file(dir, "cli");
     let bench_out = dir.join("spill-tmpdir-bench.json");
     let bench_out = bench_out.to_str().expect("UTF-8 path");
-    let args: [&[&str]; 4] = [
+    let args: [&[&str]; 6] = [
         &["report"],
         &["sweep", "seeding"],
         &["summary"],
         &["bench-json", "--out", bench_out],
+        &["replicate", "--seeds", "2"],
+        &["ab", "--treatment", "lossy-feeds", "--seeds", "2"],
     ];
     let mut outcomes = Vec::new();
     for cmd in args {
