@@ -166,12 +166,6 @@ fn evaluate_feeds(
         .collect())
 }
 
-/// Evaluates one feed as a filter over the whole scenario.
-pub fn evaluate_feed(world: &MailWorld, feed: &Feed) -> Result<BlockingResult, SpillError> {
-    let results = evaluate_feeds(world, &[feed])?;
-    Ok(results[0])
-}
-
 /// Evaluates every feed in a single pass over the event log.
 pub fn blocking_study(
     world: &MailWorld,

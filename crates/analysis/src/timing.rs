@@ -169,41 +169,6 @@ pub fn duration_error_par(
     .collect()
 }
 
-/// Bootstrap confidence intervals on the Fig 9 medians — how stable
-/// are the relative-first-appearance estimates the boxplots summarise?
-/// Deterministic given `seed`.
-pub fn first_appearance_median_ci(
-    feeds: &FeedSet,
-    classified: &Classified,
-    reference: &[FeedId],
-    scored: &[FeedId],
-    resamples: usize,
-    level: f64,
-    seed: u64,
-) -> Vec<(FeedId, taster_stats::bootstrap::ConfidenceInterval)> {
-    let domains = common_tagged_domains(classified, reference);
-    let mut rng = taster_sim::RngStream::new(seed, "analysis/timing-ci");
-    let mut out = Vec::new();
-    for &feed in scored {
-        let mut deltas = Vec::new();
-        for &d in &domains {
-            let start = reference
-                .iter()
-                .filter_map(|&r| feeds.get(r).stats(d))
-                .map(|s| s.first_seen)
-                .min();
-            let (Some(start), Some(own)) = (start, feeds.get(feed).stats(d)) else {
-                continue;
-            };
-            deltas.push(own.first_seen.signed_diff(start) as f64 / DAY as f64);
-        }
-        if let Some(ci) = taster_stats::bootstrap::median_ci(&deltas, resamples, level, &mut rng) {
-            out.push((feed, ci));
-        }
-    }
-    out
-}
-
 /// The paper's Fig 9 feed set: everything except Bot and Hyb.
 pub const FIG9_FEEDS: [FeedId; 8] = [
     FeedId::Ac2,
@@ -322,29 +287,6 @@ mod tests {
                 assert!(b.min >= -1e-9, "{f}: {b:?}");
                 assert!(b.median >= 0.0);
             }
-        }
-    }
-
-    #[test]
-    fn median_cis_bracket_the_point_estimates() {
-        let (feeds, c) = setup();
-        let points = first_appearance(&feeds, &c, &TEST_REF, &TEST_REF);
-        let cis = first_appearance_median_ci(&feeds, &c, &TEST_REF, &TEST_REF, 100, 0.95, 7);
-        assert_eq!(points.len(), cis.len());
-        for ((fp, b), (fc, ci)) in points.iter().zip(&cis) {
-            assert_eq!(fp, fc);
-            assert!(
-                (ci.estimate - b.median).abs() < 1e-9,
-                "{fp}: same point estimate"
-            );
-            assert!(ci.contains(ci.estimate), "{fp}: {ci:?}");
-            assert!(ci.low <= ci.high);
-        }
-        // Deterministic in the seed.
-        let again = first_appearance_median_ci(&feeds, &c, &TEST_REF, &TEST_REF, 100, 0.95, 7);
-        assert_eq!(cis.len(), again.len());
-        for (a, b) in cis.iter().zip(&again) {
-            assert_eq!(a.1, b.1);
         }
     }
 

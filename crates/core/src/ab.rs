@@ -10,7 +10,7 @@
 //! and paired-t / Welch-t p-values — rendered as an experiment table
 //! in the house report style.
 
-use crate::replicate::{replicate_observed, MetricCi, ReplicateOptions, Replication};
+use crate::replicate::{replicate_observed, ReplicateOptions, Replication};
 use crate::report::{fmt_bounds, fmt_opt, fmt_p};
 use crate::scenario::Scenario;
 use std::fmt::Write as _;
@@ -168,12 +168,6 @@ fn paired_rows(base: &Replication, treat: &Replication) -> Vec<AbRow> {
             }
         })
         .collect()
-}
-
-/// Per-metric CI summaries of the two arms (the same view `taster
-/// replicate` renders, for callers that want both marginals).
-pub fn arm_cis(ab: &AbComparison) -> (Vec<MetricCi>, Vec<MetricCi>) {
-    (ab.baseline.metric_cis(), ab.treatment.metric_cis())
 }
 
 /// Relative-effect cell: signed percent with one decimal.

@@ -13,7 +13,7 @@
 use crate::experiment::Experiment;
 use crate::scenario::Scenario;
 use taster_analysis::classify::Category;
-use taster_feeds::FeedId;
+use taster_feeds::{FeedId, PipelineError};
 
 /// Purity deltas with and without the poisoning incident.
 #[derive(Debug, Clone, Copy)]
@@ -29,9 +29,9 @@ pub struct PoisoningAblation {
 }
 
 /// Runs the poisoning ablation.
-pub fn poisoning(base: &Scenario) -> PoisoningAblation {
-    let with = Experiment::run(base);
-    let without = Experiment::run(&base.clone().without_poisoning());
+pub fn poisoning(base: &Scenario) -> Result<PoisoningAblation, PipelineError> {
+    let with = Experiment::try_run(base)?;
+    let without = Experiment::try_run(&base.clone().without_poisoning())?;
     let dns = |e: &Experiment, id: FeedId| {
         e.table2()
             .into_iter()
@@ -39,12 +39,12 @@ pub fn poisoning(base: &Scenario) -> PoisoningAblation {
             .map(|r| r.dns)
             .unwrap_or(0.0)
     };
-    PoisoningAblation {
+    Ok(PoisoningAblation {
         bot_dns_with: dns(&with, FeedId::Bot),
         bot_dns_without: dns(&without, FeedId::Bot),
         mx2_dns_with: dns(&with, FeedId::Mx2),
         mx2_dns_without: dns(&without, FeedId::Mx2),
-    }
+    })
 }
 
 /// Entry counts with and without restricting blacklists to the
@@ -78,17 +78,17 @@ fn dropped((restricted, full): (usize, usize)) -> f64 {
 }
 
 /// Runs the blacklist-restriction ablation.
-pub fn blacklist_restriction(base: &Scenario) -> RestrictionAblation {
-    let restricted = Experiment::run(base);
-    let full = Experiment::run(&base.clone().with_unrestricted_blacklists());
+pub fn blacklist_restriction(base: &Scenario) -> Result<RestrictionAblation, PipelineError> {
+    let restricted = Experiment::try_run(base)?;
+    let full = Experiment::try_run(&base.clone().with_unrestricted_blacklists())?;
     let count = |e: &Experiment, id: FeedId| e.classified.feed(id).all.len();
-    RestrictionAblation {
+    Ok(RestrictionAblation {
         dbl: (count(&restricted, FeedId::Dbl), count(&full, FeedId::Dbl)),
         uribl: (
             count(&restricted, FeedId::Uribl),
             count(&full, FeedId::Uribl),
         ),
-    }
+    })
 }
 
 /// `Hu` volume/coverage with and without the provider filter.
@@ -105,15 +105,15 @@ pub struct FilterAblation {
 }
 
 /// Runs the provider-filter ablation.
-pub fn provider_filter(base: &Scenario) -> FilterAblation {
-    let with = Experiment::run(base);
-    let without = Experiment::run(&base.clone().without_provider_filter());
-    FilterAblation {
+pub fn provider_filter(base: &Scenario) -> Result<FilterAblation, PipelineError> {
+    let with = Experiment::try_run(base)?;
+    let without = Experiment::try_run(&base.clone().without_provider_filter())?;
+    Ok(FilterAblation {
         hu_samples_with: with.feeds.get(FeedId::Hu).samples.unwrap_or(0),
         hu_samples_without: without.feeds.get(FeedId::Hu).samples.unwrap_or(0),
         hu_tagged_with: with.classified.feed(FeedId::Hu).tagged.len(),
         hu_tagged_without: without.classified.feed(FeedId::Hu).tagged.len(),
-    }
+    })
 }
 
 /// Ac2's distance from Ac1 before and after broad re-seeding.
@@ -126,7 +126,7 @@ pub struct SeedingAblation {
 }
 
 /// Runs the Ac2-seeding ablation.
-pub fn ac2_seeding(base: &Scenario) -> SeedingAblation {
+pub fn ac2_seeding(base: &Scenario) -> Result<SeedingAblation, PipelineError> {
     let overlap = |e: &Experiment| {
         let ac1 = e.classified.set(FeedId::Ac1, Category::Tagged);
         let ac2 = e.classified.set(FeedId::Ac2, Category::Tagged);
@@ -136,12 +136,12 @@ pub fn ac2_seeding(base: &Scenario) -> SeedingAblation {
             ac2.intersection_len(ac1) as f64 / ac1.len() as f64
         }
     };
-    let narrow = Experiment::run(base);
-    let broad = Experiment::run(&base.clone().with_broad_ac2_seeding());
-    SeedingAblation {
+    let narrow = Experiment::try_run(base)?;
+    let broad = Experiment::try_run(&base.clone().with_broad_ac2_seeding())?;
+    Ok(SeedingAblation {
         overlap_narrow: overlap(&narrow),
         overlap_broad: overlap(&broad),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -154,7 +154,7 @@ mod tests {
 
     #[test]
     fn poisoning_destroys_purity() {
-        let a = poisoning(&base());
+        let a = poisoning(&base()).unwrap();
         assert!(a.bot_dns_with < a.bot_dns_without - 0.3, "{a:?}");
         assert!(a.mx2_dns_with < a.mx2_dns_without - 0.1, "{a:?}");
         assert!(a.bot_dns_without > 0.9, "{a:?}");
@@ -162,7 +162,7 @@ mod tests {
 
     #[test]
     fn restriction_drops_a_few_percent() {
-        let a = blacklist_restriction(&base());
+        let a = blacklist_restriction(&base()).unwrap();
         assert!(a.dbl.0 <= a.dbl.1);
         assert!(a.uribl.0 <= a.uribl.1);
         assert!(a.dbl_dropped_fraction() < 0.5, "{a:?}");
@@ -171,7 +171,7 @@ mod tests {
 
     #[test]
     fn filter_compresses_volume_not_coverage() {
-        let a = provider_filter(&base());
+        let a = provider_filter(&base()).unwrap();
         assert!(
             a.hu_samples_without > a.hu_samples_with,
             "filter caps report volume: {a:?}"
@@ -182,7 +182,7 @@ mod tests {
 
     #[test]
     fn broad_seeding_pulls_ac2_toward_ac1() {
-        let a = ac2_seeding(&base());
+        let a = ac2_seeding(&base()).unwrap();
         assert!(
             a.overlap_broad > a.overlap_narrow,
             "broader seeding increases Ac1 overlap: {a:?}"

@@ -9,7 +9,6 @@ use taster_analysis::classify::Category;
 use taster_analysis::coverage::{
     coverage_table_par, exclusive_share_par, pairwise_overlap_par, CoverageRow,
 };
-use taster_analysis::degradation::{snapshot, RunSnapshot};
 use taster_analysis::granularity::{granularity_study, GranularityRow};
 use taster_analysis::matrix::OverlapCell;
 use taster_analysis::programs::program_coverage;
@@ -76,6 +75,16 @@ pub fn build_world(scenario: &Scenario, obs: &Obs) -> Result<MailWorld, Pipeline
         let _span = obs.span("generate/mail_world");
         let world = MailWorld::build(truth, scenario.mail.clone())
             .map_err(|e| PipelineError::from_world(e, PipelineError::InvalidScenario))?;
+        // Collection computes captured records without rendering,
+        // which is exact only while every generated domain is its own
+        // registered domain under any renderer subdomain.
+        #[cfg(debug_assertions)]
+        {
+            let extractor = taster_feeds::parse::DomainExtractor::new();
+            let table = &world.truth.universe.table;
+            let bad = table.iter().find(|(_, t)| !extractor.fast_reducible(t));
+            debug_assert!(bad.is_none(), "{bad:?} is not its own registered domain");
+        }
         obs.metrics
             .add("generate/events", world.truth.log.len as u64);
         obs.metrics
@@ -174,17 +183,6 @@ impl Experiment {
             m.add("timing/feeds_examined", examined as u64);
             m.add("timing/series", series as u64);
         });
-    }
-
-    /// Freezes the degradation-relevant metrics of this run (the
-    /// clean-vs-faulted comparison input of `taster degradation`).
-    pub fn degradation_snapshot(&self) -> RunSnapshot {
-        snapshot(
-            &self.feeds,
-            &self.classified,
-            &self.world.provider.oracle,
-            &self.scenario.parallelism,
-        )
     }
 
     /// The plain-text report renderer.

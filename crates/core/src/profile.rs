@@ -52,11 +52,7 @@ pub use taster_sim::metrics::{STAGE_CLASSIFY_FAULTED, STAGE_COLLECT_FAULTED};
 /// and returns the experiment whose [`Experiment::obs`] holds the
 /// complete profile.
 pub fn profile_scenario(scenario: &Scenario) -> Result<Experiment, PipelineError> {
-    let exp = Experiment::try_run_observed(scenario, Obs::on())?;
-    exp.observe_analyses();
-    // Render once so the `render` stage is clocked like every other.
-    std::hint::black_box(exp.render_report().len());
-    Ok(exp)
+    run_end_to_end(scenario, Obs::on()).map(|(exp, _)| exp)
 }
 
 /// The deterministic profile view: the span/event tree (attributes and
@@ -184,25 +180,29 @@ impl EndToEnd {
     }
 }
 
-/// Runs `scenario` once, fully observed (metrics on, trace off), all
-/// the way through report rendering, and accounts every canonical
+/// Runs `scenario` once under `obs` (metrics on) through the analysis
+/// stage groups and one timed render, and accounts every canonical
 /// stage against the total wall clock. The registry stages and the
 /// outer clock measure the same single run, so `untimed` is exactly
 /// the wall time the stage inventory misses.
-pub fn bench_end_to_end(scenario: &Scenario) -> Result<EndToEnd, PipelineError> {
+pub fn run_end_to_end(
+    scenario: &Scenario,
+    obs: Obs,
+) -> Result<(Experiment, EndToEnd), PipelineError> {
     let start = std::time::Instant::now();
-    let exp = Experiment::try_run_observed(scenario, Obs::with(true, false))?;
+    let exp = Experiment::try_run_observed(scenario, obs)?;
     exp.observe_analyses();
     std::hint::black_box(exp.render_report().len());
     let total = start.elapsed().as_secs_f64();
     let g = |key: &str| exp.obs.metrics.timing(key).unwrap_or(0.0);
     let timed: f64 = taster_sim::metrics::STAGE_KEYS.iter().map(|k| g(k)).sum();
-    Ok(EndToEnd {
+    let e2e = EndToEnd {
         generate: g(STAGE_GENERATE),
         render: g(STAGE_RENDER),
         timed,
         total,
-    })
+    };
+    Ok((exp, e2e))
 }
 
 /// Times every pipeline stage at `workers` workers over a pre-built

@@ -580,12 +580,6 @@ impl<'a> Report<'a> {
     /// Fault model: what degradation was injected and what it cost.
     /// Only rendered for faulted runs ([`Experiment::faults`] on);
     /// clean reports stay byte-identical to a fault-free build.
-    pub fn fault_model(&self) -> String {
-        let mut out = String::new();
-        self.write_fault_model(&mut out);
-        out
-    }
-
     fn write_fault_model(&self, out: &mut String) {
         let plan = &self.experiment.faults;
         let profile = plan.profile();

@@ -6,7 +6,7 @@
 //!
 //! Given a set of domains collected by the feeds, the crawler:
 //!
-//! 1. checks **DNS registration** against the zone-file oracle
+//! 1. checks **DNS registration** against the registration oracle
 //!    (Table 2's "DNS" column),
 //! 2. issues **HTTP fetches**, following redirect chains through
 //!    landing domains to the final storefront (Table 2's "HTTP"),
@@ -36,9 +36,7 @@ pub mod crawl;
 pub mod oracle;
 pub mod page;
 pub mod tagger;
-pub mod zonefile;
 
 pub use crawl::{CrawlReport, CrawlResult, Crawler, Disposition, Tag};
 pub use oracle::{DnsOracle, HttpOracle, ListMembership};
 pub use tagger::SignatureSet;
-pub use zonefile::{ZoneFiles, ZoneRegistry};

@@ -2,55 +2,33 @@
 //!
 //! These are the simulation's interfaces to "the rest of the
 //! Internet". Each is a deterministic view over ground truth, shaped
-//! like the real resource it stands in for: the DNS oracle is a set of
-//! zone files bracketing the measurement period, the HTTP oracle
-//! resolves redirect chains to a terminal response, and the list
-//! oracle answers Alexa-rank / ODP-listing queries.
+//! like the real resource it stands in for: the DNS oracle answers
+//! registration queries, the HTTP oracle resolves redirect chains to a
+//! terminal response, and the list oracle answers Alexa-rank /
+//! ODP-listing queries.
 
 use taster_domain::DomainId;
-use taster_ecosystem::domains::DomainKind;
 use taster_ecosystem::GroundTruth;
 
-/// Zone-file registration oracle.
+/// DNS registration oracle.
 ///
 /// The paper checked the com/net/org/biz/us/aero/info zone files from
-/// 16 months before to 16 months after the window. The oracle can
-/// answer either from ground truth directly or from a parsed
-/// [`crate::zonefile::ZoneRegistry`] — the two must agree, and a test
-/// asserts they do.
-#[derive(Debug, Clone)]
+/// 16 months before to 16 months after the window; the oracle answers
+/// the same question from the ground-truth registration bit.
+#[derive(Debug, Clone, Copy)]
 pub struct DnsOracle<'a> {
     truth: &'a GroundTruth,
-    registry: Option<crate::zonefile::ZoneRegistry>,
 }
 
 impl<'a> DnsOracle<'a> {
-    /// Builds the oracle over the generated world (ground-truth bits).
+    /// Builds the oracle over the generated world.
     pub fn new(truth: &'a GroundTruth) -> Self {
-        DnsOracle {
-            truth,
-            registry: None,
-        }
+        DnsOracle { truth }
     }
 
-    /// Builds the oracle from generated-and-reparsed zone files — the
-    /// full artifact path a real study walks.
-    pub fn from_zone_files(
-        truth: &'a GroundTruth,
-    ) -> Result<Self, crate::zonefile::ZoneParseError> {
-        let registry = crate::zonefile::ZoneFiles::generate(truth).parse_all()?;
-        Ok(DnsOracle {
-            truth,
-            registry: Some(registry),
-        })
-    }
-
-    /// Whether `domain` appears in the zone files.
+    /// Whether `domain` was registered during the measurement period.
     pub fn registered(&self, domain: DomainId) -> bool {
-        match &self.registry {
-            Some(reg) => reg.contains(self.truth.universe.table.text(domain)),
-            None => self.truth.universe.record(domain).registered,
-        }
+        self.truth.universe.record(domain).registered
     }
 }
 
@@ -137,13 +115,6 @@ impl<'a> ListMembership<'a> {
     /// Whether the domain is on either list.
     pub fn benign_listed(&self, domain: DomainId) -> bool {
         self.alexa_rank(domain).is_some() || self.odp_listed(domain)
-    }
-
-    /// Whether ground truth says this is a benign-population domain
-    /// (used by tests; the analyses use only list membership, like the
-    /// paper).
-    pub fn is_benign_population(&self, domain: DomainId) -> bool {
-        matches!(self.truth.universe.record(domain).kind, DomainKind::Benign)
     }
 }
 

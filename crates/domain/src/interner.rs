@@ -5,7 +5,6 @@
 //! dense `u32` ids turns those into bit-set and vector operations.
 
 use crate::fx::FxHashMap;
-use crate::psl::RegisteredDomain;
 
 /// Backwards-compatible name for [`crate::bitset::DomainBitset`],
 /// which used to live in this module.
@@ -38,11 +37,6 @@ impl DomainTable {
         Self::default()
     }
 
-    /// Interns a registered domain, returning its id (existing or new).
-    pub fn intern(&mut self, domain: &RegisteredDomain) -> DomainId {
-        self.intern_str(domain.as_str())
-    }
-
     /// Interns raw registered-domain text.
     ///
     /// The caller is responsible for the text already being a
@@ -73,11 +67,6 @@ impl DomainTable {
     /// Resolves an id back to its text. Panics on a foreign id.
     pub fn text(&self, id: DomainId) -> &str {
         &self.by_id[id.index()]
-    }
-
-    /// Resolves an id if it belongs to this table.
-    pub fn try_text(&self, id: DomainId) -> Option<&str> {
-        self.by_id.get(id.index()).map(|s| s.as_str())
     }
 
     /// Number of interned domains.

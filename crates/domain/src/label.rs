@@ -60,11 +60,6 @@ pub fn validate_label(label: &str) -> Result<(), LabelError> {
     Ok(())
 }
 
-/// Returns `true` when `b` may appear in a (lowercased) label.
-pub fn is_label_byte(b: u8) -> bool {
-    b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-'
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -89,11 +89,6 @@ impl TargetingMix {
             TargetClass::Social
         }
     }
-
-    /// The brute-force share of this mix.
-    pub fn brute_share(&self) -> f64 {
-        self.brute
-    }
 }
 
 /// Picks a uniformly random set bit of `mask` (mask must be non-zero).

@@ -18,7 +18,7 @@
 use crate::config::EcosystemConfig;
 use crate::ids::{AffiliateId, ProgramId};
 use rand::{Rng, RngExt};
-use taster_domain::gen::{pick_tld, BrandableGen, DgaGen, BENIGN_TLD_POOL, SPAM_TLD_POOL};
+use taster_domain::gen::{BrandableGen, DgaGen, BENIGN_TLD_POOL, SPAM_TLD_POOL};
 use taster_domain::{DomainId, DomainTable};
 use taster_stats::sample::Zipf;
 
@@ -358,11 +358,6 @@ fn intern_fresh<F: FnMut(&mut String)>(
     {
         panic!("domain namespace exhausted: 1000 consecutive collisions");
     }
-}
-
-/// Picks a TLD for tests and helpers (re-exported convenience).
-pub fn spam_tld<R: Rng>(rng: &mut R) -> &'static str {
-    pick_tld(rng, SPAM_TLD_POOL)
 }
 
 #[cfg(test)]

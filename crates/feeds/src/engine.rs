@@ -19,16 +19,15 @@
 //!   *bit-identical at any chunk size and worker count*.
 //! * **Shard-and-merge parallelism.** Shard feeds merge with
 //!   [`Feed::merge`], which is commutative and associative.
-//! * **Render-free fast path.** A rendered body only ever contributes
-//!   the advertised and chaff registered domains back to a feed; when
-//!   both domain texts provably survive the host→registered-domain
-//!   reduction unchanged ([`DomainExtractor::fast_reducible`]), the
+//! * **Render-free records.** A rendered body only ever contributes
+//!   the advertised and chaff registered domains back to a feed, and
+//!   every generated domain is its own registered domain under any
+//!   renderer subdomain ([`DomainExtractor::fast_reducible`]). So the
 //!   kernel replays just the renderer's URL-subdomain draws
-//!   ([`replay_spam_url_hosts`]) and computes the record list and
-//!   FQDN hashes directly — no body, no URL scan. Events that need
-//!   real text (truncation faults, non-reducible domains) fall back to
-//!   a full render; either way every member sees the same copy, drawn
-//!   from the same per-event render stream.
+//!   ([`replay_spam_url_hosts`]) and computes the record list and FQDN
+//!   hashes directly. Only a truncation fault renders the body; either
+//!   way every member sees the same copy, drawn from the same per-event
+//!   render stream.
 //!
 //! The non-event sources (benign pollution, Hyb's report sample and
 //! web-spam corpus) are pre-decided here as [`SourceRecord`]s, which
@@ -121,19 +120,14 @@ pub(crate) struct RunCtx<'w> {
     render_key: u64,
     monitored: Vec<bool>,
     extractor: DomainExtractor,
-    /// Per-domain: does the render-free fast path apply? Indexed by
-    /// dense [`DomainId`].
-    fast_ok: &'w [bool],
 }
 
 impl<'w> RunCtx<'w> {
-    /// Builds the shared per-run context over `fast_ok`, the table
-    /// [`compute_fast_ok`] built once for the run.
+    /// Builds the shared per-run context.
     pub(crate) fn build(
         world: &'w MailWorld,
         members: &'w [MemberSpec],
         plan: &'w FaultPlan,
-        fast_ok: &'w [bool],
     ) -> RunCtx<'w> {
         let truth = &world.truth;
         RunCtx {
@@ -155,35 +149,8 @@ impl<'w> RunCtx<'w> {
             render_key: name_key(RENDER_STREAM),
             monitored: truth.botnets.iter().map(|b| b.monitored).collect(),
             extractor: DomainExtractor::new(),
-            fast_ok,
         }
     }
-}
-
-/// Per-domain eligibility of the render-free fast path, indexed by
-/// dense [`DomainId`]. Pure in the world: compute once, reuse freely.
-pub(crate) fn compute_fast_ok(world: &MailWorld) -> Vec<bool> {
-    let table = &world.truth.universe.table;
-    let extractor = DomainExtractor::new();
-    (0..table.len() as u32)
-        .map(|raw| {
-            let ok = extractor.fast_reducible(table.text(DomainId(raw)));
-            #[cfg(debug_assertions)]
-            if ok {
-                // The claim behind `ok`: every renderer prefix reduces
-                // back to exactly this text.
-                let text = table.text(DomainId(raw));
-                for sub in SUBDOMAINS {
-                    let host = format!("{sub}{text}");
-                    debug_assert!(
-                        taster_domain::DomainName::parse(&host).is_ok_and(|n| n.as_str() == host),
-                        "prefixed host {host} does not round-trip"
-                    );
-                }
-            }
-            ok
-        })
-        .collect()
 }
 
 /// Shard-local observability accumulator: plain integers on the hot
@@ -277,10 +244,8 @@ pub(crate) fn shard_ranges(rows: Range<usize>, parts: usize) -> Vec<Range<usize>
         .collect()
 }
 
-/// An MX sink stores the message body minus its terminating newline
-/// (the SMTP DATA state machine re-joins the dot-unstuffed lines; no
-/// rendered body line ever starts with `.`), so that is the payload a
-/// real MX collector parses.
+/// An MX honeypot stores each message body without its terminating
+/// newline, so that is the payload its collector parses.
 fn mx_stored(body: &str) -> &str {
     debug_assert!(body.ends_with('\n'));
     &body[..body.len().saturating_sub(1)]
@@ -300,8 +265,6 @@ pub(crate) fn run_rows(
 
     // Buffers reused across every row in the shard.
     let mut body = String::with_capacity(512);
-    let mut extracted: Vec<(DomainId, u64)> = Vec::new();
-    let mut extracted_mx: Vec<(DomainId, u64)> = Vec::new();
     let mut truncated_scratch: Vec<(DomainId, u64)> = Vec::new();
     let mut fast_records: Vec<(DomainId, u64)> = Vec::new();
 
@@ -316,13 +279,9 @@ pub(crate) fn run_rows(
         let campaign = &truth.campaigns[buf.campaign[r] as usize];
 
         let chaff_distinct = chaff.is_some_and(|c| c != advertised);
-        let fast_eligible =
-            ctx.fast_ok[advertised.index()] && chaff.is_none_or(|c| ctx.fast_ok[c.index()]);
         // Per-event lazily-derived state, shared across members.
         let mut render_counted = false;
         let mut body_ready = false;
-        let mut extracted_ready = false;
-        let mut extracted_mx_ready = false;
         let mut fast_ready = false;
 
         for (m, member) in ctx.members.iter().enumerate() {
@@ -402,21 +361,40 @@ pub(crate) fn run_rows(
                 1
             };
 
-            // First capturing member "renders" the event — on the fast
-            // path no text is produced, but the counter keeps the old
-            // meaning: events whose content was materialised for at
-            // least one member.
+            // `collect/renders` counts events whose content reached at
+            // least one member, though text is only produced for a
+            // truncated copy.
             if shard_obs.on && !render_counted {
                 shard_obs.renders += 1;
             }
             render_counted = true;
 
             // The record list this member parses out of the copy. Its
-            // content is a pure function of (seed, event, fault), so
-            // the fast and slow paths agree bit-for-bit whenever the
-            // fast path is eligible (asserted in debug builds).
-            let is_mx = matches!(member, MemberSpec::Mx { .. });
-            let records: &[(DomainId, u64)] = if fast_eligible && fault != RecordFault::Truncate {
+            // content is a pure function of (seed, event, fault): the
+            // replayed records equal a real render's extraction
+            // (asserted in debug builds), and only a truncated copy
+            // is rendered and parsed.
+            let records: &[(DomainId, u64)] = if fault == RecordFault::Truncate {
+                if !body_ready {
+                    let mut render_rng = RngStream::child_keyed(ctx.seed, ctx.render_key, i);
+                    render_spam_into(&mut body, truth, advertised, chaff, time, &mut render_rng);
+                    body_ready = true;
+                }
+                // Parse the surviving half of the payload this
+                // member's collector stored.
+                let payload = if matches!(member, MemberSpec::Mx { .. }) {
+                    mx_stored(&body)
+                } else {
+                    &body
+                };
+                truncated_scratch.clear();
+                ctx.extractor.registered_domains_into(
+                    truncate_payload(payload),
+                    &truth.universe.table,
+                    &mut truncated_scratch,
+                );
+                &truncated_scratch
+            } else {
                 if !fast_ready {
                     let mut render_rng = RngStream::child_keyed(ctx.seed, ctx.render_key, i);
                     let (adv_sub, chaff_sub) =
@@ -437,8 +415,9 @@ pub(crate) fn run_rows(
                     fast_ready = true;
                     #[cfg(debug_assertions)]
                     {
-                        // Cross-check the fast path against a real
-                        // render + extraction, for both payload forms.
+                        // The reference check: the replayed records
+                        // equal a real render + extraction, for both
+                        // payload forms.
                         let mut dbg_body = String::new();
                         let mut dbg_rng = RngStream::child_keyed(ctx.seed, ctx.render_key, i);
                         render_spam_into(
@@ -455,59 +434,23 @@ pub(crate) fn run_rows(
                             &truth.universe.table,
                             &mut dbg_records,
                         );
-                        debug_assert_eq!(dbg_records, fast_records, "fast path vs full body");
+                        debug_assert_eq!(
+                            dbg_records, fast_records,
+                            "replayed records vs full body"
+                        );
                         dbg_records.clear();
                         ctx.extractor.registered_domains_into(
                             mx_stored(&dbg_body),
                             &truth.universe.table,
                             &mut dbg_records,
                         );
-                        debug_assert_eq!(dbg_records, fast_records, "fast path vs MX payload");
+                        debug_assert_eq!(
+                            dbg_records, fast_records,
+                            "replayed records vs MX payload"
+                        );
                     }
                 }
                 &fast_records
-            } else {
-                if !body_ready {
-                    let mut render_rng = RngStream::child_keyed(ctx.seed, ctx.render_key, i);
-                    render_spam_into(&mut body, truth, advertised, chaff, time, &mut render_rng);
-                    body_ready = true;
-                    extracted_ready = false;
-                    extracted_mx_ready = false;
-                }
-                if fault == RecordFault::Truncate {
-                    // Parse the surviving half of the payload this
-                    // member's collector stored.
-                    let payload = if is_mx { mx_stored(&body) } else { &body };
-                    truncated_scratch.clear();
-                    ctx.extractor.registered_domains_into(
-                        truncate_payload(payload),
-                        &truth.universe.table,
-                        &mut truncated_scratch,
-                    );
-                    &truncated_scratch
-                } else if is_mx {
-                    if !extracted_mx_ready {
-                        extracted_mx.clear();
-                        ctx.extractor.registered_domains_into(
-                            mx_stored(&body),
-                            &truth.universe.table,
-                            &mut extracted_mx,
-                        );
-                        extracted_mx_ready = true;
-                    }
-                    &extracted_mx
-                } else {
-                    if !extracted_ready {
-                        extracted.clear();
-                        ctx.extractor.registered_domains_into(
-                            &body,
-                            &truth.universe.table,
-                            &mut extracted,
-                        );
-                        extracted_ready = true;
-                    }
-                    &extracted
-                }
             };
 
             let feed = &mut feeds[m];

@@ -38,8 +38,8 @@ use crate::collectors::blacklist::blacklist_source_records;
 use crate::collectors::hu::hu_source_records;
 use crate::config::{FeedsConfig, DEFAULT_CHUNK_SIZE};
 use crate::engine::{
-    apply_source_record, compute_fast_ok, member_source_records, run_rows, shard_ranges,
-    MemberSpec, RunCtx, ShardObs, SourceRecord,
+    apply_source_record, member_source_records, run_rows, shard_ranges, MemberSpec, RunCtx,
+    ShardObs, SourceRecord,
 };
 use crate::error::PipelineError;
 use crate::feed::{Feed, FeedSet};
@@ -66,9 +66,6 @@ struct SourceStream {
 /// the state and the world side by side.
 pub struct IngestState {
     members: Vec<MemberSpec>,
-    /// Per-domain eligibility of the render-free fast path, computed
-    /// once and borrowed by every advance.
-    fast_ok: Vec<bool>,
     /// Most rows one out-of-core visit decodes.
     chunk_size: usize,
     /// The last sealed epoch, outage gaps attached. Readers share it.
@@ -166,7 +163,6 @@ impl IngestState {
             delta: empty_feeds(&members),
             sealed: Arc::new(FeedSet::new(base)),
             members,
-            fast_ok: compute_fast_ok(world),
             chunk_size: chunk_size.max(1),
             rows_done: 0,
             total_rows: world.truth.log.len,
@@ -310,7 +306,7 @@ impl IngestState {
         }
         let start = self.rows_done;
         let metrics_on = obs.metrics.is_on();
-        let ctx = RunCtx::build(world, &self.members, plan, &self.fast_ok);
+        let ctx = RunCtx::build(world, &self.members, plan);
         // Every row carries its global sorted index, so each keyed
         // decision is the same however the rows split into visits and
         // shards.

@@ -84,11 +84,13 @@ impl DomainExtractor {
 
 impl DomainExtractor {
     /// True when `text` round-trips host parsing unchanged and is its
-    /// own registered domain. This is the precondition for the
-    /// render-free fast path: prefixing any of the renderer's
-    /// subdomain labels then reduces `prefix ++ text` back to exactly
-    /// `text` (suffix matching is right-anchored, and a generated
-    /// label cannot extend a public-suffix rule leftwards).
+    /// own registered domain. Every generated domain satisfies this
+    /// (the world builder asserts it in debug builds), and the
+    /// collection kernel's render-free records rest on it: prefixing
+    /// any of the renderer's subdomain labels then reduces
+    /// `prefix ++ text` back to exactly `text` (suffix matching is
+    /// right-anchored, and a generated label cannot extend a
+    /// public-suffix rule leftwards).
     pub fn fast_reducible(&self, text: &str) -> bool {
         let Ok(name) = taster_domain::DomainName::parse(text) else {
             return false;

@@ -93,21 +93,6 @@ impl ItemTree {
         best
     }
 
-    /// All `use` items in the tree (including nested ones), flattened.
-    pub fn use_items(&self) -> Vec<&Item> {
-        fn walk<'a>(items: &'a [Item], out: &mut Vec<&'a Item>) {
-            for item in items {
-                if item.kind == ItemKind::Use {
-                    out.push(item);
-                }
-                walk(&item.children, out);
-            }
-        }
-        let mut out = Vec::new();
-        walk(&self.items, &mut out);
-        out
-    }
-
     /// All string-valued `const`/`static` items, flattened, as
     /// `(name, value)` pairs in source order.
     pub fn str_consts(&self) -> Vec<(&str, &str)> {

@@ -18,8 +18,6 @@
 //!   recipient domains landing in MX honeypots (doppelganger traffic,
 //!   §3.3), dummy sign-up addresses, and user-reported legitimate
 //!   newsletters.
-//! * [`mbox`] — RFC 4155 corpus serialization (mboxrd quoting), so
-//!   simulated feeds can be exported like the static corpora of §2.
 //! * [`world`] — [`world::MailWorld`]: ground truth plus all derived
 //!   mail-layer streams, the single input the feed layer consumes.
 
@@ -36,7 +34,6 @@
 
 pub mod benign;
 pub mod config;
-pub mod mbox;
 pub mod provider;
 pub mod render;
 pub mod world;

@@ -32,7 +32,7 @@ const SUBJECTS_OTHER: &[&str] = &[
     "Final notice regarding your account",
 ];
 /// Subdomain prefixes URL rendering draws from (public so the
-/// collectors' render-free fast path can reconstruct hostnames).
+/// collectors' render-free records can reconstruct hostnames).
 pub const SUBDOMAINS: &[&str] = &["", "www.", "shop.", "secure.", "m.", "go."];
 const PATHS: &[&str] = &["/", "/index.html", "/buy", "/sale?id=", "/r/", "/track?c="];
 
@@ -343,7 +343,7 @@ mod tests {
 
     #[test]
     fn replay_pins_full_render_hosts() {
-        // The render-free fast path must reconstruct exactly the URL
+        // The collectors' render-free records must reconstruct exactly the URL
         // hosts a full render would put in the body, from the same
         // per-event stream.
         let truth = world();

@@ -5,7 +5,7 @@
 //!
 //! Reproducibility is a core requirement of a measurement-replication
 //! toolkit: every experiment must be a pure function of its scenario
-//! and seed. This crate supplies the three primitives that make that
+//! and seed. This crate supplies the primitives that make that
 //! possible:
 //!
 //! * [`time`] — [`time::SimTime`] (seconds since scenario epoch) and
@@ -15,9 +15,6 @@
 //!   master seed ([`rng::RngStream`]). Streams are keyed by string so
 //!   adding a collector or analysis never perturbs the draws consumed
 //!   by ground-truth generation.
-//! * [`queue`] — a stable event queue ([`queue::EventQueue`]) ordering
-//!   events by `(time, insertion sequence)` so simultaneous events pop
-//!   in a deterministic order.
 //! * [`par`] — deterministic fan-out over scoped threads
 //!   ([`par::Parallelism`]): ordered result merge plus per-task RNG
 //!   streams keep parallel runs bit-identical to serial ones.
@@ -38,7 +35,6 @@ pub mod fault;
 pub mod metrics;
 pub mod obs;
 pub mod par;
-pub mod queue;
 pub mod rng;
 pub mod time;
 pub mod trace;
@@ -47,7 +43,6 @@ pub use fault::{FaultPlan, FaultProfile, Outage, RecordFault};
 pub use metrics::{Histogram, MetricsRegistry, MetricsShard};
 pub use obs::Obs;
 pub use par::Parallelism;
-pub use queue::EventQueue;
 pub use rng::RngStream;
 pub use time::{SimTime, TimeWindow, DAY, HOUR, MINUTE};
 pub use trace::{SpanTiming, Tracer};

@@ -46,11 +46,6 @@ impl SimTime {
         self.0 as f64 / DAY as f64
     }
 
-    /// Fractional hours since epoch.
-    pub fn hours_f64(self) -> f64 {
-        self.0 as f64 / HOUR as f64
-    }
-
     /// Second-of-day in `0..86_400`.
     pub fn second_of_day(self) -> u64 {
         self.0 % DAY

@@ -19,7 +19,6 @@
 //! * [`sample`] — Zipf, bounded-Pareto and log-normal samplers used to
 //!   shape campaign volumes, affiliate revenue and benign-domain
 //!   popularity.
-//! * [`bootstrap`] — seeded bootstrap confidence intervals.
 //! * [`infer`] — replication inference: Welch/Z/paired t-tests and
 //!   keyed percentile+BCa bootstrap CIs over [`infer::MetricSamples`]
 //!   tables.
@@ -38,7 +37,6 @@
 )]
 #![warn(missing_docs)]
 
-pub mod bootstrap;
 pub mod concentration;
 pub mod empirical;
 pub mod infer;

@@ -100,11 +100,6 @@ impl BoundedPareto {
         let x = self.min / (1.0 - u * (1.0 - ha)).powf(1.0 / self.alpha);
         x.clamp(self.min, self.max)
     }
-
-    /// Draws a value rounded to u64 (volumes are message counts).
-    pub fn sample_count<R: Rng>(&self, rng: &mut R) -> u64 {
-        self.sample(rng).round() as u64
-    }
 }
 
 /// Log-normal distribution: `exp(μ + σZ)` with `Z ~ N(0,1)`.

@@ -2,111 +2,207 @@
 //! toolkit.
 //!
 //! ```text
-//! taster report      [--scale S] [--seed N] [--section NAME]  regenerate tables/figures
-//! taster ablate      [--scale S] [--seed N]                   run the four ablation studies
-//! taster sweep       <seeding|mx-size> [--scale S] [--seed N] parameter sweeps
-//! taster summary     [--scale S] [--seed N]                   world statistics only
-//! taster degradation [--scale S] [--seed N]                   canonical fault-profile sweep
-//! taster bench-json  [--scale S] [--seed N] [--out PATH]      pipeline scaling benchmark
-//! taster profile     [--scale S] [--seed N] [--out PATH]      per-stage observability profile
-//! taster serve       [--socket P] [--checkpoint-dir D]        guarded streaming daemon
-//! taster loadgen     [--socket P] [--faults STORM] [--out P]  deterministic query storms
-//! taster replicate   [--seeds N] [--resamples N] [--level F]  N-seed replication with CIs
-//! taster ab          --treatment NAME [--baseline NAME]       paired A/B scenario comparison
-//! taster lint        [--self-test] [--graph] [--format json]  workspace invariants clippy cannot check
+//! taster report                    regenerate tables/figures
+//! taster ablate                    run the four ablation studies
+//! taster sweep <seeding|mx-size>   parameter sweeps
+//! taster summary                   world statistics only
+//! taster degradation               canonical fault-profile sweep
+//! taster bench-json                pipeline scaling benchmark
+//! taster profile                   per-stage observability profile
+//! taster serve                     guarded streaming daemon
+//! taster loadgen                   deterministic query storms
+//! taster replicate                 N-seed replication with CIs
+//! taster ab --treatment NAME       paired A/B scenario comparison
+//! taster lint                      workspace invariants clippy cannot check
 //! ```
 //!
-//! `replicate` runs the scenario under N independent derived seeds and
-//! prints every headline metric with percentile + BCa bootstrap
-//! confidence intervals; `--format json` emits the same numbers as a
-//! machine-readable document. `ab` replicates a baseline and a
-//! treatment scenario over the *same* derived seeds (named scenarios:
-//! `paper`, the presets, the ablations, or any batch fault profile)
-//! and prints per-metric effect sizes, CIs on the paired difference,
-//! and paired/Welch p-values. Both commands are bit-identical at any
-//! `--threads` count: replicate seeds depend only on `(master seed,
-//! index)` and bootstrap resampling is keyed by `(seed, metric,
-//! resample index)`.
-//!
-//! Sections for `report`: `table1 table2 table3 fig1 … fig12 selection all`
-//! (default `all`).
-//!
-//! `report` also accepts `--faults <profile>` to run under a named
-//! fault-injection profile (`off clean flaky-crawler feed-outage
-//! lossy-feeds delayed-blacklists blackout`); the default `off` leaves
-//! every byte of output identical to a fault-free build. Faulted runs
-//! prepend a "Fault model" section and stay bit-identical at any
-//! `--threads` count. `degradation` sweeps all canonical profiles and
-//! prints per-feed metric deltas against the clean run.
-//!
-//! Every command accepts `--threads N` to pin the worker count of the
-//! parallel stages (feed collection, crawling, pairwise analyses).
-//! Without the flag the `TASTER_THREADS` environment variable is
-//! consulted, then the number of available cores. The thread count
-//! never changes any output — every parallel stage is bit-identical
-//! to a serial run — only how long the run takes.
-//!
-//! `bench-json` times feed collection, crawl/classification, and each
-//! analysis stage (coverage, purity, proportionality, timing) at 1,
-//! 2, 4 and 8 workers per `--scale` value (comma-separated list
-//! accepted, e.g. `--scale 0.1,1.0`) and writes the timings (plus
-//! speedups relative to one worker) as JSON, by default to
-//! `BENCH_pipeline.json`. Each scale entry records the event count,
-//! the streaming chunk size, a peak-buffer memory estimate, and
-//! per-run collect throughput in events/sec;
-//! `--min-events-per-sec R` turns the best throughput into a CI
-//! floor (exit 1 below it). Every number is read back from the
-//! observability layer's metrics registry — the same clock `taster
-//! profile` prints — so the bench and the profile can never disagree
-//! about a stage.
-//!
-//! `--chunk N` caps the event rows one out-of-core read of the
-//! collection driver decodes (default 65 536), for `report` and
-//! `serve` alike; in core the resident log is read in place. Chunk
-//! size never changes any output byte — only peak memory and locality.
-//!
-//! Usage errors exit 2. A scenario that cannot run — an invalid
+//! Each command accepts exactly the flags its code reads: one row of
+//! the `COMMANDS` table per command. Any other flag, a bad value, a
+//! `--format` outside the row, or a missing or unknown operand exits 2
+//! with that command's usage line, rendered from the same row, before
+//! any world is built. A scenario that cannot run — an invalid
 //! configuration, or an event spill that cannot be created or read —
 //! exits 1 with `cannot run scenario: …` from every command that
 //! builds a world.
 //!
-//! Observability flags:
+//! Sections for `report`: `table1 table2 table3 fig1 … fig12 selection
+//! blocking campaigns granularity concentration all` (default `all`).
 //!
-//! * `--metrics` (`report`, `profile`) appends a deterministic
-//!   "Pipeline metrics" section — counters and histograms, sorted,
-//!   wall times excluded — to the report. Bit-identical at any
-//!   `--threads` count.
-//! * `--trace PATH` (`report`, `profile`) writes the span/event log
-//!   as JSON lines. Spans carry wall-clock nanoseconds, so the file
-//!   differs run to run by design; everything else in it is
-//!   deterministic.
-//! * `taster profile` runs one fully-observed experiment and prints
-//!   the deterministic span tree + metrics followed by a per-stage
-//!   self-time table, then writes `BENCH_pipeline.json`-compatible
-//!   stage timings to `--out`. `--overhead-gate FRAC` additionally
-//!   measures instrumented vs. uninstrumented collection and exits
-//!   non-zero when the metrics overhead exceeds `FRAC` (the CI gate).
+//! `--faults <profile>` runs under a named fault-injection profile
+//! (`off clean flaky-crawler feed-outage lossy-feeds delayed-blacklists
+//! blackout`, plus the serve-only storms for `loadgen`); the default
+//! `off` leaves every byte of output identical to a fault-free build.
+//! Faulted reports prepend a "Fault model" section. `degradation`
+//! sweeps the canonical profiles itself; `ab` names them as scenarios.
 //!
-//! With `--metrics` and `--trace` both absent, every command's output
-//! is byte-identical to a build without the observability layer.
+//! `--threads`, `--chunk` and `--max-mem-bytes` change speed and peak
+//! memory, never an output byte. `--threads N` (else `TASTER_THREADS`,
+//! else the available cores) sets the workers of the parallel stages;
+//! `sweep` and `summary` run serially. `--chunk N` caps the rows one
+//! out-of-core read of the collection driver decodes (default 65 536).
+//! `replicate` and `ab` derive replicate seeds from `(master seed,
+//! index)` and key every bootstrap resample by `(seed, metric,
+//! resample index)`, so they too are identical at any `--threads`.
+//!
+//! `--metrics` (`report`) appends the deterministic "Pipeline metrics"
+//! section (`profile` always records them); `--trace PATH` (`report`,
+//! `profile`) writes the span/event log as JSON lines, whose wall-clock
+//! nanoseconds are the only bytes that differ run to run.
 
 // The CLI is the one target that talks to stdout/stderr by design;
 // unwrap/expect stay denied via the workspace lint table.
 #![allow(clippy::print_stdout, clippy::print_stderr)]
+#![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
+use std::fmt::Display;
+use std::str::FromStr;
 use taster::analysis::classify::Category;
-use taster::core::{ab, ablation, degradation, profile, replicate, sweep, Experiment, Scenario};
-use taster::sim::FaultProfile;
+use taster::core::{
+    ab, ablation, build_world, degradation, profile, replicate, sweep, Experiment, Scenario,
+};
+use taster::sim::{FaultProfile, Obs};
 
+/// A flag and how its value is written in a usage line (`None` for a
+/// switch).
+type Flag = (&'static str, Option<&'static str>);
+
+const SCALE: Flag = ("--scale", Some("S"));
+/// `bench-json`'s `--scale`, which also takes a comma-separated list.
+const SCALES: Flag = ("--scale", Some("S[,S...]"));
+const SEED: Flag = ("--seed", Some("N"));
+const THREADS: Flag = ("--threads", Some("N"));
+const CHUNK: Flag = ("--chunk", Some("N"));
+const MAX_MEM: Flag = ("--max-mem-bytes", Some("B"));
+const FAULTS: Flag = ("--faults", Some("PROFILE"));
+const SECTION: Flag = ("--section", Some("NAME"));
+const METRICS: Flag = ("--metrics", None);
+const TRACE: Flag = ("--trace", Some("PATH"));
+const OUT: Flag = ("--out", Some("PATH"));
+const MIN_RATE: Flag = ("--min-events-per-sec", Some("R"));
+const GATE: Flag = ("--overhead-gate", Some("FRAC"));
+const SOCKET: Flag = ("--socket", Some("PATH"));
+const ROUNDS: Flag = ("--rounds", Some("N"));
+const TIMEOUT: Flag = ("--request-timeout-ms", Some("MS"));
+const BASELINE: Flag = ("--baseline", Some("NAME"));
+const TREATMENT: Flag = ("--treatment", Some("NAME"));
+const GRAPH: Flag = ("--graph", None);
+const SELF_TEST: Flag = ("--self-test", None);
+
+/// Scale, seed and the three resource knobs of world building.
+const WORLD: &[Flag] = &[SCALE, SEED, THREADS, CHUNK, MAX_MEM];
+/// What a serial, fault-free world-building command reads.
+const SERIAL_WORLD: &[Flag] = &[SCALE, SEED, MAX_MEM];
+/// The replication knobs of `replicate` and `ab`.
+const REPLICATION: &[Flag] = &[
+    ("--seeds", Some("N")),
+    ("--resamples", Some("N")),
+    ("--level", Some("F")),
+];
+/// The daemon's own flags.
+const DAEMON: &[Flag] = &[
+    SOCKET,
+    ("--checkpoint-dir", Some("DIR")),
+    ("--resume", None),
+    ("--epoch-events", Some("N")),
+    ("--tick-rows", Some("N")),
+    ("--max-pending", Some("N")),
+    TIMEOUT,
+    ("--watchdog-ms", Some("MS")),
+    ("--final-report", Some("PATH")),
+    ("--exit-when-done", None),
+    ("--test-hooks", None),
+];
+
+/// One subcommand and everything its code reads from the command line.
+struct Command {
+    name: &'static str,
+    /// Accepted values of the one operand (empty: the command takes
+    /// none).
+    operands: &'static [&'static str],
+    /// Every flag the command reads, in usage order.
+    flags: &'static [&'static [Flag]],
+    /// Accepted `--format` values as `a|b`, the default first (empty:
+    /// the command takes no `--format`).
+    formats: &'static str,
+    run: fn(&Args),
+}
+
+/// A row without an operand.
+const fn row(
+    name: &'static str,
+    flags: &'static [&'static [Flag]],
+    formats: &'static str,
+    run: fn(&Args),
+) -> Command {
+    Command {
+        name,
+        operands: &[],
+        flags,
+        formats,
+        run,
+    }
+}
+
+/// The flag table: one row per command.
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    row("report", &[WORLD, &[FAULTS, SECTION, METRICS, TRACE]], "text|csv", report),
+    row("ablate", &[WORLD, &[FAULTS]], "", ablate),
+    Command { operands: &["seeding", "mx-size"], ..row("sweep", &[SERIAL_WORLD], "", do_sweep) },
+    row("summary", &[SERIAL_WORLD], "", summary),
+    row("degradation", &[WORLD], "", degradation_cmd),
+    row("bench-json", &[&[SCALES, SEED, THREADS, CHUNK, MAX_MEM, OUT, MIN_RATE]], "", bench_json),
+    row("profile", &[WORLD, &[FAULTS, TRACE, OUT, GATE]], "", profile_cmd),
+    row("serve", &[WORLD, &[FAULTS], DAEMON], "", serve_cmd),
+    row("loadgen", &[&[SEED, FAULTS, SOCKET, ROUNDS, TIMEOUT, OUT]], "", loadgen_cmd),
+    row("replicate", &[WORLD, &[FAULTS], REPLICATION], "text|json", replicate_cmd),
+    row("ab", &[WORLD, &[BASELINE, TREATMENT], REPLICATION], "text|json", ab_cmd),
+    row("lint", &[&[THREADS, GRAPH, SELF_TEST]], "text|json", lint_cmd),
+];
+
+impl Command {
+    /// Every flag of the row, `--format` included.
+    fn flags(&self) -> impl Iterator<Item = Flag> + '_ {
+        let format = (!self.formats.is_empty()).then_some(("--format", Some(self.formats)));
+        self.flags
+            .iter()
+            .flat_map(|group| group.iter().copied())
+            .chain(format)
+    }
+
+    /// `taster <name> …`, rendered from the row.
+    fn usage(&self) -> String {
+        let mut line = format!("taster {}", self.name);
+        if !self.operands.is_empty() {
+            line.push_str(&format!(" <{}>", self.operands.join("|")));
+        }
+        for (flag, value) in self.flags() {
+            match value {
+                Some(value) => line.push_str(&format!(" [{flag} {value}]")),
+                None => line.push_str(&format!(" [{flag}]")),
+            }
+        }
+        line
+    }
+}
+
+/// Every command's usage line.
+fn usage() -> String {
+    let lines: Vec<String> = COMMANDS.iter().map(Command::usage).collect();
+    format!("usage: {}", lines.join("\n       "))
+}
+
+/// The parsed command line. A field the command does not read keeps
+/// its default.
+#[derive(Default)]
 struct Args {
-    command: String,
-    positional: Vec<String>,
+    operand: Option<String>,
     scales: Vec<f64>,
     seed: u64,
     section: String,
-    format: String,
+    format: &'static str,
     threads: Option<usize>,
-    faults: Option<String>,
+    faults: FaultProfile,
     out: String,
     metrics: bool,
     trace: Option<String>,
@@ -135,345 +231,199 @@ struct Args {
     treatment: Option<String>,
 }
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = std::env::args().skip(1);
-    let command = args.next().ok_or_else(usage)?;
-    let mut out = Args {
-        command,
-        positional: Vec::new(),
-        scales: vec![1.0],
-        seed: 20_100_801,
-        section: "all".to_string(),
-        format: "text".to_string(),
-        threads: None,
-        faults: None,
-        out: "BENCH_pipeline.json".to_string(),
-        metrics: false,
-        trace: None,
-        overhead_gate: None,
-        chunk: None,
-        max_mem_bytes: None,
-        min_events_per_sec: None,
-        self_test: false,
-        baseline: None,
-        graph: false,
-        socket: "taster-serve.sock".to_string(),
-        checkpoint_dir: None,
-        resume: false,
-        epoch_events: 50_000,
-        final_report: None,
-        exit_when_done: false,
-        test_hooks: false,
-        request_timeout_ms: 500,
-        watchdog_ms: 2_000,
-        max_pending: 8,
-        tick_rows: 8_192,
-        rounds: 100,
-        seeds: 8,
-        resamples: 200,
-        level: 0.95,
-        treatment: None,
+/// Parses `argv` (without the program name) against the command's row
+/// of `COMMANDS`. The error carries the usage line to print.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(&'static Command, Args), String> {
+    let mut argv = argv.into_iter();
+    let name = argv.next().ok_or_else(usage)?;
+    let Some(command) = COMMANDS.iter().find(|c| c.name == name) else {
+        return Err(format!("unknown command {name}\n{}", usage()));
     };
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--scale" => {
-                // Comma-separated list; only `bench-json` accepts more
-                // than one value.
-                let raw = args.next().ok_or("--scale needs a value")?;
-                out.scales = raw
-                    .split(',')
-                    .map(|s| s.trim().parse::<f64>())
-                    .collect::<Result<Vec<f64>, _>>()
-                    .map_err(|e| format!("bad --scale: {e}"))?;
-                if out.scales.is_empty() || out.scales.iter().any(|&s| !s.is_finite() || s <= 0.0) {
-                    return Err("--scale values must be positive".to_string());
-                }
+    let mut args = Args::new();
+    let fail = |e: String| format!("{e}\nusage: {}", command.usage());
+    while let Some(arg) = argv.next() {
+        if !arg.starts_with('-') {
+            if !command.operands.contains(&arg.as_str()) || args.operand.is_some() {
+                return Err(fail(format!("{name} does not take the operand {arg}")));
             }
-            "--seed" => {
-                out.seed = args
-                    .next()
-                    .ok_or("--seed needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --seed: {e}"))?;
-            }
-            "--section" => {
-                out.section = args.next().ok_or("--section needs a value")?;
-            }
-            "--format" => {
-                out.format = args.next().ok_or("--format needs a value")?;
-            }
-            "--threads" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--threads needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --threads: {e}"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".to_string());
-                }
-                out.threads = Some(n);
-            }
-            "--faults" => {
-                out.faults = Some(args.next().ok_or("--faults needs a value")?);
-            }
-            "--out" => {
-                out.out = args.next().ok_or("--out needs a value")?;
-            }
-            "--chunk" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--chunk needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --chunk: {e}"))?;
-                if n == 0 {
-                    return Err("--chunk must be at least 1".to_string());
-                }
-                out.chunk = Some(n);
-            }
-            "--max-mem-bytes" => {
-                let n: u64 = args
-                    .next()
-                    .ok_or("--max-mem-bytes needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-mem-bytes: {e}"))?;
-                if n == 0 {
-                    return Err("--max-mem-bytes must be at least 1".to_string());
-                }
-                out.max_mem_bytes = Some(n);
-            }
-            "--min-events-per-sec" => {
-                let floor: f64 = args
-                    .next()
-                    .ok_or("--min-events-per-sec needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --min-events-per-sec: {e}"))?;
-                if !floor.is_finite() || floor <= 0.0 {
-                    return Err("--min-events-per-sec must be positive".to_string());
-                }
-                out.min_events_per_sec = Some(floor);
-            }
-            "--socket" => {
-                out.socket = args.next().ok_or("--socket needs a path")?;
-            }
-            "--checkpoint-dir" => {
-                out.checkpoint_dir = Some(args.next().ok_or("--checkpoint-dir needs a path")?);
-            }
-            "--resume" => out.resume = true,
-            "--epoch-events" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--epoch-events needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --epoch-events: {e}"))?;
-                if n == 0 {
-                    return Err("--epoch-events must be at least 1".to_string());
-                }
-                out.epoch_events = n;
-            }
-            "--final-report" => {
-                out.final_report = Some(args.next().ok_or("--final-report needs a path")?);
-            }
-            "--exit-when-done" => out.exit_when_done = true,
-            "--test-hooks" => out.test_hooks = true,
-            "--request-timeout-ms" => {
-                out.request_timeout_ms = args
-                    .next()
-                    .ok_or("--request-timeout-ms needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --request-timeout-ms: {e}"))?;
-                if out.request_timeout_ms == 0 {
-                    return Err("--request-timeout-ms must be at least 1".to_string());
-                }
-            }
-            "--watchdog-ms" => {
-                out.watchdog_ms = args
-                    .next()
-                    .ok_or("--watchdog-ms needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --watchdog-ms: {e}"))?;
-                if out.watchdog_ms == 0 {
-                    return Err("--watchdog-ms must be at least 1".to_string());
-                }
-            }
-            "--max-pending" => {
-                out.max_pending = args
-                    .next()
-                    .ok_or("--max-pending needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --max-pending: {e}"))?;
-                if out.max_pending == 0 {
-                    return Err("--max-pending must be at least 1".to_string());
-                }
-            }
-            "--tick-rows" => {
-                out.tick_rows = args
-                    .next()
-                    .ok_or("--tick-rows needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --tick-rows: {e}"))?;
-                if out.tick_rows == 0 {
-                    return Err("--tick-rows must be at least 1".to_string());
-                }
-            }
-            "--rounds" => {
-                out.rounds = args
-                    .next()
-                    .ok_or("--rounds needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --rounds: {e}"))?;
-            }
-            "--seeds" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--seeds needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --seeds: {e}"))?;
-                if n == 0 {
-                    return Err("--seeds must be at least 1".to_string());
-                }
-                out.seeds = n;
-            }
-            "--resamples" => {
-                let n: usize = args
-                    .next()
-                    .ok_or("--resamples needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --resamples: {e}"))?;
-                if n == 0 {
-                    return Err("--resamples must be at least 1".to_string());
-                }
-                out.resamples = n;
-            }
-            "--level" => {
-                let l: f64 = args
-                    .next()
-                    .ok_or("--level needs a value")?
-                    .parse()
-                    .map_err(|e| format!("bad --level: {e}"))?;
-                if !(l > 0.0 && l < 1.0) {
-                    return Err("--level must be in (0, 1)".to_string());
-                }
-                out.level = l;
-            }
-            "--treatment" => {
-                out.treatment = Some(args.next().ok_or("--treatment needs a scenario name")?);
-            }
-            "--metrics" => out.metrics = true,
-            "--self-test" => out.self_test = true,
-            "--baseline" => {
-                out.baseline = Some(args.next().ok_or("--baseline needs a scenario name")?);
-            }
-            "--graph" => out.graph = true,
-            "--trace" => {
-                out.trace = Some(args.next().ok_or("--trace needs a path")?);
-            }
-            "--overhead-gate" => {
-                let frac: f64 = args
-                    .next()
-                    .ok_or("--overhead-gate needs a fraction")?
-                    .parse()
-                    .map_err(|e| format!("bad --overhead-gate: {e}"))?;
-                if !frac.is_finite() || frac <= 0.0 {
-                    return Err("--overhead-gate must be positive".to_string());
-                }
-                out.overhead_gate = Some(frac);
-            }
-            other if !other.starts_with('-') => out.positional.push(other.to_string()),
-            other => return Err(format!("unknown flag {other}")),
+            args.operand = Some(arg);
+            continue;
         }
+        let Some((flag, value)) = command.flags().find(|&(f, _)| f == arg) else {
+            return Err(fail(format!("{name} does not take {arg}")));
+        };
+        let raw = match value {
+            Some(_) => argv
+                .next()
+                .ok_or_else(|| fail(format!("{flag} needs a value")))?,
+            None => String::new(),
+        };
+        args.set((flag, value), raw).map_err(fail)?;
     }
-    Ok(out)
+    if args.operand.is_none() && !command.operands.is_empty() {
+        return Err(fail(format!("{name} needs an operand")));
+    }
+    Ok((command, args))
 }
 
-fn usage() -> String {
-    "usage: taster <report|ablate|sweep|summary|degradation|bench-json|profile|serve|loadgen|\
-     replicate|ab|lint> \
-     [--scale S[,S...]] [--seed N] [--threads N] [--chunk N] [--max-mem-bytes B] \
-     [--section NAME] [--faults PROFILE] [--out PATH] [--metrics] [--trace PATH] \
-     [--overhead-gate FRAC] [--min-events-per-sec R]\n       \
-     taster replicate [--seeds N] [--resamples N] [--level F] [--format json] \
-     [--scale S] [--seed N] [--faults PROFILE]\n       \
-     taster ab --treatment NAME [--baseline NAME] [--seeds N] [--resamples N] [--level F] \
-     [--format json] [--scale S] [--seed N]\n       \
-     taster serve [--socket PATH] [--checkpoint-dir DIR] [--resume] [--epoch-events N] \
-     [--tick-rows N] [--max-pending N] [--request-timeout-ms MS] [--watchdog-ms MS] \
-     [--final-report PATH] [--exit-when-done] [--test-hooks]\n       \
-     taster loadgen [--socket PATH] [--faults PROFILE] [--rounds N] \
-     [--request-timeout-ms MS] [--out PATH]\n       \
-     taster lint [--format json] [--self-test] [--graph] [--threads N]"
-        .to_string()
+/// Parses `flag`'s value.
+fn parse<T: FromStr>(flag: &str, raw: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    raw.parse().map_err(|e| format!("bad {flag}: {e}"))
+}
+
+/// Parses a count or size that must be at least 1.
+fn at_least_one<T: FromStr + PartialOrd + From<u8>>(flag: &str, raw: &str) -> Result<T, String>
+where
+    T::Err: Display,
+{
+    let n: T = parse(flag, raw)?;
+    if n >= T::from(1) {
+        Ok(n)
+    } else {
+        Err(format!("{flag} must be at least 1"))
+    }
+}
+
+/// Parses a finite value above zero.
+fn positive(flag: &str, raw: &str) -> Result<f64, String> {
+    let x: f64 = parse(flag, raw)?;
+    if x.is_finite() && x > 0.0 {
+        Ok(x)
+    } else {
+        Err(format!("{flag} must be positive"))
+    }
+}
+
+impl Args {
+    /// Every flag at its default.
+    fn new() -> Args {
+        Args {
+            scales: vec![1.0],
+            seed: 20_100_801,
+            section: "all".to_string(),
+            format: "text",
+            out: "BENCH_pipeline.json".to_string(),
+            socket: "taster-serve.sock".to_string(),
+            epoch_events: 50_000,
+            request_timeout_ms: 500,
+            watchdog_ms: 2_000,
+            max_pending: 8,
+            tick_rows: 8_192,
+            rounds: 100,
+            seeds: 8,
+            resamples: 200,
+            level: 0.95,
+            ..Args::default()
+        }
+    }
+
+    /// Applies one flag of the command's row, `raw` being its value
+    /// (empty for a switch).
+    fn set(&mut self, (flag, value): Flag, raw: String) -> Result<(), String> {
+        match flag {
+            "--scale" => {
+                let scales = raw
+                    .split(',')
+                    .map(|s| positive(flag, s.trim()))
+                    .collect::<Result<Vec<f64>, _>>()?;
+                if scales.len() > 1 && (flag, value) != SCALES {
+                    return Err("only bench-json accepts a --scale list".to_string());
+                }
+                self.scales = scales;
+            }
+            "--seed" => self.seed = parse(flag, &raw)?,
+            "--threads" => self.threads = Some(at_least_one(flag, &raw)?),
+            "--chunk" => self.chunk = Some(at_least_one(flag, &raw)?),
+            "--max-mem-bytes" => self.max_mem_bytes = Some(at_least_one(flag, &raw)?),
+            "--faults" => {
+                self.faults = FaultProfile::by_name(&raw).ok_or_else(|| {
+                    format!(
+                        "unknown fault profile {raw}; known: off {}",
+                        FaultProfile::CANONICAL.join(" ")
+                    )
+                })?;
+            }
+            "--section" => self.section = raw,
+            "--format" => {
+                let formats = value.unwrap_or_default();
+                let Some(format) = formats.split('|').find(|&f| f == raw) else {
+                    return Err(format!("unknown format {raw}; known: {formats}"));
+                };
+                self.format = format;
+            }
+            "--metrics" => self.metrics = true,
+            "--trace" => self.trace = Some(raw),
+            "--out" => self.out = raw,
+            "--min-events-per-sec" => self.min_events_per_sec = Some(positive(flag, &raw)?),
+            "--overhead-gate" => self.overhead_gate = Some(positive(flag, &raw)?),
+            "--socket" => self.socket = raw,
+            "--checkpoint-dir" => self.checkpoint_dir = Some(raw),
+            "--resume" => self.resume = true,
+            "--epoch-events" => self.epoch_events = at_least_one(flag, &raw)?,
+            "--tick-rows" => self.tick_rows = at_least_one(flag, &raw)?,
+            "--max-pending" => self.max_pending = at_least_one(flag, &raw)?,
+            "--request-timeout-ms" => self.request_timeout_ms = at_least_one(flag, &raw)?,
+            "--watchdog-ms" => self.watchdog_ms = at_least_one(flag, &raw)?,
+            "--final-report" => self.final_report = Some(raw),
+            "--exit-when-done" => self.exit_when_done = true,
+            "--test-hooks" => self.test_hooks = true,
+            "--rounds" => self.rounds = parse(flag, &raw)?,
+            "--seeds" => self.seeds = at_least_one(flag, &raw)?,
+            "--resamples" => self.resamples = at_least_one(flag, &raw)?,
+            "--level" => {
+                let level: f64 = parse(flag, &raw)?;
+                if !(level > 0.0 && level < 1.0) {
+                    return Err("--level must be in (0, 1)".to_string());
+                }
+                self.level = level;
+            }
+            "--baseline" => self.baseline = Some(raw),
+            "--treatment" => self.treatment = Some(raw),
+            "--graph" => self.graph = true,
+            "--self-test" => self.self_test = true,
+            other => return Err(format!("no parser for {other}")),
+        }
+        Ok(())
+    }
+
+    /// The paper scenario at `--scale` and `--seed`, tuned and faulted
+    /// by this command's flags.
+    fn scenario(&self) -> Scenario {
+        self.tune(
+            Scenario::default_paper()
+                .with_scale(self.scales[0])
+                .with_seed(self.seed),
+        )
+        .with_faults(self.faults.clone())
+    }
+
+    /// Applies the resource flags (`--threads`, `--chunk`,
+    /// `--max-mem-bytes`) to `scenario`.
+    fn tune(&self, mut scenario: Scenario) -> Scenario {
+        if let Some(n) = self.threads {
+            scenario = scenario.with_threads(n);
+        }
+        if let Some(c) = self.chunk {
+            scenario.feeds.chunk_size = c;
+        }
+        if let Some(b) = self.max_mem_bytes {
+            scenario.ecosystem.max_mem_bytes = Some(b);
+        }
+        scenario
+    }
 }
 
 fn main() {
-    let args = match parse_args() {
-        Ok(a) => a,
+    match parse_args(std::env::args().skip(1)) {
+        Ok((command, args)) => (command.run)(&args),
         Err(e) => {
-            eprintln!("{e}\n{}", usage());
-            std::process::exit(2);
-        }
-    };
-    if args.command == "lint" {
-        lint_cmd(&args);
-        return;
-    }
-    if args.scales.len() > 1 && args.command != "bench-json" {
-        eprintln!("only bench-json accepts a --scale list\n{}", usage());
-        std::process::exit(2);
-    }
-    // `ab` names its fault profiles as scenarios and `bench-json` times
-    // its own faulted runs, so a `--faults` there would be ignored.
-    if args.faults.is_some() && matches!(args.command.as_str(), "ab" | "bench-json") {
-        eprintln!("{} does not take --faults\n{}", args.command, usage());
-        std::process::exit(2);
-    }
-    let faults = args.faults.as_deref().unwrap_or("off");
-    let Some(profile) = FaultProfile::by_name(faults) else {
-        eprintln!(
-            "unknown fault profile {faults}; known: off {}",
-            FaultProfile::CANONICAL.join(" ")
-        );
-        std::process::exit(2);
-    };
-    let scenario = with_flags(
-        Scenario::default_paper()
-            .with_scale(args.scales[0])
-            .with_seed(args.seed),
-        &args,
-    )
-    .with_faults(profile);
-
-    match args.command.as_str() {
-        "report" => report(&scenario, &args),
-        "ablate" => ablate(&scenario),
-        "sweep" => do_sweep(&scenario, args.positional.first().map(|s| s.as_str())),
-        "summary" => summary(&scenario),
-        "degradation" => degradation_cmd(&scenario),
-        "bench-json" => bench_json(&args),
-        "profile" => profile_cmd(&scenario, &args),
-        "serve" => serve_cmd(&scenario, &args),
-        "loadgen" => loadgen_cmd(&scenario, &args),
-        "replicate" => replicate_cmd(&scenario, &args),
-        "ab" => ab_cmd(&args),
-        other => {
-            eprintln!("unknown command {other}\n{}", usage());
+            eprintln!("{e}");
             std::process::exit(2);
         }
     }
-}
-
-/// Applies the flags every world-building command shares
-/// (`--threads`, `--chunk`, `--max-mem-bytes`) to `scenario`.
-fn with_flags(mut scenario: Scenario, args: &Args) -> Scenario {
-    if let Some(n) = args.threads {
-        scenario = scenario.with_threads(n);
-    }
-    if let Some(c) = args.chunk {
-        scenario.feeds.chunk_size = c;
-    }
-    if let Some(b) = args.max_mem_bytes {
-        scenario.ecosystem.max_mem_bytes = Some(b);
-    }
-    scenario
 }
 
 /// `taster lint`: check the workspace invariants clippy cannot express
@@ -551,6 +501,15 @@ fn lint_cmd(args: &Args) {
     }
 }
 
+/// Unwraps a pipeline result, or exits 1 with `cannot run scenario: …`
+/// like every world-building command.
+fn or_exit<T>(result: Result<T, taster::feeds::PipelineError>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("cannot run scenario: {e}");
+        std::process::exit(1);
+    })
+}
+
 /// Writes the trace JSONL of an observed run, exiting on I/O failure.
 fn write_trace(exp: &Experiment, path: &str) {
     if let Err(e) = std::fs::write(path, exp.obs.trace.to_jsonl()) {
@@ -560,35 +519,26 @@ fn write_trace(exp: &Experiment, path: &str) {
     eprintln!("wrote trace {path}");
 }
 
-fn degradation_cmd(scenario: &Scenario) {
+fn degradation_cmd(args: &Args) {
+    let scenario = args.scenario();
     eprintln!("sweeping canonical fault profiles over {}", scenario.name);
-    match degradation::degradation_sweep(scenario) {
-        Ok(sweep) => print!(
-            "{}",
-            degradation::render_degradation(&scenario.name, &sweep)
-        ),
-        Err(e) => {
-            eprintln!("degradation sweep failed: {e}");
-            std::process::exit(1);
-        }
-    }
+    let sweep = or_exit(degradation::degradation_sweep(&scenario));
+    print!(
+        "{}",
+        degradation::render_degradation(&scenario.name, &sweep)
+    );
 }
 
-fn report(scenario: &Scenario, args: &Args) {
-    let (section, format) = (args.section.as_str(), args.format.as_str());
+fn report(args: &Args) {
+    let scenario = args.scenario();
+    let section = args.section.as_str();
     eprintln!("running {}", scenario.name);
-    let obs = taster::sim::Obs::with(args.metrics, args.trace.is_some());
-    let e = match Experiment::try_run_observed(scenario, obs) {
-        Ok(e) => e,
-        Err(err) => {
-            eprintln!("cannot run scenario: {err}");
-            std::process::exit(1);
-        }
-    };
+    let obs = Obs::with(args.metrics, args.trace.is_some());
+    let e = or_exit(Experiment::try_run_observed(&scenario, obs));
     if let Some(path) = &args.trace {
         write_trace(&e, path);
     }
-    if format == "csv" {
+    if args.format == "csv" {
         match taster::core::export::CsvExport::new(&e).section(section) {
             Some(csv) => {
                 print!("{csv}");
@@ -655,18 +605,14 @@ fn report(scenario: &Scenario, args: &Args) {
 
 /// One fully-observed run: deterministic span tree + metrics, then the
 /// wall-clock self-time table, then `BENCH_pipeline.json`-compatible
-/// stage timings to `--out`. With `--overhead-gate FRAC`, also
-/// measures instrumented vs. uninstrumented collection and exits 1
-/// when the overhead fraction exceeds the gate.
-fn profile_cmd(scenario: &Scenario, args: &Args) {
+/// stage timings and that run's end-to-end wall accounting to `--out`.
+/// With `--overhead-gate FRAC`, also measures instrumented vs.
+/// uninstrumented collection and exits 1 when the overhead fraction
+/// exceeds the gate.
+fn profile_cmd(args: &Args) {
+    let scenario = args.scenario();
     eprintln!("profiling {}", scenario.name);
-    let e = match profile::profile_scenario(scenario) {
-        Ok(e) => e,
-        Err(err) => {
-            eprintln!("cannot run scenario: {err}");
-            std::process::exit(1);
-        }
-    };
+    let (e, e2e) = or_exit(profile::run_end_to_end(&scenario, Obs::on()));
     if let Some(path) = &args.trace {
         write_trace(&e, path);
     }
@@ -679,7 +625,8 @@ fn profile_cmd(scenario: &Scenario, args: &Args) {
         e.world.truth.log.len as u64,
         scenario.feeds.chunk_size,
         vec![row],
-    );
+    )
+    .with_end_to_end(e2e);
     let json = profile::bench_json_string(scenario.seed, 1, &[entry]);
     if let Err(err) = std::fs::write(&args.out, &json) {
         eprintln!("cannot write {}: {err}", args.out);
@@ -690,7 +637,7 @@ fn profile_cmd(scenario: &Scenario, args: &Args) {
         // Best-of-12: the streaming core shrank the measured collect
         // stage to tens of milliseconds, so a stable minimum needs
         // more reps than the old multi-hundred-ms stage did.
-        let (off, on) = match profile::collect_overhead(scenario, 12) {
+        let (off, on) = match profile::collect_overhead(&scenario, 12) {
             Ok(pair) => pair,
             Err(err) => {
                 eprintln!("overhead measurement failed: {err}");
@@ -713,9 +660,10 @@ fn profile_cmd(scenario: &Scenario, args: &Args) {
     }
 }
 
-fn ablate(scenario: &Scenario) {
+fn ablate(args: &Args) {
+    let scenario = args.scenario();
     eprintln!("running four ablations over {}", scenario.name);
-    let p = ablation::poisoning(scenario);
+    let p = or_exit(ablation::poisoning(&scenario));
     println!("== poisoning");
     println!(
         "  Bot DNS purity: {:.1}% with, {:.1}% without",
@@ -728,7 +676,7 @@ fn ablate(scenario: &Scenario) {
         p.mx2_dns_without * 100.0
     );
 
-    let r = ablation::blacklist_restriction(scenario);
+    let r = or_exit(ablation::blacklist_restriction(&scenario));
     println!("== blacklist crawl-subset restriction");
     println!(
         "  dbl:   {} of {} entries survive ({:.1}% dropped)",
@@ -743,7 +691,7 @@ fn ablate(scenario: &Scenario) {
         r.uribl_dropped_fraction() * 100.0
     );
 
-    let f = ablation::provider_filter(scenario);
+    let f = or_exit(ablation::provider_filter(&scenario));
     println!("== provider report-driven filtering");
     println!(
         "  Hu samples: {} with filter, {} without ({:.1}x)",
@@ -756,7 +704,7 @@ fn ablate(scenario: &Scenario) {
         f.hu_tagged_with, f.hu_tagged_without
     );
 
-    let s = ablation::ac2_seeding(scenario);
+    let s = or_exit(ablation::ac2_seeding(&scenario));
     println!("== Ac2 seeding breadth");
     println!(
         "  Ac2∩Ac1 / Ac1 (tagged): {:.1}% narrow, {:.1}% broad",
@@ -765,31 +713,15 @@ fn ablate(scenario: &Scenario) {
     );
 }
 
-/// Builds the scenario's world, or exits 1 with the error the way
-/// `report` does.
-fn world_or_exit(scenario: &Scenario) -> taster::mailsim::MailWorld {
-    taster::core::build_world(scenario, &taster::sim::Obs::off()).unwrap_or_else(|e| {
-        eprintln!("cannot run scenario: {e}");
-        std::process::exit(1);
-    })
-}
-
-fn do_sweep(scenario: &Scenario, which: Option<&str>) {
-    let world = world_or_exit(scenario);
-    let points = match which {
-        Some("seeding") => sweep::seeding_sweep(scenario, &world),
-        Some("mx-size") => {
-            sweep::mx_size_sweep(scenario, &world, &[0.02, 0.05, 0.1, 0.2, 0.4, 0.8])
-        }
-        _ => {
-            eprintln!("usage: taster sweep <seeding|mx-size> [--scale S]");
-            std::process::exit(2);
-        }
+fn do_sweep(args: &Args) {
+    let scenario = args.scenario();
+    let world = or_exit(build_world(&scenario, &Obs::off()));
+    let points = if args.operand.as_deref() == Some("seeding") {
+        sweep::seeding_sweep(&scenario, &world)
+    } else {
+        sweep::mx_size_sweep(&scenario, &world, &[0.02, 0.05, 0.1, 0.2, 0.4, 0.8])
     };
-    let points = points.unwrap_or_else(|e| {
-        eprintln!("cannot run scenario: {e}");
-        std::process::exit(1);
-    });
+    let points = or_exit(points);
     println!(
         "{:<44} {:>10} {:>9} {:>8}",
         "parameter", "samples", "unique", "tagged"
@@ -817,14 +749,13 @@ fn bench_json(args: &Args) {
     let reps = 3usize;
     let mut entries: Vec<profile::ScaleBench> = Vec::new();
     for &scale in &args.scales {
-        let scenario = with_flags(
+        let scenario = args.tune(
             Scenario::default_paper()
                 .with_scale(scale)
                 .with_seed(args.seed),
-            args,
         );
         eprintln!("building world for {}", scenario.name);
-        let world = world_or_exit(&scenario);
+        let world = or_exit(build_world(&scenario, &Obs::off()));
         let events = world.truth.log.len as u64;
         let mut rows: Vec<profile::StageBench> = Vec::new();
         for workers in [1usize, 2, 4, 8] {
@@ -850,8 +781,8 @@ fn bench_json(args: &Args) {
         // One fully-observed end-to-end run per scale: generate through
         // render on one clock, so the untimed remainder is measurable.
         eprintln!("timing end-to-end (generate through render)");
-        let e2e = match profile::bench_end_to_end(&scenario) {
-            Ok(e) => e,
+        let e2e = match profile::run_end_to_end(&scenario, Obs::with(true, false)) {
+            Ok((_, e2e)) => e2e,
             Err(e) => {
                 eprintln!("end-to-end bench failed: {e}");
                 std::process::exit(1);
@@ -869,7 +800,7 @@ fn bench_json(args: &Args) {
         // the cost of the statistical-rigor layer alongside the
         // pipeline stages it fans out.
         eprintln!("timing replicate (2 seeds)");
-        let rep_obs = taster::sim::Obs::with(true, false);
+        let rep_obs = Obs::with(true, false);
         let rep_opts = replicate::ReplicateOptions {
             seeds: 2,
             resamples: 100,
@@ -946,8 +877,9 @@ fn bench_json(args: &Args) {
     }
 }
 
-fn summary(scenario: &Scenario) {
-    let world = world_or_exit(scenario);
+fn summary(args: &Args) {
+    let scenario = args.scenario();
+    let world = or_exit(build_world(&scenario, &Obs::off()));
     let t = &world.truth;
     println!("scenario ........ {}", scenario.name);
     println!("seed ............ {}", t.seed);
@@ -977,17 +909,18 @@ fn summary(scenario: &Scenario) {
 /// `--checkpoint-dir` makes each sealed epoch durable and `--resume`
 /// replays only the tail after a crash. Exit codes: 0 clean shutdown
 /// (drain or `--exit-when-done`), 2 setup/serving failure.
-fn serve_cmd(scenario: &Scenario, args: &Args) {
+fn serve_cmd(args: &Args) {
     use taster::serve::{core as serve_core, server, ServeConfig, ServerConfig};
 
+    let scenario = args.scenario();
     let config = ServeConfig {
         epoch_events: args.epoch_events,
         checkpoint_dir: args.checkpoint_dir.clone().map(std::path::PathBuf::from),
     };
     let built = if args.resume {
-        serve_core::ServeCore::resume(scenario, config)
+        serve_core::ServeCore::resume(&scenario, config)
     } else {
-        serve_core::ServeCore::new(scenario, config)
+        serve_core::ServeCore::new(&scenario, config)
     };
     let mut core = match built {
         Ok(c) => c,
@@ -1028,13 +961,13 @@ fn serve_cmd(scenario: &Scenario, args: &Args) {
 /// `serve-slow-client`, `serve-query-storm`, `serve-kill-midrun`) and
 /// write serving-path latencies/shed counts as JSON to `--out`. Exit
 /// codes: 0 storm completed, 2 the daemon never answered.
-fn loadgen_cmd(scenario: &Scenario, args: &Args) {
+fn loadgen_cmd(args: &Args) {
     use taster::serve::{loadgen, LoadgenConfig};
 
     let cfg = LoadgenConfig {
         socket: std::path::PathBuf::from(&args.socket),
         seed: args.seed,
-        profile: scenario.faults.clone(),
+        profile: args.faults.clone(),
         rounds: args.rounds,
         request_timeout: std::time::Duration::from_millis(args.request_timeout_ms),
     };
@@ -1045,7 +978,7 @@ fn loadgen_cmd(scenario: &Scenario, args: &Args) {
             std::process::exit(2);
         }
     };
-    let json = outcome.render_json(&scenario.faults.name, args.seed);
+    let json = outcome.render_json(&args.faults.name, args.seed);
     if let Err(e) = std::fs::write(&args.out, &json) {
         eprintln!("loadgen: cannot write {}: {e}", args.out);
         std::process::exit(2);
@@ -1062,33 +995,30 @@ fn loadgen_cmd(scenario: &Scenario, args: &Args) {
     );
 }
 
-/// `taster replicate`: run the scenario under `--seeds` independent
-/// replicate seeds and print per-metric bootstrap confidence intervals.
-/// Exit codes: 0 on success, 1 on pipeline failure, 2 on bad options.
-fn replicate_cmd(scenario: &Scenario, args: &Args) {
-    let options = replicate::ReplicateOptions {
+/// The replication knobs of `replicate` and `ab`.
+fn replicate_options(args: &Args) -> replicate::ReplicateOptions {
+    replicate::ReplicateOptions {
         seeds: args.seeds,
         resamples: args.resamples,
         level: args.level,
-    };
+    }
+}
+
+/// `taster replicate`: run the scenario under `--seeds` independent
+/// replicate seeds and print per-metric bootstrap confidence intervals.
+/// Exit codes: 0 on success, 1 on pipeline failure, 2 on bad options.
+fn replicate_cmd(args: &Args) {
+    let scenario = args.scenario();
+    let options = replicate_options(args);
     eprintln!(
         "replicating {} over {} seeds ({} resamples)",
         scenario.name, options.seeds, options.resamples
     );
-    let rep = match replicate::replicate(scenario, options) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("cannot run scenario: {e}");
-            std::process::exit(1);
-        }
-    };
-    match args.format.as_str() {
-        "text" => print!("{}", replicate::render_replication(&rep)),
-        "json" => print!("{}", replicate::render_replication_json(&rep)),
-        other => {
-            eprintln!("unknown format {other}; known: text json");
-            std::process::exit(2);
-        }
+    let rep = or_exit(replicate::replicate(&scenario, options));
+    if args.format == "json" {
+        print!("{}", replicate::render_replication_json(&rep));
+    } else {
+        print!("{}", replicate::render_replication(&rep));
     }
 }
 
@@ -1099,7 +1029,7 @@ fn replicate_cmd(scenario: &Scenario, args: &Args) {
 fn ab_cmd(args: &Args) {
     let resolve = |label: &str, name: &str| -> Scenario {
         match ab::scenario_by_name(name, args.scales[0], args.seed) {
-            Some(s) => with_flags(s, args),
+            Some(s) => args.tune(s),
             None => {
                 eprintln!(
                     "unknown {label} scenario {name}; known: {} and batch fault profiles: {}",
@@ -1117,35 +1047,193 @@ fn ab_cmd(args: &Args) {
             }
         }
     };
-    let baseline_name = args.baseline.clone().unwrap_or_else(|| "paper".to_string());
-    let Some(treatment_name) = args.treatment.clone() else {
+    let baseline_name = args.baseline.as_deref().unwrap_or("paper");
+    let Some(treatment_name) = args.treatment.as_deref() else {
         eprintln!("ab needs --treatment <scenario>\n{}", usage());
         std::process::exit(2);
     };
-    let baseline = resolve("baseline", &baseline_name);
-    let treatment = resolve("treatment", &treatment_name);
-    let options = replicate::ReplicateOptions {
-        seeds: args.seeds,
-        resamples: args.resamples,
-        level: args.level,
-    };
+    let baseline = resolve("baseline", baseline_name);
+    let treatment = resolve("treatment", treatment_name);
+    let options = replicate_options(args);
     eprintln!(
         "ab: {} vs {} over {} paired seeds",
         baseline.name, treatment.name, options.seeds
     );
-    let cmp = match ab::ab_compare(&baseline, &treatment, options, &taster::sim::Obs::off()) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot run scenario: {e}");
-            std::process::exit(1);
+    let cmp = or_exit(ab::ab_compare(&baseline, &treatment, options, &Obs::off()));
+    if args.format == "json" {
+        print!("{}", ab::render_ab_json(&cmp));
+    } else {
+        print!("{}", ab::render_ab(&cmp));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<(&'static Command, Args), String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    /// The command with its operand, if it needs one.
+    fn invocation(c: &Command) -> String {
+        match c.operands.first() {
+            Some(op) => format!("{} {op}", c.name),
+            None => c.name.to_string(),
         }
-    };
-    match args.format.as_str() {
-        "text" => print!("{}", ab::render_ab(&cmp)),
-        "json" => print!("{}", ab::render_ab_json(&cmp)),
-        other => {
-            eprintln!("unknown format {other}; known: text json");
-            std::process::exit(2);
+    }
+
+    /// A value `flag` accepts in `c`'s row.
+    fn sample(c: &Command, flag: Flag) -> &'static str {
+        match flag {
+            ("--faults", _) => "lossy-feeds",
+            ("--format", _) => c.formats.split('|').next().unwrap(),
+            (_, Some("S" | "S[,S...]" | "F" | "FRAC" | "R")) => "0.5",
+            (_, Some("N" | "B" | "MS")) => "3",
+            (_, Some(_)) => "x",
+            (_, None) => "",
         }
+    }
+
+    #[test]
+    fn every_listed_pair_parses() {
+        for c in COMMANDS {
+            for flag in c.flags() {
+                let line = format!("{} {} {}", invocation(c), flag.0, sample(c, flag));
+                match parse(&line) {
+                    Ok((command, _)) => assert_eq!(command.name, c.name),
+                    Err(e) => panic!("{line}: {e}"),
+                }
+            }
+            for format in c.formats.split_terminator('|') {
+                let line = format!("{} --format {format}", invocation(c));
+                assert_eq!(parse(&line).map(|(_, a)| a.format).ok(), Some(format));
+            }
+        }
+    }
+
+    #[test]
+    fn every_other_flag_is_refused_with_the_command_usage() {
+        let mut flags: Vec<&str> = COMMANDS
+            .iter()
+            .flat_map(|c| c.flags().map(|(f, _)| f))
+            .collect();
+        flags.sort_unstable();
+        flags.dedup();
+        assert_eq!(flags.len(), 32, "{flags:?}");
+        for c in COMMANDS {
+            for &flag in flags.iter().filter(|&&f| c.flags().all(|(g, _)| g != f)) {
+                let line = format!("{} {flag} 3", invocation(c));
+                let Err(e) = parse(&line) else {
+                    panic!("{line} parsed");
+                };
+                let want = format!("{} does not take {flag}\nusage: {}", c.name, c.usage());
+                assert_eq!(e, want);
+            }
+        }
+    }
+
+    #[test]
+    fn silently_ignored_flags_are_refused() {
+        for line in [
+            "report --treatment quiet-world",
+            "summary --resume",
+            "lint --seeds 4 --socket x",
+            "report --format xml",
+            "degradation --faults blackout",
+            "profile --metrics",
+            "sweep seeding --faults lossy-feeds",
+            "loadgen --scale 1",
+            "ab --faults lossy-feeds --treatment paper",
+            "bench-json --faults lossy-feeds",
+        ] {
+            let name = line.split(' ').next().unwrap_or_default();
+            match parse(line) {
+                Ok(_) => panic!("{line} parsed"),
+                Err(e) => assert!(e.contains(&format!("\nusage: taster {name} ")), "{e}"),
+            }
+        }
+    }
+
+    #[test]
+    fn values_and_operands_are_checked_while_parsing() {
+        // Parsing precedes every world build, so none of these runs.
+        for (line, want) in [
+            ("report --format xml", "unknown format xml; known: text|csv"),
+            ("replicate --format csv", "unknown format csv"),
+            ("report --faults nope", "unknown fault profile nope"),
+            ("report --scale 0.1,1", "only bench-json accepts"),
+            ("report --scale -1", "--scale must be positive"),
+            ("report --threads 0", "--threads must be at least 1"),
+            ("replicate --seeds 0", "--seeds must be at least 1"),
+            ("serve --tick-rows 0", "--tick-rows must be at least 1"),
+            ("ab --level 1.5", "--level must be in (0, 1)"),
+            ("profile --overhead-gate 0", "must be positive"),
+            ("report --seed", "--seed needs a value"),
+            ("report --seed x", "bad --seed"),
+            ("sweep", "sweep needs an operand"),
+            ("sweep nope", "sweep does not take the operand nope"),
+            ("sweep seeding mx-size", "the operand mx-size"),
+            ("report all", "report does not take the operand all"),
+            ("nope", "unknown command nope"),
+        ] {
+            match parse(line) {
+                Ok(_) => panic!("{line} parsed"),
+                Err(e) => assert!(e.contains(want), "{line}: {e}"),
+            }
+        }
+        assert!(parse("").is_err_and(|e| e.starts_with("usage: taster report")));
+        let sweep = "taster sweep <seeding|mx-size> [--scale S] [--seed N] [--max-mem-bytes B]";
+        assert_eq!(COMMANDS[2].usage(), sweep);
+    }
+
+    #[test]
+    fn documented_invocations_parse() {
+        for line in [
+            // CI
+            "profile --scale 0.05 --seed 11 --trace trace.jsonl --out BENCH_profile.json \
+             --overhead-gate 0.05",
+            "bench-json --scale 0.1 --out BENCH_pipeline.json --min-events-per-sec 500000",
+            "bench-json --scale 0.1 --max-mem-bytes 4194304 --out BENCH_pipeline_oog.json \
+             --min-events-per-sec 500000",
+            "report --scale 0.1 --max-mem-bytes 4194304 --chunk 7 --threads 2",
+            "serve --scale 0.1 --seed 11 --socket serve.sock --checkpoint-dir ckpts \
+             --epoch-events 10000 --tick-rows 2048 --test-hooks",
+            "loadgen --seed 11 --socket serve.sock --faults kill-midrun --rounds 200 \
+             --out BENCH_serve_kill.json",
+            "serve --scale 0.1 --seed 11 --socket serve.sock --checkpoint-dir ckpts \
+             --epoch-events 10000 --resume --exit-when-done --max-mem-bytes 4194304 \
+             --final-report serve-report.txt",
+            "loadgen --seed 11 --socket storm.sock --faults query-storm --rounds 5 \
+             --out BENCH_serve_storm.json",
+            "replicate --scale 0.03 --seed 11 --seeds 4 --resamples 200 --format json",
+            "ab --baseline paper --treatment quiet-world --scale 0.03 --seed 11 --seeds 4 \
+             --resamples 200 --format json",
+            "lint --threads 8 --format json",
+            // tests/
+            "sweep seeding --scale 0.02 --max-mem-bytes 65536",
+            "summary --scale 0.02 --max-mem-bytes 65536",
+            "ablate --scale 0.02 --max-mem-bytes 65536",
+            "degradation --scale 0.02 --max-mem-bytes 65536",
+            "ab --treatment lossy-feeds --seeds 2 --scale 0.02 --max-mem-bytes 65536",
+            // README
+            "report --section table2 --format csv",
+            "sweep mx-size",
+            "serve --socket /tmp/taster.sock --checkpoint-dir /tmp/ckpts --resume \
+             --exit-when-done --final-report report.txt",
+            "bench-json --scale 0.1,1.0",
+            // the end-to-end benchmark
+            "serve --scale 1 --seed 3 --threads 1 --socket s.sock --checkpoint-dir ck \
+             --final-report r.txt",
+            "report --scale 0.05 --seed 3",
+        ] {
+            if let Err(e) = parse(line) {
+                panic!("{line}: {e}");
+            }
+        }
+        let bench = parse("bench-json --scale 0.1,1.0")
+            .ok()
+            .map(|(_, a)| a.scales);
+        assert_eq!(bench, Some(vec![0.1, 1.0]));
     }
 }

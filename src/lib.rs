@@ -11,7 +11,7 @@
 //!
 //! * [`domain`] — registered domains, URLs, interning, generators.
 //! * [`stats`] — variation distance, Kendall tau-b, quantiles, samplers.
-//! * [`sim`] — deterministic event kernel, time, RNG streams.
+//! * [`sim`] — time, RNG streams, fan-out, fault plans, observability.
 //! * [`ecosystem`] — affiliate programs, campaigns, botnets, ground truth.
 //! * [`mailsim`] — message rendering, delivery, provider filtering, oracle.
 //! * [`crawler`] — DNS/HTTP oracles, redirects, storefront tagging.

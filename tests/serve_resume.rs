@@ -490,8 +490,6 @@ fn daemon_killed_over_socket_resumes_byte_identical() {
     let storm = Command::new(bin)
         .args([
             "loadgen",
-            "--scale",
-            scale,
             "--seed",
             seed,
             "--socket",

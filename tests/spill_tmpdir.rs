@@ -65,11 +65,16 @@ fn every_world_building_command_exits_1_on_a_spill_failure() {
     let base = regular_file(dir, "cli");
     let bench_out = dir.join("spill-tmpdir-bench.json");
     let bench_out = bench_out.to_str().expect("UTF-8 path");
-    let args: [&[&str]; 6] = [
+    let profile_out = dir.join("spill-tmpdir-profile.json");
+    let profile_out = profile_out.to_str().expect("UTF-8 path");
+    let args: [&[&str]; 9] = [
         &["report"],
+        &["ablate"],
         &["sweep", "seeding"],
         &["summary"],
+        &["degradation"],
         &["bench-json", "--out", bench_out],
+        &["profile", "--out", profile_out],
         &["replicate", "--seeds", "2"],
         &["ab", "--treatment", "lossy-feeds", "--seeds", "2"],
     ];
