@@ -10,12 +10,12 @@
 //! and paired-t / Welch-t p-values — rendered as an experiment table
 //! in the house report style.
 
-use crate::replicate::{replicate_observed, ReplicateOptions, Replication};
+use crate::replicate::{replicate, ReplicateOptions, Replication};
 use crate::report::{fmt_bounds, fmt_opt, fmt_p};
 use crate::scenario::Scenario;
 use std::fmt::Write as _;
 use taster_feeds::PipelineError;
-use taster_sim::{FaultProfile, Obs};
+use taster_sim::FaultProfile;
 use taster_stats::infer::{bootstrap_ci_keyed, paired_t, welch_t, BootstrapCi, TTest};
 use taster_stats::summary::mean;
 
@@ -107,13 +107,11 @@ pub fn ab_compare(
     baseline: &Scenario,
     treatment: &Scenario,
     options: ReplicateOptions,
-    obs: &Obs,
 ) -> Result<AbComparison, PipelineError> {
     let treatment = treatment.clone().with_seed(baseline.seed);
-    let base_rep = replicate_observed(baseline, options, obs)?;
-    let treat_rep = replicate_observed(&treatment, options, obs)?;
+    let base_rep = replicate(baseline, options)?;
+    let treat_rep = replicate(&treatment, options)?;
     let rows = paired_rows(&base_rep, &treat_rep);
-    obs.metrics.add("replicate/ab_rows", rows.len() as u64);
     Ok(AbComparison {
         baseline: base_rep,
         treatment: treat_rep,
@@ -348,7 +346,6 @@ mod tests {
             &small("paper"),
             &small("lossy-feeds").with_seed(999),
             opts(),
-            &Obs::off(),
         )
         .unwrap();
         assert_eq!(ab.baseline.seeds, ab.treatment.seeds);
@@ -358,7 +355,7 @@ mod tests {
 
     #[test]
     fn identical_arms_show_zero_effect() {
-        let ab = ab_compare(&small("paper"), &small("paper"), opts(), &Obs::off()).unwrap();
+        let ab = ab_compare(&small("paper"), &small("paper"), opts()).unwrap();
         for row in &ab.rows {
             if row.pairs > 0 {
                 assert_eq!(row.effect, Some(0.0), "{}", row.name);
@@ -374,7 +371,7 @@ mod tests {
         // quiet-world starves the MX honeypots while the real-user feed
         // keeps seeing the quiet campaigns, so mx2's share of the live
         // union collapses — a structural effect, stable at any seed.
-        let ab = ab_compare(&small("paper"), &small("quiet-world"), opts(), &Obs::off()).unwrap();
+        let ab = ab_compare(&small("paper"), &small("quiet-world"), opts()).unwrap();
         let row = ab
             .rows
             .iter()
@@ -392,8 +389,7 @@ mod tests {
 
     #[test]
     fn renders_are_deterministic() {
-        let run =
-            || ab_compare(&small("paper"), &small("short-window"), opts(), &Obs::off()).unwrap();
+        let run = || ab_compare(&small("paper"), &small("short-window"), opts()).unwrap();
         let (a, b) = (run(), run());
         assert_eq!(render_ab(&a), render_ab(&b));
         assert_eq!(render_ab_json(&a), render_ab_json(&b));

@@ -120,9 +120,8 @@ impl Experiment {
         Self::try_run_observed(scenario, Obs::off())
     }
 
-    /// [`Experiment::try_run`] under an observability handle: the
-    /// `collect` and `classify` stages run inside spans (with wall
-    /// times recorded into the metrics registry), and every pipeline
+    /// [`Experiment::try_run`] under an observability handle: every
+    /// pipeline stage runs inside its stage span, and every pipeline
     /// counter/histogram lands in `obs.metrics`. With `Obs::off()`
     /// this is `try_run` exactly, byte for byte.
     pub fn try_run_observed(scenario: &Scenario, obs: Obs) -> Result<Experiment, PipelineError> {
@@ -147,11 +146,11 @@ impl Experiment {
 
     /// Runs the four post-classification analysis stage groups —
     /// coverage, purity, proportionality, timing — under this run's
-    /// observability handle, recording one span and one stage wall
-    /// time per group plus a result-size counter. The results are
-    /// discarded: the point is the per-stage profile (`taster
-    /// profile`, `bench-json`), and every accessor is pure, so running
-    /// them here cannot change later output.
+    /// observability handle, each under its stage span (whose wall
+    /// time is the stage's time) plus a result-size counter. The
+    /// results are discarded: the point is the per-stage profile
+    /// (`taster profile`), and every accessor is pure, so running them
+    /// here cannot change later output.
     pub fn observe_analyses(&self) {
         let m = &self.obs.metrics;
         self.obs.stage(STAGE_COVERAGE, || {
@@ -191,8 +190,8 @@ impl Experiment {
     }
 
     /// Renders the full report under this run's observability handle,
-    /// recording the `render` stage wall time. With `Obs::off()` this
-    /// is `report().full_report()` exactly, byte for byte.
+    /// inside the `render` stage span. With `Obs::off()` this is
+    /// `report().full_report()` exactly, byte for byte.
     pub fn render_report(&self) -> String {
         let text = self.obs.stage(STAGE_RENDER, || self.report().full_report());
         self.obs.metrics.add("render/bytes", text.len() as u64);

@@ -24,7 +24,7 @@ use taster_analysis::classify::Category;
 use taster_analysis::timing::FIG9_FEEDS;
 use taster_feeds::{FeedId, PipelineError};
 use taster_sim::rng::{name_key, RngStream};
-use taster_sim::{Obs, Parallelism};
+use taster_sim::Parallelism;
 use taster_stats::infer::{bootstrap_ci_keyed, BootstrapCi, MetricSamples};
 use taster_stats::summary::{fraction, mean, std_dev};
 
@@ -32,11 +32,6 @@ use taster_stats::summary::{fraction, mean, std_dev};
 macro_rules! w {
     ($($arg:tt)*) => { let _ = write!($($arg)*); };
 }
-
-// The replication timing key lives in the sim metrics registry
-// (`AUX_STAGE_KEYS`) so the stage inventory stays complete; re-export
-// it under its historical path.
-pub use taster_sim::metrics::STAGE_REPLICATE;
 
 /// Stream-name key for per-replicate seed derivation.
 const SEED_STREAM: &str = "replicate/seed";
@@ -214,52 +209,32 @@ pub fn replicate(
     scenario: &Scenario,
     options: ReplicateOptions,
 ) -> Result<Replication, PipelineError> {
-    replicate_observed(scenario, options, &Obs::off())
-}
-
-/// [`replicate`] under an observability handle: the whole fan-out runs
-/// inside the [`STAGE_REPLICATE`] stage (wall time in the registry,
-/// a span in the trace) and replicate counters land in `obs.metrics`.
-pub fn replicate_observed(
-    scenario: &Scenario,
-    options: ReplicateOptions,
-    obs: &Obs,
-) -> Result<Replication, PipelineError> {
     options.validate().map_err(PipelineError::InvalidScenario)?;
     scenario
         .validate()
         .map_err(PipelineError::InvalidScenario)?;
-    obs.stage(STAGE_REPLICATE, || -> Result<Replication, PipelineError> {
-        let seeds: Vec<u64> = (0..options.seeds as u64)
-            .map(|i| replicate_seed(scenario.seed, i))
-            .collect();
-        let runs = scenario.parallelism.par_map(seeds.clone(), |seed| {
-            // Replicates are the parallel axis; each inner pipeline runs
-            // serial (bit-identical to any worker count by design), so
-            // total thread count stays bounded by the outer pool.
-            let mut inner = scenario.clone().with_seed(seed);
-            inner.parallelism = Parallelism::serial();
-            Experiment::try_run(&inner).map(|e| metric_values(&e))
-        });
-        let mut samples = MetricSamples::new(metric_names());
-        for run in runs {
-            samples
-                .push_row(run?)
-                .map_err(PipelineError::InvalidScenario)?;
-        }
-        obs.metrics.add("replicate/seeds", seeds.len() as u64);
-        obs.metrics
-            .add("replicate/metrics", samples.metrics() as u64);
-        let defined: usize = (0..samples.metrics())
-            .map(|m| samples.defined(m).len())
-            .sum();
-        obs.metrics.add("replicate/defined_cells", defined as u64);
-        Ok(Replication {
-            scenario: scenario.clone(),
-            options,
-            seeds,
-            samples,
-        })
+    let seeds: Vec<u64> = (0..options.seeds as u64)
+        .map(|i| replicate_seed(scenario.seed, i))
+        .collect();
+    let runs = scenario.parallelism.par_map(seeds.clone(), |seed| {
+        // Replicates are the parallel axis; each inner pipeline runs
+        // serial (bit-identical to any worker count by design), so
+        // total thread count stays bounded by the outer pool.
+        let mut inner = scenario.clone().with_seed(seed);
+        inner.parallelism = Parallelism::serial();
+        Experiment::try_run(&inner).map(|e| metric_values(&e))
+    });
+    let mut samples = MetricSamples::new(metric_names());
+    for run in runs {
+        samples
+            .push_row(run?)
+            .map_err(PipelineError::InvalidScenario)?;
+    }
+    Ok(Replication {
+        scenario: scenario.clone(),
+        options,
+        seeds,
+        samples,
     })
 }
 
@@ -544,17 +519,6 @@ mod tests {
         assert_eq!(row.n, 3);
         let ci = row.ci.as_ref().unwrap();
         assert!(ci.percentile.0 <= ci.estimate && ci.estimate <= ci.percentile.1);
-    }
-
-    #[test]
-    fn observed_replicate_records_stage_and_counters() {
-        let obs = Obs::with(true, false);
-        let rep = replicate_observed(&small(), opts(2), &obs).unwrap();
-        assert!(obs.metrics.timing(STAGE_REPLICATE).is_some());
-        let rendered = obs.metrics.render();
-        assert!(rendered.contains("replicate/seeds"), "{rendered}");
-        assert!(rendered.contains("replicate/metrics"), "{rendered}");
-        assert_eq!(rep.seeds.len(), 2);
     }
 
     #[test]

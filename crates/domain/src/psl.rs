@@ -28,23 +28,6 @@ impl RegisteredDomain {
         &self.text
     }
 
-    /// The public suffix under which the domain is registered
-    /// (`co.uk` for `example.co.uk`).
-    pub fn public_suffix(&self) -> &str {
-        match self.text.find('.') {
-            Some(i) => &self.text[i + 1..],
-            None => &self.text,
-        }
-    }
-
-    /// The label the registrant chose (`example` for `example.co.uk`).
-    pub fn registrant_label(&self) -> &str {
-        match self.text.find('.') {
-            Some(i) => &self.text[..i],
-            None => &self.text,
-        }
-    }
-
     /// Number of labels in the public suffix (1 for `com`, 2 for `co.uk`).
     pub fn suffix_label_count(&self) -> usize {
         self.suffix_labels as usize
@@ -255,14 +238,6 @@ impl SuffixList {
         best
     }
 
-    /// True when `name` is itself a public suffix (e.g. `co.uk`).
-    pub fn is_public_suffix(&self, name: &DomainName) -> bool {
-        match self.suffix_labels(name) {
-            Some(n) => n == name.label_count(),
-            None => name.label_count() == 1,
-        }
-    }
-
     /// Extracts the registered domain of `name`.
     ///
     /// Returns `None` when the name *is* a public suffix (nothing is
@@ -280,12 +255,6 @@ impl SuffixList {
             text,
             suffix_labels: suffix_labels as u8,
         })
-    }
-
-    /// Convenience: parse a raw string and return its registered domain.
-    pub fn registered_domain_str(&self, raw: &str) -> Option<RegisteredDomain> {
-        let name = DomainName::parse(raw).ok()?;
-        self.registered_domain(&name)
     }
 }
 
@@ -322,8 +291,6 @@ mod tests {
     #[test]
     fn suffix_itself_is_not_registrable() {
         assert_eq!(reg("co.uk"), None);
-        let tld_only = DomainName::parse("co.uk").unwrap();
-        assert!(psl().is_public_suffix(&tld_only));
     }
 
     #[test]
@@ -351,19 +318,12 @@ mod tests {
         let r = psl()
             .registered_domain(&DomainName::parse("www.example.co.uk").unwrap())
             .unwrap();
-        assert_eq!(r.public_suffix(), "co.uk");
-        assert_eq!(r.registrant_label(), "example");
+        assert_eq!(r.as_str(), "example.co.uk");
         assert_eq!(r.suffix_label_count(), 2);
     }
 
     #[test]
     fn parse_rejects_garbage() {
         assert!(SuffixList::parse("bad_rule").is_err());
-    }
-
-    #[test]
-    fn registered_domain_str_handles_invalid() {
-        assert!(psl().registered_domain_str("..").is_none());
-        assert!(psl().registered_domain_str("ok.example.org").is_some());
     }
 }

@@ -37,11 +37,6 @@ impl ReportingPolicy {
             (ReportingPolicy::BinaryListing, Some(_)) => false,
         }
     }
-
-    /// Whether records under this policy carry meaningful volume.
-    pub fn preserves_volume(&self) -> bool {
-        matches!(self, ReportingPolicy::Raw)
-    }
 }
 
 /// Tracks per-domain record emission under a policy.
@@ -112,13 +107,6 @@ mod tests {
         assert!(st.observe(p, d, SimTime(DAY)));
         assert!(!st.observe(p, d, SimTime(DAY + HOUR)));
         assert!(st.observe(p, d, SimTime(3 * DAY)));
-    }
-
-    #[test]
-    fn volume_preservation_flags() {
-        assert!(ReportingPolicy::Raw.preserves_volume());
-        assert!(!ReportingPolicy::DedupWindow { secs: DAY }.preserves_volume());
-        assert!(!ReportingPolicy::BinaryListing.preserves_volume());
     }
 
     /// Window dedup flattens the volume distribution: the paper's

@@ -136,37 +136,6 @@ pub fn render_spam<R: Rng>(
     }
 }
 
-/// Renders a legitimate message citing `domains`.
-pub fn render_benign<R: Rng>(
-    truth: &GroundTruth,
-    domains: &[DomainId],
-    time: SimTime,
-    rng: &mut R,
-) -> RenderedMessage {
-    let from_dom = domains
-        .first()
-        .map(|&d| truth.universe.table.text(d).to_string())
-        .unwrap_or_else(|| "example.org".to_string());
-    let mut from = String::with_capacity(24 + from_dom.len());
-    push_sender_localpart(&mut from, rng);
-    from.push('@');
-    from.push_str(&from_dom);
-    let subject = "Re: your inquiry".to_string();
-    let mut body = String::from("Hi,\n\nFollowing up on our conversation:\n");
-    for &d in domains {
-        body.push_str("  see ");
-        push_random_url(&mut body, truth, d, rng);
-        body.push('\n');
-    }
-    body.push_str("\nThanks!\n");
-    let text = format!("From: {from}\nTo: someone\nSubject: {subject}\nDate: {time}\n\n{body}");
-    RenderedMessage {
-        from,
-        subject,
-        text,
-    }
-}
-
 /// The random draws behind one URL, separated from string assembly so
 /// hot paths can draw first and write into a reused buffer later.
 struct UrlParts {
@@ -242,25 +211,6 @@ pub fn replay_spam_url_hosts<R: Rng>(rng: &mut R, chaff_distinct: bool) -> (usiz
     (adv_sub, Some(chaff_sub))
 }
 
-/// Appends a URL on `domain` with a random subdomain and path onto
-/// `out`, allocation-free (buffer growth aside).
-pub fn push_random_url<R: Rng>(
-    out: &mut String,
-    truth: &GroundTruth,
-    domain: DomainId,
-    rng: &mut R,
-) {
-    UrlParts::draw(rng).push_onto(out, truth, domain);
-}
-
-/// Builds a URL string on `domain` with a random subdomain and path.
-/// Prefer [`push_random_url`] in loops.
-pub fn random_url<R: Rng>(truth: &GroundTruth, domain: DomainId, rng: &mut R) -> String {
-    let mut out = String::with_capacity(48);
-    push_random_url(&mut out, truth, domain, rng);
-    out
-}
-
 const SENDER_NAMES: &[&str] = &["info", "sales", "noreply", "news", "offers", "support"];
 
 fn push_sender_localpart<R: Rng>(out: &mut String, rng: &mut R) {
@@ -309,20 +259,6 @@ mod tests {
             checked += 1;
         }
         assert!(checked > 0);
-    }
-
-    #[test]
-    fn benign_rendering_cites_all_domains() {
-        let truth = world();
-        let mut rng = RngStream::new(2, "render-benign");
-        let d1 = truth.universe.sample_chaff(&mut rng);
-        let d2 = truth.universe.sample_chaff(&mut rng);
-        let msg = render_benign(&truth, &[d1, d2], SimTime::from_days(3), &mut rng);
-        let text1 = truth.universe.table.text(d1);
-        let text2 = truth.universe.table.text(d2);
-        assert!(msg.text.contains(text1));
-        assert!(msg.text.contains(text2));
-        assert!(msg.from.contains('@'));
     }
 
     #[test]
@@ -382,28 +318,14 @@ mod tests {
     }
 
     #[test]
-    fn push_random_url_matches_random_url() {
-        let truth = world();
-        let mut rng_a = RngStream::new(6, "render-push-url");
-        let mut rng_b = rng_a.clone();
-        let mut buf = String::new();
-        for _ in 0..200 {
-            let d = truth.universe.sample_chaff(&mut rng_a);
-            let _ = truth.universe.sample_chaff(&mut rng_b);
-            let url = random_url(&truth, d, &mut rng_a);
-            buf.clear();
-            push_random_url(&mut buf, &truth, d, &mut rng_b);
-            assert_eq!(buf, url);
-        }
-    }
-
-    #[test]
     fn urls_are_parseable() {
         let truth = world();
         let mut rng = RngStream::new(3, "render-url");
+        let mut url = String::new();
         for _ in 0..200 {
             let d = truth.universe.sample_chaff(&mut rng);
-            let url = random_url(&truth, d, &mut rng);
+            url.clear();
+            UrlParts::draw(&mut rng).push_onto(&mut url, &truth, d);
             taster_domain::Url::parse(&url).unwrap_or_else(|e| panic!("{url}: {e}"));
         }
     }

@@ -13,10 +13,12 @@
 //!    input-index order ([`MetricsRegistry::absorb_in_order`]), so
 //!    even a non-commutative future aggregate would stay
 //!    deterministic.
-//! 2. **Wall-clock stays out of the deterministic view.** Stage wall
-//!    times are recorded separately ([`MetricsRegistry::record_timing`])
-//!    and never rendered by [`MetricsRegistry::render`]; they feed the
-//!    `taster profile` tree and `BENCH_pipeline.json` instead.
+//! 2. **No wall clock in the registry.** A stage's wall time is the
+//!    duration of its trace span ([`crate::trace::Tracer::span_timings`]),
+//!    which the deterministic views leave out; the registry stores
+//!    counters and histograms only. Its one clock,
+//!    [`MetricsRegistry::stopwatch`], times what no span covers (a whole
+//!    run, a serving request) and never records into the registry.
 //!
 //! Counter adds saturate rather than wrap: a metrics overflow must
 //! never turn a huge count into a small one (or panic a release
@@ -25,17 +27,17 @@
 
 #![allow(
     clippy::disallowed_types,
-    reason = "the registry timing map is the clock every stage reads; its Stopwatch is the one Instant outside tracing"
+    reason = "Stopwatch is the one wall clock outside tracing: whole-run totals and serving latencies"
 )]
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
-/// Canonical pipeline stage keys, in pipeline order. The report's
-/// metrics section, the `taster profile` tree and `BENCH_pipeline.json`
-/// all key stage data by these names, which is what keeps them from
-/// ever disagreeing.
+/// Canonical pipeline stage keys, in pipeline order. Each names a
+/// top-level trace span ([`crate::Obs::stage`]) and the counters under
+/// `<stage>/`; the report's metrics section, the `taster profile` tree
+/// and `BENCH_pipeline.json` all key stage data by these names.
 pub const STAGE_KEYS: [&str; 10] = [
     STAGE_GENERATE,
     STAGE_COLLECT,
@@ -69,25 +71,6 @@ pub const STAGE_PROPORTIONALITY: &str = "proportionality";
 pub const STAGE_TIMING: &str = "timing";
 /// Plain-text report rendering (all tables and figures).
 pub const STAGE_RENDER: &str = "render";
-
-/// Auxiliary stage keys: timed scopes outside the canonical pipeline
-/// inventory (bench and replication drivers), declared here so the
-/// stage registry stays complete — `taster lint` checks every
-/// `stage()`/`time_stage()` call site against
-/// [`STAGE_KEYS`] ∪ [`AUX_STAGE_KEYS`], in both directions.
-pub const AUX_STAGE_KEYS: [&str; 3] = [
-    STAGE_COLLECT_FAULTED,
-    STAGE_CLASSIFY_FAULTED,
-    STAGE_REPLICATE,
-];
-
-/// Fault-injected feed collection (bench only; not one of the
-/// report's canonical stages).
-pub const STAGE_COLLECT_FAULTED: &str = "collect_faulted";
-/// Fault-injected classification (bench only).
-pub const STAGE_CLASSIFY_FAULTED: &str = "classify_faulted";
-/// The multi-seed replication driver (`taster replicate`).
-pub const STAGE_REPLICATE: &str = "replicate";
 
 /// A fixed-bucket histogram over `u64` values.
 ///
@@ -248,15 +231,6 @@ impl MetricsShard {
     }
 }
 
-#[derive(Debug, Default)]
-struct RegistryInner {
-    shard: MetricsShard,
-    /// Stage wall times in seconds — excluded from the deterministic
-    /// view. Repeated recordings keep the minimum (best-of semantics,
-    /// matching the bench harness's noise-floor convention).
-    timings: BTreeMap<String, f64>,
-}
-
 /// The shared, thread-safe metrics sink of one observed run.
 ///
 /// A disabled registry ([`MetricsRegistry::off`]) turns every method
@@ -265,7 +239,7 @@ struct RegistryInner {
 #[derive(Debug)]
 pub struct MetricsRegistry {
     on: bool,
-    inner: Mutex<RegistryInner>,
+    shard: Mutex<MetricsShard>,
 }
 
 impl MetricsRegistry {
@@ -273,7 +247,7 @@ impl MetricsRegistry {
     pub fn off() -> MetricsRegistry {
         MetricsRegistry {
             on: false,
-            inner: Mutex::new(RegistryInner::default()),
+            shard: Mutex::new(MetricsShard::default()),
         }
     }
 
@@ -281,7 +255,7 @@ impl MetricsRegistry {
     pub fn on() -> MetricsRegistry {
         MetricsRegistry {
             on: true,
-            inner: Mutex::new(RegistryInner::default()),
+            shard: Mutex::new(MetricsShard::default()),
         }
     }
 
@@ -291,11 +265,11 @@ impl MetricsRegistry {
         self.on
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, RegistryInner> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, MetricsShard> {
         // A poisoned lock means a worker panicked mid-update; the
         // counters are still structurally sound, so recover the inner
         // data rather than compounding the panic.
-        self.inner
+        self.shard
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
@@ -303,21 +277,21 @@ impl MetricsRegistry {
     /// Adds `delta` to counter `name` (saturating; no-op when off).
     pub fn add(&self, name: &str, delta: u64) {
         if self.on {
-            self.lock().shard.add(name, delta);
+            self.lock().add(name, delta);
         }
     }
 
     /// Records one histogram observation (no-op when off).
     pub fn observe(&self, name: &str, bounds: &[u64], value: u64) {
         if self.on {
-            self.lock().shard.observe(name, bounds, value);
+            self.lock().observe(name, bounds, value);
         }
     }
 
     /// Merges one shard (no-op when off).
     pub fn absorb(&self, shard: &MetricsShard) {
         if self.on && !shard.is_empty() {
-            self.lock().shard.merge(shard);
+            self.lock().merge(shard);
         }
     }
 
@@ -328,40 +302,10 @@ impl MetricsRegistry {
         if !self.on {
             return;
         }
-        let mut inner = self.lock();
+        let mut merged = self.lock();
         for shard in shards {
-            inner.shard.merge(shard);
+            merged.merge(shard);
         }
-    }
-
-    /// Records a stage wall time in seconds, keeping the minimum
-    /// across repeated recordings (no-op when off). Wall times never
-    /// appear in [`MetricsRegistry::render`].
-    pub fn record_timing(&self, stage: &str, secs: f64) {
-        if !self.on {
-            return;
-        }
-        let mut inner = self.lock();
-        let slot = inner
-            .timings
-            .entry(stage.to_string())
-            .or_insert(f64::INFINITY);
-        if secs < *slot {
-            *slot = secs;
-        }
-    }
-
-    /// Runs `f` and records its wall time under `stage` (best-of
-    /// across repeats). Together with [`MetricsRegistry::stopwatch`]
-    /// this is the registry's only clock: keeping the `Instant` reads
-    /// here preserves the wall-clock quarantine — `clippy.toml`
-    /// disallows `Instant` everywhere but this module, `trace`, and
-    /// `core::profile`.
-    pub fn time_stage<T>(&self, stage: &str, f: impl FnOnce() -> T) -> T {
-        let started = std::time::Instant::now();
-        let out = f();
-        self.record_timing(stage, started.elapsed().as_secs_f64());
-        out
     }
 
     /// Starts a wall-clock stopwatch. See [`Stopwatch`].
@@ -371,48 +315,28 @@ impl MetricsRegistry {
         }
     }
 
-    /// The recorded wall time for `stage`, if any.
-    pub fn timing(&self, stage: &str) -> Option<f64> {
-        if !self.on {
-            return None;
-        }
-        self.lock().timings.get(stage).copied()
-    }
-
-    /// All recorded stage timings, sorted by stage name.
-    pub fn timings(&self) -> Vec<(String, f64)> {
-        if !self.on {
-            return Vec::new();
-        }
-        self.lock()
-            .timings
-            .iter()
-            .map(|(k, &v)| (k.clone(), v))
-            .collect()
-    }
-
     /// Current value of counter `name` (0 when absent or off).
     pub fn counter(&self, name: &str) -> u64 {
         if !self.on {
             return 0;
         }
-        self.lock().shard.counter(name)
+        self.lock().counter(name)
     }
 
     /// A snapshot of the aggregated shard.
     pub fn snapshot(&self) -> MetricsShard {
-        self.lock().shard.clone()
+        self.lock().clone()
     }
 
     /// The deterministic view: counters then histograms, sorted by
-    /// name, wall times excluded. Bit-identical at any worker count.
+    /// name. Bit-identical at any worker count.
     pub fn render(&self) -> String {
-        let inner = self.lock();
+        let shard = self.lock();
         let mut out = String::new();
-        for (name, value) in &inner.shard.counters {
+        for (name, value) in &shard.counters {
             let _ = writeln!(out, "counter   {name:<42} {value}");
         }
-        for (name, hist) in &inner.shard.histograms {
+        for (name, hist) in &shard.histograms {
             let _ = write!(out, "histogram {name:<42} ");
             hist.render_into(&mut out);
             out.push('\n');
@@ -421,7 +345,8 @@ impl MetricsRegistry {
     }
 }
 
-/// A plain wall-clock stopwatch for serving-path latency measurement
+/// A plain wall-clock stopwatch for what no stage span covers: a whole
+/// profiled run, the collect-overhead probe, serving-path latencies
 /// (`taster loadgen`, the serve watchdog). Lives in this module so the
 /// `Instant` stays inside the wall-clock quarantine; simulation code
 /// must keep using [`crate::SimTime`].
@@ -489,31 +414,18 @@ mod tests {
         let r = MetricsRegistry::off();
         r.add("x", 10);
         r.observe("h", &[1], 1);
-        r.record_timing("collect", 0.5);
         assert_eq!(r.counter("x"), 0);
-        assert_eq!(r.timing("collect"), None);
         assert!(r.render().is_empty());
     }
 
     #[test]
-    fn render_is_sorted_and_excludes_timings() {
+    fn render_is_sorted_by_name() {
         let r = MetricsRegistry::on();
         r.add("z/last", 1);
         r.add("a/first", 2);
-        r.record_timing("collect", 1.25);
         let text = r.render();
         let a = text.find("a/first").expect("a/first rendered");
         let z = text.find("z/last").expect("z/last rendered");
         assert!(a < z, "counters sorted by name");
-        assert!(!text.contains("1.25"), "wall time leaked into render");
-    }
-
-    #[test]
-    fn timings_keep_the_minimum() {
-        let r = MetricsRegistry::on();
-        r.record_timing("collect", 2.0);
-        r.record_timing("collect", 1.0);
-        r.record_timing("collect", 3.0);
-        assert_eq!(r.timing("collect"), Some(1.0));
     }
 }

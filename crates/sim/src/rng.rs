@@ -92,14 +92,6 @@ impl RngStream {
         }
     }
 
-    /// Returns the stream's next `n` draws as a vector. Bit-identical
-    /// to drawing `next_u64` `n` times.
-    pub fn next_n(&mut self, n: usize) -> Vec<u64> {
-        let mut out = vec![0u64; n];
-        self.fill_u64(&mut out);
-        out
-    }
-
     #[inline]
     fn next(&mut self) -> u64 {
         let s = &mut self.s;
@@ -295,19 +287,6 @@ mod tests {
             assert_eq!(v, single.next_u64(), "draw {i}");
         }
         // And the streams stay in lockstep afterwards.
-        assert_eq!(batched.next_u64(), single.next_u64());
-    }
-
-    #[test]
-    fn next_n_matches_single_draws() {
-        let mut single = RngStream::new(99, "bulk-n");
-        let mut batched = RngStream::new(99, "bulk-n");
-        let draws = batched.next_n(31);
-        assert_eq!(draws.len(), 31);
-        for (i, &v) in draws.iter().enumerate() {
-            assert_eq!(v, single.next_u64(), "draw {i}");
-        }
-        assert!(batched.next_n(0).is_empty());
         assert_eq!(batched.next_u64(), single.next_u64());
     }
 

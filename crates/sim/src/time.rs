@@ -26,11 +26,6 @@ impl SimTime {
         SimTime(days * DAY)
     }
 
-    /// Constructs from whole hours since epoch.
-    pub fn from_hours(hours: u64) -> SimTime {
-        SimTime(hours * HOUR)
-    }
-
     /// Seconds since epoch.
     pub fn secs(self) -> u64 {
         self.0
@@ -120,25 +115,9 @@ impl TimeWindow {
         self.end.0 - self.start.0
     }
 
-    /// Window length in fractional days.
-    pub fn len_days(&self) -> f64 {
-        self.len_secs() as f64 / DAY as f64
-    }
-
     /// Membership test (`start ≤ t < end`).
     pub fn contains(&self, t: SimTime) -> bool {
         t >= self.start && t < self.end
-    }
-
-    /// Intersection with another window, `None` when disjoint.
-    pub fn intersect(&self, other: &TimeWindow) -> Option<TimeWindow> {
-        let start = self.start.max(other.start);
-        let end = self.end.min(other.end);
-        if start < end {
-            Some(TimeWindow { start, end })
-        } else {
-            None
-        }
     }
 
     /// Iterates the whole day indices the window touches.
@@ -163,7 +142,6 @@ mod tests {
         assert_eq!(t.day(), 2);
         assert_eq!(t.second_of_day(), 3 * HOUR + 5 * MINUTE + 7);
         assert_eq!(format!("{t}"), "d002 03:05:07");
-        assert_eq!(SimTime::from_hours(25).day(), 1);
     }
 
     #[test]
@@ -184,19 +162,7 @@ mod tests {
         assert!(w.contains(SimTime::ZERO));
         assert!(w.contains(SimTime(3 * DAY - 1)));
         assert!(!w.contains(SimTime(3 * DAY)));
-        assert_eq!(w.len_days(), 3.0);
-    }
-
-    #[test]
-    fn window_intersection() {
-        let a = TimeWindow::new(SimTime(10), SimTime(20));
-        let b = TimeWindow::new(SimTime(15), SimTime(30));
-        let c = TimeWindow::new(SimTime(20), SimTime(25));
-        assert_eq!(
-            a.intersect(&b),
-            Some(TimeWindow::new(SimTime(15), SimTime(20)))
-        );
-        assert_eq!(a.intersect(&c), None);
+        assert_eq!(w.len_secs(), 3 * DAY);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Concentration measures: Lorenz curve and Gini coefficient.
+//! Concentration measures: Gini coefficient and top-k shares.
 //!
 //! The paper's core extrapolation assumption is that spam is
 //! "dominated by small collections of large players" (§1) — campaign
@@ -32,50 +32,6 @@ pub fn gini(values: &[f64]) -> Option<f64> {
         .sum();
     let g = (2.0 * weighted) / (n * total) - (n + 1.0) / n;
     Some(g.clamp(0.0, 1.0))
-}
-
-/// One point of a Lorenz curve: bottom `population` share holds
-/// `mass` share.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LorenzPoint {
-    /// Cumulative population share in `[0, 1]`.
-    pub population: f64,
-    /// Cumulative mass share in `[0, 1]`.
-    pub mass: f64,
-}
-
-/// Computes the Lorenz curve at `points` evenly-spaced population
-/// shares (plus the origin). Empty/zero inputs yield an empty curve.
-pub fn lorenz_curve(values: &[f64], points: usize) -> Vec<LorenzPoint> {
-    if values.is_empty() || points == 0 {
-        return Vec::new();
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(f64::total_cmp);
-    let total: f64 = sorted.iter().sum();
-    if total <= 0.0 {
-        return Vec::new();
-    }
-    let mut cumulative = Vec::with_capacity(sorted.len());
-    let mut acc = 0.0;
-    for &v in &sorted {
-        acc += v;
-        cumulative.push(acc);
-    }
-    let mut out = Vec::with_capacity(points + 1);
-    out.push(LorenzPoint {
-        population: 0.0,
-        mass: 0.0,
-    });
-    for k in 1..=points {
-        let population = k as f64 / points as f64;
-        let idx = ((population * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-        out.push(LorenzPoint {
-            population,
-            mass: cumulative[idx - 1] / total,
-        });
-    }
-    out
 }
 
 /// Share of total mass held by the top `fraction` of values.
@@ -123,20 +79,6 @@ mod tests {
         assert_eq!(gini(&[]), None);
         assert_eq!(gini(&[0.0, 0.0]), None);
         assert_eq!(top_share(&[], 0.1), None);
-        assert!(lorenz_curve(&[], 10).is_empty());
-    }
-
-    #[test]
-    fn lorenz_curve_is_monotone_convexish_and_ends_at_one() {
-        let values: Vec<f64> = (1..=100).map(|i| (i * i) as f64).collect();
-        let curve = lorenz_curve(&values, 20);
-        assert_eq!(curve.len(), 21);
-        assert_eq!(curve[0].mass, 0.0);
-        assert!((curve.last().unwrap().mass - 1.0).abs() < 1e-12);
-        for w in curve.windows(2) {
-            assert!(w[1].mass >= w[0].mass);
-            assert!(w[1].mass <= w[1].population + 1e-12, "below the diagonal");
-        }
     }
 
     #[test]

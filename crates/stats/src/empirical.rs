@@ -116,15 +116,6 @@ impl EmpiricalDist {
                 .map(|(&k, &c)| (k, c)),
         )
     }
-
-    /// The `n` most frequent keys, ties broken by smaller key first
-    /// (deterministic).
-    pub fn top_n(&self, n: usize) -> Vec<(u32, u64)> {
-        let mut v: Vec<(u32, u64)> = self.iter().collect();
-        v.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        v.truncate(n);
-        v
-    }
 }
 
 impl FromIterator<u32> for EmpiricalDist {
@@ -179,12 +170,6 @@ mod tests {
         assert_eq!(r.total(), 5);
         assert_eq!(r.count(1), 0);
         assert_eq!(r.count(2), 5);
-    }
-
-    #[test]
-    fn top_n_is_deterministic() {
-        let a = EmpiricalDist::from_counts([(5, 10), (1, 10), (2, 3)]);
-        assert_eq!(a.top_n(2), vec![(1, 10), (5, 10)]);
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! * [`infer`] — replication inference: Welch/Z/paired t-tests and
 //!   keyed percentile+BCa bootstrap CIs over [`infer::MetricSamples`]
 //!   tables.
-//! * [`concentration`] — Gini coefficient, Lorenz curves and top-k
-//!   shares for the heavy-tail statements the paper makes in prose.
+//! * [`concentration`] — Gini coefficient and top-k shares for the
+//!   heavy-tail statements the paper makes in prose.
 //! * [`summary`] — means, standard deviations and counting helpers.
 
 #![cfg_attr(

@@ -81,11 +81,6 @@ impl Boxplot {
             max: sorted[sorted.len() - 1],
         })
     }
-
-    /// Interquartile range.
-    pub fn iqr(&self) -> f64 {
-        self.q3 - self.q1
-    }
 }
 
 impl std::fmt::Display for Boxplot {
@@ -144,7 +139,6 @@ mod tests {
         assert!((b.median - 50.5).abs() < 1e-12);
         assert!((b.q1 - 25.75).abs() < 1e-12);
         assert!((b.q3 - 75.25).abs() < 1e-12);
-        assert!(b.iqr() > 0.0);
         assert!(b.p5 < b.q1 && b.q3 < b.p95);
     }
 

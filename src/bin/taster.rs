@@ -7,8 +7,7 @@
 //! taster sweep <seeding|mx-size>   parameter sweeps
 //! taster summary                   world statistics only
 //! taster degradation               canonical fault-profile sweep
-//! taster bench-json                pipeline scaling benchmark
-//! taster profile                   per-stage observability profile
+//! taster profile                   per-stage profile and pipeline bench
 //! taster serve                     guarded streaming daemon
 //! taster loadgen                   deterministic query storms
 //! taster replicate                 N-seed replication with CIs
@@ -67,7 +66,7 @@ use taster::sim::{FaultProfile, Obs};
 type Flag = (&'static str, Option<&'static str>);
 
 const SCALE: Flag = ("--scale", Some("S"));
-/// `bench-json`'s `--scale`, which also takes a comma-separated list.
+/// `profile`'s `--scale`, which also takes a comma-separated list.
 const SCALES: Flag = ("--scale", Some("S[,S...]"));
 const SEED: Flag = ("--seed", Some("N"));
 const THREADS: Flag = ("--threads", Some("N"));
@@ -151,8 +150,7 @@ const COMMANDS: &[Command] = &[
     Command { operands: &["seeding", "mx-size"], ..row("sweep", &[SERIAL_WORLD], "", do_sweep) },
     row("summary", &[SERIAL_WORLD], "", summary),
     row("degradation", &[WORLD], "", degradation_cmd),
-    row("bench-json", &[&[SCALES, SEED, THREADS, CHUNK, MAX_MEM, OUT, MIN_RATE]], "", bench_json),
-    row("profile", &[WORLD, &[FAULTS, TRACE, OUT, GATE]], "", profile_cmd),
+    row("profile", &[&[SCALES, SEED, THREADS, CHUNK, MAX_MEM, FAULTS, TRACE, OUT, MIN_RATE, GATE]], "", profile_cmd),
     row("serve", &[WORLD, &[FAULTS], DAEMON], "", serve_cmd),
     row("loadgen", &[&[SEED, FAULTS, SOCKET, ROUNDS, TIMEOUT, OUT]], "", loadgen_cmd),
     row("replicate", &[WORLD, &[FAULTS], REPLICATION], "text|json", replicate_cmd),
@@ -330,7 +328,7 @@ impl Args {
                     .map(|s| positive(flag, s.trim()))
                     .collect::<Result<Vec<f64>, _>>()?;
                 if scales.len() > 1 && (flag, value) != SCALES {
-                    return Err("only bench-json accepts a --scale list".to_string());
+                    return Err("only profile accepts a --scale list".to_string());
                 }
                 self.scales = scales;
             }
@@ -392,9 +390,14 @@ impl Args {
     /// The paper scenario at `--scale` and `--seed`, tuned and faulted
     /// by this command's flags.
     fn scenario(&self) -> Scenario {
+        self.scenario_at(self.scales[0])
+    }
+
+    /// [`Args::scenario`] at `scale`, one entry of `profile`'s list.
+    fn scenario_at(&self, scale: f64) -> Scenario {
         self.tune(
             Scenario::default_paper()
-                .with_scale(self.scales[0])
+                .with_scale(scale)
                 .with_seed(self.seed),
         )
         .with_faults(self.faults.clone())
@@ -603,59 +606,98 @@ fn report(args: &Args) {
     }
 }
 
-/// One fully-observed run: deterministic span tree + metrics, then the
-/// wall-clock self-time table, then `BENCH_pipeline.json`-compatible
-/// stage timings and that run's end-to-end wall accounting to `--out`.
-/// With `--overhead-gate FRAC`, also measures instrumented vs.
-/// uninstrumented collection and exits 1 when the overhead fraction
+/// `taster profile`: one fully-observed run per `--scale` value. Each
+/// prints its deterministic span tree + metrics, then every span's wall
+/// and self seconds, and becomes one entry of the bench JSON written
+/// to `--out`: its `<stage>_secs` are the top-level spans the tree
+/// shows. `--trace` writes the span log of each run to the same path,
+/// so a `--scale` list leaves the last one. Gates, each checked per
+/// scale after the JSON is written (exit 1 on failure):
+/// `--min-events-per-sec R` is a floor on collect-stage throughput,
+/// and then also refuses an untimed wall over 10% of the total;
+/// `--overhead-gate FRAC` re-times collection instrumented vs.
+/// uninstrumented (best of 12) and fails when the overhead fraction
 /// exceeds the gate.
 fn profile_cmd(args: &Args) {
-    let scenario = args.scenario();
-    eprintln!("profiling {}", scenario.name);
-    let (e, e2e) = or_exit(profile::run_end_to_end(&scenario, Obs::on()));
-    if let Some(path) = &args.trace {
-        write_trace(&e, path);
+    let mut runs = Vec::new();
+    for &scale in &args.scales {
+        let scenario = args.scenario_at(scale);
+        eprintln!("profiling {}", scenario.name);
+        let (e, e2e) = or_exit(profile::run_end_to_end(&scenario));
+        if let Some(path) = &args.trace {
+            write_trace(&e, path);
+        }
+        print!("{}", profile::deterministic_profile(&e));
+        print!("{}", profile::render_profile_tree(&e));
+        eprintln!(
+            "scale {scale}: {} events in {:.3}s ({:.0} events/s end to end, \
+             collect {:.0} events/s), untimed {:.1}%",
+            e2e.events,
+            e2e.total,
+            e2e.events_per_sec(),
+            e2e.collect_events_per_sec(),
+            e2e.untimed_fraction() * 100.0,
+        );
+        runs.push((scale, e2e));
     }
-    print!("{}", profile::deterministic_profile(&e));
-    print!("{}", profile::render_profile_tree(&e));
-    let row = profile::StageBench::from_registry(&e.obs, e.scenario.parallelism.workers());
-    let entry = profile::ScaleBench::new(
-        args.scales[0],
-        &scenario.name,
-        e.world.truth.log.len as u64,
-        scenario.feeds.chunk_size,
-        vec![row],
-    )
-    .with_end_to_end(e2e);
-    let json = profile::bench_json_string(scenario.seed, 1, &[entry]);
+    let json = profile::bench_json_string(args.seed, &runs);
     if let Err(err) = std::fs::write(&args.out, &json) {
         eprintln!("cannot write {}: {err}", args.out);
         std::process::exit(1);
     }
     eprintln!("wrote {}", args.out);
-    if let Some(gate) = args.overhead_gate {
-        // Best-of-12: the streaming core shrank the measured collect
-        // stage to tens of milliseconds, so a stable minimum needs
-        // more reps than the old multi-hundred-ms stage did.
-        let (off, on) = match profile::collect_overhead(&scenario, 12) {
-            Ok(pair) => pair,
-            Err(err) => {
-                eprintln!("overhead measurement failed: {err}");
+    for (scale, e2e) in &runs {
+        if let Some(floor) = args.min_events_per_sec {
+            let rate = e2e.collect_events_per_sec();
+            if rate < floor {
+                eprintln!(
+                    "scale {scale}: collect throughput {rate:.0} events/s \
+                     is below the floor {floor:.0}"
+                );
                 std::process::exit(1);
             }
-        };
-        let overhead = if off > 0.0 { on / off - 1.0 } else { 0.0 };
-        eprintln!(
-            "collect overhead: off {off:.4}s, instrumented {on:.4}s ({:+.2}%)",
-            overhead * 100.0
-        );
-        if overhead > gate {
+            // A throughput floor is only meaningful if the stage
+            // inventory covers the run: refuse to pass when more than
+            // 10% of the end-to-end wall went to untimed work.
+            let frac = e2e.untimed_fraction();
+            if frac > 0.10 {
+                eprintln!(
+                    "scale {scale}: untimed wall {:.3}s is {:.1}% of the {:.3}s total \
+                     (over the 10% ceiling); the stage inventory is incomplete",
+                    e2e.untimed(),
+                    frac * 100.0,
+                    e2e.total,
+                );
+                std::process::exit(1);
+            }
             eprintln!(
-                "metrics overhead {:.2}% exceeds gate {:.2}%",
-                overhead * 100.0,
-                gate * 100.0
+                "scale {scale}: meets the {floor:.0} events/s floor (untimed wall within 10%)"
             );
-            std::process::exit(1);
+        }
+        if let Some(gate) = args.overhead_gate {
+            // Best-of-12: the streaming core shrank the measured collect
+            // stage to tens of milliseconds, so a stable minimum needs
+            // more reps than the old multi-hundred-ms stage did.
+            let (off, on) = match profile::collect_overhead(&args.scenario_at(*scale), 12) {
+                Ok(pair) => pair,
+                Err(err) => {
+                    eprintln!("overhead measurement failed: {err}");
+                    std::process::exit(1);
+                }
+            };
+            let overhead = if off > 0.0 { on / off - 1.0 } else { 0.0 };
+            eprintln!(
+                "scale {scale}: collect overhead: off {off:.4}s, instrumented {on:.4}s ({:+.2}%)",
+                overhead * 100.0
+            );
+            if overhead > gate {
+                eprintln!(
+                    "metrics overhead {:.2}% exceeds gate {:.2}%",
+                    overhead * 100.0,
+                    gate * 100.0
+                );
+                std::process::exit(1);
+            }
         }
     }
 }
@@ -731,149 +773,6 @@ fn do_sweep(args: &Args) {
             "{:<44} {:>10} {:>9} {:>8}",
             p.label, p.samples, p.unique_domains, p.tagged_domains
         );
-    }
-}
-
-/// Times feed collection, crawl/classification (clean and under the
-/// `lossy-feeds`/`flaky-crawler` fault profiles), and the four
-/// analysis stages (coverage, purity, proportionality, timing) at
-/// 1/2/4/8 workers over one shared world per `--scale` value and
-/// writes the results as JSON — per scale: the event count, streaming
-/// chunk size, peak-buffer estimate, and per-run events/sec. Every
-/// number is sourced from the observability layer's metrics registry
-/// ([`profile::bench_stages`]); every timed run produces bit-identical
-/// output, only wall-clock varies. With `--min-events-per-sec R`, the
-/// command exits 1 when any scale's best collect throughput falls
-/// below the floor (the CI perf-smoke gate).
-fn bench_json(args: &Args) {
-    let reps = 3usize;
-    let mut entries: Vec<profile::ScaleBench> = Vec::new();
-    for &scale in &args.scales {
-        let scenario = args.tune(
-            Scenario::default_paper()
-                .with_scale(scale)
-                .with_seed(args.seed),
-        );
-        eprintln!("building world for {}", scenario.name);
-        let world = or_exit(build_world(&scenario, &Obs::off()));
-        let events = world.truth.log.len as u64;
-        let mut rows: Vec<profile::StageBench> = Vec::new();
-        for workers in [1usize, 2, 4, 8] {
-            let best = match profile::bench_stages(&world, &scenario, workers, reps) {
-                Ok(row) => row,
-                Err(e) => {
-                    eprintln!("bench failed at {workers} workers: {e}");
-                    std::process::exit(1);
-                }
-            };
-            eprintln!(
-                "workers {workers}: collect {:.3}s ({:.0} events/s) classify {:.3}s \
-                 faulted collect {:.3}s classify {:.3}s analyze {:.4}s",
-                best.collect,
-                profile::events_per_sec(events, best.collect),
-                best.classify,
-                best.collect_faulted,
-                best.classify_faulted,
-                best.analyze(),
-            );
-            rows.push(best);
-        }
-        // One fully-observed end-to-end run per scale: generate through
-        // render on one clock, so the untimed remainder is measurable.
-        eprintln!("timing end-to-end (generate through render)");
-        let e2e = match profile::run_end_to_end(&scenario, Obs::with(true, false)) {
-            Ok((_, e2e)) => e2e,
-            Err(e) => {
-                eprintln!("end-to-end bench failed: {e}");
-                std::process::exit(1);
-            }
-        };
-        eprintln!(
-            "end-to-end {:.3}s: generate {:.3}s, render {:.3}s, untimed {:.3}s ({:.1}%)",
-            e2e.total,
-            e2e.generate,
-            e2e.render,
-            e2e.untimed(),
-            e2e.untimed_fraction() * 100.0,
-        );
-        // One small observed replication per scale, so the bench tracks
-        // the cost of the statistical-rigor layer alongside the
-        // pipeline stages it fans out.
-        eprintln!("timing replicate (2 seeds)");
-        let rep_obs = Obs::with(true, false);
-        let rep_opts = replicate::ReplicateOptions {
-            seeds: 2,
-            resamples: 100,
-            level: 0.95,
-        };
-        if let Err(e) = replicate::replicate_observed(&scenario, rep_opts, &rep_obs) {
-            eprintln!("replicate bench failed: {e}");
-            std::process::exit(1);
-        }
-        let replicate_secs = rep_obs
-            .metrics
-            .timing(replicate::STAGE_REPLICATE)
-            .unwrap_or(0.0);
-        eprintln!("replicate (2 seeds) {replicate_secs:.3}s");
-        let entry = profile::ScaleBench::new(
-            scale,
-            &scenario.name,
-            events,
-            scenario.feeds.chunk_size,
-            rows,
-        )
-        .with_stream_peak_bytes(profile::budget_peak_bytes(
-            &scenario.ecosystem,
-            events,
-            scenario.feeds.chunk_size,
-        ))
-        .with_end_to_end(e2e)
-        .with_replicate_secs(replicate_secs);
-        eprintln!(
-            "scale {scale}: {events} events, chunk {}, ~{:.1} MB peak event buffers, \
-             best {:.0} events/s",
-            entry.chunk_size,
-            entry.stream_peak_bytes as f64 / 1e6,
-            entry.best_events_per_sec(),
-        );
-        entries.push(entry);
-    }
-    let json = profile::bench_json_string(args.seed, reps, &entries);
-    if let Err(e) = std::fs::write(&args.out, &json) {
-        eprintln!("cannot write {}: {e}", args.out);
-        std::process::exit(1);
-    }
-    eprintln!("wrote {}", args.out);
-    if let Some(floor) = args.min_events_per_sec {
-        for entry in &entries {
-            let best = entry.best_events_per_sec();
-            if best < floor {
-                eprintln!(
-                    "scale {}: best collect throughput {best:.0} events/s \
-                     is below the floor {floor:.0}",
-                    entry.scale
-                );
-                std::process::exit(1);
-            }
-            // A throughput floor is only meaningful if the stage
-            // inventory covers the run: refuse to pass when more than
-            // 10% of the end-to-end wall went to untimed work.
-            if let Some(e2e) = &entry.end_to_end {
-                let frac = e2e.untimed_fraction();
-                if frac > 0.10 {
-                    eprintln!(
-                        "scale {}: untimed wall {:.3}s is {:.1}% of the {:.3}s total \
-                         (over the 10% ceiling); the stage inventory is incomplete",
-                        entry.scale,
-                        e2e.untimed(),
-                        frac * 100.0,
-                        e2e.total,
-                    );
-                    std::process::exit(1);
-                }
-            }
-        }
-        eprintln!("all scales meet the {floor:.0} events/s floor (untimed wall within 10%)");
     }
 }
 
@@ -1059,7 +958,7 @@ fn ab_cmd(args: &Args) {
         "ab: {} vs {} over {} paired seeds",
         baseline.name, treatment.name, options.seeds
     );
-    let cmp = or_exit(ab::ab_compare(&baseline, &treatment, options, &Obs::off()));
+    let cmp = or_exit(ab::ab_compare(&baseline, &treatment, options));
     if args.format == "json" {
         print!("{}", ab::render_ab_json(&cmp));
     } else {
@@ -1145,7 +1044,7 @@ mod tests {
             "sweep seeding --faults lossy-feeds",
             "loadgen --scale 1",
             "ab --faults lossy-feeds --treatment paper",
-            "bench-json --faults lossy-feeds",
+            "profile --section table2",
         ] {
             let name = line.split(' ').next().unwrap_or_default();
             match parse(line) {
@@ -1162,7 +1061,7 @@ mod tests {
             ("report --format xml", "unknown format xml; known: text|csv"),
             ("replicate --format csv", "unknown format csv"),
             ("report --faults nope", "unknown fault profile nope"),
-            ("report --scale 0.1,1", "only bench-json accepts"),
+            ("report --scale 0.1,1", "only profile accepts"),
             ("report --scale -1", "--scale must be positive"),
             ("report --threads 0", "--threads must be at least 1"),
             ("replicate --seeds 0", "--seeds must be at least 1"),
@@ -1176,6 +1075,7 @@ mod tests {
             ("sweep seeding mx-size", "the operand mx-size"),
             ("report all", "report does not take the operand all"),
             ("nope", "unknown command nope"),
+            ("bench-json", "unknown command bench-json"),
         ] {
             match parse(line) {
                 Ok(_) => panic!("{line} parsed"),
@@ -1193,8 +1093,8 @@ mod tests {
             // CI
             "profile --scale 0.05 --seed 11 --trace trace.jsonl --out BENCH_profile.json \
              --overhead-gate 0.05",
-            "bench-json --scale 0.1 --out BENCH_pipeline.json --min-events-per-sec 500000",
-            "bench-json --scale 0.1 --max-mem-bytes 4194304 --out BENCH_pipeline_oog.json \
+            "profile --scale 0.1 --out BENCH_pipeline.json --min-events-per-sec 500000",
+            "profile --scale 0.1 --max-mem-bytes 4194304 --out BENCH_pipeline_oog.json \
              --min-events-per-sec 500000",
             "report --scale 0.1 --max-mem-bytes 4194304 --chunk 7 --threads 2",
             "serve --scale 0.1 --seed 11 --socket serve.sock --checkpoint-dir ckpts \
@@ -1216,12 +1116,16 @@ mod tests {
             "ablate --scale 0.02 --max-mem-bytes 65536",
             "degradation --scale 0.02 --max-mem-bytes 65536",
             "ab --treatment lossy-feeds --seeds 2 --scale 0.02 --max-mem-bytes 65536",
+            "profile --scale 0.02,0.03 --seed 5 --out x.json",
+            "profile --scale 0.02 --min-events-per-sec 1e15",
             // README
             "report --section table2 --format csv",
             "sweep mx-size",
             "serve --socket /tmp/taster.sock --checkpoint-dir /tmp/ckpts --resume \
              --exit-when-done --final-report report.txt",
-            "bench-json --scale 0.1,1.0",
+            "profile --scale 0.1,1,10 --out BENCH_pipeline.json",
+            "loadgen --socket /tmp/taster.sock --faults query-storm --rounds 10 \
+             --out BENCH_serve.json",
             // the end-to-end benchmark
             "serve --scale 1 --seed 3 --threads 1 --socket s.sock --checkpoint-dir ck \
              --final-report r.txt",
@@ -1231,9 +1135,9 @@ mod tests {
                 panic!("{line}: {e}");
             }
         }
-        let bench = parse("bench-json --scale 0.1,1.0")
+        let bench = parse("profile --scale 0.1,1,10")
             .ok()
             .map(|(_, a)| a.scales);
-        assert_eq!(bench, Some(vec![0.1, 1.0]));
+        assert_eq!(bench, Some(vec![0.1, 1.0, 10.0]));
     }
 }

@@ -165,8 +165,7 @@ fn ab_reports_match_goldens() {
         let treatment = ab::scenario_by_name(treatment_name, SCALE, SEEDS[0])
             .expect("treatment resolves")
             .with_threads(2);
-        let cmp =
-            ab::ab_compare(&baseline, &treatment, options, &Obs::off()).expect("comparison runs");
+        let cmp = ab::ab_compare(&baseline, &treatment, options).expect("comparison runs");
         check_golden(
             &format!("ab_s{}_{treatment_name}.txt", SEEDS[0]),
             &ab::render_ab(&cmp),
@@ -175,30 +174,24 @@ fn ab_reports_match_goldens() {
 }
 
 /// Every canonical stage key that appears in the report's metrics
-/// section must appear as `<stage>_secs` in `BENCH_pipeline.json` —
-/// both are sourced from the same registry, and this pins the
-/// contract that the bench JSON can never silently lose a stage.
+/// section must appear as a top-level span of the profiled run and as
+/// `<stage>_secs` in the `BENCH_pipeline.json` that `taster profile`
+/// writes from those spans — this pins the contract that the bench
+/// JSON can never silently lose a stage.
 #[test]
 fn report_stage_keys_all_reach_bench_json() {
-    let exp = profile::profile_scenario(&scenario(SEEDS[0])).expect("profile runs");
+    let (exp, e2e) = profile::run_end_to_end(&scenario(SEEDS[0])).expect("profile runs");
     let metrics = exp.report().metrics_section();
-    let row = profile::StageBench::from_registry(&exp.obs, 2);
-    let entry = profile::ScaleBench::new(
-        SCALE,
-        &exp.scenario.name,
-        exp.world.truth.log.len as u64,
-        exp.scenario.feeds.chunk_size,
-        vec![row],
-    );
-    let json = profile::bench_json_string(exp.scenario.seed, 1, &[entry]);
+    let spans = exp.obs.trace.span_timings();
+    let json = profile::bench_json_string(exp.scenario.seed, &[(SCALE, e2e)]);
     for stage in taster::sim::metrics::STAGE_KEYS {
         assert!(
             metrics.contains(&format!("{stage}/")),
             "stage {stage} has no counter in the report metrics section:\n{metrics}"
         );
         assert!(
-            exp.obs.metrics.timing(stage).is_some(),
-            "stage {stage} has no registry timing"
+            spans.iter().any(|s| s.depth == 0 && s.name == stage),
+            "stage {stage} has no top-level span"
         );
         assert!(
             json.contains(&format!("\"{stage}_secs\"")),
