@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Clippy policy self-test: prove every compiler-enforced rule can fire.
 
-`taster lint --self-test` injects one violation per rule the lint
-engine owns. This is its counterpart for the rules clippy enforces
-through `clippy.toml` and the workspace lint table in `Cargo.toml`:
+The `taster-lint` tests fire each rule that crate owns on a fixture
+of its own (`every_rule_fires_on_its_fixture`). This is the
+counterpart for the rules clippy enforces through `clippy.toml` and
+the workspace lint table in `Cargo.toml`:
 it writes one violation per policy item into a temporary probe
 module of the `taster-stats` library crate, runs clippy on it, and
 fails unless clippy reports every violating line with the expected
@@ -52,6 +53,24 @@ pub fn probe(x: Option<u8>, r: Result<u8, ()>) {
     eprintln!("{j}"); // expect: clippy::print_stderr
     eprint!("{j}"); // expect: clippy::print_stderr
     dbg!(i); // expect: clippy::dbg_macro
+}
+
+pub fn sockets(
+    ul: &std::os::unix::net::UnixListener,
+    tl: &std::net::TcpListener,
+    us: &mut std::os::unix::net::UnixStream,
+    ts: &mut std::net::TcpStream,
+) {
+    use std::io::Read;
+    let (mut b, mut s) = (Vec::new(), String::new());
+    for _c in ul.incoming() {} // expect: clippy::disallowed_methods
+    for _c in tl.incoming() {} // expect: clippy::disallowed_methods
+    let _ = us.read_to_end(&mut b); // expect: clippy::disallowed_methods
+    let _ = us.read_to_string(&mut s); // expect: clippy::disallowed_methods
+    let _ = ts.read_to_end(&mut b); // expect: clippy::disallowed_methods
+    let _ = ts.read_to_string(&mut s); // expect: clippy::disallowed_methods
+    let _ = Read::read_to_end(us, &mut b); // expect: clippy::disallowed_methods
+    let _ = Read::read_to_string(ts, &mut s); // expect: clippy::disallowed_methods
 }
 """
 

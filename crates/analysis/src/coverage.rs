@@ -34,14 +34,10 @@ pub struct CoverageRow {
     pub tagged: CoverageCounts,
 }
 
-/// Computes Table 3 (equivalently the Fig 1 scatter data).
-pub fn coverage_table(classified: &Classified) -> Vec<CoverageRow> {
-    coverage_table_par(classified, &Parallelism::serial())
-}
-
-/// [`coverage_table`] on `par` workers: each (feed, category) cell is
-/// a pure set computation, so the 30 tasks fan out freely and the
-/// table is bit-identical to a serial pass at any worker count.
+/// Computes Table 3 (equivalently the Fig 1 scatter data) on `par`
+/// workers: each (feed, category) cell is a pure set computation, so
+/// the 30 tasks fan out freely and the table is bit-identical to a
+/// serial pass at any worker count.
 pub fn coverage_table_par(classified: &Classified, par: &Parallelism) -> Vec<CoverageRow> {
     let count = |cat: Category| -> Vec<CoverageCounts> {
         par.par_map(FeedId::ALL.to_vec(), |id| {
@@ -98,16 +94,8 @@ pub fn exclusive_share_par(classified: &Classified, category: Category, par: &Pa
 }
 
 /// Fig 2: pairwise intersection matrix for one category, with the
-/// "All" column (each feed's coverage of the union).
-pub fn pairwise_overlap(
-    classified: &Classified,
-    category: Category,
-) -> PairwiseMatrix<OverlapCell> {
-    pairwise_overlap_par(classified, category, &Parallelism::serial())
-}
-
-/// [`pairwise_overlap`] with rows fanned out across `par` workers;
-/// bit-identical to the serial matrix.
+/// "All" column (each feed's coverage of the union), its rows fanned
+/// out across `par` workers; bit-identical to the serial matrix.
 pub fn pairwise_overlap_par(
     classified: &Classified,
     category: Category,
@@ -165,7 +153,7 @@ mod tests {
     #[test]
     fn exclusive_never_exceeds_total() {
         let c = classified();
-        for r in coverage_table(&c) {
+        for r in coverage_table_par(&c, &Parallelism::serial()) {
             assert!(r.all.exclusive <= r.all.total);
             assert!(r.live.exclusive <= r.live.total);
             assert!(r.tagged.exclusive <= r.tagged.total);
@@ -184,7 +172,7 @@ mod tests {
     #[test]
     fn pairwise_diagonal_is_identity() {
         let c = classified();
-        let m = pairwise_overlap(&c, Category::Live);
+        let m = pairwise_overlap_par(&c, Category::Live, &Parallelism::serial());
         for id in FeedId::ALL {
             let cell = m.get(id, id);
             assert_eq!(cell.count, c.set(id, Category::Live).len());
@@ -197,7 +185,7 @@ mod tests {
     #[test]
     fn pairwise_symmetric_in_counts() {
         let c = classified();
-        let m = pairwise_overlap(&c, Category::Tagged);
+        let m = pairwise_overlap_par(&c, Category::Tagged, &Parallelism::serial());
         for a in FeedId::ALL {
             for b in FeedId::ALL {
                 assert_eq!(m.get(a, b).count, m.get(b, a).count);
@@ -208,8 +196,8 @@ mod tests {
     #[test]
     fn parallel_coverage_matches_serial() {
         let c = classified();
-        let serial_rows = coverage_table(&c);
-        let serial_m = pairwise_overlap(&c, Category::Live);
+        let serial_rows = coverage_table_par(&c, &Parallelism::serial());
+        let serial_m = pairwise_overlap_par(&c, Category::Live, &Parallelism::serial());
         for workers in [2, 8] {
             let par = Parallelism::fixed(workers);
             let rows = coverage_table_par(&c, &par);
@@ -239,7 +227,7 @@ mod tests {
     #[test]
     fn all_column_fractions_bounded() {
         let c = classified();
-        let m = pairwise_overlap(&c, Category::Tagged);
+        let m = pairwise_overlap_par(&c, Category::Tagged, &Parallelism::serial());
         for id in FeedId::ALL {
             let cell = m.get_extra(id);
             assert!((0.0..=1.0).contains(&cell.fraction));

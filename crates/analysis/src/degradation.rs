@@ -66,7 +66,7 @@ pub fn snapshot(
     oracle: &EmpiricalDist,
     par: &Parallelism,
 ) -> RunSnapshot {
-    let purity = purity_par(feeds, classified, par);
+    let purity = purity_par(classified, par);
     let firsts = first_appearance_par(feeds, classified, &FIG9_FEEDS, &FeedId::ALL, par);
     let mail = mail_distribution(classified, oracle);
     let rows = FeedId::ALL

@@ -142,19 +142,10 @@ impl TaggedColumns {
 }
 
 /// Fig 7: pairwise variation distance over the volume-bearing feeds,
-/// with the "Mail" column.
-pub fn variation_matrix(
-    feeds: &FeedSet,
-    classified: &Classified,
-    oracle: &EmpiricalDist,
-) -> PairwiseMatrix<f64> {
-    variation_matrix_par(feeds, classified, oracle, &Parallelism::serial())
-}
-
-/// [`variation_matrix`] on `par` workers: the aligned volume columns
-/// are gathered concurrently, then the matrix rows fan out. Variation
-/// distance is a pure function of the two columns, so the matrix is
-/// bit-identical to a serial build.
+/// with the "Mail" column, on `par` workers: the aligned volume
+/// columns are gathered concurrently, then the matrix rows fan out.
+/// Variation distance is a pure function of the two columns, so the
+/// matrix is bit-identical to a serial build.
 pub fn variation_matrix_par(
     feeds: &FeedSet,
     classified: &Classified,
@@ -172,19 +163,9 @@ pub fn variation_matrix_par(
 }
 
 /// Fig 8: pairwise Kendall tau-b (over common domains of each pair),
-/// with the "Mail" column. `None` cells (degenerate pairs) render as 0
-/// like the paper's rounded figure.
-pub fn kendall_matrix(
-    feeds: &FeedSet,
-    classified: &Classified,
-    oracle: &EmpiricalDist,
-) -> PairwiseMatrix<f64> {
-    kendall_matrix_par(feeds, classified, oracle, &Parallelism::serial())
-}
-
-/// [`kendall_matrix`] on `par` workers; bit-identical to a serial
-/// build for the same reason as
-/// [`variation_matrix_par`].
+/// with the "Mail" column, on `par` workers. `None` cells (degenerate
+/// pairs) render as 0 like the paper's rounded figure. Bit-identical
+/// to a serial build for the same reason as [`variation_matrix_par`].
 pub fn kendall_matrix_par(
     feeds: &FeedSet,
     classified: &Classified,
@@ -222,7 +203,7 @@ mod tests {
     #[test]
     fn variation_matrix_properties() {
         let (world, feeds, c) = setup();
-        let m = variation_matrix(&feeds, &c, &world.provider.oracle);
+        let m = variation_matrix_par(&feeds, &c, &world.provider.oracle, &Parallelism::serial());
         for a in FeedId::WITH_VOLUME {
             assert!(m.get(a, a).abs() < 1e-12, "diagonal zero");
             for b in FeedId::WITH_VOLUME {
@@ -237,7 +218,7 @@ mod tests {
     #[test]
     fn kendall_matrix_properties() {
         let (world, feeds, c) = setup();
-        let m = kendall_matrix(&feeds, &c, &world.provider.oracle);
+        let m = kendall_matrix_par(&feeds, &c, &world.provider.oracle, &Parallelism::serial());
         for a in FeedId::WITH_VOLUME {
             let self_tau = m.get(a, a);
             assert!(self_tau > 0.99 || self_tau == 0.0, "self tau {self_tau}");
@@ -253,8 +234,8 @@ mod tests {
         // sparse-distribution statistics bit for bit.
         let (world, feeds, c) = setup();
         let oracle = &world.provider.oracle;
-        let m = variation_matrix(&feeds, &c, oracle);
-        let tau_m = kendall_matrix(&feeds, &c, oracle);
+        let m = variation_matrix_par(&feeds, &c, oracle, &Parallelism::serial());
+        let tau_m = kendall_matrix_par(&feeds, &c, oracle, &Parallelism::serial());
         let mail = mail_distribution(&c, oracle);
         for a in FeedId::WITH_VOLUME {
             let pa = tagged_distribution(&feeds, &c, a);
@@ -283,8 +264,8 @@ mod tests {
     fn parallel_matrices_match_serial() {
         let (world, feeds, c) = setup();
         let oracle = &world.provider.oracle;
-        let vd = variation_matrix(&feeds, &c, oracle);
-        let tau = kendall_matrix(&feeds, &c, oracle);
+        let vd = variation_matrix_par(&feeds, &c, oracle, &Parallelism::serial());
+        let tau = kendall_matrix_par(&feeds, &c, oracle, &Parallelism::serial());
         for workers in [2, 8] {
             let par = Parallelism::fixed(workers);
             let vd_p = variation_matrix_par(&feeds, &c, oracle, &par);
@@ -303,7 +284,7 @@ mod tests {
     #[test]
     fn mx_feeds_resemble_each_other_more_than_ac2() {
         let (world, feeds, c) = setup();
-        let m = variation_matrix(&feeds, &c, &world.provider.oracle);
+        let m = variation_matrix_par(&feeds, &c, &world.provider.oracle, &Parallelism::serial());
         let mx12 = m.get(FeedId::Mx1, FeedId::Mx2);
         let mx1_ac2 = m.get(FeedId::Mx1, FeedId::Ac2);
         assert!(

@@ -7,7 +7,7 @@
 //! paper.
 
 use crate::classify::Classified;
-use taster_feeds::{FeedId, FeedSet};
+use taster_feeds::FeedId;
 use taster_sim::Parallelism;
 use taster_stats::summary::fraction;
 
@@ -30,19 +30,14 @@ pub struct PurityRow {
     pub alexa: f64,
 }
 
-/// Computes Table 2.
-pub fn purity(feeds: &FeedSet, classified: &Classified) -> Vec<PurityRow> {
-    purity_par(feeds, classified, &Parallelism::serial())
-}
-
-/// [`purity`] with each feed's indicator counts computed as one task
-/// on `par` workers. Each count is a word-wise intersection popcount
-/// between the feed's entry set and one of the crawl's indicator
-/// bitsets — the single columnar join that replaced the per-domain
-/// crawl-result probes — so the table is bit-identical to a serial
-/// pass.
-pub fn purity_par(feeds: &FeedSet, classified: &Classified, par: &Parallelism) -> Vec<PurityRow> {
-    let _ = feeds; // entry sets come from the classification (restriction applied)
+/// Computes Table 2, each feed's indicator counts as one task on
+/// `par` workers. The entry sets come from the classification, so the
+/// blacklist restriction applies. Each count is a word-wise
+/// intersection popcount between the feed's entry set and one of the
+/// crawl's indicator bitsets — the single columnar join that replaced
+/// the per-domain crawl-result probes — so the table is bit-identical
+/// to a serial pass.
+pub fn purity_par(classified: &Classified, par: &Parallelism) -> Vec<PurityRow> {
     par.par_map(FeedId::ALL.to_vec(), |id| {
         let all = &classified.feed(id).all;
         let n = all.len();
@@ -72,7 +67,7 @@ mod tests {
         let world = MailWorld::build(truth, MailConfig::default().with_scale(0.03)).unwrap();
         let feeds = collect_all(&world, &FeedsConfig::default());
         let c = Classified::build(&world.truth, &feeds, ClassifyOptions::default());
-        purity(&feeds, &c)
+        purity_par(&c, &Parallelism::serial())
     }
 
     fn row(rows: &[PurityRow], id: FeedId) -> PurityRow {
@@ -127,9 +122,9 @@ mod tests {
         let world = MailWorld::build(truth, MailConfig::default().with_scale(0.03)).unwrap();
         let feeds = collect_all(&world, &FeedsConfig::default());
         let c = Classified::build(&world.truth, &feeds, ClassifyOptions::default());
-        let serial = purity(&feeds, &c);
+        let serial = purity_par(&c, &Parallelism::serial());
         for workers in [2, 8] {
-            let rows = purity_par(&feeds, &c, &Parallelism::fixed(workers));
+            let rows = purity_par(&c, &Parallelism::fixed(workers));
             assert_eq!(rows.len(), serial.len());
             for (a, b) in serial.iter().zip(&rows) {
                 assert_eq!(a.feed, b.feed);

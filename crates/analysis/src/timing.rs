@@ -36,19 +36,9 @@ pub fn common_tagged_domains(classified: &Classified, required: &[FeedId]) -> Ve
 ///
 /// `reference` defines campaign start (earliest first-seen across
 /// those feeds); `scored` are the feeds reported. Returns
-/// `(feed, boxplot)` pairs, skipping feeds with no data.
-pub fn first_appearance(
-    feeds: &FeedSet,
-    classified: &Classified,
-    reference: &[FeedId],
-    scored: &[FeedId],
-) -> Vec<(FeedId, Boxplot)> {
-    first_appearance_par(feeds, classified, reference, scored, &Parallelism::serial())
-}
-
-/// [`first_appearance`] with each scored feed's delta distribution
-/// computed as one task on `par` workers; pure per feed, so the rows
-/// are bit-identical to a serial pass.
+/// `(feed, boxplot)` pairs, skipping feeds with no data. Each scored
+/// feed's delta distribution is one task on `par` workers; pure per
+/// feed, so the rows are bit-identical to a serial pass.
 pub fn first_appearance_par(
     feeds: &FeedSet,
     classified: &Classified,
@@ -80,17 +70,8 @@ pub fn first_appearance_par(
 
 /// Per-feed distribution of last-appearance error in hours: campaign
 /// end (max last-seen across `reference`, all live-mail feeds) minus
-/// the feed's own last appearance (Fig 11).
-pub fn last_appearance(
-    feeds: &FeedSet,
-    classified: &Classified,
-    reference: &[FeedId],
-    scored: &[FeedId],
-) -> Vec<(FeedId, Boxplot)> {
-    last_appearance_par(feeds, classified, reference, scored, &Parallelism::serial())
-}
-
-/// [`last_appearance`] fanned out per scored feed on `par` workers.
+/// the feed's own last appearance (Fig 11), fanned out per scored feed
+/// on `par` workers.
 pub fn last_appearance_par(
     feeds: &FeedSet,
     classified: &Classified,
@@ -122,18 +103,8 @@ pub fn last_appearance_par(
 
 /// Per-feed distribution of duration error in hours: estimated
 /// campaign duration (reference end − reference start) minus the
-/// feed's own observed lifetime (Fig 12). Always ≥ 0 for feeds inside
-/// the reference set.
-pub fn duration_error(
-    feeds: &FeedSet,
-    classified: &Classified,
-    reference: &[FeedId],
-    scored: &[FeedId],
-) -> Vec<(FeedId, Boxplot)> {
-    duration_error_par(feeds, classified, reference, scored, &Parallelism::serial())
-}
-
-/// [`duration_error`] fanned out per scored feed on `par` workers.
+/// feed's own observed lifetime (Fig 12), fanned out per scored feed
+/// on `par` workers. Always ≥ 0 for feeds inside the reference set.
 pub fn duration_error_par(
     feeds: &FeedSet,
     classified: &Classified,
@@ -228,7 +199,7 @@ mod tests {
     #[test]
     fn first_appearance_is_nonnegative_and_hu_is_early() {
         let (feeds, c) = setup();
-        let rows = first_appearance(&feeds, &c, &TEST_REF, &TEST_REF);
+        let rows = first_appearance_par(&feeds, &c, &TEST_REF, &TEST_REF, &Parallelism::serial());
         assert!(!rows.is_empty());
         for (f, b) in &rows {
             assert!(b.min >= -1e-9, "{f}: min {b:?}");
@@ -260,8 +231,9 @@ mod tests {
     fn honeypot_only_reference_compresses_latencies() {
         let (feeds, c) = setup();
         const HONEY_TEST: [FeedId; 3] = [FeedId::Ac1, FeedId::Mx2, FeedId::Mx1];
-        let wide = first_appearance(&feeds, &c, &TEST_REF, &HONEY_TEST);
-        let narrow = first_appearance(&feeds, &c, &HONEY_TEST, &HONEY_TEST);
+        let wide = first_appearance_par(&feeds, &c, &TEST_REF, &HONEY_TEST, &Parallelism::serial());
+        let narrow =
+            first_appearance_par(&feeds, &c, &HONEY_TEST, &HONEY_TEST, &Parallelism::serial());
         for id in [FeedId::Mx1, FeedId::Mx2] {
             let w = get(&wide, id);
             let n = get(&narrow, id);
@@ -279,8 +251,8 @@ mod tests {
         let (feeds, c) = setup();
         const HONEY_TEST: [FeedId; 3] = [FeedId::Ac1, FeedId::Mx2, FeedId::Mx1];
         for rows in [
-            last_appearance(&feeds, &c, &HONEY_TEST, &HONEY_TEST),
-            duration_error(&feeds, &c, &HONEY_TEST, &HONEY_TEST),
+            last_appearance_par(&feeds, &c, &HONEY_TEST, &HONEY_TEST, &Parallelism::serial()),
+            duration_error_par(&feeds, &c, &HONEY_TEST, &HONEY_TEST, &Parallelism::serial()),
         ] {
             assert!(!rows.is_empty());
             for (f, b) in rows {
@@ -294,9 +266,9 @@ mod tests {
     fn parallel_timing_matches_serial() {
         let (feeds, c) = setup();
         let serial = [
-            first_appearance(&feeds, &c, &TEST_REF, &TEST_REF),
-            last_appearance(&feeds, &c, &TEST_REF, &TEST_REF),
-            duration_error(&feeds, &c, &TEST_REF, &TEST_REF),
+            first_appearance_par(&feeds, &c, &TEST_REF, &TEST_REF, &Parallelism::serial()),
+            last_appearance_par(&feeds, &c, &TEST_REF, &TEST_REF, &Parallelism::serial()),
+            duration_error_par(&feeds, &c, &TEST_REF, &TEST_REF, &Parallelism::serial()),
         ];
         for workers in [2, 8] {
             let par = Parallelism::fixed(workers);

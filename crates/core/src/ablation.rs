@@ -1,7 +1,9 @@
 //! Ablation studies for the design choices DESIGN.md calls out.
 //!
-//! Each ablation runs a pair of scenarios differing in one mechanism
-//! and reports the deltas the paper discusses qualitatively:
+//! Each ablation compares a base run against one more scenario that
+//! differs from it in one mechanism, and reports the deltas the paper
+//! discusses qualitatively. The base run is the caller's, so the four
+//! share it:
 //!
 //! * **poisoning** — how the Rustock incident degrades Bot/mx2 purity;
 //! * **blacklist restriction** — how many blacklist entries the
@@ -11,7 +13,6 @@
 //! * **Ac2 seeding** — how broader seeding moves Ac2 back toward Ac1.
 
 use crate::experiment::Experiment;
-use crate::scenario::Scenario;
 use taster_analysis::classify::Category;
 use taster_feeds::{FeedId, PipelineError};
 
@@ -28,10 +29,9 @@ pub struct PoisoningAblation {
     pub mx2_dns_without: f64,
 }
 
-/// Runs the poisoning ablation.
-pub fn poisoning(base: &Scenario) -> Result<PoisoningAblation, PipelineError> {
-    let with = Experiment::try_run(base)?;
-    let without = Experiment::try_run(&base.clone().without_poisoning())?;
+/// Runs the poisoning ablation against `with`, a run with poisoning.
+pub fn poisoning(with: &Experiment) -> Result<PoisoningAblation, PipelineError> {
+    let without = Experiment::try_run(&with.scenario.clone().without_poisoning())?;
     let dns = |e: &Experiment, id: FeedId| {
         e.table2()
             .into_iter()
@@ -40,9 +40,9 @@ pub fn poisoning(base: &Scenario) -> Result<PoisoningAblation, PipelineError> {
             .unwrap_or(0.0)
     };
     Ok(PoisoningAblation {
-        bot_dns_with: dns(&with, FeedId::Bot),
+        bot_dns_with: dns(with, FeedId::Bot),
         bot_dns_without: dns(&without, FeedId::Bot),
-        mx2_dns_with: dns(&with, FeedId::Mx2),
+        mx2_dns_with: dns(with, FeedId::Mx2),
         mx2_dns_without: dns(&without, FeedId::Mx2),
     })
 }
@@ -77,15 +77,17 @@ fn dropped((restricted, full): (usize, usize)) -> f64 {
     }
 }
 
-/// Runs the blacklist-restriction ablation.
-pub fn blacklist_restriction(base: &Scenario) -> Result<RestrictionAblation, PipelineError> {
-    let restricted = Experiment::try_run(base)?;
-    let full = Experiment::try_run(&base.clone().with_unrestricted_blacklists())?;
+/// Runs the blacklist-restriction ablation against `restricted`, a
+/// run with the restriction on.
+pub fn blacklist_restriction(
+    restricted: &Experiment,
+) -> Result<RestrictionAblation, PipelineError> {
+    let full = Experiment::try_run(&restricted.scenario.clone().with_unrestricted_blacklists())?;
     let count = |e: &Experiment, id: FeedId| e.classified.feed(id).all.len();
     Ok(RestrictionAblation {
-        dbl: (count(&restricted, FeedId::Dbl), count(&full, FeedId::Dbl)),
+        dbl: (count(restricted, FeedId::Dbl), count(&full, FeedId::Dbl)),
         uribl: (
-            count(&restricted, FeedId::Uribl),
+            count(restricted, FeedId::Uribl),
             count(&full, FeedId::Uribl),
         ),
     })
@@ -104,10 +106,10 @@ pub struct FilterAblation {
     pub hu_tagged_without: usize,
 }
 
-/// Runs the provider-filter ablation.
-pub fn provider_filter(base: &Scenario) -> Result<FilterAblation, PipelineError> {
-    let with = Experiment::try_run(base)?;
-    let without = Experiment::try_run(&base.clone().without_provider_filter())?;
+/// Runs the provider-filter ablation against `with`, a run with the
+/// filter on.
+pub fn provider_filter(with: &Experiment) -> Result<FilterAblation, PipelineError> {
+    let without = Experiment::try_run(&with.scenario.clone().without_provider_filter())?;
     Ok(FilterAblation {
         hu_samples_with: with.feeds.get(FeedId::Hu).samples.unwrap_or(0),
         hu_samples_without: without.feeds.get(FeedId::Hu).samples.unwrap_or(0),
@@ -125,8 +127,9 @@ pub struct SeedingAblation {
     pub overlap_broad: f64,
 }
 
-/// Runs the Ac2-seeding ablation.
-pub fn ac2_seeding(base: &Scenario) -> Result<SeedingAblation, PipelineError> {
+/// Runs the Ac2-seeding ablation against `narrow`, a run with narrow
+/// seeding.
+pub fn ac2_seeding(narrow: &Experiment) -> Result<SeedingAblation, PipelineError> {
     let overlap = |e: &Experiment| {
         let ac1 = e.classified.set(FeedId::Ac1, Category::Tagged);
         let ac2 = e.classified.set(FeedId::Ac2, Category::Tagged);
@@ -136,10 +139,9 @@ pub fn ac2_seeding(base: &Scenario) -> Result<SeedingAblation, PipelineError> {
             ac2.intersection_len(ac1) as f64 / ac1.len() as f64
         }
     };
-    let narrow = Experiment::try_run(base)?;
-    let broad = Experiment::try_run(&base.clone().with_broad_ac2_seeding())?;
+    let broad = Experiment::try_run(&narrow.scenario.clone().with_broad_ac2_seeding())?;
     Ok(SeedingAblation {
-        overlap_narrow: overlap(&narrow),
+        overlap_narrow: overlap(narrow),
         overlap_broad: overlap(&broad),
     })
 }
@@ -147,9 +149,10 @@ pub fn ac2_seeding(base: &Scenario) -> Result<SeedingAblation, PipelineError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scenario;
 
-    fn base() -> Scenario {
-        Scenario::default_paper().with_scale(0.04).with_seed(31)
+    fn base() -> Experiment {
+        Experiment::run(&Scenario::default_paper().with_scale(0.04).with_seed(31))
     }
 
     #[test]

@@ -217,7 +217,7 @@ impl Experiment {
 
     /// Table 2 rows.
     pub fn table2(&self) -> Vec<PurityRow> {
-        purity_par(&self.feeds, &self.classified, &self.scenario.parallelism)
+        purity_par(&self.classified, &self.scenario.parallelism)
     }
 
     /// Table 3 rows (also the Fig 1 scatter data).

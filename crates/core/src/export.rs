@@ -213,29 +213,37 @@ impl<'a> CsvExport<'a> {
         out
     }
 
-    /// Exports one named section; `None` for unknown names.
+    /// Exports the named entry of [`CSV_SECTIONS`]; `None` for any
+    /// other name.
     pub fn section(&self, name: &str) -> Option<String> {
-        Some(match name {
-            "table1" => self.table1(),
-            "table2" => self.table2(),
-            "table3" => self.table3(),
-            "fig2" => {
-                self.overlap_matrix(&self.experiment.fig2(Category::Live))
-                    + &self.overlap_matrix(&self.experiment.fig2(Category::Tagged))
-            }
-            "fig3" => self.volume_bars(),
-            "fig4" => self.overlap_matrix(&self.experiment.fig4()),
-            "fig5" => self.overlap_matrix(&self.experiment.fig5()),
-            "fig7" => self.float_matrix(&self.experiment.fig7()),
-            "fig8" => self.float_matrix(&self.experiment.fig8()),
-            "fig9" => self.boxplots(&self.experiment.fig9()),
-            "fig10" => self.boxplots(&self.experiment.fig10()),
-            "fig11" => self.boxplots(&self.experiment.fig11()),
-            "fig12" => self.boxplots(&self.experiment.fig12()),
-            _ => return None,
-        })
+        let (_, export) = CSV_SECTIONS.iter().find(|(n, _)| *n == name)?;
+        Some(export(self))
     }
 }
+
+/// A report section ([`SECTIONS`](crate::report::SECTIONS)) with a
+/// CSV form: its name and that form.
+pub type CsvSection = (&'static str, fn(&CsvExport<'_>) -> String);
+
+/// Every section with a CSV form, in full-report order.
+pub const CSV_SECTIONS: &[CsvSection] = &[
+    ("table1", |c| c.table1()),
+    ("table2", |c| c.table2()),
+    ("table3", |c| c.table3()),
+    ("fig2", |c| {
+        c.overlap_matrix(&c.experiment.fig2(Category::Live))
+            + &c.overlap_matrix(&c.experiment.fig2(Category::Tagged))
+    }),
+    ("fig3", |c| c.volume_bars()),
+    ("fig4", |c| c.overlap_matrix(&c.experiment.fig4())),
+    ("fig5", |c| c.overlap_matrix(&c.experiment.fig5())),
+    ("fig7", |c| c.float_matrix(&c.experiment.fig7())),
+    ("fig8", |c| c.float_matrix(&c.experiment.fig8())),
+    ("fig9", |c| c.boxplots(&c.experiment.fig9())),
+    ("fig10", |c| c.boxplots(&c.experiment.fig10())),
+    ("fig11", |c| c.boxplots(&c.experiment.fig11())),
+    ("fig12", |c| c.boxplots(&c.experiment.fig12())),
+];
 
 #[cfg(test)]
 mod tests {

@@ -57,10 +57,53 @@ pub struct Report<'a> {
     experiment: &'a Experiment,
 }
 
+/// A section `taster report --section NAME` renders on its own: its
+/// name and its text render.
+pub type Section = (&'static str, fn(&Report<'_>) -> String);
+
+/// Every section, in full-report order: the full report of a clean,
+/// unobserved run is their renders joined by blank lines. `--section
+/// all`, the default, names the full report itself.
+pub const SECTIONS: &[Section] = &[
+    ("table1", |r| r.table1_feed_summary()),
+    ("table2", |r| r.table2_purity()),
+    ("table3", |r| r.table3_coverage()),
+    ("fig1", |r| r.fig1_exclusive_scatter()),
+    ("fig2", |r| {
+        let (live, tagged) = (Category::Live, Category::Tagged);
+        format!("{}\n{}", r.fig2_pairwise(live), r.fig2_pairwise(tagged))
+    }),
+    ("fig3", |r| r.fig3_volume()),
+    ("fig4", |r| r.fig4_programs()),
+    ("fig5", |r| r.fig5_affiliates()),
+    ("fig6", |r| r.fig6_revenue()),
+    ("fig7", |r| r.fig7_variation()),
+    ("fig8", |r| r.fig8_kendall()),
+    ("fig9", |r| r.fig9_first_appearance()),
+    ("fig10", |r| r.fig10_first_appearance_honeypots()),
+    ("fig11", |r| r.fig11_last_appearance()),
+    ("fig12", |r| r.fig12_duration()),
+    ("selection", |r| {
+        let (live, tagged) = (Category::Live, Category::Tagged);
+        format!("{}\n{}", r.selection_study(live), r.selection_study(tagged))
+    }),
+    ("blocking", |r| r.blocking_study()),
+    ("campaigns", |r| r.campaign_study()),
+    ("granularity", |r| r.granularity_study()),
+    ("concentration", |r| r.concentration_study()),
+];
+
 impl<'a> Report<'a> {
     /// Wraps an experiment.
     pub fn new(experiment: &'a Experiment) -> Report<'a> {
         Report { experiment }
+    }
+
+    /// The named entry of [`SECTIONS`], rendered; `None` for any other
+    /// name.
+    pub fn section(&self, name: &str) -> Option<String> {
+        let (_, render) = SECTIONS.iter().find(|(n, _)| *n == name)?;
+        Some(render(self))
     }
 
     fn header(&self, out: &mut String, title: &str) {
@@ -874,6 +917,7 @@ impl<'a> Report<'a> {
 
 #[cfg(test)]
 mod tests {
+    use super::SECTIONS;
     use crate::{Experiment, Scenario};
     use taster_analysis::classify::Category;
 
@@ -902,32 +946,8 @@ mod tests {
     fn full_report_matches_joined_sections() {
         let e = Experiment::run(&Scenario::default_paper().with_scale(0.02).with_seed(21));
         let r = e.report();
-        let joined = [
-            r.table1_feed_summary(),
-            r.table2_purity(),
-            r.table3_coverage(),
-            r.fig1_exclusive_scatter(),
-            r.fig2_pairwise(Category::Live),
-            r.fig2_pairwise(Category::Tagged),
-            r.fig3_volume(),
-            r.fig4_programs(),
-            r.fig5_affiliates(),
-            r.fig6_revenue(),
-            r.fig7_variation(),
-            r.fig8_kendall(),
-            r.fig9_first_appearance(),
-            r.fig10_first_appearance_honeypots(),
-            r.fig11_last_appearance(),
-            r.fig12_duration(),
-            r.selection_study(Category::Live),
-            r.selection_study(Category::Tagged),
-            r.blocking_study(),
-            r.campaign_study(),
-            r.granularity_study(),
-            r.concentration_study(),
-        ]
-        .join("\n");
-        assert_eq!(r.full_report(), joined);
+        let joined: Vec<String> = SECTIONS.iter().map(|(_, render)| render(&r)).collect();
+        assert_eq!(r.full_report(), joined.join("\n"));
     }
 
     #[test]

@@ -5,9 +5,8 @@ use crate::label::{validate_label, LabelError, MAX_NAME_LEN};
 /// A validated, lowercased fully-qualified domain name.
 ///
 /// Invariants (enforced by [`DomainName::parse`]):
-/// * at least two labels (a bare TLD such as `com` parses as a name but
-///   is flagged by [`DomainName::is_tld_only`]; single-label hostnames
-///   like `localhost` are rejected for our purposes — spam feeds carry
+/// * at least two labels (single-label names such as a bare TLD `com`
+///   or `localhost` are rejected for our purposes — spam feeds carry
 ///   registrable names);
 /// * every label satisfies [`validate_label`];
 /// * total textual length ≤ 253 octets;
@@ -89,13 +88,6 @@ impl DomainName {
         // rsplit always yields at least one piece, so the fallback
         // (the whole dotless name) is unreachable.
         self.text.rsplit('.').next().unwrap_or(&self.text)
-    }
-
-    /// True when the name consists of exactly one label above the root
-    /// — i.e. it *is* a TLD. Such names never appear as registered
-    /// domains.
-    pub fn is_tld_only(&self) -> bool {
-        self.label_count() == 1
     }
 
     /// Returns the suffix of this name formed by its last `n` labels,

@@ -32,32 +32,13 @@ impl DomainExtractor {
         }
     }
 
-    /// Extracts the registered domains advertised in `body`, resolved
-    /// against `table`, deduplicated, in order of first appearance.
-    pub fn registered_domains(&self, body: &str, table: &DomainTable) -> Vec<DomainId> {
-        self.registered_domains_with_hosts(body, table)
-            .into_iter()
-            .map(|(id, _)| id)
-            .collect()
-    }
-
-    /// Like [`Self::registered_domains`] but also returns a stable
-    /// 64-bit hash of each fully-qualified hostname — URL-granularity
-    /// feeds track distinct FQDNs through these (the paper's §3.1
-    /// point: spammers mint arbitrary names *below* the registered
-    /// domain, so FQDN-level blacklisting is futile).
-    pub fn registered_domains_with_hosts(
-        &self,
-        body: &str,
-        table: &DomainTable,
-    ) -> Vec<(DomainId, u64)> {
-        let mut out = Vec::new();
-        self.registered_domains_into(body, table, &mut out);
-        out
-    }
-
-    /// [`Self::registered_domains_with_hosts`] into a caller-owned
-    /// buffer (appended to), for hot loops that reuse one allocation
+    /// Appends the registered domains advertised in `body`, resolved
+    /// against `table`, deduplicated, in order of first appearance,
+    /// each with a stable 64-bit hash of its fully-qualified hostname
+    /// — URL-granularity feeds track distinct FQDNs through these (the
+    /// paper's §3.1 point: spammers mint arbitrary names *below* the
+    /// registered domain, so FQDN-level blacklisting is futile). The
+    /// buffer is the caller's, so hot loops reuse one allocation
     /// across messages.
     pub fn registered_domains_into(
         &self,
@@ -130,6 +111,13 @@ pub fn fnv64_parts(parts: &[&[u8]]) -> u64 {
 mod tests {
     use super::*;
 
+    /// The registered domains extracted from `body`, hashes dropped.
+    fn registered_domains(body: &str, table: &DomainTable) -> Vec<DomainId> {
+        let mut out = Vec::new();
+        DomainExtractor::new().registered_domains_into(body, table, &mut out);
+        out.into_iter().map(|(id, _)| id).collect()
+    }
+
     #[test]
     fn extracts_and_dedupes() {
         let mut table = DomainTable::new();
@@ -137,23 +125,20 @@ mod tests {
         let b = table.intern_str("chaff.org");
         let body = "buy http://www.pills.com/x and http://pills.com/y \
                     via http://sub.chaff.org/";
-        let ex = DomainExtractor::new();
-        assert_eq!(ex.registered_domains(body, &table), vec![a, b]);
+        assert_eq!(registered_domains(body, &table), vec![a, b]);
     }
 
     #[test]
     fn handles_multi_label_suffixes() {
         let mut table = DomainTable::new();
         let a = table.intern_str("shop.co.uk");
-        let ex = DomainExtractor::new();
-        let got = ex.registered_domains("see http://www.shop.co.uk/sale", &table);
+        let got = registered_domains("see http://www.shop.co.uk/sale", &table);
         assert_eq!(got, vec![a]);
     }
 
     #[test]
     fn ignores_bodies_without_urls() {
         let table = DomainTable::new();
-        let ex = DomainExtractor::new();
-        assert!(ex.registered_domains("no links here", &table).is_empty());
+        assert!(registered_domains("no links here", &table).is_empty());
     }
 }

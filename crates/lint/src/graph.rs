@@ -82,8 +82,7 @@ pub struct CrateGraph {
 impl CrateGraph {
     /// Loads the graph by scanning `root/Cargo.toml`,
     /// `root/crates/*/Cargo.toml` and `root/vendor/*/Cargo.toml`.
-    /// Directories without a manifest are skipped — a synthetic
-    /// self-test tree is a valid (empty) workspace.
+    /// Directories without a manifest are skipped.
     pub fn load(root: &Path) -> CrateGraph {
         let mut graph = CrateGraph::default();
         graph.add_manifest(root, Path::new("Cargo.toml"), false);
@@ -118,7 +117,7 @@ impl CrateGraph {
 
     /// The crate a workspace-relative source path belongs to, by
     /// longest directory prefix. Files outside every crate directory
-    /// (e.g. self-test fixtures without a manifest) return `None`.
+    /// (e.g. test fixtures without a manifest) return `None`.
     pub fn crate_for_path<'a>(&'a self, rel_path: &str) -> Option<&'a CrateNode> {
         let mut best: Option<&CrateNode> = None;
         for node in self.crates.values() {

@@ -1,18 +1,17 @@
 //! A small hand-rolled Rust lexer.
 //!
-//! `taster lint` needs just enough token structure to tell identifiers
-//! apart from the insides of strings and comments: a rule that flags
-//! `Instant` must not fire on a doc comment that *mentions* `Instant`,
-//! and the self-test fixtures (Rust source held in string literals)
-//! must not trip the rules on the lint crate itself. We therefore
-//! tokenize comments, string/char literals, identifiers, numbers and
-//! punctuation — and nothing more. No `syn`, consistent with the
-//! workspace's vendored-offline policy.
+//! The linter needs just enough token structure to tell identifiers
+//! apart from the insides of strings and comments: a rule that looks
+//! for `FxHashMap` must not fire on a doc comment that *mentions* it,
+//! and a stage name is read from a string literal's content. We
+//! therefore skip comments and tokenize string/char literals,
+//! identifiers, numbers and punctuation — and nothing more. No `syn`,
+//! consistent with the workspace's vendored-offline policy.
 
 /// What a token is. Only the distinctions the rules need.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokenKind {
-    /// Identifier or keyword (`unwrap`, `unsafe`, `HashMap`, …).
+    /// Identifier or keyword (`fn`, `sum`, `FxHashMap`, …).
     Ident,
     /// Single punctuation character (`.`, `:`, `!`, `[`, `{`, …).
     Punct,
@@ -68,25 +67,11 @@ impl Token {
     }
 }
 
-/// A comment with its position, kept out of the token stream.
-#[derive(Debug, Clone)]
-pub struct Comment {
-    /// Comment text including the `//` / `/*` sigils.
-    pub text: String,
-    /// 1-based line the comment starts on.
-    pub line: usize,
-    /// True when code tokens precede the comment on its first line
-    /// (a trailing comment, as opposed to a standalone one).
-    pub trailing: bool,
-}
-
-/// Token stream plus comment side-table for one source file.
+/// Token stream for one source file.
 #[derive(Debug, Default)]
 pub struct Lexed {
-    /// Code tokens in source order.
+    /// Code tokens in source order; comments are dropped.
     pub tokens: Vec<Token>,
-    /// Comments in source order.
-    pub comments: Vec<Comment>,
 }
 
 /// Tokenizes `src`. Unterminated constructs consume to end of input
@@ -97,8 +82,6 @@ pub fn lex(src: &str) -> Lexed {
     let mut out = Lexed::default();
     let mut i = 0usize;
     let mut line = 1usize;
-    // Line of the most recent code token, to classify trailing comments.
-    let mut last_token_line = 0usize;
 
     while i < bytes.len() {
         let c = bytes[i] as char;
@@ -109,19 +92,11 @@ pub fn lex(src: &str) -> Lexed {
             }
             c if c.is_whitespace() => i += 1,
             '/' if bytes.get(i + 1) == Some(&b'/') => {
-                let start = i;
                 while i < bytes.len() && bytes[i] != b'\n' {
                     i += 1;
                 }
-                out.comments.push(Comment {
-                    text: src[start..i].to_string(),
-                    line,
-                    trailing: last_token_line == line,
-                });
             }
             '/' if bytes.get(i + 1) == Some(&b'*') => {
-                let start = i;
-                let start_line = line;
                 let mut depth = 1usize;
                 i += 2;
                 while i < bytes.len() && depth > 0 {
@@ -138,11 +113,6 @@ pub fn lex(src: &str) -> Lexed {
                         i += 1;
                     }
                 }
-                out.comments.push(Comment {
-                    text: src[start..i].to_string(),
-                    line: start_line,
-                    trailing: last_token_line == start_line,
-                });
             }
             '"' => {
                 let start_line = line;
@@ -170,7 +140,6 @@ pub fn lex(src: &str) -> Lexed {
                     }
                 }
                 push_token(&mut out, TokenKind::Literal, &src[start..i], start_line);
-                last_token_line = line;
             }
             '\'' => {
                 // Lifetime (`'a`) vs char literal (`'a'`, `'\n'`).
@@ -182,7 +151,6 @@ pub fn lex(src: &str) -> Lexed {
                     }
                     if k > j && bytes.get(k) != Some(&b'\'') {
                         push_token(&mut out, TokenKind::Lifetime, &src[i..k], line);
-                        last_token_line = line;
                         i = k;
                         continue;
                     }
@@ -203,7 +171,6 @@ pub fn lex(src: &str) -> Lexed {
                 }
                 let text = src.get(i..j.min(bytes.len())).unwrap_or("'…'");
                 push_token(&mut out, TokenKind::Literal, text, line);
-                last_token_line = line;
                 i = j;
             }
             c if c == 'r' || c == 'b' => {
@@ -212,7 +179,6 @@ pub fn lex(src: &str) -> Lexed {
                     let start_line = line;
                     line += src[i..i + len].matches('\n').count();
                     push_token(&mut out, TokenKind::Literal, &src[i..i + len], start_line);
-                    last_token_line = line;
                     i += len;
                 } else {
                     let start = i;
@@ -220,7 +186,6 @@ pub fn lex(src: &str) -> Lexed {
                         i += 1;
                     }
                     push_token(&mut out, TokenKind::Ident, &src[start..i], line);
-                    last_token_line = line;
                 }
             }
             c if c.is_ascii_digit() => {
@@ -236,7 +201,6 @@ pub fn lex(src: &str) -> Lexed {
                     }
                 }
                 push_token(&mut out, TokenKind::Number, &src[start..i], line);
-                last_token_line = line;
             }
             c if is_ident_start_byte(c as u8) => {
                 let start = i;
@@ -244,11 +208,9 @@ pub fn lex(src: &str) -> Lexed {
                     i += 1;
                 }
                 push_token(&mut out, TokenKind::Ident, &src[start..i], line);
-                last_token_line = line;
             }
             c => {
                 push_token(&mut out, TokenKind::Punct, &c.to_string(), line);
-                last_token_line = line;
                 i += c.len_utf8();
             }
         }

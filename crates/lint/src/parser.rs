@@ -110,26 +110,6 @@ impl ItemTree {
         walk(&self.items, &mut out);
         out
     }
-
-    /// Counts `(mods, fns, impls, uses)` across the whole tree, for
-    /// the `--graph` report.
-    pub fn counts(&self) -> (usize, usize, usize, usize) {
-        fn walk(items: &[Item], c: &mut (usize, usize, usize, usize)) {
-            for item in items {
-                match item.kind {
-                    ItemKind::Mod => c.0 += 1,
-                    ItemKind::Fn => c.1 += 1,
-                    ItemKind::Impl => c.2 += 1,
-                    ItemKind::Use => c.3 += 1,
-                    _ => {}
-                }
-                walk(&item.children, c);
-            }
-        }
-        let mut c = (0, 0, 0, 0);
-        walk(&self.items, &mut c);
-        c
-    }
 }
 
 /// Parses a sequence of items until end of input or — when `in_block`

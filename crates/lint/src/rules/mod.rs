@@ -3,21 +3,18 @@
 //! Each rule encodes one repo invariant that clippy configuration
 //! cannot express; together with `clippy.toml` and the workspace lint
 //! table, the catalog is the executable form of the determinism
-//! contract described in DESIGN.md. [`tokens`] holds the token-pattern
-//! checks over [`SourceFile`]s (socket deadlines, suppression syntax);
-//! the other families work on the item tree and the crate graph:
-//! [`layering`] (declared crate DAG, workspace-lint inheritance),
-//! [`rng_keys`] (stream-key collisions + stage-registry completeness),
-//! [`iteration`] (hash iteration reaching render/report/serve sinks),
-//! and [`float_accum`] (order-sensitive float accumulation over hash
-//! iteration). All rules remain cheap, deterministic and conservative
-//! — no type information.
+//! contract described in DESIGN.md. The families work on the item
+//! tree and the crate graph: [`layering`] (declared crate DAG,
+//! workspace-lint inheritance), [`rng_keys`] (stream-key collisions +
+//! stage-registry completeness), [`iteration`] (hash iteration
+//! reaching render/report/serve sinks), and [`float_accum`]
+//! (order-sensitive float accumulation over hash iteration). All rules
+//! remain cheap, deterministic and conservative — no type information.
 
 pub mod float_accum;
 pub mod iteration;
 pub mod layering;
 pub mod rng_keys;
-pub mod tokens;
 
 use crate::graph::CrateGraph;
 use crate::parser::ItemTree;
@@ -41,28 +38,17 @@ pub struct Diagnostic {
 /// Static description of one rule.
 #[derive(Debug, Clone, Copy)]
 pub struct Rule {
-    /// Stable identifier used in suppressions.
+    /// Stable identifier, as printed in findings.
     pub id: &'static str,
-    /// One-line description for `--format json` and the docs.
+    /// One-line description for the docs.
     pub summary: &'static str,
 }
 
 /// Every rule the engine knows, in reporting order. The token rules
 /// clippy can express (wall clock, std hash maps, raw threads, unkeyed
-/// RNG seeding, panics, prints, `unsafe`) live in `clippy.toml` and
-/// the workspace lint table instead.
+/// RNG seeding, unbounded socket calls, panics, prints, `unsafe`) live
+/// in `clippy.toml` and the workspace lint table instead.
 pub const RULES: &[Rule] = &[
-    Rule {
-        id: "socket-deadline",
-        summary: "no unbounded socket operations (`.incoming()`, `.read_to_end()`, \
-                  `.read_to_string()`) in files that touch listener/stream types — accepts \
-                  must be polled nonblocking and reads chunked under an explicit deadline",
-    },
-    Rule {
-        id: "bad-suppression",
-        summary: "lint:allow comments must name known rules and carry a reason: \
-                  `// lint:allow(<rule>) -- <reason>`",
-    },
     Rule {
         id: "layering",
         summary: "crate dependency and `use` edges must point strictly downward in the \
@@ -81,7 +67,7 @@ pub const RULES: &[Rule] = &[
         summary: "string keys fed to RngStream::new/child/name_key must not collide across \
                   crates or repeat within one function (identical key + master seed = \
                   identical stream), and every stage key must be registered in \
-                  STAGE_KEYS/AUX_STAGE_KEYS with a live call site",
+                  STAGE_KEYS with a live call site",
     },
     Rule {
         id: "unsorted-iteration",
@@ -95,36 +81,29 @@ pub const RULES: &[Rule] = &[
     },
 ];
 
-/// Looks a rule up by id.
-pub fn rule_by_id(id: &str) -> Option<&'static Rule> {
-    RULES.iter().find(|r| r.id == id)
-}
-
 /// Everything the engine learns about one file in a single pass: the
 /// parsed source, its item tree, the per-file findings, and the raw
-/// material the workspace-level rules aggregate afterwards. Built in
-/// parallel (one file at a time, no shared state), merged in path
-/// order.
+/// material the workspace-level rules aggregate afterwards.
 #[derive(Debug)]
 pub struct FileAnalysis {
     /// The parsed source file.
     pub file: SourceFile,
     /// The parsed item tree.
     pub items: ItemTree,
-    /// Per-file findings, unfiltered (suppressions applied centrally).
+    /// Per-file findings.
     pub diagnostics: Vec<Diagnostic>,
     /// Keyed-RNG derivation sites in this file.
     pub key_sites: Vec<rng_keys::KeySite>,
-    /// `obs.stage(…)` / `time_stage(…)` call sites.
+    /// `obs.stage(…)` call sites.
     pub stage_uses: Vec<rng_keys::StageUse>,
-    /// `STAGE_KEYS` / `AUX_STAGE_KEYS` registry definitions.
+    /// `STAGE_KEYS` registry definitions.
     pub registries: Vec<rng_keys::StageRegistry>,
     /// References to other workspace crates (use edges).
     pub crate_refs: Vec<layering::CrateRef>,
 }
 
 /// Analyzes one file: parse, item tree, per-file rules, and the
-/// collections the workspace rules need. Pure — safe to fan out.
+/// collections the workspace rules need.
 pub fn analyze_file(rel_path: &str, src: &str) -> FileAnalysis {
     let file = SourceFile::parse(rel_path, src);
     let items = ItemTree::parse(&file.lexed);
@@ -157,14 +136,10 @@ pub fn workspace_check(graph: &CrateGraph, files: &[FileAnalysis]) -> Vec<Diagno
     out
 }
 
-/// Runs every applicable per-file rule over `file`. Suppressions are
-/// *not* applied here — the engine filters them so it can count and
-/// validate them centrally.
+/// Runs every applicable per-file rule over `file`.
 pub fn check_file(file: &SourceFile, items: &ItemTree) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    tokens::check_bad_suppressions(file, &mut out);
     if file.shipped {
-        tokens::check_socket_deadline(file, &mut out);
         iteration::check(file, items, &mut out);
         float_accum::check(file, items, &mut out);
     }

@@ -16,10 +16,10 @@
 //! Same-crate, cross-function repeats — the replay pattern — pass.
 //!
 //! The same family owns stage-registry completeness: every stage name
-//! reaching `Obs::stage`/`time_stage` must appear in `STAGE_KEYS` or
-//! `AUX_STAGE_KEYS`, and every registered stage must have a live call
-//! site — a registry entry nothing times (or a timed stage the
-//! registry doesn't know) breaks the timing-report contract.
+//! reaching `Obs::stage` must appear in `STAGE_KEYS`, and every
+//! registered stage must have a live call site — a registry entry
+//! nothing times (or a timed stage the registry doesn't know) breaks
+//! the timing-report contract.
 
 use std::collections::BTreeMap;
 
@@ -42,7 +42,7 @@ pub struct KeySite {
     pub func: String,
 }
 
-/// One `obs.stage(…)` / `time_stage(…)` call site.
+/// One `obs.stage(…)` call site.
 #[derive(Debug, Clone)]
 pub struct StageUse {
     /// First-argument text: literal content, or a const name to
@@ -63,7 +63,7 @@ pub struct RegistryEntry {
     pub is_ident: bool,
 }
 
-/// A `STAGE_KEYS` / `AUX_STAGE_KEYS` registry definition.
+/// A `STAGE_KEYS` registry definition.
 #[derive(Debug, Clone)]
 pub struct StageRegistry {
     /// Array const name.
@@ -108,11 +108,9 @@ pub(crate) fn collect(
                 });
             }
         }
-        // Stage timing sites: `obs.stage(X, …)` / `obs.time_stage(X, …)`.
-        let is_stage_callee = next_is_paren
-            && (tok.text == "stage" || tok.text == "time_stage")
-            && i > 0
-            && t[i - 1].is_punct('.');
+        // Stage timing sites: `obs.stage(X, …)`.
+        let is_stage_callee =
+            next_is_paren && tok.text == "stage" && i > 0 && t[i - 1].is_punct('.');
         if is_stage_callee {
             if let Some(arg) = t.get(i + 2) {
                 match arg.kind {
@@ -135,9 +133,7 @@ pub(crate) fn collect(
             }
         }
         // Registry definitions: `const STAGE_KEYS: [&str; N] = [ … ];`.
-        let is_registry_def = (tok.text == "STAGE_KEYS" || tok.text == "AUX_STAGE_KEYS")
-            && i > 0
-            && t[i - 1].is_ident("const");
+        let is_registry_def = tok.text == "STAGE_KEYS" && i > 0 && t[i - 1].is_ident("const");
         if is_registry_def {
             registries.push(parse_registry(t, i, tok.line, &tok.text));
         }
@@ -339,8 +335,8 @@ fn check_stage_registry(
         .flat_map(|(fi, fa)| fa.registries.iter().map(move |r| (fi, r)))
         .collect();
     if registries.is_empty() {
-        // No registry in scope (e.g. a synthetic self-test tree):
-        // nothing to hold stage uses against.
+        // No registry in scope (e.g. a test fixture tree): nothing to
+        // hold stage uses against.
         return;
     }
     // Resolve registry entries to stage names.
@@ -379,8 +375,8 @@ fn check_stage_registry(
                     "rng-key-collision",
                     s.line,
                     format!(
-                        "stage \"{name}\" is timed but not registered in STAGE_KEYS or \
-                         AUX_STAGE_KEYS; the timing report only renders registered stages"
+                        "stage \"{name}\" is timed but not registered in STAGE_KEYS; \
+                         the timing report only renders registered stages"
                     ),
                 ));
             }
@@ -396,8 +392,8 @@ fn check_stage_registry(
                     "rng-key-collision",
                     *line,
                     format!(
-                        "registry entry \"{name}\" has no stage()/time_stage() call site; \
-                         remove it or time the stage it names"
+                        "registry entry \"{name}\" has no stage() call site; remove it \
+                         or time the stage it names"
                     ),
                 ));
             }

@@ -43,17 +43,6 @@ fn char_literals_are_not_string_content() {
 // -------------------------------------------------------------- parser
 
 #[test]
-fn item_counts_cover_the_basic_kinds() {
-    let src = "use std::fmt;\n\
-               mod inner {\n    pub fn helper() {}\n}\n\
-               pub struct S;\n\
-               impl S {\n    pub fn method(&self) {}\n}\n\
-               pub fn free() {}\n";
-    let (mods, fns, impls, uses) = parse(src).counts();
-    assert_eq!((mods, fns, impls, uses), (1, 3, 1, 1));
-}
-
-#[test]
 fn enclosing_fn_reports_the_nested_path() {
     let src = "mod outer {\n\
                \x20   pub fn f() {\n\
@@ -95,8 +84,8 @@ fn str_consts_only_resolve_lone_literals() {
 fn parser_survives_unbalanced_source() {
     // Degrade, don't panic: an unclosed brace truncates the tree.
     let tree = parse("pub fn broken() {\n    let x = (1;\n");
-    let (_, fns, _, _) = tree.counts();
-    assert_eq!(fns, 1);
+    assert_eq!(tree.items.len(), 1);
+    assert_eq!(tree.enclosing_fn(2).as_deref(), Some("broken"));
 }
 
 // --------------------------------------------------------------- graph

@@ -1,22 +1,25 @@
 //! The linter run against the real workspace: the tree must be clean,
-//! the crate graph must match the declared layering, and the self-test
-//! must prove every rule can still fire.
+//! and the crate graph must match the declared layering.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use taster_lint::graph::{layer_of, CrateGraph};
-use taster_lint::rules::RULES;
-use taster_lint::{find_workspace_root, run, selftest, LintConfig};
+use taster_lint::run;
 
-fn workspace_root() -> std::path::PathBuf {
+/// The workspace root: this crate lives at `crates/lint`.
+fn workspace_root() -> PathBuf {
     let manifest = Path::new(env!("CARGO_MANIFEST_DIR"));
-    find_workspace_root(manifest).expect("lint crate lives inside the workspace")
+    manifest
+        .parent()
+        .and_then(Path::parent)
+        .expect("lint crate lives inside the workspace")
+        .to_path_buf()
 }
 
 #[test]
 fn the_workspace_is_lint_clean() {
-    let report = run(&LintConfig::for_root(workspace_root())).expect("lint run succeeds");
+    let report = run(&workspace_root()).expect("lint run succeeds");
     assert!(
         report.is_clean(),
         "workspace has lint findings:\n{}",
@@ -24,21 +27,6 @@ fn the_workspace_is_lint_clean() {
     );
     assert!(report.files_scanned > 100, "scan looks truncated");
     assert!(report.crates_scanned > 10, "crate graph looks truncated");
-}
-
-#[test]
-fn self_test_fires_every_rule() {
-    let results = selftest::self_test().expect("self-test harness runs");
-    for rule in RULES {
-        assert!(
-            results.iter().any(|r| r.rule == rule.id),
-            "rule {} has no self-test fixture",
-            rule.id
-        );
-    }
-    for r in &results {
-        assert!(r.fired, "rule {} did not fire on its fixture", r.rule);
-    }
 }
 
 // ----------------------------------------------------- crate graph pin
@@ -99,24 +87,4 @@ fn the_workspace_graph_matches_the_declared_layering() {
             }
         }
     }
-}
-
-// -------------------------------------------------- parallel identity
-
-/// The per-file pass fans out over `sim::par`; the merged report must
-/// be byte-identical regardless of worker count.
-#[test]
-fn reports_are_byte_identical_across_worker_counts() {
-    let root = workspace_root();
-    let render = |workers: usize| {
-        let report = run(&LintConfig {
-            workers,
-            ..LintConfig::for_root(root.clone())
-        })
-        .expect("lint run succeeds");
-        (report.render_text(), report.render_json())
-    };
-    let one = render(1);
-    assert_eq!(one, render(2), "2-worker output diverged from serial");
-    assert_eq!(one, render(8), "8-worker output diverged from serial");
 }

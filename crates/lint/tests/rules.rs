@@ -1,122 +1,106 @@
-//! Fixture-based tests: one true-positive and one false-positive
-//! fixture per rule, plus suppression semantics.
+//! Fixture-based tests: one table test that every rule fires on its
+//! fixture, then true-positive and false-positive fixtures per rule
+//! and the contexts the per-file rules skip.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use taster_lint::{analyze_sources, lint_source};
+use taster_lint::analyze_sources;
+use taster_lint::rules::RULES;
 
 const LIB: &str = "crates/demo/src/lib.rs";
 
-/// A library file that blocks on its listener: one `socket-deadline`
-/// finding on line 2.
-const BLOCKING_ACCEPT: &str = "use std::os::unix::net::UnixListener;\n\
-                               pub fn serve(l: &UnixListener) { for _c in l.incoming() {} }\n";
+/// A library fn that sums hash-ordered floats: one `float-accum`
+/// finding on line 3.
+const FLOAT_SUM: &str = "use taster_domain::fx::FxHashMap;\n\
+                         pub fn total(m: &FxHashMap<u32, f64>) -> f64 {\n    \
+                         m.values().sum::<f64>()\n}\n";
 
+/// Rule ids `src` draws when it is the only file of a workspace at
+/// `path` (a manifest when `path` ends in `Cargo.toml`).
 fn rules_hit(path: &str, src: &str) -> Vec<String> {
-    let mut ids: Vec<String> = lint_source(path, src)
-        .into_iter()
-        .map(|d| d.rule.to_string())
-        .collect();
-    ids.sort();
-    ids.dedup();
-    ids
+    if path.ends_with("Cargo.toml") {
+        workspace_rules_hit(&[], &[(path, src)])
+    } else {
+        workspace_rules_hit(&[(path, src)], &[])
+    }
 }
 
-// ----------------------------------------------------- socket-deadline
+// ---------------------------------------------------------- every rule
 
+/// One violation per rule. Most are library files; the `layering`
+/// fixture is a manifest that declares an upward dependency, and the
+/// `workspace-lints` fixture a manifest without `[lints]`.
+const FIXTURES: &[(&str, &str, &str)] = &[
+    (
+        // A `kernel`-layer crate declaring a dependency on the
+        // `driver` layer: an upward manifest edge.
+        "layering",
+        "crates/fixture_sim/Cargo.toml",
+        "[package]\nname = \"taster-sim\"\n\n[lints]\nworkspace = true\n\n\
+         [dependencies]\ntaster-core = { path = \"../core\" }\n",
+    ),
+    (
+        // A layered crate whose manifest has no `[lints]` table, so
+        // the workspace clippy/rustc policy would not reach it.
+        "workspace-lints",
+        "crates/fixture_core/Cargo.toml",
+        "[package]\nname = \"taster-core\"\n",
+    ),
+    (
+        // The same stream key derived twice in one function body.
+        "rng-key-collision",
+        "crates/fixture/src/rng_keys.rs",
+        "pub fn pair(seed: u64) -> (u64, u64) {\n    \
+         (name_key(\"fixture/dup\"), name_key(\"fixture/dup\"))\n}\n",
+    ),
+    (
+        // Hash-map iteration in a render-module fn, no sort.
+        "unsorted-iteration",
+        "crates/fixture/src/render_unsorted.rs",
+        "use taster_domain::fx::FxHashMap;\n\
+         pub fn summarize(m: &FxHashMap<u32, u32>) -> String {\n    \
+         let mut out = String::new();\n    \
+         for (k, v) in m.iter() {\n        \
+         out.push_str(&format!(\"{k}={v};\"));\n    }\n    out\n}\n",
+    ),
+    ("float-accum", LIB, FLOAT_SUM),
+];
+
+/// A rule whose fixture stops drawing it has silently stopped
+/// matching; a rule without a fixture is not checked at all.
 #[test]
-fn socket_deadline_fires_on_unbounded_socket_calls() {
-    assert_eq!(rules_hit(LIB, BLOCKING_ACCEPT), ["socket-deadline"]);
-    let read = "use std::os::unix::net::UnixStream;\n\
-                pub fn slurp(s: &mut UnixStream, buf: &mut Vec<u8>) { let _ = s.read_to_end(buf); }\n";
-    assert_eq!(rules_hit(LIB, read), ["socket-deadline"]);
-}
-
-#[test]
-fn socket_deadline_ignores_files_without_sockets() {
-    let src =
-        "pub fn slurp(f: &mut std::fs::File, buf: &mut Vec<u8>) { let _ = f.read_to_end(buf); }\n";
-    assert!(rules_hit(LIB, src).is_empty());
-}
-
-// -------------------------------------------------------- suppressions
-
-#[test]
-fn trailing_suppression_silences_the_same_line() {
-    let src = BLOCKING_ACCEPT.replace(
-        "{} }\n",
-        "{} } // lint:allow(socket-deadline) -- contract\n",
-    );
-    assert!(rules_hit(LIB, &src).is_empty());
-}
-
-#[test]
-fn standalone_suppression_silences_the_next_code_line() {
-    let src = BLOCKING_ACCEPT.replace(
-        "pub fn",
-        "// lint:allow(socket-deadline) -- the listener is nonblocking\npub fn",
-    );
-    assert!(rules_hit(LIB, &src).is_empty());
-}
-
-#[test]
-fn suppression_only_covers_the_named_rule() {
-    let src = BLOCKING_ACCEPT.replace(
-        "pub fn",
-        "// lint:allow(float-accum) -- wrong rule named\npub fn",
-    );
-    assert_eq!(rules_hit(LIB, &src), ["socket-deadline"]);
-}
-
-#[test]
-fn suppression_without_reason_is_malformed_and_inert() {
-    let src = BLOCKING_ACCEPT.replace("pub fn", "// lint:allow(socket-deadline)\npub fn");
-    let ids = rules_hit(LIB, &src);
-    assert!(ids.contains(&"bad-suppression".to_string()), "{ids:?}");
-    assert!(
-        ids.contains(&"socket-deadline".to_string()),
-        "malformed must not suppress: {ids:?}"
-    );
-}
-
-#[test]
-fn suppression_with_unknown_rule_is_flagged() {
-    // `no-panic` is a rule clippy enforces now; the engine does not
-    // know it, so a leftover suppression naming it is flagged too.
-    for rule in ["made-up-rule", "no-panic"] {
-        let src = format!("pub fn f() {{}} // lint:allow({rule}) -- hmm\n");
-        assert_eq!(rules_hit(LIB, &src), ["bad-suppression"], "{rule}");
+fn every_rule_fires_on_its_fixture() {
+    let rules: Vec<&str> = RULES.iter().map(|r| r.id).collect();
+    let fixtures: Vec<&str> = FIXTURES.iter().map(|f| f.0).collect();
+    assert_eq!(fixtures, rules, "one fixture per rule, in RULES order");
+    for &(rule, path, src) in FIXTURES {
+        assert_eq!(rules_hit(path, src), [rule], "{path}");
     }
 }
 
 // ----------------------------------------------------------- contexts
 
 #[test]
-fn vendor_code_only_answers_for_suppression_syntax() {
-    assert!(rules_hit("vendor/rand/src/lib.rs", BLOCKING_ACCEPT).is_empty());
-    let bad = "pub fn f() {} // lint:allow(socket-deadline)\n";
-    assert_eq!(
-        rules_hit("vendor/rand/src/lib.rs", bad),
-        ["bad-suppression"]
-    );
+fn vendor_code_skips_lib_rules() {
+    assert!(rules_hit("vendor/rand/src/lib.rs", FLOAT_SUM).is_empty());
 }
 
 #[test]
 fn tests_and_examples_skip_lib_rules() {
-    assert!(rules_hit("crates/demo/tests/it.rs", BLOCKING_ACCEPT).is_empty());
-    assert!(rules_hit("examples/quickstart.rs", BLOCKING_ACCEPT).is_empty());
+    assert!(rules_hit("crates/demo/tests/it.rs", FLOAT_SUM).is_empty());
+    assert!(rules_hit("examples/quickstart.rs", FLOAT_SUM).is_empty());
 }
 
 #[test]
 fn cfg_test_modules_skip_lib_rules() {
     let lib = "pub fn ok() {}\n\n#[cfg(test)]\nmod tests {\n    \
-               use std::os::unix::net::UnixListener;\n    \
-               fn t(l: &UnixListener) { for _c in l.incoming() {} }\n}\n";
+               use taster_domain::fx::FxHashMap;\n    \
+               fn t(m: &FxHashMap<u32, f64>) -> f64 { m.values().sum::<f64>() }\n}\n";
     assert!(rules_hit(LIB, lib).is_empty());
     // The test region starts at its `#[cfg(test)]`: code above it is
     // still checked.
-    let before = format!("{BLOCKING_ACCEPT}\n#[cfg(test)]\nmod tests {{}}\n");
-    assert_eq!(rules_hit(LIB, &before), ["socket-deadline"]);
+    let before = format!("{FLOAT_SUM}\n#[cfg(test)]\nmod tests {{}}\n");
+    assert_eq!(rules_hit(LIB, &before), ["float-accum"]);
 }
 
 // ------------------------------------------------------------ layering
@@ -304,7 +288,7 @@ fn stage_registry_flags_unregistered_stage() {
     let sources = [(
         "crates/sim/src/metrics.rs",
         "pub const STAGE_KEYS: [&str; 1] = [\"alpha\"];\n\
-         pub fn run(obs: &mut Obs) {\n    obs.stage(\"alpha\", 1);\n    obs.time_stage(\"beta\", 2);\n}\n",
+         pub fn run(obs: &mut Obs) {\n    obs.stage(\"alpha\", 1);\n    obs.stage(\"beta\", 2);\n}\n",
     )];
     let diags = analyze_sources(&sources, &[]);
     assert_eq!(diags.len(), 1, "{diags:?}");
@@ -339,15 +323,15 @@ fn stage_registry_resolves_const_names() {
         "crates/sim/src/metrics.rs",
         "pub const STAGE_ALPHA: &str = \"alpha\";\n\
          pub const STAGE_KEYS: [&str; 1] = [STAGE_ALPHA];\n\
-         pub fn run(obs: &mut Obs) {\n    obs.time_stage(STAGE_ALPHA, 1);\n}\n",
+         pub fn run(obs: &mut Obs) {\n    obs.stage(STAGE_ALPHA, 1);\n}\n",
     )];
     assert!(workspace_rules_hit(&sources, &[]).is_empty());
 }
 
 #[test]
 fn stage_registry_is_inert_without_a_registry() {
-    // A tree with stage calls but no STAGE_KEYS definition (the
-    // self-test fixture tree) must not flag anything.
+    // A tree with stage calls but no STAGE_KEYS definition (a rule
+    // fixture tree) must not flag anything.
     let sources = [(
         "crates/sim/src/a.rs",
         "pub fn run(obs: &mut Obs) {\n    obs.stage(\"anything\", 1);\n}\n",

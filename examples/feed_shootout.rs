@@ -16,6 +16,7 @@
 use taster::analysis::classify::Category;
 use taster::core::{Experiment, Scenario};
 use taster::feeds::FeedId;
+use taster::sim::Parallelism;
 
 fn main() {
     let scale: f64 = std::env::args()
@@ -40,11 +41,12 @@ fn main() {
         FeedId::Mx2,
         FeedId::Ac1,
     ];
-    let fig9 = taster::analysis::timing::first_appearance(
+    let fig9 = taster::analysis::timing::first_appearance_par(
         &e.feeds,
         &e.classified,
         &reference,
         &FeedId::ALL,
+        &Parallelism::serial(),
     );
 
     println!(

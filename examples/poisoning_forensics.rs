@@ -71,7 +71,7 @@ fn main() {
     }
 
     // The packaged ablation summary.
-    let summary = ablation::poisoning(&base).expect("poisoning ablation runs");
+    let summary = ablation::poisoning(&with).expect("poisoning ablation runs");
     println!(
         "\nablation summary: Bot DNS {:.0}% → {:.0}%, mx2 DNS {:.0}% → {:.0}% when poisoning is removed",
         summary.bot_dns_with * 100.0,

@@ -12,7 +12,6 @@
 //! taster loadgen                   deterministic query storms
 //! taster replicate                 N-seed replication with CIs
 //! taster ab --treatment NAME       paired A/B scenario comparison
-//! taster lint                      workspace invariants clippy cannot check
 //! ```
 //!
 //! Each command accepts exactly the flags its code reads: one row of
@@ -55,7 +54,8 @@
 
 use std::fmt::Display;
 use std::str::FromStr;
-use taster::analysis::classify::Category;
+use taster::core::export::{CsvExport, CSV_SECTIONS};
+use taster::core::report::SECTIONS;
 use taster::core::{
     ab, ablation, build_world, degradation, profile, replicate, sweep, Experiment, Scenario,
 };
@@ -84,8 +84,6 @@ const ROUNDS: Flag = ("--rounds", Some("N"));
 const TIMEOUT: Flag = ("--request-timeout-ms", Some("MS"));
 const BASELINE: Flag = ("--baseline", Some("NAME"));
 const TREATMENT: Flag = ("--treatment", Some("NAME"));
-const GRAPH: Flag = ("--graph", None);
-const SELF_TEST: Flag = ("--self-test", None);
 
 /// Scale, seed and the three resource knobs of world building.
 const WORLD: &[Flag] = &[SCALE, SEED, THREADS, CHUNK, MAX_MEM];
@@ -155,7 +153,6 @@ const COMMANDS: &[Command] = &[
     row("loadgen", &[&[SEED, FAULTS, SOCKET, ROUNDS, TIMEOUT, OUT]], "", loadgen_cmd),
     row("replicate", &[WORLD, &[FAULTS], REPLICATION], "text|json", replicate_cmd),
     row("ab", &[WORLD, &[BASELINE, TREATMENT], REPLICATION], "text|json", ab_cmd),
-    row("lint", &[&[THREADS, GRAPH, SELF_TEST]], "text|json", lint_cmd),
 ];
 
 impl Command {
@@ -208,9 +205,7 @@ struct Args {
     chunk: Option<usize>,
     max_mem_bytes: Option<u64>,
     min_events_per_sec: Option<f64>,
-    self_test: bool,
     baseline: Option<String>,
-    graph: bool,
     socket: String,
     checkpoint_dir: Option<String>,
     resume: bool,
@@ -260,6 +255,12 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(&'static Comman
     }
     if args.operand.is_none() && !command.operands.is_empty() {
         return Err(fail(format!("{name} needs an operand")));
+    }
+    if args.format == "csv" && !CSV_SECTIONS.iter().any(|(n, _)| *n == args.section) {
+        return Err(fail(format!(
+            "section {} has no CSV form (try table1..3, fig2..5, fig7..12)",
+            args.section
+        )));
     }
     Ok((command, args))
 }
@@ -344,7 +345,12 @@ impl Args {
                     )
                 })?;
             }
-            "--section" => self.section = raw,
+            "--section" => {
+                if raw != "all" && !SECTIONS.iter().any(|(n, _)| *n == raw) {
+                    return Err(format!("unknown section {raw}"));
+                }
+                self.section = raw;
+            }
             "--format" => {
                 let formats = value.unwrap_or_default();
                 let Some(format) = formats.split('|').find(|&f| f == raw) else {
@@ -380,8 +386,6 @@ impl Args {
             }
             "--baseline" => self.baseline = Some(raw),
             "--treatment" => self.treatment = Some(raw),
-            "--graph" => self.graph = true,
-            "--self-test" => self.self_test = true,
             other => return Err(format!("no parser for {other}")),
         }
         Ok(())
@@ -429,81 +433,6 @@ fn main() {
     }
 }
 
-/// `taster lint`: check the workspace invariants clippy cannot express
-/// (layering, workspace-lint inheritance, RNG keys, hash-order
-/// dataflow, socket deadlines). Exit codes: 0 clean, 1 findings (or a
-/// failed self-test), 2 setup problems. `--graph` emits the
-/// item/dependency graph as JSON instead of linting; `--threads` pins
-/// the scan's worker count (output is byte-identical at any count).
-fn lint_cmd(args: &Args) {
-    use taster::lint::{self, LintConfig};
-
-    if args.self_test {
-        let results = match lint::selftest::self_test() {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("lint --self-test could not build its fixture workspace: {e}");
-                std::process::exit(2);
-            }
-        };
-        let mut failed = false;
-        for r in &results {
-            println!(
-                "{:.<24} {}",
-                r.rule,
-                if r.fired { "fires" } else { "DID NOT FIRE" }
-            );
-            failed |= !r.fired;
-        }
-        if failed {
-            eprintln!("lint self-test FAILED: at least one rule no longer matches");
-            std::process::exit(1);
-        }
-        eprintln!("lint self-test passed: every rule fires on its injected violation");
-        return;
-    }
-
-    let cwd = match std::env::current_dir() {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("cannot read current directory: {e}");
-            std::process::exit(2);
-        }
-    };
-    let Some(root) = lint::find_workspace_root(&cwd) else {
-        eprintln!("cannot find the workspace root (Cargo.toml + crates/) above {cwd:?}");
-        std::process::exit(2);
-    };
-    let config = LintConfig {
-        root,
-        workers: args.threads.unwrap_or(0),
-    };
-    let rendered = if args.graph {
-        lint::graph_json(&config).map(|json| (json, true))
-    } else {
-        lint::run(&config).map(|report| {
-            let text = if args.format == "json" {
-                report.render_json()
-            } else {
-                report.render_text()
-            };
-            (text, report.is_clean())
-        })
-    };
-    match rendered {
-        Ok((text, clean)) => {
-            print!("{text}");
-            if !clean {
-                std::process::exit(1);
-            }
-        }
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// Unwraps a pipeline result, or exits 1 with `cannot run scenario: …`
 /// like every world-building command.
 fn or_exit<T>(result: Result<T, taster::feeds::PipelineError>) -> T {
@@ -542,61 +471,27 @@ fn report(args: &Args) {
         write_trace(&e, path);
     }
     if args.format == "csv" {
-        match taster::core::export::CsvExport::new(&e).section(section) {
-            Some(csv) => {
-                print!("{csv}");
-                return;
-            }
-            None => {
-                eprintln!("section {section} has no CSV form (try table1..3, fig2..5, fig7..12)");
-                std::process::exit(2);
-            }
+        // Parsing admits `--format csv` only with a section that has
+        // a CSV form.
+        if let Some(csv) = CsvExport::new(&e).section(section) {
+            print!("{csv}");
         }
+        return;
     }
     let r = e.report();
-    let text = match section {
-        // The full render goes through the timed stage wrapper, so
+    let text = match r.section(section) {
+        Some(text) => text,
+        // `all`, the one name parsing admits outside `SECTIONS`. The
+        // full render goes through the timed stage wrapper, so
         // `--trace`/profiled runs see it on the same clock as every
         // other stage. Byte-identical to `r.full_report()`.
-        "all" => match e.try_render_report() {
+        None => match e.try_render_report() {
             Ok(text) => text,
             Err(err) => {
                 eprintln!("cannot render report: {err}");
                 std::process::exit(1);
             }
         },
-        "table1" => r.table1_feed_summary(),
-        "table2" => r.table2_purity(),
-        "table3" => r.table3_coverage(),
-        "fig1" => r.fig1_exclusive_scatter(),
-        "fig2" => format!(
-            "{}\n{}",
-            r.fig2_pairwise(Category::Live),
-            r.fig2_pairwise(Category::Tagged)
-        ),
-        "fig3" => r.fig3_volume(),
-        "fig4" => r.fig4_programs(),
-        "fig5" => r.fig5_affiliates(),
-        "fig6" => r.fig6_revenue(),
-        "fig7" => r.fig7_variation(),
-        "fig8" => r.fig8_kendall(),
-        "fig9" => r.fig9_first_appearance(),
-        "fig10" => r.fig10_first_appearance_honeypots(),
-        "fig11" => r.fig11_last_appearance(),
-        "fig12" => r.fig12_duration(),
-        "blocking" => r.blocking_study(),
-        "campaigns" => r.campaign_study(),
-        "granularity" => r.granularity_study(),
-        "concentration" => r.concentration_study(),
-        "selection" => format!(
-            "{}\n{}",
-            r.selection_study(Category::Live),
-            r.selection_study(Category::Tagged)
-        ),
-        other => {
-            eprintln!("unknown section {other}");
-            std::process::exit(2);
-        }
     };
     println!("{text}");
     // `full_report` already appends the metrics section; single
@@ -705,7 +600,8 @@ fn profile_cmd(args: &Args) {
 fn ablate(args: &Args) {
     let scenario = args.scenario();
     eprintln!("running four ablations over {}", scenario.name);
-    let p = or_exit(ablation::poisoning(&scenario));
+    let base = or_exit(Experiment::try_run(&scenario));
+    let p = or_exit(ablation::poisoning(&base));
     println!("== poisoning");
     println!(
         "  Bot DNS purity: {:.1}% with, {:.1}% without",
@@ -718,7 +614,7 @@ fn ablate(args: &Args) {
         p.mx2_dns_without * 100.0
     );
 
-    let r = or_exit(ablation::blacklist_restriction(&scenario));
+    let r = or_exit(ablation::blacklist_restriction(&base));
     println!("== blacklist crawl-subset restriction");
     println!(
         "  dbl:   {} of {} entries survive ({:.1}% dropped)",
@@ -733,7 +629,7 @@ fn ablate(args: &Args) {
         r.uribl_dropped_fraction() * 100.0
     );
 
-    let f = or_exit(ablation::provider_filter(&scenario));
+    let f = or_exit(ablation::provider_filter(&base));
     println!("== provider report-driven filtering");
     println!(
         "  Hu samples: {} with filter, {} without ({:.1}x)",
@@ -746,7 +642,7 @@ fn ablate(args: &Args) {
         f.hu_tagged_with, f.hu_tagged_without
     );
 
-    let s = or_exit(ablation::ac2_seeding(&scenario));
+    let s = or_exit(ablation::ac2_seeding(&base));
     println!("== Ac2 seeding breadth");
     println!(
         "  Ac2∩Ac1 / Ac1 (tagged): {:.1}% narrow, {:.1}% broad",
@@ -987,6 +883,7 @@ mod tests {
         match flag {
             ("--faults", _) => "lossy-feeds",
             ("--format", _) => c.formats.split('|').next().unwrap(),
+            ("--section", _) => "table2",
             (_, Some("S" | "S[,S...]" | "F" | "FRAC" | "R")) => "0.5",
             (_, Some("N" | "B" | "MS")) => "3",
             (_, Some(_)) => "x",
@@ -1005,7 +902,13 @@ mod tests {
                 }
             }
             for format in c.formats.split_terminator('|') {
-                let line = format!("{} --format {format}", invocation(c));
+                // Only a section with a CSV form takes `--format csv`.
+                let section = if format == "csv" {
+                    " --section table2"
+                } else {
+                    ""
+                };
+                let line = format!("{} --format {format}{section}", invocation(c));
                 assert_eq!(parse(&line).map(|(_, a)| a.format).ok(), Some(format));
             }
         }
@@ -1019,7 +922,7 @@ mod tests {
             .collect();
         flags.sort_unstable();
         flags.dedup();
-        assert_eq!(flags.len(), 32, "{flags:?}");
+        assert_eq!(flags.len(), 30, "{flags:?}");
         for c in COMMANDS {
             for &flag in flags.iter().filter(|&&f| c.flags().all(|(g, _)| g != f)) {
                 let line = format!("{} {flag} 3", invocation(c));
@@ -1037,7 +940,6 @@ mod tests {
         for line in [
             "report --treatment quiet-world",
             "summary --resume",
-            "lint --seeds 4 --socket x",
             "report --format xml",
             "degradation --faults blackout",
             "profile --metrics",
@@ -1076,6 +978,21 @@ mod tests {
             ("report all", "report does not take the operand all"),
             ("nope", "unknown command nope"),
             ("bench-json", "unknown command bench-json"),
+            ("lint", "unknown command lint"),
+            (
+                "report --section nope",
+                "unknown section nope\nusage: taster report ",
+            ),
+            (
+                "report --section fig6 --format csv",
+                "section fig6 has no CSV form (try table1..3, fig2..5, fig7..12)\n\
+                 usage: taster report ",
+            ),
+            (
+                "report --format csv",
+                "section all has no CSV form (try table1..3, fig2..5, fig7..12)\n\
+                 usage: taster report ",
+            ),
         ] {
             match parse(line) {
                 Ok(_) => panic!("{line} parsed"),
@@ -1109,7 +1026,6 @@ mod tests {
             "replicate --scale 0.03 --seed 11 --seeds 4 --resamples 200 --format json",
             "ab --baseline paper --treatment quiet-world --scale 0.03 --seed 11 --seeds 4 \
              --resamples 200 --format json",
-            "lint --threads 8 --format json",
             // tests/
             "sweep seeding --scale 0.02 --max-mem-bytes 65536",
             "summary --scale 0.02 --max-mem-bytes 65536",

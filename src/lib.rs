@@ -20,7 +20,6 @@
 //! * [`core`] — scenarios, the experiment driver, and report rendering.
 //! * [`serve`] — the `taster serve` daemon: incremental ingestion,
 //!   admission control, checkpoint/resume.
-//! * [`lint`] — the `taster lint` analyzer for the invariants clippy cannot express.
 //!
 //! ## Quick start
 //!
@@ -40,7 +39,6 @@ pub use taster_crawler as crawler;
 pub use taster_domain as domain;
 pub use taster_ecosystem as ecosystem;
 pub use taster_feeds as feeds;
-pub use taster_lint as lint;
 pub use taster_mailsim as mailsim;
 pub use taster_serve as serve;
 pub use taster_sim as sim;
