@@ -11,7 +11,7 @@
 //! in the house report style.
 
 use crate::replicate::{replicate, ReplicateOptions, Replication};
-use crate::report::{fmt_bounds, fmt_opt, fmt_p};
+use crate::report::{fmt_bca, fmt_level, fmt_opt, fmt_p, json_bounds, json_opt, w, BCA_FOOTNOTE};
 use crate::scenario::Scenario;
 use std::fmt::Write as _;
 use taster_feeds::PipelineError;
@@ -19,51 +19,56 @@ use taster_sim::FaultProfile;
 use taster_stats::infer::{bootstrap_ci_keyed, paired_t, welch_t, BootstrapCi, TTest};
 use taster_stats::summary::mean;
 
-/// `write!` into a `String` cannot fail.
-macro_rules! w {
-    ($($arg:tt)*) => { let _ = write!($($arg)*); };
-}
+/// A scenario name and how to build the scenario at a scale.
+type NamedScenario = (&'static str, fn(f64) -> Scenario);
 
-/// The named scenario vocabulary of `taster ab`: presets, ablations
-/// and (batch-relevant) fault profiles, resolvable by CLI name.
-pub const NAMED_SCENARIOS: [&str; 9] = [
-    "paper",
-    "quiet-world",
-    "poison-heavy",
-    "short-window",
-    "no-poisoning",
-    "no-provider-filter",
-    "unrestricted-blacklists",
-    "broad-ac2",
-    "<fault profile>",
+/// The named scenarios of `taster ab` beside the batch fault
+/// profiles: the paper default, the presets and the four ablations.
+#[rustfmt::skip]
+const NAMED_SCENARIOS: &[NamedScenario] = &[
+    ("paper", paper),
+    ("default", paper),
+    ("quiet-world", |x| Scenario::quiet_world().with_scale(x)),
+    ("poison-heavy", |x| Scenario::poison_heavy().with_scale(x)),
+    ("short-window", |x| Scenario::short_window().with_scale(x)),
+    ("no-poisoning", |x| paper(x).without_poisoning()),
+    ("no-provider-filter", |x| paper(x).without_provider_filter()),
+    ("unrestricted-blacklists", |x| paper(x).with_unrestricted_blacklists()),
+    ("broad-ac2", |x| paper(x).with_broad_ac2_seeding()),
 ];
 
-/// Resolves a CLI scenario name at `scale` and `seed`. Accepts the
-/// paper default (`paper`/`default`/`clean`), the presets, the four
-/// ablations, and any canonical *batch* fault profile (serve-only
-/// storm profiles are rejected — they cannot move a collection
-/// metric). Returns `None` for unknown names.
-pub fn scenario_by_name(name: &str, scale: f64, seed: u64) -> Option<Scenario> {
-    let scaled = |s: Scenario| s.with_scale(scale).with_seed(seed);
-    Some(match name {
-        "paper" | "default" | "clean" => scaled(Scenario::default_paper()),
-        "quiet-world" => scaled(Scenario::quiet_world()),
-        "poison-heavy" => scaled(Scenario::poison_heavy()),
-        "short-window" => scaled(Scenario::short_window()),
-        "no-poisoning" => scaled(Scenario::default_paper()).without_poisoning(),
-        "no-provider-filter" => scaled(Scenario::default_paper()).without_provider_filter(),
-        "unrestricted-blacklists" => {
-            scaled(Scenario::default_paper()).with_unrestricted_blacklists()
-        }
-        "broad-ac2" => scaled(Scenario::default_paper()).with_broad_ac2_seeding(),
-        other => {
-            let profile = FaultProfile::by_name(other)?;
-            if profile.is_serve_only() {
-                return None;
-            }
-            scaled(Scenario::default_paper()).with_faults(profile)
-        }
-    })
+/// The paper default at `scale`.
+fn paper(scale: f64) -> Scenario {
+    Scenario::default_paper().with_scale(scale)
+}
+
+/// A canonical fault profile (or `off`) that can move a collection
+/// metric; serve-only storm profiles cannot.
+fn batch_profile(name: &str) -> Option<FaultProfile> {
+    FaultProfile::by_name(name).filter(|p| !p.is_serve_only())
+}
+
+/// Resolves a scenario name at `scale` and `seed`: the paper default
+/// (`paper`, `default`), a preset, an ablation, or the paper default
+/// under a batch fault profile. Any other name is refused with a list
+/// of the names that resolve.
+pub fn scenario_by_name(name: &str, scale: f64, seed: u64) -> Result<Scenario, String> {
+    if let Some((_, build)) = NAMED_SCENARIOS.iter().find(|(n, _)| *n == name) {
+        return Ok(build(scale).with_seed(seed));
+    }
+    if let Some(profile) = batch_profile(name) {
+        return Ok(paper(scale).with_faults(profile).with_seed(seed));
+    }
+    let named: Vec<&str> = NAMED_SCENARIOS.iter().map(|(n, _)| *n).collect();
+    let profiles: Vec<&str> = FaultProfile::CANONICAL
+        .into_iter()
+        .filter(|n| batch_profile(n).is_some())
+        .collect();
+    Err(format!(
+        "unknown scenario {name}; known: {} and batch fault profiles: {}",
+        named.join(" "),
+        profiles.join(" ")
+    ))
 }
 
 /// One metric's paired comparison row.
@@ -192,7 +197,7 @@ pub fn render_ab(ab: &AbComparison) -> String {
         ab.baseline.options.seeds,
         ab.baseline.scenario.seed,
         ab.baseline.options.resamples,
-        (ab.baseline.options.level * 100.0).round() as u64,
+        fmt_level(ab.baseline.options.level),
     );
     out.push('\n');
     w!(
@@ -208,20 +213,12 @@ pub fn render_ab(ab: &AbComparison) -> String {
         "p(pair)",
         "p(welch)",
     );
-    let mut any_fallback = false;
+    let mut marked = false;
     for row in &ab.rows {
-        let ci = match &row.ci {
-            Some(ci) => {
-                let marker = if ci.bca_fell_back {
-                    any_fallback = true;
-                    "*"
-                } else {
-                    ""
-                };
-                format!("{}{marker}", fmt_bounds(ci.bca))
-            }
-            None => "-".to_string(),
-        };
+        let ci = row
+            .ci
+            .as_ref()
+            .map_or("-".to_string(), |ci| fmt_bca(ci, &mut marked));
         w!(
             out,
             "{:<32} {:>2} {:>9} {:>9} {:>9} {:>8} {:>22} {:>9} {:>8}\n",
@@ -236,18 +233,10 @@ pub fn render_ab(ab: &AbComparison) -> String {
             fmt_p(row.welch.as_ref().map(|t| t.p_value)),
         );
     }
-    if any_fallback {
-        out.push_str("*  BCa undefined here; bounds fall back to the percentile interval\n");
+    if marked {
+        out.push_str(BCA_FOOTNOTE);
     }
     out
-}
-
-/// JSON value for an optional float (`null` when undefined).
-fn json_opt(v: Option<f64>) -> String {
-    match v {
-        Some(x) if x.is_finite() => format!("{x}"),
-        _ => "null".to_string(),
-    }
 }
 
 /// Renders the A/B comparison as a deterministic JSON document (the
@@ -269,14 +258,8 @@ pub fn render_ab_json(ab: &AbComparison) -> String {
     out.push_str("  \"metrics\": [\n");
     for (i, row) in ab.rows.iter().enumerate() {
         let comma = if i + 1 < ab.rows.len() { "," } else { "" };
-        let (ci_low, ci_high, fell_back) = match &row.ci {
-            Some(ci) => (
-                json_opt(Some(ci.bca.0)),
-                json_opt(Some(ci.bca.1)),
-                ci.bca_fell_back,
-            ),
-            None => ("null".to_string(), "null".to_string(), false),
-        };
+        let (ci_low, ci_high) = json_bounds(row.ci.as_ref().map(|ci| ci.bca));
+        let fell_back = row.ci.as_ref().is_some_and(|ci| ci.bca_fell_back);
         w!(
             out,
             "    {{\"name\": \"{}\", \"pairs\": {}, \"control\": {}, \"treatment\": {}, \
@@ -335,9 +318,12 @@ mod tests {
             assert_eq!(s.seed, 7, "{name}");
             s.validate().unwrap();
         }
-        assert!(scenario_by_name("no-such-scenario", 0.02, 7).is_none());
         // Serve-only storm profiles cannot move a batch metric.
-        assert!(scenario_by_name("serve-query-storm", 0.02, 7).is_none());
+        for name in ["no-such-scenario", "query-storm", "<fault profile>"] {
+            let err = scenario_by_name(name, 0.02, 7).unwrap_err();
+            let known = err.strip_prefix(&format!("unknown scenario {name}; known: "));
+            assert!(known.is_some_and(|k| k.starts_with("paper ") && !k.contains('<')));
+        }
     }
 
     #[test]

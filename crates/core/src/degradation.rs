@@ -2,9 +2,11 @@
 //! against the clean baseline, with per-feed metric deltas.
 //!
 //! The world is built once (ground truth and mail log are upstream of
-//! fault injection, so they are shared); each profile then re-collects
-//! the feeds and re-crawls under its [`FaultPlan`], and the resulting
-//! [`RunSnapshot`] is diffed against the clean run's.
+//! fault injection, so they are shared); each profile that can touch
+//! collection or the crawl then re-collects the feeds and re-crawls
+//! under its [`FaultPlan`], and the resulting [`RunSnapshot`] is
+//! diffed against the clean run's. A profile that cannot (`clean` and
+//! the serve-only storms) is diffed against the clean run itself.
 
 use crate::scenario::Scenario;
 use taster_analysis::degradation::{compare, snapshot, ProfileDegradation, RunSnapshot};
@@ -22,6 +24,9 @@ pub fn degradation_sweep(scenario: &Scenario) -> Result<Vec<ProfileDegradation>,
     FaultProfile::canonical()
         .into_iter()
         .map(|profile| {
+            if profile.is_off() || profile.is_serve_only() {
+                return Ok(compare(&profile.name, &clean, &clean));
+            }
             let name = profile.name.clone();
             let faulted = run_profile(&world, scenario, profile)?;
             Ok(compare(&name, &clean, &faulted))

@@ -1,6 +1,6 @@
 //! The end-to-end experiment driver.
 
-use crate::report::Report;
+use crate::report;
 use crate::scenario::Scenario;
 use taster_analysis::affiliates::{affiliate_coverage, revenue_coverage, RevenueBar};
 use taster_analysis::blocking::{blocking_study, BlockingResult};
@@ -184,28 +184,22 @@ impl Experiment {
         });
     }
 
-    /// The plain-text report renderer.
-    pub fn report(&self) -> Report<'_> {
-        Report::new(self)
-    }
-
     /// Renders the full report under this run's observability handle,
-    /// inside the `render` stage span. With `Obs::off()` this is
-    /// `report().full_report()` exactly, byte for byte.
-    pub fn render_report(&self) -> String {
-        let text = self.obs.stage(STAGE_RENDER, || self.report().full_report());
-        self.obs.metrics.add("render/bytes", text.len() as u64);
-        text
-    }
-
-    /// [`Experiment::render_report`], failing with the typed error
-    /// instead of rendering it when a study cannot read the event log.
+    /// inside the `render` stage span: the fault model on faulted runs,
+    /// every section of [`report::SECTIONS`] in order, and the metrics
+    /// section on metrics-observed runs, joined by blank lines. Fails
+    /// with the typed error when a study cannot read the event log.
     pub fn try_render_report(&self) -> Result<String, PipelineError> {
-        let text = self
-            .obs
-            .stage(STAGE_RENDER, || self.report().try_full_report())?;
+        let text = self.obs.stage(STAGE_RENDER, || report::full_report(self))?;
         self.obs.metrics.add("render/bytes", text.len() as u64);
         Ok(text)
+    }
+
+    /// [`Experiment::try_render_report`], with a failure rendered as a
+    /// one-line report in place of the sections.
+    pub fn render_report(&self) -> String {
+        self.try_render_report()
+            .unwrap_or_else(|e| format!("cannot render report: {e}\n"))
     }
 
     // ------------------------------------------------ typed results

@@ -10,8 +10,12 @@
 //!
 //! let scenario = Scenario::default_paper().with_scale(0.05).with_seed(7);
 //! let experiment = Experiment::run(&scenario);
-//! println!("{}", experiment.report().table1_feed_summary());
-//! println!("{}", experiment.report().fig9_first_appearance());
+//! for name in ["table1", "fig9"] {
+//!     let section = taster_core::report::section(name).expect("a report section");
+//!     println!("{}", section.render(&experiment)?);
+//! }
+//! println!("{}", experiment.try_render_report()?);
+//! # Ok::<(), taster_feeds::PipelineError>(())
 //! ```
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
@@ -21,7 +25,7 @@ pub mod ab;
 pub mod ablation;
 pub mod degradation;
 pub mod experiment;
-pub mod export;
+mod export;
 pub mod profile;
 pub mod replicate;
 pub mod report;
@@ -29,5 +33,4 @@ pub mod scenario;
 pub mod sweep;
 
 pub use experiment::{build_world, Experiment};
-pub use report::Report;
 pub use scenario::Scenario;

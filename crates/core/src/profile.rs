@@ -23,14 +23,6 @@ use taster_mailsim::provider::PROVIDER_BUCKET;
 use taster_sim::metrics::{MetricsRegistry, STAGE_COLLECT, STAGE_KEYS};
 use taster_sim::{Obs, SpanTiming};
 
-/// Runs `scenario` end-to-end with full observability — metrics,
-/// tracing, and the four post-classification analysis stage groups —
-/// and returns the experiment whose [`Experiment::obs`] holds the
-/// complete profile.
-pub fn profile_scenario(scenario: &Scenario) -> Result<Experiment, PipelineError> {
-    run_end_to_end(scenario).map(|(exp, _)| exp)
-}
-
 /// The deterministic profile view: the span/event tree (attributes and
 /// sim windows, no wall times) followed by the metrics render.
 /// Bit-identical at any worker count.
@@ -129,14 +121,15 @@ fn ratio(num: f64, den: f64) -> f64 {
     }
 }
 
-/// Runs `scenario` once fully observed, through the analysis stage
-/// groups and one render, and accounts its span tree against a
-/// stopwatch around the whole run.
+/// Runs `scenario` once fully observed — metrics, tracing, the four
+/// post-classification analysis stage groups and one render — and
+/// accounts its span tree against a stopwatch around the whole run.
+/// The experiment's [`Experiment::obs`] holds the complete profile.
 pub fn run_end_to_end(scenario: &Scenario) -> Result<(Experiment, EndToEnd), PipelineError> {
     let clock = MetricsRegistry::stopwatch();
     let exp = Experiment::try_run_observed(scenario, Obs::on())?;
     exp.observe_analyses();
-    std::hint::black_box(exp.render_report().len());
+    std::hint::black_box(exp.try_render_report()?.len());
     let total = clock.elapsed_secs();
     let events = exp.world.truth.log.len as u64;
     let chunk_size = exp.scenario.feeds.chunk_size;

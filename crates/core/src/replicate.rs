@@ -17,7 +17,9 @@
 //! and every inner pipeline stage is bit-identical serial anyway.
 
 use crate::experiment::Experiment;
-use crate::report::{fmt_bounds, fmt_opt};
+use crate::report::{
+    fmt_bca, fmt_bounds, fmt_level, fmt_opt, json_bounds, json_opt, w, BCA_FOOTNOTE,
+};
 use crate::scenario::Scenario;
 use std::fmt::Write as _;
 use taster_analysis::classify::Category;
@@ -27,11 +29,6 @@ use taster_sim::rng::{name_key, RngStream};
 use taster_sim::Parallelism;
 use taster_stats::infer::{bootstrap_ci_keyed, BootstrapCi, MetricSamples};
 use taster_stats::summary::{fraction, mean, std_dev};
-
-/// `write!` into a `String` cannot fail.
-macro_rules! w {
-    ($($arg:tt)*) => { let _ = write!($($arg)*); };
-}
 
 /// Stream-name key for per-replicate seed derivation.
 const SEED_STREAM: &str = "replicate/seed";
@@ -269,16 +266,6 @@ impl Replication {
     }
 }
 
-/// Percent label for a confidence level: `0.95` → `95`.
-fn level_label(level: f64) -> String {
-    let pct = level * 100.0;
-    if (pct - pct.round()).abs() < 1e-9 {
-        format!("{}", pct.round() as u64)
-    } else {
-        format!("{pct}")
-    }
-}
-
 /// Renders a replication in the house report style: a per-seed
 /// headline table followed by the CI-annotated metric table.
 /// Deterministic at any worker count.
@@ -295,7 +282,7 @@ pub fn render_replication(rep: &Replication) -> String {
         rep.options.seeds,
         rep.scenario.seed,
         rep.options.resamples,
-        level_label(rep.options.level)
+        fmt_level(rep.options.level)
     );
     out.push('\n');
     out.push_str("-- per-seed headline metrics\n");
@@ -329,7 +316,7 @@ pub fn render_replication(rep: &Replication) -> String {
     }
     out.push('\n');
     out.push_str("-- bootstrap confidence intervals (mean over seeds)\n");
-    let lvl = level_label(rep.options.level);
+    let lvl = fmt_level(rep.options.level);
     w!(
         out,
         "{:<32} {:>2} {:>9} {:>9} {:>20} {:>21}\n",
@@ -340,21 +327,10 @@ pub fn render_replication(rep: &Replication) -> String {
         format!("pct{lvl} [low, high]"),
         format!("BCa{lvl} [low, high]"),
     );
-    let mut any_fallback = false;
+    let mut marked = false;
     for row in rep.metric_cis() {
         let (pct, bca) = match &row.ci {
-            Some(ci) => {
-                let marker = if ci.bca_fell_back {
-                    any_fallback = true;
-                    "*"
-                } else {
-                    ""
-                };
-                (
-                    fmt_bounds(ci.percentile),
-                    format!("{}{marker}", fmt_bounds(ci.bca)),
-                )
-            }
+            Some(ci) => (fmt_bounds(ci.percentile), fmt_bca(ci, &mut marked)),
             None => ("-".to_string(), "-".to_string()),
         };
         w!(
@@ -368,18 +344,10 @@ pub fn render_replication(rep: &Replication) -> String {
             bca,
         );
     }
-    if any_fallback {
-        out.push_str("*  BCa undefined here; bounds fall back to the percentile interval\n");
+    if marked {
+        out.push_str(BCA_FOOTNOTE);
     }
     out
-}
-
-/// JSON value for an optional float (`null` when undefined).
-fn json_opt(v: Option<f64>) -> String {
-    match v {
-        Some(x) if x.is_finite() => format!("{x}"),
-        _ => "null".to_string(),
-    }
 }
 
 /// Renders a replication as a deterministic JSON document (the
@@ -405,22 +373,9 @@ pub fn render_replication_json(rep: &Replication) -> String {
     let cis = rep.metric_cis();
     for (m, row) in cis.iter().enumerate() {
         let comma = if m + 1 < cis.len() { "," } else { "" };
-        let (pct_low, pct_high, bca_low, bca_high, fell_back) = match &row.ci {
-            Some(ci) => (
-                json_opt(Some(ci.percentile.0)),
-                json_opt(Some(ci.percentile.1)),
-                json_opt(Some(ci.bca.0)),
-                json_opt(Some(ci.bca.1)),
-                ci.bca_fell_back,
-            ),
-            None => (
-                "null".to_string(),
-                "null".to_string(),
-                "null".to_string(),
-                "null".to_string(),
-                false,
-            ),
-        };
+        let (pct_low, pct_high) = json_bounds(row.ci.as_ref().map(|ci| ci.percentile));
+        let (bca_low, bca_high) = json_bounds(row.ci.as_ref().map(|ci| ci.bca));
+        let fell_back = row.ci.as_ref().is_some_and(|ci| ci.bca_fell_back);
         let values = rep
             .samples
             .column(m)

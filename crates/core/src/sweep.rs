@@ -74,12 +74,7 @@ pub fn seeding_sweep(
 /// Sweeps MX honeypot size (capture probability): does 8× the trap
 /// space buy 8× the coverage? (It buys ~8× the *samples*.) Fails only
 /// when the out-of-core event spill cannot be read.
-pub fn mx_size_sweep(
-    scenario: &Scenario,
-    world: &MailWorld,
-    probs: &[f64],
-) -> Result<Vec<SweepPoint>, PipelineError> {
-    let _ = scenario;
+pub fn mx_size_sweep(world: &MailWorld, probs: &[f64]) -> Result<Vec<SweepPoint>, PipelineError> {
     probs
         .iter()
         .map(|&p| {
@@ -118,8 +113,8 @@ mod tests {
 
     #[test]
     fn mx_size_shows_diminishing_coverage_returns() {
-        let (s, w) = setup();
-        let points = mx_size_sweep(&s, &w, &[0.05, 0.2, 0.8]).unwrap();
+        let (_, w) = setup();
+        let points = mx_size_sweep(&w, &[0.05, 0.2, 0.8]).unwrap();
         assert_eq!(points.len(), 3);
         // Samples scale ~linearly with size…
         let sample_ratio = points[2].samples as f64 / points[0].samples.max(1) as f64;

@@ -6,10 +6,6 @@
 
 use crate::fx::FxHashMap;
 
-/// Backwards-compatible name for [`crate::bitset::DomainBitset`],
-/// which used to live in this module.
-pub use crate::bitset::DomainBitset as DomainSet;
-
 /// A dense identifier for an interned registered domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DomainId(pub u32);

@@ -3,10 +3,10 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_types)]
 
 use proptest::prelude::*;
-use taster_domain::interner::{DomainSet, DomainTable};
+use taster_domain::interner::DomainTable;
 use taster_domain::psl::SuffixList;
 use taster_domain::url::{extract_urls, Url};
-use taster_domain::RankIndex;
+use taster_domain::{DomainBitset, RankIndex};
 use taster_domain::{DomainId, DomainName};
 
 /// Strategy for a syntactically valid label.
@@ -149,7 +149,7 @@ proptest! {
     fn domain_set_matches_hashset_model(
         ops in proptest::collection::vec((0u32..500, any::<bool>()), 0..200)
     ) {
-        let mut set = DomainSet::with_capacity(64);
+        let mut set = DomainBitset::with_capacity(64);
         let mut model = std::collections::HashSet::new();
         for (id, _insert) in &ops {
             let fresh = set.insert(DomainId(*id));
@@ -171,8 +171,8 @@ proptest! {
         a in proptest::collection::hash_set(0u32..300, 0..80),
         b in proptest::collection::hash_set(0u32..300, 0..80),
     ) {
-        let sa: DomainSet = a.iter().map(|&i| DomainId(i)).collect();
-        let sb: DomainSet = b.iter().map(|&i| DomainId(i)).collect();
+        let sa: DomainBitset = a.iter().map(|&i| DomainId(i)).collect();
+        let sb: DomainBitset = b.iter().map(|&i| DomainId(i)).collect();
         prop_assert_eq!(sa.intersection_len(&sb), a.intersection(&b).count());
         prop_assert_eq!(sa.union_len(&sb), a.union(&b).count());
 
@@ -199,8 +199,8 @@ proptest! {
         // Ids drawn heavily around the 64-bit word seams (63/64/65,
         // 127/128) so cross-word carry bugs in the packed kernels
         // can't hide; empty sets arise naturally from the 0.. sizes.
-        let sa: DomainSet = a.iter().map(|&i| DomainId(i)).collect();
-        let sb: DomainSet = b.iter().map(|&i| DomainId(i)).collect();
+        let sa: DomainBitset = a.iter().map(|&i| DomainId(i)).collect();
+        let sb: DomainBitset = b.iter().map(|&i| DomainId(i)).collect();
         prop_assert_eq!(sa.len(), a.len());
         prop_assert_eq!(sa.is_empty(), a.is_empty());
         prop_assert_eq!(sa.intersection_len(&sb), a.intersection(&b).count());
@@ -221,7 +221,7 @@ proptest! {
         let mut sorted: Vec<u32> = a.iter().copied().collect();
         sorted.sort_unstable();
         let ids: Vec<DomainId> = sorted.iter().map(|&i| DomainId(i)).collect();
-        prop_assert_eq!(DomainSet::from_sorted_ids(&ids), sa.clone());
+        prop_assert_eq!(DomainBitset::from_sorted_ids(&ids), sa.clone());
 
         // RankIndex maps each member to its dense ascending row and
         // rejects non-members.

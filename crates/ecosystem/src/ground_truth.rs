@@ -39,8 +39,9 @@ pub struct EventLog {
 /// count cannot change any draw.
 #[derive(Debug, Clone)]
 enum SortedLog {
-    /// Resident columns (`sorted_idx[r] == r`).
-    Cache(EventBuffer),
+    /// Resident columns (`sorted_idx[r] == r`); clones of the world
+    /// share them.
+    Cache(Arc<EventBuffer>),
     /// On disk; clones of the world share the one file.
     Spill(Arc<Spill>),
 }
@@ -243,7 +244,7 @@ impl GroundTruth {
         let sorted = match first {
             FirstPass::Cache(buf) => {
                 let positions = TimeSort::positions(&buf.time);
-                SortedLog::Cache(buf.into_sorted(&positions))
+                SortedLog::Cache(Arc::new(buf.into_sorted(&positions)))
             }
             FirstPass::Spill(builder) => {
                 let _span = obs.span("generate/sort");
@@ -423,6 +424,18 @@ mod tests {
         assert_eq!(a.log.len, b.log.len);
         assert_eq!(events(&a), events(&b));
         assert_eq!(a.universe.len(), b.universe.len());
+    }
+
+    /// A clone of the world (the serve daemon's final report makes
+    /// one) shares the sorted cache instead of copying its rows.
+    #[test]
+    fn clones_share_the_sorted_cache() {
+        let a = world(0.02, 7);
+        let b = a.clone();
+        let (Some(ca), Some(cb)) = (a.cache(), b.cache()) else {
+            panic!("the default budget caches a scale-0.02 log");
+        };
+        assert!(std::ptr::eq(ca, cb));
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! portfolio: stale lists cover the abandoned-domain honeypots (mx1,
 //! mx2); only fresh zone-derived lists — favoured by botnets — cover
 //! the newly-registered mx3. Capture probability scales with the
-//! portfolio size. The collector parses the payload an
-//! accept-everything SMTP sink would store — the message body as it
-//! leaves the DATA state machine, without its terminating newline —
-//! so domains are recovered exactly as a real MX sink recovers them.
-//! It also receives the doppelganger/sign-up pollution stream.
+//! portfolio size. A captured copy yields the registered domains an
+//! accept-everything sink would parse out of the body it stores (the
+//! body without its terminating newline): the collection engine
+//! computes them from the renderer's URL draws, and renders and parses
+//! that stored body only for a truncated copy. It also receives the
+//! doppelganger/sign-up pollution stream.
 
 use crate::config::MxConfig;
 use crate::engine::MemberSpec;

@@ -256,22 +256,6 @@ impl ServeCore {
             .sum()
     }
 
-    /// Runs ingestion to completion in epoch-sized steps (the batch
-    /// path through the serve engine — used by `--exit-when-done` runs
-    /// with no clients, and by the determinism tests).
-    pub fn run_to_completion(&mut self, par: &Parallelism) -> Result<(), ServeError> {
-        while !self.state.ingest_complete() {
-            let target = self.next_epoch_target();
-            self.state
-                .advance(&self.world, &self.plan, par, target, &Obs::off())?;
-            self.seal(par)?;
-        }
-        if self.sealed.is_none() {
-            self.seal(par)?;
-        }
-        Ok(())
-    }
-
     /// Renders the final full report. Requires complete ingestion (a
     /// typed error otherwise — never a partial report). The result is
     /// cached; the bytes equal `taster report` for the same scenario,

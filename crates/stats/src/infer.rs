@@ -5,7 +5,7 @@
 //!
 //! * [`MetricSamples`] — a fixed-layout columnar table of per-replicate
 //!   metric values (one row per seed, one column per metric).
-//! * [`welch_t`], [`z_test`], [`paired_t`] — two-sample significance
+//! * [`welch_t`], [`paired_t`] — two-sample significance
 //!   tests. Degenerate inputs (too few samples, zero variance) return
 //!   `None`, never `NaN`.
 //! * [`bootstrap_ci_keyed`] — percentile *and* BCa bootstrap intervals
@@ -33,15 +33,6 @@ pub struct TTest {
     /// Degrees of freedom (Welch–Satterthwaite for [`welch_t`]).
     pub df: f64,
     /// Two-sided p-value.
-    pub p_value: f64,
-}
-
-/// A z-statistic with its two-sided p-value.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ZTest {
-    /// The z statistic.
-    pub statistic: f64,
-    /// Two-sided p-value under the normal approximation.
     pub p_value: f64,
 }
 
@@ -77,18 +68,6 @@ pub fn welch_t(control: &[f64], treatment: &[f64]) -> Option<TTest> {
         statistic,
         df,
         p_value: student_t_two_sided_p(statistic, df),
-    })
-}
-
-/// Two-sample Z-test (normal approximation with the sample variances
-/// standing in for the population ones), two-sided. Same statistic as
-/// [`welch_t`]; the tail is read off the normal instead of Student-t,
-/// appropriate for large replicate counts. `None` on degenerate input.
-pub fn z_test(control: &[f64], treatment: &[f64]) -> Option<ZTest> {
-    let t = welch_t(control, treatment)?;
-    Some(ZTest {
-        statistic: t.statistic,
-        p_value: normal_two_sided_p(t.statistic),
     })
 }
 
@@ -591,7 +570,6 @@ mod tests {
     fn degenerate_inputs_are_none_not_nan() {
         assert_eq!(welch_t(&[1.0], &[1.0, 2.0]), None);
         assert_eq!(welch_t(&[1.0, 1.0], &[2.0, 2.0]), None);
-        assert_eq!(z_test(&[1.0, 1.0], &[2.0, 2.0]), None);
         assert_eq!(paired_t(&[1.0, 2.0], &[1.0]), None);
         assert_eq!(paired_t(&[1.0, 2.0], &[2.0, 3.0]), None); // constant diff
         assert_eq!(paired_t(&[1.0], &[2.0]), None);
@@ -605,17 +583,6 @@ mod tests {
         assert!(t.statistic > 4.0, "{t:?}");
         assert!(t.p_value < 0.05);
         assert_eq!(t.df, 4.0);
-    }
-
-    #[test]
-    fn z_and_t_agree_on_direction() {
-        let a = [1.0, 2.0, 3.0, 2.0, 1.0];
-        let b = [3.0, 4.0, 5.0, 4.0, 3.0];
-        let t = welch_t(&a, &b).unwrap();
-        let z = z_test(&a, &b).unwrap();
-        assert_eq!(t.statistic, z.statistic);
-        // The normal tail is thinner than Student-t at 8 df.
-        assert!(z.p_value < t.p_value);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use taster::core::{Experiment, Scenario};
+use taster::core::{report, Experiment, Scenario};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -25,11 +25,13 @@ fn main() {
     eprintln!("running scenario: {} (seed {seed})", scenario.name);
 
     let experiment = Experiment::run(&scenario);
-    let report = experiment.report();
-
-    println!("{}", report.table1_feed_summary());
-    println!("{}", report.table2_purity());
-    println!("{}", report.table3_coverage());
+    for name in ["table1", "table2", "table3"] {
+        let section = report::section(name).expect("a report section");
+        println!(
+            "{}",
+            section.render(&experiment).expect("the section renders")
+        );
+    }
 
     // A taste of the programmatic API: who covers the most tagged
     // domains, and how exclusive is each feed?

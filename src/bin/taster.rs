@@ -54,11 +54,10 @@
 
 use std::fmt::Display;
 use std::str::FromStr;
-use taster::core::export::{CsvExport, CSV_SECTIONS};
-use taster::core::report::SECTIONS;
 use taster::core::{
-    ab, ablation, build_world, degradation, profile, replicate, sweep, Experiment, Scenario,
+    ab, ablation, build_world, degradation, profile, replicate, report, sweep, Experiment, Scenario,
 };
+use taster::feeds::PipelineError;
 use taster::sim::{FaultProfile, Obs};
 
 /// A flag and how its value is written in a usage line (`None` for a
@@ -205,7 +204,7 @@ struct Args {
     chunk: Option<usize>,
     max_mem_bytes: Option<u64>,
     min_events_per_sec: Option<f64>,
-    baseline: Option<String>,
+    baseline: String,
     socket: String,
     checkpoint_dir: Option<String>,
     resume: bool,
@@ -221,7 +220,7 @@ struct Args {
     seeds: usize,
     resamples: usize,
     level: f64,
-    treatment: Option<String>,
+    treatment: String,
 }
 
 /// Parses `argv` (without the program name) against the command's row
@@ -256,11 +255,14 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<(&'static Comman
     if args.operand.is_none() && !command.operands.is_empty() {
         return Err(fail(format!("{name} needs an operand")));
     }
-    if args.format == "csv" && !CSV_SECTIONS.iter().any(|(n, _)| *n == args.section) {
+    if args.format == "csv" && report::section(&args.section).and_then(|s| s.csv).is_none() {
         return Err(fail(format!(
             "section {} has no CSV form (try table1..3, fig2..5, fig7..12)",
             args.section
         )));
+    }
+    if command.name == "ab" && args.treatment.is_empty() {
+        return Err(fail("ab needs --treatment NAME".to_string()));
     }
     Ok((command, args))
 }
@@ -315,6 +317,7 @@ impl Args {
             seeds: 8,
             resamples: 200,
             level: 0.95,
+            baseline: "paper".to_string(),
             ..Args::default()
         }
     }
@@ -346,7 +349,7 @@ impl Args {
                 })?;
             }
             "--section" => {
-                if raw != "all" && !SECTIONS.iter().any(|(n, _)| *n == raw) {
+                if raw != "all" && report::section(&raw).is_none() {
                     return Err(format!("unknown section {raw}"));
                 }
                 self.section = raw;
@@ -384,8 +387,14 @@ impl Args {
                 }
                 self.level = level;
             }
-            "--baseline" => self.baseline = Some(raw),
-            "--treatment" => self.treatment = Some(raw),
+            "--baseline" | "--treatment" => {
+                // Every scale and seed resolve the same names.
+                ab::scenario_by_name(&raw, 1.0, 0).map_err(|e| format!("{flag}: {e}"))?;
+                match flag {
+                    "--baseline" => self.baseline = raw,
+                    _ => self.treatment = raw,
+                }
+            }
             other => return Err(format!("no parser for {other}")),
         }
         Ok(())
@@ -435,7 +444,7 @@ fn main() {
 
 /// Unwraps a pipeline result, or exits 1 with `cannot run scenario: …`
 /// like every world-building command.
-fn or_exit<T>(result: Result<T, taster::feeds::PipelineError>) -> T {
+fn or_exit<T>(result: Result<T, PipelineError>) -> T {
     result.unwrap_or_else(|e| {
         eprintln!("cannot run scenario: {e}");
         std::process::exit(1);
@@ -463,42 +472,31 @@ fn degradation_cmd(args: &Args) {
 
 fn report(args: &Args) {
     let scenario = args.scenario();
-    let section = args.section.as_str();
     eprintln!("running {}", scenario.name);
     let obs = Obs::with(args.metrics, args.trace.is_some());
     let e = or_exit(Experiment::try_run_observed(&scenario, obs));
     if let Some(path) = &args.trace {
         write_trace(&e, path);
     }
+    // `all`, the one name parsing admits outside `SECTIONS`: the full
+    // render, timed as the `render` stage like every other stage. It
+    // ends with the metrics section when `--metrics` is on.
+    let Some(section) = report::section(&args.section) else {
+        println!("{}", or_exit(e.try_render_report()));
+        return;
+    };
     if args.format == "csv" {
         // Parsing admits `--format csv` only with a section that has
         // a CSV form.
-        if let Some(csv) = CsvExport::new(&e).section(section) {
-            print!("{csv}");
-        }
+        print!("{}", section.render_csv(&e).unwrap_or_default());
         return;
     }
-    let r = e.report();
-    let text = match r.section(section) {
-        Some(text) => text,
-        // `all`, the one name parsing admits outside `SECTIONS`. The
-        // full render goes through the timed stage wrapper, so
-        // `--trace`/profiled runs see it on the same clock as every
-        // other stage. Byte-identical to `r.full_report()`.
-        None => match e.try_render_report() {
-            Ok(text) => text,
-            Err(err) => {
-                eprintln!("cannot render report: {err}");
-                std::process::exit(1);
-            }
-        },
-    };
-    println!("{text}");
-    // `full_report` already appends the metrics section; single
-    // sections get it appended here so `--metrics` always surfaces.
-    if args.metrics && section != "all" {
-        println!("{}", r.metrics_section());
+    let mut text = or_exit(section.render(&e));
+    if args.metrics {
+        text.push('\n');
+        report::write_metrics(&e, &mut text);
     }
+    println!("{text}");
 }
 
 /// `taster profile`: one fully-observed run per `--scale` value. Each
@@ -657,7 +655,7 @@ fn do_sweep(args: &Args) {
     let points = if args.operand.as_deref() == Some("seeding") {
         sweep::seeding_sweep(&scenario, &world)
     } else {
-        sweep::mx_size_sweep(&scenario, &world, &[0.02, 0.05, 0.1, 0.2, 0.4, 0.8])
+        sweep::mx_size_sweep(&world, &[0.02, 0.05, 0.1, 0.2, 0.4, 0.8])
     };
     let points = or_exit(points);
     println!(
@@ -822,33 +820,12 @@ fn replicate_cmd(args: &Args) {
 /// replicate seeds anchored on the baseline master seed. Exit codes:
 /// 0 on success, 1 on pipeline failure, 2 on bad options.
 fn ab_cmd(args: &Args) {
-    let resolve = |label: &str, name: &str| -> Scenario {
-        match ab::scenario_by_name(name, args.scales[0], args.seed) {
-            Some(s) => args.tune(s),
-            None => {
-                eprintln!(
-                    "unknown {label} scenario {name}; known: {} and batch fault profiles: {}",
-                    ab::NAMED_SCENARIOS.join(" "),
-                    FaultProfile::CANONICAL
-                        .iter()
-                        .filter(|n| {
-                            FaultProfile::by_name(n).is_some_and(|p| !p.is_serve_only())
-                        })
-                        .copied()
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                );
-                std::process::exit(2);
-            }
-        }
+    // Parsing already refused a name that does not resolve.
+    let resolve = |name: &str| {
+        let scenario = ab::scenario_by_name(name, args.scales[0], args.seed);
+        args.tune(or_exit(scenario.map_err(PipelineError::InvalidScenario)))
     };
-    let baseline_name = args.baseline.as_deref().unwrap_or("paper");
-    let Some(treatment_name) = args.treatment.as_deref() else {
-        eprintln!("ab needs --treatment <scenario>\n{}", usage());
-        std::process::exit(2);
-    };
-    let baseline = resolve("baseline", baseline_name);
-    let treatment = resolve("treatment", treatment_name);
+    let (baseline, treatment) = (resolve(&args.baseline), resolve(&args.treatment));
     let options = replicate_options(args);
     eprintln!(
         "ab: {} vs {} over {} paired seeds",
@@ -870,11 +847,13 @@ mod tests {
         parse_args(line.split_whitespace().map(String::from))
     }
 
-    /// The command with its operand, if it needs one.
+    /// The command with its operand, if it needs one, and `ab`'s
+    /// required `--treatment`.
     fn invocation(c: &Command) -> String {
-        match c.operands.first() {
-            Some(op) => format!("{} {op}", c.name),
-            None => c.name.to_string(),
+        match (c.operands.first(), c.name) {
+            (Some(op), _) => format!("{} {op}", c.name),
+            (None, "ab") => "ab --treatment paper".to_string(),
+            (None, _) => c.name.to_string(),
         }
     }
 
@@ -884,6 +863,7 @@ mod tests {
             ("--faults", _) => "lossy-feeds",
             ("--format", _) => c.formats.split('|').next().unwrap(),
             ("--section", _) => "table2",
+            ("--baseline" | "--treatment", _) => "quiet-world",
             (_, Some("S" | "S[,S...]" | "F" | "FRAC" | "R")) => "0.5",
             (_, Some("N" | "B" | "MS")) => "3",
             (_, Some(_)) => "x",
@@ -993,10 +973,28 @@ mod tests {
                 "section all has no CSV form (try table1..3, fig2..5, fig7..12)\n\
                  usage: taster report ",
             ),
+            ("ab", "ab needs --treatment NAME\nusage: taster ab "),
+            (
+                "ab --treatment nope",
+                "--treatment: unknown scenario nope; known: paper ",
+            ),
+            (
+                "ab --baseline nope --treatment paper",
+                "--baseline: unknown scenario nope; known: paper ",
+            ),
+            (
+                "ab --treatment query-storm",
+                "--treatment: unknown scenario query-storm; known: paper ",
+            ),
         ] {
-            match parse(line) {
-                Ok(_) => panic!("{line} parsed"),
-                Err(e) => assert!(e.contains(want), "{line}: {e}"),
+            let Err(e) = parse(line) else {
+                panic!("{line} parsed");
+            };
+            assert!(e.contains(want), "{line}: {e}");
+            // A known command refuses with its own usage line.
+            let name = line.split(' ').next().unwrap_or_default();
+            if let Some(c) = COMMANDS.iter().find(|c| c.name == name) {
+                assert!(e.ends_with(&format!("\nusage: {}", c.usage())), "{e}");
             }
         }
         assert!(parse("").is_err_and(|e| e.starts_with("usage: taster report")));

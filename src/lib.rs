@@ -24,11 +24,13 @@
 //! ## Quick start
 //!
 //! ```no_run
-//! use taster::core::{Scenario, Experiment};
+//! use taster::core::{report, Experiment, Scenario};
 //!
 //! let scenario = Scenario::default_paper().with_scale(0.02);
 //! let experiment = Experiment::run(&scenario);
-//! println!("{}", experiment.report().table1_feed_summary());
+//! let table1 = report::section("table1").expect("a report section");
+//! println!("{}", table1.render(&experiment)?);
+//! # Ok::<(), taster::feeds::PipelineError>(())
 //! ```
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]

@@ -39,7 +39,7 @@ fn scenario() -> Scenario {
 fn report_with(mut s: Scenario, chunk: usize, workers: usize) -> String {
     s.feeds.chunk_size = chunk;
     s = s.with_threads(workers);
-    Experiment::run(&s).report().full_report()
+    Experiment::run(&s).render_report()
 }
 
 /// The full report at `chunk` and `workers`, out of core.
@@ -48,7 +48,7 @@ fn spilled_report_with(mut s: Scenario, chunk: usize, workers: usize) -> String 
     s.ecosystem.max_mem_bytes = Some(SPILL_BUDGET);
     let e = Experiment::run(&s.with_threads(workers));
     assert!(e.world.truth.cache().is_none(), "the budget must spill");
-    e.report().full_report()
+    e.render_report()
 }
 
 fn clean_reference() -> &'static String {
@@ -158,7 +158,7 @@ fn memory_budget_matrix_is_invariant_and_within_budget() {
                 s.ecosystem.mem_budget()
             );
             assert_eq!(
-                &Experiment::run(&s).report().full_report(),
+                &Experiment::run(&s).render_report(),
                 clean_reference(),
                 "report differs under budget {budget:?}, {workers} workers"
             );

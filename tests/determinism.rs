@@ -4,7 +4,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use taster::core::{Experiment, Scenario};
+use taster::core::{report, Experiment, Scenario};
 use taster::ecosystem::{EcosystemConfig, GroundTruth};
 use taster::feeds::FeedId;
 
@@ -16,8 +16,8 @@ fn scenario() -> Scenario {
 
 #[test]
 fn identical_scenarios_produce_identical_reports() {
-    let a = Experiment::run(&scenario()).report().full_report();
-    let b = Experiment::run(&scenario()).report().full_report();
+    let a = Experiment::run(&scenario()).render_report();
+    let b = Experiment::run(&scenario()).render_report();
     assert_eq!(a, b);
 }
 
@@ -68,8 +68,9 @@ fn ground_truth_is_independent_of_observation_layers() {
 fn scale_preserves_determinism() {
     for scale in [0.01, 0.03] {
         let s = Scenario::default_paper().with_scale(scale).with_seed(5);
-        let a = Experiment::run(&s).report().table1_feed_summary();
-        let b = Experiment::run(&s).report().table1_feed_summary();
+        let table1 = report::section("table1").unwrap();
+        let a = table1.render(&Experiment::run(&s)).unwrap();
+        let b = table1.render(&Experiment::run(&s)).unwrap();
         assert_eq!(a, b);
     }
 }

@@ -7,7 +7,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use taster::core::{Experiment, Scenario};
+use taster::core::{report, Experiment, Scenario};
 use taster::feeds::FeedId;
 use taster::sim::FaultProfile;
 
@@ -27,7 +27,7 @@ fn scenario(profile: &str, workers: usize) -> Scenario {
 fn faulted_reports_are_byte_identical_at_any_worker_count() {
     for profile in ["clean", "flaky-crawler", "feed-outage"] {
         let serial = Experiment::run(&scenario(profile, 1));
-        let serial_report = serial.report().full_report();
+        let serial_report = serial.render_report();
         for workers in WORKERS {
             let parallel = Experiment::run(&scenario(profile, workers));
             for id in FeedId::ALL {
@@ -44,7 +44,7 @@ fn faulted_reports_are_byte_identical_at_any_worker_count() {
             }
             assert_eq!(
                 serial_report,
-                parallel.report().full_report(),
+                parallel.render_report(),
                 "{profile}: report differs at {workers} workers"
             );
         }
@@ -70,10 +70,8 @@ fn clean_profile_matches_faults_off_byte_for_byte() {
             assert_eq!(Some(s), fb.stats(d), "{id} {d:?}");
         }
     }
-    assert_eq!(
-        off.report().table1_feed_summary(),
-        clean.report().table1_feed_summary()
-    );
+    let table1 = report::section("table1").unwrap();
+    assert_eq!(table1.render(&off).unwrap(), table1.render(&clean).unwrap());
 }
 
 #[test]
@@ -93,10 +91,10 @@ fn outage_profile_records_gap_markers_and_loses_samples() {
     assert!(b.gaps().is_empty());
     assert_eq!(a.samples, b.samples);
     // The report carries the fault-model section only on the faulted run.
-    let report = outage.report().full_report();
+    let report = outage.render_report();
     assert!(report.contains("Fault model"));
     assert!(report.contains("feed-outage"));
-    assert!(!off.report().full_report().contains("Fault model"));
+    assert!(!off.render_report().contains("Fault model"));
 }
 
 #[test]
@@ -116,7 +114,7 @@ fn blackout_completes_without_panicking() {
     }
     // The full report renders end to end over ten empty feeds: no
     // panics, and no NaN leaking into any table.
-    let report = e.report().full_report();
+    let report = e.render_report();
     assert!(report.contains("Fault model"));
     assert!(report.contains("blackout"));
     assert!(!report.contains("NaN"), "NaN leaked into the report");

@@ -19,7 +19,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use taster::core::replicate::ReplicateOptions;
-use taster::core::{ab, degradation, profile, replicate, Experiment, Scenario};
+use taster::core::{ab, degradation, profile, replicate, report, Experiment, Scenario};
 use taster::sim::{FaultProfile, Obs};
 
 const SEEDS: [u64; 2] = [11, 424_242];
@@ -90,7 +90,7 @@ fn analyze_reports_match_goldens() {
                 Experiment::try_run_observed(&s, Obs::with(true, false)).expect("scenario runs");
             check_golden(
                 &format!("analyze_s{seed}_{suffix}.txt"),
-                &exp.report().full_report(),
+                &exp.render_report(),
             );
         }
     }
@@ -115,7 +115,7 @@ fn profile_views_match_goldens() {
     for seed in SEEDS {
         for (suffix, fault) in fault_variants() {
             let s = scenario(seed).with_faults(fault);
-            let exp = profile::profile_scenario(&s).expect("profile runs");
+            let (exp, _) = profile::run_end_to_end(&s).expect("profile runs");
             check_golden(
                 &format!("profile_s{seed}_{suffix}.txt"),
                 &profile::deterministic_profile(&exp),
@@ -181,7 +181,8 @@ fn ab_reports_match_goldens() {
 #[test]
 fn report_stage_keys_all_reach_bench_json() {
     let (exp, e2e) = profile::run_end_to_end(&scenario(SEEDS[0])).expect("profile runs");
-    let metrics = exp.report().metrics_section();
+    let mut metrics = String::new();
+    report::write_metrics(&exp, &mut metrics);
     let spans = exp.obs.trace.span_timings();
     let json = profile::bench_json_string(exp.scenario.seed, &[(SCALE, e2e)]);
     for stage in taster::sim::metrics::STAGE_KEYS {

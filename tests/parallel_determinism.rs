@@ -40,7 +40,7 @@ fn assert_same_feeds(a: &FeedSet, b: &FeedSet, ctx: &str) {
 fn full_report_is_byte_identical_at_any_worker_count() {
     for seed in SEEDS {
         let serial = Experiment::run(&scenario(seed, 1));
-        let serial_report = serial.report().full_report();
+        let serial_report = serial.render_report();
         for workers in WORKERS {
             let parallel = Experiment::run(&scenario(seed, workers));
             assert_same_feeds(
@@ -50,7 +50,7 @@ fn full_report_is_byte_identical_at_any_worker_count() {
             );
             assert_eq!(
                 serial_report,
-                parallel.report().full_report(),
+                parallel.render_report(),
                 "seed {seed}: report differs at {workers} workers"
             );
         }
@@ -65,7 +65,7 @@ fn faulted_pipeline_is_byte_identical_at_any_worker_count() {
     let faulted =
         |workers: usize| scenario(SEEDS[0], workers).with_faults(FaultProfile::lossy_feeds());
     let serial = Experiment::run(&faulted(1));
-    let serial_report = serial.report().full_report();
+    let serial_report = serial.render_report();
     for workers in WORKERS {
         let parallel = Experiment::run(&faulted(workers));
         assert_same_feeds(
@@ -75,7 +75,7 @@ fn faulted_pipeline_is_byte_identical_at_any_worker_count() {
         );
         assert_eq!(
             serial_report,
-            parallel.report().full_report(),
+            parallel.render_report(),
             "lossy-feeds: report differs at {workers} workers"
         );
     }

@@ -61,6 +61,17 @@ fn seal_epochs(core: &mut ServeCore, par: &taster::sim::Parallelism, epochs: usi
     }
 }
 
+/// Ingests and seals epoch by epoch until the whole log is sealed, as
+/// the daemon loop does with no clients.
+fn run_to_completion(core: &mut ServeCore, par: &taster::sim::Parallelism) {
+    while !core.ingest_complete() {
+        seal_epochs(core, par, 1);
+    }
+    if core.sealed().is_none() {
+        core.seal(par).expect("seal");
+    }
+}
+
 /// The `ckpt-*` file names in `dir`, sorted.
 fn ckpt_files(dir: &Path) -> Vec<String> {
     let mut names: Vec<String> = std::fs::read_dir(dir)
@@ -123,7 +134,7 @@ fn kill_at_random_epoch_resumes_byte_identical() {
             // Uninterrupted serve run (its checkpoints are then
             // discarded so the killed run starts fresh).
             let mut clean = ServeCore::new(&scn, config()).expect("clean core");
-            clean.run_to_completion(&par).expect("clean run");
+            run_to_completion(&mut clean, &par);
             let clean_report = clean.final_report(&par).expect("clean report").to_string();
             let _ = std::fs::remove_dir_all(&dir);
 
@@ -149,7 +160,7 @@ fn kill_at_random_epoch_resumes_byte_identical() {
                 resumed.rows_done() > 0 && !resumed.ingest_complete(),
                 "{profile}/{workers}w: resume should start from a mid-run checkpoint"
             );
-            resumed.run_to_completion(&par).expect("resumed run");
+            run_to_completion(&mut resumed, &par);
             let resumed_report = resumed.final_report(&par).expect("resumed report");
             assert_eq!(
                 clean_report, resumed_report,
@@ -187,7 +198,7 @@ fn out_of_core_serve_matches_batch_and_resumes_byte_identical() {
         checkpoint_dir: Some(dir.clone()),
     };
     let mut clean = ServeCore::new(&scn, config()).expect("clean core");
-    clean.run_to_completion(&par).expect("clean run");
+    run_to_completion(&mut clean, &par);
     assert_eq!(
         clean.final_report(&par).expect("clean report"),
         batch,
@@ -208,7 +219,7 @@ fn out_of_core_serve_matches_batch_and_resumes_byte_identical() {
     drop(doomed);
     let mut resumed = ServeCore::resume(&scn, config()).expect("resume core");
     assert!(resumed.rows_done() > 0, "resume starts from the checkpoint");
-    resumed.run_to_completion(&par).expect("resumed run");
+    run_to_completion(&mut resumed, &par);
     assert_eq!(
         resumed.final_report(&par).expect("resumed report"),
         batch,
@@ -311,7 +322,7 @@ fn torn_or_rotted_links_resume_from_the_last_valid_epoch() {
             chain_names(valid),
             "{damage}: files past the chain are removed"
         );
-        resumed.run_to_completion(&par).expect("resumed run");
+        run_to_completion(&mut resumed, &par);
         assert_eq!(
             resumed.final_report(&par).expect("resumed report"),
             batch,
@@ -342,7 +353,7 @@ fn a_fresh_run_owns_its_checkpoint_directory() {
     };
 
     let mut first = ServeCore::new(&a, config()).expect("run A");
-    first.run_to_completion(&par).expect("run A to completion");
+    run_to_completion(&mut first, &par);
     drop(first);
     let notes = dir.join("notes.txt");
     std::fs::write(&notes, "not a checkpoint").expect("unrelated file");
@@ -359,7 +370,7 @@ fn a_fresh_run_owns_its_checkpoint_directory() {
         chain_names(1),
         "only the fresh run's chain"
     );
-    resumed.run_to_completion(&par).expect("resumed run");
+    run_to_completion(&mut resumed, &par);
     let batch = Experiment::try_run(&b).expect("batch run").render_report();
     assert_eq!(resumed.final_report(&par).expect("resumed report"), batch);
     drop(resumed);

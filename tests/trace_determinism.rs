@@ -22,12 +22,12 @@ fn scenario(workers: usize) -> Scenario {
 
 #[test]
 fn deterministic_trace_and_metrics_are_worker_count_invariant() {
-    let serial = profile::profile_scenario(&scenario(1)).expect("serial profile");
+    let (serial, _) = profile::run_end_to_end(&scenario(1)).expect("serial profile");
     let serial_view = profile::deterministic_profile(&serial);
     let serial_metrics = serial.obs.metrics.render();
     assert!(!serial_metrics.is_empty(), "metrics recorded");
     for workers in WORKERS {
-        let parallel = profile::profile_scenario(&scenario(workers)).expect("parallel profile");
+        let (parallel, _) = profile::run_end_to_end(&scenario(workers)).expect("parallel profile");
         assert_eq!(
             serial_view,
             profile::deterministic_profile(&parallel),
@@ -47,14 +47,14 @@ fn faulted_trace_and_metrics_are_worker_count_invariant() {
     // from per-worker shards; this pins that their totals — and the
     // gap events in the trace — cannot depend on sharding.
     let faulted = |w: usize| scenario(w).with_faults(FaultProfile::lossy_feeds());
-    let serial = profile::profile_scenario(&faulted(1)).expect("serial profile");
+    let (serial, _) = profile::run_end_to_end(&faulted(1)).expect("serial profile");
     let serial_view = profile::deterministic_profile(&serial);
     assert!(
         serial.obs.metrics.counter("collect/fault/dropped") > 0,
         "lossy-feeds drops records"
     );
     for workers in WORKERS {
-        let parallel = profile::profile_scenario(&faulted(workers)).expect("parallel profile");
+        let (parallel, _) = profile::run_end_to_end(&faulted(workers)).expect("parallel profile");
         assert_eq!(
             serial_view,
             profile::deterministic_profile(&parallel),
@@ -70,7 +70,7 @@ fn metrics_report_section_is_worker_count_invariant() {
     let run = |workers: usize| {
         let exp = Experiment::try_run_observed(&scenario(workers), Obs::with(true, false))
             .expect("observed run");
-        exp.report().full_report()
+        exp.render_report()
     };
     let serial = run(1);
     assert!(serial.contains("== Pipeline metrics"), "section present");
@@ -97,8 +97,8 @@ fn trace_jsonl_differs_only_in_wall_times() {
             .collect::<Vec<_>>()
             .join("\n")
     };
-    let a = profile::profile_scenario(&scenario(1)).expect("profile");
-    let b = profile::profile_scenario(&scenario(8)).expect("profile");
+    let (a, _) = profile::run_end_to_end(&scenario(1)).expect("profile");
+    let (b, _) = profile::run_end_to_end(&scenario(8)).expect("profile");
     assert_eq!(
         strip(&a.obs.trace.to_jsonl()),
         strip(&b.obs.trace.to_jsonl())
