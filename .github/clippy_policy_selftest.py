@@ -72,6 +72,22 @@ pub fn sockets(
     let _ = Read::read_to_end(us, &mut b); // expect: clippy::disallowed_methods
     let _ = Read::read_to_string(ts, &mut s); // expect: clippy::disallowed_methods
 }
+
+// Deterministically seeded hash containers, aliased the way
+// `domain::fx` aliases FxHashMap/FxHashSet (this crate cannot name them).
+#[allow(clippy::disallowed_types, reason = "the probe's own Fx-style aliases")]
+type FxHashMap<K, V> = std::collections::HashMap<K, V, std::hash::BuildHasherDefault<std::hash::DefaultHasher>>;
+#[allow(clippy::disallowed_types, reason = "the probe's own Fx-style aliases")]
+type FxHashSet<T> = std::collections::HashSet<T, std::hash::BuildHasherDefault<std::hash::DefaultHasher>>;
+
+pub fn hash_order(m: &mut FxHashMap<u8, f64>, s: &FxHashSet<u8>, t: &FxHashSet<u8>) {
+    for _kv in &*m {} // expect: clippy::iter_over_hash_type
+    let _ = m.values().sum::<f64>(); // expect: clippy::disallowed_methods
+    let _ = m.keys().count(); // expect: clippy::disallowed_methods
+    let _ = m.iter().count(); // expect: clippy::disallowed_methods
+    let _ = m.drain().count(); // expect: clippy::disallowed_methods
+    let _ = s.union(t).count(); // expect: clippy::disallowed_methods
+}
 """
 
 UNSAFE = """\

@@ -9,13 +9,13 @@
 
 use crate::classify::{Category, Classified};
 use crate::matrix::{OverlapCell, PairwiseMatrix};
-use taster_domain::fx::FxHashSet;
+use std::collections::BTreeSet;
 use taster_ecosystem::ids::AffiliateId;
 use taster_ecosystem::program::{ProgramRoster, RX_PROGRAM};
 use taster_feeds::FeedId;
 
 /// RX affiliate ids observed in one feed.
-pub fn rx_affiliates_of(classified: &Classified, feed: FeedId) -> FxHashSet<AffiliateId> {
+pub fn rx_affiliates_of(classified: &Classified, feed: FeedId) -> BTreeSet<AffiliateId> {
     classified
         .set(feed, Category::Tagged)
         .iter()
@@ -27,11 +27,11 @@ pub fn rx_affiliates_of(classified: &Classified, feed: FeedId) -> FxHashSet<Affi
 
 /// Fig 5: pairwise affiliate-id coverage with the "All" column.
 pub fn affiliate_coverage(classified: &Classified) -> PairwiseMatrix<OverlapCell> {
-    let per_feed: Vec<FxHashSet<AffiliateId>> = FeedId::ALL
+    let per_feed: Vec<BTreeSet<AffiliateId>> = FeedId::ALL
         .iter()
         .map(|&f| rx_affiliates_of(classified, f))
         .collect();
-    let mut all: FxHashSet<AffiliateId> = FxHashSet::default();
+    let mut all: BTreeSet<AffiliateId> = BTreeSet::new();
     for s in &per_feed {
         all.extend(s.iter().copied());
     }
@@ -84,11 +84,8 @@ pub fn revenue_coverage(classified: &Classified, roster: &ProgramRoster) -> Vec<
     FeedId::ALL
         .iter()
         .map(|&feed| {
-            // Sum in ascending affiliate-id order so the float total is
-            // independent of hash-set iteration order.
-            let mut affs: Vec<AffiliateId> =
-                rx_affiliates_of(classified, feed).into_iter().collect();
-            affs.sort_unstable();
+            // Summed in ascending affiliate-id order, the set's own.
+            let affs = rx_affiliates_of(classified, feed);
             let revenue_usd: f64 = affs
                 .iter()
                 .map(|&a| roster.affiliate(a).annual_revenue_usd)

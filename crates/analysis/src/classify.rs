@@ -13,8 +13,7 @@ use taster_crawler::{CrawlReport, Crawler};
 use taster_domain::DomainBitset as DomainSet;
 use taster_ecosystem::GroundTruth;
 use taster_feeds::{FeedId, FeedSet};
-use taster_sim::metrics::{STAGE_CLASSIFY, STAGE_CRAWL};
-use taster_sim::{FaultPlan, Obs, Parallelism};
+use taster_sim::{FaultPlan, Obs, Parallelism, Stage};
 
 /// Classification options.
 #[derive(Debug, Clone, Copy)]
@@ -145,11 +144,11 @@ impl Classified {
                 to_crawl.union_with(feeds.columns(id).members());
             }
         }
-        let crawl = obs.stage(STAGE_CRAWL, || {
+        let crawl = obs.stage(Stage::Crawl, || {
             crawler.crawl_par_observed(to_crawl.iter(), par, obs)
         });
 
-        let per_feed = obs.stage(STAGE_CLASSIFY, || {
+        let per_feed = obs.stage(Stage::Classify, || {
             let _derive_span = obs.span("classify/derive_sets");
             par.par_map(FeedId::ALL.to_vec(), |id| {
                 let members = feeds.columns(id).members();

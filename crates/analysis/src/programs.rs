@@ -6,12 +6,12 @@
 
 use crate::classify::{Category, Classified};
 use crate::matrix::{OverlapCell, PairwiseMatrix};
-use taster_domain::fx::FxHashSet;
+use std::collections::BTreeSet;
 use taster_ecosystem::ids::ProgramId;
 use taster_feeds::FeedId;
 
 /// Programs covered by one feed.
-pub fn programs_of(classified: &Classified, feed: FeedId) -> FxHashSet<ProgramId> {
+pub fn programs_of(classified: &Classified, feed: FeedId) -> BTreeSet<ProgramId> {
     classified
         .set(feed, Category::Tagged)
         .iter()
@@ -22,11 +22,11 @@ pub fn programs_of(classified: &Classified, feed: FeedId) -> FxHashSet<ProgramId
 
 /// Fig 4: pairwise program-coverage matrix with the "All" column.
 pub fn program_coverage(classified: &Classified) -> PairwiseMatrix<OverlapCell> {
-    let per_feed: Vec<FxHashSet<ProgramId>> = FeedId::ALL
+    let per_feed: Vec<BTreeSet<ProgramId>> = FeedId::ALL
         .iter()
         .map(|&f| programs_of(classified, f))
         .collect();
-    let mut all: FxHashSet<ProgramId> = FxHashSet::default();
+    let mut all: BTreeSet<ProgramId> = BTreeSet::new();
     for s in &per_feed {
         all.extend(s.iter().copied());
     }

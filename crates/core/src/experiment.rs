@@ -26,10 +26,7 @@ use taster_analysis::{Classified, PairwiseMatrix};
 use taster_ecosystem::GroundTruth;
 use taster_feeds::{try_collect_all_observed, FeedId, FeedSet, PipelineError};
 use taster_mailsim::MailWorld;
-use taster_sim::metrics::{
-    STAGE_COVERAGE, STAGE_GENERATE, STAGE_PROPORTIONALITY, STAGE_PURITY, STAGE_RENDER, STAGE_TIMING,
-};
-use taster_sim::{FaultPlan, Obs};
+use taster_sim::{FaultPlan, Obs, Stage};
 use taster_stats::Boxplot;
 
 /// A fully-executed experiment: ground truth, mail world, feeds and
@@ -66,7 +63,7 @@ pub fn build_world(scenario: &Scenario, obs: &Obs) -> Result<MailWorld, Pipeline
     // provider replay: both synthesize the world before any feed
     // exists, and splitting them would leave the span tree as the
     // only place the split is visible anyway.
-    obs.stage(STAGE_GENERATE, || {
+    obs.stage(Stage::Generate, || {
         let truth = {
             let _span = obs.span("generate/ground_truth");
             GroundTruth::generate_observed(&scenario.ecosystem, scenario.seed, obs)
@@ -153,7 +150,7 @@ impl Experiment {
     /// here cannot change later output.
     pub fn observe_analyses(&self) {
         let m = &self.obs.metrics;
-        self.obs.stage(STAGE_COVERAGE, || {
+        self.obs.stage(Stage::Coverage, || {
             let rows = self.table3();
             let mut cells = 0usize;
             for cat in [Category::All, Category::Live, Category::Tagged] {
@@ -163,15 +160,15 @@ impl Experiment {
             m.add("coverage/rows", rows.len() as u64);
             m.add("coverage/pairwise_cells", cells as u64);
         });
-        self.obs.stage(STAGE_PURITY, || {
+        self.obs.stage(Stage::Purity, || {
             let rows = self.table2();
             m.add("purity/rows", rows.len() as u64);
         });
-        self.obs.stage(STAGE_PROPORTIONALITY, || {
+        self.obs.stage(Stage::Proportionality, || {
             let cells = self.fig7().len() + self.fig8().len();
             m.add("proportionality/cells", cells as u64);
         });
-        self.obs.stage(STAGE_TIMING, || {
+        self.obs.stage(Stage::Timing, || {
             let series =
                 self.fig9().len() + self.fig10().len() + self.fig11().len() + self.fig12().len();
             // At small scales every boxplot can be empty (series == 0,
@@ -190,7 +187,9 @@ impl Experiment {
     /// section on metrics-observed runs, joined by blank lines. Fails
     /// with the typed error when a study cannot read the event log.
     pub fn try_render_report(&self) -> Result<String, PipelineError> {
-        let text = self.obs.stage(STAGE_RENDER, || report::full_report(self))?;
+        let text = self
+            .obs
+            .stage(Stage::Render, || report::full_report(self))?;
         self.obs.metrics.add("render/bytes", text.len() as u64);
         Ok(text)
     }

@@ -20,8 +20,7 @@ use crate::scenario::Scenario;
 use taster_ecosystem::buffer::EventBuffer;
 use taster_feeds::{try_collect_all_observed, PipelineError};
 use taster_mailsim::provider::PROVIDER_BUCKET;
-use taster_sim::metrics::{MetricsRegistry, STAGE_COLLECT, STAGE_KEYS};
-use taster_sim::{Obs, SpanTiming};
+use taster_sim::{MetricsRegistry, Obs, SpanTiming, Stage};
 
 /// The deterministic profile view: the span/event tree (attributes and
 /// sim windows, no wall times) followed by the metrics render.
@@ -79,19 +78,19 @@ pub struct EndToEnd {
 }
 
 impl EndToEnd {
-    /// Wall seconds of stage `key`: its top-level spans, summed (0
-    /// when the stage did not run).
-    pub fn stage(&self, key: &str) -> f64 {
+    /// Wall seconds of `stage`: its top-level spans, summed (0 when
+    /// the stage did not run).
+    pub fn stage(&self, stage: Stage) -> f64 {
         self.spans
             .iter()
-            .filter(|s| s.depth == 0 && s.name == key)
+            .filter(|s| s.depth == 0 && s.name == stage.name())
             .map(|s| s.wall_secs)
             .sum()
     }
 
     /// Wall time not attributed to any canonical stage, seconds.
     pub fn untimed(&self) -> f64 {
-        let timed: f64 = STAGE_KEYS.iter().map(|k| self.stage(k)).sum();
+        let timed: f64 = Stage::ALL.iter().map(|&s| self.stage(s)).sum();
         (self.total - timed).max(0.0)
     }
 
@@ -108,7 +107,7 @@ impl EndToEnd {
     /// Collect-stage throughput in events per second (the CI
     /// perf-smoke floor reads this).
     pub fn collect_events_per_sec(&self) -> f64 {
-        ratio(self.events as f64, self.stage(STAGE_COLLECT))
+        ratio(self.events as f64, self.stage(Stage::Collect))
     }
 }
 
@@ -184,7 +183,7 @@ pub fn budget_peak_bytes(
 /// Renders the `BENCH_pipeline.json` document: one entry per
 /// `(scale, run)`, each with its world's event count, chunk size and
 /// memory figure, its end-to-end and collect-stage throughput, every
-/// canonical stage ([`STAGE_KEYS`]) as `<stage>_secs`, and the whole
+/// canonical stage ([`Stage::ALL`]) as `<stage>_secs`, and the whole
 /// span tree with wall and self seconds.
 pub fn bench_json_string(seed: u64, runs: &[(f64, EndToEnd)]) -> String {
     let cores = std::thread::available_parallelism()
@@ -220,8 +219,9 @@ pub fn bench_json_string(seed: u64, runs: &[(f64, EndToEnd)]) -> String {
             "      \"collect_events_per_sec\": {:.1},",
             run.collect_events_per_sec()
         );
-        for key in STAGE_KEYS {
-            let _ = writeln!(json, "      \"{key}_secs\": {:.6},", run.stage(key));
+        for stage in Stage::ALL {
+            let key = stage.name();
+            let _ = writeln!(json, "      \"{key}_secs\": {:.6},", run.stage(stage));
         }
         json.push_str("      \"spans\": [\n");
         for (i, span) in run.spans.iter().enumerate() {
@@ -287,13 +287,15 @@ mod tests {
     #[test]
     fn profile_records_every_stage_as_a_top_level_span() {
         let (exp, e2e) = run_end_to_end(&small()).expect("profile runs");
-        for stage in STAGE_KEYS {
+        for stage in Stage::ALL {
             assert!(
-                e2e.spans.iter().any(|s| s.depth == 0 && s.name == stage),
-                "stage {stage} has no top-level span"
+                e2e.spans
+                    .iter()
+                    .any(|s| s.depth == 0 && s.name == stage.name()),
+                "stage {stage:?} has no top-level span"
             );
         }
-        assert!(e2e.total >= e2e.stage("generate") + e2e.stage("render"));
+        assert!(e2e.total >= e2e.stage(Stage::Generate) + e2e.stage(Stage::Render));
         let det = deterministic_profile(&exp);
         assert!(det.contains("span collect"));
         assert!(det.contains("counter   collect/events"));
@@ -318,8 +320,8 @@ mod tests {
             ],
             total: 10.0,
         };
-        assert_eq!(e2e.stage("collect"), 2.0);
-        assert_eq!(e2e.stage("render"), 0.0);
+        assert_eq!(e2e.stage(Stage::Collect), 2.0);
+        assert_eq!(e2e.stage(Stage::Render), 0.0);
         assert_eq!(e2e.untimed(), 8.0);
         assert_eq!(e2e.untimed_fraction(), 0.8);
         assert_eq!(e2e.events_per_sec(), 10.0);
@@ -343,10 +345,11 @@ mod tests {
             exp.scenario.feeds.chunk_size,
         );
         let json = bench_json_string(exp.scenario.seed, &[(0.02, e2e)]);
-        for stage in STAGE_KEYS {
+        for stage in Stage::ALL {
+            let key = stage.name();
             assert!(
-                json.contains(&format!("\"{stage}_secs\"")),
-                "JSON missing {stage}_secs"
+                json.contains(&format!("\"{key}_secs\"")),
+                "JSON missing {key}_secs"
             );
         }
         assert!(json.contains("\"scale\": 0.02"));

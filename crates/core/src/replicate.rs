@@ -5,14 +5,14 @@
 //! seeds (each derived from the scenario seed by a keyed RNG stream,
 //! so seed i of an N=8 run equals seed i of an N=4 run), collects
 //! every headline report metric into a
-//! [`MetricSamples`](taster_stats::infer::MetricSamples) columnar
+//! [`taster_stats::infer::MetricSamples`] columnar
 //! table, and attaches percentile + BCa bootstrap CIs to each metric.
 //! Resampling indices come from streams keyed by `(seed, metric,
 //! resample index)` — see [`resample_stream`] — so CI bounds are
 //! bit-stable at any worker count.
 //!
 //! The replicate fan-out runs through the scenario's
-//! [`Parallelism`](taster_sim::Parallelism) pool with each inner
+//! [`taster_sim::Parallelism`] pool with each inner
 //! experiment pinned to one worker: replicates are the parallel axis,
 //! and every inner pipeline stage is bit-identical serial anyway.
 

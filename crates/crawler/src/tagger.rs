@@ -7,27 +7,27 @@
 //! Matching operates on rendered HTML text, not on ground-truth
 //! records, so the pipeline is honest end-to-end.
 
-use taster_domain::fx::FxHashMap;
 use taster_ecosystem::ids::{AffiliateId, ProgramId};
 use taster_ecosystem::program::ProgramRoster;
 
 /// A compiled signature set over the tagged programs.
 #[derive(Debug, Clone)]
 pub struct SignatureSet {
-    /// Signature text → program. Signatures key on the program's page
-    /// branding (its `generator` meta content).
-    by_marker: FxHashMap<String, ProgramId>,
+    /// (signature text, program), sorted by signature. Signatures key
+    /// on the program's page branding (its `generator` meta content).
+    by_marker: Vec<(String, ProgramId)>,
 }
 
 impl SignatureSet {
     /// Compiles signatures for every *tagged* program in the roster.
     pub fn from_roster(roster: &ProgramRoster) -> SignatureSet {
-        let by_marker = roster
+        let mut by_marker: Vec<(String, ProgramId)> = roster
             .programs
             .iter()
             .filter(|p| p.tagged)
             .map(|p| (format!("content=\"{}\"", p.name), p.id))
             .collect();
+        by_marker.sort();
         SignatureSet { by_marker }
     }
 
@@ -41,14 +41,15 @@ impl SignatureSet {
         self.by_marker.is_empty()
     }
 
-    /// Matches a rendered page against all signatures.
+    /// Matches a rendered page against all signatures, in signature
+    /// order.
     pub fn match_page(&self, html: &str) -> Option<ProgramId> {
         // Signature sets are small (45); a linear scan over markers is
         // exactly what the original hand-written classifiers did.
         self.by_marker
             .iter()
             .find(|(marker, _)| html.contains(marker.as_str()))
-            .map(|(_, &p)| p)
+            .map(|(_, p)| *p)
     }
 }
 
@@ -67,6 +68,8 @@ pub fn extract_affiliate_id(html: &str) -> Option<AffiliateId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::render_page;
+    use taster_ecosystem::domains::DomainKind;
     use taster_ecosystem::{EcosystemConfig, GroundTruth};
 
     fn roster() -> ProgramRoster {
@@ -103,6 +106,34 @@ mod tests {
             let page = format!("<meta name=\"generator\" content=\"{}\">", p.name);
             assert_eq!(sigs.match_page(&page), None, "{}", p.name);
         }
+    }
+
+    /// A tagged program's storefront page contains exactly its own
+    /// marker and an untagged program's none, so `match_page` has one
+    /// answer whatever order it scans the markers in.
+    #[test]
+    fn each_storefront_page_matches_exactly_one_marker() {
+        let truth = GroundTruth::generate(&EcosystemConfig::default().with_scale(0.02), 3).unwrap();
+        let sigs = SignatureSet::from_roster(&truth.roster);
+        let mut checked = 0;
+        for (id, rec) in truth.universe.iter() {
+            let DomainKind::Storefront { program, .. } = rec.kind else {
+                continue;
+            };
+            let Some(html) = render_page(&truth, id) else {
+                continue;
+            };
+            let hits: Vec<ProgramId> = sigs
+                .by_marker
+                .iter()
+                .filter(|(marker, _)| html.contains(marker.as_str()))
+                .map(|(_, p)| *p)
+                .collect();
+            let tagged = truth.roster.program(program).tagged;
+            assert_eq!(hits, if tagged { vec![program] } else { vec![] });
+            checked += 1;
+        }
+        assert!(checked > 0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Domain-name generators used by the ecosystem simulator.
 //!
-//! Three generator families correspond to three phenomena in the paper:
+//! Two generator families correspond to two phenomena in the paper:
 //!
 //! * [`BrandableGen`] — pronounceable store-front names of the kind
 //!   affiliate programs register in bulk ("new domains must be
@@ -8,9 +8,6 @@
 //! * [`DgaGen`] — random-character names, modelling the several-week
 //!   window in which the Rustock botnet spammed randomly-generated
 //!   domains (§4.1.1), poisoning the `Bot` and `mx2` feeds.
-//! * [`typo_of`] — single-edit typos of a target name, the mechanism by
-//!   which lexically-similar MX honeypot domains receive legitimate
-//!   mail (§3.3, citing Gee & Kim's "doppelganger domains").
 
 use rand::{Rng, RngExt};
 
@@ -227,65 +224,6 @@ impl DgaGen {
     }
 }
 
-/// Produces a single-edit typo of a registrant label: transposition,
-/// deletion, duplication or substitution of one character. The TLD is
-/// left untouched (typo-squats and sender typos usually share the TLD).
-pub fn typo_of<R: Rng>(rng: &mut R, domain: &str) -> String {
-    let (label, tld) = match domain.split_once('.') {
-        Some((l, t)) => (l, Some(t)),
-        None => (domain, None),
-    };
-    let chars: Vec<char> = label.chars().collect();
-    let mut out: Vec<char> = chars.clone();
-    if chars.len() >= 2 {
-        match rng.random_range(0..4u8) {
-            0 => {
-                // transpose two adjacent characters
-                let i = rng.random_range(0..chars.len() - 1);
-                out.swap(i, i + 1);
-            }
-            1 => {
-                // delete one character
-                let i = rng.random_range(0..chars.len());
-                out.remove(i);
-            }
-            2 => {
-                // duplicate one character
-                let i = rng.random_range(0..chars.len());
-                out.insert(i, chars[i]);
-            }
-            _ => {
-                // substitute one character with a neighbouring letter
-                let i = rng.random_range(0..chars.len());
-                let c = chars[i];
-                let sub = if c.is_ascii_lowercase() {
-                    let off = rng.random_range(1..3u8);
-                    char::from((c as u8 - b'a' + off) % 26 + b'a')
-                } else {
-                    'x'
-                };
-                out[i] = sub;
-            }
-        }
-    } else {
-        out.push('x');
-    }
-    // A leading/trailing hyphen after editing would make the label
-    // invalid; patch it rather than reject.
-    if out.first() == Some(&'-') {
-        out[0] = 'x';
-    }
-    if out.last() == Some(&'-') {
-        let last = out.len() - 1;
-        out[last] = 'x';
-    }
-    let label: String = out.into_iter().collect();
-    match tld {
-        Some(t) => format!("{label}.{t}"),
-        None => label,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -330,23 +268,6 @@ mod tests {
             seen.insert(gen.domain(&mut r));
         }
         assert!(seen.len() > 9_990);
-    }
-
-    #[test]
-    fn typos_stay_valid_and_differ() {
-        let mut r = rng();
-        let mut changed = 0;
-        for _ in 0..300 {
-            let t = typo_of(&mut r, "pharmacy-direct.com");
-            DomainName::parse(&t).unwrap_or_else(|e| panic!("{t}: {e}"));
-            assert!(t.ends_with(".com"));
-            if t != "pharmacy-direct.com" {
-                changed += 1;
-            }
-        }
-        // Duplication/substitution always changes; transposition can
-        // no-op on equal neighbours, but most edits must differ.
-        assert!(changed > 250);
     }
 
     #[test]

@@ -29,9 +29,10 @@
 //! * [`punycode`] — an RFC 3492 codec for the `xn--` IDN labels that
 //!   appear in homograph spam domains.
 //! * [`gen`] — domain-name generators used by the ecosystem simulator:
-//!   brandable (pharma-store-like) names, DGA-style random names (the
-//!   Rustock poisoning incident of §4.1.1), and typo variants (the MX
-//!   honeypot pollution mechanism of §3.3).
+//!   brandable (pharma-store-like) names and DGA-style random names (the
+//!   Rustock poisoning incident of §4.1.1). The MX honeypots' benign
+//!   pollution of §3.3 cites existing benign domains instead
+//!   (`taster-mailsim`'s `benign` module).
 //!
 //! ## Example
 //!

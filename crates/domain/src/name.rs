@@ -114,20 +114,6 @@ impl DomainName {
         // Fewer than n dots scanned: the whole name has exactly n labels.
         Some(&self.text)
     }
-
-    /// True when `self` equals `other` or is a subdomain of `other`.
-    pub fn is_subdomain_of(&self, other: &str) -> bool {
-        let other = other.trim_end_matches('.');
-        if self.text.len() == other.len() {
-            return self.text == other.to_ascii_lowercase();
-        }
-        if self.text.len() > other.len() + 1 {
-            let split = self.text.len() - other.len();
-            return self.text.as_bytes()[split - 1] == b'.'
-                && self.text[split..].eq_ignore_ascii_case(other);
-        }
-        false
-    }
 }
 
 impl std::fmt::Display for DomainName {
@@ -192,17 +178,6 @@ mod tests {
         assert_eq!(d.suffix(4), Some("www.example.co.uk"));
         assert_eq!(d.suffix(5), None);
         assert_eq!(d.suffix(0), None);
-    }
-
-    #[test]
-    fn subdomain_check() {
-        let d = DomainName::parse("a.b.example.com").unwrap();
-        assert!(d.is_subdomain_of("example.com"));
-        assert!(d.is_subdomain_of("b.example.com"));
-        assert!(d.is_subdomain_of("a.b.example.com"));
-        assert!(!d.is_subdomain_of("xample.com"));
-        assert!(!d.is_subdomain_of("c.example.com"));
-        assert!(!d.is_subdomain_of("com.example"));
     }
 
     #[test]

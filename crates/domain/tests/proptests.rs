@@ -1,8 +1,9 @@
 //! Property-based tests for the domain layer.
 
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_types)]
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 use taster_domain::interner::DomainTable;
 use taster_domain::psl::SuffixList;
 use taster_domain::url::{extract_urls, Url};
@@ -91,7 +92,8 @@ proptest! {
         let parsed = DomainName::parse(&name).unwrap();
         if let Some(reg) = psl.registered_domain(&parsed) {
             // The registered domain is a suffix of the input.
-            prop_assert!(parsed.is_subdomain_of(reg.as_str()));
+            let (name, reg_name) = (parsed.as_str(), reg.as_str());
+            prop_assert!(name == reg_name || name.ends_with(&format!(".{reg_name}")));
             // Re-deriving from the registered domain is a fixed point.
             let again = DomainName::parse(reg.as_str()).unwrap();
             let reg2 = psl.registered_domain(&again).unwrap();
@@ -141,16 +143,16 @@ proptest! {
             prop_assert_eq!(table.text(id), name.as_str());
         }
         // Unique names get unique dense ids.
-        let unique: std::collections::HashSet<_> = names.iter().collect();
+        let unique: BTreeSet<_> = names.iter().collect();
         prop_assert_eq!(table.len(), unique.len());
     }
 
     #[test]
-    fn domain_set_matches_hashset_model(
+    fn domain_set_matches_btreeset_model(
         ops in proptest::collection::vec((0u32..500, any::<bool>()), 0..200)
     ) {
         let mut set = DomainBitset::with_capacity(64);
-        let mut model = std::collections::HashSet::new();
+        let mut model = BTreeSet::new();
         for (id, _insert) in &ops {
             let fresh = set.insert(DomainId(*id));
             let model_fresh = model.insert(*id);
@@ -161,15 +163,14 @@ proptest! {
             prop_assert_eq!(set.contains(DomainId(id)), model.contains(&id));
         }
         let listed: Vec<u32> = set.iter().map(|d| d.0).collect();
-        let mut expected: Vec<u32> = model.into_iter().collect();
-        expected.sort_unstable();
+        let expected: Vec<u32> = model.into_iter().collect();
         prop_assert_eq!(listed, expected);
     }
 
     #[test]
     fn domain_set_algebra_matches_model(
-        a in proptest::collection::hash_set(0u32..300, 0..80),
-        b in proptest::collection::hash_set(0u32..300, 0..80),
+        a in proptest::collection::btree_set(0u32..300, 0..80),
+        b in proptest::collection::btree_set(0u32..300, 0..80),
     ) {
         let sa: DomainBitset = a.iter().map(|&i| DomainId(i)).collect();
         let sb: DomainBitset = b.iter().map(|&i| DomainId(i)).collect();
@@ -193,8 +194,8 @@ proptest! {
 
     #[test]
     fn boundary_ids_match_model(
-        a in proptest::collection::hash_set(boundary_id(), 0..40),
-        b in proptest::collection::hash_set(boundary_id(), 0..40),
+        a in proptest::collection::btree_set(boundary_id(), 0..40),
+        b in proptest::collection::btree_set(boundary_id(), 0..40),
     ) {
         // Ids drawn heavily around the 64-bit word seams (63/64/65,
         // 127/128) so cross-word carry bugs in the packed kernels
@@ -218,8 +219,7 @@ proptest! {
         }
 
         // from_sorted_ids builds the same set as incremental inserts.
-        let mut sorted: Vec<u32> = a.iter().copied().collect();
-        sorted.sort_unstable();
+        let sorted: Vec<u32> = a.iter().copied().collect();
         let ids: Vec<DomainId> = sorted.iter().map(|&i| DomainId(i)).collect();
         prop_assert_eq!(DomainBitset::from_sorted_ids(&ids), sa.clone());
 

@@ -3,7 +3,7 @@
 //! When the sorted event cache does not fit the memory budget,
 //! [`GroundTruth::generate`](crate::GroundTruth::generate) writes each
 //! generated row once, in generation order, to a scratch file, counting
-//! rows per second of simulated time as it goes ([`TimeSort`]). That
+//! rows per second of simulated time as it goes (`TimeSort`). That
 //! per-second histogram gives every row its time-sorted position — the
 //! same stable counting sort the in-core cache uses — so the scratch rows
 //! become the spill in one linear distribution sort:

@@ -165,9 +165,8 @@ impl Feed {
     /// Idempotent.
     pub fn seal(&mut self) {
         if let Store::Building(domains, fqdns) = &mut self.store {
-            let mut rows: Vec<(DomainId, DomainStats)> =
-                std::mem::take(domains).into_iter().collect();
-            rows.sort_unstable_by_key(|&(d, _)| d);
+            // The map is dropped before the columns are built.
+            let rows = sorted_rows(&std::mem::take(domains));
             let fqdns = fqdns.take().map(|set| sorted_hashes(&set));
             self.store = Store::Sealed(FeedColumns::default().merge(rows), fqdns);
         }
@@ -209,21 +208,20 @@ impl Feed {
         }
     }
 
-    /// Iterates `(domain, stats)` — ascending domain order once sealed,
-    /// unordered while building.
+    /// Iterates `(domain, stats)` in ascending domain order, in either
+    /// state (a building feed sorts a copy of its rows first).
     pub fn iter(&self) -> impl Iterator<Item = (DomainId, DomainStats)> + '_ {
         let (building, sealed) = match &self.store {
-            Store::Building(domains, _) => (Some(domains.iter()), None),
+            Store::Building(domains, _) => (Some(sorted_rows(domains)), None),
             Store::Sealed(cols, _) => (None, Some(cols.iter())),
         };
         building
             .into_iter()
             .flatten()
-            .map(|(&d, &s)| (d, s))
             .chain(sealed.into_iter().flatten())
     }
 
-    /// All domain ids — ascending once sealed, unordered while building.
+    /// All domain ids, ascending.
     pub fn domain_ids(&self) -> impl Iterator<Item = DomainId> + '_ {
         self.iter().map(|(d, _)| d)
     }
@@ -297,6 +295,10 @@ impl Feed {
             panic!("cannot merge sealed feeds");
         };
         self.samples = add_samples(self.samples, other.samples);
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "absorb is commutative and the merged map is sorted when sealed"
+        )]
         for (domain, stats) in theirs {
             ours.entry(domain)
                 .and_modify(|s| s.absorb(stats))
@@ -362,8 +364,17 @@ fn add_samples(a: Option<u64>, b: Option<u64>) -> Option<u64> {
     }
 }
 
+/// A building feed's rows in ascending domain order.
+fn sorted_rows(domains: &FxHashMap<DomainId, DomainStats>) -> Vec<(DomainId, DomainStats)> {
+    #[expect(clippy::disallowed_methods, reason = "sorted before it is returned")]
+    let mut rows: Vec<(DomainId, DomainStats)> = domains.iter().map(|(&d, &s)| (d, s)).collect();
+    rows.sort_unstable_by_key(|&(d, _)| d);
+    rows
+}
+
 /// A building FQDN set as an ascending list.
 fn sorted_hashes(set: &FxHashSet<u64>) -> Vec<u64> {
+    #[expect(clippy::disallowed_methods, reason = "sorted before it is returned")]
     let mut v: Vec<u64> = set.iter().copied().collect();
     v.sort_unstable();
     v

@@ -8,8 +8,7 @@ use crate::feed::FeedSet;
 use crate::id::FeedId;
 use crate::incremental::IngestState;
 use taster_mailsim::MailWorld;
-use taster_sim::metrics::{STAGE_BLACKLIST, STAGE_COLLECT};
-use taster_sim::{FaultPlan, Obs, Parallelism, TimeWindow};
+use taster_sim::{FaultPlan, Obs, Parallelism, Stage, TimeWindow};
 
 /// The seven content collectors in fused-pass order, built from the
 /// configuration.
@@ -87,7 +86,7 @@ pub fn try_collect_all_observed(
     // `collect` covers the eight record-capturing feeds (seven content
     // members + Hu), `blacklist` the two listing simulations. Hu and
     // the blacklists join after the event pass; the seal applies them.
-    let mut state = obs.stage(STAGE_COLLECT, || {
+    let mut state = obs.stage(Stage::Collect, || {
         let mut state = {
             let _span = obs.span("collect/content");
             let mut state = IngestState::content(world, config, plan, obs)?;
@@ -99,7 +98,7 @@ pub fn try_collect_all_observed(
         state.add_hu(world, plan, obs);
         Ok::<IngestState, PipelineError>(state)
     })?;
-    obs.stage(STAGE_BLACKLIST, || {
+    obs.stage(Stage::Blacklist, || {
         let _span = obs.span("collect/blacklists");
         state.add_blacklists(world, config, plan, obs);
     });

@@ -4,10 +4,10 @@
 //! reader (section headers, `name = …` keys — all these manifests
 //! use); no external TOML crate, consistent with the vendored-offline
 //! policy. The [`LAYERS`] table is the *declared* architecture: the
-//! `layering` rule holds every `[dependencies]` edge and every source
-//! `use` edge to it, so an accidental upward dependency (say, `sim`
-//! reaching into `feeds`) becomes a lint finding instead of silent
-//! coupling.
+//! `layering` rule holds every `[dependencies]` edge to it (and rustc
+//! makes every source reference to a sibling crate one of those
+//! edges), so an accidental upward dependency (say, `sim` reaching
+//! into `feeds`) becomes a lint finding instead of silent coupling.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -58,9 +58,6 @@ pub struct DepEdge {
 pub struct CrateNode {
     /// Package name (`taster-sim`).
     pub name: String,
-    /// Directory relative to the workspace root (`crates/sim`), `""`
-    /// for the root package.
-    pub dir: String,
     /// Manifest path relative to the workspace root.
     pub manifest_path: String,
     /// True for `vendor/` crates.
@@ -114,25 +111,6 @@ impl CrateGraph {
             self.crates.insert(node.name.clone(), node);
         }
     }
-
-    /// The crate a workspace-relative source path belongs to, by
-    /// longest directory prefix. Files outside every crate directory
-    /// (e.g. test fixtures without a manifest) return `None`.
-    pub fn crate_for_path<'a>(&'a self, rel_path: &str) -> Option<&'a CrateNode> {
-        let mut best: Option<&CrateNode> = None;
-        for node in self.crates.values() {
-            let matches = if node.dir.is_empty() {
-                // Root package: only its own src/ tree, not crates/*.
-                rel_path.starts_with("src/") || rel_path.starts_with("tests/")
-            } else {
-                rel_path.starts_with(&format!("{}/", node.dir))
-            };
-            if matches && best.is_none_or(|b| node.dir.len() > b.dir.len()) {
-                best = Some(node);
-            }
-        }
-        best
-    }
 }
 
 /// Parses an in-memory manifest — the unit-test / `analyze_sources`
@@ -179,13 +157,8 @@ fn parse_manifest(rel_path: &str, text: &str, vendor: bool) -> Option<CrateNode>
             });
         }
     }
-    let dir = rel_path
-        .strip_suffix("/Cargo.toml")
-        .unwrap_or("")
-        .to_string();
     Some(CrateNode {
         name: name?,
-        dir,
         manifest_path: rel_path.to_string(),
         vendor,
         workspace_lints,
@@ -209,7 +182,6 @@ mod tests {
         )
         .expect("parses");
         assert_eq!(node.name, "taster-x");
-        assert_eq!(node.dir, "crates/x");
         let names: Vec<_> = node.deps.iter().map(|d| d.name.as_str()).collect();
         assert_eq!(names, ["taster-domain", "rand", "proptest"]);
         assert!(node.deps.iter().any(|d| d.dev && d.name == "proptest"));

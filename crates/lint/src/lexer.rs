@@ -289,3 +289,32 @@ fn raw_string_len(rest: &str) -> Option<usize> {
     }
     Some(bytes.len())
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn contents(src: &str) -> Vec<String> {
+        lex(src)
+            .tokens
+            .iter()
+            .filter_map(|t| t.str_content().map(str::to_string))
+            .collect()
+    }
+
+    #[test]
+    fn string_literals_keep_their_content() {
+        let src = "const A: &str = \"plain\";\nconst B: &str = r#\"raw \"x\"\"#;\n";
+        assert_eq!(contents(src), ["plain", "raw \"x\""]);
+    }
+
+    #[test]
+    fn char_literals_are_not_string_content() {
+        let src = "const C: char = 'x';\nconst L: &'static str = \"s\";\n";
+        assert_eq!(
+            contents(src),
+            ["s"],
+            "char and lifetime must not leak as strings"
+        );
+    }
+}

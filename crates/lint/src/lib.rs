@@ -1,38 +1,35 @@
 //! # taster-lint
 //!
-//! Workspace determinism static analysis for the invariants clippy
-//! cannot express. It runs as this crate's test suite
+//! Workspace determinism checks that neither rustc nor clippy
+//! configuration expresses. It runs as this crate's test suite
 //! (`cargo test -p taster-lint`), which CI's workspace test step runs.
 //!
 //! The reproduction's headline guarantee — bit-identical reports at
 //! any worker count, under any fault profile — rests on a handful of
-//! source-level conventions. The ones a type or function name can
-//! express (no wall-clock reads outside the timing layers, no
-//! `RandomState` maps, no raw threads, no unkeyed RNG seeding, no
-//! unbounded socket reads or accepts, no panics, prints or `unsafe` in
-//! library code) are clippy policy: `clippy.toml` plus the workspace
-//! lint table. This crate checks the rest: the declared crate
-//! layering and that every crate inherits the workspace lint table,
-//! that keyed [`RngStream`](../taster_sim/rng) derivations never
-//! collide, and that hash-ordered iteration never reaches emitted
-//! bytes or float accumulators unsorted.
+//! source-level conventions. Most live in the toolchain: clippy policy
+//! (`clippy.toml` plus the workspace lint table) forbids wall-clock
+//! reads outside the timing layers, `RandomState` maps, iteration in
+//! hash order, raw threads, unkeyed RNG seeding, unbounded socket
+//! reads or accepts, and panics, prints or `unsafe` in library code;
+//! rustc refuses a source reference to an undeclared crate; and a
+//! pipeline stage is a `sim::metrics::Stage` variant, so an
+//! unregistered stage does not compile. This crate checks the rest:
+//! that the manifests' dependency edges follow the declared crate
+//! layering, that every crate inherits the workspace lint table, and
+//! that keyed `RngStream` derivations never collide.
 //!
-//! The engine is a multi-pass analyzer with no dependencies: a
-//! hand-rolled lexer ([`lexer`]) feeds an item parser ([`parser`])
-//! and the rule catalog ([`rules`]) over every `.rs` file in the
+//! A hand-rolled lexer ([`lexer`]) tokenizes every `.rs` file in the
 //! workspace ([`source`] classifies files and tracks `#[cfg(test)]`
-//! regions). The manifests feed a crate-dependency graph ([`graph`])
-//! whose declared layering, together with the per-file collections,
-//! drives the workspace-level rule families (`layering`,
-//! `workspace-lints`, `rng-key-collision`). A finding cannot be
-//! silenced inline: fix the code, or change the rule.
+//! regions) for the RNG-key rule; the manifests feed a
+//! crate-dependency graph ([`graph`]) for the other two ([`rules`]).
+//! A finding cannot be silenced inline: fix the code, or change the
+//! rule.
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 #![warn(missing_docs)]
 
 pub mod graph;
 pub mod lexer;
-pub mod parser;
 pub mod rules;
 pub mod source;
 
@@ -119,10 +116,10 @@ pub fn run(root: &Path) -> Result<LintReport, LintError> {
 }
 
 /// Analyzes a set of in-memory sources plus manifests as one
-/// workspace — the test entry point for every rule family.
+/// workspace — the test entry point for every rule.
 /// `manifests` maps workspace-relative manifest paths (e.g.
-/// `crates/x/Cargo.toml`) to contents. Returns per-file *and*
-/// workspace findings, sorted by (path, line, rule).
+/// `crates/x/Cargo.toml`) to contents. Returns the findings, sorted
+/// by (path, line, rule).
 pub fn analyze_sources(sources: &[(&str, &str)], manifests: &[(&str, &str)]) -> Vec<Diagnostic> {
     let analyses: Vec<FileAnalysis> = sources
         .iter()
@@ -137,14 +134,9 @@ pub fn analyze_sources(sources: &[(&str, &str)], manifests: &[(&str, &str)]) -> 
     check(&graph, &analyses)
 }
 
-/// The per-file findings plus the workspace-level ones, sorted by
-/// (path, line, rule).
+/// Every rule's findings, sorted by (path, line, rule).
 fn check(graph: &CrateGraph, analyses: &[FileAnalysis]) -> Vec<Diagnostic> {
-    let mut out: Vec<Diagnostic> = analyses
-        .iter()
-        .flat_map(|fa| fa.diagnostics.iter().cloned())
-        .collect();
-    out.extend(rules::workspace_check(graph, analyses));
+    let mut out = rules::workspace_check(graph, analyses);
     out.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     out
 }

@@ -1,62 +1,24 @@
-//! `layering`: the declared crate DAG, enforced; and
+//! `layering`: the declared crate DAG, enforced on the manifests; and
 //! `workspace-lints`: every workspace crate inherits the lint table.
 //!
-//! Two edge sources feed the check: `[dependencies]` entries in every
-//! manifest (parsed by [`crate::graph`]) and `taster_*` references in
-//! source code (`use` lines and inline paths alike — any mention of a
-//! sibling crate's extern-prelude name is an edge). Both must point
-//! *strictly downward* in [`crate::graph::LAYERS`]. `dev-dependencies`
-//! and test/example code are exempt: test-only edges cannot leak into
-//! shipped determinism.
+//! Every `[dependencies]` entry (parsed by [`crate::graph`]) must
+//! point *strictly downward* in [`crate::graph::LAYERS`].
+//! `dev-dependencies` are exempt: test-only edges cannot leak into
+//! shipped determinism. Source references need no check of their own:
+//! rustc refuses a `taster_*` path the crate's manifest does not
+//! declare, so every source edge is a manifest edge.
 //!
 //! Clippy's restriction lints and `unsafe_code` reach only crates
 //! whose manifest sets `[lints] workspace = true`, so a crate that
 //! drops the key silently leaves the panic/print/determinism policy;
-//! [`check_workspace_lints`] reports it. Vendored shims do not inherit
-//! the table and are exempt.
+//! `workspace-lints` reports it, vendored shims included.
 
-use super::{Diagnostic, FileAnalysis};
+use super::Diagnostic;
 use crate::graph::{layer_of, CrateGraph};
-use crate::lexer::TokenKind;
-use crate::source::SourceFile;
 
-/// One source-level reference to a workspace crate.
-#[derive(Debug, Clone)]
-pub struct CrateRef {
-    /// Referenced crate, dash form (`taster-sim`).
-    pub target: String,
-    /// 1-based line of the reference.
-    pub line: usize,
-}
-
-/// Collects `taster_*` extern-prelude references from non-test code.
-/// One ref per (crate, line) — repeated mentions on a line collapse.
-pub(crate) fn collect_refs(file: &SourceFile) -> Vec<CrateRef> {
-    let mut out: Vec<CrateRef> = Vec::new();
-    for tok in &file.lexed.tokens {
-        if tok.kind != TokenKind::Ident
-            || !tok.text.starts_with("taster_")
-            || file.in_cfg_test(tok.line)
-        {
-            continue;
-        }
-        let target = tok.text.replace('_', "-");
-        if out
-            .last()
-            .is_none_or(|r| r.target != target || r.line != tok.line)
-        {
-            out.push(CrateRef {
-                target,
-                line: tok.line,
-            });
-        }
-    }
-    out
-}
-
-/// Checks every manifest dep edge and source use edge against the
-/// declared layer map.
-pub(crate) fn check(graph: &CrateGraph, files: &[FileAnalysis]) -> Vec<Diagnostic> {
+/// Checks every manifest dependency edge against the declared layer
+/// map.
+pub(crate) fn check(graph: &CrateGraph) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     for node in graph.crates.values() {
         if node.vendor {
@@ -117,46 +79,6 @@ pub(crate) fn check(graph: &CrateGraph, files: &[FileAnalysis]) -> Vec<Diagnosti
                         format!(
                             "`{}` depends on `{}`, which is not in the declared layer map",
                             node.name, dep.name
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-    for fa in files {
-        let Some(node) = graph.crate_for_path(&fa.file.path) else {
-            continue;
-        };
-        let Some((layer_idx, layer_name)) = layer_of(&node.name) else {
-            continue;
-        };
-        for r in &fa.crate_refs {
-            if r.target == node.name {
-                continue;
-            }
-            match layer_of(&r.target) {
-                Some((ref_idx, ref_layer)) if ref_idx >= layer_idx => {
-                    out.push(super::diag(
-                        &fa.file,
-                        "layering",
-                        r.line,
-                        format!(
-                            "`{}` (layer {layer_idx}: {layer_name}) must not reference \
-                             `{}` (layer {ref_idx}: {ref_layer}); use edges must point \
-                             strictly downward",
-                            node.name, r.target
-                        ),
-                    ));
-                }
-                Some(_) => {}
-                None => {
-                    out.push(super::diag(
-                        &fa.file,
-                        "layering",
-                        r.line,
-                        format!(
-                            "reference to `{}`, which is not in the declared layer map",
-                            r.target
                         ),
                     ));
                 }

@@ -7,235 +7,239 @@
 //! when accidental. The collision check therefore flags exactly the
 //! two shapes that are never deliberate:
 //!
-//! 1. the same key literal derived in **two different crates** (no
-//!    shared replay contract can exist across a crate boundary), and
-//! 2. the same key literal derived **twice inside one function**
-//!    (within a single body, a repeat is either a copy-paste slip or
-//!    wants an index/child derivation).
+//! 1. the same key derived in **two different crates** (no shared
+//!    replay contract can exist across a crate boundary), and
+//! 2. the same key derived **twice inside one function** (within a
+//!    single body, a repeat is either a copy-paste slip or wants an
+//!    index/child derivation).
 //!
 //! Same-crate, cross-function repeats — the replay pattern — pass.
 //!
-//! The same family owns stage-registry completeness: every stage name
-//! reaching `Obs::stage` must appear in `STAGE_KEYS`, and every
-//! registered stage must have a live call site — a registry entry
-//! nothing times (or a timed stage the registry doesn't know) breaks
-//! the timing-report contract.
+//! A key is the argument of `RngStream::new`, `.child(…)` or
+//! `name_key(…)` that is a lone string literal, or a `SCREAMING_CASE`
+//! name bound by `const NAME: &str = "…"` (or `&'static str`). A name
+//! resolves to its definition in the same file, else in the same
+//! crate, else the first in path order. A site's function is the
+//! innermost `fn` body holding it, found by a brace-depth scan of the
+//! tokens.
 
 use std::collections::BTreeMap;
 
-use super::{is_path_sep, Diagnostic, FileAnalysis};
-use crate::lexer::TokenKind;
-use crate::parser::ItemTree;
+use super::{Diagnostic, FileAnalysis};
+use crate::lexer::{Token, TokenKind};
 use crate::source::SourceFile;
 
-/// One keyed derivation site: a string literal fed to
-/// `RngStream::new`, `.child(…)` or `name_key(…)`.
+/// How a derivation site names its key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum KeyArg {
+    /// A string literal's content.
+    Literal(String),
+    /// A constant, by the last segment of its path.
+    Const(String),
+}
+
+/// One keyed derivation site.
 #[derive(Debug, Clone)]
 pub struct KeySite {
-    /// The key string (literal content).
-    pub key: String,
-    /// Which constructor consumed it (`new`, `child`, `name_key`).
-    pub callee: String,
+    /// The key argument.
+    pub arg: KeyArg,
     /// 1-based line.
     pub line: usize,
-    /// Enclosing function path, `""` at item level.
-    pub func: String,
+    /// The innermost enclosing `fn`: its name and the token index of
+    /// its body's `{`, which tells same-named functions apart. `None`
+    /// at item level.
+    pub func: Option<(String, usize)>,
 }
 
-/// One `obs.stage(…)` call site.
+/// One `const NAME: &str = "…";` definition.
 #[derive(Debug, Clone)]
-pub struct StageUse {
-    /// First-argument text: literal content, or a const name to
-    /// resolve against the workspace const table.
-    pub arg: String,
-    /// True when `arg` is an identifier (needs const resolution).
-    pub is_ident: bool,
-    /// 1-based line.
-    pub line: usize,
+pub struct StrConst {
+    /// The constant's name.
+    pub name: String,
+    /// The literal's content.
+    pub value: String,
 }
 
-/// One entry of a stage-registry array.
-#[derive(Debug, Clone)]
-pub struct RegistryEntry {
-    /// Entry text: literal content or const name.
-    pub text: String,
-    /// True when the entry is an identifier.
-    pub is_ident: bool,
-}
-
-/// A `STAGE_KEYS` registry definition.
-#[derive(Debug, Clone)]
-pub struct StageRegistry {
-    /// Array const name.
-    pub array: String,
-    /// 1-based line of the definition.
-    pub line: usize,
-    /// Entries in declaration order.
-    pub entries: Vec<RegistryEntry>,
-}
-
-/// Collects key sites, stage uses and registry definitions from one
-/// file's non-test code.
-pub(crate) fn collect(
-    file: &SourceFile,
-    items: &ItemTree,
-) -> (Vec<KeySite>, Vec<StageUse>, Vec<StageRegistry>) {
+/// Collects key sites and string constants from one file's non-test
+/// code.
+pub(crate) fn collect(file: &SourceFile) -> (Vec<KeySite>, Vec<StrConst>) {
     let t = &file.lexed.tokens;
+    let bodies = fn_bodies(t);
     let mut keys = Vec::new();
-    let mut stages = Vec::new();
-    let mut registries = Vec::new();
-    for i in 0..t.len() {
-        let tok = &t[i];
+    let mut consts = Vec::new();
+    for (i, tok) in t.iter().enumerate() {
         if tok.kind != TokenKind::Ident || file.in_cfg_test(tok.line) {
             continue;
         }
-        let next_is_paren = t.get(i + 1).is_some_and(|n| n.is_punct('('));
-        // Keyed constructors taking a literal name argument.
-        let is_key_callee = next_is_paren
+        if let Some(c) = str_const(t, i) {
+            consts.push(c);
+            continue;
+        }
+        let is_key_callee = t.get(i + 1).is_some_and(|n| n.is_punct('('))
             && match tok.text.as_str() {
                 "name_key" => true,
                 "child" => i > 0 && t[i - 1].is_punct('.'),
-                "new" => i >= 3 && t[i - 3].is_ident("RngStream") && is_path_sep(t, i - 2),
+                "new" => {
+                    i >= 3
+                        && t[i - 3].is_ident("RngStream")
+                        && t[i - 2].is_punct(':')
+                        && t[i - 1].is_punct(':')
+                }
                 _ => false,
             };
-        if is_key_callee {
-            if let Some(key) = first_arg_literal(t, i + 1) {
-                keys.push(KeySite {
-                    key,
-                    callee: tok.text.clone(),
-                    line: tok.line,
-                    func: items.enclosing_fn(tok.line).unwrap_or_default(),
-                });
-            }
+        if !is_key_callee {
+            continue;
         }
-        // Stage timing sites: `obs.stage(X, …)`.
-        let is_stage_callee =
-            next_is_paren && tok.text == "stage" && i > 0 && t[i - 1].is_punct('.');
-        if is_stage_callee {
-            if let Some(arg) = t.get(i + 2) {
-                match arg.kind {
-                    TokenKind::Literal => {
-                        if let Some(content) = arg.str_content() {
-                            stages.push(StageUse {
-                                arg: content.to_string(),
-                                is_ident: false,
-                                line: tok.line,
-                            });
-                        }
-                    }
-                    TokenKind::Ident => stages.push(StageUse {
-                        arg: arg.text.clone(),
-                        is_ident: true,
-                        line: tok.line,
-                    }),
-                    _ => {}
-                }
-            }
-        }
-        // Registry definitions: `const STAGE_KEYS: [&str; N] = [ … ];`.
-        let is_registry_def = tok.text == "STAGE_KEYS" && i > 0 && t[i - 1].is_ident("const");
-        if is_registry_def {
-            registries.push(parse_registry(t, i, tok.line, &tok.text));
+        if let Some(arg) = key_arg(t, i + 1) {
+            let func = bodies
+                .iter()
+                .filter(|b| b.open < i && i < b.close)
+                .max_by_key(|b| b.open)
+                .map(|b| (b.name.clone(), b.open));
+            keys.push(KeySite {
+                arg,
+                line: tok.line,
+                func,
+            });
         }
     }
-    (keys, stages, registries)
+    (keys, consts)
 }
 
-/// First string literal at argument depth 1 of the call whose `(` sits
-/// at token `open`. Literals inside nested calls (`format!("…")`) are
-/// *not* keys — dynamic key construction is out of scope by design.
-fn first_arg_literal(t: &[crate::lexer::Token], open: usize) -> Option<String> {
+/// `const NAME: &str = "…";` or `const NAME: &'static str = "…";`
+/// starting at token `i`.
+fn str_const(t: &[Token], i: usize) -> Option<StrConst> {
+    let name = t.get(i + 1).filter(|n| n.kind == TokenKind::Ident)?;
+    if !t[i].is_ident("const") || !t.get(i + 2)?.is_punct(':') || !t.get(i + 3)?.is_punct('&') {
+        return None;
+    }
+    let mut j = i + 4;
+    if t.get(j)?.kind == TokenKind::Lifetime {
+        j += 1;
+    }
+    if !t.get(j)?.is_ident("str") || !t.get(j + 1)?.is_punct('=') || !t.get(j + 3)?.is_punct(';') {
+        return None;
+    }
+    Some(StrConst {
+        name: name.text.clone(),
+        value: t.get(j + 2)?.str_content()?.to_string(),
+    })
+}
+
+/// The key argument of the call whose `(` sits at token `open`: the
+/// first top-level argument that [`arg_key`] reads. Literals inside
+/// nested calls (`format!("…")`) are *not* keys — dynamic key
+/// construction is out of scope by design.
+fn key_arg(t: &[Token], open: usize) -> Option<KeyArg> {
     let mut depth = 0usize;
-    for tok in t.get(open..)?.iter().take(64) {
+    let mut start = open + 1;
+    for (j, tok) in t.iter().enumerate().skip(open) {
         if tok.is_punct('(') || tok.is_punct('[') || tok.is_punct('{') {
             depth += 1;
         } else if tok.is_punct(')') || tok.is_punct(']') || tok.is_punct('}') {
             depth = depth.saturating_sub(1);
             if depth == 0 {
-                return None;
+                return arg_key(&t[start..j]);
             }
-        } else if depth == 1 && tok.kind == TokenKind::Literal {
-            if let Some(content) = tok.str_content() {
-                return Some(content.to_string());
+        } else if depth == 1 && tok.is_punct(',') {
+            if let Some(key) = arg_key(&t[start..j]) {
+                return Some(key);
             }
+            start = j + 1;
         }
     }
     None
 }
 
-/// Parses the bracketed entry list of a registry array definition.
-fn parse_registry(
-    t: &[crate::lexer::Token],
-    name_idx: usize,
-    line: usize,
-    array: &str,
-) -> StageRegistry {
-    let mut entries = Vec::new();
-    // Find the `= [` after the type annotation, then read entries at
-    // depth 1 until the matching `]`.
-    let mut i = name_idx + 1;
-    while i < t.len() && !t.get(i).is_some_and(|x| x.is_punct('=')) {
-        i += 1;
-    }
-    let mut depth = 0usize;
-    while i < t.len() {
-        let Some(tok) = t.get(i) else { break };
-        if tok.is_punct('[') {
-            depth += 1;
-        } else if tok.is_punct(']') {
-            if depth <= 1 {
-                break;
-            }
-            depth -= 1;
-        } else if depth == 1 {
-            match tok.kind {
-                TokenKind::Literal => {
-                    if let Some(content) = tok.str_content() {
-                        entries.push(RegistryEntry {
-                            text: content.to_string(),
-                            is_ident: false,
-                        });
-                    }
-                }
-                TokenKind::Ident => entries.push(RegistryEntry {
-                    text: tok.text.clone(),
-                    is_ident: true,
-                }),
-                _ => {}
-            }
-        } else if tok.is_punct(';') && depth == 0 {
-            break;
+/// One argument's key: a lone string literal, or a path (`NAME`,
+/// `module::NAME`) ending in a `SCREAMING_CASE` name.
+fn arg_key(arg: &[Token]) -> Option<KeyArg> {
+    if let [lit] = arg {
+        if let Some(key) = lit.str_content() {
+            return Some(KeyArg::Literal(key.to_string()));
         }
-        i += 1;
     }
-    StageRegistry {
-        array: array.to_string(),
-        line,
-        entries,
-    }
+    let is_path = arg.len() % 3 == 1
+        && arg.iter().enumerate().all(|(k, tok)| {
+            if k % 3 == 0 {
+                tok.kind == TokenKind::Ident
+            } else {
+                tok.is_punct(':')
+            }
+        });
+    let name = &arg.last()?.text;
+    let screaming = name.bytes().any(|b| b.is_ascii_uppercase())
+        && name
+            .bytes()
+            .all(|b| b.is_ascii_uppercase() || b.is_ascii_digit() || b == b'_');
+    (is_path && screaming).then(|| KeyArg::Const(name.clone()))
 }
 
-/// The workspace pass: key-collision detection plus stage-registry
-/// completeness over the merged per-file collections.
-pub(crate) fn check_workspace(files: &[FileAnalysis]) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    // Workspace const table: `const NAME: &str = "…"` across all
-    // non-test files, first definition (path order) wins. Stage and
-    // stream keys are single-definition consts, so collisions here
-    // would themselves be bugs — but resolution stays deterministic
-    // regardless.
-    let mut consts: BTreeMap<String, String> = BTreeMap::new();
-    for fa in files {
-        for (name, value) in fa.items.str_consts() {
-            consts
-                .entry(name.to_string())
-                .or_insert_with(|| value.to_string());
+/// One `fn` body: the function's name and the token indices of the
+/// body's braces.
+struct FnBody {
+    name: String,
+    open: usize,
+    close: usize,
+}
+
+/// Every `fn` body in a token stream. A `fn NAME` opens its body at
+/// the first `{` at its own paren depth, unless a `;` there ends the
+/// signature first (a trait or extern declaration); the body closes
+/// at the matching `}`.
+fn fn_bodies(t: &[Token]) -> Vec<FnBody> {
+    let mut bodies = Vec::new();
+    // Open braces, each with the name of the fn whose body it opens.
+    let mut braces: Vec<(usize, Option<String>)> = Vec::new();
+    // A signature waiting for its body: the fn's name and paren depth.
+    let mut pending: Option<(String, usize)> = None;
+    let mut parens = 0usize;
+    for (i, tok) in t.iter().enumerate() {
+        if tok.is_ident("fn") {
+            if let Some(name) = t.get(i + 1).filter(|n| n.kind == TokenKind::Ident) {
+                pending = Some((name.text.clone(), parens));
+            }
+        } else if tok.is_punct('(') || tok.is_punct('[') {
+            parens += 1;
+        } else if tok.is_punct(')') || tok.is_punct(']') {
+            parens = parens.saturating_sub(1);
+        } else if tok.is_punct(';') && pending.as_ref().is_some_and(|p| p.1 == parens) {
+            pending = None;
+        } else if tok.is_punct('{') {
+            let name = pending.take_if(|p| p.1 == parens).map(|p| p.0);
+            braces.push((i, name));
+        } else if tok.is_punct('}') {
+            if let Some((open, Some(name))) = braces.pop() {
+                bodies.push(FnBody {
+                    name,
+                    open,
+                    close: i,
+                });
+            }
         }
     }
+    bodies
+}
 
-    check_key_collisions(files, &mut out);
-    check_stage_registry(files, &consts, &mut out);
-    out
+/// The key a site derives: a literal as written; a constant through
+/// its definition in the same file, else the same crate, else the
+/// first in path order. `None` for a name no `const` binds.
+fn resolve<'a>(files: &'a [FileAnalysis], fi: usize, arg: &'a KeyArg) -> Option<&'a str> {
+    let name = match arg {
+        KeyArg::Literal(key) => return Some(key),
+        KeyArg::Const(name) => name,
+    };
+    let path = files[fi].file.path.as_str();
+    files
+        .iter()
+        .flat_map(|fa| {
+            fa.str_consts
+                .iter()
+                .map(move |c| (fa.file.path.as_str(), c))
+        })
+        .filter(|(_, c)| &c.name == name)
+        .min_by_key(|&(p, _)| (p != path, crate_of(p) != crate_of(path)))
+        .map(|(_, c)| c.value.as_str())
 }
 
 fn crate_of(path: &str) -> &str {
@@ -248,155 +252,71 @@ fn crate_of(path: &str) -> &str {
     }
 }
 
-fn check_key_collisions(files: &[FileAnalysis], out: &mut Vec<Diagnostic>) {
-    // key → [(crate, path, func, line, file index)]
-    type Site<'a> = (&'a str, &'a str, &'a str, usize, usize);
+/// The workspace pass: key collisions across crates and within one
+/// function, over the merged per-file collections.
+pub(crate) fn check_workspace(files: &[FileAnalysis]) -> Vec<Diagnostic> {
+    // key → [(crate, file index, site)]
+    type Site<'a> = (&'a str, usize, &'a KeySite);
     let mut by_key: BTreeMap<&str, Vec<Site>> = BTreeMap::new();
     for (fi, fa) in files.iter().enumerate() {
         for site in &fa.key_sites {
-            by_key.entry(site.key.as_str()).or_default().push((
-                crate_of(&fa.file.path),
-                fa.file.path.as_str(),
-                site.func.as_str(),
-                site.line,
-                fi,
-            ));
+            if let Some(key) = resolve(files, fi, &site.arg) {
+                by_key
+                    .entry(key)
+                    .or_default()
+                    .push((crate_of(&fa.file.path), fi, site));
+            }
         }
     }
+    let mut out = Vec::new();
     for (key, sites) in by_key {
-        if sites.len() < 2 {
-            continue;
-        }
-        let crates: Vec<&str> = {
-            let mut cs: Vec<&str> = sites.iter().map(|s| s.0).collect();
-            cs.sort_unstable();
-            cs.dedup();
-            cs
-        };
+        let mut crates: Vec<&str> = sites.iter().map(|s| s.0).collect();
+        crates.sort_unstable();
+        crates.dedup();
         if crates.len() > 1 {
             // Shape 1: the same key derived in two different crates.
-            for &(_, _, _, line, fi) in &sites {
-                if let Some(fa) = files.get(fi) {
-                    out.push(super::diag(
-                        &fa.file,
-                        "rng-key-collision",
-                        line,
-                        format!(
-                            "stream key \"{key}\" is derived in {} crates ({}); identical \
-                             keys yield identical streams — derive each crate's stream \
-                             from its own key",
-                            crates.len(),
-                            crates.join(", ")
-                        ),
-                    ));
-                }
+            for &(_, fi, site) in &sites {
+                out.push(super::diag(
+                    &files[fi].file,
+                    "rng-key-collision",
+                    site.line,
+                    format!(
+                        "stream key \"{key}\" is derived in {} crates ({}); identical \
+                         keys yield identical streams — derive each crate's stream \
+                         from its own key",
+                        crates.len(),
+                        crates.join(", ")
+                    ),
+                ));
             }
             continue;
         }
         // Shape 2: the same key derived twice inside one function.
-        let mut by_fn: BTreeMap<(&str, &str), Vec<(usize, usize)>> = BTreeMap::new();
-        for &(_, path, func, line, fi) in &sites {
-            by_fn.entry((path, func)).or_default().push((line, fi));
+        let mut by_fn: BTreeMap<(usize, usize), Vec<&KeySite>> = BTreeMap::new();
+        for &(_, fi, site) in &sites {
+            if let Some((_, open)) = &site.func {
+                by_fn.entry((fi, *open)).or_default().push(site);
+            }
         }
-        for ((_, func), fn_sites) in by_fn {
-            if fn_sites.len() < 2 || func.is_empty() {
+        for ((fi, _), fn_sites) in by_fn {
+            let [first, repeats @ ..] = fn_sites.as_slice() else {
                 continue;
-            }
-            let Some(&(first_line, _)) = fn_sites.first() else {
-                continue;
             };
-            for &(line, fi) in fn_sites.iter().skip(1) {
-                if let Some(fa) = files.get(fi) {
-                    out.push(super::diag(
-                        &fa.file,
-                        "rng-key-collision",
-                        line,
-                        format!(
-                            "stream key \"{key}\" derived more than once in `{func}` \
-                             (first at line {first_line}); repeated derivation in one \
-                             body re-reads the same stream — key by index or reuse the \
-                             first stream",
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-fn check_stage_registry(
-    files: &[FileAnalysis],
-    consts: &BTreeMap<String, String>,
-    out: &mut Vec<Diagnostic>,
-) {
-    let registries: Vec<(usize, &StageRegistry)> = files
-        .iter()
-        .enumerate()
-        .flat_map(|(fi, fa)| fa.registries.iter().map(move |r| (fi, r)))
-        .collect();
-    if registries.is_empty() {
-        // No registry in scope (e.g. a test fixture tree): nothing to
-        // hold stage uses against.
-        return;
-    }
-    // Resolve registry entries to stage names.
-    let mut registered: BTreeMap<String, (usize, usize)> = BTreeMap::new(); // name → (file, line)
-    for (fi, reg) in &registries {
-        let fi = *fi;
-        for entry in &reg.entries {
-            let name = if entry.is_ident {
-                match consts.get(&entry.text) {
-                    Some(v) => v.clone(),
-                    None => continue,
-                }
-            } else {
-                entry.text.clone()
-            };
-            registered.entry(name).or_insert((fi, reg.line));
-        }
-    }
-    // Forward: every resolved stage use must be registered.
-    let mut used: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
-    for fa in files {
-        for s in &fa.stage_uses {
-            let name = if s.is_ident {
-                match consts.get(&s.arg) {
-                    Some(v) => v.clone(),
-                    // A variable forwarding a caller's stage name (the
-                    // Obs plumbing itself) is not a call site.
-                    None => continue,
-                }
-            } else {
-                s.arg.clone()
-            };
-            if !registered.contains_key(&name) {
+            let func = first.func.as_ref().map_or("", |f| f.0.as_str());
+            for site in repeats {
                 out.push(super::diag(
-                    &fa.file,
+                    &files[fi].file,
                     "rng-key-collision",
-                    s.line,
+                    site.line,
                     format!(
-                        "stage \"{name}\" is timed but not registered in STAGE_KEYS; \
-                         the timing report only renders registered stages"
-                    ),
-                ));
-            }
-            used.insert(name);
-        }
-    }
-    // Reverse: every registered stage must have a live call site.
-    for (name, (fi, line)) in &registered {
-        if !used.contains(name) {
-            if let Some(fa) = files.get(*fi) {
-                out.push(super::diag(
-                    &fa.file,
-                    "rng-key-collision",
-                    *line,
-                    format!(
-                        "registry entry \"{name}\" has no stage() call site; remove it \
-                         or time the stage it names"
+                        "stream key \"{key}\" derived more than once in `fn {func}` \
+                         (first at line {}); repeated derivation in one body re-reads \
+                         the same stream — key by index or reuse the first stream",
+                        first.line
                     ),
                 ));
             }
         }
     }
+    out
 }

@@ -1,6 +1,6 @@
 //! Fixture-based tests: one table test that every rule fires on its
 //! fixture, then true-positive and false-positive fixtures per rule
-//! and the contexts the per-file rules skip.
+//! and the contexts the source rule skips.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -9,11 +9,10 @@ use taster_lint::rules::RULES;
 
 const LIB: &str = "crates/demo/src/lib.rs";
 
-/// A library fn that sums hash-ordered floats: one `float-accum`
-/// finding on line 3.
-const FLOAT_SUM: &str = "use taster_domain::fx::FxHashMap;\n\
-                         pub fn total(m: &FxHashMap<u32, f64>) -> f64 {\n    \
-                         m.values().sum::<f64>()\n}\n";
+/// A library fn deriving one stream key twice: one
+/// `rng-key-collision` finding on line 2.
+const DUP_KEY: &str = "pub fn pair(seed: u64) -> (u64, u64) {\n    \
+                       (name_key(\"fixture/dup\"), name_key(\"fixture/dup\"))\n}\n";
 
 /// Rule ids `src` draws when it is the only file of a workspace at
 /// `path` (a manifest when `path` ends in `Cargo.toml`).
@@ -27,9 +26,8 @@ fn rules_hit(path: &str, src: &str) -> Vec<String> {
 
 // ---------------------------------------------------------- every rule
 
-/// One violation per rule. Most are library files; the `layering`
-/// fixture is a manifest that declares an upward dependency, and the
-/// `workspace-lints` fixture a manifest without `[lints]`.
+/// One violation per rule: a manifest that declares an upward
+/// dependency, a manifest without `[lints]`, and a library file.
 const FIXTURES: &[(&str, &str, &str)] = &[
     (
         // A `kernel`-layer crate declaring a dependency on the
@@ -46,24 +44,7 @@ const FIXTURES: &[(&str, &str, &str)] = &[
         "crates/fixture_core/Cargo.toml",
         "[package]\nname = \"taster-core\"\n",
     ),
-    (
-        // The same stream key derived twice in one function body.
-        "rng-key-collision",
-        "crates/fixture/src/rng_keys.rs",
-        "pub fn pair(seed: u64) -> (u64, u64) {\n    \
-         (name_key(\"fixture/dup\"), name_key(\"fixture/dup\"))\n}\n",
-    ),
-    (
-        // Hash-map iteration in a render-module fn, no sort.
-        "unsorted-iteration",
-        "crates/fixture/src/render_unsorted.rs",
-        "use taster_domain::fx::FxHashMap;\n\
-         pub fn summarize(m: &FxHashMap<u32, u32>) -> String {\n    \
-         let mut out = String::new();\n    \
-         for (k, v) in m.iter() {\n        \
-         out.push_str(&format!(\"{k}={v};\"));\n    }\n    out\n}\n",
-    ),
-    ("float-accum", LIB, FLOAT_SUM),
+    ("rng-key-collision", LIB, DUP_KEY),
 ];
 
 /// A rule whose fixture stops drawing it has silently stopped
@@ -82,25 +63,23 @@ fn every_rule_fires_on_its_fixture() {
 
 #[test]
 fn vendor_code_skips_lib_rules() {
-    assert!(rules_hit("vendor/rand/src/lib.rs", FLOAT_SUM).is_empty());
+    assert!(rules_hit("vendor/rand/src/lib.rs", DUP_KEY).is_empty());
 }
 
 #[test]
 fn tests_and_examples_skip_lib_rules() {
-    assert!(rules_hit("crates/demo/tests/it.rs", FLOAT_SUM).is_empty());
-    assert!(rules_hit("examples/quickstart.rs", FLOAT_SUM).is_empty());
+    assert!(rules_hit("crates/demo/tests/it.rs", DUP_KEY).is_empty());
+    assert!(rules_hit("examples/quickstart.rs", DUP_KEY).is_empty());
 }
 
 #[test]
 fn cfg_test_modules_skip_lib_rules() {
-    let lib = "pub fn ok() {}\n\n#[cfg(test)]\nmod tests {\n    \
-               use taster_domain::fx::FxHashMap;\n    \
-               fn t(m: &FxHashMap<u32, f64>) -> f64 { m.values().sum::<f64>() }\n}\n";
-    assert!(rules_hit(LIB, lib).is_empty());
+    let lib = format!("pub fn ok() {{}}\n\n#[cfg(test)]\nmod tests {{\n{DUP_KEY}}}\n");
+    assert!(rules_hit(LIB, &lib).is_empty());
     // The test region starts at its `#[cfg(test)]`: code above it is
     // still checked.
-    let before = format!("{FLOAT_SUM}\n#[cfg(test)]\nmod tests {{}}\n");
-    assert_eq!(rules_hit(LIB, &before), ["float-accum"]);
+    let before = format!("{DUP_KEY}\n#[cfg(test)]\nmod tests {{}}\n");
+    assert_eq!(rules_hit(LIB, &before), ["rng-key-collision"]);
 }
 
 // ------------------------------------------------------------ layering
@@ -154,28 +133,6 @@ fn layering_exempts_dev_dependencies() {
 }
 
 #[test]
-fn layering_fires_on_upward_source_reference() {
-    let sim = manifest("taster-sim", "");
-    let manifests = [("crates/sim/Cargo.toml", sim.as_str())];
-    let sources = [(
-        "crates/sim/src/lib.rs",
-        "pub fn go() { taster_core::run(); }\n",
-    )];
-    assert_eq!(workspace_rules_hit(&sources, &manifests), ["layering"]);
-}
-
-#[test]
-fn layering_allows_downward_source_reference() {
-    let core = manifest("taster-core", "");
-    let manifests = [("crates/core/Cargo.toml", core.as_str())];
-    let sources = [(
-        "crates/core/src/lib.rs",
-        "pub fn go() { taster_sim::run(); }\n",
-    )];
-    assert!(workspace_rules_hit(&sources, &manifests).is_empty());
-}
-
-#[test]
 fn layering_forbids_vendor_depending_on_workspace() {
     let rand = manifest(
         "rand",
@@ -223,6 +180,14 @@ fn workspace_lints_fires_on_a_crate_without_the_lint_table() {
 }
 
 // --------------------------------------------------- rng-key-collision
+
+/// The (line, message) of every finding `sources` draw.
+fn findings(sources: &[(&str, &str)]) -> Vec<(usize, String)> {
+    analyze_sources(sources, &[])
+        .into_iter()
+        .map(|d| (d.line, d.message))
+        .collect()
+}
 
 #[test]
 fn rng_key_collision_fires_across_crates() {
@@ -284,151 +249,64 @@ fn rng_key_collision_ignores_nested_literals() {
 }
 
 #[test]
-fn stage_registry_flags_unregistered_stage() {
-    let sources = [(
-        "crates/sim/src/metrics.rs",
-        "pub const STAGE_KEYS: [&str; 1] = [\"alpha\"];\n\
-         pub fn run(obs: &mut Obs) {\n    obs.stage(\"alpha\", 1);\n    obs.stage(\"beta\", 2);\n}\n",
-    )];
-    let diags = analyze_sources(&sources, &[]);
-    assert_eq!(diags.len(), 1, "{diags:?}");
+fn rng_key_collision_resolves_const_keys() {
+    // The same key passed by const in two crates, in both spellings of
+    // the type and through a path, collides like the literal does.
+    let a = "const K: &str = \"dup/key\";\n\
+             pub fn a(seed: u64) -> RngStream { RngStream::new(seed, K) }\n";
+    let b = "const K: &'static str = \"dup/key\";\n\
+             pub fn b(seed: u64) -> u64 { name_key(self::K) }\n";
+    let sources = [("crates/sim/src/a.rs", a), ("crates/feeds/src/b.rs", b)];
+    let lines: Vec<usize> = findings(&sources).into_iter().map(|f| f.0).collect();
+    assert_eq!(lines, [2, 2], "both sites are reported");
+    // A const in another file of the crate resolves too.
+    let keys = "pub const SHARED: &str = \"dup/key\";\n";
+    let c = "pub fn c(seed: u64) -> u64 { name_key(keys::SHARED) }\n";
+    let d = "pub fn d(seed: u64) -> u64 { name_key(\"dup/key\") }\n";
+    let sources = [
+        ("crates/sim/src/keys.rs", keys),
+        ("crates/sim/src/c.rs", c),
+        ("crates/feeds/src/d.rs", d),
+    ];
+    assert_eq!(findings(&sources).len(), 2);
+    // Each crate's own `K` is its own key.
+    let b = b.replace("dup/key", "other/key");
+    let sources = [("crates/sim/src/a.rs", a), ("crates/feeds/src/b.rs", &b)];
+    assert!(findings(&sources).is_empty());
+}
+
+#[test]
+fn same_named_fns_in_one_file_are_different_functions() {
+    // Two `cfg` alternatives of one fn, and two `new`s in two impls,
+    // each derive the key once.
+    let src = "#[cfg(unix)]\npub fn go() -> u64 { name_key(\"k\") }\n\
+               #[cfg(not(unix))]\npub fn go() -> u64 { name_key(\"k\") }\n\
+               impl A {\n    fn new() -> u64 { name_key(\"k\") }\n}\n\
+               impl B {\n    fn new() -> u64 { name_key(\"k\") }\n}\n";
+    assert!(findings(&[(LIB, src)]).is_empty());
+}
+
+#[test]
+fn a_nested_fn_is_its_own_function() {
+    // One derivation in the nested fn and one in its parent: no repeat.
+    let once = "pub fn outer() -> u64 {\n    \
+                fn inner() -> u64 { name_key(\"k\") }\n    \
+                inner() ^ name_key(\"k\")\n}\n";
+    assert!(findings(&[(LIB, once)]).is_empty());
+    // A repeat inside the nested fn is its own; after the nested body
+    // closes, the parent's derivations count for the parent.
+    let twice = "pub fn outer() -> u64 {\n    \
+                 let a = name_key(\"k\");\n    \
+                 fn inner() -> u64 { name_key(\"j\") ^ name_key(\"j\") }\n    \
+                 a ^ inner() ^ name_key(\"k\")\n}\n";
+    let found = findings(&[(LIB, twice)]);
+    assert_eq!(found.len(), 2, "{found:?}");
     assert!(
-        diags[0].message.contains("\"beta\""),
-        "{}",
-        diags[0].message
+        found[0].0 == 3 && found[0].1.contains("`fn inner`"),
+        "{found:?}"
     );
-}
-
-#[test]
-fn stage_registry_flags_dead_registry_entry() {
-    let sources = [(
-        "crates/sim/src/metrics.rs",
-        "pub const STAGE_KEYS: [&str; 2] = [\"alpha\", \"ghost\"];\n\
-         pub fn run(obs: &mut Obs) {\n    obs.stage(\"alpha\", 1);\n}\n",
-    )];
-    let diags = analyze_sources(&sources, &[]);
-    assert_eq!(diags.len(), 1, "{diags:?}");
     assert!(
-        diags[0].message.contains("\"ghost\""),
-        "{}",
-        diags[0].message
+        found[1].0 == 4 && found[1].1.contains("`fn outer`"),
+        "{found:?}"
     );
-}
-
-#[test]
-fn stage_registry_resolves_const_names() {
-    // Registry entries and call sites both go through consts; the
-    // workspace const table must resolve them to the same name.
-    let sources = [(
-        "crates/sim/src/metrics.rs",
-        "pub const STAGE_ALPHA: &str = \"alpha\";\n\
-         pub const STAGE_KEYS: [&str; 1] = [STAGE_ALPHA];\n\
-         pub fn run(obs: &mut Obs) {\n    obs.stage(STAGE_ALPHA, 1);\n}\n",
-    )];
-    assert!(workspace_rules_hit(&sources, &[]).is_empty());
-}
-
-#[test]
-fn stage_registry_is_inert_without_a_registry() {
-    // A tree with stage calls but no STAGE_KEYS definition (a rule
-    // fixture tree) must not flag anything.
-    let sources = [(
-        "crates/sim/src/a.rs",
-        "pub fn run(obs: &mut Obs) {\n    obs.stage(\"anything\", 1);\n}\n",
-    )];
-    assert!(workspace_rules_hit(&sources, &[]).is_empty());
-}
-
-// -------------------------------------------------- unsorted-iteration
-
-#[test]
-fn unsorted_iteration_fires_in_render_files() {
-    let src = "use taster_domain::fx::FxHashMap;\n\
-               pub fn summarize(m: &FxHashMap<String, u32>, out: &mut String) {\n\
-               \x20   for (k, v) in m.iter() {\n\
-               \x20       out.push_str(k);\n\
-               \x20   }\n\
-               }\n";
-    assert_eq!(
-        rules_hit("crates/demo/src/render.rs", src),
-        ["unsorted-iteration"]
-    );
-}
-
-#[test]
-fn unsorted_iteration_fires_in_emitter_functions() {
-    // Non-sink file, but the enclosing fn name marks it an emitter.
-    let src = "use taster_domain::fx::FxHashSet;\n\
-               pub fn write_rows(s: &FxHashSet<u32>, out: &mut String) {\n\
-               \x20   for v in s.iter() {\n\
-               \x20       out.push_str(\"row\");\n\
-               \x20   }\n\
-               }\n";
-    assert_eq!(rules_hit(LIB, src), ["unsorted-iteration"]);
-}
-
-#[test]
-fn unsorted_iteration_cleared_by_sort_in_function() {
-    let src = "use taster_domain::fx::FxHashMap;\n\
-               pub fn summarize(m: &FxHashMap<String, u32>, out: &mut String) {\n\
-               \x20   let mut keys: Vec<&String> = m.keys().collect();\n\
-               \x20   keys.sort();\n\
-               \x20   for k in keys {\n\
-               \x20       out.push_str(k);\n\
-               \x20   }\n\
-               }\n";
-    assert!(rules_hit("crates/demo/src/render.rs", src).is_empty());
-}
-
-#[test]
-fn unsorted_iteration_ignores_non_sink_code() {
-    // Same iteration, but neither the file nor the fn is a sink: hash
-    // order never reaches emitted bytes here.
-    let src = "use taster_domain::fx::FxHashMap;\n\
-               pub fn count(m: &FxHashMap<String, u32>) -> usize {\n\
-               \x20   let mut n = 0;\n\
-               \x20   for (_k, _v) in m.iter() {\n\
-               \x20       n += 1;\n\
-               \x20   }\n\
-               \x20   n\n\
-               }\n";
-    assert!(rules_hit(LIB, src).is_empty());
-}
-
-// --------------------------------------------------------- float-accum
-
-#[test]
-fn float_accum_fires_on_hash_ordered_float_sum() {
-    // Float evidence via the binding's declared value type.
-    let src = "use taster_domain::fx::FxHashMap;\n\
-               pub fn total(m: &FxHashMap<String, f64>) -> f64 {\n\
-               \x20   m.values().sum()\n\
-               }\n";
-    assert_eq!(rules_hit(LIB, src), ["float-accum"]);
-    // Float evidence via a turbofish in the statement itself.
-    let turbo = "use taster_domain::fx::FxHashMap;\n\
-                 pub fn total(m: &FxHashMap<String, u32>) -> f64 {\n\
-                 \x20   m.values().map(|v| *v as f64).sum::<f64>()\n\
-                 }\n";
-    assert_eq!(rules_hit(LIB, turbo), ["float-accum"]);
-}
-
-#[test]
-fn float_accum_allows_integer_sums() {
-    let src = "use taster_domain::fx::FxHashMap;\n\
-               pub fn total(m: &FxHashMap<String, u32>) -> u32 {\n\
-               \x20   m.values().sum()\n\
-               }\n";
-    assert!(rules_hit(LIB, src).is_empty());
-}
-
-#[test]
-fn float_accum_cleared_by_sorting_first() {
-    let src = "use taster_domain::fx::FxHashMap;\n\
-               pub fn total(m: &FxHashMap<String, f64>) -> f64 {\n\
-               \x20   let mut vs: Vec<f64> = m.values().copied().collect();\n\
-               \x20   vs.sort_by(f64::total_cmp);\n\
-               \x20   vs.iter().sum()\n\
-               }\n";
-    assert!(rules_hit(LIB, src).is_empty());
 }

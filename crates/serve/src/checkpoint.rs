@@ -262,8 +262,8 @@ fn encode(fingerprint: &str, epoch: u64, rows_done: u64, feeds: &[Feed]) -> Vec<
             }
             None => put_u64(&mut out, 0),
         }
-        let mut entries: Vec<(DomainId, DomainStats)> = feed.iter().collect();
-        entries.sort_unstable_by_key(|(d, _)| d.0);
+        // Ascending domain order, whether the feed is sealed or not.
+        let entries: Vec<(DomainId, DomainStats)> = feed.iter().collect();
         put_u64(&mut out, entries.len() as u64);
         for (d, s) in entries {
             put_u64(&mut out, u64::from(d.0));

@@ -40,7 +40,7 @@ pub mod time;
 pub mod trace;
 
 pub use fault::{FaultPlan, FaultProfile, Outage, RecordFault};
-pub use metrics::{Histogram, MetricsRegistry, MetricsShard};
+pub use metrics::{Histogram, MetricsRegistry, MetricsShard, Stage};
 pub use obs::Obs;
 pub use par::Parallelism;
 pub use rng::RngStream;

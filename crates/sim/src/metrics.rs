@@ -34,43 +34,65 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
-/// Canonical pipeline stage keys, in pipeline order. Each names a
-/// top-level trace span ([`crate::Obs::stage`]) and the counters under
-/// `<stage>/`; the report's metrics section, the `taster profile` tree
-/// and `BENCH_pipeline.json` all key stage data by these names.
-pub const STAGE_KEYS: [&str; 10] = [
-    STAGE_GENERATE,
-    STAGE_COLLECT,
-    STAGE_BLACKLIST,
-    STAGE_CRAWL,
-    STAGE_CLASSIFY,
-    STAGE_COVERAGE,
-    STAGE_PURITY,
-    STAGE_PROPORTIONALITY,
-    STAGE_TIMING,
-    STAGE_RENDER,
-];
+/// A canonical pipeline stage. Each names a top-level trace span
+/// ([`crate::Obs::stage`]) and the counters under `<stage>/`; the
+/// report's metrics section, the `taster profile` tree and
+/// `BENCH_pipeline.json` all key stage data by [`Stage::name`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// World generation: ground truth + mail world (provider replay).
+    Generate,
+    /// Feed collection (content feeds + the human-curated feed).
+    Collect,
+    /// Blacklist simulation (dbl, uribl collectors).
+    Blacklist,
+    /// Crawl/oracle/tagger pass over the candidate union.
+    Crawl,
+    /// Live/tagged set derivation after the crawl.
+    Classify,
+    /// Coverage analyses (Table 3, Figs 1–2).
+    Coverage,
+    /// Purity analysis (Table 2).
+    Purity,
+    /// Proportionality analyses (Figs 7–8).
+    Proportionality,
+    /// Timing analyses (Figs 9–12).
+    Timing,
+    /// Plain-text report rendering (all tables and figures).
+    Render,
+}
 
-/// World generation: ground truth + mail world (provider replay).
-pub const STAGE_GENERATE: &str = "generate";
-/// Feed collection (content feeds + the human-curated feed).
-pub const STAGE_COLLECT: &str = "collect";
-/// Blacklist simulation (dbl, uribl collectors).
-pub const STAGE_BLACKLIST: &str = "blacklist";
-/// Crawl/oracle/tagger pass over the candidate union.
-pub const STAGE_CRAWL: &str = "crawl";
-/// Live/tagged set derivation after the crawl.
-pub const STAGE_CLASSIFY: &str = "classify";
-/// Coverage analyses (Table 3, Figs 1–2).
-pub const STAGE_COVERAGE: &str = "coverage";
-/// Purity analysis (Table 2).
-pub const STAGE_PURITY: &str = "purity";
-/// Proportionality analyses (Figs 7–8).
-pub const STAGE_PROPORTIONALITY: &str = "proportionality";
-/// Timing analyses (Figs 9–12).
-pub const STAGE_TIMING: &str = "timing";
-/// Plain-text report rendering (all tables and figures).
-pub const STAGE_RENDER: &str = "render";
+impl Stage {
+    /// Every stage, in pipeline order.
+    pub const ALL: [Stage; 10] = [
+        Stage::Generate,
+        Stage::Collect,
+        Stage::Blacklist,
+        Stage::Crawl,
+        Stage::Classify,
+        Stage::Coverage,
+        Stage::Purity,
+        Stage::Proportionality,
+        Stage::Timing,
+        Stage::Render,
+    ];
+
+    /// The stage's span name and key prefix.
+    pub fn name(self) -> &'static str {
+        match self {
+            Stage::Generate => "generate",
+            Stage::Collect => "collect",
+            Stage::Blacklist => "blacklist",
+            Stage::Crawl => "crawl",
+            Stage::Classify => "classify",
+            Stage::Coverage => "coverage",
+            Stage::Purity => "purity",
+            Stage::Proportionality => "proportionality",
+            Stage::Timing => "timing",
+            Stage::Render => "render",
+        }
+    }
+}
 
 /// A fixed-bucket histogram over `u64` values.
 ///

@@ -6,7 +6,7 @@
 //! entry point, which is what keeps unobserved report bytes identical
 //! to the uninstrumented binary.
 
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{MetricsRegistry, Stage};
 use crate::trace::{SpanGuard, Tracer};
 
 /// Metrics + tracing for one observed run.
@@ -58,13 +58,12 @@ impl Obs {
         self.trace.span(name)
     }
 
-    /// Runs `f` under a span named `stage`, one of the canonical
-    /// [`STAGE_KEYS`](crate::metrics::STAGE_KEYS). The span's wall time
-    /// is the stage's time: the `taster profile` tree prints it and
-    /// `BENCH_pipeline.json` stores it, so the two can never disagree.
-    /// With tracing off this is `f()`, untimed.
-    pub fn stage<T>(&self, stage: &str, f: impl FnOnce() -> T) -> T {
-        let _span = self.trace.span(stage);
+    /// Runs `f` under a top-level span named after `stage`. The span's
+    /// wall time is the stage's time: the `taster profile` tree prints
+    /// it and `BENCH_pipeline.json` stores it, so the two can never
+    /// disagree. With tracing off this is `f()`, untimed.
+    pub fn stage<T>(&self, stage: Stage, f: impl FnOnce() -> T) -> T {
+        let _span = self.trace.span(stage.name());
         f()
     }
 }
@@ -82,7 +81,7 @@ mod tests {
     #[test]
     fn stage_opens_a_top_level_span() {
         let obs = Obs::on();
-        let v = obs.stage("collect", || 7);
+        let v = obs.stage(Stage::Collect, || 7);
         assert_eq!(v, 7);
         let spans = obs.trace.span_timings();
         assert_eq!(spans.len(), 1);
@@ -93,7 +92,7 @@ mod tests {
     #[test]
     fn off_is_fully_silent() {
         let obs = Obs::off();
-        let v = obs.stage("collect", || 7);
+        let v = obs.stage(Stage::Collect, || 7);
         assert_eq!(v, 7);
         assert!(!obs.is_on());
         assert!(obs.metrics.render().is_empty());

@@ -51,11 +51,6 @@ impl SimTime {
         SimTime(self.0.saturating_add(secs))
     }
 
-    /// Saturating subtraction of a duration in seconds.
-    pub fn minus(self, secs: u64) -> SimTime {
-        SimTime(self.0.saturating_sub(secs))
-    }
-
     /// Absolute difference in seconds.
     pub fn abs_diff(self, other: SimTime) -> u64 {
         self.0.abs_diff(other.0)
@@ -152,7 +147,6 @@ mod tests {
         assert_eq!(b.abs_diff(a), 60);
         assert_eq!(a.signed_diff(b), 60);
         assert_eq!(b.signed_diff(a), -60);
-        assert_eq!(b.minus(100), SimTime::ZERO);
         assert_eq!(a + 10, SimTime(110));
     }
 

@@ -1,6 +1,6 @@
 //! Deterministic tracing: nested per-stage spans plus point events.
 //!
-//! A [`Tracer`] records a tree of [spans](Span) on the driver thread.
+//! A [`Tracer`] records a tree of spans on the driver thread.
 //! Each span carries a name, optional string attributes, an optional
 //! simulated-time window, and a wall-clock duration. Worker threads
 //! never open spans — parallel shards contribute only commutative
@@ -370,13 +370,6 @@ pub struct SpanGuard<'t> {
 }
 
 impl SpanGuard<'_> {
-    /// Attaches a string attribute to the span.
-    pub fn attr(&mut self, key: &str, value: &str) {
-        if let Some(s) = self.state.as_mut() {
-            s.attrs.push((key.to_string(), value.to_string()));
-        }
-    }
-
     /// Attaches an integer attribute to the span.
     pub fn attr_u64(&mut self, key: &str, value: u64) {
         if let Some(s) = self.state.as_mut() {
@@ -445,7 +438,7 @@ mod tests {
         let t = Tracer::on();
         {
             let mut outer = t.span("pipeline");
-            outer.attr("scenario", "paper");
+            outer.attr_u64("seed", 7);
             {
                 let mut inner = t.span("collect");
                 inner.attr_u64("events", 42);
@@ -459,7 +452,7 @@ mod tests {
         }
         let view = t.deterministic_view();
         let expected = [
-            "span pipeline scenario=paper",
+            "span pipeline seed=7",
             "  span collect sim=[0..100] events=42",
             "    event gap feed=Hu",
             "  span classify",
@@ -488,7 +481,7 @@ mod tests {
         let t = Tracer::off();
         {
             let mut s = t.span("x");
-            s.attr("a", "b");
+            s.attr_u64("a", 1);
             t.event("e", &[]);
         }
         assert!(t.deterministic_view().is_empty());

@@ -14,12 +14,12 @@
 //!   ½·Σ|pᵢ−qᵢ| (Fig 7).
 //! * [`kendall::kendall_tau_b`] — tie-adjusted Kendall rank correlation
 //!   (Fig 8), O(n log n) with an O(n²) reference used by tests.
-//! * [`quantile`] — interpolated quantiles and [`quantile::Boxplot`]
-//!   five-number summaries (Figs 9–12).
+//! * [`quantile`](mod@quantile) — interpolated quantiles and
+//!   [`quantile::Boxplot`] five-number summaries (Figs 9–12).
 //! * [`sample`] — Zipf, bounded-Pareto and log-normal samplers used to
 //!   shape campaign volumes, affiliate revenue and benign-domain
 //!   popularity.
-//! * [`infer`] — replication inference: Welch/Z/paired t-tests and
+//! * [`infer`] — replication inference: Welch and paired t-tests and
 //!   keyed percentile+BCa bootstrap CIs over [`infer::MetricSamples`]
 //!   tables.
 //! * [`concentration`] — Gini coefficient and top-k shares for the

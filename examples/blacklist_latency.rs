@@ -11,10 +11,10 @@
 //! cargo run --release --example blacklist_latency [scale]
 //! ```
 
-#![allow(clippy::unwrap_used, clippy::expect_used, clippy::disallowed_types)]
+#![allow(clippy::unwrap_used, clippy::expect_used)]
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use taster::analysis::classify::Category;
 use taster::core::{Experiment, Scenario};
 use taster::domain::DomainId;
@@ -34,7 +34,7 @@ fn main() {
     // Delivered copies per tagged domain, in time order (events are
     // already sorted).
     let tagged = e.classified.union(&FeedId::ALL, Category::Tagged);
-    let mut deliveries: HashMap<DomainId, Vec<SimTime>> = HashMap::new();
+    let mut deliveries: BTreeMap<DomainId, Vec<SimTime>> = BTreeMap::new();
     for ev in e.world.truth.sorted_events().expect("event log") {
         if tagged.contains(ev.advertised) {
             deliveries.entry(ev.advertised).or_default().push(ev.time);

@@ -185,7 +185,7 @@ fn report_stage_keys_all_reach_bench_json() {
     report::write_metrics(&exp, &mut metrics);
     let spans = exp.obs.trace.span_timings();
     let json = profile::bench_json_string(exp.scenario.seed, &[(SCALE, e2e)]);
-    for stage in taster::sim::metrics::STAGE_KEYS {
+    for stage in taster::sim::Stage::ALL.map(taster::sim::Stage::name) {
         assert!(
             metrics.contains(&format!("{stage}/")),
             "stage {stage} has no counter in the report metrics section:\n{metrics}"

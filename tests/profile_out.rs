@@ -8,7 +8,7 @@ use std::path::Path;
 use std::process::Command;
 use taster::core::profile::budget_peak_bytes;
 use taster::core::Scenario;
-use taster::sim::metrics::STAGE_KEYS;
+use taster::sim::Stage;
 
 /// The number after `"key": ` in one entry of a `BENCH_pipeline.json`
 /// document.
@@ -35,8 +35,8 @@ fn profile_out_records_the_end_to_end_run() {
     assert_eq!(entries.len(), 2, "{json}");
     for (entry, scale) in entries.into_iter().zip([0.02, 0.03]) {
         assert_eq!(field(entry, "scale"), scale, "{entry}");
-        for stage in STAGE_KEYS {
-            field(entry, &format!("{stage}_secs"));
+        for stage in Stage::ALL {
+            field(entry, &format!("{}_secs", stage.name()));
         }
         assert!(
             entry.contains("{\"name\": \"generate/ground_truth\", \"depth\": 1"),

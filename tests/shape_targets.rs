@@ -2,9 +2,9 @@
 //!
 //! DESIGN.md §4 defines what "reproduced" means for this toolkit: the
 //! paper's *qualitative* findings must hold on the default scenario.
-//! These tests run one moderately-sized experiment (scale 0.15) and
-//! assert each finding with tolerant bounds; EXPERIMENTS.md records
-//! the full-scale numbers.
+//! These tests run one moderately-sized experiment (scale 0.3, seed
+//! 20100801) and assert each finding with tolerant bounds;
+//! EXPERIMENTS.md records the full-scale numbers.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
