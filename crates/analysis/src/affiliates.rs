@@ -125,11 +125,13 @@ mod tests {
     fn empty_feeds_yield_zero_revenue_without_nan() {
         // Regression: a blacked-out run sums revenue over an empty
         // affiliate set — every bar must be exactly zero, never NaN.
-        use taster_feeds::Feed;
+        use taster_feeds::FeedBuilder;
         let truth = GroundTruth::generate(&EcosystemConfig::default().with_scale(0.01), 5).unwrap();
         let world = MailWorld::build(truth, MailConfig::default().with_scale(0.01)).unwrap();
-        let feeds =
-            taster_feeds::FeedSet::new(FeedId::ALL.iter().map(|&id| Feed::new(id, true)).collect());
+        let empty = FeedId::ALL
+            .iter()
+            .map(|&id| FeedBuilder::new(id, true).seal());
+        let feeds = taster_feeds::FeedSet::new(empty.collect());
         let c = Classified::build(&world.truth, &feeds, ClassifyOptions::default());
         for bar in revenue_coverage(&c, &world.truth.roster) {
             assert_eq!(bar.affiliates, 0, "{}", bar.feed);

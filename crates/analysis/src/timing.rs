@@ -12,8 +12,8 @@
 
 use crate::classify::{Category, Classified};
 use taster_domain::DomainId;
-use taster_feeds::{FeedId, FeedSet};
-use taster_sim::{Parallelism, DAY, HOUR};
+use taster_feeds::{DomainStats, FeedId, FeedSet};
+use taster_sim::{Parallelism, SimTime, DAY, HOUR};
 use taster_stats::Boxplot;
 
 /// The domain set used by a timing analysis: tagged domains appearing
@@ -46,26 +46,14 @@ pub fn first_appearance_par(
     scored: &[FeedId],
     par: &Parallelism,
 ) -> Vec<(FeedId, Boxplot)> {
-    let domains = common_tagged_domains(classified, reference);
-    par.par_map(scored.to_vec(), |feed| {
-        let mut deltas = Vec::new();
-        for &d in &domains {
-            let start = reference
-                .iter()
-                .filter_map(|&r| feeds.get(r).stats(d))
-                .map(|s| s.first_seen)
-                .min();
-            let Some(start) = start else { continue };
-            let Some(own) = feeds.get(feed).stats(d) else {
-                continue;
-            };
-            deltas.push(own.first_seen.signed_diff(start) as f64 / DAY as f64);
-        }
-        Boxplot::from_values(&deltas).map(|b| (feed, b))
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    per_feed(
+        feeds,
+        classified,
+        reference,
+        scored,
+        par,
+        |start, _, own| own.first_seen.signed_diff(start) as f64 / DAY as f64,
+    )
 }
 
 /// Per-feed distribution of last-appearance error in hours: campaign
@@ -79,26 +67,9 @@ pub fn last_appearance_par(
     scored: &[FeedId],
     par: &Parallelism,
 ) -> Vec<(FeedId, Boxplot)> {
-    let domains = common_tagged_domains(classified, reference);
-    par.par_map(scored.to_vec(), |feed| {
-        let mut deltas = Vec::new();
-        for &d in &domains {
-            let end = reference
-                .iter()
-                .filter_map(|&r| feeds.get(r).stats(d))
-                .map(|s| s.last_seen)
-                .max();
-            let Some(end) = end else { continue };
-            let Some(own) = feeds.get(feed).stats(d) else {
-                continue;
-            };
-            deltas.push(end.signed_diff(own.last_seen) as f64 / HOUR as f64);
-        }
-        Boxplot::from_values(&deltas).map(|b| (feed, b))
+    per_feed(feeds, classified, reference, scored, par, |_, end, own| {
+        end.signed_diff(own.last_seen) as f64 / HOUR as f64
     })
-    .into_iter()
-    .flatten()
-    .collect()
 }
 
 /// Per-feed distribution of duration error in hours: estimated
@@ -112,28 +83,50 @@ pub fn duration_error_par(
     scored: &[FeedId],
     par: &Parallelism,
 ) -> Vec<(FeedId, Boxplot)> {
+    per_feed(
+        feeds,
+        classified,
+        reference,
+        scored,
+        par,
+        |start, end, own| {
+            let campaign = end.signed_diff(start) as f64;
+            let lifetime = own.last_seen.signed_diff(own.first_seen) as f64;
+            (campaign - lifetime) / HOUR as f64
+        },
+    )
+}
+
+/// The loop behind the three timing figures: for each scored feed, one
+/// task on `par` workers, the boxplot of `value(start, end, own)` over
+/// the tagged domains common to `reference`. `start` and `end` are a
+/// domain's earliest first-seen and latest last-seen across the
+/// reference feeds, `own` its stats in the scored feed; a domain the
+/// scored feed lacks is skipped, and so is a feed with no values.
+fn per_feed(
+    feeds: &FeedSet,
+    classified: &Classified,
+    reference: &[FeedId],
+    scored: &[FeedId],
+    par: &Parallelism,
+    value: impl Fn(SimTime, SimTime, DomainStats) -> f64 + Sync,
+) -> Vec<(FeedId, Boxplot)> {
     let domains = common_tagged_domains(classified, reference);
     par.par_map(scored.to_vec(), |feed| {
-        let mut deltas = Vec::new();
+        let mut values = Vec::new();
         for &d in &domains {
-            let stats: Vec<_> = reference
+            let span = reference
                 .iter()
                 .filter_map(|&r| feeds.get(r).stats(d))
-                .collect();
-            let Some(start) = stats.iter().map(|s| s.first_seen).min() else {
-                continue;
-            };
-            let Some(end) = stats.iter().map(|s| s.last_seen).max() else {
-                continue;
-            };
+                .map(|s| (s.first_seen, s.last_seen))
+                .reduce(|(start, end), (first, last)| (start.min(first), end.max(last)));
+            let Some((start, end)) = span else { continue };
             let Some(own) = feeds.get(feed).stats(d) else {
                 continue;
             };
-            let campaign = end.signed_diff(start) as f64;
-            let lifetime = own.last_seen.signed_diff(own.first_seen) as f64;
-            deltas.push((campaign - lifetime) / HOUR as f64);
+            values.push(value(start, end, own));
         }
-        Boxplot::from_values(&deltas).map(|b| (feed, b))
+        Boxplot::from_values(&values).map(|b| (feed, b))
     })
     .into_iter()
     .flatten()

@@ -18,7 +18,7 @@
 //!   sharded. Feeds stay mutually independent, and the output is
 //!   *bit-identical at any chunk size and worker count*.
 //! * **Shard-and-merge parallelism.** Shard feeds merge with
-//!   [`Feed::merge`], which is commutative and associative.
+//!   [`FeedBuilder::merge`], which is commutative and associative.
 //! * **Render-free records.** A rendered body only ever contributes
 //!   the advertised and chaff registered domains back to a feed, and
 //!   every generated domain is its own registered domain under any
@@ -34,7 +34,7 @@
 //! the driver replays by time.
 
 use crate::config::{AcConfig, BotConfig, HybConfig, MxConfig};
-use crate::feed::Feed;
+use crate::feed::FeedBuilder;
 use crate::id::FeedId;
 use crate::parse::{fnv64_parts, DomainExtractor};
 use rand::RngExt;
@@ -94,8 +94,8 @@ impl MemberSpec {
         !matches!(self, MemberSpec::Hyb { .. })
     }
 
-    pub(crate) fn empty_feed(&self) -> Feed {
-        let mut feed = Feed::new(self.feed_id(), self.reports_volume());
+    pub(crate) fn empty_feed(&self) -> FeedBuilder {
+        let mut feed = FeedBuilder::new(self.feed_id(), self.reports_volume());
         feed.samples = Some(0);
         feed
     }
@@ -256,12 +256,12 @@ pub(crate) fn run_rows(
     buf: &EventBuffer,
     rows: Range<usize>,
     metrics_on: bool,
-) -> (Vec<Feed>, MetricsShard) {
+) -> (Vec<FeedBuilder>, MetricsShard) {
     let mut shard_obs = ShardObs::new(metrics_on);
     shard_obs.events = rows.len() as u64;
     let truth = &ctx.world.truth;
 
-    let mut feeds: Vec<Feed> = ctx.members.iter().map(MemberSpec::empty_feed).collect();
+    let mut feeds: Vec<FeedBuilder> = ctx.members.iter().map(MemberSpec::empty_feed).collect();
 
     // Buffers reused across every row in the shard.
     let mut body = String::with_capacity(512);
@@ -487,8 +487,8 @@ pub(crate) struct SourceRecord {
     pub(crate) domains: Vec<DomainId>,
 }
 
-/// Applies one pre-decided source record to a building feed.
-pub(crate) fn apply_source_record(feed: &mut Feed, rec: &SourceRecord, obs: &mut ShardObs) {
+/// Applies one pre-decided source record to a feed builder.
+pub(crate) fn apply_source_record(feed: &mut FeedBuilder, rec: &SourceRecord, obs: &mut ShardObs) {
     for _ in 0..rec.copies {
         if rec.counts_sample {
             feed.count_sample();
@@ -619,7 +619,7 @@ pub(crate) fn member_source_records(
 mod tests {
     use super::*;
     use crate::config::{FeedsConfig, DEFAULT_CHUNK_SIZE};
-    use crate::IngestState;
+    use crate::{Feed, IngestState};
     use taster_ecosystem::{EcosystemConfig, GroundTruth};
     use taster_mailsim::MailConfig;
     use taster_sim::{Obs, Parallelism};

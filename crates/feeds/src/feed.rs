@@ -7,18 +7,20 @@
 //! first and last time the feed carried it and (when the feed reports
 //! it) the observation volume; plus the raw sample count for Table 1.
 //!
-//! A feed has two storage states. During collection it is *building*:
-//! hash tables, because events arrive in arbitrary domain order.
-//! [`Feed::seal`] freezes it into [`FeedColumns`] — sorted parallel
-//! columns plus a membership bitset — and an ascending FQDN hash list,
-//! which is what the analyses scan. `Feed::merged` folds a later
-//! delta into a sealed feed in one linear pass; that is how the
-//! collection driver seals an epoch. The read API is identical in both
-//! states.
+//! A feed has one type per life. A [`FeedBuilder`] collects: hash
+//! tables, because events arrive in arbitrary domain order, plus the
+//! mutators and the merge that combines worker shards.
+//! [`FeedBuilder::seal`] consumes it into a [`Feed`], which is always
+//! sealed: [`FeedColumns`] — sorted parallel columns plus a membership
+//! bitset — and an ascending FQDN hash list, which is what the analyses
+//! scan. Epochs fold one way, [`Feed::merged`]: a later sealed delta
+//! merges into a sealed feed in one linear pass. The collection
+//! driver's seals, its final source tails and a checkpoint resume all
+//! go through it. [`Feed::from_sorted`] rebuilds a sealed feed from
+//! stored parts and refuses parts out of order.
 
 use crate::id::FeedId;
 use crate::table::FeedColumns;
-use std::borrow::Cow;
 use taster_domain::fx::{FxHashMap, FxHashSet};
 use taster_domain::{DomainBitset, DomainId};
 use taster_sim::{SimTime, TimeWindow};
@@ -39,7 +41,7 @@ impl DomainStats {
     /// Folds in `other`, the same domain's stats from another shard or
     /// epoch: first seen takes the minimum, last seen the maximum, and
     /// volumes add. Commutative and associative; the one combining
-    /// rule behind [`Feed::record`], [`Feed::merge`] and
+    /// rule behind [`FeedBuilder::record`], [`FeedBuilder::merge`] and
     /// [`FeedColumns::merge`].
     #[inline]
     pub(crate) fn absorb(&mut self, other: DomainStats) {
@@ -49,17 +51,129 @@ impl DomainStats {
     }
 }
 
-/// Either ingestion (hash) or analysis (sorted) storage. The FQDN set
-/// is `None` for feeds that report no URL granularity.
+/// A feed under collection: per-domain stats and FQDN hashes as they
+/// arrive. [`FeedBuilder::seal`] turns it into the [`Feed`] the
+/// analyses read.
 #[derive(Debug, Clone)]
-enum Store {
-    /// Per-domain stats and FQDN hashes as they arrive.
-    Building(FxHashMap<DomainId, DomainStats>, Option<FxHashSet<u64>>),
-    /// Sorted columns and the FQDN hashes, ascending and distinct.
-    Sealed(FeedColumns, Option<Vec<u64>>),
+pub struct FeedBuilder {
+    /// Which feed this is.
+    pub id: FeedId,
+    /// Raw records received so far ([`Feed::samples`]).
+    pub samples: Option<u64>,
+    /// Whether the feed's records carry volume ([`Feed::reports_volume`]).
+    pub reports_volume: bool,
+    domains: FxHashMap<DomainId, DomainStats>,
+    /// `None` until the first FQDN is noted.
+    fqdns: Option<FxHashSet<u64>>,
+    /// Sorted by start time, distinct.
+    gaps: Vec<TimeWindow>,
 }
 
-/// One collected feed.
+impl FeedBuilder {
+    /// An empty builder.
+    pub fn new(id: FeedId, reports_volume: bool) -> FeedBuilder {
+        FeedBuilder {
+            id,
+            samples: None,
+            reports_volume,
+            domains: FxHashMap::default(),
+            fqdns: None,
+            gaps: Vec::new(),
+        }
+    }
+
+    /// Marks a known collection gap (an outage window during which this
+    /// feed recorded nothing).
+    pub fn note_gap(&mut self, window: TimeWindow) {
+        add_gap(&mut self.gaps, window);
+    }
+
+    /// Notes one observed fully-qualified hostname (by stable hash).
+    /// The first call switches the feed to URL granularity.
+    pub fn note_fqdn(&mut self, host_hash: u64) {
+        self.fqdns
+            .get_or_insert_with(FxHashSet::default)
+            .insert(host_hash);
+    }
+
+    /// Records one observation of `domain` at `time`.
+    pub fn record(&mut self, domain: DomainId, time: SimTime) {
+        let seen = DomainStats {
+            first_seen: time,
+            last_seen: time,
+            volume: 1,
+        };
+        self.domains
+            .entry(domain)
+            .and_modify(|s| s.absorb(seen))
+            .or_insert(seen);
+    }
+
+    /// Counts one raw sample (a received record/message).
+    pub fn count_sample(&mut self) {
+        *self.samples.get_or_insert(0) += 1;
+    }
+
+    /// Number of unique registered domains recorded so far.
+    pub fn unique_domains(&self) -> usize {
+        self.domains.len()
+    }
+
+    /// Distinct FQDNs noted so far, when the feed reports URL
+    /// granularity.
+    pub fn unique_fqdns(&self) -> Option<usize> {
+        self.fqdns.as_ref().map(|s| s.len())
+    }
+
+    /// Folds `other`, a worker shard of the same feed, into `self`.
+    ///
+    /// The combination is commutative and associative — first seen
+    /// takes the minimum, last seen the maximum, volumes and sample
+    /// counts add, FQDN sets union — so parallel collection can merge
+    /// event-range shards in any grouping and produce the same feed a
+    /// serial pass over all events would.
+    pub fn merge(&mut self, other: FeedBuilder) {
+        assert_eq!(self.id, other.id, "merging shards of different feeds");
+        assert_eq!(self.reports_volume, other.reports_volume);
+        self.samples = add_samples(self.samples, other.samples);
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "absorb is commutative and the merged map is sorted when sealed"
+        )]
+        for (domain, stats) in other.domains {
+            self.domains
+                .entry(domain)
+                .and_modify(|s| s.absorb(stats))
+                .or_insert(stats);
+        }
+        if let Some(theirs) = other.fqdns {
+            self.fqdns
+                .get_or_insert_with(FxHashSet::default)
+                .extend(theirs);
+        }
+        for gap in other.gaps {
+            self.note_gap(gap);
+        }
+    }
+
+    /// The sealed feed: the rows sorted once and merged into empty
+    /// columns, the FQDN hashes as an ascending list.
+    pub fn seal(self) -> Feed {
+        let rows = sorted_rows(&self.domains);
+        // The map is dropped before the columns are built.
+        drop(self.domains);
+        Feed {
+            id: self.id,
+            samples: self.samples,
+            reports_volume: self.reports_volume,
+            columns: FeedColumns::default().merge(rows),
+            fqdns: self.fqdns.map(|set| sorted_hashes(&set)),
+            gaps: self.gaps,
+        }
+    }
+}
+
+/// One collected feed, sealed.
 #[derive(Debug, Clone)]
 pub struct Feed {
     /// Which feed this is.
@@ -71,34 +185,57 @@ pub struct Feed {
     /// Whether the feed's records carry usable volume information
     /// (§4.3 restricts proportionality analysis to these feeds).
     pub reports_volume: bool,
-    /// Per-domain stats plus the distinct fully-qualified hostnames
-    /// observed (hashes), for feeds that report URL granularity (not
+    /// Per-domain stats as sorted columns.
+    columns: FeedColumns,
+    /// The distinct fully-qualified hostnames observed (hashes,
+    /// ascending), for feeds that report URL granularity (not
     /// blacklists and scrubbed feeds — §2).
-    store: Store,
+    fqdns: Option<Vec<u64>>,
     /// Known collection gaps: windows during which the collector was
     /// down and recorded nothing. Empty on clean runs.
     gaps: Vec<TimeWindow>,
 }
 
 impl Feed {
-    /// An empty feed (in the building state).
-    pub fn new(id: FeedId, reports_volume: bool) -> Feed {
-        Feed {
+    /// A sealed feed from stored parts: `rows` in strictly ascending
+    /// domain order and `fqdns` strictly ascending, as
+    /// [`Feed::iter`] and [`Feed::fqdn_hashes`] yield them. Parts out
+    /// of that order — a repeated or descending domain id or hash —
+    /// are refused, because [`Feed::merged`] relies on it. Gaps may
+    /// come in any order.
+    pub fn from_sorted(
+        id: FeedId,
+        reports_volume: bool,
+        samples: Option<u64>,
+        rows: Vec<(DomainId, DomainStats)>,
+        fqdns: Option<Vec<u64>>,
+        mut gaps: Vec<TimeWindow>,
+    ) -> Result<Feed, String> {
+        if let Some(w) = rows.windows(2).find(|w| w[0].0 >= w[1].0) {
+            return Err(format!(
+                "feed {id}: domain {} follows domain {}; ids must strictly ascend",
+                w[1].0 .0, w[0].0 .0
+            ));
+        }
+        if let Some(w) = fqdns
+            .as_deref()
+            .and_then(|h| h.windows(2).find(|w| w[0] >= w[1]))
+        {
+            return Err(format!(
+                "feed {id}: FQDN hash {:#x} follows {:#x}; hashes must strictly ascend",
+                w[1], w[0]
+            ));
+        }
+        gaps.sort_by_key(|w| (w.start, w.end));
+        gaps.dedup();
+        Ok(Feed {
             id,
-            samples: None,
+            samples,
             reports_volume,
-            store: Store::Building(FxHashMap::default(), None),
-            gaps: Vec::new(),
-        }
-    }
-
-    /// Marks a known collection gap (an outage window during which this
-    /// feed recorded nothing). Works in either storage state.
-    pub fn note_gap(&mut self, window: TimeWindow) {
-        if !self.gaps.contains(&window) {
-            self.gaps.push(window);
-            self.gaps.sort_by_key(|w| (w.start, w.end));
-        }
+            columns: FeedColumns::default().merge(rows),
+            fqdns,
+            gaps,
+        })
     }
 
     /// The feed's known collection gaps, sorted by start time.
@@ -106,124 +243,45 @@ impl Feed {
         &self.gaps
     }
 
-    /// Notes one observed fully-qualified hostname (by stable hash).
-    /// The first call switches the feed to URL granularity.
-    ///
-    /// Panics once the feed has been sealed — collection is over.
-    pub fn note_fqdn(&mut self, host_hash: u64) {
-        #[expect(
-            clippy::panic,
-            reason = "documented sealed-state contract; noting into a sealed feed is a caller bug"
-        )]
-        let Store::Building(_, fqdns) = &mut self.store
-        else {
-            panic!("cannot note an FQDN in a sealed feed");
-        };
-        fqdns
-            .get_or_insert_with(FxHashSet::default)
-            .insert(host_hash);
-    }
-
     /// Distinct FQDNs observed, when the feed reports URL granularity.
     pub fn unique_fqdns(&self) -> Option<usize> {
-        match &self.store {
-            Store::Building(_, fqdns) => fqdns.as_ref().map(|s| s.len()),
-            Store::Sealed(_, fqdns) => fqdns.as_ref().map(Vec::len),
-        }
+        self.fqdns.as_ref().map(Vec::len)
     }
 
-    /// Records one observation of `domain` at `time`.
-    ///
-    /// Panics once the feed has been sealed — collection is over.
-    pub fn record(&mut self, domain: DomainId, time: SimTime) {
-        #[expect(
-            clippy::panic,
-            reason = "documented sealed-state contract; recording into a sealed feed is a caller bug"
-        )]
-        let Store::Building(domains, _) = &mut self.store
-        else {
-            panic!("cannot record into a sealed feed");
-        };
-        let seen = DomainStats {
-            first_seen: time,
-            last_seen: time,
-            volume: 1,
-        };
-        domains
-            .entry(domain)
-            .and_modify(|s| s.absorb(seen))
-            .or_insert(seen);
+    /// The feed's FQDN hashes in ascending order, when the feed reports
+    /// URL granularity. Used by the serve checkpointer.
+    pub fn fqdn_hashes(&self) -> Option<&[u64]> {
+        self.fqdns.as_deref()
     }
 
-    /// Counts one raw sample (a received record/message).
-    pub fn count_sample(&mut self) {
-        *self.samples.get_or_insert(0) += 1;
-    }
-
-    /// Freezes the ingestion tables into sorted columns and an
-    /// ascending FQDN list: the merge kernel over empty columns.
-    /// Idempotent.
-    pub fn seal(&mut self) {
-        if let Store::Building(domains, fqdns) = &mut self.store {
-            // The map is dropped before the columns are built.
-            let rows = sorted_rows(&std::mem::take(domains));
-            let fqdns = fqdns.take().map(|set| sorted_hashes(&set));
-            self.store = Store::Sealed(FeedColumns::default().merge(rows), fqdns);
-        }
-    }
-
-    /// The columnar storage. Panics while still building.
+    /// The columnar storage.
     pub fn columns(&self) -> &FeedColumns {
-        match &self.store {
-            Store::Sealed(cols, _) => cols,
-            #[expect(
-                clippy::panic,
-                reason = "documented contract: columns() requires a sealed feed"
-            )]
-            Store::Building(..) => panic!("feed {} has not been sealed", self.id),
-        }
+        &self.columns
     }
 
     /// Number of unique registered domains.
     pub fn unique_domains(&self) -> usize {
-        match &self.store {
-            Store::Building(domains, _) => domains.len(),
-            Store::Sealed(cols, _) => cols.len(),
-        }
+        self.columns.len()
     }
 
     /// Stats for one domain.
     pub fn stats(&self, domain: DomainId) -> Option<DomainStats> {
-        match &self.store {
-            Store::Building(domains, _) => domains.get(&domain).copied(),
-            Store::Sealed(cols, _) => cols.stats(domain),
-        }
+        self.columns.stats(domain)
     }
 
     /// Whether the feed carries `domain`.
     pub fn contains(&self, domain: DomainId) -> bool {
-        match &self.store {
-            Store::Building(domains, _) => domains.contains_key(&domain),
-            Store::Sealed(cols, _) => cols.contains(domain),
-        }
+        self.columns.contains(domain)
     }
 
-    /// Iterates `(domain, stats)` in ascending domain order, in either
-    /// state (a building feed sorts a copy of its rows first).
+    /// Iterates `(domain, stats)` in ascending domain order.
     pub fn iter(&self) -> impl Iterator<Item = (DomainId, DomainStats)> + '_ {
-        let (building, sealed) = match &self.store {
-            Store::Building(domains, _) => (Some(sorted_rows(domains)), None),
-            Store::Sealed(cols, _) => (None, Some(cols.iter())),
-        };
-        building
-            .into_iter()
-            .flatten()
-            .chain(sealed.into_iter().flatten())
+        self.columns.iter()
     }
 
     /// All domain ids, ascending.
     pub fn domain_ids(&self) -> impl Iterator<Item = DomainId> + '_ {
-        self.iter().map(|(d, _)| d)
+        self.columns.ids().iter().copied()
     }
 
     /// The feed's empirical volume distribution over domains.
@@ -232,126 +290,45 @@ impl Feed {
         EmpiricalDist::from_counts(self.iter().map(|(d, s)| (d.0, s.volume)))
     }
 
-    /// The feed's FQDN hashes in ascending order, when the feed reports
-    /// URL granularity: sorted while building, borrowed once sealed.
-    /// Deterministic: the same feed always yields the same list,
-    /// whatever insertion order built the set. Used by the serve
-    /// checkpointer.
-    pub fn fqdn_hashes_sorted(&self) -> Option<Cow<'_, [u64]>> {
-        match &self.store {
-            Store::Building(_, fqdns) => fqdns.as_ref().map(|s| Cow::Owned(sorted_hashes(s))),
-            Store::Sealed(_, fqdns) => fqdns.as_deref().map(Cow::Borrowed),
-        }
-    }
-
-    /// Rebuilds a *building* feed from checkpointed parts: the inverse
-    /// of iterating a snapshot. `entries` may arrive in any order;
-    /// duplicates are a caller bug (the last entry wins; volumes are
-    /// not merged). The restored feed accepts further [`Feed::record`]
-    /// and [`Feed::merge`] calls — this is how `serve --resume` folds
-    /// its checkpoint chain.
-    pub fn from_parts(
-        id: FeedId,
-        reports_volume: bool,
-        samples: Option<u64>,
-        entries: impl IntoIterator<Item = (DomainId, DomainStats)>,
-        fqdns: Option<Vec<u64>>,
-        gaps: Vec<TimeWindow>,
-    ) -> Feed {
-        let mut feed = Feed {
-            id,
-            samples,
-            reports_volume,
-            store: Store::Building(
-                entries.into_iter().collect(),
-                fqdns.map(|v| v.into_iter().collect()),
-            ),
-            gaps: Vec::new(),
-        };
-        for gap in gaps {
-            feed.note_gap(gap);
-        }
-        feed
-    }
-
-    /// Folds `other` (a shard of the same feed) into `self`.
-    ///
-    /// The combination is commutative and associative — first seen
-    /// takes the minimum, last seen the maximum, volumes and sample
-    /// counts add, FQDN sets union — so parallel collection can merge
-    /// event-range shards in any grouping and produce the same feed a
-    /// serial pass over all events would. Both shards must still be
-    /// building.
-    pub fn merge(&mut self, other: Feed) {
-        assert_eq!(self.id, other.id, "merging shards of different feeds");
-        assert_eq!(self.reports_volume, other.reports_volume);
-        #[expect(
-            clippy::panic,
-            reason = "documented contract: only building shards merge; sealed feeds take deltas through merged()"
-        )]
-        let (Store::Building(ours, our_fqdns), Store::Building(theirs, their_fqdns)) =
-            (&mut self.store, other.store)
-        else {
-            panic!("cannot merge sealed feeds");
-        };
-        self.samples = add_samples(self.samples, other.samples);
-        #[expect(
-            clippy::iter_over_hash_type,
-            reason = "absorb is commutative and the merged map is sorted when sealed"
-        )]
-        for (domain, stats) in theirs {
-            ours.entry(domain)
-                .and_modify(|s| s.absorb(stats))
-                .or_insert(stats);
-        }
-        if let Some(theirs) = their_fqdns {
-            our_fqdns
-                .get_or_insert_with(FxHashSet::default)
-                .extend(theirs);
-        }
-        for gap in other.gaps {
-            self.note_gap(gap);
-        }
-    }
-
-    /// The sealed feed holding `self` plus a later `delta`, both
-    /// sealed, in one linear pass: the delta's rows merge into the
-    /// columns ([`FeedColumns::merge`]) and its FQDN hashes into the
-    /// ascending list, while samples add and gaps union as in
-    /// [`Feed::merge`]. Into an empty `self` the delta's columns move
-    /// whole, so a run sealed once copies nothing.
-    pub(crate) fn merged(&self, delta: Feed) -> Feed {
+    /// The feed holding `self` plus a later `delta` of the same feed,
+    /// in one linear pass: the delta's rows merge into the columns
+    /// (`FeedColumns::merge`) and its FQDN hashes into the ascending
+    /// list, while samples add and gaps union as in
+    /// [`FeedBuilder::merge`]. Into an empty `self` the delta's columns
+    /// move whole, so a run sealed once copies nothing. The one epoch
+    /// fold: live seals, the final source tails and a checkpoint resume.
+    pub fn merged(&self, delta: Feed) -> Feed {
         assert_eq!(self.id, delta.id, "merging deltas of different feeds");
         assert_eq!(self.reports_volume, delta.reports_volume);
-        #[expect(
-            clippy::panic,
-            reason = "documented contract: merged() takes sealed feeds; a building delta is sealed first"
-        )]
-        let (Store::Sealed(cols, fqdns), Store::Sealed(rows, delta_fqdns)) =
-            (&self.store, delta.store)
-        else {
-            panic!("feed {} merges only sealed feeds", self.id);
-        };
-        let store = if cols.is_empty() && fqdns.is_none() {
-            Store::Sealed(rows, delta_fqdns)
+        let (columns, fqdns) = if self.columns.is_empty() && self.fqdns.is_none() {
+            (delta.columns, delta.fqdns)
         } else {
-            let fqdns = match (fqdns.as_deref(), delta_fqdns.as_deref()) {
+            let fqdns = match (self.fqdns.as_deref(), delta.fqdns.as_deref()) {
                 (None, None) => None,
                 (a, b) => Some(union_sorted(a.unwrap_or(&[]), b.unwrap_or(&[]))),
             };
-            Store::Sealed(cols.merge(rows.iter()), fqdns)
+            (self.columns.merge(delta.columns.iter()), fqdns)
         };
-        let mut feed = Feed {
+        let mut gaps = self.gaps.clone();
+        for gap in delta.gaps {
+            add_gap(&mut gaps, gap);
+        }
+        Feed {
             id: self.id,
             samples: add_samples(self.samples, delta.samples),
             reports_volume: self.reports_volume,
-            store,
-            gaps: self.gaps.clone(),
-        };
-        for gap in delta.gaps {
-            feed.note_gap(gap);
+            columns,
+            fqdns,
+            gaps,
         }
-        feed
+    }
+}
+
+/// Adds `window` to a sorted, distinct gap list.
+fn add_gap(gaps: &mut Vec<TimeWindow>, window: TimeWindow) {
+    if !gaps.contains(&window) {
+        gaps.push(window);
+        gaps.sort_by_key(|w| (w.start, w.end));
     }
 }
 
@@ -364,7 +341,7 @@ fn add_samples(a: Option<u64>, b: Option<u64>) -> Option<u64> {
     }
 }
 
-/// A building feed's rows in ascending domain order.
+/// A builder's rows in ascending domain order.
 fn sorted_rows(domains: &FxHashMap<DomainId, DomainStats>) -> Vec<(DomainId, DomainStats)> {
     #[expect(clippy::disallowed_methods, reason = "sorted before it is returned")]
     let mut rows: Vec<(DomainId, DomainStats)> = domains.iter().map(|(&d, &s)| (d, s)).collect();
@@ -372,7 +349,7 @@ fn sorted_rows(domains: &FxHashMap<DomainId, DomainStats>) -> Vec<(DomainId, Dom
     rows
 }
 
-/// A building FQDN set as an ascending list.
+/// A builder's FQDN set as an ascending list.
 fn sorted_hashes(set: &FxHashSet<u64>) -> Vec<u64> {
     #[expect(clippy::disallowed_methods, reason = "sorted before it is returned")]
     let mut v: Vec<u64> = set.iter().copied().collect();
@@ -403,27 +380,21 @@ pub struct FeedSet {
 
 impl FeedSet {
     /// Assembles a set; `feeds` must contain each feed exactly once.
-    /// Seals every feed — collection is over once a set exists.
     pub fn new(mut feeds: Vec<Feed>) -> FeedSet {
         feeds.sort_by_key(|f| f.id.index());
         assert_eq!(feeds.len(), FeedId::ALL.len(), "need all ten feeds");
-        for (i, f) in feeds.iter_mut().enumerate() {
+        for (i, f) in feeds.iter().enumerate() {
             assert_eq!(f.id.index(), i, "duplicate or missing feed");
-            f.seal();
         }
         FeedSet { feeds }
     }
 
-    /// The set holding `self` plus one epoch's `delta` (all ten feeds
-    /// in [`FeedId::ALL`] order): each delta feed is sealed — sorted,
-    /// unless it already is — and merged in one linear pass
-    /// ([`Feed::merged`]).
+    /// The set holding `self` plus one epoch's sealed `delta` (all ten
+    /// feeds in [`FeedId::ALL`] order), each feed merged in one linear
+    /// pass ([`Feed::merged`]).
     pub(crate) fn merged(&self, delta: Vec<Feed>) -> FeedSet {
         assert_eq!(delta.len(), self.feeds.len(), "need all ten feeds");
-        let feeds = self.feeds.iter().zip(delta).map(|(f, mut d)| {
-            d.seal();
-            f.merged(d)
-        });
+        let feeds = self.feeds.iter().zip(delta).map(|(f, d)| f.merged(d));
         FeedSet {
             feeds: feeds.collect(),
         }
@@ -457,18 +428,26 @@ impl FeedSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    fn stats(first: u64, last: u64, volume: u64) -> DomainStats {
+        DomainStats {
+            first_seen: SimTime(first),
+            last_seen: SimTime(last),
+            volume,
+        }
+    }
 
     #[test]
     fn record_tracks_first_last_volume() {
-        let mut f = Feed::new(FeedId::Mx1, true);
+        let mut b = FeedBuilder::new(FeedId::Mx1, true);
         let d = DomainId(3);
-        f.record(d, SimTime(50));
-        f.record(d, SimTime(10));
-        f.record(d, SimTime(90));
-        let s = f.stats(d).unwrap();
-        assert_eq!(s.first_seen, SimTime(10));
-        assert_eq!(s.last_seen, SimTime(90));
-        assert_eq!(s.volume, 3);
+        b.record(d, SimTime(50));
+        b.record(d, SimTime(10));
+        b.record(d, SimTime(90));
+        assert_eq!(b.unique_domains(), 1);
+        let f = b.seal();
+        assert_eq!(f.stats(d), Some(stats(10, 90, 3)));
         assert_eq!(f.unique_domains(), 1);
         assert!(f.contains(d));
         assert!(!f.contains(DomainId(4)));
@@ -476,65 +455,58 @@ mod tests {
 
     #[test]
     fn samples_default_to_none() {
-        let mut f = Feed::new(FeedId::Dbl, false);
-        assert_eq!(f.samples, None);
-        f.count_sample();
-        f.count_sample();
-        assert_eq!(f.samples, Some(2));
+        let mut b = FeedBuilder::new(FeedId::Dbl, false);
+        assert_eq!(b.samples, None);
+        b.count_sample();
+        b.count_sample();
+        assert_eq!(b.samples, Some(2));
+        assert_eq!(b.seal().samples, Some(2));
     }
 
     #[test]
     fn volume_distribution_reflects_counts() {
-        let mut f = Feed::new(FeedId::Bot, true);
-        f.record(DomainId(1), SimTime(1));
-        f.record(DomainId(1), SimTime(2));
-        f.record(DomainId(2), SimTime(3));
-        let dist = f.volume_distribution();
+        let mut b = FeedBuilder::new(FeedId::Bot, true);
+        b.record(DomainId(1), SimTime(1));
+        b.record(DomainId(1), SimTime(2));
+        b.record(DomainId(2), SimTime(3));
+        let dist = b.seal().volume_distribution();
         assert_eq!(dist.total(), 3);
         assert_eq!(dist.count(1), 2);
     }
 
     #[test]
     fn sealing_preserves_contents() {
-        let mut f = Feed::new(FeedId::Bot, true);
+        let mut b = FeedBuilder::new(FeedId::Bot, true);
+        let mut model = BTreeMap::new();
         for &(d, t) in &[(130u32, 9u64), (1, 4), (1, 2), (64, 7)] {
-            f.record(DomainId(d), SimTime(t));
+            b.record(DomainId(d), SimTime(t));
+            model
+                .entry(DomainId(d))
+                .and_modify(|s: &mut DomainStats| s.absorb(stats(t, t, 1)))
+                .or_insert(stats(t, t, 1));
         }
-        let before: Vec<_> = {
-            let mut v: Vec<_> = f.iter().collect();
-            v.sort_by_key(|&(d, _)| d);
-            v
-        };
-        f.seal();
-        f.seal(); // idempotent
-        let after: Vec<_> = f.iter().collect();
-        assert_eq!(before, after, "sealed iteration is the sorted map");
+        let f = b.seal();
+        let rows: Vec<_> = f.iter().collect();
+        assert_eq!(rows, model.into_iter().collect::<Vec<_>>());
         assert_eq!(f.unique_domains(), 3);
         assert!(f.contains(DomainId(64)));
         assert!(!f.contains(DomainId(65)));
         assert_eq!(f.stats(DomainId(1)).unwrap().volume, 2);
         assert_eq!(f.columns().ids().len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "sealed feed")]
-    fn sealed_feed_rejects_records() {
-        let mut f = Feed::new(FeedId::Bot, true);
-        f.seal();
-        f.record(DomainId(1), SimTime(1));
+        assert_eq!(f.unique_fqdns(), None);
     }
 
     #[test]
     fn merge_is_order_independent() {
         let shard = |times: &[(u32, u64)]| {
-            let mut f = Feed::new(FeedId::Mx1, true);
-            f.samples = Some(0);
+            let mut b = FeedBuilder::new(FeedId::Mx1, true);
+            b.samples = Some(0);
             for &(d, t) in times {
-                f.count_sample();
-                f.record(DomainId(d), SimTime(t));
-                f.note_fqdn(u64::from(d) * 31 + t);
+                b.count_sample();
+                b.record(DomainId(d), SimTime(t));
+                b.note_fqdn(u64::from(d) * 31 + t);
             }
-            f
+            b
         };
         let a = shard(&[(1, 10), (2, 50)]);
         let b = shard(&[(1, 5), (3, 99)]);
@@ -542,32 +514,28 @@ mod tests {
         ab.merge(b.clone());
         let mut ba = b;
         ba.merge(a);
+        let (ab, ba) = (ab.seal(), ba.seal());
         assert_eq!(ab.samples, Some(4));
         assert_eq!(ab.samples, ba.samples);
         assert_eq!(ab.unique_domains(), 3);
-        for d in [1u32, 2, 3] {
-            assert_eq!(ab.stats(DomainId(d)), ba.stats(DomainId(d)));
-        }
-        let s = ab.stats(DomainId(1)).unwrap();
-        assert_eq!(s.first_seen, SimTime(5));
-        assert_eq!(s.last_seen, SimTime(10));
-        assert_eq!(s.volume, 2);
-        assert_eq!(ab.unique_fqdns(), ba.unique_fqdns());
+        assert_eq!(ab.iter().collect::<Vec<_>>(), ba.iter().collect::<Vec<_>>());
+        assert_eq!(ab.stats(DomainId(1)), Some(stats(5, 10, 2)));
+        assert_eq!(ab.fqdn_hashes(), ba.fqdn_hashes());
     }
 
     #[test]
     fn merged_delta_equals_sealing_the_merged_shards() {
         let shard = |times: &[(u32, u64)], fqdns: bool| {
-            let mut f = Feed::new(FeedId::Mx1, true);
-            f.samples = Some(0);
+            let mut b = FeedBuilder::new(FeedId::Mx1, true);
+            b.samples = Some(0);
             for &(d, t) in times {
-                f.count_sample();
-                f.record(DomainId(d), SimTime(t));
+                b.count_sample();
+                b.record(DomainId(d), SimTime(t));
                 if fqdns {
-                    f.note_fqdn(u64::from(d) * 31 + t);
+                    b.note_fqdn(u64::from(d) * 31 + t);
                 }
             }
-            f
+            b
         };
         let gap = TimeWindow::new(SimTime(3), SimTime(8));
         let base_rows: &[(u32, u64)] = &[(1, 10), (64, 50), (2, 7)];
@@ -583,16 +551,14 @@ mod tests {
         ] {
             let mut base = shard(rows, base_fqdns);
             base.note_gap(gap);
-            let mut delta = shard(&[(1, 5), (65, 99), (63, 1), (1, 10)], delta_fqdns);
+            let delta = shard(&[(1, 5), (65, 99), (63, 1), (1, 10)], delta_fqdns);
             let mut expected = base.clone();
             expected.merge(delta.clone());
-            expected.seal();
-            base.seal();
-            delta.seal();
-            let got = base.merged(delta);
+            let expected = expected.seal();
+            let got = base.seal().merged(delta.seal());
             assert_eq!(got.samples, expected.samples);
             assert_eq!(got.gaps(), expected.gaps());
-            assert_eq!(got.fqdn_hashes_sorted(), expected.fqdn_hashes_sorted());
+            assert_eq!(got.fqdn_hashes(), expected.fqdn_hashes());
             assert_eq!(
                 got.iter().collect::<Vec<_>>(),
                 expected.iter().collect::<Vec<_>>()
@@ -604,27 +570,80 @@ mod tests {
         }
     }
 
-    fn dummy_set() -> FeedSet {
-        FeedSet::new(FeedId::ALL.iter().map(|&id| Feed::new(id, false)).collect())
+    #[test]
+    fn from_sorted_equals_the_sealed_builder_and_refuses_disorder() {
+        let mut b = FeedBuilder::new(FeedId::Bot, true);
+        for (d, t) in [(5u32, 3u64), (9, 1), (5, 7)] {
+            b.record(DomainId(d), SimTime(t));
+            b.note_fqdn(u64::from(d));
+        }
+        let gap = |s| TimeWindow::new(SimTime(s), SimTime(s + 1));
+        b.note_gap(gap(4));
+        b.note_gap(gap(2));
+        let sealed = b.seal();
+        let parts = |rows: &[(u32, u64)], fqdns: &[u64]| {
+            Feed::from_sorted(
+                FeedId::Bot,
+                true,
+                None,
+                rows.iter()
+                    .map(|&(d, v)| (DomainId(d), stats(1, 7, v)))
+                    .collect(),
+                Some(fqdns.to_vec()),
+                vec![gap(4), gap(2), gap(4)],
+            )
+        };
+        let restored = parts(&[(5, 2), (9, 1)], &[5, 9]).unwrap();
+        assert_eq!(restored.iter().count(), 2);
+        assert_eq!(restored.fqdn_hashes(), sealed.fqdn_hashes());
+        assert_eq!(restored.gaps(), sealed.gaps());
+        assert_eq!(restored.stats(DomainId(5)), Some(stats(1, 7, 2)));
+        for (rows, fqdns, want) in [
+            (
+                &[(5, 3), (5, 6)][..],
+                &[5, 9][..],
+                "domain 5 follows domain 5",
+            ),
+            (
+                &[(9, 1), (5, 2)][..],
+                &[5, 9][..],
+                "domain 5 follows domain 9",
+            ),
+            (
+                &[(5, 2), (9, 1)][..],
+                &[9, 9][..],
+                "FQDN hash 0x9 follows 0x9",
+            ),
+            (
+                &[(5, 2), (9, 1)][..],
+                &[9, 5][..],
+                "FQDN hash 0x5 follows 0x9",
+            ),
+        ] {
+            let err = parts(rows, fqdns).unwrap_err();
+            assert!(err.contains(want), "{err}");
+        }
     }
 
     #[test]
     fn feed_set_indexing_and_union() {
-        let mut feeds: Vec<Feed> = FeedId::ALL.iter().map(|&id| Feed::new(id, false)).collect();
+        let mut feeds: Vec<FeedBuilder> = FeedId::ALL
+            .iter()
+            .map(|&id| FeedBuilder::new(id, false))
+            .collect();
         feeds[FeedId::Mx1.index()].record(DomainId(7), SimTime(1));
         feeds[FeedId::Bot.index()].record(DomainId(8), SimTime(1));
         feeds.reverse(); // constructor must restore order
-        let set = FeedSet::new(feeds);
+        let set = FeedSet::new(feeds.into_iter().map(FeedBuilder::seal).collect());
         assert_eq!(set.get(FeedId::Mx1).id, FeedId::Mx1);
         let union = set.union_domains(&[FeedId::Mx1, FeedId::Bot]);
         assert_eq!(union.len(), 2);
         assert!(union.contains(DomainId(7)));
-        let _ = dummy_set();
     }
 
     #[test]
     #[should_panic(expected = "need all ten feeds")]
     fn feed_set_rejects_missing() {
-        FeedSet::new(vec![Feed::new(FeedId::Hu, false)]);
+        FeedSet::new(vec![FeedBuilder::new(FeedId::Hu, false).seal()]);
     }
 }

@@ -12,8 +12,8 @@
 //! * every collection decision is keyed by `(seed, stream, sorted
 //!   event index)` — a pure function of the event, not of slice, visit
 //!   or shard boundaries — and
-//! * [`Feed::record`] is commutative and associative (min first-seen,
-//!   max last-seen, summed volume),
+//! * [`FeedBuilder::record`] is commutative and associative (min
+//!   first-seen, max last-seen, summed volume),
 //!
 //! so applying each event exactly once, in any partitioning, yields
 //! the same [`FeedSet`]. The non-event sources (benign pollution, Hyb's
@@ -28,11 +28,14 @@
 //! replays only the remaining rows.
 //!
 //! A seal costs one epoch, not the whole run. The state keeps the last
-//! sealed [`FeedSet`] and a *delta*: ten building feeds holding only
-//! what was applied since that seal. Sealing sorts the delta and
-//! merges it into the sealed columns in one linear pass
-//! (`FeedSet::merged`); the delta is also exactly what a serve
-//! checkpoint stores.
+//! sealed [`FeedSet`] and a *delta*: ten [`FeedBuilder`]s holding only
+//! what was applied since that seal, each worker shard merged in with
+//! [`FeedBuilder::merge`]. Sealing sorts the delta into ten sealed
+//! [`Feed`]s, which are exactly what a serve checkpoint stores, and
+//! merges them into the sealed columns in one linear pass
+//! ([`Feed::merged`]). That merge is the only epoch fold: the source
+//! tails of the last epoch and a resumed checkpoint chain go through it
+//! too.
 
 use crate::collectors::blacklist::blacklist_source_records;
 use crate::collectors::hu::hu_source_records;
@@ -42,7 +45,7 @@ use crate::engine::{
     ShardObs, SourceRecord,
 };
 use crate::error::PipelineError;
-use crate::feed::{Feed, FeedSet};
+use crate::feed::{Feed, FeedBuilder, FeedSet};
 use crate::id::FeedId;
 use crate::pipeline::content_members;
 use std::sync::Arc;
@@ -70,9 +73,9 @@ pub struct IngestState {
     chunk_size: usize,
     /// The last sealed epoch, outage gaps attached. Readers share it.
     sealed: Arc<FeedSet>,
-    /// All ten feeds in [`FeedId::ALL`] order, building, holding only
-    /// what was applied since the last seal.
-    delta: Vec<Feed>,
+    /// All ten feeds in [`FeedId::ALL`] order, holding only what was
+    /// applied since the last seal.
+    delta: Vec<FeedBuilder>,
     /// Time-sorted event rows already ingested (`0..rows_done`).
     rows_done: usize,
     total_rows: usize,
@@ -80,10 +83,13 @@ pub struct IngestState {
     sources: Vec<SourceStream>,
 }
 
-/// Ten empty building feeds in [`FeedId::ALL`] order: content members
-/// and Hu count samples, blacklists do not.
-fn empty_feeds(members: &[MemberSpec]) -> Vec<Feed> {
-    let mut feeds: Vec<Feed> = FeedId::ALL.iter().map(|&id| Feed::new(id, false)).collect();
+/// Ten empty builders in [`FeedId::ALL`] order: content members and
+/// Hu count samples, blacklists do not.
+fn empty_feeds(members: &[MemberSpec]) -> Vec<FeedBuilder> {
+    let mut feeds: Vec<FeedBuilder> = FeedId::ALL
+        .iter()
+        .map(|&id| FeedBuilder::new(id, false))
+        .collect();
     for member in members {
         feeds[member.feed_id().index()] = member.empty_feed();
     }
@@ -161,7 +167,9 @@ impl IngestState {
         obs.metrics.absorb(&local.into_shard());
         let mut state = IngestState {
             delta: empty_feeds(&members),
-            sealed: Arc::new(FeedSet::new(base)),
+            sealed: Arc::new(FeedSet::new(
+                base.into_iter().map(FeedBuilder::seal).collect(),
+            )),
             members,
             chunk_size: chunk_size.max(1),
             rows_done: 0,
@@ -211,11 +219,12 @@ impl IngestState {
     }
 
     /// Rebuilds state from checkpoints: `feeds` is everything applied
-    /// to the first `rows_done` rows (the epoch deltas of a checkpoint
-    /// chain folded with [`Feed::merge`]), in [`FeedId::ALL`] order.
-    /// They become the sealed epoch; source cursors are repositioned at
-    /// the watermark — presampling is deterministic, so the skipped
-    /// prefix is exactly the set of records the restored feeds already
+    /// to the first `rows_done` rows (the sealed epoch deltas of a
+    /// checkpoint chain folded with [`Feed::merged`]), in
+    /// [`FeedId::ALL`] order. They are merged into the empty sealed
+    /// epoch the same way; source cursors are repositioned at the
+    /// watermark — presampling is deterministic, so the skipped prefix
+    /// is exactly the set of records the restored feeds already
     /// contain.
     pub fn resume(
         world: &MailWorld,
@@ -278,9 +287,9 @@ impl IngestState {
         &self.sealed
     }
 
-    /// What was applied since the last seal: ten building feeds in
+    /// What was applied since the last seal: ten builders in
     /// [`FeedId::ALL`] order.
-    pub fn delta(&self) -> &[Feed] {
+    pub fn delta(&self) -> &[FeedBuilder] {
         &self.delta
     }
 
@@ -349,11 +358,10 @@ impl IngestState {
 
     /// The delta, sealed, with a fresh empty one in its place.
     fn take_delta(&mut self) -> Vec<Feed> {
-        let mut delta = std::mem::replace(&mut self.delta, empty_feeds(&self.members));
-        for feed in &mut delta {
-            feed.seal();
-        }
-        delta
+        std::mem::replace(&mut self.delta, empty_feeds(&self.members))
+            .into_iter()
+            .map(FeedBuilder::seal)
+            .collect()
     }
 
     /// Seals the epoch: sorts the delta once, hands it to `on_delta`,
@@ -454,18 +462,6 @@ mod tests {
         state.seal_with(&Obs::off(), |_| ()).1
     }
 
-    /// A sealed delta as a checkpoint round trip returns it: building.
-    fn unseal(f: &Feed) -> Feed {
-        Feed::from_parts(
-            f.id,
-            f.reports_volume,
-            f.samples,
-            f.iter(),
-            f.fqdn_hashes_sorted().map(|h| h.into_owned()),
-            f.gaps().to_vec(),
-        )
-    }
-
     #[test]
     fn epoch_ingestion_matches_batch_collection() {
         let w = world(0.02, 67);
@@ -532,8 +528,8 @@ mod tests {
         let uninterrupted = seal(&mut full);
 
         // "Crash" after 40% of the rows, sealed in two epochs: keep
-        // only the epoch deltas and the row counter, as a checkpoint
-        // chain would, and fold them.
+        // only the sealed epoch deltas and the row counter, as a
+        // checkpoint chain would, and fold them as a resume does.
         let mut first = IngestState::new(&w, &cfg, &plan, &obs).expect("state");
         let stop = total * 2 / 5;
         let mut chain: Vec<Vec<Feed>> = Vec::new();
@@ -541,15 +537,13 @@ mod tests {
             first
                 .advance(&w, &plan, &par, target, &obs)
                 .expect("advance");
-            let (delta, _) = first.seal_with(&obs, |d| d.iter().map(unseal).collect());
+            let (delta, _) = first.seal_with(&obs, <[Feed]>::to_vec);
             chain.push(delta);
         }
         let mut epochs = chain.into_iter();
         let mut feeds = epochs.next().expect("first epoch");
         for delta in epochs {
-            for (acc, d) in feeds.iter_mut().zip(delta) {
-                acc.merge(d);
-            }
+            feeds = feeds.iter().zip(delta).map(|(f, d)| f.merged(d)).collect();
         }
 
         let mut resumed = IngestState::resume(&w, &cfg, &plan, feeds, stop, &obs).expect("resume");

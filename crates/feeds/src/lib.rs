@@ -26,10 +26,10 @@
 //! once; `taster serve` advances it epoch by epoch and seals after
 //! each, so the daemon's final set is the batch set by construction.
 //!
-//! The output is a [`feed::FeedSet`]: ten [`feed::Feed`]s, each a map
-//! from registered domain to first-seen/last-seen/volume, plus raw
-//! sample counts — everything the analyses in `taster-analysis`
-//! consume.
+//! The output is a [`feed::FeedSet`]: ten sealed [`feed::Feed`]s, each
+//! a map from registered domain to first-seen/last-seen/volume, plus
+//! raw sample counts — everything the analyses in `taster-analysis`
+//! consume. Collection writes into [`feed::FeedBuilder`]s.
 
 #![warn(missing_docs)]
 #![cfg_attr(
@@ -51,7 +51,7 @@ pub mod table;
 
 pub use config::FeedsConfig;
 pub use error::PipelineError;
-pub use feed::{DomainStats, Feed, FeedSet};
+pub use feed::{DomainStats, Feed, FeedBuilder, FeedSet};
 pub use id::{FeedId, FeedKind};
 pub use incremental::IngestState;
 pub use pipeline::{collect_all, ensure_nonempty_collection, try_collect_all_observed};

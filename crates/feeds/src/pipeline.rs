@@ -40,9 +40,9 @@ pub(crate) fn content_members(config: &FeedsConfig) -> [MemberSpec; 7] {
 }
 
 /// Collects all ten feeds over the world, fault-free, with the default
-/// [`Parallelism`] (the `TASTER_THREADS` env override, else all
-/// available cores). Panics when the out-of-core spill cannot be read;
-/// the fallible path is [`try_collect_all_observed`].
+/// [`Parallelism`] (all available cores). Panics when the out-of-core
+/// spill cannot be read; the fallible path is
+/// [`try_collect_all_observed`].
 pub fn collect_all(world: &MailWorld, config: &FeedsConfig) -> FeedSet {
     let plan = FaultPlan::off(world.truth.seed);
     match try_collect_all_observed(world, config, &plan, &Parallelism::default(), &Obs::off()) {
@@ -190,7 +190,7 @@ fn covers(windows: &[TimeWindow], span: TimeWindow) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::feed::Feed;
+    use crate::feed::FeedBuilder;
     use taster_ecosystem::{EcosystemConfig, GroundTruth};
     use taster_mailsim::MailConfig;
 
@@ -222,7 +222,8 @@ mod tests {
     fn empty_collection_is_a_typed_error_unless_blacked_out() {
         use taster_sim::{FaultProfile, SimTime};
         let window = TimeWindow::new(SimTime::ZERO, SimTime::from_days(30));
-        let empty = || FeedSet::new(FeedId::ALL.iter().map(|&id| Feed::new(id, false)).collect());
+        let builders = || FeedId::ALL.iter().map(|&id| FeedBuilder::new(id, false));
+        let empty = || FeedSet::new(builders().map(FeedBuilder::seal).collect());
         // Blackout explains total silence: every feed's outage windows
         // cover the whole measurement window.
         let blackout = FaultPlan::new(FaultProfile::blackout(), 7);
@@ -234,9 +235,10 @@ mod tests {
         assert!(matches!(err, PipelineError::EmptyCollection(_)));
         assert!(err.to_string().contains("lossy-feeds"), "{err}");
         // Any records at all make the check pass.
-        let mut feeds: Vec<Feed> = FeedId::ALL.iter().map(|&id| Feed::new(id, false)).collect();
+        let mut feeds: Vec<FeedBuilder> = builders().collect();
         feeds[0].record(taster_domain::DomainId(3), SimTime(5));
-        assert!(ensure_nonempty_collection(&FeedSet::new(feeds), &lossy, window).is_ok());
+        let feeds = FeedSet::new(feeds.into_iter().map(FeedBuilder::seal).collect());
+        assert!(ensure_nonempty_collection(&feeds, &lossy, window).is_ok());
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! Columnar per-feed domain storage.
 //!
-//! Ingestion accumulates per-domain stats in a hash map (events arrive
-//! in arbitrary domain order), but every analysis that follows is a
-//! scan or a set operation. [`FeedColumns`] is the post-collection
-//! layout: domain ids sorted ascending with `first_seen` / `last_seen`
+//! Ingestion accumulates per-domain stats in a hash map
+//! ([`crate::FeedBuilder`]: events arrive in arbitrary domain order),
+//! but every analysis that follows is a scan or a set operation.
+//! [`FeedColumns`] is the layout of a sealed [`crate::Feed`]: domain
+//! ids sorted ascending with `first_seen` / `last_seen`
 //! / `volume` as parallel columns, plus a membership [`DomainBitset`]
 //! and a [`RankIndex`] so point lookups (`stats`, `contains`) cost one
 //! word probe + popcount instead of a SipHash probe, and whole-feed
 //! unions/intersections run as word-level kernels.
 //!
 //! Columns are built by one kernel, `FeedColumns::merge`: sealing a
-//! building feed merges its sorted rows into empty columns, and
-//! `taster serve` merges each epoch's sorted delta into the last sealed
-//! columns in one linear pass.
+//! builder, or restoring a checkpointed feed, merges its sorted rows
+//! into empty columns, and every epoch fold ([`crate::Feed::merged`]:
+//! the collection driver's seals and a `serve --resume` over its
+//! checkpoint chain) merges a sorted delta into the sealed columns in
+//! one linear pass.
 
 use crate::feed::DomainStats;
 use std::ops::Range;
@@ -32,13 +35,15 @@ pub struct FeedColumns {
 
 impl FeedColumns {
     /// The columns holding `self` plus `delta`, built in one linear
-    /// pass. `delta` yields rows in strictly ascending domain order. A
-    /// domain in both combines by [`DomainStats::absorb`], the rule
-    /// [`crate::Feed::merge`] uses; the runs of base rows between two
-    /// delta rows are copied whole. The bitset keeps the base's words
-    /// and gains the delta's bits, so it has the words a bitset built
-    /// from the union would. Merging into empty columns is how a
-    /// building feed seals.
+    /// pass. `delta` yields rows in strictly ascending domain order
+    /// (checked only in debug builds; [`crate::Feed::from_sorted`]
+    /// checks stored rows before they get here). A domain in both
+    /// combines by [`DomainStats::absorb`], the rule
+    /// [`crate::FeedBuilder::merge`] uses; the runs of base rows
+    /// between two delta rows are copied whole. The bitset keeps the
+    /// base's words and gains the delta's bits, so it has the words a
+    /// bitset built from the union would. Merging into empty columns is
+    /// how a builder seals.
     pub(crate) fn merge(
         &self,
         delta: impl IntoIterator<Item = (DomainId, DomainStats)>,

@@ -9,14 +9,18 @@
 //! taken before its source tails drain, because a resume replays those
 //! itself.
 //!
-//! `serve --resume` folds the longest run of consecutive valid files
-//! `ckpt-1..k` with [`Feed::merge`] — commutative and associative, so
-//! the fold is the state after epoch k — and replays only the rows
-//! after it. Restoring and replaying yields output byte-identical to
-//! an uninterrupted run; the kill-and-resume tests pin this. A fresh
-//! run removes the directory's `ckpt-*` files and starts a new chain,
-//! and a resume removes the files past its chain, so the directory
-//! only ever holds one chain.
+//! Each link decodes straight into ten sealed [`Feed`]s through
+//! [`Feed::from_sorted`], which refuses domain ids or FQDN hashes that
+//! do not strictly ascend, so a link whose entries repeat or descend
+//! ends the chain like a torn one. `serve --resume` folds the longest
+//! run of consecutive valid files `ckpt-1..k` with [`Feed::merged`],
+//! the linear merge a live seal uses — associative, so the fold is the
+//! state after epoch k — and replays only the rows after it. Restoring
+//! and replaying yields output byte-identical to an uninterrupted run;
+//! the kill-and-resume tests pin this. A fresh run removes the
+//! directory's `ckpt-*` files and starts a new chain, and a resume
+//! removes the files past its chain, so the directory only ever holds
+//! one chain.
 //!
 //! Durability protocol: encode to `ckpt-<epoch>.tmp`, fsync-free
 //! atomic `rename` to `ckpt-<epoch>.bin`. A crash mid-write leaves
@@ -50,8 +54,7 @@ pub struct Checkpoint {
     pub epoch: u64,
     /// Time-sorted event rows ingested when it sealed.
     pub rows_done: u64,
-    /// The epoch's delta: ten feeds in [`FeedId::ALL`] order, restored
-    /// in the building state so a resume can fold them.
+    /// The epoch's delta: ten sealed feeds in [`FeedId::ALL`] order.
     pub feeds: Vec<Feed>,
 }
 
@@ -62,8 +65,8 @@ pub(crate) struct Chain {
     pub(crate) epoch: u64,
     /// Time-sorted event rows ingested at that epoch.
     pub(crate) rows_done: u64,
-    /// Everything the chain's epochs added, building, in
-    /// [`FeedId::ALL`] order.
+    /// Everything the chain's epochs added, sealed, in [`FeedId::ALL`]
+    /// order.
     pub(crate) feeds: Vec<Feed>,
     /// Summed size of the folded files.
     pub(crate) bytes: u64,
@@ -144,8 +147,9 @@ impl Checkpoint {
     }
 
     /// Parses and validates checkpoint bytes. Any truncation, type
-    /// confusion or bit rot fails the checksum or a structural check —
-    /// decoding never panics.
+    /// confusion or bit rot fails the checksum or a structural check,
+    /// and entries out of ascending order are refused — decoding never
+    /// panics.
     pub fn decode(bytes: &[u8]) -> Result<Checkpoint, ServeError> {
         if bytes.len() < MAGIC.len() + 8 {
             return Err(ServeError::Checkpoint("file too short".to_string()));
@@ -220,14 +224,9 @@ impl Checkpoint {
                 let end = SimTime(r.u64()?);
                 gaps.push(TimeWindow::new(start, end));
             }
-            feeds.push(Feed::from_parts(
-                id,
-                reports_volume,
-                samples,
-                entries,
-                fqdns,
-                gaps,
-            ));
+            let feed = Feed::from_sorted(id, reports_volume, samples, entries, fqdns, gaps)
+                .map_err(ServeError::Checkpoint)?;
+            feeds.push(feed);
         }
         if r.pos != payload.len() {
             return Err(ServeError::Checkpoint("trailing garbage".to_string()));
@@ -241,10 +240,9 @@ impl Checkpoint {
     }
 }
 
-/// Serializes one epoch's delta. Deterministic: per-feed entries are
-/// sorted by domain id and FQDN hashes ascending (a sealed delta is
-/// already in order), so the same state always produces the same
-/// bytes.
+/// Serializes one epoch's sealed delta. Deterministic: per-feed
+/// entries ascend by domain id and FQDN hashes ascend, so the same
+/// state always produces the same bytes.
 fn encode(fingerprint: &str, epoch: u64, rows_done: u64, feeds: &[Feed]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
@@ -262,20 +260,18 @@ fn encode(fingerprint: &str, epoch: u64, rows_done: u64, feeds: &[Feed]) -> Vec<
             }
             None => put_u64(&mut out, 0),
         }
-        // Ascending domain order, whether the feed is sealed or not.
-        let entries: Vec<(DomainId, DomainStats)> = feed.iter().collect();
-        put_u64(&mut out, entries.len() as u64);
-        for (d, s) in entries {
+        put_u64(&mut out, feed.unique_domains() as u64);
+        for (d, s) in feed.iter() {
             put_u64(&mut out, u64::from(d.0));
             put_u64(&mut out, s.first_seen.0);
             put_u64(&mut out, s.last_seen.0);
             put_u64(&mut out, s.volume);
         }
-        match feed.fqdn_hashes_sorted() {
+        match feed.fqdn_hashes() {
             Some(hashes) => {
                 put_u64(&mut out, 1);
                 put_u64(&mut out, hashes.len() as u64);
-                for &h in hashes.iter() {
+                for &h in hashes {
                     put_u64(&mut out, h);
                 }
             }
@@ -348,8 +344,9 @@ pub(crate) fn clear(dir: &Path, keep_through: u64) -> Result<(), ServeError> {
 }
 
 /// Folds the longest run of consecutive valid checkpoints `ckpt-1..k`
-/// in `dir` into the state after epoch k. The chain ends at the first
-/// epoch whose file is missing, torn or corrupt, so a crash mid-write
+/// in `dir` into the state after epoch k, each link merged in with
+/// [`Feed::merged`]. The chain ends at the first epoch whose file is
+/// missing, torn, corrupt or out of order, so a crash mid-write
 /// degrades to the epoch before it. A file written for another
 /// configuration is a typed error, never folded. Returns `None` when
 /// `ckpt-1` is unusable.
@@ -391,7 +388,8 @@ pub(crate) fn load_chain(dir: &Path, fingerprint: &str) -> Result<Option<Chain>,
             });
             continue;
         };
-        for (acc, delta) in c.feeds.iter_mut().zip(ckpt.feeds) {
+        let mut folded = Vec::with_capacity(c.feeds.len());
+        for (acc, delta) in c.feeds.iter().zip(ckpt.feeds) {
             if acc.reports_volume != delta.reports_volume {
                 return Err(ServeError::Checkpoint(format!(
                     "{} disagrees with its chain on feed {}",
@@ -399,11 +397,126 @@ pub(crate) fn load_chain(dir: &Path, fingerprint: &str) -> Result<Option<Chain>,
                     acc.id
                 )));
             }
-            acc.merge(delta);
+            folded.push(acc.merged(delta));
         }
+        c.feeds = folded;
         c.epoch = epoch;
         c.rows_done = ckpt.rows_done;
         c.bytes += size;
     }
     Ok(chain)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use taster_feeds::FeedBuilder;
+
+    const FINGERPRINT: &str = "v2 test";
+
+    /// Ten sealed feeds; Bot holds domains 5 (volume 3) and 6 (volume
+    /// 6) with distinctive first-seen times, and FQDN hashes 0xf1, 0xf2.
+    fn epoch_feeds() -> Vec<Feed> {
+        let bot = |d: u32, first: u64, volume: u64| {
+            let stats = DomainStats {
+                first_seen: SimTime(first),
+                last_seen: SimTime(first + 1),
+                volume,
+            };
+            (DomainId(d), stats)
+        };
+        FeedId::ALL
+            .iter()
+            .map(|&id| match id {
+                FeedId::Bot => Feed::from_sorted(
+                    id,
+                    true,
+                    Some(9),
+                    vec![bot(5, 0x5151_5151, 3), bot(6, 0x6161_6161, 6)],
+                    Some(vec![0xf1, 0xf2]),
+                    Vec::new(),
+                )
+                .unwrap(),
+                _ => FeedBuilder::new(id, false).seal(),
+            })
+            .collect()
+    }
+
+    /// Where `needle` starts in `bytes`.
+    fn find(bytes: &[u8], needle: &[u8]) -> usize {
+        bytes
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .unwrap()
+    }
+
+    /// How a re-checksummed link breaks Bot's stored order.
+    #[derive(Debug, Clone, Copy)]
+    enum Disorder {
+        /// Entries (5, volume 3) and (5, volume 6).
+        RepeatedDomain,
+        /// Entry 6 before entry 5.
+        DescendingDomains,
+        /// FQDN hash 0xf2 before 0xf1.
+        DescendingHashes,
+    }
+
+    /// The encoded epoch with Bot's stored order broken, re-checksummed
+    /// so only the order check can catch it.
+    fn disordered(epoch: u64, disorder: Disorder) -> Vec<u8> {
+        let mut bytes = encode(FINGERPRINT, epoch, epoch * 10, &epoch_feeds());
+        // Each entry is (id, first seen, last seen, volume): 32 bytes.
+        let entry = |first_seen: u64| find(&bytes, &first_seen.to_le_bytes()) - 8;
+        let (five, six) = (entry(0x5151_5151), entry(0x6161_6161));
+        assert_eq!(six, five + 32);
+        let hashes = find(&bytes, &0xf1u64.to_le_bytes());
+        match disorder {
+            Disorder::RepeatedDomain => bytes[six..six + 8].copy_from_slice(&5u64.to_le_bytes()),
+            Disorder::DescendingDomains => {
+                let (a, b) = bytes[five..six + 32].split_at_mut(32);
+                a.swap_with_slice(b);
+            }
+            Disorder::DescendingHashes => {
+                let (a, b) = bytes[hashes..hashes + 16].split_at_mut(8);
+                a.swap_with_slice(b);
+            }
+        }
+        let n = bytes.len() - 8;
+        let sum = fnv1a64(&bytes[..n]);
+        bytes[n..].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
+    #[test]
+    fn a_chain_folds_until_a_link_out_of_order() {
+        let dir =
+            std::env::temp_dir().join(format!("taster-checkpoint-order-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let first = write(&dir, FINGERPRINT, 1, 10, &epoch_feeds()).unwrap();
+        write(&dir, FINGERPRINT, 2, 20, &epoch_feeds()).unwrap();
+        let chain = load_chain(&dir, FINGERPRINT).unwrap().unwrap();
+        assert_eq!((chain.epoch, chain.rows_done), (2, 20));
+        let bot = &chain.feeds[FeedId::Bot.index()];
+        let volumes: Vec<(DomainId, u64)> = bot.iter().map(|(d, s)| (d, s.volume)).collect();
+        assert_eq!(volumes, [(DomainId(5), 6), (DomainId(6), 12)]);
+        assert_eq!(bot.fqdn_hashes(), Some(&[0xf1, 0xf2][..]));
+
+        for disorder in [
+            Disorder::RepeatedDomain,
+            Disorder::DescendingDomains,
+            Disorder::DescendingHashes,
+        ] {
+            let bytes = disordered(2, disorder);
+            let err = Checkpoint::decode(&bytes).unwrap_err();
+            assert!(
+                matches!(&err, ServeError::Checkpoint(m) if m.contains("must strictly ascend")),
+                "{disorder:?}: {err}"
+            );
+            std::fs::write(dir.join(file_name(2)), &bytes).unwrap();
+            let chain = load_chain(&dir, FINGERPRINT).unwrap().unwrap();
+            assert_eq!((chain.epoch, chain.rows_done), (1, 10), "{disorder:?}");
+            assert_eq!(chain.bytes, first, "{disorder:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

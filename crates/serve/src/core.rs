@@ -248,11 +248,14 @@ impl ServeCore {
     /// errs high) — the daemon needs a threshold, not an allocator
     /// audit.
     pub fn estimated_bytes(&self) -> u64 {
-        self.state
-            .sealed()
-            .iter()
-            .chain(self.state.delta())
-            .map(|f| f.unique_domains() as u64 * 48 + f.unique_fqdns().unwrap_or(0) as u64 * 8)
+        let bytes = |domains: usize, fqdns: Option<usize>| {
+            domains as u64 * 48 + fqdns.unwrap_or(0) as u64 * 8
+        };
+        let sealed = self.state.sealed().iter();
+        let delta = self.state.delta().iter();
+        sealed
+            .map(|f| bytes(f.unique_domains(), f.unique_fqdns()))
+            .chain(delta.map(|f| bytes(f.unique_domains(), f.unique_fqdns())))
             .sum()
     }
 
@@ -300,16 +303,17 @@ impl ServeCore {
 }
 
 /// The configuration fingerprint stored in checkpoints: everything
-/// that changes collection output or epoch boundaries. The `v2` prefix
-/// marks per-epoch deltas; a `v1` (full-state) file fails the
-/// fingerprint check instead of being folded as a delta.
+/// that changes collection output or epoch boundaries. The resource
+/// settings (`--threads`, `--chunk`, `--max-mem-bytes`) change neither,
+/// so a resume may pick them anew. The `v2` prefix marks per-epoch
+/// deltas; a `v1` (full-state) file fails the fingerprint check instead
+/// of being folded as a delta.
 pub fn fingerprint(scenario: &Scenario, epoch_events: usize) -> String {
     format!(
-        "v2 seed={} scenario={} profile={} chunk={} epoch_events={}",
+        "v2 seed={} scenario={} profile={} epoch_events={}",
         scenario.seed,
         scenario.name,
         scenario.fault_plan().profile().name,
-        scenario.feeds.chunk_size,
         epoch_events
     )
 }

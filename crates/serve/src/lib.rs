@@ -41,7 +41,7 @@ mod tests {
     use taster_domain::bitset::DomainBitset;
     use taster_domain::DomainId;
     use taster_feeds::feed::DomainStats;
-    use taster_feeds::{Feed, FeedId};
+    use taster_feeds::{Feed, FeedBuilder, FeedId};
     use taster_sim::{SimTime, TimeWindow};
 
     fn arb_feed(id: FeedId) -> impl Strategy<Value = Feed> {
@@ -53,30 +53,36 @@ mod tests {
         let samples = proptest::option::of(0u64..10_000);
         let gaps = proptest::collection::vec((0u64..1000, 0u64..1000), 0..3);
         (entries, fqdns, samples, (gaps, any::<bool>())).prop_map(
-            move |(mut entries, fqdns, samples, (gaps, reports_volume))| {
-                // `from_parts` treats duplicate domains as last-wins;
-                // dedup so the round-trip comparison is exact.
+            move |(mut entries, mut fqdns, samples, (gaps, reports_volume))| {
+                // A sealed feed holds strictly ascending ids and hashes.
                 entries.sort_by_key(|(d, _)| *d);
                 entries.dedup_by_key(|(d, _)| *d);
-                Feed::from_parts(
+                if let Some(hashes) = &mut fqdns {
+                    hashes.sort_unstable();
+                    hashes.dedup();
+                }
+                let rows = entries.into_iter().map(|(d, (a, b, v))| {
+                    (
+                        DomainId(d),
+                        DomainStats {
+                            first_seen: SimTime(a.min(b)),
+                            last_seen: SimTime(a.max(b)),
+                            volume: v,
+                        },
+                    )
+                });
+                let gaps = gaps
+                    .into_iter()
+                    .map(|(s, len)| TimeWindow::new(SimTime(s), SimTime(s + len)));
+                Feed::from_sorted(
                     id,
                     reports_volume,
                     samples,
-                    entries.into_iter().map(|(d, (a, b, v))| {
-                        (
-                            DomainId(d),
-                            DomainStats {
-                                first_seen: SimTime(a.min(b)),
-                                last_seen: SimTime(a.max(b)),
-                                volume: v,
-                            },
-                        )
-                    }),
+                    rows.collect(),
                     fqdns,
-                    gaps.into_iter()
-                        .map(|(s, len)| TimeWindow::new(SimTime(s), SimTime(s + len)))
-                        .collect(),
+                    gaps.collect(),
                 )
+                .unwrap()
             },
         )
     }
@@ -86,7 +92,7 @@ mod tests {
         assert_eq!(a.samples, b.samples);
         assert_eq!(a.reports_volume, b.reports_volume);
         assert_eq!(a.unique_domains(), b.unique_domains());
-        assert_eq!(a.fqdn_hashes_sorted(), b.fqdn_hashes_sorted());
+        assert_eq!(a.fqdn_hashes(), b.fqdn_hashes());
         assert_eq!(a.gaps(), b.gaps());
         for (d, s) in a.iter() {
             assert_eq!(Some(s), b.stats(d));
@@ -94,8 +100,8 @@ mod tests {
     }
 
     proptest! {
-        /// Seal → snapshot bytes → restore equals the in-memory state,
-        /// for arbitrary feed contents.
+        /// Sealed feeds → checkpoint bytes → decoded feeds equals the
+        /// in-memory state, for arbitrary feed contents.
         #[test]
         fn checkpoint_round_trips(
             seeds in proptest::collection::vec(arb_feed(FeedId::Bot), 1..2),
@@ -108,15 +114,16 @@ mod tests {
             let feeds: Vec<Feed> = FeedId::ALL
                 .iter()
                 .map(|&id| match &template {
-                    Some(f) => Feed::from_parts(
+                    Some(f) => Feed::from_sorted(
                         id,
                         f.reports_volume,
                         f.samples,
-                        f.iter(),
-                        f.fqdn_hashes_sorted().map(|h| h.into_owned()),
+                        f.iter().collect(),
+                        f.fqdn_hashes().map(<[u64]>::to_vec),
                         f.gaps().to_vec(),
-                    ),
-                    None => Feed::new(id, false),
+                    )
+                    .unwrap(),
+                    None => FeedBuilder::new(id, false).seal(),
                 })
                 .collect();
             let ckpt = Checkpoint {
@@ -141,7 +148,8 @@ mod tests {
         /// Corrupting any single byte is always detected.
         #[test]
         fn corruption_is_detected(flip in 0usize..512, xor in 1u8..255) {
-            let feeds: Vec<Feed> = FeedId::ALL.iter().map(|&id| Feed::new(id, false)).collect();
+            let empty = FeedId::ALL.iter().map(|&id| FeedBuilder::new(id, false).seal());
+            let feeds: Vec<Feed> = empty.collect();
             let ckpt = Checkpoint {
                 fingerprint: "prop".to_string(),
                 epoch: 3,

@@ -13,9 +13,9 @@
 //!   correct caller (one whose tasks are pure functions of their
 //!   input) produces the same output at any [`Parallelism`].
 //!
-//! Worker count resolution: explicit `--threads` CLI flag, then the
-//! `TASTER_THREADS` environment variable, then
-//! [`std::thread::available_parallelism`].
+//! Worker count resolution: the `--threads` CLI flag
+//! ([`Parallelism::fixed`]), else [`std::thread::available_parallelism`]
+//! ([`Parallelism::default`]).
 
 #![allow(
     clippy::disallowed_methods,
@@ -25,9 +25,6 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Environment variable overriding the default worker count.
-pub const THREADS_ENV: &str = "TASTER_THREADS";
-
 /// Worker-count configuration for the parallel stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
@@ -35,10 +32,9 @@ pub struct Parallelism {
 }
 
 impl Default for Parallelism {
-    /// `TASTER_THREADS` if set and positive, else the machine's
-    /// available cores.
+    /// The machine's available cores.
     fn default() -> Parallelism {
-        Parallelism::from_env().unwrap_or_else(Parallelism::available_cores)
+        Parallelism::available_cores()
     }
 }
 
@@ -61,14 +57,6 @@ impl Parallelism {
             .map(|n| n.get())
             .unwrap_or(1);
         Parallelism::fixed(cores)
-    }
-
-    /// Reads [`THREADS_ENV`]; `None` when unset, empty, zero, or
-    /// unparseable.
-    pub fn from_env() -> Option<Parallelism> {
-        let raw = std::env::var(THREADS_ENV).ok()?;
-        let n: usize = raw.trim().parse().ok()?;
-        (n > 0).then(|| Parallelism::fixed(n))
     }
 
     /// The configured worker count (always ≥ 1).

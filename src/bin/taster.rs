@@ -34,10 +34,10 @@
 //! sweeps the canonical profiles itself; `ab` names them as scenarios.
 //!
 //! `--threads`, `--chunk` and `--max-mem-bytes` change speed and peak
-//! memory, never an output byte. `--threads N` (else `TASTER_THREADS`,
-//! else the available cores) sets the workers of the parallel stages;
-//! `sweep` and `summary` run serially. `--chunk N` caps the rows one
-//! out-of-core read of the collection driver decodes (default 65 536).
+//! memory, never an output byte. `--threads N` (else the available
+//! cores) sets the workers of the parallel stages; `sweep` and
+//! `summary` run serially. `--chunk N` caps the rows one out-of-core
+//! read of the collection driver decodes (default 65 536).
 //! `replicate` and `ab` derive replicate seeds from `(master seed,
 //! index)` and key every bootstrap resample by `(seed, metric,
 //! resample index)`, so they too are identical at any `--threads`.
@@ -703,7 +703,7 @@ fn summary(args: &Args) {
 /// replays only the tail after a crash. Exit codes: 0 clean shutdown
 /// (drain or `--exit-when-done`), 2 setup/serving failure.
 fn serve_cmd(args: &Args) {
-    use taster::serve::{core as serve_core, server, ServeConfig, ServerConfig};
+    use taster::serve::{core as serve_core, server, ServeConfig};
 
     let scenario = args.scenario();
     let config = ServeConfig {
@@ -722,18 +722,7 @@ fn serve_cmd(args: &Args) {
             std::process::exit(2);
         }
     };
-    let server_cfg = ServerConfig {
-        socket: std::path::PathBuf::from(&args.socket),
-        request_timeout: std::time::Duration::from_millis(args.request_timeout_ms),
-        request_deadline: std::time::Duration::from_millis(args.request_timeout_ms * 2),
-        max_pending: args.max_pending,
-        max_mem_bytes: args.max_mem_bytes,
-        watchdog: std::time::Duration::from_millis(args.watchdog_ms),
-        tick_rows: args.tick_rows,
-        final_report: args.final_report.clone().map(std::path::PathBuf::from),
-        exit_when_done: args.exit_when_done,
-        test_hooks: args.test_hooks,
-    };
+    let server_cfg = server_config(args);
     eprintln!(
         "serve: listening on {} (epoch every {} events, resume={})",
         args.socket, args.epoch_events, args.resume
@@ -749,9 +738,30 @@ fn serve_cmd(args: &Args) {
     }
 }
 
+/// The daemon's socket settings. A request's end-to-end budget is twice
+/// `--request-timeout-ms`, saturating, so a huge timeout never wraps
+/// to a zero budget that would refuse every request, `shutdown`
+/// included.
+fn server_config(args: &Args) -> taster::serve::ServerConfig {
+    taster::serve::ServerConfig {
+        socket: std::path::PathBuf::from(&args.socket),
+        request_timeout: std::time::Duration::from_millis(args.request_timeout_ms),
+        request_deadline: std::time::Duration::from_millis(
+            args.request_timeout_ms.saturating_mul(2),
+        ),
+        max_pending: args.max_pending,
+        max_mem_bytes: args.max_mem_bytes,
+        watchdog: std::time::Duration::from_millis(args.watchdog_ms),
+        tick_rows: args.tick_rows,
+        final_report: args.final_report.clone().map(std::path::PathBuf::from),
+        exit_when_done: args.exit_when_done,
+        test_hooks: args.test_hooks,
+    }
+}
+
 /// `taster loadgen`: replay a deterministic keyed-RNG query storm
 /// against a running daemon (`--faults` picks the storm shape:
-/// `serve-slow-client`, `serve-query-storm`, `serve-kill-midrun`) and
+/// `slow-client`, `query-storm`, `kill-midrun`) and
 /// write serving-path latencies/shed counts as JSON to `--out`. Exit
 /// codes: 0 storm completed, 2 the daemon never answered.
 fn loadgen_cmd(args: &Args) {
@@ -1000,6 +1010,19 @@ mod tests {
         assert!(parse("").is_err_and(|e| e.starts_with("usage: taster report")));
         let sweep = "taster sweep <seeding|mx-size> [--scale S] [--seed N] [--max-mem-bytes B]";
         assert_eq!(COMMANDS[2].usage(), sweep);
+    }
+
+    #[test]
+    fn the_request_budget_saturates_instead_of_wrapping() {
+        let budget = |ms: u64| {
+            let line = format!("serve --request-timeout-ms {ms}");
+            let (_, args) = parse(&line).unwrap();
+            server_config(&args).request_deadline
+        };
+        let ms = std::time::Duration::from_millis;
+        assert_eq!(budget(500), ms(1_000));
+        assert_eq!(budget(1 << 63), ms(u64::MAX));
+        assert_eq!(budget(u64::MAX), ms(u64::MAX));
     }
 
     #[test]

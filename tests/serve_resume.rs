@@ -15,7 +15,7 @@ use std::path::{Path, PathBuf};
 
 use rand::RngExt;
 use taster::core::{Experiment, Scenario};
-use taster::feeds::{Feed, FeedId};
+use taster::feeds::{FeedBuilder, FeedId};
 use taster::serve::{core::fingerprint, Checkpoint, ServeConfig, ServeCore, ServerStats};
 use taster::sim::{FaultProfile, RngStream};
 
@@ -229,8 +229,10 @@ fn out_of_core_serve_matches_batch_and_resumes_byte_identical() {
 }
 
 /// A checkpoint written for one configuration must refuse to resume
-/// another: the fingerprint covers seed, scenario (scale), profile,
-/// chunking and epoch size.
+/// another: the fingerprint covers seed, scenario (scale), profile and
+/// epoch size. The resource settings (workers, `--chunk`, the memory
+/// budget) are not part of it; see
+/// `a_resume_may_change_the_chunk_size`.
 #[test]
 fn resume_refuses_foreign_checkpoints() {
     let a = scenario("off", 1);
@@ -265,6 +267,41 @@ fn resume_refuses_foreign_checkpoints() {
     assert!(
         err.to_string().contains("fingerprint"),
         "unexpected error: {err}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `--chunk` changes how many rows one out-of-core read decodes, never
+/// an output byte, so a resume may pick another one: a run killed after
+/// two epochs at the default chunk resumes out of core with 7-row
+/// chunks and still finishes byte-identical to the batch report.
+#[test]
+fn a_resume_may_change_the_chunk_size() {
+    let batch = Experiment::try_run(&scenario("off", 1))
+        .expect("batch run")
+        .render_report();
+    let mut scn = scenario("off", 1);
+    scn.ecosystem.max_mem_bytes = Some(64 << 10);
+    let par = scn.parallelism;
+    let epoch_events = total_rows(&scn).div_ceil(5).max(1);
+    let dir = scratch("chunk");
+    let config = || ServeConfig {
+        epoch_events,
+        checkpoint_dir: Some(dir.clone()),
+    };
+    let mut doomed = ServeCore::new(&scn, config()).expect("doomed core");
+    seal_epochs(&mut doomed, &par, 2);
+    assert!(!doomed.ingest_complete(), "the kill must land mid-run");
+    drop(doomed);
+
+    scn.feeds.chunk_size = 7;
+    let mut resumed = ServeCore::resume(&scn, config()).expect("resume under --chunk 7");
+    assert_eq!(resumed.epoch(), 2, "the resume folds the whole chain");
+    run_to_completion(&mut resumed, &par);
+    assert_eq!(
+        resumed.final_report(&par).expect("resumed report"),
+        batch,
+        "a resume under another chunk size differs"
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -385,7 +422,10 @@ fn a_fresh_run_owns_its_checkpoint_directory() {
         fingerprint: fingerprint(&b, epoch_events).replacen("v2 ", "v1 ", 1),
         epoch: 1,
         rows_done: epoch_events as u64,
-        feeds: FeedId::ALL.iter().map(|&id| Feed::new(id, false)).collect(),
+        feeds: FeedId::ALL
+            .iter()
+            .map(|&id| FeedBuilder::new(id, false).seal())
+            .collect(),
     };
     assert!(v1.fingerprint.starts_with("v1 seed="), "{}", v1.fingerprint);
     std::fs::write(dir.join("ckpt-00000001.bin"), v1.encode()).expect("write v1 file");
