@@ -9,7 +9,6 @@
 //! was in the feed strictly before the delivery instant — and replay
 //! the legitimate streams for the false-positive cost.
 
-use crate::classify::Classified;
 use taster_ecosystem::buffer::NO_CHAFF;
 use taster_ecosystem::spill::SpillError;
 use taster_feeds::{Feed, FeedId, FeedSet};
@@ -69,14 +68,15 @@ fn ratio(n: u64, d: u64) -> f64 {
     }
 }
 
-/// Evaluates a set of feeds in one pass over the time-sorted event
-/// log. The spam counters are stateless per event, so a single pass
-/// scores every feed at once, however many feeds are under test. Fails
-/// only when the out-of-core spill cannot be read.
-fn evaluate_feeds(
+/// Evaluates every feed in one pass over the time-sorted event log.
+/// The spam counters are stateless per event, so a single pass scores
+/// all ten feeds at once. Fails only when the out-of-core spill cannot
+/// be read.
+pub fn blocking_study(
     world: &MailWorld,
-    under_test: &[&Feed],
+    feeds: &FeedSet,
 ) -> Result<Vec<BlockingResult>, SpillError> {
+    let under_test: Vec<&Feed> = FeedId::ALL.iter().map(|&id| feeds.get(id)).collect();
     let blocked_at = |feed: &Feed, d: taster_domain::DomainId, t: taster_sim::SimTime| -> bool {
         feed.stats(d).is_some_and(|s| s.first_seen < t)
     };
@@ -166,38 +166,25 @@ fn evaluate_feeds(
         .collect())
 }
 
-/// Evaluates every feed in a single pass over the event log.
-pub fn blocking_study(
-    world: &MailWorld,
-    feeds: &FeedSet,
-    _classified: &Classified,
-) -> Result<Vec<BlockingResult>, SpillError> {
-    let all: Vec<&Feed> = FeedId::ALL.iter().map(|&id| feeds.get(id)).collect();
-    evaluate_feeds(world, &all)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::ClassifyOptions;
-    use crate::Classified;
     use taster_ecosystem::{EcosystemConfig, GroundTruth};
     use taster_feeds::{collect_all, FeedsConfig};
     use taster_mailsim::MailConfig;
 
-    fn setup() -> (MailWorld, FeedSet, Classified) {
+    fn setup() -> (MailWorld, FeedSet) {
         let truth =
             GroundTruth::generate(&EcosystemConfig::default().with_scale(0.05), 131).unwrap();
         let world = MailWorld::build(truth, MailConfig::default().with_scale(0.05)).unwrap();
         let feeds = collect_all(&world, &FeedsConfig::default());
-        let c = Classified::build(&world.truth, &feeds, ClassifyOptions::default());
-        (world, feeds, c)
+        (world, feeds)
     }
 
     #[test]
     fn invariants_hold_for_every_feed() {
-        let (world, feeds, c) = setup();
-        for r in blocking_study(&world, &feeds, &c).unwrap() {
+        let (world, feeds) = setup();
+        for r in blocking_study(&world, &feeds).unwrap() {
             assert!(r.spam_blocked <= r.spam_blocked_eventually);
             assert!(r.spam_blocked_eventually <= r.spam_total);
             assert!(r.ham_blocked <= r.ham_total);
@@ -208,8 +195,8 @@ mod tests {
 
     #[test]
     fn blacklists_block_with_low_fp_honeypots_cost_ham() {
-        let (world, feeds, c) = setup();
-        let results = blocking_study(&world, &feeds, &c).unwrap();
+        let (world, feeds) = setup();
+        let results = blocking_study(&world, &feeds).unwrap();
         let get = |id: FeedId| results.iter().find(|r| r.feed == id).copied().unwrap();
         let dbl = get(FeedId::Dbl);
         let mx1 = get(FeedId::Mx1);
@@ -224,8 +211,8 @@ mod tests {
 
     #[test]
     fn latency_costs_honeypots_real_blocking() {
-        let (world, feeds, c) = setup();
-        let results = blocking_study(&world, &feeds, &c).unwrap();
+        let (world, feeds) = setup();
+        let results = blocking_study(&world, &feeds).unwrap();
         let mx2 = results.iter().find(|r| r.feed == FeedId::Mx2).unwrap();
         // mx2 knows a lot eventually but learns it late.
         assert!(

@@ -63,10 +63,10 @@ impl Classified {
         Self::build_with(truth, feeds, options, &Parallelism::serial())
     }
 
-    /// Crawls and classifies all feeds on `par` workers: the crawl
-    /// shards the (sorted) domain union, then each feed's set
-    /// derivation runs as one task. Both steps are pure per domain /
-    /// per feed, so the result matches a serial build exactly.
+    /// Crawls and classifies all feeds: the crawl shards the (sorted)
+    /// domain union across `par` workers — pure per domain, so the
+    /// result matches a serial build exactly — then each feed's sets
+    /// are derived in turn.
     ///
     /// Set derivation is pure bitset algebra: a feed's *all* set is
     /// its membership bitset (intersected with the base union for
@@ -144,33 +144,34 @@ impl Classified {
                 to_crawl.union_with(feeds.columns(id).members());
             }
         }
-        let crawl = obs.stage(Stage::Crawl, || {
-            crawler.crawl_par_observed(to_crawl.iter(), par, obs)
-        });
+        let crawl = obs.stage(Stage::Crawl, || crawler.crawl(to_crawl.iter(), par, obs));
 
         let per_feed = obs.stage(Stage::Classify, || {
             let _derive_span = obs.span("classify/derive_sets");
-            par.par_map(FeedId::ALL.to_vec(), |id| {
-                let members = feeds.columns(id).members();
-                let restrict = options.restrict_blacklists_to_base
-                    && matches!(id, FeedId::Dbl | FeedId::Uribl);
-                let all = if restrict {
-                    members.intersection(&base_union)
-                } else {
-                    members.clone()
-                };
-                debug_assert_eq!(
-                    all.difference_len(crawl.members()),
-                    0,
-                    "crawled every classified domain"
-                );
-                FeedDomains {
-                    live: all.intersection(crawl.live_set()),
-                    tagged: all.intersection(crawl.storefront_set()),
-                    benign_listed: all.intersection(crawl.benign_http_set()),
-                    all,
-                }
-            })
+            FeedId::ALL
+                .iter()
+                .map(|&id| {
+                    let members = feeds.columns(id).members();
+                    let restrict = options.restrict_blacklists_to_base
+                        && matches!(id, FeedId::Dbl | FeedId::Uribl);
+                    let all = if restrict {
+                        members.intersection(&base_union)
+                    } else {
+                        members.clone()
+                    };
+                    debug_assert_eq!(
+                        all.difference_len(crawl.members()),
+                        0,
+                        "crawled every classified domain"
+                    );
+                    FeedDomains {
+                        live: all.intersection(crawl.live_set()),
+                        tagged: all.intersection(crawl.storefront_set()),
+                        benign_listed: all.intersection(crawl.benign_http_set()),
+                        all,
+                    }
+                })
+                .collect::<Vec<_>>()
         });
 
         if obs.metrics.is_on() {

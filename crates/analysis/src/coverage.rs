@@ -10,7 +10,6 @@ use crate::classify::{Category, Classified};
 use crate::matrix::{OverlapCell, PairwiseMatrix};
 use taster_domain::DomainBitset as DomainSet;
 use taster_feeds::FeedId;
-use taster_sim::Parallelism;
 
 /// Coverage counts for one feed in one category.
 #[derive(Debug, Clone, Copy)]
@@ -34,25 +33,26 @@ pub struct CoverageRow {
     pub tagged: CoverageCounts,
 }
 
-/// Computes Table 3 (equivalently the Fig 1 scatter data) on `par`
-/// workers: each (feed, category) cell is a pure set computation, so
-/// the 30 tasks fan out freely and the table is bit-identical to a
-/// serial pass at any worker count.
-pub fn coverage_table_par(classified: &Classified, par: &Parallelism) -> Vec<CoverageRow> {
+/// Computes Table 3 (equivalently the Fig 1 scatter data): each
+/// (feed, category) cell is a pure set computation.
+pub fn coverage_table(classified: &Classified) -> Vec<CoverageRow> {
     let count = |cat: Category| -> Vec<CoverageCounts> {
-        par.par_map(FeedId::ALL.to_vec(), |id| {
-            let own = classified.set(id, cat);
-            // Union of every *other* feed.
-            let mut others = DomainSet::with_capacity(0);
-            for &o in FeedId::ALL.iter().filter(|&&o| o != id) {
-                others.union_with(classified.set(o, cat));
-            }
-            CoverageCounts {
-                total: own.len(),
-                // One andnot popcount pass — no materialised set.
-                exclusive: own.difference_len(&others),
-            }
-        })
+        FeedId::ALL
+            .iter()
+            .map(|&id| {
+                let own = classified.set(id, cat);
+                // Union of every *other* feed.
+                let mut others = DomainSet::with_capacity(0);
+                for &o in FeedId::ALL.iter().filter(|&&o| o != id) {
+                    others.union_with(classified.set(o, cat));
+                }
+                CoverageCounts {
+                    total: own.len(),
+                    // One andnot popcount pass — no materialised set.
+                    exclusive: own.difference_len(&others),
+                }
+            })
+            .collect()
     };
     let all = count(Category::All);
     let live = count(Category::Live);
@@ -72,16 +72,11 @@ pub fn coverage_table_par(classified: &Classified, par: &Parallelism) -> Vec<Cov
 /// Fraction of the whole category union that is exclusive to a single
 /// feed (the paper: 60 % of live, 19 % of tagged).
 pub fn exclusive_share(classified: &Classified, category: Category) -> f64 {
-    exclusive_share_par(classified, category, &Parallelism::serial())
-}
-
-/// [`exclusive_share`] with the coverage table built on `par` workers.
-pub fn exclusive_share_par(classified: &Classified, category: Category, par: &Parallelism) -> f64 {
     let union = classified.union(&FeedId::ALL, category);
     if union.is_empty() {
         return 0.0;
     }
-    let rows = coverage_table_par(classified, par);
+    let rows = coverage_table(classified);
     let exclusive: usize = rows
         .iter()
         .map(|r| match category {
@@ -94,15 +89,13 @@ pub fn exclusive_share_par(classified: &Classified, category: Category, par: &Pa
 }
 
 /// Fig 2: pairwise intersection matrix for one category, with the
-/// "All" column (each feed's coverage of the union), its rows fanned
-/// out across `par` workers; bit-identical to the serial matrix.
-pub fn pairwise_overlap_par(
+/// "All" column (each feed's coverage of the union).
+pub fn pairwise_overlap(
     classified: &Classified,
     category: Category,
-    par: &Parallelism,
 ) -> PairwiseMatrix<OverlapCell> {
     let union = classified.union(&FeedId::ALL, category);
-    PairwiseMatrix::build_par(
+    PairwiseMatrix::build(
         &FeedId::ALL,
         Some("All"),
         |row, col| {
@@ -130,7 +123,6 @@ pub fn pairwise_overlap_par(
                 },
             }
         },
-        par,
     )
 }
 
@@ -153,7 +145,7 @@ mod tests {
     #[test]
     fn exclusive_never_exceeds_total() {
         let c = classified();
-        for r in coverage_table_par(&c, &Parallelism::serial()) {
+        for r in coverage_table(&c) {
             assert!(r.all.exclusive <= r.all.total);
             assert!(r.live.exclusive <= r.live.total);
             assert!(r.tagged.exclusive <= r.tagged.total);
@@ -172,7 +164,7 @@ mod tests {
     #[test]
     fn pairwise_diagonal_is_identity() {
         let c = classified();
-        let m = pairwise_overlap_par(&c, Category::Live, &Parallelism::serial());
+        let m = pairwise_overlap(&c, Category::Live);
         for id in FeedId::ALL {
             let cell = m.get(id, id);
             assert_eq!(cell.count, c.set(id, Category::Live).len());
@@ -185,7 +177,7 @@ mod tests {
     #[test]
     fn pairwise_symmetric_in_counts() {
         let c = classified();
-        let m = pairwise_overlap_par(&c, Category::Tagged, &Parallelism::serial());
+        let m = pairwise_overlap(&c, Category::Tagged);
         for a in FeedId::ALL {
             for b in FeedId::ALL {
                 assert_eq!(m.get(a, b).count, m.get(b, a).count);
@@ -194,40 +186,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_coverage_matches_serial() {
-        let c = classified();
-        let serial_rows = coverage_table_par(&c, &Parallelism::serial());
-        let serial_m = pairwise_overlap_par(&c, Category::Live, &Parallelism::serial());
-        for workers in [2, 8] {
-            let par = Parallelism::fixed(workers);
-            let rows = coverage_table_par(&c, &par);
-            for (a, b) in serial_rows.iter().zip(&rows) {
-                assert_eq!(a.feed, b.feed);
-                assert_eq!(a.all.total, b.all.total);
-                assert_eq!(a.all.exclusive, b.all.exclusive);
-                assert_eq!(a.live.total, b.live.total);
-                assert_eq!(a.tagged.exclusive, b.tagged.exclusive);
-            }
-            let m = pairwise_overlap_par(&c, Category::Live, &par);
-            for x in FeedId::ALL {
-                assert_eq!(m.get_extra(x), serial_m.get_extra(x));
-                for y in FeedId::ALL {
-                    assert_eq!(m.get(x, y), serial_m.get(x, y));
-                }
-            }
-            for cat in [Category::All, Category::Live, Category::Tagged] {
-                assert_eq!(
-                    exclusive_share_par(&c, cat, &par).to_bits(),
-                    exclusive_share(&c, cat).to_bits()
-                );
-            }
-        }
-    }
-
-    #[test]
     fn all_column_fractions_bounded() {
         let c = classified();
-        let m = pairwise_overlap_par(&c, Category::Tagged, &Parallelism::serial());
+        let m = pairwise_overlap(&c, Category::Tagged);
         for id in FeedId::ALL {
             let cell = m.get_extra(id);
             assert!((0.0..=1.0).contains(&cell.fraction));

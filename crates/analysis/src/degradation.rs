@@ -11,10 +11,9 @@
 
 use crate::classify::{Category, Classified};
 use crate::proportionality::{mail_distribution, tagged_distribution};
-use crate::purity::{purity_par, PurityRow};
-use crate::timing::{first_appearance_par, FIG9_FEEDS};
+use crate::purity::{purity, PurityRow};
+use crate::timing::{first_appearance, FIG9_FEEDS};
 use taster_feeds::{FeedId, FeedSet};
-use taster_sim::Parallelism;
 use taster_stats::{variation_distance, EmpiricalDist};
 
 /// The degradation-relevant numbers of one feed in one run.
@@ -60,14 +59,9 @@ pub struct RunSnapshot {
 /// Freezes the degradation-relevant metrics of one collected +
 /// classified run. Tolerates arbitrarily empty feeds (a 100 %-outage
 /// profile yields zero counts and `None` medians, never NaN).
-pub fn snapshot(
-    feeds: &FeedSet,
-    classified: &Classified,
-    oracle: &EmpiricalDist,
-    par: &Parallelism,
-) -> RunSnapshot {
-    let purity = purity_par(classified, par);
-    let firsts = first_appearance_par(feeds, classified, &FIG9_FEEDS, &FeedId::ALL, par);
+pub fn snapshot(feeds: &FeedSet, classified: &Classified, oracle: &EmpiricalDist) -> RunSnapshot {
+    let purity_rows = purity(classified);
+    let firsts = first_appearance(feeds, classified, &FIG9_FEEDS, &FeedId::ALL);
     let mail = mail_distribution(classified, oracle);
     let rows = FeedId::ALL
         .iter()
@@ -75,7 +69,7 @@ pub fn snapshot(
         .map(|(i, &id)| {
             let feed = feeds.get(id);
             let fd = classified.feed(id);
-            let p: &PurityRow = &purity[i];
+            let p: &PurityRow = &purity_rows[i];
             let mail_variation = if feed.reports_volume {
                 let dist = tagged_distribution(feeds, classified, id);
                 Some(variation_distance(&dist, &mail))
@@ -191,7 +185,7 @@ mod tests {
     use taster_ecosystem::{EcosystemConfig, GroundTruth};
     use taster_feeds::{try_collect_all_observed, FeedsConfig};
     use taster_mailsim::{MailConfig, MailWorld};
-    use taster_sim::{FaultPlan, FaultProfile, Obs};
+    use taster_sim::{FaultPlan, FaultProfile, Obs, Parallelism};
 
     fn world() -> MailWorld {
         let truth =
@@ -211,7 +205,7 @@ mod tests {
             &plan,
             &par,
         );
-        snapshot(&feeds, &c, &world.provider.oracle, &par)
+        snapshot(&feeds, &c, &world.provider.oracle)
     }
 
     #[test]

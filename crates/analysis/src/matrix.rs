@@ -2,7 +2,6 @@
 
 use crate::error::AnalysisError;
 use taster_feeds::FeedId;
-use taster_sim::Parallelism;
 
 /// One cell of a pairwise coverage matrix: `|A ∩ B|` both absolute and
 /// relative to `|B|` (the paper prints both numbers per cell).
@@ -129,36 +128,6 @@ impl<T: Copy> PairwiseMatrix<T> {
     }
 }
 
-impl<T: Copy + Send> PairwiseMatrix<T> {
-    /// Row-parallel [`PairwiseMatrix::build`]: each row (all of its
-    /// cells plus the extra column) is one task on `par` workers.
-    ///
-    /// `f` and `extra` must be pure functions of their arguments —
-    /// every matrix in this workspace is — so the result is
-    /// bit-identical to a serial build at any worker count.
-    pub fn build_par(
-        feeds: &[FeedId],
-        extra_label: Option<&'static str>,
-        f: impl Fn(FeedId, FeedId) -> T + Sync,
-        extra: impl Fn(FeedId) -> T + Sync,
-        par: &Parallelism,
-    ) -> PairwiseMatrix<T> {
-        let values = par.par_map(feeds.to_vec(), |row| {
-            let mut r: Vec<T> = feeds.iter().map(|&col| f(row, col)).collect();
-            if extra_label.is_some() {
-                r.push(extra(row));
-            }
-            r
-        });
-        PairwiseMatrix {
-            feeds: feeds.to_vec(),
-            extra_label,
-            values,
-            index: feed_index(feeds),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,32 +146,6 @@ mod tests {
         assert_eq!(m.get_extra(FeedId::Bot), -8);
         assert_eq!(m.len(), 2);
         assert!(!m.is_empty());
-    }
-
-    #[test]
-    fn parallel_build_matches_serial() {
-        let feeds = FeedId::ALL;
-        let serial = PairwiseMatrix::build(
-            &feeds,
-            Some("All"),
-            |a, b| (a.index() * 31 + b.index()) as i64,
-            |a| -(a.index() as i64),
-        );
-        for workers in [1, 3, 8] {
-            let par = PairwiseMatrix::build_par(
-                &feeds,
-                Some("All"),
-                |a, b| (a.index() * 31 + b.index()) as i64,
-                |a| -(a.index() as i64),
-                &Parallelism::fixed(workers),
-            );
-            for a in FeedId::ALL {
-                assert_eq!(par.get_extra(a), serial.get_extra(a));
-                for b in FeedId::ALL {
-                    assert_eq!(par.get(a, b), serial.get(a, b));
-                }
-            }
-        }
     }
 
     #[test]
@@ -233,8 +176,6 @@ mod tests {
             assert_eq!(m.try_get(id, id), Err(AnalysisError::FeedNotInMatrix(id)));
             assert_eq!(m.try_get_extra(id), Err(AnalysisError::FeedNotInMatrix(id)));
         }
-        let par = PairwiseMatrix::build_par(&[], None, |_, _| 0u8, |_| 0u8, &Parallelism::fixed(4));
-        assert!(par.is_empty());
     }
 
     #[test]

@@ -20,7 +20,6 @@ use crate::matrix::PairwiseMatrix;
 use std::collections::BTreeSet;
 use taster_domain::DomainId;
 use taster_feeds::{FeedId, FeedSet};
-use taster_sim::Parallelism;
 use taster_stats::{kendall, EmpiricalDist};
 
 /// The tagged-domain volume distribution of one feed, restricted to
@@ -63,23 +62,21 @@ struct TaggedColumns {
 }
 
 impl TaggedColumns {
-    fn build(
-        feeds: &FeedSet,
-        classified: &Classified,
-        oracle: &EmpiricalDist,
-        par: &Parallelism,
-    ) -> TaggedColumns {
+    fn build(feeds: &FeedSet, classified: &Classified, oracle: &EmpiricalDist) -> TaggedColumns {
         let keys: Vec<u32> = classified
             .union(&FeedId::ALL, Category::Tagged)
             .iter()
             .map(|d| d.0)
             .collect();
-        let mut columns = par.par_map(FeedId::WITH_VOLUME.to_vec(), |f| {
-            let cols = feeds.columns(f);
-            keys.iter()
-                .map(|&k| cols.row_of(DomainId(k)).map_or(0, |i| cols.volumes()[i]))
-                .collect::<Vec<u64>>()
-        });
+        let mut columns: Vec<Vec<u64>> = FeedId::WITH_VOLUME
+            .iter()
+            .map(|&f| {
+                let cols = feeds.columns(f);
+                keys.iter()
+                    .map(|&k| cols.row_of(DomainId(k)).map_or(0, |i| cols.volumes()[i]))
+                    .collect()
+            })
+            .collect();
         columns.push(keys.iter().map(|&k| oracle.count(k)).collect());
         let totals = columns.iter().map(|c| c.iter().sum()).collect();
         TaggedColumns { columns, totals }
@@ -142,43 +139,36 @@ impl TaggedColumns {
 }
 
 /// Fig 7: pairwise variation distance over the volume-bearing feeds,
-/// with the "Mail" column, on `par` workers: the aligned volume
-/// columns are gathered concurrently, then the matrix rows fan out.
-/// Variation distance is a pure function of the two columns, so the
-/// matrix is bit-identical to a serial build.
-pub fn variation_matrix_par(
+/// with the "Mail" column: the aligned volume columns are gathered
+/// once, then each cell scans two of them.
+pub fn variation_matrix(
     feeds: &FeedSet,
     classified: &Classified,
     oracle: &EmpiricalDist,
-    par: &Parallelism,
 ) -> PairwiseMatrix<f64> {
-    let t = TaggedColumns::build(feeds, classified, oracle, par);
-    PairwiseMatrix::build_par(
+    let t = TaggedColumns::build(feeds, classified, oracle);
+    PairwiseMatrix::build(
         &FeedId::WITH_VOLUME,
         Some("Mail"),
         |a, b| t.variation(TaggedColumns::pos(a), TaggedColumns::pos(b)),
         |a| t.variation(TaggedColumns::pos(a), t.mail()),
-        par,
     )
 }
 
 /// Fig 8: pairwise Kendall tau-b (over common domains of each pair),
-/// with the "Mail" column, on `par` workers. `None` cells (degenerate
-/// pairs) render as 0 like the paper's rounded figure. Bit-identical
-/// to a serial build for the same reason as [`variation_matrix_par`].
-pub fn kendall_matrix_par(
+/// with the "Mail" column. `None` cells (degenerate pairs) render as 0
+/// like the paper's rounded figure.
+pub fn kendall_matrix(
     feeds: &FeedSet,
     classified: &Classified,
     oracle: &EmpiricalDist,
-    par: &Parallelism,
 ) -> PairwiseMatrix<f64> {
-    let t = TaggedColumns::build(feeds, classified, oracle, par);
-    PairwiseMatrix::build_par(
+    let t = TaggedColumns::build(feeds, classified, oracle);
+    PairwiseMatrix::build(
         &FeedId::WITH_VOLUME,
         Some("Mail"),
         |a, b| t.tau(TaggedColumns::pos(a), TaggedColumns::pos(b)),
         |a| t.tau(TaggedColumns::pos(a), t.mail()),
-        par,
     )
 }
 
@@ -203,7 +193,7 @@ mod tests {
     #[test]
     fn variation_matrix_properties() {
         let (world, feeds, c) = setup();
-        let m = variation_matrix_par(&feeds, &c, &world.provider.oracle, &Parallelism::serial());
+        let m = variation_matrix(&feeds, &c, &world.provider.oracle);
         for a in FeedId::WITH_VOLUME {
             assert!(m.get(a, a).abs() < 1e-12, "diagonal zero");
             for b in FeedId::WITH_VOLUME {
@@ -218,7 +208,7 @@ mod tests {
     #[test]
     fn kendall_matrix_properties() {
         let (world, feeds, c) = setup();
-        let m = kendall_matrix_par(&feeds, &c, &world.provider.oracle, &Parallelism::serial());
+        let m = kendall_matrix(&feeds, &c, &world.provider.oracle);
         for a in FeedId::WITH_VOLUME {
             let self_tau = m.get(a, a);
             assert!(self_tau > 0.99 || self_tau == 0.0, "self tau {self_tau}");
@@ -234,8 +224,8 @@ mod tests {
         // sparse-distribution statistics bit for bit.
         let (world, feeds, c) = setup();
         let oracle = &world.provider.oracle;
-        let m = variation_matrix_par(&feeds, &c, oracle, &Parallelism::serial());
-        let tau_m = kendall_matrix_par(&feeds, &c, oracle, &Parallelism::serial());
+        let m = variation_matrix(&feeds, &c, oracle);
+        let tau_m = kendall_matrix(&feeds, &c, oracle);
         let mail = mail_distribution(&c, oracle);
         for a in FeedId::WITH_VOLUME {
             let pa = tagged_distribution(&feeds, &c, a);
@@ -261,30 +251,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matrices_match_serial() {
-        let (world, feeds, c) = setup();
-        let oracle = &world.provider.oracle;
-        let vd = variation_matrix_par(&feeds, &c, oracle, &Parallelism::serial());
-        let tau = kendall_matrix_par(&feeds, &c, oracle, &Parallelism::serial());
-        for workers in [2, 8] {
-            let par = Parallelism::fixed(workers);
-            let vd_p = variation_matrix_par(&feeds, &c, oracle, &par);
-            let tau_p = kendall_matrix_par(&feeds, &c, oracle, &par);
-            for a in FeedId::WITH_VOLUME {
-                assert_eq!(vd_p.get_extra(a).to_bits(), vd.get_extra(a).to_bits());
-                assert_eq!(tau_p.get_extra(a).to_bits(), tau.get_extra(a).to_bits());
-                for b in FeedId::WITH_VOLUME {
-                    assert_eq!(vd_p.get(a, b).to_bits(), vd.get(a, b).to_bits());
-                    assert_eq!(tau_p.get(a, b).to_bits(), tau.get(a, b).to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
     fn mx_feeds_resemble_each_other_more_than_ac2() {
         let (world, feeds, c) = setup();
-        let m = variation_matrix_par(&feeds, &c, &world.provider.oracle, &Parallelism::serial());
+        let m = variation_matrix(&feeds, &c, &world.provider.oracle);
         let mx12 = m.get(FeedId::Mx1, FeedId::Mx2);
         let mx1_ac2 = m.get(FeedId::Mx1, FeedId::Ac2);
         assert!(

@@ -8,7 +8,6 @@
 
 use crate::classify::Classified;
 use taster_feeds::FeedId;
-use taster_sim::Parallelism;
 use taster_stats::summary::fraction;
 
 /// One row of Table 2; all values are fractions in `[0, 1]`.
@@ -30,27 +29,28 @@ pub struct PurityRow {
     pub alexa: f64,
 }
 
-/// Computes Table 2, each feed's indicator counts as one task on
-/// `par` workers. The entry sets come from the classification, so the
-/// blacklist restriction applies. Each count is a word-wise
-/// intersection popcount between the feed's entry set and one of the
-/// crawl's indicator bitsets — the single columnar join that replaced
-/// the per-domain crawl-result probes — so the table is bit-identical
-/// to a serial pass.
-pub fn purity_par(classified: &Classified, par: &Parallelism) -> Vec<PurityRow> {
-    par.par_map(FeedId::ALL.to_vec(), |id| {
-        let all = &classified.feed(id).all;
-        let n = all.len();
-        let crawl = &classified.crawl;
-        PurityRow {
-            feed: id,
-            dns: fraction(all.intersection_len(crawl.registered_set()), n),
-            http: fraction(all.intersection_len(crawl.http_ok_set()), n),
-            tagged: fraction(all.intersection_len(crawl.tagged_page_set()), n),
-            odp: fraction(all.intersection_len(crawl.odp_set()), n),
-            alexa: fraction(all.intersection_len(crawl.alexa_set()), n),
-        }
-    })
+/// Computes Table 2, one row per feed. The entry sets come from the
+/// classification, so the blacklist restriction applies. Each count is
+/// a word-wise intersection popcount between the feed's entry set and
+/// one of the crawl's indicator bitsets — the single columnar join
+/// that replaced the per-domain crawl-result probes.
+pub fn purity(classified: &Classified) -> Vec<PurityRow> {
+    let crawl = &classified.crawl;
+    FeedId::ALL
+        .iter()
+        .map(|&id| {
+            let all = &classified.feed(id).all;
+            let n = all.len();
+            PurityRow {
+                feed: id,
+                dns: fraction(all.intersection_len(crawl.registered_set()), n),
+                http: fraction(all.intersection_len(crawl.http_ok_set()), n),
+                tagged: fraction(all.intersection_len(crawl.tagged_page_set()), n),
+                odp: fraction(all.intersection_len(crawl.odp_set()), n),
+                alexa: fraction(all.intersection_len(crawl.alexa_set()), n),
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -67,7 +67,7 @@ mod tests {
         let world = MailWorld::build(truth, MailConfig::default().with_scale(0.03)).unwrap();
         let feeds = collect_all(&world, &FeedsConfig::default());
         let c = Classified::build(&world.truth, &feeds, ClassifyOptions::default());
-        purity_par(&c, &Parallelism::serial())
+        purity(&c)
     }
 
     fn row(rows: &[PurityRow], id: FeedId) -> PurityRow {
@@ -112,32 +112,6 @@ mod tests {
             let r = row(&rows, id);
             assert!(r.odp > 0.0, "{id} has some ODP contamination");
             assert!(r.http > 0.4 && r.http <= 1.0);
-        }
-    }
-
-    #[test]
-    fn parallel_purity_matches_serial() {
-        let truth =
-            GroundTruth::generate(&EcosystemConfig::default().with_scale(0.03), 79).unwrap();
-        let world = MailWorld::build(truth, MailConfig::default().with_scale(0.03)).unwrap();
-        let feeds = collect_all(&world, &FeedsConfig::default());
-        let c = Classified::build(&world.truth, &feeds, ClassifyOptions::default());
-        let serial = purity_par(&c, &Parallelism::serial());
-        for workers in [2, 8] {
-            let rows = purity_par(&c, &Parallelism::fixed(workers));
-            assert_eq!(rows.len(), serial.len());
-            for (a, b) in serial.iter().zip(&rows) {
-                assert_eq!(a.feed, b.feed);
-                for (x, y) in [
-                    (a.dns, b.dns),
-                    (a.http, b.http),
-                    (a.tagged, b.tagged),
-                    (a.odp, b.odp),
-                    (a.alexa, b.alexa),
-                ] {
-                    assert_eq!(x.to_bits(), y.to_bits());
-                }
-            }
         }
     }
 

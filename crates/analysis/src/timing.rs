@@ -13,7 +13,7 @@
 use crate::classify::{Category, Classified};
 use taster_domain::DomainId;
 use taster_feeds::{DomainStats, FeedId, FeedSet};
-use taster_sim::{Parallelism, SimTime, DAY, HOUR};
+use taster_sim::{SimTime, DAY, HOUR};
 use taster_stats::Boxplot;
 
 /// The domain set used by a timing analysis: tagged domains appearing
@@ -36,101 +36,82 @@ pub fn common_tagged_domains(classified: &Classified, required: &[FeedId]) -> Ve
 ///
 /// `reference` defines campaign start (earliest first-seen across
 /// those feeds); `scored` are the feeds reported. Returns
-/// `(feed, boxplot)` pairs, skipping feeds with no data. Each scored
-/// feed's delta distribution is one task on `par` workers; pure per
-/// feed, so the rows are bit-identical to a serial pass.
-pub fn first_appearance_par(
+/// `(feed, boxplot)` pairs, skipping feeds with no data.
+pub fn first_appearance(
     feeds: &FeedSet,
     classified: &Classified,
     reference: &[FeedId],
     scored: &[FeedId],
-    par: &Parallelism,
 ) -> Vec<(FeedId, Boxplot)> {
-    per_feed(
-        feeds,
-        classified,
-        reference,
-        scored,
-        par,
-        |start, _, own| own.first_seen.signed_diff(start) as f64 / DAY as f64,
-    )
+    per_feed(feeds, classified, reference, scored, |start, _, own| {
+        own.first_seen.signed_diff(start) as f64 / DAY as f64
+    })
 }
 
 /// Per-feed distribution of last-appearance error in hours: campaign
 /// end (max last-seen across `reference`, all live-mail feeds) minus
-/// the feed's own last appearance (Fig 11), fanned out per scored feed
-/// on `par` workers.
-pub fn last_appearance_par(
+/// the feed's own last appearance (Fig 11).
+pub fn last_appearance(
     feeds: &FeedSet,
     classified: &Classified,
     reference: &[FeedId],
     scored: &[FeedId],
-    par: &Parallelism,
 ) -> Vec<(FeedId, Boxplot)> {
-    per_feed(feeds, classified, reference, scored, par, |_, end, own| {
+    per_feed(feeds, classified, reference, scored, |_, end, own| {
         end.signed_diff(own.last_seen) as f64 / HOUR as f64
     })
 }
 
 /// Per-feed distribution of duration error in hours: estimated
 /// campaign duration (reference end − reference start) minus the
-/// feed's own observed lifetime (Fig 12), fanned out per scored feed
-/// on `par` workers. Always ≥ 0 for feeds inside the reference set.
-pub fn duration_error_par(
+/// feed's own observed lifetime (Fig 12). Always ≥ 0 for feeds inside
+/// the reference set.
+pub fn duration_error(
     feeds: &FeedSet,
     classified: &Classified,
     reference: &[FeedId],
     scored: &[FeedId],
-    par: &Parallelism,
 ) -> Vec<(FeedId, Boxplot)> {
-    per_feed(
-        feeds,
-        classified,
-        reference,
-        scored,
-        par,
-        |start, end, own| {
-            let campaign = end.signed_diff(start) as f64;
-            let lifetime = own.last_seen.signed_diff(own.first_seen) as f64;
-            (campaign - lifetime) / HOUR as f64
-        },
-    )
+    per_feed(feeds, classified, reference, scored, |start, end, own| {
+        let campaign = end.signed_diff(start) as f64;
+        let lifetime = own.last_seen.signed_diff(own.first_seen) as f64;
+        (campaign - lifetime) / HOUR as f64
+    })
 }
 
-/// The loop behind the three timing figures: for each scored feed, one
-/// task on `par` workers, the boxplot of `value(start, end, own)` over
-/// the tagged domains common to `reference`. `start` and `end` are a
-/// domain's earliest first-seen and latest last-seen across the
-/// reference feeds, `own` its stats in the scored feed; a domain the
-/// scored feed lacks is skipped, and so is a feed with no values.
+/// The loop behind the three timing figures: for each scored feed, the
+/// boxplot of `value(start, end, own)` over the tagged domains common
+/// to `reference`. `start` and `end` are a domain's earliest first-seen
+/// and latest last-seen across the reference feeds, `own` its stats in
+/// the scored feed; a domain the scored feed lacks is skipped, and so
+/// is a feed with no values.
 fn per_feed(
     feeds: &FeedSet,
     classified: &Classified,
     reference: &[FeedId],
     scored: &[FeedId],
-    par: &Parallelism,
-    value: impl Fn(SimTime, SimTime, DomainStats) -> f64 + Sync,
+    value: impl Fn(SimTime, SimTime, DomainStats) -> f64,
 ) -> Vec<(FeedId, Boxplot)> {
     let domains = common_tagged_domains(classified, reference);
-    par.par_map(scored.to_vec(), |feed| {
-        let mut values = Vec::new();
-        for &d in &domains {
-            let span = reference
-                .iter()
-                .filter_map(|&r| feeds.get(r).stats(d))
-                .map(|s| (s.first_seen, s.last_seen))
-                .reduce(|(start, end), (first, last)| (start.min(first), end.max(last)));
-            let Some((start, end)) = span else { continue };
-            let Some(own) = feeds.get(feed).stats(d) else {
-                continue;
-            };
-            values.push(value(start, end, own));
-        }
-        Boxplot::from_values(&values).map(|b| (feed, b))
-    })
-    .into_iter()
-    .flatten()
-    .collect()
+    scored
+        .iter()
+        .filter_map(|&feed| {
+            let mut values = Vec::new();
+            for &d in &domains {
+                let span = reference
+                    .iter()
+                    .filter_map(|&r| feeds.get(r).stats(d))
+                    .map(|s| (s.first_seen, s.last_seen))
+                    .reduce(|(start, end), (first, last)| (start.min(first), end.max(last)));
+                let Some((start, end)) = span else { continue };
+                let Some(own) = feeds.get(feed).stats(d) else {
+                    continue;
+                };
+                values.push(value(start, end, own));
+            }
+            Boxplot::from_values(&values).map(|b| (feed, b))
+        })
+        .collect()
 }
 
 /// The paper's Fig 9 feed set: everything except Bot and Hyb.
@@ -192,7 +173,7 @@ mod tests {
     #[test]
     fn first_appearance_is_nonnegative_and_hu_is_early() {
         let (feeds, c) = setup();
-        let rows = first_appearance_par(&feeds, &c, &TEST_REF, &TEST_REF, &Parallelism::serial());
+        let rows = first_appearance(&feeds, &c, &TEST_REF, &TEST_REF);
         assert!(!rows.is_empty());
         for (f, b) in &rows {
             assert!(b.min >= -1e-9, "{f}: min {b:?}");
@@ -224,9 +205,8 @@ mod tests {
     fn honeypot_only_reference_compresses_latencies() {
         let (feeds, c) = setup();
         const HONEY_TEST: [FeedId; 3] = [FeedId::Ac1, FeedId::Mx2, FeedId::Mx1];
-        let wide = first_appearance_par(&feeds, &c, &TEST_REF, &HONEY_TEST, &Parallelism::serial());
-        let narrow =
-            first_appearance_par(&feeds, &c, &HONEY_TEST, &HONEY_TEST, &Parallelism::serial());
+        let wide = first_appearance(&feeds, &c, &TEST_REF, &HONEY_TEST);
+        let narrow = first_appearance(&feeds, &c, &HONEY_TEST, &HONEY_TEST);
         for id in [FeedId::Mx1, FeedId::Mx2] {
             let w = get(&wide, id);
             let n = get(&narrow, id);
@@ -244,41 +224,13 @@ mod tests {
         let (feeds, c) = setup();
         const HONEY_TEST: [FeedId; 3] = [FeedId::Ac1, FeedId::Mx2, FeedId::Mx1];
         for rows in [
-            last_appearance_par(&feeds, &c, &HONEY_TEST, &HONEY_TEST, &Parallelism::serial()),
-            duration_error_par(&feeds, &c, &HONEY_TEST, &HONEY_TEST, &Parallelism::serial()),
+            last_appearance(&feeds, &c, &HONEY_TEST, &HONEY_TEST),
+            duration_error(&feeds, &c, &HONEY_TEST, &HONEY_TEST),
         ] {
             assert!(!rows.is_empty());
             for (f, b) in rows {
                 assert!(b.min >= -1e-9, "{f}: {b:?}");
                 assert!(b.median >= 0.0);
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_timing_matches_serial() {
-        let (feeds, c) = setup();
-        let serial = [
-            first_appearance_par(&feeds, &c, &TEST_REF, &TEST_REF, &Parallelism::serial()),
-            last_appearance_par(&feeds, &c, &TEST_REF, &TEST_REF, &Parallelism::serial()),
-            duration_error_par(&feeds, &c, &TEST_REF, &TEST_REF, &Parallelism::serial()),
-        ];
-        for workers in [2, 8] {
-            let par = Parallelism::fixed(workers);
-            let parallel = [
-                first_appearance_par(&feeds, &c, &TEST_REF, &TEST_REF, &par),
-                last_appearance_par(&feeds, &c, &TEST_REF, &TEST_REF, &par),
-                duration_error_par(&feeds, &c, &TEST_REF, &TEST_REF, &par),
-            ];
-            for (s, p) in serial.iter().zip(&parallel) {
-                assert_eq!(s.len(), p.len());
-                for ((fs, bs), (fp, bp)) in s.iter().zip(p) {
-                    assert_eq!(fs, fp);
-                    assert_eq!(bs.n, bp.n);
-                    assert_eq!(bs.median.to_bits(), bp.median.to_bits());
-                    assert_eq!(bs.min.to_bits(), bp.min.to_bits());
-                    assert_eq!(bs.max.to_bits(), bp.max.to_bits());
-                }
             }
         }
     }

@@ -44,7 +44,7 @@ fn run_profile(
     let feeds = try_collect_all_observed(world, &scenario.feeds, &plan, par, &Obs::off())?;
     ensure_nonempty_collection(&feeds, &plan, world.truth.window())?;
     let classified = Classified::build_faulted(&world.truth, &feeds, scenario.classify, &plan, par);
-    Ok(snapshot(&feeds, &classified, &world.provider.oracle, par))
+    Ok(snapshot(&feeds, &classified, &world.provider.oracle))
 }
 
 /// Renders the sweep as the `taster degradation` table.

@@ -6,20 +6,18 @@ use taster_analysis::affiliates::{affiliate_coverage, revenue_coverage, RevenueB
 use taster_analysis::blocking::{blocking_study, BlockingResult};
 use taster_analysis::campaigns::{campaign_study, CampaignCoverage};
 use taster_analysis::classify::Category;
-use taster_analysis::coverage::{
-    coverage_table_par, exclusive_share_par, pairwise_overlap_par, CoverageRow,
-};
+use taster_analysis::coverage::{coverage_table, exclusive_share, pairwise_overlap, CoverageRow};
 use taster_analysis::granularity::{granularity_study, GranularityRow};
 use taster_analysis::matrix::OverlapCell;
 use taster_analysis::programs::program_coverage;
-use taster_analysis::proportionality::{kendall_matrix_par, variation_matrix_par};
-use taster_analysis::purity::{purity_par, PurityRow};
+use taster_analysis::proportionality::{kendall_matrix, variation_matrix};
+use taster_analysis::purity::{purity, PurityRow};
 use taster_analysis::selection::{
     greedy_selection, type_redundancy, SelectionStep, TypeRedundancy,
 };
 use taster_analysis::summary::{feed_summary, SummaryRow};
 use taster_analysis::timing::{
-    duration_error_par, first_appearance_par, last_appearance_par, FIG9_FEEDS, HONEYPOT_FEEDS,
+    duration_error, first_appearance, last_appearance, FIG9_FEEDS, HONEYPOT_FEEDS,
 };
 use taster_analysis::volume::{volume_coverage, VolumeBar};
 use taster_analysis::{Classified, PairwiseMatrix};
@@ -210,22 +208,22 @@ impl Experiment {
 
     /// Table 2 rows.
     pub fn table2(&self) -> Vec<PurityRow> {
-        purity_par(&self.classified, &self.scenario.parallelism)
+        purity(&self.classified)
     }
 
     /// Table 3 rows (also the Fig 1 scatter data).
     pub fn table3(&self) -> Vec<CoverageRow> {
-        coverage_table_par(&self.classified, &self.scenario.parallelism)
+        coverage_table(&self.classified)
     }
 
     /// Share of a category's union exclusive to a single feed.
     pub fn exclusive_share(&self, category: Category) -> f64 {
-        exclusive_share_par(&self.classified, category, &self.scenario.parallelism)
+        exclusive_share(&self.classified, category)
     }
 
     /// Fig 2 matrix for a category.
     pub fn fig2(&self, category: Category) -> PairwiseMatrix<OverlapCell> {
-        pairwise_overlap_par(&self.classified, category, &self.scenario.parallelism)
+        pairwise_overlap(&self.classified, category)
     }
 
     /// Fig 3 bars for a category.
@@ -250,22 +248,12 @@ impl Experiment {
 
     /// Fig 7 matrix (variation distance, with Mail column).
     pub fn fig7(&self) -> PairwiseMatrix<f64> {
-        variation_matrix_par(
-            &self.feeds,
-            &self.classified,
-            &self.world.provider.oracle,
-            &self.scenario.parallelism,
-        )
+        variation_matrix(&self.feeds, &self.classified, &self.world.provider.oracle)
     }
 
     /// Fig 8 matrix (Kendall tau-b, with Mail column).
     pub fn fig8(&self) -> PairwiseMatrix<f64> {
-        kendall_matrix_par(
-            &self.feeds,
-            &self.classified,
-            &self.world.provider.oracle,
-            &self.scenario.parallelism,
-        )
+        kendall_matrix(&self.feeds, &self.classified, &self.world.provider.oracle)
     }
 
     /// Campaign-granularity coverage against ground truth (beyond the
@@ -283,7 +271,7 @@ impl Experiment {
     /// Time-aware filter evaluation of every feed (beyond the paper).
     /// Fails only when the out-of-core event spill cannot be read.
     pub fn blocking(&self) -> Result<Vec<BlockingResult>, PipelineError> {
-        Ok(blocking_study(&self.world, &self.feeds, &self.classified)?)
+        Ok(blocking_study(&self.world, &self.feeds)?)
     }
 
     /// Greedy feed-acquisition order (beyond the paper; §5 guidance).
@@ -299,45 +287,36 @@ impl Experiment {
     /// Fig 9: relative first appearance, campaign start from all
     /// non-Bot/Hyb feeds, days.
     pub fn fig9(&self) -> Vec<(FeedId, Boxplot)> {
-        first_appearance_par(
-            &self.feeds,
-            &self.classified,
-            &FIG9_FEEDS,
-            &FIG9_FEEDS,
-            &self.scenario.parallelism,
-        )
+        first_appearance(&self.feeds, &self.classified, &FIG9_FEEDS, &FIG9_FEEDS)
     }
 
     /// Fig 10: relative first appearance among honeypot feeds only.
     pub fn fig10(&self) -> Vec<(FeedId, Boxplot)> {
-        first_appearance_par(
+        first_appearance(
             &self.feeds,
             &self.classified,
             &HONEYPOT_FEEDS,
             &HONEYPOT_FEEDS,
-            &self.scenario.parallelism,
         )
     }
 
     /// Fig 11: last-appearance error among honeypot feeds, hours.
     pub fn fig11(&self) -> Vec<(FeedId, Boxplot)> {
-        last_appearance_par(
+        last_appearance(
             &self.feeds,
             &self.classified,
             &HONEYPOT_FEEDS,
             &HONEYPOT_FEEDS,
-            &self.scenario.parallelism,
         )
     }
 
     /// Fig 12: duration error among honeypot feeds, hours.
     pub fn fig12(&self) -> Vec<(FeedId, Boxplot)> {
-        duration_error_par(
+        duration_error(
             &self.feeds,
             &self.classified,
             &HONEYPOT_FEEDS,
             &HONEYPOT_FEEDS,
-            &self.scenario.parallelism,
         )
     }
 }

@@ -22,10 +22,11 @@ pub struct Scenario {
     pub feeds: FeedsConfig,
     /// Classification options.
     pub classify: ClassifyOptions,
-    /// Worker count for the parallel stages (feed collection, crawl,
-    /// pairwise analyses). Changing this never changes results — every
-    /// parallel stage is bit-identical to a serial run — only how fast
-    /// they arrive.
+    /// Worker count for the three fan-outs: the collection driver's
+    /// event shards, the crawl's domain shards and `replicate`'s seeds
+    /// (the analyses after the crawl run serially). Changing this never
+    /// changes results — every fan-out is bit-identical to a serial
+    /// run — only how fast they arrive.
     pub parallelism: Parallelism,
     /// Fault-injection profile. [`FaultProfile::off`] (the default)
     /// leaves every output byte-identical to a fault-free build.

@@ -427,25 +427,25 @@ impl<'a> Crawler<'a> {
         }
     }
 
-    /// Crawls a deduplicated set of domains.
-    pub fn crawl<I: IntoIterator<Item = DomainId>>(&self, domains: I) -> CrawlReport {
-        let unique: DomainBitset = domains.into_iter().collect();
-        CrawlReport::from_rows(unique.iter().map(|d| (d, self.crawl_one(d))).collect())
-    }
-
-    /// [`Crawler::crawl`] sharded across `par` workers.
+    /// Crawls a deduplicated set of domains, sharded across `par`
+    /// workers, under a `crawl` span.
     ///
     /// The domain set is deduplicated into a bitset (which yields ids
     /// sorted ascending) and split into contiguous near-equal shards;
     /// each worker crawls one shard. [`Crawler::crawl_one`] is a pure
     /// function of the domain (the oracles draw nothing from shared
     /// mutable state), so the report is bit-identical to a serial
-    /// crawl at any worker count.
-    pub fn crawl_par<I: IntoIterator<Item = DomainId>>(
+    /// crawl at any worker count. Disposition counters and the
+    /// attempts-per-domain histogram are derived from the merged
+    /// report, so the sharded hot path carries no metrics and they are
+    /// trivially identical at any worker count.
+    pub fn crawl<I: IntoIterator<Item = DomainId>>(
         &self,
         domains: I,
         par: &Parallelism,
+        obs: &Obs,
     ) -> CrawlReport {
+        let mut span = obs.span("crawl");
         let unique: DomainBitset = domains.into_iter().collect();
         let unique: Vec<DomainId> = unique.iter().collect();
         let chunk = unique.len().div_ceil(par.workers()).max(1);
@@ -456,22 +456,7 @@ impl<'a> Crawler<'a> {
                 .map(|&d| (d, self.crawl_one(d)))
                 .collect::<Vec<_>>()
         });
-        CrawlReport::from_rows(results.into_iter().flatten().collect())
-    }
-
-    /// [`Crawler::crawl_par`] with observability: wraps the crawl in a
-    /// `crawl` span and derives disposition counters and the
-    /// attempts-per-domain histogram from the merged report, so the
-    /// sharded hot path is untouched and the metrics are trivially
-    /// identical at any worker count.
-    pub fn crawl_par_observed<I: IntoIterator<Item = DomainId>>(
-        &self,
-        domains: I,
-        par: &Parallelism,
-        obs: &Obs,
-    ) -> CrawlReport {
-        let mut span = obs.span("crawl");
-        let report = self.crawl_par(domains, par);
+        let report = CrawlReport::from_rows(results.into_iter().flatten().collect());
         span.attr_u64("domains", report.len() as u64);
         if obs.metrics.is_on() {
             let m = &obs.metrics;
@@ -507,6 +492,11 @@ mod tests {
 
     fn world() -> GroundTruth {
         GroundTruth::generate(&EcosystemConfig::default().with_scale(0.03), 37).unwrap()
+    }
+
+    /// An unobserved crawl on one worker.
+    fn crawl_serial(crawler: &Crawler<'_>, ids: impl IntoIterator<Item = DomainId>) -> CrawlReport {
+        crawler.crawl(ids, &Parallelism::serial(), &Obs::off())
     }
 
     #[test]
@@ -613,9 +603,13 @@ mod tests {
         let truth = world();
         let crawler = Crawler::new(&truth);
         let ids: Vec<DomainId> = truth.universe.iter().map(|(d, _)| d).collect();
-        let serial = crawler.crawl(ids.iter().copied());
-        for workers in [1, 2, 8] {
-            let par = crawler.crawl_par(ids.iter().copied(), &Parallelism::fixed(workers));
+        let serial = crawl_serial(&crawler, ids.iter().copied());
+        for workers in [2, 8] {
+            let par = crawler.crawl(
+                ids.iter().copied(),
+                &Parallelism::fixed(workers),
+                &Obs::off(),
+            );
             assert_eq!(par.len(), serial.len());
             for (d, r) in serial.iter() {
                 assert_eq!(par.get(d), Some(r), "{d:?}");
@@ -628,10 +622,10 @@ mod tests {
         use taster_sim::FaultProfile;
         let truth = world();
         let ids: Vec<DomainId> = truth.universe.iter().map(|(d, _)| d).collect();
-        let clean = Crawler::new(&truth).crawl(ids.iter().copied());
+        let clean = crawl_serial(&Crawler::new(&truth), ids.iter().copied());
         let plan = FaultPlan::new(FaultProfile::flaky_crawler(), truth.seed);
         let flaky = Crawler::with_faults(&truth, plan.clone());
-        let faulted = flaky.crawl(ids.iter().copied());
+        let faulted = crawl_serial(&flaky, ids.iter().copied());
         // Terminal dispositions appear and cost extra attempts.
         assert!(faulted.timeouts() > 0, "timeouts observed");
         assert!(faulted.unreachable() > 0, "unreachable observed");
@@ -639,7 +633,11 @@ mod tests {
         assert!(faulted.total_backoff_secs() > 0);
         // Deterministic and shard-independent: 1/2/8 workers agree.
         for workers in [2, 8] {
-            let par = flaky.crawl_par(ids.iter().copied(), &Parallelism::fixed(workers));
+            let par = flaky.crawl(
+                ids.iter().copied(),
+                &Parallelism::fixed(workers),
+                &Obs::off(),
+            );
             for (d, r) in faulted.iter() {
                 assert_eq!(par.get(d), Some(r), "{d:?}");
             }
@@ -655,7 +653,7 @@ mod tests {
         }
         // The clean crawl is untouched by an off plan.
         let off = Crawler::with_faults(&truth, FaultPlan::off(truth.seed));
-        let same = off.crawl(ids.iter().copied());
+        let same = crawl_serial(&off, ids.iter().copied());
         for (d, r) in clean.iter() {
             assert_eq!(same.get(d), Some(r));
         }
@@ -672,10 +670,14 @@ mod tests {
         no_retry.crawl_max_retries = 0;
         let mut with_retry = FaultProfile::flaky_crawler();
         with_retry.crawl_max_retries = 3;
-        let hard = Crawler::with_faults(&truth, FaultPlan::new(no_retry, truth.seed))
-            .crawl(ids.iter().copied());
-        let soft = Crawler::with_faults(&truth, FaultPlan::new(with_retry, truth.seed))
-            .crawl(ids.iter().copied());
+        let hard = crawl_serial(
+            &Crawler::with_faults(&truth, FaultPlan::new(no_retry, truth.seed)),
+            ids.iter().copied(),
+        );
+        let soft = crawl_serial(
+            &Crawler::with_faults(&truth, FaultPlan::new(with_retry, truth.seed)),
+            ids.iter().copied(),
+        );
         assert!(
             soft.timeouts() + soft.unreachable() < hard.timeouts() + hard.unreachable(),
             "retries must recover transient failures: {} vs {}",
@@ -690,7 +692,7 @@ mod tests {
         let crawler = Crawler::new(&truth);
         let ids: Vec<DomainId> = truth.universe.iter().take(50).map(|(d, _)| d).collect();
         let doubled: Vec<DomainId> = ids.iter().chain(ids.iter()).copied().collect();
-        let report = crawler.crawl(doubled);
+        let report = crawl_serial(&crawler, doubled);
         assert_eq!(report.len(), 50);
         assert!(report.get(ids[0]).is_some());
     }

@@ -203,12 +203,16 @@ pub struct EcosystemConfig {
     pub landing_live_prob: f64,
 
     // ------------------------------------------------ memory budget
-    /// Peak bytes the streaming event core may hold resident at once
-    /// (`--max-mem-bytes`). `None` uses [`DEFAULT_MEM_BUDGET`]. The
-    /// budget decides whether the sorted event cache is built and, when
-    /// it is not, how many rows the sort runs and the streaming
-    /// chunk/bucket buffers may hold. It never changes any output byte
-    /// — cached and spilled runs hold the same time-sorted rows.
+    /// Peak bytes of event rows the streaming event core may hold
+    /// resident at once (`--max-mem-bytes`). `None` uses
+    /// [`DEFAULT_MEM_BUDGET`]. The budget decides whether the sorted
+    /// event cache is built and, when it is not, how many rows the sort
+    /// runs and the streaming chunk/bucket buffers may hold. It bounds
+    /// those rows, not the process: the domain universe, feeds, crawl
+    /// and analysis state come on top (at scale 1 under a 32 MiB budget
+    /// the out-of-core report peaks at about 190 MB resident). It never
+    /// changes any output byte — cached and spilled runs hold the same
+    /// time-sorted rows.
     pub max_mem_bytes: Option<u64>,
 }
 

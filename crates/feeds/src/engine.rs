@@ -36,7 +36,7 @@
 use crate::config::{AcConfig, BotConfig, HybConfig, MxConfig};
 use crate::feed::FeedBuilder;
 use crate::id::FeedId;
-use crate::parse::{fnv64_parts, DomainExtractor};
+use crate::parse::DomainExtractor;
 use rand::RngExt;
 use std::ops::Range;
 use taster_domain::DomainId;
@@ -47,7 +47,7 @@ use taster_mailsim::render::{render_spam_into, replay_spam_url_hosts, SUBDOMAINS
 use taster_mailsim::MailWorld;
 use taster_sim::fault::{truncate_payload, FaultPlan, RecordFault};
 use taster_sim::metrics::{Histogram, MetricsShard};
-use taster_sim::rng::name_key;
+use taster_sim::rng::{fnv1a64, name_key, FNV1A64_OFFSET};
 use taster_sim::{RngStream, SimTime, TimeWindow};
 
 /// Stream name for the shared per-event message render.
@@ -400,16 +400,25 @@ pub(crate) fn run_rows(
                     let (adv_sub, chaff_sub) =
                         replay_spam_url_hosts(&mut render_rng, chaff_distinct);
                     fast_records.clear();
+                    // Each host's FNV-1a is chained over `sub` then
+                    // `domain`, which equals the extractor's hash of the
+                    // rendered `sub ++ domain` without building it.
                     let adv_text = truth.universe.table.text(advertised);
                     fast_records.push((
                         advertised,
-                        fnv64_parts(&[SUBDOMAINS[adv_sub].as_bytes(), adv_text.as_bytes()]),
+                        fnv1a64(
+                            fnv1a64(FNV1A64_OFFSET, SUBDOMAINS[adv_sub].as_bytes()),
+                            adv_text.as_bytes(),
+                        ),
                     ));
                     if let (Some(c), Some(cs)) = (chaff, chaff_sub) {
                         let chaff_text = truth.universe.table.text(c);
                         fast_records.push((
                             c,
-                            fnv64_parts(&[SUBDOMAINS[cs].as_bytes(), chaff_text.as_bytes()]),
+                            fnv1a64(
+                                fnv1a64(FNV1A64_OFFSET, SUBDOMAINS[cs].as_bytes()),
+                                chaff_text.as_bytes(),
+                            ),
                         ));
                     }
                     fast_ready = true;

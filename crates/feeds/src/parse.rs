@@ -11,6 +11,7 @@
 use taster_domain::psl::SuffixList;
 use taster_domain::url::extract_urls;
 use taster_domain::{DomainId, DomainTable};
+use taster_sim::rng::{fnv1a64, FNV1A64_OFFSET};
 
 /// A reusable extractor (owns the compiled suffix list).
 #[derive(Debug, Clone)]
@@ -34,12 +35,12 @@ impl DomainExtractor {
 
     /// Appends the registered domains advertised in `body`, resolved
     /// against `table`, deduplicated, in order of first appearance,
-    /// each with a stable 64-bit hash of its fully-qualified hostname
-    /// — URL-granularity feeds track distinct FQDNs through these (the
-    /// paper's §3.1 point: spammers mint arbitrary names *below* the
-    /// registered domain, so FQDN-level blacklisting is futile). The
-    /// buffer is the caller's, so hot loops reuse one allocation
-    /// across messages.
+    /// each with the FNV-1a hash ([`fnv1a64`]) of its fully-qualified
+    /// hostname — URL-granularity feeds track distinct FQDNs through
+    /// these (the paper's §3.1 point: spammers mint arbitrary names
+    /// *below* the registered domain, so FQDN-level blacklisting is
+    /// futile). The buffer is the caller's, so hot loops reuse one
+    /// allocation across messages.
     pub fn registered_domains_into(
         &self,
         body: &str,
@@ -55,7 +56,7 @@ impl DomainExtractor {
                 debug_assert!(false, "unknown domain {} in rendered body", reg);
                 continue;
             };
-            let hash = fnv64(url.host.as_str().as_bytes());
+            let hash = fnv1a64(FNV1A64_OFFSET, url.host.as_str().as_bytes());
             if !out[start..].iter().any(|&(d, _)| d == id) {
                 out.push((id, hash));
             }
@@ -82,29 +83,6 @@ impl DomainExtractor {
                 .registered_domain(&name)
                 .is_some_and(|r| r.as_str() == text)
     }
-}
-
-/// FNV-1a, the stable hostname hash used for FQDN cardinality.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// [`fnv64`] over the concatenation of `parts`, allocation-free —
-/// hashes `sub ++ domain` hosts without building the host string.
-pub fn fnv64_parts(parts: &[&[u8]]) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    for part in parts {
-        for &b in *part {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
 }
 
 #[cfg(test)]

@@ -242,11 +242,11 @@ impl ServeCore {
     }
 
     /// Rough resident-set estimate of the collection state (sealed
-    /// epoch + delta), for admission control. Deliberately simple and
-    /// allocation-free: entry and FQDN counts times the in-memory size
-    /// of a hash-map record (the sealed columns are smaller, so this
-    /// errs high) — the daemon needs a threshold, not an allocator
-    /// audit.
+    /// epoch + delta), which `status` reports as `mem_bytes`.
+    /// Deliberately simple and allocation-free: entry and FQDN counts
+    /// times the in-memory size of a hash-map record (the sealed
+    /// columns are smaller, so this errs high) — an operator needs a
+    /// trend, not an allocator audit.
     pub fn estimated_bytes(&self) -> u64 {
         let bytes = |domains: usize, fqdns: Option<usize>| {
             domains as u64 * 48 + fqdns.unwrap_or(0) as u64 * 8

@@ -17,8 +17,8 @@ pub enum ServeError {
     /// A socket operation exceeded its deadline (slow-loris client,
     /// stalled reader) or a request exceeded its end-to-end budget.
     Timeout(String),
-    /// Admission control shed the request: the pending queue was full
-    /// or ingestion memory crossed the configured ceiling.
+    /// Admission control shed the request: the tick's `--max-pending`
+    /// requests were already served.
     Overloaded(String),
     /// The queried artifact does not exist yet (no sealed epoch, or a
     /// final report requested before ingestion completed).

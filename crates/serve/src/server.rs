@@ -5,9 +5,13 @@
 //! Guardrails, each with a counter surfaced in `status`:
 //!
 //! * **Admission control** — at most `max_pending` requests are
-//!   served per tick; everything beyond that (and everything arriving
-//!   while the memory estimate exceeds `max_mem_bytes`) gets an
-//!   immediate `ERR overloaded` instead of queueing unboundedly.
+//!   served per tick; everything beyond that gets an immediate
+//!   `ERR overloaded` instead of queueing unboundedly. Memory is not
+//!   an admission signal: `--max-mem-bytes` is the event log's budget
+//!   (the rows of the sorted cache, the sort runs and the read
+//!   buffers), not the process's, and refusing a query frees none of
+//!   the feed state `ServeCore::estimated_bytes` counts; `status`
+//!   reports that estimate as `mem_bytes`.
 //! * **Deadlines** — every socket operation carries a read/write
 //!   timeout and every request a total budget; a slow-loris client
 //!   gets `ERR timeout`, never a stuck daemon.
@@ -47,8 +51,6 @@ pub struct ServerConfig {
     pub request_deadline: Duration,
     /// Requests served per tick; the rest are shed.
     pub max_pending: usize,
-    /// Memory ceiling for admission control; `None` disables it.
-    pub max_mem_bytes: Option<u64>,
     /// Budget for one ingestion slice before the watchdog trips.
     pub watchdog: Duration,
     /// Initial rows per ingestion slice.
@@ -144,20 +146,6 @@ pub fn run(
                 Ok((stream, _)) => {
                     if draining {
                         shed(stream, cfg, &ServeError::ShuttingDown);
-                        continue;
-                    }
-                    let over_mem = cfg
-                        .max_mem_bytes
-                        .is_some_and(|cap| core.estimated_bytes() > cap.saturating_mul(9) / 10);
-                    if over_mem {
-                        stats.sheds += 1;
-                        shed(
-                            stream,
-                            cfg,
-                            &ServeError::Overloaded(
-                                "ingestion memory near --max-mem-bytes".to_string(),
-                            ),
-                        );
                         continue;
                     }
                     if served_this_tick >= cfg.max_pending {

@@ -1,8 +1,11 @@
 //! Deterministic parallel execution over scoped threads.
 //!
-//! The toolkit's stages — feed collection, pairwise analyses, domain
-//! crawling — are embarrassingly parallel: each task owns its derived
-//! RNG stream and writes only its own output. This module fans such
+//! Three stages fan out, the ones whose time a second worker
+//! measurably cuts: the collection driver's event shards
+//! (`feeds::IngestState::advance`), the crawl's domain shards
+//! (`crawler::Crawler::crawl`) and `replicate`'s per-seed runs. Each
+//! task owns its derived RNG stream and writes only its own output;
+//! the analyses after the crawl run serially. This module fans such
 //! tasks across a bounded worker pool built on [`std::thread::scope`]
 //! (no external dependencies) while keeping output *bit-identical* to
 //! a serial run:
@@ -32,9 +35,12 @@ pub struct Parallelism {
 }
 
 impl Default for Parallelism {
-    /// The machine's available cores.
+    /// One worker per available core.
     fn default() -> Parallelism {
-        Parallelism::available_cores()
+        let cores = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        Parallelism::fixed(cores)
     }
 }
 
@@ -49,14 +55,6 @@ impl Parallelism {
     /// Serial execution: a single worker on the calling thread.
     pub fn serial() -> Parallelism {
         Parallelism::fixed(1)
-    }
-
-    /// One worker per available core.
-    pub fn available_cores() -> Parallelism {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        Parallelism::fixed(cores)
     }
 
     /// The configured worker count (always ≥ 1).
@@ -78,24 +76,9 @@ impl Parallelism {
         U: Send,
         F: Fn(T) -> U + Sync,
     {
-        self.par_map_indexed(items, |_idx, item| f(item))
-    }
-
-    /// [`par_map`](Self::par_map) variant passing each task its input
-    /// index, for callers that key derived RNG streams by position.
-    pub fn par_map_indexed<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
-    where
-        T: Send,
-        U: Send,
-        F: Fn(usize, T) -> U + Sync,
-    {
         let n = items.len();
         if self.workers == 1 || n <= 1 {
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, item)| f(i, item))
-                .collect();
+            return items.into_iter().map(f).collect();
         }
 
         // Each task slot holds Some(input) before the run and its
@@ -124,7 +107,7 @@ impl Parallelism {
                     else {
                         continue;
                     };
-                    let out = f(i, item);
+                    let out = f(item);
                     *slots[i]
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(out);
@@ -165,13 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn indexed_variant_sees_input_positions() {
-        let par = Parallelism::fixed(4);
-        let out = par.par_map_indexed(vec!["a", "b", "c"], |i, s| format!("{i}{s}"));
-        assert_eq!(out, vec!["0a", "1b", "2c"]);
-    }
-
-    #[test]
     fn worker_count_is_invisible_to_tasks() {
         let serial = Parallelism::serial().par_map((0..500).collect(), collatz_len);
         for workers in [2, 4, 16] {
@@ -190,7 +166,7 @@ mod tests {
     #[test]
     fn fixed_clamps_to_one() {
         assert_eq!(Parallelism::fixed(0).workers(), 1);
-        assert!(Parallelism::available_cores().workers() >= 1);
+        assert!(Parallelism::default().workers() >= 1);
     }
 
     fn collatz_len(mut n: u64) -> u32 {

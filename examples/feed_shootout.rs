@@ -16,7 +16,6 @@
 use taster::analysis::classify::Category;
 use taster::core::{Experiment, Scenario};
 use taster::feeds::FeedId;
-use taster::sim::Parallelism;
 
 fn main() {
     let scale: f64 = std::env::args()
@@ -41,12 +40,11 @@ fn main() {
         FeedId::Mx2,
         FeedId::Ac1,
     ];
-    let fig9 = taster::analysis::timing::first_appearance_par(
+    let fig9 = taster::analysis::timing::first_appearance(
         &e.feeds,
         &e.classified,
         &reference,
         &FeedId::ALL,
-        &Parallelism::serial(),
     );
 
     println!(

@@ -35,9 +35,14 @@
 //!
 //! `--threads`, `--chunk` and `--max-mem-bytes` change speed and peak
 //! memory, never an output byte. `--threads N` (else the available
-//! cores) sets the workers of the parallel stages; `sweep` and
-//! `summary` run serially. `--chunk N` caps the rows one out-of-core
-//! read of the collection driver decodes (default 65 536).
+//! cores) sets the workers of the three fan-outs: the collection
+//! driver's event shards, the crawl's domain shards and `replicate`'s
+//! seeds; `sweep` and `summary` run serially. `--chunk N` caps the rows
+//! one out-of-core read of the collection driver decodes (default
+//! 65 536). `--max-mem-bytes B` is the event log's budget: it bounds
+//! the rows of the sorted cache, the sort runs and the read buffers,
+//! not the process (at scale 1 under 32 MiB a report still peaks near
+//! 190 MB resident), and `serve` never sheds a request over it.
 //! `replicate` and `ab` derive replicate seeds from `(master seed,
 //! index)` and key every bootstrap resample by `(seed, metric,
 //! resample index)`, so they too are identical at any `--threads`.
@@ -750,7 +755,6 @@ fn server_config(args: &Args) -> taster::serve::ServerConfig {
             args.request_timeout_ms.saturating_mul(2),
         ),
         max_pending: args.max_pending,
-        max_mem_bytes: args.max_mem_bytes,
         watchdog: std::time::Duration::from_millis(args.watchdog_ms),
         tick_rows: args.tick_rows,
         final_report: args.final_report.clone().map(std::path::PathBuf::from),

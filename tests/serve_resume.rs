@@ -498,6 +498,93 @@ fn status_reports_seal_health_and_chain_bytes() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `--max-mem-bytes` budgets the event log's rows, not the daemon:
+/// under a 64 KiB budget, far below the feed state `status` reports as
+/// `mem_bytes`, the daemon still answers `status` and `shutdown` and
+/// exits 0 instead of shedding every request as overloaded.
+#[test]
+fn a_tight_event_budget_still_admits_requests() {
+    use std::io::{Read, Write};
+    use std::os::unix::net::UnixStream;
+    use std::process::{Command, Stdio};
+    use std::time::Duration;
+
+    let dir = scratch("budget");
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let socket = dir.join("s.sock");
+    let mut daemon = Command::new(env!("CARGO_BIN_EXE_taster"))
+        .args([
+            "serve",
+            "--scale",
+            "0.05",
+            "--seed",
+            "11",
+            "--max-mem-bytes",
+            "65536",
+            "--socket",
+            socket.to_str().unwrap(),
+        ])
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn daemon");
+    // One request per connection; the daemon closes it after replying.
+    let request = |line: &str| -> Option<String> {
+        let mut stream = UnixStream::connect(&socket).ok()?;
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .ok()?;
+        stream.write_all(format!("{line}\n").as_bytes()).ok()?;
+        let mut reply = Vec::new();
+        let mut chunk = [0u8; 4096];
+        loop {
+            match stream.read(&mut chunk) {
+                Ok(0) => break,
+                Ok(n) => reply.extend_from_slice(&chunk[..n]),
+                // A shed connection is reset once its reply is read.
+                Err(_) if !reply.is_empty() => break,
+                Err(_) => return None,
+            }
+        }
+        Some(String::from_utf8_lossy(&reply).into_owned())
+    };
+    fn stop(daemon: &mut std::process::Child, why: &str) -> ! {
+        let _ = daemon.kill();
+        let _ = daemon.wait();
+        panic!("{why}");
+    }
+
+    // The daemon builds its world before it binds the socket.
+    let status = (0..2400)
+        .find_map(|_| {
+            let reply = request("status");
+            if reply.is_none() {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+            reply
+        })
+        .unwrap_or_else(|| stop(&mut daemon, "daemon never answered `status`"));
+    if !status.starts_with("OK ") {
+        stop(&mut daemon, &format!("`status` refused: {status}"));
+    }
+    let shutdown = request("shutdown").unwrap_or_default();
+    if !shutdown.starts_with("OK ") {
+        stop(&mut daemon, &format!("`shutdown` refused: {shutdown}"));
+    }
+    // Never wait() on a daemon that might not exit.
+    let exit = (0..2400).find_map(|_| {
+        let exit = daemon.try_wait().expect("poll daemon");
+        if exit.is_none() {
+            std::thread::sleep(Duration::from_millis(50));
+        }
+        exit
+    });
+    let Some(exit) = exit else {
+        stop(&mut daemon, "daemon did not exit after `shutdown`");
+    };
+    assert!(exit.success(), "daemon exited {exit:?}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// Process-level crash: the real daemon binary, killed over the real
 /// socket by `loadgen`'s `kill-midrun` storm (`--test-hooks` arms the
 /// `die` request), must resume into a final report byte-identical to
