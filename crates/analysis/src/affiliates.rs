@@ -107,7 +107,7 @@ pub fn revenue_coverage(classified: &Classified, roster: &ProgramRoster) -> Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::ClassifyOptions;
+    use crate::classify::classify_clean;
     use taster_ecosystem::{EcosystemConfig, GroundTruth};
     use taster_feeds::{collect_all, FeedsConfig};
     use taster_mailsim::{MailConfig, MailWorld};
@@ -117,7 +117,7 @@ mod tests {
             GroundTruth::generate(&EcosystemConfig::default().with_scale(0.05), 101).unwrap();
         let world = MailWorld::build(truth, MailConfig::default().with_scale(0.05)).unwrap();
         let feeds = collect_all(&world, &FeedsConfig::default());
-        let c = Classified::build(&world.truth, &feeds, ClassifyOptions::default());
+        let c = classify_clean(&world.truth, &feeds);
         (world, c)
     }
 
@@ -132,7 +132,7 @@ mod tests {
             .iter()
             .map(|&id| FeedBuilder::new(id, true).seal());
         let feeds = taster_feeds::FeedSet::new(empty.collect());
-        let c = Classified::build(&world.truth, &feeds, ClassifyOptions::default());
+        let c = classify_clean(&world.truth, &feeds);
         for bar in revenue_coverage(&c, &world.truth.roster) {
             assert_eq!(bar.affiliates, 0, "{}", bar.feed);
             assert_eq!(bar.revenue_usd, 0.0, "{}", bar.feed);

@@ -56,59 +56,21 @@ pub struct Classified {
 }
 
 impl Classified {
-    /// Crawls and classifies all feeds serially. See
-    /// [`Classified::build_with`] for the sharded variant; both
-    /// produce bit-identical classifications.
-    pub fn build(truth: &GroundTruth, feeds: &FeedSet, options: ClassifyOptions) -> Classified {
-        Self::build_with(truth, feeds, options, &Parallelism::serial())
-    }
-
-    /// Crawls and classifies all feeds: the crawl shards the (sorted)
+    /// Crawls and classifies all feeds. The crawl shards the (sorted)
     /// domain union across `par` workers — pure per domain, so the
-    /// result matches a serial build exactly — then each feed's sets
-    /// are derived in turn.
+    /// result matches a serial build exactly — and its DNS and HTTP
+    /// visits can fail (with bounded retries) according to `plan`,
+    /// degrading live/tagged sets instead of panicking; an off plan
+    /// crawls fault-free. Each feed's sets are then derived in turn.
     ///
     /// Set derivation is pure bitset algebra: a feed's *all* set is
     /// its membership bitset (intersected with the base union for
     /// restricted blacklists), and live/tagged/benign-listed are
     /// word-wise intersections with the crawl's indicator bitsets —
-    /// no per-domain probing.
-    pub fn build_with(
-        truth: &GroundTruth,
-        feeds: &FeedSet,
-        options: ClassifyOptions,
-        par: &Parallelism,
-    ) -> Classified {
-        Self::build_inner(feeds, options, Crawler::new(truth), par, &Obs::off())
-    }
-
-    /// [`Classified::build_with`] under a [`FaultPlan`]: the crawler's
-    /// DNS and HTTP visits can fail (with bounded retries) according to
-    /// the plan, degrading live/tagged sets instead of panicking. With
-    /// an off plan the result is bit-identical to a fault-free build.
-    pub fn build_faulted(
-        truth: &GroundTruth,
-        feeds: &FeedSet,
-        options: ClassifyOptions,
-        plan: &FaultPlan,
-        par: &Parallelism,
-    ) -> Classified {
-        Self::build_inner(
-            feeds,
-            options,
-            Crawler::with_faults(truth, plan.clone()),
-            par,
-            &Obs::off(),
-        )
-    }
-
-    /// [`Classified::build_faulted`] with observability: the crawl and
-    /// set derivation run under spans, and classification counters plus
-    /// the analytically-computed bitset word-op count land in
-    /// `obs.metrics`. With `Obs::off()` this is [`build_faulted`]
-    /// exactly.
-    ///
-    /// [`build_faulted`]: Classified::build_faulted
+    /// no per-domain probing. The crawl and set derivation run under
+    /// spans, and classification counters plus the
+    /// analytically-computed bitset word-op count land in
+    /// `obs.metrics`; `Obs::off()` records nothing.
     pub fn build_observed(
         truth: &GroundTruth,
         feeds: &FeedSet,
@@ -117,22 +79,7 @@ impl Classified {
         par: &Parallelism,
         obs: &Obs,
     ) -> Classified {
-        Self::build_inner(
-            feeds,
-            options,
-            Crawler::with_faults(truth, plan.clone()),
-            par,
-            obs,
-        )
-    }
-
-    fn build_inner(
-        feeds: &FeedSet,
-        options: ClassifyOptions,
-        crawler: Crawler<'_>,
-        par: &Parallelism,
-        obs: &Obs,
-    ) -> Classified {
+        let crawler = Crawler::new(truth, plan.clone());
         let base_union: DomainSet = feeds.union_domains(&FeedId::BASE);
 
         // Crawl the union of everything we will classify. Restricted
@@ -232,6 +179,20 @@ impl Classified {
     }
 }
 
+/// The analysis tests' fixture: a fault-free, serial, unobserved
+/// classification with the default options.
+#[cfg(test)]
+pub(crate) fn classify_clean(truth: &GroundTruth, feeds: &FeedSet) -> Classified {
+    Classified::build_observed(
+        truth,
+        feeds,
+        ClassifyOptions::default(),
+        &FaultPlan::off(truth.seed),
+        &Parallelism::serial(),
+        &Obs::off(),
+    )
+}
+
 /// Which domain universe an analysis runs over.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Category {
@@ -266,13 +227,12 @@ mod tests {
             GroundTruth::generate(&EcosystemConfig::default().with_scale(0.02), 71).unwrap();
         let world = MailWorld::build(truth, MailConfig::default().with_scale(0.02)).unwrap();
         let feeds = collect_all(&world, &FeedsConfig::default());
-        let c = Classified::build(
-            &world.truth,
-            &feeds,
-            ClassifyOptions {
-                restrict_blacklists_to_base: restrict,
-            },
-        );
+        let options = ClassifyOptions {
+            restrict_blacklists_to_base: restrict,
+        };
+        let plan = FaultPlan::off(world.truth.seed);
+        let par = Parallelism::serial();
+        let c = Classified::build_observed(&world.truth, &feeds, options, &plan, &par, &Obs::off());
         (world, feeds, c)
     }
 
@@ -312,14 +272,12 @@ mod tests {
             GroundTruth::generate(&EcosystemConfig::default().with_scale(0.02), 71).unwrap();
         let world = MailWorld::build(truth, MailConfig::default().with_scale(0.02)).unwrap();
         let feeds = collect_all(&world, &FeedsConfig::default());
-        let serial = Classified::build(&world.truth, &feeds, ClassifyOptions::default());
+        let serial = classify_clean(&world.truth, &feeds);
+        let (options, plan) = (ClassifyOptions::default(), FaultPlan::off(world.truth.seed));
         for workers in [2, 8] {
-            let parallel = Classified::build_with(
-                &world.truth,
-                &feeds,
-                ClassifyOptions::default(),
-                &Parallelism::fixed(workers),
-            );
+            let par = Parallelism::fixed(workers);
+            let parallel =
+                Classified::build_observed(&world.truth, &feeds, options, &plan, &par, &Obs::off());
             assert_eq!(parallel.crawl.len(), serial.crawl.len());
             for (d, r) in serial.crawl.iter() {
                 assert_eq!(parallel.crawl.get(d), Some(r));

@@ -129,7 +129,7 @@ pub fn pairwise_overlap(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::ClassifyOptions;
+    use crate::classify::classify_clean;
     use taster_ecosystem::{EcosystemConfig, GroundTruth};
     use taster_feeds::{collect_all, FeedsConfig};
     use taster_mailsim::{MailConfig, MailWorld};
@@ -139,7 +139,7 @@ mod tests {
             GroundTruth::generate(&EcosystemConfig::default().with_scale(0.03), 83).unwrap();
         let world = MailWorld::build(truth, MailConfig::default().with_scale(0.03)).unwrap();
         let feeds = collect_all(&world, &FeedsConfig::default());
-        Classified::build(&world.truth, &feeds, ClassifyOptions::default())
+        classify_clean(&world.truth, &feeds)
     }
 
     #[test]

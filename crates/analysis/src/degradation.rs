@@ -10,11 +10,11 @@
 //! already-computed analyses — no RNG, no panics on empty feeds.
 
 use crate::classify::{Category, Classified};
-use crate::proportionality::{mail_distribution, tagged_distribution};
+use crate::proportionality::variation_matrix;
 use crate::purity::{purity, PurityRow};
 use crate::timing::{first_appearance, FIG9_FEEDS};
 use taster_feeds::{FeedId, FeedSet};
-use taster_stats::{variation_distance, EmpiricalDist};
+use taster_stats::EmpiricalDist;
 
 /// The degradation-relevant numbers of one feed in one run.
 #[derive(Debug, Clone, Copy)]
@@ -62,7 +62,7 @@ pub struct RunSnapshot {
 pub fn snapshot(feeds: &FeedSet, classified: &Classified, oracle: &EmpiricalDist) -> RunSnapshot {
     let purity_rows = purity(classified);
     let firsts = first_appearance(feeds, classified, &FIG9_FEEDS, &FeedId::ALL);
-    let mail = mail_distribution(classified, oracle);
+    let variation = variation_matrix(feeds, classified, oracle);
     let rows = FeedId::ALL
         .iter()
         .enumerate()
@@ -70,12 +70,6 @@ pub fn snapshot(feeds: &FeedSet, classified: &Classified, oracle: &EmpiricalDist
             let feed = feeds.get(id);
             let fd = classified.feed(id);
             let p: &PurityRow = &purity_rows[i];
-            let mail_variation = if feed.reports_volume {
-                let dist = tagged_distribution(feeds, classified, id);
-                Some(variation_distance(&dist, &mail))
-            } else {
-                None
-            };
             MetricSnapshot {
                 feed: id,
                 samples: feed.samples,
@@ -85,7 +79,7 @@ pub fn snapshot(feeds: &FeedSet, classified: &Classified, oracle: &EmpiricalDist
                 gaps: feed.gaps().len(),
                 dns_purity: p.dns,
                 tagged_purity: p.tagged,
-                mail_variation,
+                mail_variation: variation.try_get_extra(id).ok(),
                 first_median_days: firsts.iter().find(|(f, _)| *f == id).map(|(_, b)| b.median),
             }
         })
@@ -198,12 +192,13 @@ mod tests {
         let plan = FaultPlan::new(profile, world.truth.seed);
         let cfg = FeedsConfig::default();
         let feeds = try_collect_all_observed(world, &cfg, &plan, &par, &Obs::off()).unwrap();
-        let c = Classified::build_faulted(
+        let c = Classified::build_observed(
             &world.truth,
             &feeds,
             ClassifyOptions::default(),
             &plan,
             &par,
+            &Obs::off(),
         );
         snapshot(&feeds, &c, &world.provider.oracle)
     }

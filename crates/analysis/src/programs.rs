@@ -63,7 +63,7 @@ pub fn program_coverage(classified: &Classified) -> PairwiseMatrix<OverlapCell> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::ClassifyOptions;
+    use crate::classify::classify_clean;
     use taster_ecosystem::{EcosystemConfig, GroundTruth};
     use taster_feeds::{collect_all, FeedsConfig};
     use taster_mailsim::{MailConfig, MailWorld};
@@ -73,7 +73,7 @@ mod tests {
             GroundTruth::generate(&EcosystemConfig::default().with_scale(0.05), 97).unwrap();
         let world = MailWorld::build(truth, MailConfig::default().with_scale(0.05)).unwrap();
         let feeds = collect_all(&world, &FeedsConfig::default());
-        Classified::build(&world.truth, &feeds, ClassifyOptions::default())
+        classify_clean(&world.truth, &feeds)
     }
 
     #[test]

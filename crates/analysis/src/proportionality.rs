@@ -17,38 +17,9 @@
 
 use crate::classify::{Category, Classified};
 use crate::matrix::PairwiseMatrix;
-use std::collections::BTreeSet;
 use taster_domain::DomainId;
 use taster_feeds::{FeedId, FeedSet};
 use taster_stats::{kendall, EmpiricalDist};
-
-/// The tagged-domain volume distribution of one feed, restricted to
-/// tagged domains appearing in the union of all feeds.
-pub fn tagged_distribution(
-    feeds: &FeedSet,
-    classified: &Classified,
-    feed: FeedId,
-) -> EmpiricalDist {
-    let tagged_union: BTreeSet<u32> = classified
-        .union(&FeedId::ALL, Category::Tagged)
-        .iter()
-        .map(|d| d.0)
-        .collect();
-    feeds
-        .get(feed)
-        .volume_distribution()
-        .restricted_to(&tagged_union)
-}
-
-/// The oracle's distribution over the same tagged-domain universe.
-pub fn mail_distribution(classified: &Classified, oracle: &EmpiricalDist) -> EmpiricalDist {
-    let tagged_union: BTreeSet<u32> = classified
-        .union(&FeedId::ALL, Category::Tagged)
-        .iter()
-        .map(|d| d.0)
-        .collect();
-    oracle.restricted_to(&tagged_union)
-}
 
 /// The columnar join behind Figs 7–8: per volume-bearing feed, its
 /// volume over every tagged-union domain as one column aligned with
@@ -175,18 +146,46 @@ pub fn kendall_matrix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::ClassifyOptions;
+    use crate::classify::classify_clean;
+    use std::collections::BTreeSet;
     use taster_ecosystem::{EcosystemConfig, GroundTruth};
     use taster_feeds::{collect_all, FeedsConfig};
     use taster_mailsim::{MailConfig, MailWorld};
     use taster_stats::variation_distance;
+
+    /// The reference for the columnar join: one feed's tagged-domain
+    /// volume distribution, restricted to the tagged union of all
+    /// feeds.
+    fn tagged_distribution(
+        feeds: &FeedSet,
+        classified: &Classified,
+        feed: FeedId,
+    ) -> EmpiricalDist {
+        feeds
+            .get(feed)
+            .volume_distribution()
+            .restricted_to(&tagged_union(classified))
+    }
+
+    /// The oracle's distribution over the same tagged-domain universe.
+    fn mail_distribution(classified: &Classified, oracle: &EmpiricalDist) -> EmpiricalDist {
+        oracle.restricted_to(&tagged_union(classified))
+    }
+
+    fn tagged_union(classified: &Classified) -> BTreeSet<u32> {
+        classified
+            .union(&FeedId::ALL, Category::Tagged)
+            .iter()
+            .map(|d| d.0)
+            .collect()
+    }
 
     fn setup() -> (MailWorld, FeedSet, Classified) {
         let truth =
             GroundTruth::generate(&EcosystemConfig::default().with_scale(0.05), 103).unwrap();
         let world = MailWorld::build(truth, MailConfig::default().with_scale(0.05)).unwrap();
         let feeds = collect_all(&world, &FeedsConfig::default());
-        let c = Classified::build(&world.truth, &feeds, ClassifyOptions::default());
+        let c = classify_clean(&world.truth, &feeds);
         (world, feeds, c)
     }
 

@@ -56,7 +56,7 @@ pub fn purity(classified: &Classified) -> Vec<PurityRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::ClassifyOptions;
+    use crate::classify::classify_clean;
     use taster_ecosystem::{EcosystemConfig, GroundTruth};
     use taster_feeds::{collect_all, FeedsConfig};
     use taster_mailsim::{MailConfig, MailWorld};
@@ -66,7 +66,7 @@ mod tests {
             GroundTruth::generate(&EcosystemConfig::default().with_scale(0.03), 79).unwrap();
         let world = MailWorld::build(truth, MailConfig::default().with_scale(0.03)).unwrap();
         let feeds = collect_all(&world, &FeedsConfig::default());
-        let c = Classified::build(&world.truth, &feeds, ClassifyOptions::default());
+        let c = classify_clean(&world.truth, &feeds);
         purity(&c)
     }
 

@@ -138,7 +138,7 @@ pub const HONEYPOT_FEEDS: [FeedId; 5] = [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::classify::ClassifyOptions;
+    use crate::classify::classify_clean;
     use taster_ecosystem::{EcosystemConfig, GroundTruth};
     use taster_feeds::{collect_all, FeedsConfig};
     use taster_mailsim::{MailConfig, MailWorld};
@@ -148,7 +148,7 @@ mod tests {
             GroundTruth::generate(&EcosystemConfig::default().with_scale(0.15), 107).unwrap();
         let world = MailWorld::build(truth, MailConfig::default().with_scale(0.15)).unwrap();
         let feeds = collect_all(&world, &FeedsConfig::default());
-        let c = Classified::build(&world.truth, &feeds, ClassifyOptions::default());
+        let c = classify_clean(&world.truth, &feeds);
         (feeds, c)
     }
 

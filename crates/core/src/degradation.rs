@@ -43,7 +43,14 @@ fn run_profile(
     let plan = FaultPlan::new(profile, scenario.seed);
     let feeds = try_collect_all_observed(world, &scenario.feeds, &plan, par, &Obs::off())?;
     ensure_nonempty_collection(&feeds, &plan, world.truth.window())?;
-    let classified = Classified::build_faulted(&world.truth, &feeds, scenario.classify, &plan, par);
+    let classified = Classified::build_observed(
+        &world.truth,
+        &feeds,
+        scenario.classify,
+        &plan,
+        par,
+        &Obs::off(),
+    );
     Ok(snapshot(&feeds, &classified, &world.provider.oracle))
 }
 

@@ -22,8 +22,8 @@ use taster_feeds::{try_collect_all_observed, PipelineError};
 use taster_mailsim::provider::PROVIDER_BUCKET;
 use taster_sim::{MetricsRegistry, Obs, SpanTiming, Stage};
 
-/// The deterministic profile view: the span/event tree (attributes and
-/// sim windows, no wall times) followed by the metrics render.
+/// The deterministic profile view: the span/event tree (attributes, no
+/// wall times) followed by the metrics render.
 /// Bit-identical at any worker count.
 pub fn deterministic_profile(exp: &Experiment) -> String {
     let mut out = String::new();

@@ -15,6 +15,7 @@ use taster_feeds::collectors::{collect_ac, collect_mx};
 use taster_feeds::config::{AcConfig, MxConfig};
 use taster_feeds::{Feed, PipelineError};
 use taster_mailsim::MailWorld;
+use taster_sim::FaultPlan;
 
 /// One point of a sweep.
 #[derive(Debug, Clone)]
@@ -30,7 +31,7 @@ pub struct SweepPoint {
 }
 
 fn measure(world: &MailWorld, feed: &Feed, label: String) -> SweepPoint {
-    let crawler = Crawler::new(&world.truth);
+    let crawler = Crawler::new(&world.truth, FaultPlan::off(world.truth.seed));
     let tagged = feed
         .domain_ids()
         .filter(|&d| crawler.crawl_one(d).is_tagged())

@@ -285,29 +285,21 @@ pub struct Crawler<'a> {
 }
 
 impl<'a> Crawler<'a> {
-    /// Builds a crawler (compiles the signature set from the roster).
-    pub fn new(truth: &'a GroundTruth) -> Crawler<'a> {
+    /// Builds a crawler (compiles the signature set from the roster)
+    /// whose DNS/HTTP visits can fail according to `plan` (transient
+    /// SERVFAILs and timeouts with bounded retries). An off plan is not
+    /// kept, so its crawl never consults the fault layer.
+    pub fn new(truth: &'a GroundTruth, plan: FaultPlan) -> Crawler<'a> {
         Crawler {
             truth,
             dns: DnsOracle::new(truth),
             http: HttpOracle::new(truth),
             lists: ListMembership::new(truth),
             signatures: SignatureSet::from_roster(&truth.roster),
-            faults: None,
+            faults: (!plan.is_off()).then_some(plan),
             dns_fault_key: FaultPlan::fault_key("crawl/dns"),
             http_fault_key: FaultPlan::fault_key("crawl/http"),
         }
-    }
-
-    /// Builds a crawler whose DNS/HTTP visits can fail according to
-    /// `plan` (transient SERVFAILs and timeouts with bounded retries).
-    /// An off plan is equivalent to [`Crawler::new`].
-    pub fn with_faults(truth: &'a GroundTruth, plan: FaultPlan) -> Crawler<'a> {
-        let mut crawler = Crawler::new(truth);
-        if !plan.is_off() {
-            crawler.faults = Some(plan);
-        }
-        crawler
     }
 
     /// Retries `stage` visits for `domain` until one succeeds or the
@@ -502,7 +494,7 @@ mod tests {
     #[test]
     fn storefronts_of_tagged_programs_get_tagged() {
         let truth = world();
-        let crawler = Crawler::new(&truth);
+        let crawler = Crawler::new(&truth, FaultPlan::off(truth.seed));
         let mut tagged = 0;
         let mut untagged_live = 0;
         for (id, rec) in truth.universe.iter() {
@@ -537,7 +529,7 @@ mod tests {
     #[test]
     fn landing_domains_tag_through_redirects() {
         let truth = world();
-        let crawler = Crawler::new(&truth);
+        let crawler = Crawler::new(&truth, FaultPlan::off(truth.seed));
         let mut via_landing = 0;
         for (id, rec) in truth.universe.iter() {
             if rec.kind == DomainKind::Landing {
@@ -556,7 +548,7 @@ mod tests {
     #[test]
     fn poison_is_dead_and_untagged() {
         let truth = world();
-        let crawler = Crawler::new(&truth);
+        let crawler = Crawler::new(&truth, FaultPlan::off(truth.seed));
         let mut poison_seen = 0;
         let mut poison_ok = 0;
         for (id, rec) in truth.universe.iter() {
@@ -579,7 +571,7 @@ mod tests {
     #[test]
     fn live_and_tagged_exclude_benign_lists() {
         let truth = world();
-        let crawler = Crawler::new(&truth);
+        let crawler = Crawler::new(&truth, FaultPlan::off(truth.seed));
         // Pick an uncompromised listed benign domain (a compromised
         // one may redirect to a dead storefront and legitimately fail).
         let (benign_id, _) = truth
@@ -601,7 +593,7 @@ mod tests {
     #[test]
     fn sharded_crawl_is_bit_identical_to_serial() {
         let truth = world();
-        let crawler = Crawler::new(&truth);
+        let crawler = Crawler::new(&truth, FaultPlan::off(truth.seed));
         let ids: Vec<DomainId> = truth.universe.iter().map(|(d, _)| d).collect();
         let serial = crawl_serial(&crawler, ids.iter().copied());
         for workers in [2, 8] {
@@ -622,9 +614,12 @@ mod tests {
         use taster_sim::FaultProfile;
         let truth = world();
         let ids: Vec<DomainId> = truth.universe.iter().map(|(d, _)| d).collect();
-        let clean = crawl_serial(&Crawler::new(&truth), ids.iter().copied());
+        let clean = crawl_serial(
+            &Crawler::new(&truth, FaultPlan::off(truth.seed)),
+            ids.iter().copied(),
+        );
         let plan = FaultPlan::new(FaultProfile::flaky_crawler(), truth.seed);
-        let flaky = Crawler::with_faults(&truth, plan.clone());
+        let flaky = Crawler::new(&truth, plan.clone());
         let faulted = crawl_serial(&flaky, ids.iter().copied());
         // Terminal dispositions appear and cost extra attempts.
         assert!(faulted.timeouts() > 0, "timeouts observed");
@@ -651,12 +646,7 @@ mod tests {
                 Disposition::Ok => {}
             }
         }
-        // The clean crawl is untouched by an off plan.
-        let off = Crawler::with_faults(&truth, FaultPlan::off(truth.seed));
-        let same = crawl_serial(&off, ids.iter().copied());
-        for (d, r) in clean.iter() {
-            assert_eq!(same.get(d), Some(r));
-        }
+        // An off plan crawls without a fault or a retry.
         assert_eq!(clean.timeouts(), 0);
         assert_eq!(clean.total_attempts(), clean.len() as u64);
     }
@@ -671,11 +661,11 @@ mod tests {
         let mut with_retry = FaultProfile::flaky_crawler();
         with_retry.crawl_max_retries = 3;
         let hard = crawl_serial(
-            &Crawler::with_faults(&truth, FaultPlan::new(no_retry, truth.seed)),
+            &Crawler::new(&truth, FaultPlan::new(no_retry, truth.seed)),
             ids.iter().copied(),
         );
         let soft = crawl_serial(
-            &Crawler::with_faults(&truth, FaultPlan::new(with_retry, truth.seed)),
+            &Crawler::new(&truth, FaultPlan::new(with_retry, truth.seed)),
             ids.iter().copied(),
         );
         assert!(
@@ -689,7 +679,7 @@ mod tests {
     #[test]
     fn crawl_set_deduplicates() {
         let truth = world();
-        let crawler = Crawler::new(&truth);
+        let crawler = Crawler::new(&truth, FaultPlan::off(truth.seed));
         let ids: Vec<DomainId> = truth.universe.iter().take(50).map(|(d, _)| d).collect();
         let doubled: Vec<DomainId> = ids.iter().chain(ids.iter()).copied().collect();
         let report = crawl_serial(&crawler, doubled);

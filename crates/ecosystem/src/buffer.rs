@@ -16,10 +16,11 @@ use taster_sim::SimTime;
 /// Column sentinel for "no chaff domain".
 pub const NO_CHAFF: u32 = u32::MAX;
 
-/// One chunk of the event stream in struct-of-arrays layout, plus the
-/// time-sorted index of each row — the key every per-event RNG and
-/// fault stream uses, which is what makes the output independent of
-/// chunk size and worker count.
+/// One chunk of the event stream in struct-of-arrays layout. The rows
+/// are consecutive in time-sorted order, so row `r` is sorted row
+/// `first + r` — the key every per-event RNG and fault stream uses,
+/// which is what makes the output independent of chunk size and worker
+/// count.
 #[derive(Debug, Default, Clone)]
 pub struct EventBuffer {
     /// Delivery instants.
@@ -34,8 +35,8 @@ pub struct EventBuffer {
     pub target: Vec<TargetClass>,
     /// Delivery vector.
     pub delivery: Vec<DeliveryVector>,
-    /// Time-sorted index of each row in the full log.
-    pub sorted_idx: Vec<u32>,
+    /// Time-sorted index of row 0 in the full log.
+    pub first: usize,
 }
 
 impl EventBuffer {
@@ -48,19 +49,18 @@ impl EventBuffer {
             chaff: Vec::with_capacity(cap),
             target: Vec::with_capacity(cap),
             delivery: Vec::with_capacity(cap),
-            sorted_idx: Vec::with_capacity(cap),
+            first: 0,
         }
     }
 
-    /// Appends one event with its time-sorted index.
-    pub fn push(&mut self, event: &SpamEvent, sorted_idx: u32) {
+    /// Appends one event.
+    pub fn push(&mut self, event: &SpamEvent) {
         self.time.push(event.time);
         self.campaign.push(event.campaign.0);
         self.advertised.push(event.advertised.0);
         self.chaff.push(event.chaff.map_or(NO_CHAFF, |d| d.0));
         self.target.push(event.target);
         self.delivery.push(event.delivery);
-        self.sorted_idx.push(sorted_idx);
     }
 
     /// Reassembles row `r` as a [`SpamEvent`].
@@ -99,19 +99,16 @@ impl EventBuffer {
         self.chaff.clear();
         self.target.clear();
         self.delivery.clear();
-        self.sorted_idx.clear();
     }
 
     /// Consumes a generation-order buffer and returns the time-sorted
-    /// equivalent: output row `rank[g]` is input row `g` (`rank` is the
-    /// sorted position of every row), and
-    /// `sorted_idx[r] == r` for every row. Columns are scattered one
-    /// at a time, each source column dropped as soon as its sorted
-    /// copy exists, so peak memory is one extra column (the 8-byte
-    /// time column), not a second full buffer.
+    /// equivalent, starting at sorted row 0: output row `rank[g]` is
+    /// input row `g` (`rank` is the sorted position of every row).
+    /// Columns are scattered one at a time, each source column dropped
+    /// as soon as its sorted copy exists, so peak memory is one extra
+    /// column (the 8-byte time column), not a second full buffer.
     pub fn into_sorted(self, rank: &[u32]) -> EventBuffer {
-        let n = self.len();
-        debug_assert_eq!(rank.len(), n, "rank must cover every row");
+        debug_assert_eq!(rank.len(), self.len(), "rank must cover every row");
         fn scatter<T: Copy>(src: Vec<T>, rank: &[u32], fill: T) -> Vec<T> {
             let mut out = vec![fill; src.len()];
             for (g, v) in src.into_iter().enumerate() {
@@ -132,7 +129,7 @@ impl EventBuffer {
             chaff,
             target,
             delivery,
-            sorted_idx: (0..n as u32).collect(),
+            first: 0,
         }
     }
 
@@ -140,7 +137,7 @@ impl EventBuffer {
     /// estimates in benchmarks).
     pub fn bytes_per_event() -> usize {
         std::mem::size_of::<SimTime>()
-            + 4 * std::mem::size_of::<u32>()
+            + 3 * std::mem::size_of::<u32>()
             + std::mem::size_of::<TargetClass>()
             + std::mem::size_of::<DeliveryVector>()
     }
@@ -167,12 +164,11 @@ mod tests {
         let mut buf = EventBuffer::with_capacity(4);
         let a = sample(5, Some(9));
         let b = sample(7, None);
-        buf.push(&a, 1);
-        buf.push(&b, 0);
+        buf.push(&a);
+        buf.push(&b);
         assert_eq!(buf.len(), 2);
         assert_eq!(buf.event(0), a);
         assert_eq!(buf.event(1), b);
-        assert_eq!(buf.sorted_idx, vec![1, 0]);
         assert_eq!(buf.chaff(0), Some(DomainId(9)));
         assert_eq!(buf.chaff(1), None);
         buf.clear();

@@ -39,8 +39,8 @@ pub struct EventLog {
 /// count cannot change any draw.
 #[derive(Debug, Clone)]
 enum SortedLog {
-    /// Resident columns (`sorted_idx[r] == r`); clones of the world
-    /// share them.
+    /// Resident columns from sorted row 0 (`first == 0`); clones of
+    /// the world share them.
     Cache(Arc<EventBuffer>),
     /// On disk; clones of the world share the one file.
     Spill(Arc<Spill>),
@@ -81,7 +81,7 @@ enum FirstPass {
 impl FirstPass {
     fn push(&mut self, event: &SpamEvent) {
         match self {
-            FirstPass::Cache(buf) => buf.push(event, 0),
+            FirstPass::Cache(buf) => buf.push(event),
             FirstPass::Spill(builder) => builder.push(event),
         }
     }
@@ -323,8 +323,8 @@ impl GroundTruth {
 
     /// Visits the time-sorted rows `range` (clamped to the log) in
     /// order, at most `width` rows per visit. Each visit gets a buffer
-    /// and the rows of it to read; every row carries its sorted index
-    /// in `sorted_idx`. In core there is one visit, borrowing the cache
+    /// and the rows of it to read; row `r` of a buffer is sorted row
+    /// `first + r`. In core there is one visit, borrowing the cache
     /// with no copy. Out of core each visit decodes its rows from the
     /// spill into one buffer of at most the memory budget's rows and at
     /// most [`MAX_READ_ROWS`]. An empty range still gets one, empty,
@@ -505,7 +505,7 @@ mod tests {
             g.visit_sorted(10..n - 5, 37, |buf, rows| {
                 visits += 1;
                 for r in rows {
-                    assert_eq!(buf.sorted_idx[r] as usize, next);
+                    assert_eq!(buf.first + r, next);
                     next += 1;
                 }
                 Ok::<(), SpillError>(())

@@ -339,10 +339,10 @@ impl SpillBuilder {
         let scratch = scratch
             .into_inner()
             .map_err(|e| SpillError::io("write", e.into_error()))?;
-        // Sorted indices are `u32` everywhere downstream.
-        let n = u32::try_from(rows)
-            .map(|n| n as usize)
-            .map_err(|_| SpillError::Corrupt(format!("{rows} rows exceed the u32 sorted index")))?;
+        // The sort's positions and run offsets are `u32`.
+        let n = u32::try_from(rows).map(|n| n as usize).map_err(|_| {
+            SpillError::Corrupt(format!("{rows} rows exceed the u32 sort positions"))
+        })?;
         let run = run_rows(n, budget_rows);
         let runs = n.div_ceil(run);
         times.start_positions();
@@ -508,8 +508,8 @@ impl Spill {
         (self.rows * ROW_BYTES + 8) as u64
     }
 
-    /// Replaces `out` with sorted rows `range` (clamped to the spill),
-    /// each tagged with its sorted index.
+    /// Replaces `out` with sorted rows `range` (clamped to the spill);
+    /// `out.first` becomes the range's first sorted index.
     pub(crate) fn read_into(
         &self,
         range: Range<usize>,
@@ -518,8 +518,8 @@ impl Spill {
         let end = range.end.min(self.rows);
         let start = range.start.min(end);
         out.clear();
+        out.first = start;
         let mut block = vec![0u8; IO_BYTES.min((end - start).max(1) * ROW_BYTES)];
-        let mut r = start;
         for_each_record(
             &self.file,
             start,
@@ -527,8 +527,7 @@ impl Spill {
             ROW_BYTES,
             &mut block,
             |row| {
-                out.push(&decode_row(row)?, r as u32);
-                r += 1;
+                out.push(&decode_row(row)?);
                 Ok(())
             },
         )
@@ -628,11 +627,11 @@ mod tests {
             s.read_into(0..n, &mut buf).unwrap();
             let got: Vec<SpamEvent> = (0..buf.len()).map(|r| buf.event(r)).collect();
             assert_eq!(got, want, "budget {budget}");
-            assert_eq!(buf.sorted_idx, (0..n as u32).collect::<Vec<u32>>());
-            // A range read carries global sorted indices.
+            assert_eq!(buf.first, 0);
+            // A range read starts at its global sorted index.
             s.read_into(n - 10..n + 100, &mut buf).unwrap();
             assert_eq!(buf.len(), 10);
-            assert_eq!(buf.sorted_idx[0], (n - 10) as u32);
+            assert_eq!(buf.first, n - 10);
             assert_eq!(buf.event(9), want[n - 1]);
         }
         assert!(

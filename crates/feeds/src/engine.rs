@@ -270,7 +270,7 @@ pub(crate) fn run_rows(
 
     for r in rows {
         // The time-sorted index: the key of every per-event stream.
-        let i = buf.sorted_idx[r] as u64;
+        let i = (buf.first + r) as u64;
         let time = buf.time[r];
         let advertised = DomainId(buf.advertised[r]);
         let chaff = buf.chaff(r);

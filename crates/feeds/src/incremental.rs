@@ -316,9 +316,9 @@ impl IngestState {
         let start = self.rows_done;
         let metrics_on = obs.metrics.is_on();
         let ctx = RunCtx::build(world, &self.members, plan);
-        // Every row carries its global sorted index, so each keyed
-        // decision is the same however the rows split into visits and
-        // shards.
+        // Each buffer knows the global sorted index of its rows, so
+        // each keyed decision is the same however the rows split into
+        // visits and shards.
         world
             .truth
             .visit_sorted(start..target, self.chunk_size, |buf, rows| {
@@ -364,6 +364,16 @@ impl IngestState {
             .collect()
     }
 
+    /// Applies every source record not applied yet, then frees them
+    /// all: once the last row is in, no advance needs one again. Returns
+    /// whether any record was applied.
+    fn drain_sources(&mut self, obs: &Obs) -> bool {
+        let tails_left = self.sources.iter().any(|s| s.cursor < s.records.len());
+        self.replay_sources_to(SimTime(u64::MAX), obs);
+        self.sources = Vec::new();
+        tails_left
+    }
+
     /// Seals the epoch: sorts the delta once, hands it to `on_delta`,
     /// and merges it into the sealed columns in one linear pass.
     /// Readers keep the previous [`FeedSet`] until they take the new
@@ -378,9 +388,7 @@ impl IngestState {
     ) -> (R, Arc<FeedSet>) {
         let mut delta = self.take_delta();
         let out = on_delta(&delta);
-        let tails_left = self.sources.iter().any(|s| s.cursor < s.records.len());
-        if self.ingest_complete() && tails_left {
-            self.replay_sources_to(SimTime(u64::MAX), obs);
+        if self.ingest_complete() && self.drain_sources(obs) {
             for (feed, tail) in delta.iter_mut().zip(self.take_delta()) {
                 *feed = feed.merged(tail);
             }
@@ -391,12 +399,11 @@ impl IngestState {
 
     /// Seals a run whose rows are all ingested, once, and returns the
     /// final set. No checkpoint needs the delta without its tails, so
-    /// they drain straight into it and the seal copies no feed.
+    /// they drain straight into it, before the seal sorts, and the seal
+    /// copies no feed.
     pub(crate) fn finish(mut self, obs: &Obs) -> FeedSet {
         debug_assert!(self.ingest_complete(), "finish before the last row");
-        self.replay_sources_to(SimTime(u64::MAX), obs);
-        // Every record is applied: free them before the seal sorts.
-        self.sources = Vec::new();
+        self.drain_sources(obs);
         self.seal_with(obs, |_| ());
         Arc::unwrap_or_clone(self.sealed)
     }
@@ -513,6 +520,29 @@ mod tests {
             late.advance(&w, &plan, &par, total, &obs).expect("advance");
             assert_sets_equal(&early, &late.finish(&obs));
         }
+    }
+
+    #[test]
+    fn sealing_the_last_epoch_frees_every_source_record() {
+        let w = world(0.02, 67);
+        let cfg = FeedsConfig::default();
+        let plan = FaultPlan::off(w.truth.seed);
+        let (obs, par) = (Obs::off(), Parallelism::serial());
+        let batch = try_collect_all_observed(&w, &cfg, &plan, &par, &obs).expect("batch");
+        let mut state = IngestState::new(&w, &cfg, &plan, &obs).expect("state");
+        let total = state.total_rows();
+        state
+            .advance(&w, &plan, &par, total / 2, &obs)
+            .expect("advance");
+        seal(&mut state);
+        assert!(state.sources.iter().any(|s| !s.records.is_empty()));
+        state
+            .advance(&w, &plan, &par, total, &obs)
+            .expect("advance");
+        let sealed = seal(&mut state);
+        let left: usize = state.sources.iter().map(|s| s.records.len()).sum();
+        assert_eq!(left, 0, "source records kept after the last epoch");
+        assert_sets_equal(&batch, &sealed);
     }
 
     #[test]

@@ -46,7 +46,6 @@ pub mod id;
 pub mod incremental;
 pub mod parse;
 pub mod pipeline;
-pub mod reporting;
 pub mod table;
 
 pub use config::FeedsConfig;
@@ -55,5 +54,4 @@ pub use feed::{DomainStats, Feed, FeedBuilder, FeedSet};
 pub use id::{FeedId, FeedKind};
 pub use incremental::IngestState;
 pub use pipeline::{collect_all, ensure_nonempty_collection, try_collect_all_observed};
-pub use reporting::ReportingPolicy;
 pub use table::FeedColumns;

@@ -30,7 +30,7 @@ use taster_stats::EmpiricalDist;
 /// of core, in rows (the spill caps reads further). The provider's
 /// filter-feedback state is sequential in time-sorted order, so it
 /// walks the log in sorted position order, one bucket at a time
-/// (~28 bytes/row resident); the RNG/counter state threads across
+/// (~24 bytes/row resident); the RNG/counter state threads across
 /// buckets untouched, so the draw sequence is identical to a single
 /// pass over the resident cache.
 pub const PROVIDER_BUCKET: usize = 1 << 21;

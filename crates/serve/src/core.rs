@@ -279,12 +279,13 @@ impl ServeCore {
                 Some(s) => FeedSet::clone(&s.feeds),
                 None => return Err(ServeError::Io("sealed epoch vanished".to_string())),
             };
-            let classified = Classified::build_faulted(
+            let classified = Classified::build_observed(
                 &self.world.truth,
                 &feeds,
                 self.scenario.classify,
                 &self.plan,
                 &self.scenario.parallelism,
+                &Obs::off(),
             );
             let experiment = Experiment {
                 scenario: self.scenario.clone(),

@@ -211,12 +211,20 @@ pub fn run(
 }
 
 /// Sheds a connection with a typed error, best-effort and bounded:
-/// one write under the normal write timeout, then drop.
+/// one write under the normal write timeout, then a nonblocking
+/// discard of what the client has already sent (at most one request),
+/// then drop. Closing a socket with unread bytes would reset it, so a
+/// client reading to EOF would get `ECONNRESET` after the `ERR` line;
+/// a client that has sent nothing yet costs no wait.
 fn shed(stream: UnixStream, cfg: &ServerConfig, err: &ServeError) {
     let mut stream = stream;
     let _ = stream.set_nonblocking(false);
     let _ = stream.set_write_timeout(Some(cfg.request_timeout));
     let _ = stream.write_all(&render_err(err));
+    if stream.set_nonblocking(true).is_ok() {
+        let mut queued = (&stream).take(MAX_REQUEST_BYTES as u64 + 1);
+        let _ = std::io::copy(&mut queued, &mut std::io::sink());
+    }
 }
 
 /// Serves one connection synchronously: bounded read, dispatch,
@@ -339,6 +347,49 @@ fn read_request_line(stream: &mut UnixStream, cfg: &ServerConfig) -> Result<Stri
             return Err(ServeError::Malformed(format!(
                 "request line exceeds {MAX_REQUEST_BYTES} bytes"
             )));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn config() -> ServerConfig {
+        ServerConfig {
+            socket: PathBuf::new(),
+            request_timeout: Duration::from_secs(2),
+            request_deadline: Duration::from_secs(4),
+            max_pending: 1,
+            watchdog: Duration::from_secs(1),
+            tick_rows: MIN_TICK_ROWS,
+            final_report: None,
+            exit_when_done: false,
+            test_hooks: false,
+        }
+    }
+
+    #[test]
+    fn a_shed_connection_closes_cleanly() {
+        let cfg = config();
+        // A client that has sent its request, and one that has sent
+        // nothing yet: neither may hold the reactor.
+        for sent in [&b"status\n"[..], b""] {
+            let (mut client, daemon) = UnixStream::pair().unwrap();
+            client.write_all(sent).unwrap();
+            let sw = MetricsRegistry::stopwatch();
+            shed(daemon, &cfg, &ServeError::ShuttingDown);
+            assert!(sw.elapsed_secs() < cfg.request_timeout.as_secs_f64() / 4.0);
+            let mut reply = Vec::new();
+            let mut chunk = [0u8; 256];
+            loop {
+                let n = client.read(&mut chunk).expect("EOF, not a reset");
+                if n == 0 {
+                    break;
+                }
+                reply.extend_from_slice(&chunk[..n]);
+            }
+            assert_eq!(reply, render_err(&ServeError::ShuttingDown));
         }
     }
 }

@@ -1,11 +1,10 @@
 //! Deterministic tracing: nested per-stage spans plus point events.
 //!
 //! A [`Tracer`] records a tree of spans on the driver thread.
-//! Each span carries a name, optional string attributes, an optional
-//! simulated-time window, and a wall-clock duration. Worker threads
-//! never open spans — parallel shards contribute only commutative
-//! metrics — so span ids, nesting and order are a pure function of
-//! `(scenario, seed)`.
+//! Each span carries a name, optional string attributes and a
+//! wall-clock duration. Worker threads never open spans — parallel
+//! shards contribute only commutative metrics — so span ids, nesting
+//! and order are a pure function of `(scenario, seed)`.
 //!
 //! Two renderings exist:
 //!
@@ -14,9 +13,8 @@
 //!   `wall_ns`. This is what `--trace <path>` writes; wall times make
 //!   consecutive runs differ, by design.
 //! * [`Tracer::deterministic_view`] — an indented span tree with
-//!   attributes and sim-time windows but **no wall times**. This view
-//!   is bit-identical at any worker count and is what determinism
-//!   tests snapshot.
+//!   attributes but **no wall times**. This view is bit-identical at
+//!   any worker count and is what determinism tests snapshot.
 
 #![allow(
     clippy::disallowed_types,
@@ -27,8 +25,6 @@ use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use crate::time::TimeWindow;
-
 /// One recorded trace entry: a completed span or a point event.
 #[derive(Debug, Clone)]
 enum Entry {
@@ -38,7 +34,6 @@ enum Entry {
         depth: usize,
         name: String,
         attrs: Vec<(String, String)>,
-        sim_window: Option<TimeWindow>,
         wall_nanos: u128,
         /// Position in the record stream at which the span *opened* —
         /// used to render the tree in execution order.
@@ -126,7 +121,6 @@ impl Tracer {
                 depth,
                 name: name.to_string(),
                 attrs: Vec::new(),
-                sim_window: None,
                 started: Instant::now(),
                 opened_at: seq,
             }),
@@ -169,7 +163,6 @@ impl Tracer {
             depth: state.depth,
             name: state.name,
             attrs: state.attrs,
-            sim_window: state.sim_window,
             wall_nanos,
             opened_at: state.opened_at,
         });
@@ -191,7 +184,6 @@ impl Tracer {
                     parent,
                     name,
                     attrs,
-                    sim_window,
                     wall_nanos,
                     ..
                 } => {
@@ -203,9 +195,6 @@ impl Tracer {
                         None => out.push_str("null"),
                     }
                     let _ = write!(out, ",\"name\":{}", json_string(name));
-                    if let Some(w) = sim_window {
-                        let _ = write!(out, ",\"sim_start\":{},\"sim_end\":{}", w.start.0, w.end.0);
-                    }
                     write_attrs(&mut out, attrs);
                     let _ = writeln!(out, ",\"wall_ns\":{wall_nanos}}}");
                 }
@@ -232,8 +221,8 @@ impl Tracer {
     }
 
     /// The deterministic view: the span/event tree in execution order,
-    /// with attributes and sim windows but no wall times. Bit-identical
-    /// at any worker count.
+    /// with attributes but no wall times. Bit-identical at any worker
+    /// count.
     pub fn deterministic_view(&self) -> String {
         let inner = self.lock();
         let mut ordered: Vec<&Entry> = inner.entries.iter().collect();
@@ -258,16 +247,9 @@ impl Tracer {
         for entry in ordered {
             match entry {
                 Entry::Span {
-                    depth,
-                    name,
-                    attrs,
-                    sim_window,
-                    ..
+                    depth, name, attrs, ..
                 } => {
                     let _ = write!(out, "{:indent$}span {name}", "", indent = depth * 2);
-                    if let Some(w) = sim_window {
-                        let _ = write!(out, " sim=[{}..{}]", w.start.0, w.end.0);
-                    }
                     for (k, v) in attrs {
                         let _ = write!(out, " {k}={v}");
                     }
@@ -357,7 +339,6 @@ struct SpanState {
     depth: usize,
     name: String,
     attrs: Vec<(String, String)>,
-    sim_window: Option<TimeWindow>,
     started: Instant,
     opened_at: u64,
 }
@@ -374,13 +355,6 @@ impl SpanGuard<'_> {
     pub fn attr_u64(&mut self, key: &str, value: u64) {
         if let Some(s) = self.state.as_mut() {
             s.attrs.push((key.to_string(), value.to_string()));
-        }
-    }
-
-    /// Records the simulated-time window this span covers.
-    pub fn sim_window(&mut self, window: TimeWindow) {
-        if let Some(s) = self.state.as_mut() {
-            s.sim_window = Some(window);
         }
     }
 }
@@ -431,7 +405,6 @@ fn json_string(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimTime;
 
     #[test]
     fn spans_nest_and_render_in_execution_order() {
@@ -442,10 +415,6 @@ mod tests {
             {
                 let mut inner = t.span("collect");
                 inner.attr_u64("events", 42);
-                inner.sim_window(TimeWindow {
-                    start: SimTime(0),
-                    end: SimTime(100),
-                });
                 t.event("gap", &[("feed", "Hu")]);
             }
             let _classify = t.span("classify");
@@ -453,7 +422,7 @@ mod tests {
         let view = t.deterministic_view();
         let expected = [
             "span pipeline seed=7",
-            "  span collect sim=[0..100] events=42",
+            "  span collect events=42",
             "    event gap feed=Hu",
             "  span classify",
             "",

@@ -78,7 +78,7 @@ fn spam_collectors_see_only_advertised_or_chaff_domains() {
 #[test]
 fn classification_agrees_with_a_fresh_crawl() {
     let e = experiment();
-    let crawler = Crawler::new(&e.world.truth);
+    let crawler = Crawler::new(&e.world.truth, e.faults.clone());
     let live = e.classified.set(FeedId::Hu, Category::Live);
     let mut checked = 0;
     for d in live.iter().take(500) {

@@ -1,10 +1,10 @@
 //! The out-of-core spill holds exactly the rows of the resident sorted
 //! cache. Every pipeline stage reads the event log through
 //! `GroundTruth::visit_sorted`, so this equivalence — all six event
-//! columns plus the sorted index, row by row — is what makes in-core
-//! and out-of-core reports byte-identical. Pinned at two seeds under a
-//! budget that sorts in several runs, under a 1-row budget, and for an
-//! empty log.
+//! columns plus each row's sorted index (`first + r`), row by row — is
+//! what makes in-core and out-of-core reports byte-identical. Pinned at
+//! two seeds under a budget that sorts in several runs, under a 1-row
+//! budget, and for an empty log.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -41,11 +41,8 @@ fn spill_matches_cache(seed: u64, budget: u64) -> Obs {
         .visit_sorted(0..spilled.log.len, usize::MAX, |buf, rows| {
             for r in rows {
                 let at = format!("seed {seed}, budget {budget}, sorted row {next}");
-                assert_eq!(buf.sorted_idx[r] as usize, next, "{at}: sorted_idx");
-                assert_eq!(
-                    cache.sorted_idx[next], buf.sorted_idx[r],
-                    "{at}: sorted_idx"
-                );
+                assert_eq!(buf.first + r, next, "{at}: sorted index");
+                assert_eq!(cache.first + next, buf.first + r, "{at}: sorted index");
                 assert_eq!(buf.time[r], cache.time[next], "{at}: time");
                 assert_eq!(buf.campaign[r], cache.campaign[next], "{at}: campaign");
                 assert_eq!(
