@@ -20,7 +20,7 @@ use crate::domains::{DomainKind, DomainUniverse};
 use crate::event::{campaign_event_count, stream_campaign_events, stream_poison_events, SpamEvent};
 use crate::ids::{CampaignId, ProgramId};
 use crate::program::ProgramRoster;
-use crate::spill::{Spill, SpillBuilder, SpillError, TimeSort, MAX_READ_ROWS};
+use crate::spill::{Spill, SpillBuilder, SpillError, TimeSort};
 use std::ops::Range;
 use std::sync::Arc;
 use taster_domain::DomainId;
@@ -119,9 +119,10 @@ impl GroundTruth {
     }
 
     /// [`GroundTruth::generate`] under an observability handle. Out of
-    /// core the sort runs inside a `generate/sort` span and records
-    /// `generate/spill_bytes` and `generate/sort_runs`; in core nothing
-    /// is recorded.
+    /// core the sort runs inside a `generate/sort` span, with one child
+    /// span per pass (`generate/sort/count`, `generate/sort/distribute`,
+    /// `generate/sort/scatter`), and records `generate/spill_bytes` and
+    /// `generate/sort_runs`; in core nothing is recorded.
     pub fn generate_observed(
         config: &EcosystemConfig,
         seed: u64,
@@ -163,19 +164,7 @@ impl GroundTruth {
         let mut first = if config.wants_cache(expected) {
             FirstPass::Cache(EventBuffer::with_capacity(expected as usize))
         } else {
-            // Every event falls inside its campaign's window.
-            let horizon = campaigns
-                .iter()
-                .map(|c| c.window().end.0)
-                .chain(
-                    config
-                        .poison
-                        .as_ref()
-                        .map(|p| SimTime::from_days(p.start_day + p.days).0),
-                )
-                .max()
-                .unwrap_or(0);
-            FirstPass::Spill(SpillBuilder::new(horizon)?)
+            FirstPass::Spill(SpillBuilder::new()?)
         };
         let mut sink = |e: SpamEvent| first.push(&e);
         let mut event_rng = RngStream::new(seed, "ecosystem/events");
@@ -248,7 +237,7 @@ impl GroundTruth {
             }
             FirstPass::Spill(builder) => {
                 let _span = obs.span("generate/sort");
-                let spill = builder.finish(config.budget_rows(expected))?;
+                let spill = builder.finish(config.budget_rows(expected), obs)?;
                 obs.metrics.add("generate/spill_bytes", spill.bytes());
                 obs.metrics.add("generate/sort_runs", spill.runs() as u64);
                 SortedLog::Spill(Arc::new(spill))
@@ -327,8 +316,9 @@ impl GroundTruth {
     /// `first + r`. In core there is one visit, borrowing the cache
     /// with no copy. Out of core each visit decodes its rows from the
     /// spill into one buffer of at most the memory budget's rows and at
-    /// most [`MAX_READ_ROWS`]. An empty range still gets one, empty,
-    /// visit.
+    /// most [`MAX_READ_ROWS`](crate::spill::MAX_READ_ROWS); each spill
+    /// block is fetched and checked once per call, before any of its
+    /// rows is decoded. An empty range still gets one, empty, visit.
     pub fn visit_sorted<E: From<SpillError>>(
         &self,
         range: Range<usize>,
@@ -339,22 +329,11 @@ impl GroundTruth {
         let start = range.start.min(end);
         match &self.sorted {
             SortedLog::Cache(cache) => visit(cache, start..end),
-            SortedLog::Spill(spill) => {
-                let width = width
-                    .min(self.config.budget_rows(self.log.len as u64))
-                    .clamp(1, MAX_READ_ROWS);
-                let mut buf = EventBuffer::with_capacity(width.min(end - start));
-                let mut lo = start;
-                loop {
-                    let hi = end.min(lo.saturating_add(width));
-                    spill.read_into(lo..hi, &mut buf)?;
-                    visit(&buf, 0..buf.len())?;
-                    lo = hi;
-                    if lo >= end {
-                        return Ok(());
-                    }
-                }
-            }
+            SortedLog::Spill(spill) => spill.visit(
+                start..end,
+                width.min(self.config.budget_rows(self.log.len as u64)),
+                visit,
+            ),
         }
     }
 
@@ -527,6 +506,34 @@ mod tests {
             })
             .unwrap();
             assert_eq!(empty, 1);
+        }
+    }
+
+    /// Each pass of the out-of-core sort is its own child of
+    /// `generate/sort`, in pass order; in core there is no sort span.
+    #[test]
+    fn sort_passes_are_child_spans_only_out_of_core() {
+        let config = EcosystemConfig::default().with_scale(0.02);
+        let mut tight = config.clone();
+        tight.max_mem_bytes = Some(1024);
+        for (config, spilled) in [(config, false), (tight, true)] {
+            let obs = Obs::on();
+            GroundTruth::generate_observed(&config, 7, &obs).unwrap();
+            let spans = obs.trace.span_timings();
+            let sort = spans.iter().find(|s| s.name == "generate/sort");
+            assert_eq!(sort.is_some(), spilled);
+            let passes: Vec<(String, usize)> = spans
+                .iter()
+                .filter(|s| s.name.starts_with("generate/sort/"))
+                .map(|s| (s.name.clone(), s.depth))
+                .collect();
+            let want: Vec<(String, usize)> = sort.map_or(Vec::new(), |sort| {
+                ["count", "distribute", "scatter"]
+                    .iter()
+                    .map(|pass| (format!("generate/sort/{pass}"), sort.depth + 1))
+                    .collect()
+            });
+            assert_eq!(passes, want, "spilled: {spilled}");
         }
     }
 
