@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
 """Clippy policy self-test: prove every compiler-enforced rule can fire.
 
-The `taster-lint` tests fire each rule that crate owns on a fixture
-of its own (`every_rule_fires_on_its_fixture`). This is the
-counterpart for the rules clippy enforces through `clippy.toml` and
-the workspace lint table in `Cargo.toml`:
-it writes one violation per policy item into a temporary probe
-module of the `taster-stats` library crate, runs clippy on it, and
-fails unless clippy reports every violating line with the expected
-lint. `unsafe` is probed in a run of its own, because the
+The rules clippy enforces through `clippy.toml` and the workspace lint
+table in `Cargo.toml` could silently stop matching (a renamed path
+resolves to nothing, and clippy stays quiet). This script writes one
+violation per policy item into a temporary probe module of the
+`taster-sim` library crate, the lowest crate that can name every
+disallowed path (`sim::rng::name_key` included), runs clippy on it,
+and fails unless clippy reports every violating line with the
+expected lint. `unsafe` is probed in a run of its own, because the
 `forbid(unsafe_code)` error stops compilation before clippy's lints
-report.
+report. The workspace rules clippy cannot express (crate layering,
+lint inheritance, distinct stream names) are `tests/workspace.rs`.
 
 Run from the workspace root:
 
@@ -25,8 +26,8 @@ import pathlib
 import subprocess
 import sys
 
-LIB = pathlib.Path("crates/stats/src/lib.rs")
-PROBE = pathlib.Path("crates/stats/src/policy_probe.rs")
+LIB = pathlib.Path("crates/sim/src/lib.rs")
+PROBE = pathlib.Path("crates/sim/src/policy_probe.rs")
 MARK = "// expect: "
 
 # Each violating line names the lints it must draw after MARK.
@@ -42,6 +43,7 @@ pub fn probe(x: Option<u8>, r: Result<u8, ()>) {
     let _ = std::thread::spawn(|| {}); // expect: clippy::disallowed_methods
     std::thread::scope(|_| {}); // expect: clippy::disallowed_methods
     let _ = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(1); // expect: clippy::disallowed_types clippy::disallowed_methods
+    let _ = crate::rng::name_key("probe"); // expect: clippy::disallowed_methods
     let i = x.unwrap(); // expect: clippy::unwrap_used
     let j = r.expect("set"); // expect: clippy::expect_used
     if i == 0 { panic!("boom"); } // expect: clippy::panic
@@ -101,7 +103,7 @@ def reported(source):
     """(line, lint) pairs clippy reports in the probe holding `source`."""
     PROBE.write_text(source)
     run = subprocess.run(
-        ["cargo", "clippy", "-q", "-p", "taster-stats", "--lib", "--message-format=json"],
+        ["cargo", "clippy", "-q", "-p", "taster-sim", "--lib", "--message-format=json"],
         capture_output=True,
         text=True,
     )

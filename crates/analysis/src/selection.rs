@@ -192,7 +192,7 @@ mod tests {
 
     #[test]
     fn same_type_feeds_are_more_redundant() {
-        use taster_sim::rng::{name_key, RngStream};
+        use taster_sim::rng::{RngStream, StreamKey};
         use taster_stats::infer::bootstrap_ci_keyed;
         use taster_stats::summary::mean;
 
@@ -220,8 +220,17 @@ mod tests {
                 mx.within.unwrap() - mx.across
             })
             .collect();
+        /// The bootstrap's resampling stream.
+        struct Redundancy;
+        impl StreamKey for Redundancy {
+            const ALL: &'static [Redundancy] = &[Redundancy];
+            fn name(&self) -> &str {
+                "selection/redundancy"
+            }
+        }
+        let key = Redundancy.key();
         let ci = bootstrap_ci_keyed(&gaps, mean, 200, 0.95, |r| {
-            RngStream::child_keyed(20_100_801, name_key("selection/redundancy"), r)
+            RngStream::child_keyed(20_100_801, key, r)
         })
         .unwrap();
         assert!(

@@ -156,7 +156,7 @@ fn paired_rows(base: &Replication, treat: &Replication) -> Vec<AbRow> {
                 mean,
                 base.options.resamples,
                 base.options.level,
-                |r| crate::replicate::resample_stream(master, &ci_key, r),
+                crate::replicate::resample_streams(master, &ci_key),
             );
             AbRow {
                 name: name.clone(),

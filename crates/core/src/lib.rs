@@ -34,3 +34,30 @@ pub mod sweep;
 
 pub use experiment::{build_world, Experiment};
 pub use scenario::Scenario;
+
+use taster_sim::rng::StreamKey;
+
+/// The replication layer's RNG streams.
+#[derive(Debug, Clone, Copy)]
+enum Stream {
+    /// Per-replicate seed derivation.
+    Seed,
+    /// Bootstrap resampling.
+    Resample,
+}
+
+impl StreamKey for Stream {
+    const ALL: &'static [Stream] = &[Stream::Seed, Stream::Resample];
+
+    fn name(&self) -> &str {
+        match self {
+            Stream::Seed => "replicate/seed",
+            Stream::Resample => "replicate/resample",
+        }
+    }
+}
+
+/// The names of the RNG streams the replication layer draws from.
+pub fn stream_names() -> Vec<&'static str> {
+    taster_sim::rng::names::<Stream>()
+}

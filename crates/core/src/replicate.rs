@@ -8,7 +8,7 @@
 //! [`taster_stats::infer::MetricSamples`] columnar
 //! table, and attaches percentile + BCa bootstrap CIs to each metric.
 //! Resampling indices come from streams keyed by `(seed, metric,
-//! resample index)` — see [`resample_stream`] — so CI bounds are
+//! resample index)` — see [`resample_streams`] — so CI bounds are
 //! bit-stable at any worker count.
 //!
 //! The replicate fan-out runs through the scenario's
@@ -21,19 +21,15 @@ use crate::report::{
     fmt_bca, fmt_bounds, fmt_level, fmt_opt, json_bounds, json_opt, w, BCA_FOOTNOTE,
 };
 use crate::scenario::Scenario;
+use crate::Stream;
 use std::fmt::Write as _;
 use taster_analysis::classify::Category;
 use taster_analysis::timing::FIG9_FEEDS;
 use taster_feeds::{FeedId, PipelineError};
-use taster_sim::rng::{name_key, RngStream};
+use taster_sim::rng::{name_key, RngStream, StreamKey};
 use taster_sim::Parallelism;
 use taster_stats::infer::{bootstrap_ci_keyed, BootstrapCi, MetricSamples};
 use taster_stats::summary::{fraction, mean, std_dev};
-
-/// Stream-name key for per-replicate seed derivation.
-const SEED_STREAM: &str = "replicate/seed";
-/// Stream-name key for bootstrap resampling.
-const RESAMPLE_STREAM: &str = "replicate/resample";
 
 /// Knobs of a replicated run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,20 +73,22 @@ impl ReplicateOptions {
 /// agree across different replicate counts.
 pub fn replicate_seed(master: u64, index: u64) -> u64 {
     let mut out = [0u64; 1];
-    RngStream::child_keyed(master, name_key(SEED_STREAM), index).fill_u64(&mut out);
+    RngStream::child_keyed(master, Stream::Seed.key(), index).fill_u64(&mut out);
     out[0]
 }
 
-/// The bootstrap resampling stream for `(master seed, metric, resample
-/// index)`. Every resample owns a whole stream, so CI bounds cannot
-/// depend on resample evaluation order or worker count.
-pub fn resample_stream(master: u64, metric: &str, resample: u64) -> RngStream {
-    RngStream::child_keyed2(
-        master,
-        name_key(RESAMPLE_STREAM),
-        name_key(metric),
-        resample,
-    )
+/// The bootstrap resampling streams of `(master seed, metric)`: maps a
+/// resample index to its stream. Every resample owns a whole stream,
+/// so CI bounds cannot depend on resample evaluation order or worker
+/// count. Both keys are hashed once, not per resample.
+pub fn resample_streams(master: u64, metric: &str) -> impl Fn(u64) -> RngStream {
+    let resample = Stream::Resample.key();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a metric's column name is its resampling stream's second key, and metrics are data"
+    )]
+    let metric = name_key(metric);
+    move |index| RngStream::child_keyed2(master, resample, metric, index)
 }
 
 /// One metric's replication summary: sample moments plus the
@@ -252,7 +250,7 @@ impl Replication {
                     mean,
                     self.options.resamples,
                     self.options.level,
-                    |r| resample_stream(master, name, r),
+                    resample_streams(master, name),
                 );
                 MetricCi {
                     name: name.clone(),

@@ -99,12 +99,13 @@ pub fn generate_botnets<R: Rng>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Stream;
     use std::collections::HashSet;
     use taster_sim::RngStream;
 
     fn setup() -> (EcosystemConfig, ProgramRoster, Vec<Botnet>) {
         let cfg = EcosystemConfig::default();
-        let mut rng = RngStream::new(3, "botnet-test");
+        let mut rng = RngStream::new(3, Stream::Test("botnet-test"));
         let roster = ProgramRoster::generate(&cfg, &mut rng);
         let botnets = generate_botnets(&cfg, &roster, &mut rng);
         (cfg, roster, botnets)
@@ -155,7 +156,7 @@ mod tests {
             poison: None,
             ..Default::default()
         };
-        let mut rng = RngStream::new(3, "botnet-test");
+        let mut rng = RngStream::new(3, Stream::Test("botnet-test"));
         let roster = ProgramRoster::generate(&cfg, &mut rng);
         let botnets = generate_botnets(&cfg, &roster, &mut rng);
         assert!(botnets.iter().all(|b| !b.poisons));

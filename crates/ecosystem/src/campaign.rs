@@ -460,11 +460,12 @@ fn plan_one<R: Rng>(
 mod tests {
     use super::*;
     use crate::botnet::generate_botnets;
+    use crate::Stream;
     use taster_sim::RngStream;
 
     fn setup(scale: f64) -> (EcosystemConfig, ProgramRoster, Vec<Botnet>, Vec<Campaign>) {
         let cfg = EcosystemConfig::default().with_scale(scale);
-        let mut rng = RngStream::new(11, "campaign-test");
+        let mut rng = RngStream::new(11, Stream::Test("campaign-test"));
         let roster = ProgramRoster::generate(&cfg, &mut rng);
         let botnets = generate_botnets(&cfg, &roster, &mut rng);
         let mut universe = DomainUniverse::new(&cfg, &mut rng);
@@ -577,7 +578,7 @@ mod tests {
             purchased: 0.0,
             social: 0.0,
         });
-        let mut rng = RngStream::new(1, "mix");
+        let mut rng = RngStream::new(1, Stream::Test("mix"));
         for _ in 0..50 {
             assert_eq!(mix.sample(0b1, &mut rng), TargetClass::BruteForce);
         }
@@ -597,7 +598,7 @@ mod tests {
 
     #[test]
     fn pick_bit_covers_all_set_bits() {
-        let mut rng = RngStream::new(2, "bits");
+        let mut rng = RngStream::new(2, Stream::Test("bits"));
         let mut seen = std::collections::HashSet::new();
         for _ in 0..200 {
             seen.insert(pick_bit(0b1011, &mut rng));

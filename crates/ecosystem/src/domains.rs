@@ -364,6 +364,7 @@ fn intern_fresh<F: FnMut(&mut String)>(
 mod tests {
     use super::*;
     use crate::program::RX_PROGRAM;
+    use crate::Stream;
     use taster_sim::RngStream;
 
     fn universe() -> (EcosystemConfig, DomainUniverse, RngStream) {
@@ -372,7 +373,7 @@ mod tests {
             alexa_list_size: 200,
             ..Default::default()
         };
-        let mut rng = RngStream::new(5, "universe-test");
+        let mut rng = RngStream::new(5, Stream::Test("universe-test"));
         let u = DomainUniverse::new(&cfg, &mut rng);
         (cfg, u, rng)
     }

@@ -256,6 +256,7 @@ mod tests {
     use crate::botnet::generate_botnets;
     use crate::campaign::plan_campaigns;
     use crate::program::ProgramRoster;
+    use crate::Stream;
     use taster_sim::RngStream;
 
     fn small_events() -> (
@@ -265,7 +266,7 @@ mod tests {
         Vec<SpamEvent>,
     ) {
         let cfg = EcosystemConfig::default().with_scale(0.02);
-        let mut rng = RngStream::new(21, "event-test");
+        let mut rng = RngStream::new(21, Stream::Test("event-test"));
         let roster = ProgramRoster::generate(&cfg, &mut rng);
         let botnets = generate_botnets(&cfg, &roster, &mut rng);
         let mut universe = DomainUniverse::new(&cfg, &mut rng);
@@ -329,18 +330,18 @@ mod tests {
         // The sink-based generator and the appending wrapper must draw
         // identically: one fresh rng each, same campaign set.
         let cfg = EcosystemConfig::default().with_scale(0.02);
-        let mut rng = RngStream::new(33, "event-sink-test");
+        let mut rng = RngStream::new(33, Stream::Test("event-sink-test"));
         let roster = ProgramRoster::generate(&cfg, &mut rng);
         let botnets = generate_botnets(&cfg, &roster, &mut rng);
         let mut universe = DomainUniverse::new(&cfg, &mut rng);
         let campaigns = plan_campaigns(&cfg, &roster, &botnets, &mut universe, &mut rng);
         let mut via_vec = Vec::new();
-        let mut a = RngStream::new(1, "events");
+        let mut a = RngStream::new(1, Stream::Test("events"));
         for c in &campaigns {
             generate_campaign_events(&cfg, c, &universe, &mut a, &mut via_vec);
         }
         let mut via_sink = Vec::new();
-        let mut b = RngStream::new(1, "events");
+        let mut b = RngStream::new(1, Stream::Test("events"));
         for c in &campaigns {
             stream_campaign_events(&cfg, c, &universe, &mut b, |e| via_sink.push(e));
         }
@@ -357,7 +358,7 @@ mod tests {
             copies_per_domain: 2.2,
             registered_prob: 0.004,
         };
-        let mut rng = RngStream::new(4, "poison-test");
+        let mut rng = RngStream::new(4, Stream::Test("poison-test"));
         let mut universe = DomainUniverse::new(&cfg, &mut rng);
         let before = universe.len();
         let mut out = Vec::new();

@@ -21,6 +21,7 @@ use crate::event::{campaign_event_count, stream_campaign_events, stream_poison_e
 use crate::ids::{CampaignId, ProgramId};
 use crate::program::ProgramRoster;
 use crate::spill::{Spill, SpillBuilder, SpillError, TimeSort};
+use crate::Stream;
 use std::ops::Range;
 use std::sync::Arc;
 use taster_domain::DomainId;
@@ -121,24 +122,26 @@ impl GroundTruth {
     /// [`GroundTruth::generate`] under an observability handle. Out of
     /// core the sort runs inside a `generate/sort` span, with one child
     /// span per pass (`generate/sort/count`, `generate/sort/distribute`,
-    /// `generate/sort/scatter`), and records `generate/spill_bytes` and
-    /// `generate/sort_runs`; in core nothing is recorded.
+    /// `generate/sort/scatter`) and per freed temporary file
+    /// (`generate/sort/free_scratch`, `generate/sort/free_runs`), and
+    /// records `generate/spill_bytes` and `generate/sort_runs`; in core
+    /// nothing is recorded.
     pub fn generate_observed(
         config: &EcosystemConfig,
         seed: u64,
         obs: &Obs,
     ) -> Result<GroundTruth, WorldError> {
         config.validate().map_err(WorldError::Invalid)?;
-        let mut roster_rng = RngStream::new(seed, "ecosystem/roster");
+        let mut roster_rng = RngStream::new(seed, Stream::Roster);
         let roster = ProgramRoster::generate(config, &mut roster_rng);
 
-        let mut botnet_rng = RngStream::new(seed, "ecosystem/botnets");
+        let mut botnet_rng = RngStream::new(seed, Stream::Botnets);
         let botnets = generate_botnets(config, &roster, &mut botnet_rng);
 
-        let mut universe_rng = RngStream::new(seed, "ecosystem/universe");
+        let mut universe_rng = RngStream::new(seed, Stream::Universe);
         let mut universe = DomainUniverse::new(config, &mut universe_rng);
 
-        let mut campaign_rng = RngStream::new(seed, "ecosystem/campaigns");
+        let mut campaign_rng = RngStream::new(seed, Stream::Campaigns);
         let mut campaigns =
             plan_campaigns(config, &roster, &botnets, &mut universe, &mut campaign_rng);
 
@@ -167,7 +170,7 @@ impl GroundTruth {
             FirstPass::Spill(SpillBuilder::new()?)
         };
         let mut sink = |e: SpamEvent| first.push(&e);
-        let mut event_rng = RngStream::new(seed, "ecosystem/events");
+        let mut event_rng = RngStream::new(seed, Stream::Events);
         for c in &campaigns {
             stream_campaign_events(config, c, &universe, &mut event_rng, &mut sink);
         }
@@ -212,7 +215,7 @@ impl GroundTruth {
                     domains: Vec::new(),
                     poison: true,
                 });
-                let mut poison_rng = RngStream::new(seed, "ecosystem/poison");
+                let mut poison_rng = RngStream::new(seed, Stream::Poison);
                 stream_poison_events(
                     poison,
                     id,
@@ -253,7 +256,7 @@ impl GroundTruth {
         // The web-spam corpus: live storefronts advertised outside
         // e-mail (forum spam, search-redirection). Mostly untagged
         // verticals; a slice fronts tagged programs.
-        let mut web_rng = RngStream::new(seed, "ecosystem/webspam");
+        let mut web_rng = RngStream::new(seed, Stream::Webspam);
         let n_webspam = ((config.webspam_domains as f64) * config.campaign_scale).round() as usize;
         let mut webspam = Vec::with_capacity(n_webspam);
         let tagged_programs: Vec<ProgramId> = roster.tagged_programs().collect();
@@ -432,16 +435,16 @@ mod tests {
     fn sorted_log_is_the_stable_time_sort_of_register_mode_generation() {
         let config = EcosystemConfig::default().with_scale(0.02);
         let seed = 7;
-        let mut roster_rng = RngStream::new(seed, "ecosystem/roster");
+        let mut roster_rng = RngStream::new(seed, Stream::Roster);
         let roster = ProgramRoster::generate(&config, &mut roster_rng);
-        let mut botnet_rng = RngStream::new(seed, "ecosystem/botnets");
+        let mut botnet_rng = RngStream::new(seed, Stream::Botnets);
         let botnets = generate_botnets(&config, &roster, &mut botnet_rng);
-        let mut universe_rng = RngStream::new(seed, "ecosystem/universe");
+        let mut universe_rng = RngStream::new(seed, Stream::Universe);
         let mut universe = DomainUniverse::new(&config, &mut universe_rng);
-        let mut campaign_rng = RngStream::new(seed, "ecosystem/campaigns");
+        let mut campaign_rng = RngStream::new(seed, Stream::Campaigns);
         let campaigns =
             plan_campaigns(&config, &roster, &botnets, &mut universe, &mut campaign_rng);
-        let mut event_rng = RngStream::new(seed, "ecosystem/events");
+        let mut event_rng = RngStream::new(seed, Stream::Events);
         let mut want = Vec::new();
         for c in &campaigns {
             generate_campaign_events(&config, c, &universe, &mut event_rng, &mut want);
@@ -449,7 +452,7 @@ mod tests {
         if let Some(poison) = &config.poison {
             if let Some(rustock) = botnets.iter().find(|b| b.poisons) {
                 let id = CampaignId(campaigns.len() as u32);
-                let mut poison_rng = RngStream::new(seed, "ecosystem/poison");
+                let mut poison_rng = RngStream::new(seed, Stream::Poison);
                 generate_poison_events(
                     poison,
                     id,
@@ -509,8 +512,9 @@ mod tests {
         }
     }
 
-    /// Each pass of the out-of-core sort is its own child of
-    /// `generate/sort`, in pass order; in core there is no sort span.
+    /// Each pass of the out-of-core sort, and each free of a temporary
+    /// file, is its own child of `generate/sort`, in order; in core
+    /// there is no sort span.
     #[test]
     fn sort_passes_are_child_spans_only_out_of_core() {
         let config = EcosystemConfig::default().with_scale(0.02);
@@ -528,10 +532,16 @@ mod tests {
                 .map(|s| (s.name.clone(), s.depth))
                 .collect();
             let want: Vec<(String, usize)> = sort.map_or(Vec::new(), |sort| {
-                ["count", "distribute", "scatter"]
-                    .iter()
-                    .map(|pass| (format!("generate/sort/{pass}"), sort.depth + 1))
-                    .collect()
+                [
+                    "count",
+                    "distribute",
+                    "free_scratch",
+                    "scatter",
+                    "free_runs",
+                ]
+                .iter()
+                .map(|pass| (format!("generate/sort/{pass}"), sort.depth + 1))
+                .collect()
             });
             assert_eq!(passes, want, "spilled: {spilled}");
         }

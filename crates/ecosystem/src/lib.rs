@@ -60,3 +60,51 @@ pub mod spill;
 pub use config::EcosystemConfig;
 pub use ground_truth::{GroundTruth, WorldError};
 pub use ids::{AffiliateId, BotnetId, CampaignId, ProgramId, Vertical};
+
+use taster_sim::rng::StreamKey;
+
+/// The world's RNG streams, one per generation stage.
+#[derive(Debug, Clone, Copy)]
+enum Stream {
+    Roster,
+    Botnets,
+    Universe,
+    Campaigns,
+    Events,
+    Poison,
+    Webspam,
+    /// A unit test's own draws.
+    #[cfg(test)]
+    Test(&'static str),
+}
+
+impl StreamKey for Stream {
+    const ALL: &'static [Stream] = &[
+        Stream::Roster,
+        Stream::Botnets,
+        Stream::Universe,
+        Stream::Campaigns,
+        Stream::Events,
+        Stream::Poison,
+        Stream::Webspam,
+    ];
+
+    fn name(&self) -> &str {
+        match self {
+            Stream::Roster => "ecosystem/roster",
+            Stream::Botnets => "ecosystem/botnets",
+            Stream::Universe => "ecosystem/universe",
+            Stream::Campaigns => "ecosystem/campaigns",
+            Stream::Events => "ecosystem/events",
+            Stream::Poison => "ecosystem/poison",
+            Stream::Webspam => "ecosystem/webspam",
+            #[cfg(test)]
+            Stream::Test(name) => name,
+        }
+    }
+}
+
+/// The names of the RNG streams the world draws from.
+pub fn stream_names() -> Vec<&'static str> {
+    taster_sim::rng::names::<Stream>()
+}

@@ -173,10 +173,11 @@ impl ProgramRoster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Stream;
     use taster_sim::RngStream;
 
     fn roster() -> ProgramRoster {
-        let mut rng = RngStream::new(1, "roster-test");
+        let mut rng = RngStream::new(1, Stream::Test("roster-test"));
         ProgramRoster::generate(&EcosystemConfig::default(), &mut rng)
     }
 

@@ -407,7 +407,10 @@ impl SpillBuilder {
 
     /// Sorts the rows into the spill, in runs of [`run_rows`] sorted
     /// positions, under `generate/sort/count`, `generate/sort/distribute`
-    /// and `generate/sort/scatter` spans.
+    /// and `generate/sort/scatter` spans. Freeing the scratch file and
+    /// histogram, and then the runs file, takes seconds at scale 10, so
+    /// each free has a span too: `generate/sort/free_scratch` and
+    /// `generate/sort/free_runs`.
     pub(crate) fn finish(self, budget_rows: usize, obs: &Obs) -> Result<Spill, SpillError> {
         let SpillBuilder {
             scratch,
@@ -438,10 +441,19 @@ impl SpillBuilder {
         }
         // The scratch rows and the histogram are dead once every row
         // sits in its run; free them before the run buffer exists.
-        drop(scratch);
-        drop(times);
-        let _span = obs.span("generate/sort/scatter");
-        let (file, sums) = scatter(&runs_file, n, run)?;
+        {
+            let _span = obs.span("generate/sort/free_scratch");
+            drop(scratch);
+            drop(times);
+        }
+        let (file, sums) = {
+            let _span = obs.span("generate/sort/scatter");
+            scatter(&runs_file, n, run)?
+        };
+        {
+            let _span = obs.span("generate/sort/free_runs");
+            drop(runs_file);
+        }
         Spill::open(file, n, n.div_ceil(run), sums)
     }
 }

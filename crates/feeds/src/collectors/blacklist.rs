@@ -13,6 +13,7 @@
 use crate::config::{BlacklistConfig, ListingAnchor};
 use crate::engine::{ShardObs, SourceRecord};
 use crate::id::FeedId;
+use crate::Stream;
 use rand::RngExt;
 use taster_domain::DomainId;
 use taster_ecosystem::campaign::CampaignStyle;
@@ -39,8 +40,13 @@ pub(crate) fn blacklist_source_records(
     local: &mut ShardObs,
 ) -> Vec<SourceRecord> {
     assert!(matches!(id, FeedId::Dbl | FeedId::Uribl));
+    let stream = if id == FeedId::Dbl {
+        Stream::Dbl
+    } else {
+        Stream::Uribl
+    };
     let mut out = Vec::new();
-    let mut rng = RngStream::new(world.truth.seed, &format!("feeds/{}", id.label()));
+    let mut rng = RngStream::new(world.truth.seed, stream);
     let truth = &world.truth;
     let day_secs = taster_sim::DAY as f64;
     let faults_on = !fault_plan.is_off();

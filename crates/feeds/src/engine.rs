@@ -37,6 +37,7 @@ use crate::config::{AcConfig, BotConfig, HybConfig, MxConfig};
 use crate::feed::FeedBuilder;
 use crate::id::FeedId;
 use crate::parse::DomainExtractor;
+use crate::Stream;
 use rand::RngExt;
 use std::ops::Range;
 use taster_domain::DomainId;
@@ -47,11 +48,8 @@ use taster_mailsim::render::{render_spam_into, replay_spam_url_hosts, SUBDOMAINS
 use taster_mailsim::MailWorld;
 use taster_sim::fault::{truncate_payload, FaultPlan, RecordFault};
 use taster_sim::metrics::{Histogram, MetricsShard};
-use taster_sim::rng::{fnv1a64, name_key, FNV1A64_OFFSET};
+use taster_sim::rng::{fnv1a64, StreamKey, FNV1A64_OFFSET};
 use taster_sim::{RngStream, SimTime, TimeWindow};
-
-/// Stream name for the shared per-event message render.
-const RENDER_STREAM: &str = "feeds/render-spam";
 
 /// Bucket edges for the domains-per-captured-record histogram.
 const DOMAINS_PER_RECORD_BOUNDS: [u64; 6] = [0, 1, 2, 5, 10, 20];
@@ -81,12 +79,14 @@ impl MemberSpec {
         }
     }
 
-    fn stream_name(&self) -> String {
+    fn stream(&self) -> Stream {
         match self {
-            MemberSpec::Mx { index, .. } => format!("feeds/mx{}", index + 1),
-            MemberSpec::Ac { index, .. } => format!("feeds/ac{}", index + 1),
-            MemberSpec::Bot { .. } => "feeds/bot".to_string(),
-            MemberSpec::Hyb { .. } => "feeds/hyb".to_string(),
+            MemberSpec::Mx { index, .. } => {
+                [Stream::Mx1, Stream::Mx2, Stream::Mx3][*index as usize]
+            }
+            MemberSpec::Ac { index, .. } => [Stream::Ac1, Stream::Ac2][*index as usize],
+            MemberSpec::Bot { .. } => Stream::Bot,
+            MemberSpec::Hyb { .. } => Stream::Hyb,
         }
     }
 
@@ -112,7 +112,7 @@ pub(crate) struct RunCtx<'w> {
     /// Whether any record-fault rate is non-zero: outage-only profiles
     /// skip the per-record fault decision entirely.
     record_faults_on: bool,
-    /// Per-member stream-name keys ([`name_key`]) for per-event child
+    /// Per-member stream keys ([`StreamKey::key`]) for per-event child
     /// derivation without re-hashing the name.
     keys: Vec<u64>,
     /// Per-member precomputed [`FaultPlan::fault_key`]s.
@@ -141,12 +141,12 @@ impl<'w> RunCtx<'w> {
                 .collect(),
             faults_on: !plan.is_off(),
             record_faults_on: plan.record_faults_possible(),
-            keys: members.iter().map(|m| name_key(&m.stream_name())).collect(),
+            keys: members.iter().map(|m| m.stream().key()).collect(),
             fault_keys: members
                 .iter()
                 .map(|m| FaultPlan::fault_key(m.feed_id().label()))
                 .collect(),
-            render_key: name_key(RENDER_STREAM),
+            render_key: Stream::RenderSpam.key(),
             monitored: truth.botnets.iter().map(|b| b.monitored).collect(),
             extractor: DomainExtractor::new(),
         }
@@ -556,7 +556,7 @@ pub(crate) fn member_source_records(
             let record_faults_on = plan.record_faults_possible();
             // Partner sample of user reports.
             let reports_key = FaultPlan::fault_key("Hyb/reports");
-            let mut rng = RngStream::new(seed, "feeds/hyb/reports");
+            let mut rng = RngStream::new(seed, Stream::HybReports);
             for (idx, report) in world.provider.reports.iter().enumerate() {
                 if !rng.random_bool(config.report_sample_prob) || down(report.time) {
                     continue;
@@ -591,7 +591,7 @@ pub(crate) fn member_source_records(
             }
             // The non-e-mail web-spam corpus.
             let webspam_key = FaultPlan::fault_key("Hyb/webspam");
-            let mut rng = RngStream::new(seed, "feeds/hyb/webspam");
+            let mut rng = RngStream::new(seed, Stream::HybWebspam);
             for (idx, &(time, domain)) in world.truth.webspam.iter().enumerate() {
                 if !rng.random_bool(config.webspam_prob) || down(time) {
                     continue;

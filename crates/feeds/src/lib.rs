@@ -55,3 +55,63 @@ pub use id::{FeedId, FeedKind};
 pub use incremental::IngestState;
 pub use pipeline::{collect_all, ensure_nonempty_collection, try_collect_all_observed};
 pub use table::FeedColumns;
+
+use taster_sim::rng::StreamKey;
+
+/// The collectors' RNG streams: one per sampling feed, the shared
+/// per-event message render, and the hybrid feed's two non-e-mail
+/// sources.
+#[derive(Debug, Clone, Copy)]
+enum Stream {
+    Mx1,
+    Mx2,
+    Mx3,
+    Ac1,
+    Ac2,
+    Bot,
+    Hyb,
+    Dbl,
+    Uribl,
+    RenderSpam,
+    HybReports,
+    HybWebspam,
+}
+
+impl StreamKey for Stream {
+    const ALL: &'static [Stream] = &[
+        Stream::Mx1,
+        Stream::Mx2,
+        Stream::Mx3,
+        Stream::Ac1,
+        Stream::Ac2,
+        Stream::Bot,
+        Stream::Hyb,
+        Stream::Dbl,
+        Stream::Uribl,
+        Stream::RenderSpam,
+        Stream::HybReports,
+        Stream::HybWebspam,
+    ];
+
+    fn name(&self) -> &str {
+        match self {
+            Stream::Mx1 => "feeds/mx1",
+            Stream::Mx2 => "feeds/mx2",
+            Stream::Mx3 => "feeds/mx3",
+            Stream::Ac1 => "feeds/ac1",
+            Stream::Ac2 => "feeds/ac2",
+            Stream::Bot => "feeds/bot",
+            Stream::Hyb => "feeds/hyb",
+            Stream::Dbl => "feeds/dbl",
+            Stream::Uribl => "feeds/uribl",
+            Stream::RenderSpam => "feeds/render-spam",
+            Stream::HybReports => "feeds/hyb/reports",
+            Stream::HybWebspam => "feeds/hyb/webspam",
+        }
+    }
+}
+
+/// The names of the RNG streams the collectors draw from.
+pub fn stream_names() -> Vec<&'static str> {
+    taster_sim::rng::names::<Stream>()
+}

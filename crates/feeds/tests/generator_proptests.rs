@@ -11,10 +11,29 @@ use taster_domain::gen::{BrandableGen, DgaGen, BENIGN_TLD_POOL, SPAM_TLD_POOL};
 use taster_domain::psl::SuffixList;
 use taster_domain::DomainName;
 use taster_mailsim::render::SUBDOMAINS;
+use taster_sim::rng::StreamKey;
 use taster_sim::RngStream;
 
 /// Names drawn from each generator per case.
 const NAMES: usize = 48;
+
+/// This suite's RNG streams, one per generator.
+#[derive(Clone, Copy)]
+enum Stream {
+    Brandable,
+    Dga,
+}
+
+impl StreamKey for Stream {
+    const ALL: &'static [Stream] = &[Stream::Brandable, Stream::Dga];
+
+    fn name(&self) -> &str {
+        match self {
+            Stream::Brandable => "test/brandable",
+            Stream::Dga => "test/dga",
+        }
+    }
+}
 
 /// Under every renderer prefix (the empty one included) a name parses
 /// unchanged and reduces back to itself.
@@ -53,7 +72,7 @@ proptest! {
     #[test]
     fn brandable_names_reduce_to_themselves(gen in brandable(), seed in any::<u64>()) {
         let psl = SuffixList::builtin();
-        let mut rng = RngStream::new(seed, "test/brandable");
+        let mut rng = RngStream::new(seed, Stream::Brandable);
         for pool in [SPAM_TLD_POOL, BENIGN_TLD_POOL] {
             for _ in 0..NAMES {
                 check_name(&gen.domain(&mut rng, pool), &psl)?;
@@ -69,7 +88,7 @@ proptest! {
     ) {
         let psl = SuffixList::builtin();
         let gen = DgaGen { min_len, max_len: min_len + extra };
-        let mut rng = RngStream::new(seed, "test/dga");
+        let mut rng = RngStream::new(seed, Stream::Dga);
         for _ in 0..NAMES {
             check_name(&gen.domain(&mut rng), &psl)?;
         }

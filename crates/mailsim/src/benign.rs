@@ -8,6 +8,7 @@
 //! they are the benign false positives of Table 2.
 
 use crate::config::MailConfig;
+use crate::Stream;
 use rand::RngExt;
 use taster_domain::DomainId;
 use taster_ecosystem::GroundTruth;
@@ -48,7 +49,7 @@ pub fn generate_benign_traffic(
     config: &MailConfig,
     mx_size_factor: &[f64; 3],
 ) -> Vec<BenignMailEvent> {
-    let mut rng = RngStream::new(truth.seed, "mailsim/benign");
+    let mut rng = RngStream::new(truth.seed, Stream::Benign);
     let days = truth.config.days;
     let mut out = Vec::new();
 

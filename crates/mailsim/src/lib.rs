@@ -40,3 +40,35 @@ pub mod world;
 
 pub use config::MailConfig;
 pub use world::MailWorld;
+
+use taster_sim::rng::StreamKey;
+
+/// The mail layer's RNG streams.
+#[derive(Debug, Clone, Copy)]
+enum Stream {
+    Benign,
+    Provider,
+    ProviderFp,
+    /// A unit test's own draws.
+    #[cfg(test)]
+    Test(&'static str),
+}
+
+impl StreamKey for Stream {
+    const ALL: &'static [Stream] = &[Stream::Benign, Stream::Provider, Stream::ProviderFp];
+
+    fn name(&self) -> &str {
+        match self {
+            Stream::Benign => "mailsim/benign",
+            Stream::Provider => "mailsim/provider",
+            Stream::ProviderFp => "mailsim/provider-fp",
+            #[cfg(test)]
+            Stream::Test(name) => name,
+        }
+    }
+}
+
+/// The names of the RNG streams the mail layer draws from.
+pub fn stream_names() -> Vec<&'static str> {
+    taster_sim::rng::names::<Stream>()
+}

@@ -14,6 +14,7 @@
 //!   (Figs 7–8).
 
 use crate::config::MailConfig;
+use crate::Stream;
 use rand::RngExt;
 use taster_domain::fx::FxHashMap;
 use taster_domain::DomainId;
@@ -68,7 +69,7 @@ pub fn run_provider(
     config: &MailConfig,
 ) -> Result<ProviderOutputs, WorldError> {
     config.validate().map_err(WorldError::Invalid)?;
-    let mut rng = RngStream::new(truth.seed, "mailsim/provider");
+    let mut rng = RngStream::new(truth.seed, Stream::Provider);
     let mut reports: Vec<UserReport> = Vec::new();
 
     let oracle_window = TimeWindow::new(
@@ -182,7 +183,7 @@ pub fn run_provider(
 
     // ---- users reporting legitimate commercial mail (§3.2: "human
     // identified spam can include legitimate commercial e-mail").
-    let mut fp_rng = RngStream::new(truth.seed, "mailsim/provider-fp");
+    let mut fp_rng = RngStream::new(truth.seed, Stream::ProviderFp);
     let total_fp = (config.hu_benign_reports_per_day * truth.config.days as f64).round() as u64;
     for _ in 0..total_fp {
         let t = SimTime(fp_rng.random_range(0..truth.config.days * DAY));

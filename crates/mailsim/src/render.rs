@@ -223,9 +223,11 @@ fn push_sender_localpart<R: Rng>(out: &mut String, rng: &mut R) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Stream;
     use taster_domain::psl::SuffixList;
     use taster_domain::url::extract_urls;
     use taster_ecosystem::EcosystemConfig;
+    use taster_sim::rng::StreamKey;
     use taster_sim::RngStream;
 
     fn world() -> GroundTruth {
@@ -236,7 +238,7 @@ mod tests {
     fn rendered_spam_round_trips_through_extraction() {
         let truth = world();
         let psl = SuffixList::builtin();
-        let mut rng = RngStream::new(1, "render-test");
+        let mut rng = RngStream::new(1, Stream::Test("render-test"));
         let mut checked = 0;
         for e in truth.sorted_events().unwrap().iter().take(300) {
             let msg = render_spam(&truth, e.advertised, e.chaff, e.time, &mut rng);
@@ -264,7 +266,7 @@ mod tests {
     #[test]
     fn into_variant_matches_allocating_variant() {
         let truth = world();
-        let mut rng_a = RngStream::new(5, "render-into");
+        let mut rng_a = RngStream::new(5, Stream::Test("render-into"));
         let mut rng_b = rng_a.clone();
         let mut buf = String::new();
         for e in truth.sorted_events().unwrap().iter().take(200) {
@@ -283,9 +285,9 @@ mod tests {
         // hosts a full render would put in the body, from the same
         // per-event stream.
         let truth = world();
-        let base = RngStream::new(truth.seed, "replay-pin");
+        let key = Stream::Test("replay-pin").key();
         for (i, e) in truth.sorted_events().unwrap().iter().take(400).enumerate() {
-            let mut full_rng = base.child(truth.seed, "replay-pin", i as u64);
+            let mut full_rng = RngStream::child_keyed(truth.seed, key, i as u64);
             let mut replay_rng = full_rng.clone();
             let mut buf = String::new();
             let _ = render_spam_into(
@@ -320,7 +322,7 @@ mod tests {
     #[test]
     fn urls_are_parseable() {
         let truth = world();
-        let mut rng = RngStream::new(3, "render-url");
+        let mut rng = RngStream::new(3, Stream::Test("render-url"));
         let mut url = String::new();
         for _ in 0..200 {
             let d = truth.universe.sample_chaff(&mut rng);

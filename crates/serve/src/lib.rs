@@ -34,6 +34,30 @@ pub use error::ServeError;
 pub use loadgen::{LoadgenConfig, LoadgenOutcome};
 pub use server::{ServerConfig, ServerStats};
 
+use taster_sim::rng::StreamKey;
+
+/// The RNG streams of this crate: only `loadgen` draws.
+#[derive(Debug, Clone, Copy)]
+enum Stream {
+    /// The load generator's request choices.
+    Request,
+}
+
+impl StreamKey for Stream {
+    const ALL: &'static [Stream] = &[Stream::Request];
+
+    fn name(&self) -> &str {
+        match self {
+            Stream::Request => "loadgen/request",
+        }
+    }
+}
+
+/// The names of the RNG streams this crate draws from.
+pub fn stream_names() -> Vec<&'static str> {
+    taster_sim::rng::names::<Stream>()
+}
+
 #[cfg(test)]
 mod tests {
     use crate::checkpoint::Checkpoint;

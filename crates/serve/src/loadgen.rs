@@ -20,13 +20,14 @@
 
 use crate::error::ServeError;
 use crate::protocol::parse_reply;
+use crate::Stream;
 use rand::RngExt;
 use std::io::{Read, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use taster_sim::metrics::MetricsRegistry;
-use taster_sim::rng::name_key;
+use taster_sim::rng::StreamKey;
 use taster_sim::{FaultProfile, RngStream};
 
 /// Load-generator configuration.
@@ -127,6 +128,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenOutcome, ServeError> {
     let burst = cfg.profile.serve_query_burst.max(1) as usize;
     let kill_epoch = cfg.profile.serve_kill_epoch;
     let queries = ["status", "epoch", "feeds"];
+    let request_key = Stream::Request.key();
     let mut request_idx = 0u64;
     for round in 0..cfg.rounds {
         if kill_epoch > 0 && sealed_epoch(cfg) >= u64::from(kill_epoch) {
@@ -140,8 +142,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenOutcome, ServeError> {
             return Ok(out);
         }
         for _ in 0..burst {
-            let mut rng =
-                RngStream::child_keyed(cfg.seed, name_key("loadgen/request"), request_idx);
+            let mut rng = RngStream::child_keyed(cfg.seed, request_key, request_idx);
             request_idx += 1;
             let query = queries
                 .get(rng.random_range(0..queries.len()))

@@ -366,7 +366,12 @@ impl FaultPlan {
     /// key to [`Self::record_fault_keyed`] per event instead of paying
     /// a `format!` + name hash per decision.
     pub fn fault_key(stage: &str) -> u64 {
-        name_key(&format!("fault/{stage}"))
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "fault streams are named by the stages fault profiles match, which are data"
+        )]
+        let key = name_key(&format!("fault/{stage}"));
+        key
     }
 
     /// The decision stream for `(seed, stage, index)`.
@@ -375,9 +380,6 @@ impl FaultPlan {
     /// decision independent of sharding: no draw consumed for one event
     /// can perturb another event's stream.
     pub fn stream(&self, stage: &str, index: u64) -> RngStream {
-        // `child` ignores the parent's state, so deriving through the
-        // precomputed key is bit-identical to
-        // `RngStream::new(seed, name).child(seed, name, index)`.
         RngStream::child_keyed(self.seed, Self::fault_key(stage), index)
     }
 

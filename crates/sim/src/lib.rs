@@ -12,9 +12,11 @@
 //!   [`time::TimeWindow`], with day/hour arithmetic used throughout the
 //!   timing analyses.
 //! * [`rng`] — named, independent random streams derived from a single
-//!   master seed ([`rng::RngStream`]). Streams are keyed by string so
-//!   adding a collector or analysis never perturbs the draws consumed
-//!   by ground-truth generation.
+//!   master seed ([`rng::RngStream`]). Each crate keys its streams by a
+//!   private enum implementing [`rng::StreamKey`], whose names
+//!   `tests/workspace.rs` holds pairwise distinct, so adding a
+//!   collector or analysis never perturbs the draws consumed by
+//!   ground-truth generation.
 //! * [`par`] — deterministic fan-out over scoped threads
 //!   ([`par::Parallelism`]): ordered result merge plus per-task RNG
 //!   streams keep parallel runs bit-identical to serial ones.

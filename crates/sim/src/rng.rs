@@ -1,13 +1,18 @@
 //! Named deterministic random streams.
 //!
 //! Every source of randomness in the toolkit is an [`RngStream`]
-//! derived from `(master_seed, stream name)`. Streams are mutually
+//! derived from `(master_seed, stream key)`. Streams are mutually
 //! independent in practice (xoshiro256++ seeded via SplitMix64 over a
-//! 64-bit hash of the name), and — crucially — *stable*: the draws a
-//! stream produces depend only on its name and the master seed, never
-//! on which other streams exist or the order they are created in.
-//! Adding an eleventh feed collector therefore cannot perturb the
-//! ground truth generated for the original ten.
+//! 64-bit hash of the key's name), and — crucially — *stable*: the
+//! draws a stream produces depend only on its name and the master
+//! seed, never on which other streams exist or the order they are
+//! created in. Adding an eleventh feed collector therefore cannot
+//! perturb the ground truth generated for the original ten.
+//!
+//! A key is a [`StreamKey`]: each crate that derives streams declares
+//! its keys once, as a private enum, so a stream cannot be keyed by a
+//! bare string, and the workspace's `tests/workspace.rs` checks that
+//! no two crates name the same stream.
 //!
 //! The generator implements `rand_core::TryRng` (infallibly), so all
 //! of `rand`'s distributions and sequence adapters work on it.
@@ -26,17 +31,44 @@ pub struct RngStream {
     s: [u64; 4],
 }
 
-/// Precomputed 64-bit key of a stream name (its FNV-1a hash), for hot
-/// loops that derive one child stream per event from the same name:
-/// hash the name once, then [`RngStream::child_keyed`] per event.
+/// The key of a named stream. A crate implements it once, on a private
+/// enum with one variant per stream it derives, the way
+/// [`crate::metrics::Stage`] names the pipeline stages.
+pub trait StreamKey: Sized + 'static {
+    /// Every stream the type names (test-only keys left out).
+    const ALL: &'static [Self];
+
+    /// The stream's name. Its hash keys the stream, so renaming a
+    /// shipped key changes every draw the stream makes.
+    fn name(&self) -> &str;
+
+    /// The name's 64-bit key (its FNV-1a hash), for hot loops that
+    /// derive one child stream per event: take it once, then
+    /// [`RngStream::child_keyed`] per event.
+    fn key(&self) -> u64 {
+        fnv1a(self.name().as_bytes())
+    }
+}
+
+/// The names of every key in `K::ALL`, so a crate can publish its
+/// stream names without publishing its key type.
+pub fn names<K: StreamKey>() -> Vec<&'static str> {
+    K::ALL.iter().map(|k| k.name()).collect()
+}
+
+/// The 64-bit key of a bare stream name: [`StreamKey::key`] for a
+/// name that has no key type. Clippy refuses it in the workspace
+/// (`clippy.toml`), where every stream has a typed key; a name built
+/// from data, such as a fault stage, calls it under a reasoned
+/// `#[expect]`.
 pub fn name_key(name: &str) -> u64 {
     fnv1a(name.as_bytes())
 }
 
 impl RngStream {
-    /// Derives the stream named `name` from `master_seed`.
-    pub fn new(master_seed: u64, name: &str) -> RngStream {
-        RngStream::from_key(master_seed ^ fnv1a(name.as_bytes()))
+    /// Derives the stream `key` names from `master_seed`.
+    pub fn new(master_seed: u64, key: impl StreamKey) -> RngStream {
+        RngStream::from_key(master_seed ^ key.key())
     }
 
     /// SplitMix64 expansion of the 64-bit key into 256 bits of state.
@@ -53,17 +85,9 @@ impl RngStream {
         RngStream { s }
     }
 
-    /// Derives a numbered child stream, e.g. one per campaign.
-    pub fn child(&self, master_seed: u64, name: &str, index: u64) -> RngStream {
-        RngStream::new(
-            master_seed ^ index.wrapping_mul(0xA24B_AED4_963E_E407),
-            name,
-        )
-    }
-
-    /// [`Self::child`] with the name hash precomputed via [`name_key`].
-    /// Bit-identical to `child(master_seed, name, index)` for
-    /// `key == name_key(name)`; skips re-hashing the name per call.
+    /// The numbered child `index` of the stream whose key is `key`
+    /// ([`StreamKey::key`]), e.g. one per event. Child 0 is the stream
+    /// [`Self::new`] derives.
     pub fn child_keyed(master_seed: u64, key: u64, index: u64) -> RngStream {
         RngStream::from_key(master_seed ^ index.wrapping_mul(0xA24B_AED4_963E_E407) ^ key)
     }
@@ -168,10 +192,21 @@ mod tests {
     use super::*;
     use rand::{Rng, RngExt};
 
+    /// An ad-hoc stream name.
+    struct Named(&'static str);
+
+    impl StreamKey for Named {
+        const ALL: &'static [Named] = &[];
+
+        fn name(&self) -> &str {
+            self.0
+        }
+    }
+
     #[test]
     fn same_name_same_stream() {
-        let mut a = RngStream::new(1, "campaigns");
-        let mut b = RngStream::new(1, "campaigns");
+        let mut a = RngStream::new(1, Named("campaigns"));
+        let mut b = RngStream::new(1, Named("campaigns"));
         for _ in 0..100 {
             assert_eq!(a.next_u64(), b.next_u64());
         }
@@ -179,23 +214,23 @@ mod tests {
 
     #[test]
     fn different_names_differ() {
-        let mut a = RngStream::new(1, "campaigns");
-        let mut b = RngStream::new(1, "benign");
+        let mut a = RngStream::new(1, Named("campaigns"));
+        let mut b = RngStream::new(1, Named("benign"));
         let same = (0..50).filter(|_| a.next_u64() == b.next_u64()).count();
         assert!(same <= 1);
     }
 
     #[test]
     fn different_seeds_differ() {
-        let mut a = RngStream::new(1, "x");
-        let mut b = RngStream::new(2, "x");
+        let mut a = RngStream::new(1, Named("x"));
+        let mut b = RngStream::new(2, Named("x"));
         let same = (0..50).filter(|_| a.next_u64() == b.next_u64()).count();
         assert!(same <= 1);
     }
 
     #[test]
     fn works_with_rand_ext_methods() {
-        let mut r = RngStream::new(7, "ext");
+        let mut r = RngStream::new(7, Named("ext"));
         for _ in 0..1000 {
             let v: u32 = r.random_range(0..10);
             assert!(v < 10);
@@ -207,7 +242,7 @@ mod tests {
 
     #[test]
     fn fill_bytes_covers_remainders() {
-        let mut r = RngStream::new(9, "bytes");
+        let mut r = RngStream::new(9, Named("bytes"));
         let mut buf = [0u8; 13];
         r.fill_bytes(&mut buf);
         assert!(buf.iter().any(|&b| b != 0));
@@ -215,33 +250,35 @@ mod tests {
 
     #[test]
     fn child_streams_are_distinct_and_stable() {
-        let base = RngStream::new(3, "campaign");
-        let mut c0 = base.child(3, "campaign", 0);
-        let mut c1 = base.child(3, "campaign", 1);
-        let mut c0b = base.child(3, "campaign", 0);
+        let key = Named("campaign").key();
+        let mut c0 = RngStream::child_keyed(3, key, 0);
+        let mut c1 = RngStream::child_keyed(3, key, 1);
+        let mut c0b = RngStream::child_keyed(3, key, 0);
         assert_eq!(c0.next_u64(), c0b.next_u64());
         let same = (0..50).filter(|_| c0.next_u64() == c1.next_u64()).count();
         assert!(same <= 1);
     }
 
     #[test]
-    fn child_keyed_is_bit_identical_to_child() {
-        let base = RngStream::new(41, "feeds/mx2");
-        let key = super::name_key("feeds/mx2");
-        for index in [0u64, 1, 7, 1 << 40, u64::MAX] {
-            let mut a = base.child(41, "feeds/mx2", index);
-            let mut b = RngStream::child_keyed(41, key, index);
-            for _ in 0..64 {
-                assert_eq!(a.next_u64(), b.next_u64(), "index {index}");
-            }
+    fn child_zero_is_the_named_stream_and_name_key_its_key() {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "pins the bare-name key to the typed one"
+        )]
+        let key = name_key("feeds/mx2");
+        assert_eq!(key, Named("feeds/mx2").key());
+        let mut a = RngStream::new(41, Named("feeds/mx2"));
+        let mut b = RngStream::child_keyed(41, key, 0);
+        for _ in 0..64 {
+            assert_eq!(a.next_u64(), b.next_u64());
         }
     }
 
     #[test]
     fn child_keyed2_is_stable_and_order_sensitive() {
         let (ka, kb) = (
-            super::name_key("replicate/resample"),
-            super::name_key("coverage/live/Hu"),
+            Named("replicate/resample").key(),
+            Named("coverage/live/Hu").key(),
         );
         let mut a = RngStream::child_keyed2(11, ka, kb, 3);
         let mut b = RngStream::child_keyed2(11, ka, kb, 3);
@@ -253,7 +290,7 @@ mod tests {
         let mut base = RngStream::child_keyed2(11, ka, kb, 3);
         for mut other in [
             RngStream::child_keyed2(11, kb, ka, 3),
-            RngStream::child_keyed2(11, ka, super::name_key("coverage/live/Bot"), 3),
+            RngStream::child_keyed2(11, ka, Named("coverage/live/Bot").key(), 3),
             RngStream::child_keyed2(11, ka, kb, 4),
             RngStream::child_keyed2(12, ka, kb, 3),
         ] {
@@ -269,7 +306,7 @@ mod tests {
     fn child_keyed2_with_zero_second_key_is_not_child_keyed() {
         // key_b participates through a multiplier, so key_b = 0 is the
         // plain child_keyed stream — document that equivalence.
-        let ka = super::name_key("x");
+        let ka = Named("x").key();
         let mut a = RngStream::child_keyed2(5, ka, 0, 9);
         let mut b = RngStream::child_keyed(5, ka, 9);
         for _ in 0..16 {
@@ -279,8 +316,8 @@ mod tests {
 
     #[test]
     fn fill_u64_matches_single_draws() {
-        let mut single = RngStream::new(13, "bulk");
-        let mut batched = RngStream::new(13, "bulk");
+        let mut single = RngStream::new(13, Named("bulk"));
+        let mut batched = RngStream::new(13, Named("bulk"));
         let mut out = [0u64; 257];
         batched.fill_u64(&mut out);
         for (i, &v) in out.iter().enumerate() {
@@ -292,7 +329,7 @@ mod tests {
 
     #[test]
     fn distribution_is_roughly_uniform() {
-        let mut r = RngStream::new(11, "uniformity");
+        let mut r = RngStream::new(11, Named("uniformity"));
         let mut buckets = [0usize; 16];
         let n = 64_000;
         for _ in 0..n {

@@ -202,7 +202,7 @@ struct Args {
     format: &'static str,
     threads: Option<usize>,
     faults: FaultProfile,
-    out: String,
+    out: Option<String>,
     metrics: bool,
     trace: Option<String>,
     overhead_gate: Option<f64>,
@@ -311,7 +311,6 @@ impl Args {
             seed: 20_100_801,
             section: "all".to_string(),
             format: "text",
-            out: "BENCH_pipeline.json".to_string(),
             socket: "taster-serve.sock".to_string(),
             epoch_events: 50_000,
             request_timeout_ms: 500,
@@ -368,7 +367,7 @@ impl Args {
             }
             "--metrics" => self.metrics = true,
             "--trace" => self.trace = Some(raw),
-            "--out" => self.out = raw,
+            "--out" => self.out = Some(raw),
             "--min-events-per-sec" => self.min_events_per_sec = Some(positive(flag, &raw)?),
             "--overhead-gate" => self.overhead_gate = Some(positive(flag, &raw)?),
             "--socket" => self.socket = raw,
@@ -480,37 +479,37 @@ fn report(args: &Args) {
     eprintln!("running {}", scenario.name);
     let obs = Obs::with(args.metrics, args.trace.is_some());
     let e = or_exit(Experiment::try_run_observed(&scenario, obs));
+    // `all`, the one name parsing admits outside `SECTIONS`: the full
+    // render, timed as the `render` stage like every other stage. It
+    // ends with the metrics section when `--metrics` is on. Parsing
+    // admits `--format csv` only with a section that has a CSV form.
+    let text = match report::section(&args.section) {
+        None => or_exit(e.try_render_report()) + "\n",
+        Some(section) if args.format == "csv" => section.render_csv(&e).unwrap_or_default(),
+        Some(section) => {
+            let mut text = or_exit(section.render(&e));
+            if args.metrics {
+                text.push('\n');
+                report::write_metrics(&e, &mut text);
+            }
+            text + "\n"
+        }
+    };
+    // After the render, so the log holds its span.
     if let Some(path) = &args.trace {
         write_trace(&e, path);
     }
-    // `all`, the one name parsing admits outside `SECTIONS`: the full
-    // render, timed as the `render` stage like every other stage. It
-    // ends with the metrics section when `--metrics` is on.
-    let Some(section) = report::section(&args.section) else {
-        println!("{}", or_exit(e.try_render_report()));
-        return;
-    };
-    if args.format == "csv" {
-        // Parsing admits `--format csv` only with a section that has
-        // a CSV form.
-        print!("{}", section.render_csv(&e).unwrap_or_default());
-        return;
-    }
-    let mut text = or_exit(section.render(&e));
-    if args.metrics {
-        text.push('\n');
-        report::write_metrics(&e, &mut text);
-    }
-    println!("{text}");
+    print!("{text}");
 }
 
 /// `taster profile`: one fully-observed run per `--scale` value. Each
 /// prints its deterministic span tree + metrics, then every span's wall
-/// and self seconds, and becomes one entry of the bench JSON written
-/// to `--out`: its `<stage>_secs` are the top-level spans the tree
-/// shows. `--trace` writes the span log of each run to the same path,
-/// so a `--scale` list leaves the last one. Gates, each checked per
-/// scale after the JSON is written (exit 1 on failure):
+/// and self seconds, and becomes one entry of the bench JSON, which
+/// `--out` writes (nothing is written without it): its `<stage>_secs`
+/// are the top-level spans the tree shows. `--trace` writes the span
+/// log of each run to the same path, so a `--scale` list leaves the
+/// last one. Gates, each checked per scale after the JSON is written
+/// (exit 1 on failure):
 /// `--min-events-per-sec R` is a floor on collect-stage throughput,
 /// and then also refuses an untimed wall over 10% of the total;
 /// `--overhead-gate FRAC` re-times collection instrumented vs.
@@ -538,12 +537,14 @@ fn profile_cmd(args: &Args) {
         );
         runs.push((scale, e2e));
     }
-    let json = profile::bench_json_string(args.seed, &runs);
-    if let Err(err) = std::fs::write(&args.out, &json) {
-        eprintln!("cannot write {}: {err}", args.out);
-        std::process::exit(1);
+    if let Some(out) = &args.out {
+        let json = profile::bench_json_string(args.seed, &runs);
+        if let Err(err) = std::fs::write(out, &json) {
+            eprintln!("cannot write {out}: {err}");
+            std::process::exit(1);
+        }
+        eprintln!("wrote {out}");
     }
-    eprintln!("wrote {}", args.out);
     for (scale, e2e) in &runs {
         if let Some(floor) = args.min_events_per_sec {
             let rate = e2e.collect_events_per_sec();
@@ -765,9 +766,9 @@ fn server_config(args: &Args) -> taster::serve::ServerConfig {
 
 /// `taster loadgen`: replay a deterministic keyed-RNG query storm
 /// against a running daemon (`--faults` picks the storm shape:
-/// `slow-client`, `query-storm`, `kill-midrun`) and
-/// write serving-path latencies/shed counts as JSON to `--out`. Exit
-/// codes: 0 storm completed, 2 the daemon never answered.
+/// `slow-client`, `query-storm`, `kill-midrun`), print its counts and,
+/// with `--out`, write serving-path latencies/shed counts there as
+/// JSON. Exit codes: 0 storm completed, 2 the daemon never answered.
 fn loadgen_cmd(args: &Args) {
     use taster::serve::{loadgen, LoadgenConfig};
 
@@ -785,13 +786,15 @@ fn loadgen_cmd(args: &Args) {
             std::process::exit(2);
         }
     };
-    let json = outcome.render_json(&args.faults.name, args.seed);
-    if let Err(e) = std::fs::write(&args.out, &json) {
-        eprintln!("loadgen: cannot write {}: {e}", args.out);
-        std::process::exit(2);
+    if let Some(out) = &args.out {
+        let json = outcome.render_json(&args.faults.name, args.seed);
+        if let Err(e) = std::fs::write(out, &json) {
+            eprintln!("loadgen: cannot write {out}: {e}");
+            std::process::exit(2);
+        }
     }
     eprintln!(
-        "loadgen: {} requests ({} ok, {} timeout, {} shed, {} not-ready), killed_daemon={} -> {}",
+        "loadgen: {} requests ({} ok, {} timeout, {} shed, {} not-ready), killed_daemon={}{}",
         outcome.sent,
         outcome.ok,
         outcome.timeouts,
@@ -799,6 +802,8 @@ fn loadgen_cmd(args: &Args) {
         outcome.not_ready,
         outcome.killed_daemon,
         args.out
+            .as_ref()
+            .map_or(String::new(), |out| format!(" -> {out}"))
     );
 }
 

@@ -1,6 +1,7 @@
 //! `taster profile` is the pipeline bench: `--out` gets one entry per
 //! `--scale` value, each holding that run's stage seconds, span tree
-//! and memory figure, and `--min-events-per-sec` gates it.
+//! and memory figure, and `--min-events-per-sec` gates it. Without
+//! `--out` it writes no file.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -67,4 +68,26 @@ fn profile_exits_1_below_the_collect_floor() {
     let stderr = String::from_utf8_lossy(&run.stderr);
     assert_eq!(run.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("is below the floor"), "{stderr}");
+}
+
+#[test]
+fn profile_without_out_writes_no_file() {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join("profile-no-out");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let run = Command::new(env!("CARGO_BIN_EXE_taster"))
+        .args(["profile", "--scale", "0.02"])
+        .current_dir(&dir)
+        .output()
+        .expect("run taster");
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let left: Vec<_> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name())
+        .collect();
+    assert!(left.is_empty(), "profile wrote {left:?}");
 }

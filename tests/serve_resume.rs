@@ -17,10 +17,22 @@ use rand::RngExt;
 use taster::core::{Experiment, Scenario};
 use taster::feeds::{FeedBuilder, FeedId};
 use taster::serve::{core::fingerprint, Checkpoint, ServeConfig, ServeCore, ServerStats};
+use taster::sim::rng::StreamKey;
 use taster::sim::{FaultProfile, RngStream};
 
 const WORKERS: [usize; 3] = [1, 2, 8];
 const SEED: u64 = 424_242;
+
+/// The stream that picks a kill epoch, one per (profile, workers) case.
+struct KillEpoch(String);
+
+impl StreamKey for KillEpoch {
+    const ALL: &'static [KillEpoch] = &[];
+
+    fn name(&self) -> &str {
+        &self.0
+    }
+}
 
 fn scenario(profile: &str, workers: usize) -> Scenario {
     let faults = FaultProfile::by_name(profile).expect("canonical profile");
@@ -122,7 +134,10 @@ fn kill_at_random_epoch_resumes_byte_identical() {
             // inside the run, epoch chosen by a keyed stream so the
             // test is deterministic but not hand-picked.
             let epoch_events = total.div_ceil(5).max(1);
-            let mut rng = RngStream::new(SEED, &format!("test/kill-epoch/{profile}/{workers}"));
+            let mut rng = RngStream::new(
+                SEED,
+                KillEpoch(format!("test/kill-epoch/{profile}/{workers}")),
+            );
             let kill_after = 1 + rng.random_range(0..3usize); // 1..=3 sealed epochs
 
             let dir = scratch(&format!("{profile}-{workers}"));

@@ -104,3 +104,22 @@ fn trace_jsonl_differs_only_in_wall_times() {
         strip(&b.obs.trace.to_jsonl())
     );
 }
+
+/// `report --trace` writes its log after the render, so the log holds
+/// the `render` stage's span.
+#[test]
+fn report_trace_logs_the_render() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("report-trace.jsonl");
+    let run = std::process::Command::new(env!("CARGO_BIN_EXE_taster"))
+        .args(["report", "--scale", "0.02", "--trace"])
+        .arg(&path)
+        .output()
+        .expect("run taster");
+    assert!(
+        run.status.success(),
+        "{}",
+        String::from_utf8_lossy(&run.stderr)
+    );
+    let log = std::fs::read_to_string(&path).unwrap();
+    assert!(log.contains("\"name\":\"render\""), "{log}");
+}
