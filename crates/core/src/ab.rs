@@ -22,8 +22,8 @@ use taster_stats::summary::mean;
 /// A scenario name and how to build the scenario at a scale.
 type NamedScenario = (&'static str, fn(f64) -> Scenario);
 
-/// The named scenarios of `taster ab` beside the batch fault
-/// profiles: the paper default, the presets and the four ablations.
+/// The named scenarios of `taster ab` beside the fault profiles: the
+/// paper default, the presets and the four ablations.
 #[rustfmt::skip]
 const NAMED_SCENARIOS: &[NamedScenario] = &[
     ("paper", paper),
@@ -42,32 +42,22 @@ fn paper(scale: f64) -> Scenario {
     Scenario::default_paper().with_scale(scale)
 }
 
-/// A canonical fault profile (or `off`) that can move a collection
-/// metric; serve-only storm profiles cannot.
-fn batch_profile(name: &str) -> Option<FaultProfile> {
-    FaultProfile::by_name(name).filter(|p| !p.is_serve_only())
-}
-
 /// Resolves a scenario name at `scale` and `seed`: the paper default
 /// (`paper`, `default`), a preset, an ablation, or the paper default
-/// under a batch fault profile. Any other name is refused with a list
-/// of the names that resolve.
+/// under a fault profile. Any other name is refused with a list of the
+/// names that resolve.
 pub fn scenario_by_name(name: &str, scale: f64, seed: u64) -> Result<Scenario, String> {
     if let Some((_, build)) = NAMED_SCENARIOS.iter().find(|(n, _)| *n == name) {
         return Ok(build(scale).with_seed(seed));
     }
-    if let Some(profile) = batch_profile(name) {
+    if let Some(profile) = FaultProfile::by_name(name) {
         return Ok(paper(scale).with_faults(profile).with_seed(seed));
     }
     let named: Vec<&str> = NAMED_SCENARIOS.iter().map(|(n, _)| *n).collect();
-    let profiles: Vec<&str> = FaultProfile::CANONICAL
-        .into_iter()
-        .filter(|n| batch_profile(n).is_some())
-        .collect();
     Err(format!(
-        "unknown scenario {name}; known: {} and batch fault profiles: {}",
+        "unknown scenario {name}; known: {} and fault profiles: {}",
         named.join(" "),
-        profiles.join(" ")
+        FaultProfile::CANONICAL.join(" ")
     ))
 }
 
@@ -318,7 +308,7 @@ mod tests {
             assert_eq!(s.seed, 7, "{name}");
             s.validate().unwrap();
         }
-        // Serve-only storm profiles cannot move a batch metric.
+        // The serve storms are `loadgen`'s, not scenarios.
         for name in ["no-such-scenario", "query-storm", "<fault profile>"] {
             let err = scenario_by_name(name, 0.02, 7).unwrap_err();
             let known = err.strip_prefix(&format!("unknown scenario {name}; known: "));
@@ -371,6 +361,69 @@ mod tests {
         );
         let rel = row.relative_effect.unwrap();
         assert!(rel < 0.0, "{rel}");
+    }
+
+    /// The paper against an ablation, over two paired seeds.
+    fn ablation(treatment: &str) -> AbComparison {
+        let at = |name| scenario_by_name(name, 0.04, 31).unwrap().with_threads(2);
+        ab_compare(&at("paper"), &at(treatment), opts()).unwrap()
+    }
+
+    /// A metric's control and treatment means over both pairs.
+    fn means(ab: &AbComparison, metric: &str) -> (f64, f64) {
+        let row = ab.rows.iter().find(|r| r.name == metric).unwrap();
+        assert_eq!(row.pairs, 2, "{metric}");
+        (row.control_mean.unwrap(), row.treatment_mean.unwrap())
+    }
+
+    #[test]
+    fn poisoning_destroys_purity() {
+        let ab = ablation("no-poisoning");
+        let (bot_with, bot_without) = means(&ab, "purity/dns/Bot");
+        let (mx2_with, mx2_without) = means(&ab, "purity/dns/mx2");
+        assert!(
+            bot_with < bot_without - 0.3,
+            "Bot {bot_with} → {bot_without}"
+        );
+        assert!(
+            mx2_with < mx2_without - 0.1,
+            "mx2 {mx2_with} → {mx2_without}"
+        );
+        assert!(bot_without > 0.9, "Bot {bot_without}");
+    }
+
+    #[test]
+    fn restriction_drops_a_few_percent() {
+        let ab = ablation("unrestricted-blacklists");
+        let (restricted, full) = means(&ab, "domains/dbl");
+        let dropped = (full - restricted) / full;
+        assert!(dropped > 0.0, "restriction bites: {restricted} of {full}");
+        assert!(dropped < 0.5, "{restricted} of {full}");
+    }
+
+    #[test]
+    fn filter_compresses_volume_not_coverage() {
+        let ab = ablation("no-provider-filter");
+        let (with, without) = means(&ab, "samples/Hu");
+        assert!(
+            without > with,
+            "filter caps report volume: {with} → {without}"
+        );
+        let (with, without) = means(&ab, "coverage/tagged/Hu");
+        assert!(
+            with / without > 0.85,
+            "coverage survives filtering: {with} → {without}"
+        );
+    }
+
+    #[test]
+    fn broad_seeding_pulls_ac2_toward_ac1() {
+        let ab = ablation("broad-ac2");
+        let (narrow, broad) = means(&ab, "overlap/tagged/Ac2_in_Ac1");
+        assert!(
+            broad > narrow,
+            "broader seeding increases Ac1 overlap: {narrow} → {broad}"
+        );
     }
 
     #[test]

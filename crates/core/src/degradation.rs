@@ -5,8 +5,8 @@
 //! fault injection, so they are shared); each profile that can touch
 //! collection or the crawl then re-collects the feeds and re-crawls
 //! under its [`FaultPlan`], and the resulting [`RunSnapshot`] is
-//! diffed against the clean run's. A profile that cannot (`clean` and
-//! the serve-only storms) is diffed against the clean run itself.
+//! diffed against the clean run's. `clean` is diffed against the clean
+//! run itself.
 
 use crate::scenario::Scenario;
 use taster_analysis::degradation::{compare, snapshot, ProfileDegradation, RunSnapshot};
@@ -24,7 +24,7 @@ pub fn degradation_sweep(scenario: &Scenario) -> Result<Vec<ProfileDegradation>,
     FaultProfile::canonical()
         .into_iter()
         .map(|profile| {
-            if profile.is_off() || profile.is_serve_only() {
+            if profile.is_off() {
                 return Ok(compare(&profile.name, &clean, &clean));
             }
             let name = profile.name.clone();

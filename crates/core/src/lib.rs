@@ -2,8 +2,8 @@
 //!
 //! The top of the stack: scenario presets, the end-to-end experiment
 //! driver, plain-text report rendering for every table and figure of
-//! the paper, and the ablation harness for the design choices the
-//! paper calls out.
+//! the paper, and the replicated, paired comparisons (`replicate`,
+//! `ab`) that also measure the design choices the paper calls out.
 //!
 //! ```no_run
 //! use taster_core::{Experiment, Scenario};
@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod ab;
-pub mod ablation;
 pub mod degradation;
 pub mod experiment;
 mod export;

@@ -151,6 +151,13 @@ pub fn metric_names() -> Vec<String> {
     for id in FIG9_FEEDS {
         names.push(format!("timing/first_median_days/{}", id.label()));
     }
+    for id in FeedId::BASE {
+        names.push(format!("samples/{}", id.label()));
+    }
+    for id in FeedId::ALL {
+        names.push(format!("domains/{}", id.label()));
+    }
+    names.push("overlap/tagged/Ac2_in_Ac1".to_string());
     names
 }
 
@@ -195,6 +202,24 @@ fn metric_values(e: &Experiment) -> Vec<Option<f64>> {
     for id in FIG9_FEEDS {
         out.push(first.iter().find(|(f, _)| *f == id).map(|(_, b)| b.median));
     }
+    let summary = e.table1();
+    for id in FeedId::BASE {
+        let samples = summary
+            .iter()
+            .find(|r| r.feed == id)
+            .and_then(|r| r.samples);
+        out.push(samples.map(|n| n as f64));
+    }
+    for id in FeedId::ALL {
+        out.push(
+            rows.iter()
+                .find(|r| r.feed == id)
+                .map(|r| r.all.total as f64),
+        );
+    }
+    let ac1 = e.classified.set(FeedId::Ac1, Category::Tagged);
+    let ac2 = e.classified.set(FeedId::Ac2, Category::Tagged);
+    out.push(Some(fraction(ac2.intersection_len(ac1), ac1.len())));
     out
 }
 
@@ -419,16 +444,27 @@ mod tests {
     #[test]
     fn layout_is_static_and_rows_fill_it() {
         let names = metric_names();
-        assert_eq!(names.len(), 2 + 4 * 10 + 2 * 6 + 8);
+        // 62 columns of shares, coverage, purity, Fig 7/8 and Fig 9,
+        // then Table 1's samples (8 feeds), Table 3's totals (10) and
+        // the Ac2/Ac1 overlap: 81.
+        assert_eq!(names.len(), 2 + 4 * 10 + 2 * 6 + 8 + 8 + 10 + 1);
         let rep = replicate(&small(), opts(2)).unwrap();
         assert_eq!(rep.samples.rows(), 2);
         assert_eq!(rep.samples.metrics(), names.len());
         assert_eq!(rep.samples.names(), &names[..]);
-        // The always-defined columns really are defined for every row.
-        for metric in ["exclusive_share/live", "coverage/tagged/dbl"] {
+        // The always-defined columns, the 19 last among them, really
+        // are defined for every row.
+        let always = ["exclusive_share/live", "coverage/tagged/dbl"];
+        for metric in always
+            .iter()
+            .copied()
+            .chain(names[62..].iter().map(String::as_str))
+        {
             let m = rep.samples.index_of(metric).unwrap();
             assert_eq!(rep.samples.defined(m).len(), 2, "{metric}");
         }
+        // Appended, so every earlier column keeps its place.
+        assert_eq!(names[62], "samples/Hu");
     }
 
     #[test]

@@ -408,6 +408,39 @@ mod tests {
         assert_eq!(a.universe.len(), b.universe.len());
     }
 
+    /// FNV-1a of a stage's output, taken over its `Debug` form.
+    fn digest(output: impl std::fmt::Debug) -> u64 {
+        use taster_sim::rng::{fnv1a64, FNV1A64_OFFSET};
+        fnv1a64(FNV1A64_OFFSET, format!("{output:?}").as_bytes())
+    }
+
+    /// Each stage draws from its own stream, so each stage's output is
+    /// pinned on its own: a stage fed by another stage's stream fails
+    /// here, below the report goldens, and the failing entry names it.
+    /// The event rows are left to
+    /// `sorted_log_is_the_stable_time_sort_of_register_mode_generation`,
+    /// which re-draws them from their own streams.
+    #[test]
+    fn every_generation_stage_is_pinned() {
+        let g = world(0.02, 11);
+        let names: Vec<&str> = g.universe.table.iter().map(|(_, name)| name).collect();
+        let got = [
+            ("roster", digest((&g.roster.programs, &g.roster.affiliates))),
+            ("botnets", digest(&g.botnets)),
+            ("universe names", digest(&names)),
+            ("campaigns", digest(&g.campaigns)),
+            ("webspam", digest(&g.webspam)),
+        ];
+        let want = [
+            ("roster", 0xE406_2390_9E89_DF08),
+            ("botnets", 0x5A85_F3CF_4886_46A7),
+            ("universe names", 0x10D0_0120_224A_6513),
+            ("campaigns", 0xA614_63D3_D9CD_FC1C),
+            ("webspam", 0x240B_498F_5CD4_D63C),
+        ];
+        assert_eq!(got, want);
+    }
+
     /// A clone of the world (the serve daemon's final report makes
     /// one) shares the sorted cache instead of copying its rows.
     #[test]

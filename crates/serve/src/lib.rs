@@ -31,7 +31,7 @@ pub mod server;
 pub use crate::core::{ServeConfig, ServeCore};
 pub use checkpoint::Checkpoint;
 pub use error::ServeError;
-pub use loadgen::{LoadgenConfig, LoadgenOutcome};
+pub use loadgen::{LoadgenConfig, LoadgenOutcome, Storm};
 pub use server::{ServerConfig, ServerStats};
 
 use taster_sim::rng::StreamKey;

@@ -7,16 +7,17 @@
 //! quarantined [`MetricsRegistry::stopwatch`] like every other
 //! timing in the workspace).
 //!
-//! Three serving-side fault profiles drive the misbehavior:
+//! A [`Storm`] shapes the misbehavior; `off` is a plain client, one
+//! well-formed request per round, and three storms misbehave:
 //!
-//! * `slow-client` — with probability `serve_slow_client_prob`, the
-//!   client writes half a request, stalls past the daemon's read
-//!   timeout, and expects a typed `ERR timeout`.
-//! * `query-storm` — `serve_query_burst` back-to-back requests per
-//!   round, exercising admission control (`ERR overloaded`).
+//! * `slow-client` — with probability `slow_client_prob`, the client
+//!   writes half a request, stalls past the daemon's read timeout, and
+//!   expects a typed `ERR timeout`.
+//! * `query-storm` — `burst` back-to-back requests per round,
+//!   exercising admission control (`ERR overloaded`).
 //! * `kill-midrun` — polls `epoch` until the daemon has sealed
-//!   `serve_kill_epoch` epochs, then sends the `die` crash hook and
-//!   reports the daemon dead (the resume test takes over from there).
+//!   `kill_epoch` epochs, then sends the `die` crash hook and reports
+//!   the daemon dead (the resume test takes over from there).
 
 use crate::error::ServeError;
 use crate::protocol::parse_reply;
@@ -28,7 +29,66 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 use taster_sim::metrics::MetricsRegistry;
 use taster_sim::rng::StreamKey;
-use taster_sim::{FaultProfile, RngStream};
+use taster_sim::RngStream;
+
+/// How a load generator misbehaves toward the daemon.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Storm {
+    /// The name `taster loadgen --faults` selects it by.
+    pub name: &'static str,
+    /// Probability a request stalls mid-write (slow-loris).
+    pub slow_client_prob: f64,
+    /// Requests per round, sent back to back.
+    pub burst: u32,
+    /// Kill the daemon once it has sealed this many epochs (0: never).
+    pub kill_epoch: u32,
+}
+
+impl Storm {
+    /// A plain client: one well-formed request per round.
+    pub const OFF: Storm = Storm {
+        name: "off",
+        slow_client_prob: 0.0,
+        burst: 1,
+        kill_epoch: 0,
+    };
+
+    /// Every storm, [`Storm::OFF`] first.
+    pub const ALL: [Storm; 4] = [
+        Storm::OFF,
+        // A third of the requests stall: the daemon must time each
+        // out with a typed error while the others keep getting answers.
+        Storm {
+            name: "slow-client",
+            slow_client_prob: 0.35,
+            ..Storm::OFF
+        },
+        // Bursts that push the daemon into admission control.
+        Storm {
+            name: "query-storm",
+            burst: 64,
+            ..Storm::OFF
+        },
+        // Killed without a drain after two sealed epochs; `serve
+        // --resume` must replay the tail and end byte-identical.
+        Storm {
+            name: "kill-midrun",
+            kill_epoch: 2,
+            ..Storm::OFF
+        },
+    ];
+
+    /// Looks a storm up by name.
+    pub fn by_name(name: &str) -> Option<Storm> {
+        Storm::ALL.into_iter().find(|s| s.name == name)
+    }
+}
+
+impl Default for Storm {
+    fn default() -> Storm {
+        Storm::OFF
+    }
+}
 
 /// Load-generator configuration.
 pub struct LoadgenConfig {
@@ -36,8 +96,8 @@ pub struct LoadgenConfig {
     pub socket: PathBuf,
     /// Keyed-RNG seed for the request sequence.
     pub seed: u64,
-    /// Serving-side fault profile shaping the storm.
-    pub profile: FaultProfile,
+    /// The storm's shape.
+    pub storm: Storm,
     /// Rounds to run (each round is 1 request, or a burst under
     /// `query-storm`).
     pub rounds: usize,
@@ -82,10 +142,10 @@ impl LoadgenOutcome {
 
     /// Serving-path latency summary as a JSON object, in the
     /// `BENCH_pipeline.json` family (hand-rolled like the rest of the
-    /// workspace's JSON output).
-    pub fn render_json(&self, profile: &str, seed: u64) -> String {
+    /// workspace's JSON output). Its `profile` key names the storm.
+    pub fn render_json(&self, storm: &str, seed: u64) -> String {
         format!(
-            "{{\n  \"serve\": {{\n    \"profile\": \"{profile}\",\n    \"seed\": {seed},\n    \
+            "{{\n  \"serve\": {{\n    \"profile\": \"{storm}\",\n    \"seed\": {seed},\n    \
              \"sent\": {},\n    \"ok\": {},\n    \"timeouts\": {},\n    \"overloaded\": {},\n    \
              \"not_ready\": {},\n    \"other_errors\": {},\n    \"io_errors\": {},\n    \
              \"killed_daemon\": {},\n    \"latency_micros\": {{\n      \"p50\": {},\n      \
@@ -124,9 +184,12 @@ impl LoadgenOutcome {
 pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenOutcome, ServeError> {
     let mut out = LoadgenOutcome::default();
     wait_for_daemon(&cfg.socket, cfg.request_timeout)?;
-    let slow_prob = cfg.profile.serve_slow_client_prob;
-    let burst = cfg.profile.serve_query_burst.max(1) as usize;
-    let kill_epoch = cfg.profile.serve_kill_epoch;
+    let Storm {
+        slow_client_prob,
+        burst,
+        kill_epoch,
+        ..
+    } = cfg.storm;
     let queries = ["status", "epoch", "feeds"];
     let request_key = Stream::Request.key();
     let mut request_idx = 0u64;
@@ -150,7 +213,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenOutcome, ServeError> {
                 .unwrap_or("status");
             out.sent += 1;
             let sw = MetricsRegistry::stopwatch();
-            let result = if slow_prob > 0.0 && rng.random_bool(slow_prob) {
+            let result = if slow_client_prob > 0.0 && rng.random_bool(slow_client_prob) {
                 exchange_slow(cfg, query)
             } else {
                 exchange(cfg, query)
@@ -282,4 +345,22 @@ fn try_exchange(
         }
     }
     parse_reply(&header, &body)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn storms_fix_their_stall_burst_and_kill_point() {
+        let shape =
+            |name| Storm::by_name(name).map(|s| (s.slow_client_prob, s.burst, s.kill_epoch));
+        assert_eq!(shape("off"), Some((0.0, 1, 0)));
+        assert_eq!(shape("slow-client"), Some((0.35, 1, 0)));
+        assert_eq!(shape("query-storm"), Some((0.0, 64, 0)));
+        assert_eq!(shape("kill-midrun"), Some((0.0, 1, 2)));
+        // Collection fault profiles are not storms.
+        assert_eq!(shape("lossy-feeds"), None);
+        assert_eq!(Storm::default(), Storm::OFF);
+    }
 }

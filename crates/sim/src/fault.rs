@@ -78,15 +78,6 @@ pub struct FaultProfile {
     pub snapshot_delay_secs: u64,
     /// Probability a blacklist snapshot entry is lost to truncation.
     pub snapshot_truncate_prob: f64,
-    /// Serving-side: probability a `loadgen` client stalls mid-request
-    /// (slow-loris) instead of completing it. Collection is untouched.
-    pub serve_slow_client_prob: f64,
-    /// Serving-side: extra back-to-back queries each `loadgen` client
-    /// fires per connection (burst overload). Collection is untouched.
-    pub serve_query_burst: u32,
-    /// Serving-side: `loadgen` kills the daemon after this many sealed
-    /// epochs (0 = never). Collection is untouched.
-    pub serve_kill_epoch: u32,
 }
 
 impl FaultProfile {
@@ -104,9 +95,6 @@ impl FaultProfile {
             crawl_backoff_secs: 30,
             snapshot_delay_secs: 0,
             snapshot_truncate_prob: 0.0,
-            serve_slow_client_prob: 0.0,
-            serve_query_burst: 0,
-            serve_kill_epoch: 0,
         }
     }
 
@@ -190,51 +178,14 @@ impl FaultProfile {
         }
     }
 
-    /// One third of serving clients stall mid-request (slow-loris).
-    /// The daemon must time each of them out with a typed error while
-    /// the well-behaved clients keep getting answers.
-    pub fn slow_client() -> FaultProfile {
-        FaultProfile {
-            name: "slow-client".to_string(),
-            serve_slow_client_prob: 0.35,
-            ..FaultProfile::off()
-        }
-    }
-
-    /// Bursty query overload: every client fires a back-to-back burst,
-    /// pushing the daemon into admission control and load shedding.
-    pub fn query_storm() -> FaultProfile {
-        FaultProfile {
-            name: "query-storm".to_string(),
-            serve_query_burst: 64,
-            ..FaultProfile::off()
-        }
-    }
-
-    /// The daemon is killed (no drain) after two sealed epochs; a
-    /// `serve --resume` must replay the tail and end byte-identical.
-    pub fn kill_midrun() -> FaultProfile {
-        FaultProfile {
-            name: "kill-midrun".to_string(),
-            serve_kill_epoch: 2,
-            ..FaultProfile::off()
-        }
-    }
-
-    /// Names of the canonical profiles, in sweep order. The last three
-    /// are serving-side: they leave collection untouched (their
-    /// degradation rows are all-zero deltas by design) and instead
-    /// drive `taster serve` / `taster loadgen` behaviour.
-    pub const CANONICAL: [&'static str; 9] = [
+    /// Names of the canonical profiles, in sweep order.
+    pub const CANONICAL: [&'static str; 6] = [
         "clean",
         "flaky-crawler",
         "feed-outage",
         "lossy-feeds",
         "delayed-blacklists",
         "blackout",
-        "slow-client",
-        "query-storm",
-        "kill-midrun",
     ];
 
     /// Looks a canonical profile up by name (`off` is also accepted).
@@ -247,9 +198,6 @@ impl FaultProfile {
             "lossy-feeds" => Some(FaultProfile::lossy_feeds()),
             "delayed-blacklists" => Some(FaultProfile::delayed_blacklists()),
             "blackout" => Some(FaultProfile::blackout()),
-            "slow-client" => Some(FaultProfile::slow_client()),
-            "query-storm" => Some(FaultProfile::query_storm()),
-            "kill-midrun" => Some(FaultProfile::kill_midrun()),
             _ => None,
         }
     }
@@ -274,24 +222,6 @@ impl FaultProfile {
             && self.http_timeout_prob == 0.0
             && self.snapshot_delay_secs == 0
             && self.snapshot_truncate_prob == 0.0
-            && self.serve_slow_client_prob == 0.0
-            && self.serve_query_burst == 0
-            && self.serve_kill_epoch == 0
-    }
-
-    /// True when the profile only exercises the serving path: no
-    /// collection-side fault can fire, so collected feeds are
-    /// byte-identical to a clean run even though the profile is "on".
-    pub fn is_serve_only(&self) -> bool {
-        !self.is_off()
-            && self.outages.is_empty()
-            && self.record_drop_prob == 0.0
-            && self.record_duplicate_prob == 0.0
-            && self.record_truncate_prob == 0.0
-            && self.dns_servfail_prob == 0.0
-            && self.http_timeout_prob == 0.0
-            && self.snapshot_delay_secs == 0
-            && self.snapshot_truncate_prob == 0.0
     }
 
     /// Validates rate ranges; returns a description of the first problem.
@@ -303,7 +233,6 @@ impl FaultProfile {
             ("dns_servfail_prob", self.dns_servfail_prob),
             ("http_timeout_prob", self.http_timeout_prob),
             ("snapshot_truncate_prob", self.snapshot_truncate_prob),
-            ("serve_slow_client_prob", self.serve_slow_client_prob),
         ];
         for (label, rate) in rates {
             if !(0.0..=1.0).contains(&rate) {
@@ -495,26 +424,6 @@ mod tests {
             assert_eq!(FaultProfile::by_name(&profile.name).as_ref(), Some(profile));
         }
         assert!(FaultProfile::by_name("nope").is_none());
-    }
-
-    #[test]
-    fn serving_profiles_are_on_but_collection_silent() {
-        for profile in [
-            FaultProfile::slow_client(),
-            FaultProfile::query_storm(),
-            FaultProfile::kill_midrun(),
-        ] {
-            assert!(!profile.is_off(), "{} must count as faulted", profile.name);
-            assert!(profile.is_serve_only(), "{}", profile.name);
-            profile.validate().unwrap();
-            let plan = FaultPlan::new(profile.clone(), 5);
-            // No collection-side decision can fire.
-            assert!(!plan.record_faults_possible());
-            assert!(plan.outage_windows(ALL_STAGES).is_empty());
-            assert!(!plan.snapshot_dropped("dbl", 0));
-        }
-        assert!(!FaultProfile::off().is_serve_only());
-        assert!(!FaultProfile::lossy_feeds().is_serve_only());
     }
 
     #[test]

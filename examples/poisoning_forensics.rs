@@ -12,7 +12,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use taster::core::ablation;
+use taster::analysis::purity::PurityRow;
 use taster::core::{Experiment, Scenario};
 use taster::ecosystem::domains::DomainKind;
 use taster::feeds::FeedId;
@@ -34,13 +34,14 @@ fn main() {
     );
     let purity_with = with.table2();
     let purity_without = without.table2();
+    let dns = |rows: &[PurityRow], id: FeedId| rows.iter().find(|r| r.feed == id).unwrap().dns;
     for id in FeedId::ALL {
         let fw = with.feeds.get(id);
         let fo = without.feeds.get(id);
         let ds = fw.samples.unwrap_or(0) as i64 - fo.samples.unwrap_or(0) as i64;
         let du = fw.unique_domains() as i64 - fo.unique_domains() as i64;
-        let pw = purity_with.iter().find(|r| r.feed == id).unwrap().dns;
-        let po = purity_without.iter().find(|r| r.feed == id).unwrap().dns;
+        let pw = dns(&purity_with, id);
+        let po = dns(&purity_without, id);
         println!(
             "{:<6} {:>+14} {:>+14} {:>11.0}% {:>11.0}%",
             id.label(),
@@ -70,14 +71,12 @@ fn main() {
         println!("  w{:02} {:>8}  {}", i, n, bar);
     }
 
-    // The packaged ablation summary.
-    let summary = ablation::poisoning(&with).expect("poisoning ablation runs");
     println!(
         "\nablation summary: Bot DNS {:.0}% → {:.0}%, mx2 DNS {:.0}% → {:.0}% when poisoning is removed",
-        summary.bot_dns_with * 100.0,
-        summary.bot_dns_without * 100.0,
-        summary.mx2_dns_with * 100.0,
-        summary.mx2_dns_without * 100.0,
+        dns(&purity_with, FeedId::Bot) * 100.0,
+        dns(&purity_without, FeedId::Bot) * 100.0,
+        dns(&purity_with, FeedId::Mx2) * 100.0,
+        dns(&purity_without, FeedId::Mx2) * 100.0,
     );
     println!(
         "cost asymmetry (the paper's point): generating a random domain costs the \

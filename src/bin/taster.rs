@@ -3,7 +3,6 @@
 //!
 //! ```text
 //! taster report                    regenerate tables/figures
-//! taster ablate                    run the four ablation studies
 //! taster sweep <seeding|mx-size>   parameter sweeps
 //! taster summary                   world statistics only
 //! taster degradation               canonical fault-profile sweep
@@ -11,7 +10,8 @@
 //! taster serve                     guarded streaming daemon
 //! taster loadgen                   deterministic query storms
 //! taster replicate                 N-seed replication with CIs
-//! taster ab --treatment NAME       paired A/B scenario comparison
+//! taster ab --treatment NAME       paired A/B scenario comparison,
+//!                                  the four ablations included
 //! ```
 //!
 //! Each command accepts exactly the flags its code reads: one row of
@@ -26,12 +26,16 @@
 //! Sections for `report`: `table1 table2 table3 fig1 … fig12 selection
 //! blocking campaigns granularity concentration all` (default `all`).
 //!
-//! `--faults <profile>` runs under a named fault-injection profile
-//! (`off clean flaky-crawler feed-outage lossy-feeds delayed-blacklists
-//! blackout`, plus the serve-only storms for `loadgen`); the default
+//! `--faults <profile>` (`report`, `serve`, `replicate`, `profile`)
+//! runs under a named fault-injection profile (`off clean flaky-crawler
+//! feed-outage lossy-feeds delayed-blacklists blackout`); the default
 //! `off` leaves every byte of output identical to a fault-free build.
 //! Faulted reports prepend a "Fault model" section. `degradation`
-//! sweeps the canonical profiles itself; `ab` names them as scenarios.
+//! sweeps the canonical profiles itself; `ab` names them as scenarios,
+//! beside the presets and the ablations (`no-poisoning`,
+//! `unrestricted-blacklists`, `no-provider-filter`, `broad-ac2`).
+//! `loadgen --faults <storm>` picks a client storm instead (`off
+//! slow-client query-storm kill-midrun`).
 //!
 //! `--threads`, `--chunk` and `--max-mem-bytes` change speed and peak
 //! memory, never an output byte. `--threads N` (else the available
@@ -60,9 +64,10 @@
 use std::fmt::Display;
 use std::str::FromStr;
 use taster::core::{
-    ab, ablation, build_world, degradation, profile, replicate, report, sweep, Experiment, Scenario,
+    ab, build_world, degradation, profile, replicate, report, sweep, Experiment, Scenario,
 };
 use taster::feeds::PipelineError;
+use taster::serve::Storm;
 use taster::sim::{FaultProfile, Obs};
 
 /// A flag and how its value is written in a usage line (`None` for a
@@ -77,6 +82,8 @@ const THREADS: Flag = ("--threads", Some("N"));
 const CHUNK: Flag = ("--chunk", Some("N"));
 const MAX_MEM: Flag = ("--max-mem-bytes", Some("B"));
 const FAULTS: Flag = ("--faults", Some("PROFILE"));
+/// `loadgen`'s `--faults`, which names a client storm.
+const STORM: Flag = ("--faults", Some("STORM"));
 const SECTION: Flag = ("--section", Some("NAME"));
 const METRICS: Flag = ("--metrics", None);
 const TRACE: Flag = ("--trace", Some("PATH"));
@@ -148,13 +155,12 @@ const fn row(
 #[rustfmt::skip]
 const COMMANDS: &[Command] = &[
     row("report", &[WORLD, &[FAULTS, SECTION, METRICS, TRACE]], "text|csv", report),
-    row("ablate", &[WORLD, &[FAULTS]], "", ablate),
     Command { operands: &["seeding", "mx-size"], ..row("sweep", &[SERIAL_WORLD], "", do_sweep) },
     row("summary", &[SERIAL_WORLD], "", summary),
     row("degradation", &[WORLD], "", degradation_cmd),
     row("profile", &[&[SCALES, SEED, THREADS, CHUNK, MAX_MEM, FAULTS, TRACE, OUT, MIN_RATE, GATE]], "", profile_cmd),
     row("serve", &[WORLD, &[FAULTS], DAEMON], "", serve_cmd),
-    row("loadgen", &[&[SEED, FAULTS, SOCKET, ROUNDS, TIMEOUT, OUT]], "", loadgen_cmd),
+    row("loadgen", &[&[SEED, STORM, SOCKET, ROUNDS, TIMEOUT, OUT]], "", loadgen_cmd),
     row("replicate", &[WORLD, &[FAULTS], REPLICATION], "text|json", replicate_cmd),
     row("ab", &[WORLD, &[BASELINE, TREATMENT], REPLICATION], "text|json", ab_cmd),
 ];
@@ -202,6 +208,7 @@ struct Args {
     format: &'static str,
     threads: Option<usize>,
     faults: FaultProfile,
+    storm: Storm,
     out: Option<String>,
     metrics: bool,
     trace: Option<String>,
@@ -344,6 +351,12 @@ impl Args {
             "--threads" => self.threads = Some(at_least_one(flag, &raw)?),
             "--chunk" => self.chunk = Some(at_least_one(flag, &raw)?),
             "--max-mem-bytes" => self.max_mem_bytes = Some(at_least_one(flag, &raw)?),
+            "--faults" if (flag, value) == STORM => {
+                self.storm = Storm::by_name(&raw).ok_or_else(|| {
+                    let known: Vec<&str> = Storm::ALL.iter().map(|s| s.name).collect();
+                    format!("unknown storm {raw}; known: {}", known.join(" "))
+                })?;
+            }
             "--faults" => {
                 self.faults = FaultProfile::by_name(&raw).ok_or_else(|| {
                     format!(
@@ -601,60 +614,6 @@ fn profile_cmd(args: &Args) {
     }
 }
 
-fn ablate(args: &Args) {
-    let scenario = args.scenario();
-    eprintln!("running four ablations over {}", scenario.name);
-    let base = or_exit(Experiment::try_run(&scenario));
-    let p = or_exit(ablation::poisoning(&base));
-    println!("== poisoning");
-    println!(
-        "  Bot DNS purity: {:.1}% with, {:.1}% without",
-        p.bot_dns_with * 100.0,
-        p.bot_dns_without * 100.0
-    );
-    println!(
-        "  mx2 DNS purity: {:.1}% with, {:.1}% without",
-        p.mx2_dns_with * 100.0,
-        p.mx2_dns_without * 100.0
-    );
-
-    let r = or_exit(ablation::blacklist_restriction(&base));
-    println!("== blacklist crawl-subset restriction");
-    println!(
-        "  dbl:   {} of {} entries survive ({:.1}% dropped)",
-        r.dbl.0,
-        r.dbl.1,
-        r.dbl_dropped_fraction() * 100.0
-    );
-    println!(
-        "  uribl: {} of {} entries survive ({:.1}% dropped)",
-        r.uribl.0,
-        r.uribl.1,
-        r.uribl_dropped_fraction() * 100.0
-    );
-
-    let f = or_exit(ablation::provider_filter(&base));
-    println!("== provider report-driven filtering");
-    println!(
-        "  Hu samples: {} with filter, {} without ({:.1}x)",
-        f.hu_samples_with,
-        f.hu_samples_without,
-        f.hu_samples_without as f64 / f.hu_samples_with.max(1) as f64
-    );
-    println!(
-        "  Hu tagged coverage: {} with, {} without",
-        f.hu_tagged_with, f.hu_tagged_without
-    );
-
-    let s = or_exit(ablation::ac2_seeding(&base));
-    println!("== Ac2 seeding breadth");
-    println!(
-        "  Ac2∩Ac1 / Ac1 (tagged): {:.1}% narrow, {:.1}% broad",
-        s.overlap_narrow * 100.0,
-        s.overlap_broad * 100.0
-    );
-}
-
 fn do_sweep(args: &Args) {
     let scenario = args.scenario();
     let world = or_exit(build_world(&scenario, &Obs::off()));
@@ -765,7 +724,7 @@ fn server_config(args: &Args) -> taster::serve::ServerConfig {
 }
 
 /// `taster loadgen`: replay a deterministic keyed-RNG query storm
-/// against a running daemon (`--faults` picks the storm shape:
+/// against a running daemon (`--faults` picks the storm:
 /// `slow-client`, `query-storm`, `kill-midrun`), print its counts and,
 /// with `--out`, write serving-path latencies/shed counts there as
 /// JSON. Exit codes: 0 storm completed, 2 the daemon never answered.
@@ -775,7 +734,7 @@ fn loadgen_cmd(args: &Args) {
     let cfg = LoadgenConfig {
         socket: std::path::PathBuf::from(&args.socket),
         seed: args.seed,
-        profile: args.faults.clone(),
+        storm: args.storm,
         rounds: args.rounds,
         request_timeout: std::time::Duration::from_millis(args.request_timeout_ms),
     };
@@ -787,7 +746,7 @@ fn loadgen_cmd(args: &Args) {
         }
     };
     if let Some(out) = &args.out {
-        let json = outcome.render_json(&args.faults.name, args.seed);
+        let json = outcome.render_json(args.storm.name, args.seed);
         if let Err(e) = std::fs::write(out, &json) {
             eprintln!("loadgen: cannot write {out}: {e}");
             std::process::exit(2);
@@ -879,6 +838,7 @@ mod tests {
     /// A value `flag` accepts in `c`'s row.
     fn sample(c: &Command, flag: Flag) -> &'static str {
         match flag {
+            ("--faults", Some("STORM")) => "query-storm",
             ("--faults", _) => "lossy-feeds",
             ("--format", _) => c.formats.split('|').next().unwrap(),
             ("--section", _) => "table2",
@@ -978,6 +938,26 @@ mod tests {
             ("nope", "unknown command nope"),
             ("bench-json", "unknown command bench-json"),
             ("lint", "unknown command lint"),
+            ("ablate", "unknown command ablate"),
+            // The serve storms are `loadgen`'s alone, and `loadgen`
+            // takes no collection fault profile.
+            (
+                "report --faults query-storm",
+                "unknown fault profile query-storm",
+            ),
+            (
+                "serve --faults kill-midrun",
+                "unknown fault profile kill-midrun",
+            ),
+            (
+                "replicate --faults slow-client",
+                "unknown fault profile slow-client",
+            ),
+            (
+                "profile --faults query-storm",
+                "unknown fault profile query-storm",
+            ),
+            ("loadgen --faults lossy-feeds", "unknown storm lossy-feeds"),
             (
                 "report --section nope",
                 "unknown section nope\nusage: taster report ",
@@ -1017,8 +997,12 @@ mod tests {
             }
         }
         assert!(parse("").is_err_and(|e| e.starts_with("usage: taster report")));
+        let usage = |name| COMMANDS.iter().find(|c| c.name == name).map(Command::usage);
         let sweep = "taster sweep <seeding|mx-size> [--scale S] [--seed N] [--max-mem-bytes B]";
-        assert_eq!(COMMANDS[2].usage(), sweep);
+        assert_eq!(usage("sweep").as_deref(), Some(sweep));
+        let loadgen = "taster loadgen [--seed N] [--faults STORM] [--socket PATH] [--rounds N] \
+                       [--request-timeout-ms MS] [--out PATH]";
+        assert_eq!(usage("loadgen").as_deref(), Some(loadgen));
     }
 
     #[test]
@@ -1056,10 +1040,13 @@ mod tests {
             "replicate --scale 0.03 --seed 11 --seeds 4 --resamples 200 --format json",
             "ab --baseline paper --treatment quiet-world --scale 0.03 --seed 11 --seeds 4 \
              --resamples 200 --format json",
+            "ab --treatment no-poisoning --scale 0.03 --seeds 2 --resamples 50",
+            "ab --treatment unrestricted-blacklists --scale 0.03 --seeds 2 --resamples 50",
+            "ab --treatment no-provider-filter --scale 0.03 --seeds 2 --resamples 50",
+            "ab --treatment broad-ac2 --scale 0.03 --seeds 2 --resamples 50",
             // tests/
             "sweep seeding --scale 0.02 --max-mem-bytes 65536",
             "summary --scale 0.02 --max-mem-bytes 65536",
-            "ablate --scale 0.02 --max-mem-bytes 65536",
             "degradation --scale 0.02 --max-mem-bytes 65536",
             "ab --treatment lossy-feeds --seeds 2 --scale 0.02 --max-mem-bytes 65536",
             "profile --scale 0.02,0.03 --seed 5 --out x.json",
@@ -1072,6 +1059,8 @@ mod tests {
             "profile --scale 0.1,1,10 --out BENCH_pipeline.json",
             "loadgen --socket /tmp/taster.sock --faults query-storm --rounds 10 \
              --out BENCH_serve.json",
+            // EXPERIMENTS.md
+            "ab --treatment broad-ac2 --scale 0.3 --seeds 4",
             // the end-to-end benchmark
             "serve --scale 1 --seed 3 --threads 1 --socket s.sock --checkpoint-dir ck \
              --final-report r.txt",
