@@ -71,6 +71,11 @@ pub struct EndToEnd {
     /// Peak event-row bytes under the run's memory budget
     /// ([`budget_peak_bytes`]).
     pub budget_peak_bytes: u64,
+    /// The process's measured peak resident set when the run ended
+    /// ([`peak_rss_bytes`]). It is the process's running high-water
+    /// mark, not this run's own: across a `--scale` list each entry
+    /// holds the peak of every run so far.
+    pub peak_rss_bytes: u64,
     /// Every completed span in execution order; depth 0 is a stage.
     pub spans: Vec<SpanTiming>,
     /// Total wall time of the run, seconds.
@@ -138,6 +143,7 @@ pub fn run_end_to_end(scenario: &Scenario) -> Result<(Experiment, EndToEnd), Pip
         events,
         chunk_size,
         budget_peak_bytes: budget_peak_bytes(&exp.scenario.ecosystem, events, chunk_size),
+        peak_rss_bytes: peak_rss_bytes(),
         spans: exp.obs.trace.span_timings(),
         total,
     };
@@ -180,11 +186,25 @@ pub fn budget_peak_bytes(
     (chunk_rows.max(bucket_rows) * row).max(sort_bytes)
 }
 
+/// The process's peak resident set so far, in bytes: `VmHWM` from
+/// `/proc/self/status`, or 0 where that cannot be read.
+pub fn peak_rss_bytes() -> u64 {
+    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
+        return 0;
+    };
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|kb| kb.trim().strip_suffix("kB"))
+        .and_then(|kb| kb.trim().parse::<u64>().ok())
+        .map_or(0, |kb| kb * 1024)
+}
+
 /// Renders the `BENCH_pipeline.json` document: one entry per
 /// `(scale, run)`, each with its world's event count, chunk size and
-/// memory figure, its end-to-end and collect-stage throughput, every
-/// canonical stage ([`Stage::ALL`]) as `<stage>_secs`, and the whole
-/// span tree with wall and self seconds.
+/// memory figures (modelled and measured), its end-to-end and
+/// collect-stage throughput, every canonical stage ([`Stage::ALL`]) as
+/// `<stage>_secs`, and the whole span tree with wall and self seconds.
 pub fn bench_json_string(seed: u64, runs: &[(f64, EndToEnd)]) -> String {
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -207,6 +227,7 @@ pub fn bench_json_string(seed: u64, runs: &[(f64, EndToEnd)]) -> String {
             "      \"budget_peak_bytes\": {},",
             run.budget_peak_bytes
         );
+        let _ = writeln!(json, "      \"peak_rss_bytes\": {},", run.peak_rss_bytes);
         let _ = writeln!(json, "      \"total_secs\": {:.6},", run.total);
         let _ = writeln!(json, "      \"untimed_secs\": {:.6},", run.untimed());
         let _ = writeln!(
@@ -312,6 +333,7 @@ mod tests {
             events: 100,
             chunk_size: 64,
             budget_peak_bytes: 0,
+            peak_rss_bytes: 0,
             spans: vec![
                 span("collect", 0, 1.0),
                 span("collect", 1, 0.5),

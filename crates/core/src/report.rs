@@ -472,9 +472,11 @@ fn selection(e: &Experiment, out: &mut String) -> Written {
     Ok(())
 }
 
-/// Beyond the paper: each feed replayed as a production filter. Fails
+/// Beyond the paper: each feed replayed as a production filter, inside
+/// the `render/blocking` span (the replay is most of the render). Fails
 /// when the event log cannot be read.
 fn blocking(e: &Experiment, out: &mut String) -> Written {
+    let _span = e.obs.span("render/blocking");
     let rows = e.blocking()?;
     header(e, out, "Filter replay: each feed as a domain blacklist");
     w!(

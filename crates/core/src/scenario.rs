@@ -165,7 +165,7 @@ impl Scenario {
 
     /// Validates every layer of the scenario.
     pub fn validate(&self) -> Result<(), String> {
-        self.ecosystem.validate()?;
+        self.ecosystem.validate().map_err(|e| e.to_string())?;
         self.mail.validate()?;
         self.feeds.validate()?;
         self.faults.validate()?;

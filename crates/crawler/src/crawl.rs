@@ -110,17 +110,22 @@ pub struct CrawlReport {
 }
 
 impl CrawlReport {
-    /// Builds from `(domain, result)` rows sorted ascending by domain
-    /// with no duplicates.
-    fn from_rows(rows: Vec<(DomainId, CrawlResult)>) -> CrawlReport {
-        debug_assert!(
-            rows.windows(2).all(|w| w[0].0 < w[1].0),
-            "rows sorted unique"
-        );
-        let capacity = rows.last().map_or(0, |&(d, _)| d.index() + 1);
+    /// Builds from `ids`, ascending with no duplicates, and their
+    /// results in worker shards that follow `ids` in order. The first
+    /// shard becomes the result column, so a one-worker crawl copies no
+    /// result.
+    fn from_shards(ids: Vec<DomainId>, shards: Vec<Vec<CrawlResult>>) -> CrawlReport {
+        debug_assert!(ids.windows(2).all(|w| w[0] < w[1]), "ids sorted unique");
+        let mut shards = shards.into_iter();
+        let mut results = shards.next().unwrap_or_default();
+        for shard in shards {
+            results.extend(shard);
+        }
+        debug_assert_eq!(ids.len(), results.len(), "one result per id");
+        let capacity = ids.last().map_or(0, |d| d.index() + 1);
         let mut report = CrawlReport {
-            ids: Vec::with_capacity(rows.len()),
-            results: Vec::with_capacity(rows.len()),
+            ids,
+            results,
             members: DomainBitset::with_capacity(capacity),
             rank: RankIndex::default(),
             registered: DomainBitset::with_capacity(capacity),
@@ -136,7 +141,7 @@ impl CrawlReport {
             total_attempts: 0,
             total_backoff_secs: 0,
         };
-        for (d, r) in rows {
+        for (&d, r) in report.ids.iter().zip(&report.results) {
             match r.disposition {
                 Disposition::Ok => {}
                 Disposition::Timeout => report.timeouts += 1,
@@ -169,8 +174,6 @@ impl CrawlReport {
             if r.http_ok && r.benign_listed() {
                 report.benign_http.insert(d);
             }
-            report.ids.push(d);
-            report.results.push(r);
         }
         report.rank = RankIndex::build(&report.members);
         report
@@ -443,12 +446,9 @@ impl<'a> Crawler<'a> {
         let chunk = unique.len().div_ceil(par.workers()).max(1);
         let shards: Vec<&[DomainId]> = unique.chunks(chunk).collect();
         let results = par.par_map(shards, |shard| {
-            shard
-                .iter()
-                .map(|&d| (d, self.crawl_one(d)))
-                .collect::<Vec<_>>()
+            shard.iter().map(|&d| self.crawl_one(d)).collect::<Vec<_>>()
         });
-        let report = CrawlReport::from_rows(results.into_iter().flatten().collect());
+        let report = CrawlReport::from_shards(unique, results);
         span.attr_u64("domains", report.len() as u64);
         if obs.metrics.is_on() {
             let m = &obs.metrics;

@@ -6,6 +6,42 @@
 //! the paper's feeds total >1 B messages over the same period; the
 //! analyses only depend on relative structure).
 
+use taster_sim::DAY;
+
+/// The longest horizon, in days, whose seconds fit `u32` (49,710
+/// days): the filter replay stores first-seen times as `u32` seconds
+/// and compares event times against them, and the sort's per-second
+/// histogram could not hold a longer one anyway (4 bytes a second).
+pub const MAX_HORIZON_DAYS: u64 = u32::MAX as u64 / DAY;
+
+/// Why [`EcosystemConfig::validate`] refuses a configuration.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ConfigError {
+    /// A cross-field invariant fails; the message names it.
+    Invalid(String),
+    /// Events would land `days` days in
+    /// ([`EcosystemConfig::horizon_days`]), past [`MAX_HORIZON_DAYS`].
+    HorizonTooLong {
+        /// The refused horizon.
+        days: u64,
+    },
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::Invalid(msg) => f.write_str(msg),
+            ConfigError::HorizonTooLong { days } => write!(
+                f,
+                "a horizon of {days} days does not fit u32 seconds \
+                 (at most {MAX_HORIZON_DAYS} days)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for ConfigError {}
+
 /// Parameters of a bounded-Pareto volume law.
 #[derive(Debug, Clone, Copy)]
 pub struct VolumeLaw {
@@ -335,22 +371,32 @@ impl EcosystemConfig {
     }
 
     /// Validates cross-field invariants; called by the generator.
-    pub fn validate(&self) -> Result<(), String> {
+    pub fn validate(&self) -> Result<(), ConfigError> {
         if self.days == 0 {
-            return Err("days must be positive".into());
+            return Err(ConfigError::Invalid("days must be positive".into()));
+        }
+        let days = self.horizon_days();
+        if days > MAX_HORIZON_DAYS {
+            return Err(ConfigError::HorizonTooLong { days });
         }
         if self.monitored_botnets > self.botnets {
-            return Err("monitored_botnets exceeds botnets".into());
+            return Err(ConfigError::Invalid(
+                "monitored_botnets exceeds botnets".into(),
+            ));
         }
         if self.tagged_programs == 0 {
-            return Err("need at least one tagged program (RX)".into());
+            return Err(ConfigError::Invalid(
+                "need at least one tagged program (RX)".into(),
+            ));
         }
         if self.alexa_list_size > self.benign_domains {
-            return Err("alexa_list_size exceeds benign universe".into());
+            return Err(ConfigError::Invalid(
+                "alexa_list_size exceeds benign universe".into(),
+            ));
         }
         for (name, law) in [("loud", &self.loud_volume), ("quiet", &self.quiet_volume)] {
             if !(law.alpha > 0.0 && law.min > 0.0 && law.max > law.min) {
-                return Err(format!("invalid {name} volume law"));
+                return Err(ConfigError::Invalid(format!("invalid {name} volume law")));
             }
         }
         for (name, mix) in [
@@ -359,16 +405,28 @@ impl EcosystemConfig {
             ("trickle", &self.trickle_mix),
         ] {
             if mix.total() <= 0.0 {
-                return Err(format!("{name} mix has no mass"));
+                return Err(ConfigError::Invalid(format!("{name} mix has no mass")));
             }
         }
         if self.harvest_vectors == 0 || self.harvest_vectors > 8 {
-            return Err("harvest_vectors must be in 1..=8".into());
+            return Err(ConfigError::Invalid(
+                "harvest_vectors must be in 1..=8".into(),
+            ));
         }
         if self.max_mem_bytes == Some(0) {
-            return Err("max_mem_bytes must be positive".into());
+            return Err(ConfigError::Invalid(
+                "max_mem_bytes must be positive".into(),
+            ));
         }
         Ok(())
+    }
+
+    /// Days until the last event can land: the measurement window, or
+    /// the poisoning window where that ends later.
+    pub fn horizon_days(&self) -> u64 {
+        self.poison
+            .map_or(0, |p| p.start_day.saturating_add(p.days))
+            .max(self.days)
     }
 
     /// Effective streaming-memory budget in bytes.
@@ -439,6 +497,29 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn a_horizon_past_u32_seconds_is_refused() {
+        let mut c = EcosystemConfig {
+            days: MAX_HORIZON_DAYS,
+            ..Default::default()
+        };
+        assert_eq!(c.validate(), Ok(()));
+        assert!(c.horizon_days() * DAY <= u64::from(u32::MAX));
+        c.days = MAX_HORIZON_DAYS + 1;
+        assert_eq!(
+            c.validate(),
+            Err(ConfigError::HorizonTooLong {
+                days: MAX_HORIZON_DAYS + 1
+            })
+        );
+        // A poisoning window that ends past the bound counts too.
+        let mut c = EcosystemConfig::default();
+        let poison = c.poison.as_mut().expect("the default poisons");
+        poison.start_day = MAX_HORIZON_DAYS;
+        let days = MAX_HORIZON_DAYS + poison.days;
+        assert_eq!(c.validate(), Err(ConfigError::HorizonTooLong { days }));
     }
 
     #[test]

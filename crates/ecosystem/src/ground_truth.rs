@@ -131,7 +131,9 @@ impl GroundTruth {
         seed: u64,
         obs: &Obs,
     ) -> Result<GroundTruth, WorldError> {
-        config.validate().map_err(WorldError::Invalid)?;
+        config
+            .validate()
+            .map_err(|e| WorldError::Invalid(e.to_string()))?;
         let mut roster_rng = RngStream::new(seed, Stream::Roster);
         let roster = ProgramRoster::generate(config, &mut roster_rng);
 

@@ -397,6 +397,21 @@ impl IngestState {
         (out, Arc::clone(&self.sealed))
     }
 
+    /// Lends the sealed set to `f` by value, keeps the set `f` hands
+    /// back as the sealed one, and returns `f`'s result with a handle
+    /// to it. The set moves without a copy when the state holds the
+    /// only handle ([`Arc::unwrap_or_clone`]); an empty set stands in
+    /// while `f` runs.
+    pub fn lend_sealed<R>(&mut self, f: impl FnOnce(FeedSet) -> (FeedSet, R)) -> (R, Arc<FeedSet>) {
+        let stand_in = empty_feeds(&self.members)
+            .into_iter()
+            .map(FeedBuilder::seal);
+        let lent = std::mem::replace(&mut self.sealed, Arc::new(FeedSet::new(stand_in.collect())));
+        let (feeds, out) = f(Arc::unwrap_or_clone(lent));
+        self.sealed = Arc::new(feeds);
+        (out, Arc::clone(&self.sealed))
+    }
+
     /// Seals a run whose rows are all ingested, once, and returns the
     /// final set. No checkpoint needs the delta without its tails, so
     /// they drain straight into it, before the seal sorts, and the seal

@@ -57,7 +57,8 @@ pub(crate) struct SealStats {
 /// The serve engine: world + running ingestion + last sealed epoch.
 pub struct ServeCore {
     scenario: Scenario,
-    world: MailWorld,
+    /// `None` only while the final report's render holds the world.
+    world: Option<MailWorld>,
     plan: FaultPlan,
     state: IngestState,
     config: ServeConfig,
@@ -80,7 +81,7 @@ impl ServeCore {
         }
         Ok(ServeCore {
             scenario: scenario.clone(),
-            world,
+            world: Some(world),
             plan,
             state,
             config,
@@ -122,7 +123,7 @@ impl ServeCore {
         checkpoint::clear(&dir, chain.epoch)?;
         let mut core = ServeCore {
             scenario: scenario.clone(),
-            world,
+            world: Some(world),
             plan,
             state,
             config,
@@ -178,9 +179,12 @@ impl ServeCore {
             .rows_done()
             .saturating_add(rows)
             .min(self.next_epoch_target());
+        let Some(world) = &self.world else {
+            return Err(world_lent());
+        };
         Ok(self
             .state
-            .advance(&self.world, &self.plan, par, target, &Obs::off())?)
+            .advance(world, &self.plan, par, target, &Obs::off())?)
     }
 
     /// Seals the epoch's delta into a new queryable epoch, writes it
@@ -262,7 +266,8 @@ impl ServeCore {
     /// Renders the final full report. Requires complete ingestion (a
     /// typed error otherwise — never a partial report). The result is
     /// cached; the bytes equal `taster report` for the same scenario,
-    /// which the resume tests pin.
+    /// which the resume tests pin. The render borrows the world and
+    /// the sealed feed set by move and copies neither.
     pub fn final_report(&mut self, par: &Parallelism) -> Result<&str, ServeError> {
         if self.final_report.is_none() {
             if !self.state.ingest_complete() {
@@ -275,32 +280,67 @@ impl ServeCore {
             if self.sealed.is_none() {
                 self.seal(par)?;
             }
-            let feeds = match self.sealed.as_ref() {
-                Some(s) => FeedSet::clone(&s.feeds),
-                None => return Err(ServeError::Io("sealed epoch vanished".to_string())),
-            };
-            let classified = Classified::build_observed(
-                &self.world.truth,
-                &feeds,
-                self.scenario.classify,
-                &self.plan,
-                &self.scenario.parallelism,
-                &Obs::off(),
-            );
-            let experiment = Experiment {
-                scenario: self.scenario.clone(),
-                world: self.world.clone(),
-                feeds,
-                classified,
-                faults: self.plan.clone(),
-                obs: Obs::off(),
-            };
-            self.final_report = Some(experiment.try_render_report()?);
+            self.final_report = Some(self.render_lent()?);
         }
         self.final_report
             .as_deref()
             .ok_or_else(|| ServeError::Io("report cache vanished".to_string()))
     }
+
+    /// Renders the report over the world and the last sealed feed set,
+    /// both moved into the [`Experiment`] and moved back after the
+    /// render, a failed one too. The sealed epoch drops its handle on
+    /// the set first, so the state lends out the only one.
+    fn render_lent(&mut self) -> Result<String, ServeError> {
+        let Some(SealedEpoch {
+            epoch,
+            rows_done,
+            watermark,
+            feeds,
+        }) = self.sealed.take()
+        else {
+            return Err(ServeError::Io("sealed epoch vanished".to_string()));
+        };
+        drop(feeds);
+        let (scenario, plan, world) = (&self.scenario, &self.plan, &mut self.world);
+        let (text, feeds) = self.state.lend_sealed(|feeds| {
+            let Some(lent) = world.take() else {
+                return (feeds, Err(world_lent()));
+            };
+            let classified = Classified::build_observed(
+                &lent.truth,
+                &feeds,
+                scenario.classify,
+                plan,
+                &scenario.parallelism,
+                &Obs::off(),
+            );
+            let experiment = Experiment {
+                scenario: scenario.clone(),
+                world: lent,
+                feeds,
+                classified,
+                faults: plan.clone(),
+                obs: Obs::off(),
+            };
+            let text = experiment.try_render_report().map_err(ServeError::from);
+            *world = Some(experiment.world);
+            (experiment.feeds, text)
+        });
+        self.sealed = Some(SealedEpoch {
+            epoch,
+            rows_done,
+            watermark,
+            feeds,
+        });
+        text
+    }
+}
+
+/// The error for a world the final report's render still holds, which
+/// no caller can observe: the render runs inside one `&mut` call.
+fn world_lent() -> ServeError {
+    ServeError::Io("the world is lent to the final report".to_string())
 }
 
 /// The configuration fingerprint stored in checkpoints: everything
@@ -317,4 +357,75 @@ pub fn fingerprint(scenario: &Scenario, epoch_events: usize) -> String {
         scenario.fault_plan().profile().name,
         epoch_events
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use taster_domain::DomainId;
+
+    /// Where each feed's id and first-seen columns live.
+    fn column_addresses(feeds: &FeedSet) -> Vec<(*const DomainId, *const SimTime)> {
+        feeds
+            .iter()
+            .map(|f| {
+                (
+                    f.columns().ids().as_ptr(),
+                    f.columns().first_seen().as_ptr(),
+                )
+            })
+            .collect()
+    }
+
+    /// A daemon's loop without the socket: every row in, sealed at
+    /// each epoch boundary.
+    fn ingested(scenario: &Scenario, par: &Parallelism) -> ServeCore {
+        let config = ServeConfig {
+            epoch_events: 4_000,
+            checkpoint_dir: None,
+        };
+        let mut core = ServeCore::new(scenario, config).expect("core");
+        while !core.ingest_complete() {
+            let boundary = core.next_epoch_target();
+            core.advance_rows(par, 1_500).expect("advance");
+            if core.rows_done() >= boundary {
+                core.seal(par).expect("seal");
+            }
+        }
+        core
+    }
+
+    #[test]
+    fn the_final_report_lends_the_world_and_feeds_and_gets_them_back() {
+        let scenario = Scenario::default_paper().with_scale(0.02).with_seed(11);
+        let par = Parallelism::serial();
+        let mut core = ingested(&scenario, &par);
+        let epoch = |core: &ServeCore| {
+            let s = core.sealed().expect("sealed");
+            (
+                s.epoch,
+                s.rows_done,
+                s.watermark,
+                column_addresses(&s.feeds),
+            )
+        };
+        let world = |core: &ServeCore| core.world.as_ref().map(|w| w.benign_mail.as_ptr());
+        let before = (epoch(&core), world(&core));
+        assert!(before.0 .0 > 1, "several epochs sealed");
+
+        let first = core.final_report(&par).expect("report");
+        let (cached, text) = (first.as_ptr(), first.to_string());
+        // Same epoch, and the same allocations: a copy of the set or
+        // the world on the way in or out would move them.
+        assert_eq!((epoch(&core), world(&core)), before);
+        assert_eq!(core.advance_rows(&par, 1_000).expect("advance"), 0);
+        let again = core.final_report(&par).expect("cached report");
+        assert_eq!(again.as_ptr(), cached, "the second call renders again");
+        assert_eq!(again, text);
+
+        let batch = Experiment::try_run(&scenario)
+            .and_then(|e| e.try_render_report())
+            .expect("batch report");
+        assert_eq!(text, batch);
+    }
 }

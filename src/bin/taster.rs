@@ -46,7 +46,7 @@
 //! 65 536). `--max-mem-bytes B` is the event log's budget: it bounds
 //! the rows of the sorted cache, the sort runs and the read buffers,
 //! not the process (at scale 1 under 32 MiB a report still peaks near
-//! 190 MB resident), and `serve` never sheds a request over it.
+//! 160 MB resident), and `serve` never sheds a request over it.
 //! `replicate` and `ab` derive replicate seeds from `(master seed,
 //! index)` and key every bootstrap resample by `(seed, metric,
 //! resample index)`, so they too are identical at any `--threads`.
@@ -519,7 +519,10 @@ fn report(args: &Args) {
 /// prints its deterministic span tree + metrics, then every span's wall
 /// and self seconds, and becomes one entry of the bench JSON, which
 /// `--out` writes (nothing is written without it): its `<stage>_secs`
-/// are the top-level spans the tree shows. `--trace` writes the span
+/// are the top-level spans the tree shows, and its `peak_rss_bytes` is
+/// the process's running high-water mark (`VmHWM`), so across a
+/// `--scale` list an entry holds the peak of every run so far, not of
+/// its own. `--trace` writes the span
 /// log of each run to the same path, so a `--scale` list leaves the
 /// last one. Gates, each checked per scale after the JSON is written
 /// (exit 1 on failure):

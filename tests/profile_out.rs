@@ -1,7 +1,7 @@
 //! `taster profile` is the pipeline bench: `--out` gets one entry per
 //! `--scale` value, each holding that run's stage seconds, span tree
-//! and memory figure, and `--min-events-per-sec` gates it. Without
-//! `--out` it writes no file.
+//! and memory figures (modelled and measured), and
+//! `--min-events-per-sec` gates it. Without `--out` it writes no file.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -34,6 +34,7 @@ fn profile_out_records_the_end_to_end_run() {
     let json = std::fs::read_to_string(&out).unwrap();
     let entries: Vec<&str> = json.split("\"scenario\": ").skip(1).collect();
     assert_eq!(entries.len(), 2, "{json}");
+    let mut last_peak = 0.0;
     for (entry, scale) in entries.into_iter().zip([0.02, 0.03]) {
         assert_eq!(field(entry, "scale"), scale, "{entry}");
         for stage in Stage::ALL {
@@ -53,6 +54,15 @@ fn profile_out_records_the_end_to_end_run() {
         let events = field(entry, "events") as u64;
         let peak = budget_peak_bytes(&scenario.ecosystem, events, scenario.feeds.chunk_size);
         assert_eq!(field(entry, "budget_peak_bytes") as u64, peak, "{entry}");
+        // The measured peak is the process's high-water mark so far:
+        // 0 only where `/proc/self/status` cannot be read, and never
+        // lower than the entry before it.
+        let rss = field(entry, "peak_rss_bytes");
+        if Path::new("/proc/self/status").exists() {
+            assert!(rss > 0.0, "{entry}");
+        }
+        assert!(rss >= last_peak, "{entry}");
+        last_peak = rss;
     }
 }
 
