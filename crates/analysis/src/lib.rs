@@ -35,8 +35,6 @@
 //! * [`timing`] — Figs 9–12 (relative first/last appearance and
 //!   duration error boxplots).
 //! * [`matrix`] — the shared labelled-matrix container.
-//! * [`degradation`] — clean-vs-faulted metric deltas for the fault-
-//!   injection sweeps (`taster degradation`).
 //! * [`error`] — the typed [`error::AnalysisError`] surface.
 
 #![warn(missing_docs)]
@@ -50,7 +48,6 @@ pub mod blocking;
 pub mod campaigns;
 pub mod classify;
 pub mod coverage;
-pub mod degradation;
 pub mod error;
 pub mod granularity;
 pub mod matrix;
@@ -63,6 +60,5 @@ pub mod timing;
 pub mod volume;
 
 pub use classify::{Classified, ClassifyOptions};
-pub use degradation::{MetricDelta, MetricSnapshot, ProfileDegradation, RunSnapshot};
 pub use error::AnalysisError;
 pub use matrix::PairwiseMatrix;

@@ -11,7 +11,9 @@
 //! in the house report style.
 
 use crate::replicate::{replicate, ReplicateOptions, Replication};
-use crate::report::{fmt_bca, fmt_level, fmt_opt, fmt_p, json_bounds, json_opt, w, BCA_FOOTNOTE};
+use crate::report::{
+    fmt_bca, fmt_level, fmt_opt, fmt_p, json_bounds, json_opt, w, write_table, BCA_FOOTNOTE,
+};
 use crate::scenario::Scenario;
 use std::fmt::Write as _;
 use taster_feeds::PipelineError;
@@ -190,9 +192,7 @@ pub fn render_ab(ab: &AbComparison) -> String {
         fmt_level(ab.baseline.options.level),
     );
     out.push('\n');
-    w!(
-        out,
-        "{:<32} {:>2} {:>9} {:>9} {:>9} {:>8} {:>22} {:>9} {:>8}\n",
+    let mut table = vec![[
         "metric",
         "n",
         "control",
@@ -202,18 +202,17 @@ pub fn render_ab(ab: &AbComparison) -> String {
         "ci(effect) [low, high]",
         "p(pair)",
         "p(welch)",
-    );
+    ]
+    .map(String::from)];
     let mut marked = false;
     for row in &ab.rows {
         let ci = row
             .ci
             .as_ref()
             .map_or("-".to_string(), |ci| fmt_bca(ci, &mut marked));
-        w!(
-            out,
-            "{:<32} {:>2} {:>9} {:>9} {:>9} {:>8} {:>22} {:>9} {:>8}\n",
-            row.name,
-            row.pairs,
+        table.push([
+            row.name.clone(),
+            row.pairs.to_string(),
             fmt_opt(row.control_mean),
             fmt_opt(row.treatment_mean),
             fmt_opt(row.effect),
@@ -221,8 +220,9 @@ pub fn render_ab(ab: &AbComparison) -> String {
             ci,
             fmt_p(row.paired.as_ref().map(|t| t.p_value)),
             fmt_p(row.welch.as_ref().map(|t| t.p_value)),
-        );
+        ]);
     }
+    write_table(&mut out, 1, &table);
     if marked {
         out.push_str(BCA_FOOTNOTE);
     }
@@ -291,7 +291,6 @@ mod tests {
         for name in [
             "paper",
             "default",
-            "clean",
             "quiet-world",
             "poison-heavy",
             "short-window",
@@ -361,6 +360,36 @@ mod tests {
         );
         let rel = row.relative_effect.unwrap();
         assert!(rel < 0.0, "{rel}");
+    }
+
+    #[test]
+    fn lossy_feeds_lose_samples() {
+        let ab = ab_compare(&small("paper"), &small("lossy-feeds"), opts()).unwrap();
+        let lost: f64 = ab
+            .rows
+            .iter()
+            .filter(|r| r.name.starts_with("samples/"))
+            .filter_map(|r| r.effect)
+            .sum();
+        assert!(lost < 0.0, "drops outweigh duplicates: {lost}");
+        for row in &ab.rows {
+            let values = [row.control_mean, row.treatment_mean, row.effect];
+            assert!(
+                values.into_iter().flatten().all(f64::is_finite),
+                "{}",
+                row.name
+            );
+        }
+    }
+
+    #[test]
+    fn a_blackout_empties_every_feed_without_nan() {
+        let ab = ab_compare(&small("paper"), &small("blackout"), opts()).unwrap();
+        for row in ab.rows.iter().filter(|r| r.name.starts_with("domains/")) {
+            assert_eq!(row.treatment_mean, Some(0.0), "{}", row.name);
+        }
+        assert!(!render_ab(&ab).contains("NaN"));
+        assert!(!render_ab_json(&ab).contains("NaN"));
     }
 
     /// The paper against an ablation, over two paired seeds.

@@ -48,8 +48,8 @@ pub struct Experiment {
 
 /// Validates `scenario` and builds its world — ground truth, then the
 /// mail world — as the `generate` stage under `obs`. Every run builds
-/// its world here (experiments, sweeps, the degradation sweep, the
-/// collect-overhead probe and `taster serve`), so a failure is the
+/// its world here (experiments and so `replicate` and `ab`, sweeps,
+/// the collect-overhead probe and `taster serve`), so a failure is the
 /// same typed error on every path: an event-spill fault is
 /// [`PipelineError::Spill`], a rejected configuration
 /// [`PipelineError::InvalidScenario`] or [`PipelineError::Generation`].
@@ -139,51 +139,13 @@ impl Experiment {
         })
     }
 
-    /// Runs the four post-classification analysis stage groups —
-    /// coverage, purity, proportionality, timing — under this run's
-    /// observability handle, each under its stage span (whose wall
-    /// time is the stage's time) plus a result-size counter. The
-    /// results are discarded: the point is the per-stage profile
-    /// (`taster profile`), and every accessor is pure, so running them
-    /// here cannot change later output.
-    pub fn observe_analyses(&self) {
-        let m = &self.obs.metrics;
-        self.obs.stage(Stage::Coverage, || {
-            let rows = self.table3();
-            let mut cells = 0usize;
-            for cat in [Category::All, Category::Live, Category::Tagged] {
-                cells += self.fig2(cat).len();
-            }
-            std::hint::black_box(self.exclusive_share(Category::Live));
-            m.add("coverage/rows", rows.len() as u64);
-            m.add("coverage/pairwise_cells", cells as u64);
-        });
-        self.obs.stage(Stage::Purity, || {
-            let rows = self.table2();
-            m.add("purity/rows", rows.len() as u64);
-        });
-        self.obs.stage(Stage::Proportionality, || {
-            let cells = self.fig7().len() + self.fig8().len();
-            m.add("proportionality/cells", cells as u64);
-        });
-        self.obs.stage(Stage::Timing, || {
-            let series =
-                self.fig9().len() + self.fig10().len() + self.fig11().len() + self.fig12().len();
-            // At small scales every boxplot can be empty (series == 0,
-            // and zero adds don't materialize a counter), so also count
-            // the candidate feeds examined — structurally non-zero, which
-            // keeps the `timing/` stage visible in the metrics section.
-            let examined = FIG9_FEEDS.len() + 3 * HONEYPOT_FEEDS.len();
-            m.add("timing/feeds_examined", examined as u64);
-            m.add("timing/series", series as u64);
-        });
-    }
-
     /// Renders the full report under this run's observability handle,
     /// inside the `render` stage span: the fault model on faulted runs,
-    /// every section of [`report::SECTIONS`] in order, and the metrics
-    /// section on metrics-observed runs, joined by blank lines. Fails
-    /// with the typed error when a study cannot read the event log.
+    /// every section of [`report::SECTIONS`] in order, each under its
+    /// `render/<section>` span, and the metrics section on
+    /// metrics-observed runs, joined by blank lines. Every analysis runs
+    /// here, inside its section's span. Fails with the typed error when
+    /// a study cannot read the event log.
     pub fn try_render_report(&self) -> Result<String, PipelineError> {
         let text = self
             .obs

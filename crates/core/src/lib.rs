@@ -22,7 +22,6 @@
 #![warn(missing_docs)]
 
 pub mod ab;
-pub mod degradation;
 pub mod experiment;
 mod export;
 pub mod profile;

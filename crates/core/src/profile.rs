@@ -125,14 +125,13 @@ fn ratio(num: f64, den: f64) -> f64 {
     }
 }
 
-/// Runs `scenario` once fully observed — metrics, tracing, the four
-/// post-classification analysis stage groups and one render — and
+/// Runs `scenario` once fully observed — metrics, tracing and the one
+/// render that runs every analysis, a span per report section — and
 /// accounts its span tree against a stopwatch around the whole run.
 /// The experiment's [`Experiment::obs`] holds the complete profile.
 pub fn run_end_to_end(scenario: &Scenario) -> Result<(Experiment, EndToEnd), PipelineError> {
     let clock = MetricsRegistry::stopwatch();
     let exp = Experiment::try_run_observed(scenario, Obs::on())?;
-    exp.observe_analyses();
     std::hint::black_box(exp.try_render_report()?.len());
     let total = clock.elapsed_secs();
     let events = exp.world.truth.log.len as u64;
@@ -308,14 +307,27 @@ mod tests {
     #[test]
     fn profile_records_every_stage_as_a_top_level_span() {
         let (exp, e2e) = run_end_to_end(&small()).expect("profile runs");
-        for stage in Stage::ALL {
-            assert!(
-                e2e.spans
-                    .iter()
-                    .any(|s| s.depth == 0 && s.name == stage.name()),
-                "stage {stage:?} has no top-level span"
-            );
-        }
+        // The stages are the top-level spans, in pipeline order, and
+        // the render (the last) has one child per report section.
+        let top: Vec<&str> = e2e
+            .spans
+            .iter()
+            .filter(|s| s.depth == 0)
+            .map(|s| s.name.as_str())
+            .collect();
+        assert_eq!(top, Stage::ALL.map(Stage::name));
+        let sections: Vec<&str> = e2e
+            .spans
+            .iter()
+            .skip_while(|s| s.name != "render")
+            .filter(|s| s.depth == 1)
+            .map(|s| s.name.as_str())
+            .collect();
+        let want: Vec<String> = crate::report::SECTIONS
+            .iter()
+            .map(|s| format!("render/{}", s.name))
+            .collect();
+        assert_eq!(sections, want);
         assert!(e2e.total >= e2e.stage(Stage::Generate) + e2e.stage(Stage::Render));
         let det = deterministic_profile(&exp);
         assert!(det.contains("span collect"));

@@ -18,7 +18,7 @@
 
 use crate::experiment::Experiment;
 use crate::report::{
-    fmt_bca, fmt_bounds, fmt_level, fmt_opt, json_bounds, json_opt, w, BCA_FOOTNOTE,
+    fmt_bca, fmt_bounds, fmt_level, fmt_opt, json_bounds, json_opt, w, write_table, BCA_FOOTNOTE,
 };
 use crate::scenario::Scenario;
 use crate::Stream;
@@ -309,16 +309,15 @@ pub fn render_replication(rep: &Replication) -> String {
     );
     out.push('\n');
     out.push_str("-- per-seed headline metrics\n");
-    w!(
-        out,
-        "{:>3} {:>20} {:>12} {:>12} {:>13} {:>13}\n",
+    let mut seeds = vec![[
         "rep",
         "seed",
         "excl(live)",
         "excl(tag)",
         "var(Hu~Mail)",
-        "tau(Hu~Mail)"
-    );
+        "tau(Hu~Mail)",
+    ]
+    .map(String::from)];
     let headline = [
         "exclusive_share/live",
         "exclusive_share/tagged",
@@ -328,45 +327,43 @@ pub fn render_replication(rep: &Replication) -> String {
     .map(|name| rep.samples.index_of(name));
     for (row, seed) in rep.seeds.iter().enumerate() {
         let cell = |idx: Option<usize>| fmt_opt(idx.and_then(|m| rep.samples.value(row, m)));
-        w!(
-            out,
-            "{row:>3} {seed:>20} {:>12} {:>12} {:>13} {:>13}\n",
+        seeds.push([
+            row.to_string(),
+            seed.to_string(),
             cell(headline[0]),
             cell(headline[1]),
             cell(headline[2]),
             cell(headline[3]),
-        );
+        ]);
     }
+    write_table(&mut out, 0, &seeds);
     out.push('\n');
     out.push_str("-- bootstrap confidence intervals (mean over seeds)\n");
     let lvl = fmt_level(rep.options.level);
-    w!(
-        out,
-        "{:<32} {:>2} {:>9} {:>9} {:>20} {:>21}\n",
-        "metric",
-        "n",
-        "mean",
-        "sd",
+    let mut table = vec![[
+        "metric".to_string(),
+        "n".to_string(),
+        "mean".to_string(),
+        "sd".to_string(),
         format!("pct{lvl} [low, high]"),
         format!("BCa{lvl} [low, high]"),
-    );
+    ]];
     let mut marked = false;
     for row in rep.metric_cis() {
         let (pct, bca) = match &row.ci {
             Some(ci) => (fmt_bounds(ci.percentile), fmt_bca(ci, &mut marked)),
             None => ("-".to_string(), "-".to_string()),
         };
-        w!(
-            out,
-            "{:<32} {:>2} {:>9} {:>9} {:>20} {:>21}\n",
+        table.push([
             row.name,
-            row.n,
+            row.n.to_string(),
             fmt_opt(row.mean),
             fmt_opt(row.std_dev),
             pct,
             bca,
-        );
+        ]);
     }
+    write_table(&mut out, 1, &table);
     if marked {
         out.push_str(BCA_FOOTNOTE);
     }

@@ -9,7 +9,8 @@
 //! and, where it has one, its CSV writer. Every render walks that table
 //! and streams into one caller-owned `String` via `write!`: the full
 //! report ([`Experiment::try_render_report`]) is every row's text
-//! joined by blank lines, and [`section`] looks one row up by name for
+//! joined by blank lines, each row timed by its own `render/<name>`
+//! span, and [`section`] looks one row up by name for
 //! `taster report --section NAME`.
 
 use crate::experiment::Experiment;
@@ -79,6 +80,32 @@ pub(crate) fn fmt_bca(ci: &BootstrapCi, marked: &mut bool) -> String {
 pub(crate) const BCA_FOOTNOTE: &str =
     "*  BCa undefined here; bounds fall back to the percentile interval\n";
 
+/// Writes `rows`, the header first, as a text table: each column as
+/// wide as its widest cell, one space between columns, the first
+/// `left` columns left-aligned and the rest right-aligned. The shared
+/// layout of the CI-annotated tables (`taster replicate`, `taster ab`).
+pub(crate) fn write_table<const N: usize>(out: &mut String, left: usize, rows: &[[String; N]]) {
+    let mut widths = [0usize; N];
+    for row in rows {
+        for (width, cell) in widths.iter_mut().zip(row) {
+            *width = (*width).max(cell.chars().count());
+        }
+    }
+    for row in rows {
+        for (c, (cell, &width)) in row.iter().zip(&widths).enumerate() {
+            if c > 0 {
+                out.push(' ');
+            }
+            if c < left {
+                w!(out, "{cell:<width$}");
+            } else {
+                w!(out, "{cell:>width$}");
+            }
+        }
+        out.push('\n');
+    }
+}
+
 /// JSON value for an optional float (`null` when undefined).
 pub(crate) fn json_opt(v: Option<f64>) -> String {
     match v {
@@ -142,8 +169,14 @@ impl Section {
     /// The section's text.
     pub fn render(&self, e: &Experiment) -> Result<String, PipelineError> {
         let mut out = String::new();
-        (self.text)(e, &mut out)?;
+        self.write(e, &mut out)?;
         Ok(out)
+    }
+
+    /// Appends the section's text under its `render/<name>` span.
+    fn write(&self, e: &Experiment, out: &mut String) -> Written {
+        let _span = e.obs.span(&format!("render/{}", self.name));
+        (self.text)(e, out)
     }
 
     /// The section's CSV form; `None` when it has none.
@@ -156,9 +189,9 @@ impl Section {
 }
 
 /// The full report: the fault model on faulted runs, then every
-/// section in table order, then the metrics section on
-/// metrics-observed runs, one blank line between each. A plain run
-/// renders exactly the sections.
+/// section in table order, each under its `render/<section>` span,
+/// then the metrics section on metrics-observed runs, one blank line
+/// between each. A plain run renders exactly the sections.
 pub(crate) fn full_report(e: &Experiment) -> Result<String, PipelineError> {
     let mut out = String::with_capacity(32 * 1024);
     if !e.faults.is_off() {
@@ -169,7 +202,7 @@ pub(crate) fn full_report(e: &Experiment) -> Result<String, PipelineError> {
         if i > 0 {
             out.push('\n');
         }
-        (section.text)(e, &mut out)?;
+        section.write(e, &mut out)?;
     }
     if e.obs.metrics.is_on() {
         out.push('\n');
@@ -472,11 +505,9 @@ fn selection(e: &Experiment, out: &mut String) -> Written {
     Ok(())
 }
 
-/// Beyond the paper: each feed replayed as a production filter, inside
-/// the `render/blocking` span (the replay is most of the render). Fails
+/// Beyond the paper: each feed replayed as a production filter. Fails
 /// when the event log cannot be read.
 fn blocking(e: &Experiment, out: &mut String) -> Written {
-    let _span = e.obs.span("render/blocking");
     let rows = e.blocking()?;
     header(e, out, "Filter replay: each feed as a domain blacklist");
     w!(

@@ -53,7 +53,7 @@ pub use error::PipelineError;
 pub use feed::{DomainStats, Feed, FeedBuilder, FeedSet};
 pub use id::{FeedId, FeedKind};
 pub use incremental::IngestState;
-pub use pipeline::{collect_all, ensure_nonempty_collection, try_collect_all_observed};
+pub use pipeline::{collect_all, try_collect_all_observed};
 pub use table::FeedColumns;
 
 use taster_sim::rng::StreamKey;

@@ -75,6 +75,9 @@ pub fn collect_all(world: &MailWorld, config: &FeedsConfig) -> FeedSet {
 /// per-feed outage gaps are recorded as trace events in feed order.
 /// With `Obs::off()` the output — and every byte the pipeline later
 /// renders — is identical to an unobserved run.
+///
+/// Ten empty feeds that the plan's outages do not explain are refused
+/// with [`PipelineError::EmptyCollection`].
 pub fn try_collect_all_observed(
     world: &MailWorld,
     config: &FeedsConfig,
@@ -133,6 +136,7 @@ pub fn try_collect_all_observed(
             );
         }
     }
+    ensure_nonempty_collection(&set, plan, world.truth.window())?;
     Ok(set)
 }
 
@@ -142,7 +146,7 @@ pub fn try_collect_all_observed(
 /// canonical `blackout`) legitimately collects nothing, but any other
 /// profile yielding ten empty feeds indicates a broken configuration —
 /// downstream tables would render all-zero rows that look like data.
-pub fn ensure_nonempty_collection(
+fn ensure_nonempty_collection(
     feeds: &FeedSet,
     plan: &FaultPlan,
     window: TimeWindow,

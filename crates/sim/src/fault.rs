@@ -98,14 +98,6 @@ impl FaultProfile {
         }
     }
 
-    /// A named alias of [`FaultProfile::off`] used as the sweep baseline.
-    pub fn clean() -> FaultProfile {
-        FaultProfile {
-            name: "clean".to_string(),
-            ..FaultProfile::off()
-        }
-    }
-
     /// Transient crawler trouble: SERVFAILs and HTTP timeouts with
     /// bounded retries, the collectors themselves healthy.
     pub fn flaky_crawler() -> FaultProfile {
@@ -178,9 +170,8 @@ impl FaultProfile {
         }
     }
 
-    /// Names of the canonical profiles, in sweep order.
-    pub const CANONICAL: [&'static str; 6] = [
-        "clean",
+    /// Names of the canonical profiles: every named profile but `off`.
+    pub const CANONICAL: [&'static str; 5] = [
         "flaky-crawler",
         "feed-outage",
         "lossy-feeds",
@@ -192,7 +183,6 @@ impl FaultProfile {
     pub fn by_name(name: &str) -> Option<FaultProfile> {
         match name {
             "off" => Some(FaultProfile::off()),
-            "clean" => Some(FaultProfile::clean()),
             "flaky-crawler" => Some(FaultProfile::flaky_crawler()),
             "feed-outage" => Some(FaultProfile::feed_outage()),
             "lossy-feeds" => Some(FaultProfile::lossy_feeds()),
@@ -200,16 +190,6 @@ impl FaultProfile {
             "blackout" => Some(FaultProfile::blackout()),
             _ => None,
         }
-    }
-
-    /// All canonical profiles, in sweep order ([`clean`] first).
-    ///
-    /// [`clean`]: FaultProfile::clean
-    pub fn canonical() -> Vec<FaultProfile> {
-        Self::CANONICAL
-            .iter()
-            .filter_map(|name| FaultProfile::by_name(name))
-            .collect()
     }
 
     /// True when the profile introduces no faults at all.
@@ -409,7 +389,6 @@ mod tests {
     #[test]
     fn off_profile_is_off() {
         assert!(FaultProfile::off().is_off());
-        assert!(FaultProfile::clean().is_off());
         assert!(FaultPlan::off(7).is_off());
         assert!(!FaultProfile::flaky_crawler().is_off());
         assert!(!FaultProfile::blackout().is_off());
@@ -417,11 +396,11 @@ mod tests {
 
     #[test]
     fn canonical_profiles_resolve_and_validate() {
-        let all = FaultProfile::canonical();
-        assert_eq!(all.len(), FaultProfile::CANONICAL.len());
-        for profile in &all {
+        for name in FaultProfile::CANONICAL {
+            let profile = FaultProfile::by_name(name).unwrap();
             profile.validate().unwrap();
-            assert_eq!(FaultProfile::by_name(&profile.name).as_ref(), Some(profile));
+            assert_eq!(profile.name, name);
+            assert!(!profile.is_off(), "{name}");
         }
         assert!(FaultProfile::by_name("nope").is_none());
     }

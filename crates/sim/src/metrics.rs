@@ -50,30 +50,19 @@ pub enum Stage {
     Crawl,
     /// Live/tagged set derivation after the crawl.
     Classify,
-    /// Coverage analyses (Table 3, Figs 1–2).
-    Coverage,
-    /// Purity analysis (Table 2).
-    Purity,
-    /// Proportionality analyses (Figs 7–8).
-    Proportionality,
-    /// Timing analyses (Figs 9–12).
-    Timing,
-    /// Plain-text report rendering (all tables and figures).
+    /// The report: every analysis and its rendering, one child span
+    /// per report section (`render/<section>`).
     Render,
 }
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 10] = [
+    pub const ALL: [Stage; 6] = [
         Stage::Generate,
         Stage::Collect,
         Stage::Blacklist,
         Stage::Crawl,
         Stage::Classify,
-        Stage::Coverage,
-        Stage::Purity,
-        Stage::Proportionality,
-        Stage::Timing,
         Stage::Render,
     ];
 
@@ -85,10 +74,6 @@ impl Stage {
             Stage::Blacklist => "blacklist",
             Stage::Crawl => "crawl",
             Stage::Classify => "classify",
-            Stage::Coverage => "coverage",
-            Stage::Purity => "purity",
-            Stage::Proportionality => "proportionality",
-            Stage::Timing => "timing",
             Stage::Render => "render",
         }
     }

@@ -5,7 +5,6 @@
 //! taster report                    regenerate tables/figures
 //! taster sweep <seeding|mx-size>   parameter sweeps
 //! taster summary                   world statistics only
-//! taster degradation               canonical fault-profile sweep
 //! taster profile                   per-stage profile and pipeline bench
 //! taster serve                     guarded streaming daemon
 //! taster loadgen                   deterministic query storms
@@ -27,13 +26,14 @@
 //! blocking campaigns granularity concentration all` (default `all`).
 //!
 //! `--faults <profile>` (`report`, `serve`, `replicate`, `profile`)
-//! runs under a named fault-injection profile (`off clean flaky-crawler
+//! runs under a named fault-injection profile (`off flaky-crawler
 //! feed-outage lossy-feeds delayed-blacklists blackout`); the default
 //! `off` leaves every byte of output identical to a fault-free build.
-//! Faulted reports prepend a "Fault model" section. `degradation`
-//! sweeps the canonical profiles itself; `ab` names them as scenarios,
-//! beside the presets and the ablations (`no-poisoning`,
-//! `unrestricted-blacklists`, `no-provider-filter`, `broad-ac2`).
+//! Faulted reports prepend a "Fault model" section. `ab` names the
+//! profiles as scenarios, beside the presets and the ablations
+//! (`no-poisoning`, `unrestricted-blacklists`, `no-provider-filter`,
+//! `broad-ac2`), so `ab --treatment lossy-feeds` measures what a
+//! profile costs each metric over paired seeds.
 //! `loadgen --faults <storm>` picks a client storm instead (`off
 //! slow-client query-storm kill-midrun`).
 //!
@@ -63,9 +63,7 @@
 
 use std::fmt::Display;
 use std::str::FromStr;
-use taster::core::{
-    ab, build_world, degradation, profile, replicate, report, sweep, Experiment, Scenario,
-};
+use taster::core::{ab, build_world, profile, replicate, report, sweep, Experiment, Scenario};
 use taster::feeds::PipelineError;
 use taster::serve::Storm;
 use taster::sim::{FaultProfile, Obs};
@@ -157,7 +155,6 @@ const COMMANDS: &[Command] = &[
     row("report", &[WORLD, &[FAULTS, SECTION, METRICS, TRACE]], "text|csv", report),
     Command { operands: &["seeding", "mx-size"], ..row("sweep", &[SERIAL_WORLD], "", do_sweep) },
     row("summary", &[SERIAL_WORLD], "", summary),
-    row("degradation", &[WORLD], "", degradation_cmd),
     row("profile", &[&[SCALES, SEED, THREADS, CHUNK, MAX_MEM, FAULTS, TRACE, OUT, MIN_RATE, GATE]], "", profile_cmd),
     row("serve", &[WORLD, &[FAULTS], DAEMON], "", serve_cmd),
     row("loadgen", &[&[SEED, STORM, SOCKET, ROUNDS, TIMEOUT, OUT]], "", loadgen_cmd),
@@ -475,16 +472,6 @@ fn write_trace(exp: &Experiment, path: &str) {
         std::process::exit(1);
     }
     eprintln!("wrote trace {path}");
-}
-
-fn degradation_cmd(args: &Args) {
-    let scenario = args.scenario();
-    eprintln!("sweeping canonical fault profiles over {}", scenario.name);
-    let sweep = or_exit(degradation::degradation_sweep(&scenario));
-    print!(
-        "{}",
-        degradation::render_degradation(&scenario.name, &sweep)
-    );
 }
 
 fn report(args: &Args) {
@@ -903,7 +890,7 @@ mod tests {
             "report --treatment quiet-world",
             "summary --resume",
             "report --format xml",
-            "degradation --faults blackout",
+            "summary --faults blackout",
             "profile --metrics",
             "sweep seeding --faults lossy-feeds",
             "loadgen --scale 1",
@@ -942,6 +929,8 @@ mod tests {
             ("bench-json", "unknown command bench-json"),
             ("lint", "unknown command lint"),
             ("ablate", "unknown command ablate"),
+            ("degradation", "unknown command degradation"),
+            ("report --faults clean", "unknown fault profile clean"),
             // The serve storms are `loadgen`'s alone, and `loadgen`
             // takes no collection fault profile.
             (
@@ -1047,16 +1036,21 @@ mod tests {
             "ab --treatment unrestricted-blacklists --scale 0.03 --seeds 2 --resamples 50",
             "ab --treatment no-provider-filter --scale 0.03 --seeds 2 --resamples 50",
             "ab --treatment broad-ac2 --scale 0.03 --seeds 2 --resamples 50",
+            "ab --treatment flaky-crawler --scale 0.03 --seeds 2 --resamples 50",
+            "ab --treatment feed-outage --scale 0.03 --seeds 2 --resamples 50",
+            "ab --treatment lossy-feeds --scale 0.03 --seeds 2 --resamples 50",
+            "ab --treatment delayed-blacklists --scale 0.03 --seeds 2 --resamples 50",
+            "ab --treatment blackout --scale 0.03 --seeds 2 --resamples 50",
             // tests/
             "sweep seeding --scale 0.02 --max-mem-bytes 65536",
             "summary --scale 0.02 --max-mem-bytes 65536",
-            "degradation --scale 0.02 --max-mem-bytes 65536",
             "ab --treatment lossy-feeds --seeds 2 --scale 0.02 --max-mem-bytes 65536",
             "profile --scale 0.02,0.03 --seed 5 --out x.json",
             "profile --scale 0.02 --min-events-per-sec 1e15",
             // README
             "report --section table2 --format csv",
             "sweep mx-size",
+            "ab --treatment lossy-feeds --scale 0.1",
             "serve --socket /tmp/taster.sock --checkpoint-dir /tmp/ckpts --resume \
              --exit-when-done --final-report report.txt",
             "profile --scale 0.1,1,10 --out BENCH_pipeline.json",

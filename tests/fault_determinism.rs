@@ -7,7 +7,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use taster::core::{report, Experiment, Scenario};
+use taster::core::{Experiment, Scenario};
 use taster::feeds::FeedId;
 use taster::sim::FaultProfile;
 
@@ -15,7 +15,7 @@ const WORKERS: [usize; 3] = [1, 2, 8];
 const SEED: u64 = 424_242;
 
 fn scenario(profile: &str, workers: usize) -> Scenario {
-    let faults = FaultProfile::by_name(profile).expect("canonical profile");
+    let faults = FaultProfile::by_name(profile).expect("a named profile");
     Scenario::default_paper()
         .with_scale(0.03)
         .with_seed(SEED)
@@ -25,7 +25,7 @@ fn scenario(profile: &str, workers: usize) -> Scenario {
 
 #[test]
 fn faulted_reports_are_byte_identical_at_any_worker_count() {
-    for profile in ["clean", "flaky-crawler", "feed-outage"] {
+    for profile in ["off", "flaky-crawler", "feed-outage"] {
         let serial = Experiment::run(&scenario(profile, 1));
         let serial_report = serial.render_report();
         for workers in WORKERS {
@@ -52,31 +52,8 @@ fn faulted_reports_are_byte_identical_at_any_worker_count() {
 }
 
 #[test]
-fn clean_profile_matches_faults_off_byte_for_byte() {
-    // `clean` is a named all-zero profile; apart from the scenario-name
-    // annotation it must not perturb a single byte of the pipeline.
-    let off = Experiment::run(
-        &Scenario::default_paper()
-            .with_scale(0.03)
-            .with_seed(SEED)
-            .with_threads(2),
-    );
-    let clean = Experiment::run(&scenario("clean", 2));
-    for id in FeedId::ALL {
-        let (fa, fb) = (off.feeds.get(id), clean.feeds.get(id));
-        assert_eq!(fa.samples, fb.samples, "{id} samples");
-        assert_eq!(fa.unique_domains(), fb.unique_domains(), "{id} uniques");
-        for (d, s) in fa.iter() {
-            assert_eq!(Some(s), fb.stats(d), "{id} {d:?}");
-        }
-    }
-    let table1 = report::section("table1").unwrap();
-    assert_eq!(table1.render(&off).unwrap(), table1.render(&clean).unwrap());
-}
-
-#[test]
 fn outage_profile_records_gap_markers_and_loses_samples() {
-    let off = Experiment::run(&scenario("clean", 2));
+    let off = Experiment::run(&scenario("off", 2));
     let outage = Experiment::run(&scenario("feed-outage", 2));
     // The three stages named by the profile gain gap markers and lose
     // volume; an untouched feed stays byte-identical.

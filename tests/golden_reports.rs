@@ -1,10 +1,12 @@
 //! Golden-report regression harness.
 //!
 //! Every user-visible rendering — the full analyze report (with the
-//! metrics section), the degradation sweep, and the deterministic
-//! profile view — is snapshotted under `tests/golden/` for two seeds
-//! and three fault profiles. The pipeline is a pure function of
-//! `(scenario, seed)`, so these bytes must never drift by accident.
+//! metrics section) and the deterministic profile view for two seeds
+//! and three fault profiles, the replicated tables, and the paired
+//! `ab` tables against a preset, an ablation and the other three fault
+//! profiles — is snapshotted under `tests/golden/`. The pipeline is a
+//! pure function of `(scenario, seed)`, so these bytes must never
+//! drift by accident.
 //!
 //! To regenerate after an intentional output change:
 //!
@@ -19,7 +21,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use taster::core::replicate::ReplicateOptions;
-use taster::core::{ab, degradation, profile, replicate, report, Experiment, Scenario};
+use taster::core::{ab, profile, replicate, report, Experiment, Scenario};
 use taster::sim::{FaultProfile, Obs};
 
 const SEEDS: [u64; 2] = [11, 424_242];
@@ -97,20 +99,6 @@ fn analyze_reports_match_goldens() {
 }
 
 #[test]
-fn degradation_sweeps_match_goldens() {
-    // The sweep runs every canonical profile itself, so one golden per
-    // seed covers the whole fault matrix.
-    for seed in SEEDS {
-        let s = scenario(seed);
-        let sweep = degradation::degradation_sweep(&s).expect("sweep runs");
-        check_golden(
-            &format!("degradation_s{seed}.txt"),
-            &degradation::render_degradation(&s.name, &sweep),
-        );
-    }
-}
-
-#[test]
 fn profile_views_match_goldens() {
     for seed in SEEDS {
         for (suffix, fault) in fault_variants() {
@@ -128,7 +116,7 @@ fn profile_views_match_goldens() {
 fn replicate_reports_match_goldens() {
     // Two replicate counts × clean/flaky pins the whole statistical
     // rendering stack: derived seeds, per-metric bootstrap bounds, BCa
-    // fallback markers and the fixed column layout.
+    // fallback markers and the column layout.
     for seeds in [2usize, 4] {
         for (suffix, fault) in [
             ("clean", FaultProfile::off()),
@@ -151,14 +139,21 @@ fn replicate_reports_match_goldens() {
 
 #[test]
 fn ab_reports_match_goldens() {
-    // Paired A/B against two structurally different treatments; the
-    // golden pins effect signs, CI bounds and both p-value columns.
+    // Paired A/B against two structurally different treatments and
+    // the three fault profiles no `analyze_*` golden runs; each golden
+    // pins effect signs, CI bounds and both p-value columns.
     let options = ReplicateOptions {
         seeds: 3,
         resamples: 100,
         level: 0.95,
     };
-    for treatment_name in ["quiet-world", "no-poisoning"] {
+    for treatment_name in [
+        "quiet-world",
+        "no-poisoning",
+        "feed-outage",
+        "lossy-feeds",
+        "delayed-blacklists",
+    ] {
         let baseline = ab::scenario_by_name("paper", SCALE, SEEDS[0])
             .expect("baseline resolves")
             .with_threads(2);
