@@ -158,9 +158,11 @@ pub fn run_end_to_end(scenario: &Scenario) -> Result<(Experiment, EndToEnd), Pip
 /// sort run (encoded spill rows) — each clamped to
 /// [`EcosystemConfig::budget_rows`].
 ///
-/// Left out: the per-second time histogram of the sort (4 bytes per
-/// second of the horizon, ~37 MB at the default 92 days), the sort's
-/// fixed I/O blocks, its single-pass run floor
+/// Left out: out of core, the spill sort's per-second time histogram
+/// (4 bytes per second of the horizon, ~37 MB at the default 92 days;
+/// the in-core sort has none, only a few thousand bucket counters and
+/// a one-bucket scratch buffer), the sort's fixed I/O blocks, its
+/// single-pass run floor
 /// ([`taster_ecosystem::spill::run_rows`], about √(683 n) rows) where
 /// that exceeds the budget, and everything that is not an event row:
 /// the domain universe, campaigns, feeds, crawl and analysis state.

@@ -10,8 +10,9 @@ use taster_sim::DAY;
 
 /// The longest horizon, in days, whose seconds fit `u32` (49,710
 /// days): the filter replay stores first-seen times as `u32` seconds
-/// and compares event times against them, and the sort's per-second
-/// histogram could not hold a longer one anyway (4 bytes a second).
+/// and compares event times against them, and the spill sort's
+/// per-second histogram could not hold a longer one anyway (4 bytes a
+/// second).
 pub const MAX_HORIZON_DAYS: u64 = u32::MAX as u64 / DAY;
 
 /// Why [`EcosystemConfig::validate`] refuses a configuration.
@@ -435,11 +436,12 @@ impl EcosystemConfig {
     }
 
     /// Peak bytes building and holding the sorted event cache costs:
-    /// the generation-order columns, the widest scatter column (the
-    /// 8-byte time column) and the `u32` sorted positions, both
-    /// transient during the column-wise re-sort.
+    /// the columns (generation-order, then sorted) and the 16-byte
+    /// records the sort moves the rows through
+    /// (`EventBuffer::into_time_sorted`), `n × (24 + 16)` bytes.
     pub fn cache_peak_bytes(events: u64) -> u64 {
-        events * (crate::buffer::EventBuffer::bytes_per_event() as u64 + 8 + 4)
+        let row = crate::buffer::EventBuffer::bytes_per_event() + crate::buffer::PACKED_ROW_BYTES;
+        events * row as u64
     }
 
     /// Whether a log of `events` rows should keep the sorted event

@@ -9,8 +9,9 @@
 //! The event log is generated exactly once and kept in time-sorted
 //! order: resident as the sorted cache when the memory budget covers
 //! it, otherwise as a time-sorted spill file ([`crate::spill`]). Both
-//! place each row by the same stable counting sort, and consumers read
-//! either through [`GroundTruth::visit_sorted`].
+//! sort stably by second, ties in generation order, so both hold the
+//! same rows in the same order, and consumers read either through
+//! [`GroundTruth::visit_sorted`].
 
 use crate::botnet::{generate_botnets, Botnet};
 use crate::buffer::EventBuffer;
@@ -20,7 +21,7 @@ use crate::domains::{DomainKind, DomainUniverse};
 use crate::event::{campaign_event_count, stream_campaign_events, stream_poison_events, SpamEvent};
 use crate::ids::{CampaignId, ProgramId};
 use crate::program::ProgramRoster;
-use crate::spill::{Spill, SpillBuilder, SpillError, TimeSort};
+use crate::spill::{Spill, SpillBuilder, SpillError};
 use crate::Stream;
 use std::ops::Range;
 use std::sync::Arc;
@@ -119,13 +120,15 @@ impl GroundTruth {
         Self::generate_observed(config, seed, &Obs::off())
     }
 
-    /// [`GroundTruth::generate`] under an observability handle. Out of
-    /// core the sort runs inside a `generate/sort` span, with one child
-    /// span per pass (`generate/sort/count`, `generate/sort/distribute`,
-    /// `generate/sort/scatter`) and per freed temporary file
-    /// (`generate/sort/free_scratch`, `generate/sort/free_runs`), and
-    /// records `generate/spill_bytes` and `generate/sort_runs`; in core
-    /// nothing is recorded.
+    /// [`GroundTruth::generate`] under an observability handle. The
+    /// generation pass runs inside a `generate/events` span and the
+    /// time sort inside a `generate/sort` span. In core the sort span
+    /// has no children and nothing is counted. Out of core it has one
+    /// child span per pass (`generate/sort/count`,
+    /// `generate/sort/distribute`, `generate/sort/scatter`) and per
+    /// freed temporary file (`generate/sort/free_scratch`,
+    /// `generate/sort/free_runs`), and the run records
+    /// `generate/spill_bytes` and `generate/sort_runs`.
     pub fn generate_observed(
         config: &EcosystemConfig,
         seed: u64,
@@ -171,6 +174,7 @@ impl GroundTruth {
         } else {
             FirstPass::Spill(SpillBuilder::new()?)
         };
+        let events_span = obs.span("generate/events");
         let mut sink = |e: SpamEvent| first.push(&e);
         let mut event_rng = RngStream::new(seed, Stream::Events);
         for c in &campaigns {
@@ -229,23 +233,25 @@ impl GroundTruth {
             }
         }
 
-        // Time-sort the capture. Times are seconds bounded by the
-        // simulation horizon, so a stable counting sort over seconds
-        // ([`TimeSort`]) places every row in linear time, ties in
-        // generation order. In core the positions scatter the columns
-        // one at a time, so the peak is one extra column plus the
-        // positions; out of core the spill builder sorts in runs.
-        let sorted = match first {
-            FirstPass::Cache(buf) => {
-                let positions = TimeSort::positions(&buf.time);
-                SortedLog::Cache(Arc::new(buf.into_sorted(&positions)))
-            }
-            FirstPass::Spill(builder) => {
-                let _span = obs.span("generate/sort");
-                let spill = builder.finish(config.budget_rows(expected), obs)?;
-                obs.metrics.add("generate/spill_bytes", spill.bytes());
-                obs.metrics.add("generate/sort_runs", spill.runs() as u64);
-                SortedLog::Spill(Arc::new(spill))
+        drop(events_span);
+
+        // Time-sort the capture, ties in generation order. Times are
+        // seconds bounded by the simulation horizon, so counting sorts
+        // place every row in linear time. In core two of them run in
+        // memory: by buckets of 2¹¹ seconds, then by second within each
+        // bucket (`EventBuffer::into_time_sorted`, 16 bytes a row on top
+        // of the columns). Out of core the spill builder counts rows per
+        // second and sorts them on disk in runs.
+        let sorted = {
+            let _span = obs.span("generate/sort");
+            match first {
+                FirstPass::Cache(buf) => SortedLog::Cache(Arc::new(buf.into_time_sorted())),
+                FirstPass::Spill(builder) => {
+                    let spill = builder.finish(config.budget_rows(expected), obs)?;
+                    obs.metrics.add("generate/spill_bytes", spill.bytes());
+                    obs.metrics.add("generate/sort_runs", spill.runs() as u64);
+                    SortedLog::Spill(Arc::new(spill))
+                }
             }
         };
         let log = EventLog {
@@ -547,9 +553,10 @@ mod tests {
         }
     }
 
-    /// Each pass of the out-of-core sort, and each free of a temporary
-    /// file, is its own child of `generate/sort`, in order; in core
-    /// there is no sort span.
+    /// The generation pass and the sort are spans of their own on both
+    /// paths. Each pass of the out-of-core sort, and each free of a
+    /// temporary file, is its own child of `generate/sort`, in order;
+    /// in core the sort span has no children.
     #[test]
     fn sort_passes_are_child_spans_only_out_of_core() {
         let config = EcosystemConfig::default().with_scale(0.02);
@@ -559,14 +566,19 @@ mod tests {
             let obs = Obs::on();
             GroundTruth::generate_observed(&config, 7, &obs).unwrap();
             let spans = obs.trace.span_timings();
-            let sort = spans.iter().find(|s| s.name == "generate/sort");
-            assert_eq!(sort.is_some(), spilled);
+            let top: Vec<&str> = spans
+                .iter()
+                .filter(|s| s.depth == 0)
+                .map(|s| s.name.as_str())
+                .collect();
+            assert_eq!(top, ["generate/events", "generate/sort"]);
+            let sort = spans.iter().find(|s| s.name == "generate/sort").unwrap();
             let passes: Vec<(String, usize)> = spans
                 .iter()
                 .filter(|s| s.name.starts_with("generate/sort/"))
                 .map(|s| (s.name.clone(), s.depth))
                 .collect();
-            let want: Vec<(String, usize)> = sort.map_or(Vec::new(), |sort| {
+            let want: Vec<(String, usize)> = if spilled {
                 [
                     "count",
                     "distribute",
@@ -577,7 +589,9 @@ mod tests {
                 .iter()
                 .map(|pass| (format!("generate/sort/{pass}"), sort.depth + 1))
                 .collect()
-            });
+            } else {
+                Vec::new()
+            };
             assert_eq!(passes, want, "spilled: {spilled}");
         }
     }

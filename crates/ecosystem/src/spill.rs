@@ -7,9 +7,10 @@
 //! disk:
 //!
 //! 1. *count*: read the scratch file once and count its rows per second
-//!    of simulated time (`TimeSort`). That histogram gives every row its
-//!    time-sorted position — the same stable counting sort the in-core
-//!    cache uses;
+//!    of simulated time (`TimeSort`, 4 bytes a second up to the latest
+//!    row). That histogram gives every row its time-sorted position, ties
+//!    in generation order: the order the in-core cache's two-level sort
+//!    (`EventBuffer::into_time_sorted`) gives too;
 //! 2. *distribute*: read the scratch file again, tag each row with its
 //!    offset inside its *run* (a range of sorted positions no wider than
 //!    the memory budget allows) and append it to that run's region of a
@@ -33,10 +34,9 @@
 //! and is unlinked as soon as it is open, so nothing outlives the
 //! process, however it ends.
 
-use crate::buffer::{EventBuffer, NO_CHAFF};
+use crate::buffer::{class_codes, delivery_of_code, target_of_code, EventBuffer, NO_CHAFF};
 use crate::campaign::{DeliveryVector, TargetClass};
 use crate::event::SpamEvent;
-use crate::ids::BotnetId;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, ErrorKind, Write};
 use std::ops::Range;
@@ -219,39 +219,19 @@ fn encode_row(e: &SpamEvent, out: &mut [u8; ROW_BYTES]) {
     out[8..12].copy_from_slice(&e.campaign.0.to_le_bytes());
     out[12..16].copy_from_slice(&e.advertised.0.to_le_bytes());
     out[16..20].copy_from_slice(&e.chaff.map_or(NO_CHAFF, |d| d.0).to_le_bytes());
-    let (target, vector) = match e.target {
-        TargetClass::BruteForce => (0, 0),
-        TargetClass::Harvested(v) => (1, v),
-        TargetClass::Purchased => (2, 0),
-        TargetClass::Social => (3, 0),
-    };
-    let (delivery, botnet) = match e.delivery {
-        DeliveryVector::Direct => (0, 0),
-        DeliveryVector::Botnet(b) => (1, b.0),
-    };
-    out[20..].copy_from_slice(&[target, vector, delivery, botnet]);
+    out[20..].copy_from_slice(&class_codes(e.target, e.delivery));
 }
 
 fn target_of(row: &[u8]) -> Result<TargetClass, SpillError> {
-    match (row[20], row[21]) {
-        (0, 0) => Ok(TargetClass::BruteForce),
-        (1, v) => Ok(TargetClass::Harvested(v)),
-        (2, 0) => Ok(TargetClass::Purchased),
-        (3, 0) => Ok(TargetClass::Social),
-        (tag, arg) => Err(SpillError::Corrupt(format!(
-            "unknown target class {tag}/{arg}"
-        ))),
-    }
+    let (tag, arg) = (row[20], row[21]);
+    target_of_code(tag, arg)
+        .ok_or_else(|| SpillError::Corrupt(format!("unknown target class {tag}/{arg}")))
 }
 
 fn delivery_of(row: &[u8]) -> Result<DeliveryVector, SpillError> {
-    match (row[22], row[23]) {
-        (0, 0) => Ok(DeliveryVector::Direct),
-        (1, b) => Ok(DeliveryVector::Botnet(BotnetId(b))),
-        (tag, arg) => Err(SpillError::Corrupt(format!(
-            "unknown delivery vector {tag}/{arg}"
-        ))),
-    }
+    let (tag, arg) = (row[22], row[23]);
+    delivery_of_code(tag, arg)
+        .ok_or_else(|| SpillError::Corrupt(format!("unknown delivery vector {tag}/{arg}")))
 }
 
 /// Appends the rows of `bytes` to `out`, one column at a time.
@@ -294,11 +274,10 @@ fn for_each_record(
 }
 
 /// The stable counting sort by second of simulated time that fixes
-/// every row's sorted position, in core and out of core alike. Holds
-/// rows per second, then (after [`TimeSort::start_positions`]) each
-/// second's next free sorted position. Positions go out in the order
-/// they are asked for, so asking in generation order keeps ties in
-/// generation order.
+/// every spilled row's sorted position. Holds rows per second, then
+/// (after [`TimeSort::start_positions`]) each second's next free sorted
+/// position. Positions go out in the order they are asked for, so
+/// asking in generation order keeps ties in generation order.
 pub(crate) struct TimeSort {
     slots: Vec<u32>,
 }
@@ -334,22 +313,6 @@ impl TimeSort {
         let pos = *slot;
         *slot += 1;
         Some(pos as usize)
-    }
-
-    /// The sorted position of every row of `times` (generation order).
-    pub(crate) fn positions(times: &[SimTime]) -> Vec<u32> {
-        let mut sort = TimeSort::new(times.iter().map(|t| t.0).max().unwrap_or(0));
-        // The histogram reaches the latest time, so every count lands
-        // and every row gets a position.
-        for &t in times {
-            let _ = sort.count(t);
-        }
-        sort.start_positions();
-        times
-            .iter()
-            .filter_map(|&t| sort.position(t))
-            .map(|p| p as u32)
-            .collect()
     }
 }
 
@@ -712,7 +675,7 @@ impl BlockReader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::CampaignId;
+    use crate::ids::{BotnetId, CampaignId};
     use taster_domain::DomainId;
 
     fn event(t: u64, i: u32) -> SpamEvent {
@@ -797,15 +760,26 @@ mod tests {
         assert_eq!(got, events);
     }
 
+    /// The sorted position of every row of `times` (generation order),
+    /// by the spill's count and position passes.
+    fn positions(times: &[SimTime]) -> Vec<usize> {
+        let mut sort = TimeSort::new(times.iter().map(|t| t.0).max().unwrap_or(0));
+        for &t in times {
+            sort.count(t).unwrap();
+        }
+        sort.start_positions();
+        times.iter().map(|&t| sort.position(t).unwrap()).collect()
+    }
+
     #[test]
     fn time_sort_positions_are_a_stable_argsort() {
         let times: Vec<SimTime> = rows(500).iter().map(|e| e.time).collect();
-        let pos = TimeSort::positions(&times);
+        let pos = positions(&times);
         let mut want: Vec<usize> = (0..times.len()).collect();
         want.sort_by_key(|&g| times[g]);
         let mut got = vec![0usize; times.len()];
         for (g, &p) in pos.iter().enumerate() {
-            got[p as usize] = g;
+            got[p] = g;
         }
         assert_eq!(got, want);
     }

@@ -66,7 +66,7 @@ use std::str::FromStr;
 use taster::core::{ab, build_world, profile, replicate, report, sweep, Experiment, Scenario};
 use taster::feeds::PipelineError;
 use taster::serve::Storm;
-use taster::sim::{FaultProfile, Obs};
+use taster::sim::{FaultProfile, Obs, Stage};
 
 /// A flag and how its value is written in a usage line (`None` for a
 /// switch).
@@ -480,20 +480,23 @@ fn report(args: &Args) {
     let obs = Obs::with(args.metrics, args.trace.is_some());
     let e = or_exit(Experiment::try_run_observed(&scenario, obs));
     // `all`, the one name parsing admits outside `SECTIONS`: the full
-    // render, timed as the `render` stage like every other stage. It
-    // ends with the metrics section when `--metrics` is on. Parsing
-    // admits `--format csv` only with a section that has a CSV form.
+    // render. It ends with the metrics section when `--metrics` is on.
+    // One section renders alone, as text or (parsing admits `--format
+    // csv` only with a section that has one) as CSV. Either way the
+    // render is timed as the `render` stage like every other stage.
     let text = match report::section(&args.section) {
         None => or_exit(e.try_render_report()) + "\n",
-        Some(section) if args.format == "csv" => section.render_csv(&e).unwrap_or_default(),
-        Some(section) => {
+        Some(section) => e.obs.stage(Stage::Render, || {
+            if args.format == "csv" {
+                return section.render_csv(&e).unwrap_or_default();
+            }
             let mut text = or_exit(section.render(&e));
             if args.metrics {
                 text.push('\n');
                 report::write_metrics(&e, &mut text);
             }
             text + "\n"
-        }
+        }),
     };
     // After the render, so the log holds its span.
     if let Some(path) = &args.trace {

@@ -113,9 +113,12 @@ fn sort_span_and_counters_appear_only_when_spilling() {
     );
     assert!(obs.metrics.counter("generate/sort_runs") > 0);
 
+    // In core the sort is one span, without the spill's pass spans.
     let in_core = Obs::on();
     GroundTruth::generate_observed(&config(), SEEDS[0], &in_core).unwrap();
-    assert!(!in_core.trace.deterministic_view().contains("generate/sort"));
+    let view = in_core.trace.deterministic_view();
+    assert!(view.contains("span generate/sort\n"), "{view}");
+    assert!(!view.contains("generate/sort/"), "{view}");
     assert_eq!(in_core.metrics.counter("generate/spill_bytes"), 0);
     assert!(in_core.metrics.render().is_empty());
 }

@@ -105,21 +105,49 @@ fn trace_jsonl_differs_only_in_wall_times() {
     );
 }
 
+/// The id and the parent of the span named `name` in a JSONL trace log.
+fn span_in(log: &str, name: &str) -> (String, String) {
+    let line = log
+        .lines()
+        .find(|l| l.contains(&format!("\"name\":\"{name}\"")))
+        .expect("the span is logged");
+    let field = |key: &str| {
+        let key = format!("\"{key}\":");
+        let at = line.find(&key).expect("spans log the field") + key.len();
+        line[at..].split(',').next().unwrap_or_default().to_string()
+    };
+    (field("id"), field("parent"))
+}
+
 /// `report --trace` writes its log after the render, so the log holds
-/// the `render` stage's span.
+/// the `render` stage's span, a top-level one. The full report and
+/// `report --section NAME`, as text or as CSV, alike render inside
+/// that stage, and a section's text under a `render/<name>` child.
 #[test]
 fn report_trace_logs_the_render() {
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("report-trace.jsonl");
-    let run = std::process::Command::new(env!("CARGO_BIN_EXE_taster"))
-        .args(["report", "--scale", "0.02", "--trace"])
-        .arg(&path)
-        .output()
-        .expect("run taster");
-    assert!(
-        run.status.success(),
-        "{}",
-        String::from_utf8_lossy(&run.stderr)
-    );
-    let log = std::fs::read_to_string(&path).unwrap();
-    assert!(log.contains("\"name\":\"render\""), "{log}");
+    for args in [
+        &[][..],
+        &["--section", "fig9"],
+        &["--section", "table2", "--format", "csv"],
+    ] {
+        let run = std::process::Command::new(env!("CARGO_BIN_EXE_taster"))
+            .args(["report", "--scale", "0.02"])
+            .args(args)
+            .arg("--trace")
+            .arg(&path)
+            .output()
+            .expect("run taster");
+        assert!(
+            run.status.success(),
+            "{}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        let log = std::fs::read_to_string(&path).unwrap();
+        let (render, parent) = span_in(&log, "render");
+        assert_eq!(parent, "null", "{args:?}: {log}");
+        if !args.contains(&"csv") {
+            assert_eq!(span_in(&log, "render/fig9").1, render, "{args:?}: {log}");
+        }
+    }
 }
