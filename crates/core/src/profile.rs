@@ -155,17 +155,18 @@ pub fn run_end_to_end(scenario: &Scenario) -> Result<(Experiment, EndToEnd), Pip
 /// the widest of three buffers that are never resident together — the
 /// collection chunk and the provider bucket (struct-of-arrays rows, at
 /// most [`taster_ecosystem::spill::MAX_READ_ROWS`] per read) and the
-/// sort run (encoded spill rows) — each clamped to
+/// sort run (16-byte rows) — each clamped to
 /// [`EcosystemConfig::budget_rows`].
 ///
-/// Left out: out of core, the spill sort's per-second time histogram
-/// (4 bytes per second of the horizon, ~37 MB at the default 92 days;
-/// the in-core sort has none, only a few thousand bucket counters and
-/// a one-bucket scratch buffer), the sort's fixed I/O blocks, its
-/// single-pass run floor
-/// ([`taster_ecosystem::spill::run_rows`], about √(683 n) rows) where
-/// that exceeds the budget, and everything that is not an event row:
-/// the domain universe, campaigns, feeds, crawl and analysis state.
+/// Left out: both sorts' row counts per bucket of 2¹¹ seconds (a few
+/// thousand counters) and one-bucket scratch buffer, the spill sort's
+/// fixed I/O blocks, its single-pass run floor
+/// ([`taster_ecosystem::spill::run_rows`], about √(1024 n) rows) where
+/// that exceeds the budget, a run widened to one bucket with more rows
+/// than that (a bucket's rows grow as n, the floor as √n, so only logs
+/// far larger than scale 10's have one), and everything that is not an
+/// event row: the domain universe, campaigns, feeds, crawl and analysis
+/// state.
 ///
 /// [`EcosystemConfig::cache_peak_bytes`]: taster_ecosystem::EcosystemConfig::cache_peak_bytes
 /// [`EcosystemConfig::budget_rows`]: taster_ecosystem::EcosystemConfig::budget_rows

@@ -179,9 +179,11 @@ impl Section {
         (self.text)(e, out)
     }
 
-    /// The section's CSV form; `None` when it has none.
+    /// The section's CSV form, rendered under its `render/<section>`
+    /// span; `None` when it has none.
     pub fn render_csv(&self, e: &Experiment) -> Option<String> {
         let csv = self.csv?;
+        let _span = e.obs.span(&format!("render/{}", self.name));
         let mut out = String::new();
         csv(e, &mut out);
         Some(out)

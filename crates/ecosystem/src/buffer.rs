@@ -1,4 +1,5 @@
-//! Chunked struct-of-arrays event buffer for streaming consumers.
+//! Chunked struct-of-arrays event buffer for streaming consumers, and
+//! the one row codec and time sort under both homes of the event log.
 //!
 //! The resident sorted cache is one [`EventBuffer`]; out of core, each
 //! read of the time-sorted spill fills one per chunk, and consumers
@@ -6,21 +7,136 @@
 //! loop columnar — the structural filters touch only the `target`,
 //! `delivery` and `campaign` columns, so members that skip an event
 //! never pull its other columns through the cache.
+//!
+//! Both homes of the log are sorted by `sort_by_time` over 16-byte
+//! `Row`s, the codec the spill stores too: one pack, one unpack.
 
 use crate::campaign::{DeliveryVector, TargetClass};
 use crate::event::SpamEvent;
 use crate::ids::{BotnetId, CampaignId};
+use crate::spill::{SpillError, ROW_BYTES};
 use taster_domain::DomainId;
 use taster_sim::SimTime;
 
 /// Column sentinel for "no chaff domain".
 pub const NO_CHAFF: u32 = u32::MAX;
 
-/// The row codec's class codes, `[target tag, target argument,
-/// delivery tag, delivery argument]`: bytes 20–23 of a spill row, and
-/// the high bits of the in-core sort's packed word. A tag is below 4
-/// (target) or 2 (delivery); an argument-free variant's argument is 0.
-pub(crate) fn class_codes(target: TargetClass, delivery: DeliveryVector) -> [u8; 4] {
+/// Bits of a second below its bucket: a bucket spans 2¹¹ seconds. A
+/// constant, not an option: widths from 2⁸ to 2¹⁴ seconds sorted a
+/// scale-1 log equally fast.
+const BUCKET_BITS: u32 = 11;
+
+/// The mask of a second's bits within its bucket.
+const LOW_MASK: u32 = (1 << BUCKET_BITS) - 1;
+
+/// The bucket of 2¹¹ seconds that `t` falls in.
+pub(crate) fn bucket_of(t: SimTime) -> usize {
+    (t.0 >> BUCKET_BITS) as usize
+}
+
+/// Counts one row at `t` in `counts`, rows per bucket from bucket 0,
+/// growing it as needed; returns the row's bucket.
+pub(crate) fn count_row(counts: &mut Vec<usize>, t: SimTime) -> usize {
+    let bucket = bucket_of(t);
+    if bucket >= counts.len() {
+        counts.resize(bucket + 1, 0);
+    }
+    counts[bucket] += 1;
+    bucket
+}
+
+/// One event row in [`ROW_BYTES`] = 16 bytes, the one row codec: its
+/// campaign, advertised and chaff columns, and one word of the second
+/// within its bucket (bits 0–10) and its class codes ([`class_bits`]).
+/// The bucket, the rest of the second, is kept apart: sorted rows sit in
+/// bucket order beside a row count per bucket, and scratch and runs-file
+/// rows carry it.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct Row {
+    campaign: u32,
+    advertised: u32,
+    chaff: u32,
+    word: u32,
+}
+
+impl Row {
+    /// The row of an event at `t` with campaign, advertised and chaff
+    /// columns `ids`.
+    fn pack(t: SimTime, ids: [u32; 3], target: TargetClass, delivery: DeliveryVector) -> Row {
+        let [campaign, advertised, chaff] = ids;
+        let word = (t.0 & u64::from(LOW_MASK)) as u32 | class_bits(target, delivery);
+        Row {
+            campaign,
+            advertised,
+            chaff,
+            word,
+        }
+    }
+
+    /// The row of `event`.
+    pub(crate) fn of(event: &SpamEvent) -> Row {
+        let chaff = event.chaff.map_or(NO_CHAFF, |d| d.0);
+        let ids = [event.campaign.0, event.advertised.0, chaff];
+        Row::pack(event.time, ids, event.target, event.delivery)
+    }
+
+    /// The second within its bucket.
+    fn low(self) -> usize {
+        (self.word & LOW_MASK) as usize
+    }
+
+    fn target(self) -> TargetClass {
+        match self.word >> 11 & 0b11 {
+            0 => TargetClass::BruteForce,
+            1 => TargetClass::Harvested((self.word >> 13) as u8),
+            2 => TargetClass::Purchased,
+            _ => TargetClass::Social,
+        }
+    }
+
+    fn delivery(self) -> DeliveryVector {
+        match self.word >> 21 & 1 {
+            0 => DeliveryVector::Direct,
+            _ => DeliveryVector::Botnet(BotnetId((self.word >> 22) as u8)),
+        }
+    }
+
+    /// Whether the row's class codes are ones [`class_bits`] writes: bits
+    /// 30–31 clear, and no argument for a tag without one.
+    pub(crate) fn is_known(self) -> bool {
+        let w = self.word;
+        let target = w >> 11 & 0b11 == 1 || w >> 13 & 0xFF == 0;
+        w >> 30 == 0 && target && (w >> 21 & 1 == 1 || w >> 22 == 0)
+    }
+
+    /// The row as the spill stores it: its four words, little-endian.
+    pub(crate) fn to_bytes(self) -> [u8; ROW_BYTES] {
+        let words = [self.campaign, self.advertised, self.chaff, self.word];
+        let mut out = [0; ROW_BYTES];
+        for (at, w) in out.chunks_exact_mut(4).zip(words) {
+            at.copy_from_slice(&w.to_le_bytes());
+        }
+        out
+    }
+
+    /// The row whose bytes are `b` ([`Row::to_bytes`]).
+    pub(crate) fn from_bytes(b: &[u8; ROW_BYTES]) -> Row {
+        let word = |at: usize| u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]]);
+        Row {
+            campaign: word(0),
+            advertised: word(4),
+            chaff: word(8),
+            word: word(12),
+        }
+    }
+}
+
+/// Bits 11–29 of a row's word, the class codes of `target` and
+/// `delivery`: the target tag (brute force, harvested, purchased, social)
+/// in 11–12 and its argument in 13–20, the delivery tag (direct, botnet)
+/// in 21 and its argument in 22–29; an argument-free variant's argument
+/// is 0.
+fn class_bits(target: TargetClass, delivery: DeliveryVector) -> u32 {
     let (tag, arg) = match target {
         TargetClass::BruteForce => (0, 0),
         TargetClass::Harvested(v) => (1, v),
@@ -31,76 +147,102 @@ pub(crate) fn class_codes(target: TargetClass, delivery: DeliveryVector) -> [u8;
         DeliveryVector::Direct => (0, 0),
         DeliveryVector::Botnet(b) => (1, b.0),
     };
-    [tag, arg, dtag, darg]
+    tag << 11 | u32::from(arg) << 13 | dtag << 21 | u32::from(darg) << 22
 }
 
-/// The target class whose code is `(tag, arg)`; `None` for a code
-/// [`class_codes`] never writes.
-pub(crate) fn target_of_code(tag: u8, arg: u8) -> Option<TargetClass> {
-    match (tag, arg) {
-        (0, 0) => Some(TargetClass::BruteForce),
-        (1, v) => Some(TargetClass::Harvested(v)),
-        (2, 0) => Some(TargetClass::Purchased),
-        (3, 0) => Some(TargetClass::Social),
-        _ => None,
+/// Where [`sort_by_time`]'s `fill` puts each row: the next free slot of
+/// its bucket's region.
+pub(crate) struct Placer<'a> {
+    first: usize,
+    next: Vec<usize>,
+    rows: &'a mut [Row],
+}
+
+impl Placer<'_> {
+    /// Puts `row` in the next free slot of bucket `bucket`.
+    pub(crate) fn put(&mut self, bucket: usize, row: Row) -> Result<(), SpillError> {
+        let at = self.next.get_mut(bucket.wrapping_sub(self.first));
+        let Some(at) = at.filter(|at| **at < self.rows.len()) else {
+            let msg = format!("a row of bucket {bucket} past the counted rows");
+            return Err(SpillError::Corrupt(msg));
+        };
+        self.rows[*at] = row;
+        *at += 1;
+        Ok(())
     }
 }
 
-/// The delivery vector whose code is `(tag, arg)`; `None` for a code
-/// [`class_codes`] never writes.
-pub(crate) fn delivery_of_code(tag: u8, arg: u8) -> Option<DeliveryVector> {
-    match (tag, arg) {
-        (0, 0) => Some(DeliveryVector::Direct),
-        (1, b) => Some(DeliveryVector::Botnet(BotnetId(b))),
-        _ => None,
+/// Stably sorts rows by second, ties in the order they arrive: the one
+/// time sort, of the whole log in core
+/// ([`EventBuffer::into_time_sorted`]) and of each run of the spill.
+/// `counts[i]` rows fall in bucket `first + i`, and `fill` puts every
+/// row with its bucket, in arrival order, through the [`Placer`] it is
+/// given. Two counting sorts keep that order:
+///
+/// 1. move every row once into its bucket's region of `placed` (grown
+///    to the rows counted, and reused across a caller's calls); what
+///    `fill` owns is dropped when it returns;
+/// 2. sort each bucket by the low bits of its seconds in a scratch
+///    buffer the size of the bucket, and hand it to `emit` with its
+///    bucket, in bucket order.
+///
+/// Every write of step 1 goes to one of a few thousand sequential
+/// streams, and step 2 works in cache, so no row is written to a random
+/// place in a buffer of the log's size. A row of an uncounted bucket, or
+/// a bucket that does not get exactly its count, is a `Corrupt` error.
+pub(crate) fn sort_by_time(
+    first: usize,
+    counts: &[usize],
+    placed: &mut Vec<Row>,
+    fill: impl FnOnce(&mut Placer) -> Result<(), SpillError>,
+    mut emit: impl FnMut(usize, &[Row]) -> Result<(), SpillError>,
+) -> Result<(), SpillError> {
+    // Each bucket's next free slot, from the start of its region.
+    let mut next = vec![0; counts.len()];
+    for b in 1..counts.len() {
+        next[b] = next[b - 1] + counts[b - 1];
     }
-}
-
-/// Bits of a second below the in-core sort's bucket: a bucket spans
-/// 2¹¹ seconds. A constant, not an option: widths from 2⁸ to 2¹⁴
-/// seconds sorted a scale-1 log equally fast.
-const BUCKET_BITS: u32 = 11;
-
-/// The mask of a second's bits within its bucket.
-const LOW_MASK: u64 = (1 << BUCKET_BITS) - 1;
-
-/// Bytes of one row as the in-core sort moves it ([`Packed`]); the
-/// sort's transient on top of the columns.
-pub(crate) const PACKED_ROW_BYTES: usize = std::mem::size_of::<Packed>();
-
-/// One row as the in-core sort moves it: its campaign, advertised and
-/// chaff columns, and one word of its second's low [`BUCKET_BITS`] bits
-/// and its class codes ([`pack_word`]).
-#[derive(Clone, Copy, Default)]
-struct Packed {
-    campaign: u32,
-    advertised: u32,
-    chaff: u32,
-    word: u32,
-}
-
-/// The packed word of a row at `t` with class `codes`: bits 0–10 the
-/// second within its bucket, 11–12 the target tag, 13–20 its argument,
-/// 21 the delivery tag, 22–29 its argument.
-fn pack_word(t: SimTime, codes: [u8; 4]) -> u32 {
-    let [tag, arg, dtag, darg] = codes.map(u32::from);
-    debug_assert!(tag < 4 && dtag < 2, "class tags fit their bits");
-    (t.0 & LOW_MASK) as u32 | tag << 11 | arg << 13 | dtag << 21 | darg << 22
-}
-
-/// The second within its bucket that `word` holds.
-fn low_bits(word: u32) -> usize {
-    (u64::from(word) & LOW_MASK) as usize
-}
-
-/// The class codes that `word` holds.
-fn word_codes(word: u32) -> [u8; 4] {
-    [
-        (word >> 11 & 0b11) as u8,
-        (word >> 13) as u8,
-        (word >> 21 & 1) as u8,
-        (word >> 22) as u8,
-    ]
+    let n = counts.iter().sum();
+    placed.resize(placed.len().max(n), Row::default());
+    let rows = &mut placed[..n];
+    let mut placer = Placer { first, next, rows };
+    fill(&mut placer)?;
+    let Placer { next, rows, .. } = placer;
+    let mut slots = vec![0usize; 1 << BUCKET_BITS];
+    let mut sorted = Vec::new();
+    let mut end = 0;
+    for (i, (&count, &filled)) in counts.iter().zip(&next).enumerate() {
+        let start = end;
+        end += count;
+        if filled != end {
+            let got = filled - start;
+            let msg = format!("bucket {} got {got} rows, {count} counted", first + i);
+            return Err(SpillError::Corrupt(msg));
+        }
+        if count == 0 {
+            continue;
+        }
+        let bucket = &rows[start..end];
+        slots.fill(0);
+        for r in bucket {
+            slots[r.low()] += 1;
+        }
+        let mut at = 0;
+        for slot in &mut slots {
+            let count = *slot;
+            *slot = at;
+            at += count;
+        }
+        sorted.clear();
+        sorted.resize(count, Row::default());
+        for r in bucket {
+            let slot = &mut slots[r.low()];
+            sorted[*slot] = *r;
+            *slot += 1;
+        }
+        emit(first + i, &sorted)?;
+    }
+    Ok(())
 }
 
 /// One chunk of the event stream in struct-of-arrays layout. The rows
@@ -188,101 +330,49 @@ impl EventBuffer {
         self.delivery.clear();
     }
 
+    /// Appends `rows`, sorted rows of bucket `bucket`, one column at a
+    /// time: the one unpack of the row codec.
+    pub(crate) fn extend_bucket(&mut self, bucket: usize, rows: impl Iterator<Item = Row> + Clone) {
+        let base = (bucket as u64) << BUCKET_BITS;
+        self.time
+            .extend(rows.clone().map(|r| SimTime(base | r.low() as u64)));
+        self.campaign.extend(rows.clone().map(|r| r.campaign));
+        self.advertised.extend(rows.clone().map(|r| r.advertised));
+        self.chaff.extend(rows.clone().map(|r| r.chaff));
+        self.target.extend(rows.clone().map(|r| r.target()));
+        self.delivery.extend(rows.map(|r| r.delivery()));
+    }
+
     /// Consumes a generation-order buffer and returns it stably sorted
-    /// by time (ties in generation order), from sorted row 0. Two
-    /// counting sorts do it, each keeping the order rows arrive in:
-    ///
-    /// 1. count the rows of each bucket of 2¹¹ seconds (`BUCKET_BITS`;
-    ///    about 4,500 counters over the default horizon);
-    /// 2. move every row once, in generation order, to its bucket as a
-    ///    16-byte record: campaign, advertised, chaff, and one word of
-    ///    the second's low bits and the row's class codes;
-    /// 3. free the generation-order columns;
-    /// 4. sort each bucket by the low bits of its seconds in a scratch
-    ///    buffer the size of the bucket, and append it to fresh columns.
-    ///
-    /// The peak is the columns plus the records, `n × (24 + 16)` bytes
+    /// by time (ties in generation order), from sorted row 0: counts the
+    /// rows of each bucket of 2¹¹ seconds (about 4,500 counters over the
+    /// default horizon), then sorts them with [`sort_by_time`], which
+    /// frees the generation-order columns after its first step. The
+    /// peak is the columns plus the rows, `n × (24 + 16)` bytes
     /// ([`EcosystemConfig::cache_peak_bytes`](crate::EcosystemConfig::cache_peak_bytes)).
-    /// Every write of step 2 goes to one of a few thousand sequential
-    /// streams, and step 4 works in a cache-resident scratch buffer, so
-    /// no row is written to a random place in a column of the log's
-    /// size.
-    pub(crate) fn into_time_sorted(self) -> EventBuffer {
+    pub(crate) fn into_time_sorted(self) -> Result<EventBuffer, SpillError> {
         let n = self.len();
-        let bucket = |t: SimTime| (t.0 >> BUCKET_BITS) as usize;
-        let buckets = self.time.iter().map(|&t| bucket(t) + 1).max().unwrap_or(0);
-        // Each bucket's first record, then (after step 2) its end.
-        let mut ends = vec![0usize; buckets];
+        let mut counts = Vec::new();
         for &t in &self.time {
-            ends[bucket(t)] += 1;
+            count_row(&mut counts, t);
         }
-        let mut at = 0;
-        for end in &mut ends {
-            let count = *end;
-            *end = at;
-            at += count;
-        }
-        let mut packed = vec![Packed::default(); n];
-        let rows = self.time.iter().zip(&self.campaign).zip(&self.advertised);
-        let rows = rows.zip(&self.chaff).zip(&self.target).zip(&self.delivery);
-        for (((((&t, &campaign), &advertised), &chaff), &target), &delivery) in rows {
-            let end = &mut ends[bucket(t)];
-            packed[*end] = Packed {
-                campaign,
-                advertised,
-                chaff,
-                word: pack_word(t, class_codes(target, delivery)),
-            };
-            *end += 1;
-        }
-        drop(self);
+        let rows = |placer: &mut Placer| {
+            let rows = self.time.iter().zip(&self.campaign).zip(&self.advertised);
+            let rows = rows.zip(&self.chaff).zip(&self.target).zip(&self.delivery);
+            for (((((&t, &campaign), &advertised), &chaff), &target), &delivery) in rows {
+                let row = Row::pack(t, [campaign, advertised, chaff], target, delivery);
+                placer.put(bucket_of(t), row)?;
+            }
+            // Frees the generation-order columns before the second step.
+            drop(self);
+            Ok(())
+        };
         let mut out = EventBuffer::with_capacity(n);
-        let mut slots = vec![0usize; 1 << BUCKET_BITS];
-        let mut scratch = Vec::new();
-        let mut start = 0;
-        for (b, &end) in ends.iter().enumerate() {
-            let rows = &packed[start..end];
-            start = end;
-            if rows.is_empty() {
-                continue;
-            }
-            slots.fill(0);
-            for r in rows {
-                slots[low_bits(r.word)] += 1;
-            }
-            let mut at = 0;
-            for slot in &mut slots {
-                let count = *slot;
-                *slot = at;
-                at += count;
-            }
-            scratch.clear();
-            scratch.resize(rows.len(), Packed::default());
-            for r in rows {
-                let slot = &mut slots[low_bits(r.word)];
-                scratch[*slot] = *r;
-                *slot += 1;
-            }
-            let base = (b as u64) << BUCKET_BITS;
-            out.time.extend(
-                scratch
-                    .iter()
-                    .map(|r| SimTime(base | low_bits(r.word) as u64)),
-            );
-            out.campaign.extend(scratch.iter().map(|r| r.campaign));
-            out.advertised.extend(scratch.iter().map(|r| r.advertised));
-            out.chaff.extend(scratch.iter().map(|r| r.chaff));
-            for r in &scratch {
-                let [tag, arg, dtag, darg] = word_codes(r.word);
-                // Every code was written by `class_codes` above, so
-                // every code decodes; the fallbacks are never taken.
-                out.target
-                    .push(target_of_code(tag, arg).unwrap_or(TargetClass::BruteForce));
-                out.delivery
-                    .push(delivery_of_code(dtag, darg).unwrap_or(DeliveryVector::Direct));
-            }
-        }
-        out
+        sort_by_time(0, &counts, &mut Vec::new(), rows, |bucket, rows| {
+            out.extend_bucket(bucket, rows.iter().copied());
+            Ok(())
+        })?;
+        Ok(out)
     }
 
     /// Bytes per buffered row across all columns (for peak-memory
@@ -296,7 +386,7 @@ impl EventBuffer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn sample(t: u64, chaff: Option<u32>) -> SpamEvent {
@@ -353,15 +443,47 @@ mod tests {
         }
     }
 
-    /// Sorts `times` as a generation-order buffer and compares every
+    /// The hand-built logs both sorts, in core and spilled, are checked
+    /// on: what the generated log never holds. An empty and three
+    /// one-row logs; then rows at the bucket edges 2¹¹ − 1, 2¹¹ and
+    /// 2¹¹ + 1 and at the horizon's last second, and 300 rows of one
+    /// second among rows of its bucket's edges and of its neighbours, in
+    /// a generation order that is not time order. The rows walk every
+    /// class code, chaff and [`NO_CHAFF`].
+    pub(crate) fn edge_logs() -> Vec<Vec<SpamEvent>> {
+        use crate::config::MAX_HORIZON_DAYS;
+        use taster_sim::DAY;
+        let last = MAX_HORIZON_DAYS * DAY - 1;
+        let bucket = 1 << BUCKET_BITS;
+        let mut times = vec![last, bucket + 1, bucket, bucket - 1, 0, bucket, last, 0];
+        let tied = 3 * bucket + 5;
+        for i in 0..300 {
+            times.push(tied);
+            times.push([4 * bucket - 1, 3 * bucket, tied + 1, tied - 1][i % 4]);
+        }
+        times.extend([bucket - 1, last - 1, 1, bucket + 1, last, 0, bucket]);
+        let log = |times: &[u64]| (0u32..).zip(times).map(|(i, &t)| row(t, i)).collect();
+        [&[][..], &[17], &[bucket], &[last], &times]
+            .iter()
+            .map(|times| log(times))
+            .collect()
+    }
+
+    /// `events` stably sorted by time, ties in the order given.
+    pub(crate) fn stable_sorted(events: &[SpamEvent]) -> Vec<SpamEvent> {
+        let mut want = events.to_vec();
+        want.sort_by_key(|e| e.time);
+        want
+    }
+
+    /// Sorts `events` as a generation-order buffer and compares every
     /// row and column with a stable sort by time.
-    fn check_sort(times: &[u64]) {
-        let events: Vec<SpamEvent> = (0u32..).zip(times).map(|(i, &t)| row(t, i)).collect();
+    fn check_sort(events: &[SpamEvent]) {
         let mut buf = EventBuffer::with_capacity(events.len());
-        for e in &events {
+        for e in events {
             buf.push(e);
         }
-        let sorted = buf.into_time_sorted();
+        let sorted = buf.into_time_sorted().unwrap();
         let n = events.len();
         let lens = [
             sorted.time.len(),
@@ -373,31 +495,49 @@ mod tests {
         ];
         assert_eq!((lens, sorted.first), ([n; 6], 0));
         let got: Vec<SpamEvent> = (0..n).map(|r| sorted.event(r)).collect();
-        let mut want = events;
-        want.sort_by_key(|e| e.time);
-        assert!(got == want, "{times:?}");
+        assert!(got == stable_sorted(events), "{events:?}");
     }
 
-    /// The sort on what the generated log never holds: bucket edges,
-    /// the horizon's last second, long ties and every class code.
     #[test]
     fn into_time_sorted_is_a_stable_sort_by_time() {
-        use crate::config::MAX_HORIZON_DAYS;
-        use taster_sim::DAY;
-        let last = MAX_HORIZON_DAYS * DAY - 1;
-        let bucket = 1 << BUCKET_BITS;
-        check_sort(&[]);
-        check_sort(&[17]);
-        check_sort(&[last]);
-        let mut times = vec![last, bucket + 1, bucket, bucket - 1, 0, bucket, last, 0];
-        // Many rows in one second, among rows of its bucket's edges and
-        // of its neighbours, in generation order that is not time order.
-        let tied = 3 * bucket + 5;
-        for i in 0..300u64 {
-            times.push([tied, 4 * bucket - 1, tied, 3 * bucket, tied, tied + 1][i as usize % 6]);
+        for log in edge_logs() {
+            check_sort(&log);
         }
-        times.extend([bucket - 1, last - 1, 1, bucket + 1, last, 0, bucket]);
-        check_sort(&times);
+    }
+
+    /// A bucket that gets other rows than its count, or a row of a
+    /// bucket outside the counted ones, is a typed error, not a panic.
+    #[test]
+    fn rows_that_miss_their_counts_are_corrupt() {
+        let sort = |first, counts: &[usize], buckets: &[usize]| {
+            let fill = |p: &mut Placer| buckets.iter().try_for_each(|&b| p.put(b, Row::default()));
+            sort_by_time(first, counts, &mut Vec::new(), fill, |_, _| Ok(()))
+        };
+        sort(4, &[1, 2], &[5, 4, 5]).unwrap();
+        for (first, counts, buckets) in [
+            (4, &[1, 2][..], &[5, 5, 5][..]),
+            (4, &[1, 2], &[4, 5]),
+            (4, &[1, 2], &[3, 5, 5]),
+            (4, &[1, 2], &[4, 5, 6]),
+        ] {
+            let err = sort(first, counts, buckets).unwrap_err();
+            assert!(matches!(err, SpillError::Corrupt(_)), "{buckets:?}: {err}");
+        }
+    }
+
+    /// `is_known` accepts exactly the class codes `class_bits` writes: every
+    /// word whose codes survive a decode and re-encode, over all 2²¹
+    /// values of bits 11–31.
+    #[test]
+    fn check_accepts_exactly_the_packed_class_codes() {
+        for codes in 0..1u32 << 21 {
+            let row = Row {
+                word: codes << BUCKET_BITS | 5,
+                ..Row::default()
+            };
+            let packed = class_bits(row.target(), row.delivery()) == codes << BUCKET_BITS;
+            assert_eq!(row.is_known(), packed, "codes {codes:#x}");
+        }
     }
 
     #[test]

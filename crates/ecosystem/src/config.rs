@@ -10,9 +10,7 @@ use taster_sim::DAY;
 
 /// The longest horizon, in days, whose seconds fit `u32` (49,710
 /// days): the filter replay stores first-seen times as `u32` seconds
-/// and compares event times against them, and the spill sort's
-/// per-second histogram could not hold a longer one anyway (4 bytes a
-/// second).
+/// and compares event times against them.
 pub const MAX_HORIZON_DAYS: u64 = u32::MAX as u64 / DAY;
 
 /// Why [`EcosystemConfig::validate`] refuses a configuration.
@@ -436,11 +434,11 @@ impl EcosystemConfig {
     }
 
     /// Peak bytes building and holding the sorted event cache costs:
-    /// the columns (generation-order, then sorted) and the 16-byte
-    /// records the sort moves the rows through
-    /// (`EventBuffer::into_time_sorted`), `n × (24 + 16)` bytes.
+    /// the columns (generation-order, then sorted) and the 16-byte rows
+    /// the sort moves (`EventBuffer::into_time_sorted`), `n × (24 + 16)`
+    /// bytes.
     pub fn cache_peak_bytes(events: u64) -> u64 {
-        let row = crate::buffer::EventBuffer::bytes_per_event() + crate::buffer::PACKED_ROW_BYTES;
+        let row = crate::buffer::EventBuffer::bytes_per_event() + crate::spill::ROW_BYTES;
         events * row as u64
     }
 

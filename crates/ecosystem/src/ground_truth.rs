@@ -21,7 +21,7 @@ use crate::domains::{DomainKind, DomainUniverse};
 use crate::event::{campaign_event_count, stream_campaign_events, stream_poison_events, SpamEvent};
 use crate::ids::{CampaignId, ProgramId};
 use crate::program::ProgramRoster;
-use crate::spill::{Spill, SpillBuilder, SpillError};
+use crate::spill::{run_rows, Spill, SpillBuilder, SpillError};
 use crate::Stream;
 use std::ops::Range;
 use std::sync::Arc;
@@ -124,11 +124,10 @@ impl GroundTruth {
     /// generation pass runs inside a `generate/events` span and the
     /// time sort inside a `generate/sort` span. In core the sort span
     /// has no children and nothing is counted. Out of core it has one
-    /// child span per pass (`generate/sort/count`,
-    /// `generate/sort/distribute`, `generate/sort/scatter`) and per
-    /// freed temporary file (`generate/sort/free_scratch`,
-    /// `generate/sort/free_runs`), and the run records
-    /// `generate/spill_bytes` and `generate/sort_runs`.
+    /// child span per pass (`generate/sort/distribute`,
+    /// `generate/sort/scatter`) and per freed temporary file
+    /// (`generate/sort/free_scratch`, `generate/sort/free_runs`), and the
+    /// run records `generate/spill_bytes` and `generate/sort_runs`.
     pub fn generate_observed(
         config: &EcosystemConfig,
         seed: u64,
@@ -236,18 +235,17 @@ impl GroundTruth {
         drop(events_span);
 
         // Time-sort the capture, ties in generation order. Times are
-        // seconds bounded by the simulation horizon, so counting sorts
-        // place every row in linear time. In core two of them run in
-        // memory: by buckets of 2¹¹ seconds, then by second within each
-        // bucket (`EventBuffer::into_time_sorted`, 16 bytes a row on top
-        // of the columns). Out of core the spill builder counts rows per
-        // second and sorts them on disk in runs.
+        // seconds bounded by the simulation horizon, so two counting
+        // sorts place every row in linear time: by buckets of 2¹¹
+        // seconds, then by second (`buffer::sort_by_time`). In core they
+        // sort the whole log; out of core, each run of buckets in turn.
         let sorted = {
             let _span = obs.span("generate/sort");
             match first {
-                FirstPass::Cache(buf) => SortedLog::Cache(Arc::new(buf.into_time_sorted())),
+                FirstPass::Cache(buf) => SortedLog::Cache(Arc::new(buf.into_time_sorted()?)),
                 FirstPass::Spill(builder) => {
-                    let spill = builder.finish(config.budget_rows(expected), obs)?;
+                    let run = run_rows(expected as usize, config.budget_rows(expected));
+                    let spill = builder.finish(run, obs)?;
                     obs.metrics.add("generate/spill_bytes", spill.bytes());
                     obs.metrics.add("generate/sort_runs", spill.runs() as u64);
                     SortedLog::Spill(Arc::new(spill))
@@ -579,16 +577,10 @@ mod tests {
                 .map(|s| (s.name.clone(), s.depth))
                 .collect();
             let want: Vec<(String, usize)> = if spilled {
-                [
-                    "count",
-                    "distribute",
-                    "free_scratch",
-                    "scatter",
-                    "free_runs",
-                ]
-                .iter()
-                .map(|pass| (format!("generate/sort/{pass}"), sort.depth + 1))
-                .collect()
+                ["distribute", "free_scratch", "scatter", "free_runs"]
+                    .iter()
+                    .map(|pass| (format!("generate/sort/{pass}"), sort.depth + 1))
+                    .collect()
             } else {
                 Vec::new()
             };

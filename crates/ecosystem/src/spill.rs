@@ -2,40 +2,34 @@
 //!
 //! When the sorted event cache does not fit the memory budget,
 //! [`GroundTruth::generate`](crate::GroundTruth::generate) writes each
-//! generated row once, in generation order, to a scratch file. The
-//! rows become the spill in three sequential passes over what is on
-//! disk:
+//! generated row once, in generation order, to a scratch file: the
+//! 16-byte row the in-core sort moves (`buffer::Row`) and its bucket of
+//! 2¹¹ seconds. It counts the rows of each bucket as it writes (about
+//! 3,900 counters at scale 1), and cuts the buckets into *runs*: greedy
+//! ranges of whole buckets holding at most [`run_rows`] rows, but a
+//! bucket wider than that is a run of its own. Two sequential passes
+//! over what is on disk then sort the rows:
 //!
-//! 1. *count*: read the scratch file once and count its rows per second
-//!    of simulated time (`TimeSort`, 4 bytes a second up to the latest
-//!    row). That histogram gives every row its time-sorted position, ties
-//!    in generation order: the order the in-core cache's two-level sort
-//!    (`EventBuffer::into_time_sorted`) gives too;
-//! 2. *distribute*: read the scratch file again, tag each row with its
-//!    offset inside its *run* (a range of sorted positions no wider than
-//!    the memory budget allows) and append it to that run's region of a
-//!    runs file;
-//! 3. *scatter*: for each run in order, scatter its rows into a run-sized
-//!    buffer by offset, sum each block of 2¹² rows (`BLOCK_ROWS`) it
-//!    completes, and append the buffer to the spill.
-//!
-//! Runs are wide enough ([`run_rows`]) that one distribution pass gives
-//! every run a write buffer of at least [`MIN_RUN_BUFFER`] bytes, so the
-//! number of runs written at once stays bounded and no row costs a
-//! system call of its own.
+//! 1. *distribute*: read the scratch file once and append each record to
+//!    its run's region of a runs file;
+//! 2. *scatter*: for each run in order, sort its records with the
+//!    in-core cache's two-level sort (`buffer::sort_by_time`), sum each
+//!    block of 2¹² rows (`BLOCK_ROWS`) it completes, and append the bare
+//!    16-byte rows to the spill.
 //!
 //! The spill is fixed-width ([`ROW_BYTES`] per row, sorted row `r` at
-//! byte `r × ROW_BYTES`). Each block's sum is a word-wise FNV-1a over
-//! the block's index and its rows; the sums stay in memory, and the
-//! 8-byte trailer is the digest of them all. Opening the spill checks
+//! byte `r × ROW_BYTES`). A row keeps only its second's low 11 bits: the
+//! spill keeps its row count per bucket in memory beside the block sums,
+//! and a reader rebuilds each second from a bucket cursor. Each block's
+//! sum is a word-wise FNV-1a over the block's index and its rows; the
+//! 8-byte trailer is the digest of the sums. Opening the spill checks
 //! its length and that digest; every read checks each block it touches
 //! against its sum before decoding the block straight into columns.
 //! Every file lives in [`std::env::temp_dir`] under a per-process name
 //! and is unlinked as soon as it is open, so nothing outlives the
 //! process, however it ends.
 
-use crate::buffer::{class_codes, delivery_of_code, target_of_code, EventBuffer, NO_CHAFF};
-use crate::campaign::{DeliveryVector, TargetClass};
+use crate::buffer::{count_row, sort_by_time, EventBuffer, Placer, Row};
 use crate::event::SpamEvent;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, ErrorKind, Write};
@@ -44,19 +38,18 @@ use std::os::unix::fs::FileExt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use taster_sim::rng::FNV1A64_OFFSET;
-use taster_sim::{Obs, SimTime};
+use taster_sim::Obs;
 
-/// Bytes per spilled row: time (8), campaign, advertised and chaff
-/// domain (4 each), target class and delivery vector (2 each).
-pub const ROW_BYTES: usize = 24;
+/// Bytes per spilled row and per row the sort moves (`buffer::Row`).
+pub const ROW_BYTES: usize = 16;
 
-/// A runs-file record: the spill row plus its offset inside its run.
-const RECORD_BYTES: usize = ROW_BYTES + 4;
+/// Bytes of a scratch or runs-file row: the row, then its bucket (`u32`).
+const BUCKETED_BYTES: usize = ROW_BYTES + 4;
 
 /// Block size of sequential reads and of the scratch and spill writers.
 const IO_BYTES: usize = 1 << 20;
 
-/// Rows per checksummed block of the spill (96 KiB). A power of two
+/// Rows per checksummed block of the spill (64 KiB). A power of two
 /// that divides the default collection chunk and [`MAX_READ_ROWS`], so
 /// reads that wide start and end on block boundaries, and small enough
 /// that a read of a few rows fetches and checks little more than it
@@ -202,118 +195,33 @@ impl BlockSums {
     }
 }
 
-fn u32_at(b: &[u8], at: usize) -> u32 {
-    let mut w = [0u8; 4];
-    w.copy_from_slice(&b[at..at + 4]);
-    u32::from_le_bytes(w)
+/// A scratch or runs-file record: `row`, then its `bucket`.
+fn bucketed(bucket: usize, row: Row) -> [u8; BUCKETED_BYTES] {
+    let mut out = [0; BUCKETED_BYTES];
+    out[..ROW_BYTES].copy_from_slice(&row.to_bytes());
+    out[ROW_BYTES..].copy_from_slice(&(bucket as u32).to_le_bytes());
+    out
 }
 
-fn time_of(row: &[u8]) -> SimTime {
-    let mut w = [0u8; 8];
-    w.copy_from_slice(&row[..8]);
-    SimTime(u64::from_le_bytes(w))
-}
-
-fn encode_row(e: &SpamEvent, out: &mut [u8; ROW_BYTES]) {
-    out[..8].copy_from_slice(&e.time.0.to_le_bytes());
-    out[8..12].copy_from_slice(&e.campaign.0.to_le_bytes());
-    out[12..16].copy_from_slice(&e.advertised.0.to_le_bytes());
-    out[16..20].copy_from_slice(&e.chaff.map_or(NO_CHAFF, |d| d.0).to_le_bytes());
-    out[20..].copy_from_slice(&class_codes(e.target, e.delivery));
-}
-
-fn target_of(row: &[u8]) -> Result<TargetClass, SpillError> {
-    let (tag, arg) = (row[20], row[21]);
-    target_of_code(tag, arg)
-        .ok_or_else(|| SpillError::Corrupt(format!("unknown target class {tag}/{arg}")))
-}
-
-fn delivery_of(row: &[u8]) -> Result<DeliveryVector, SpillError> {
-    let (tag, arg) = (row[22], row[23]);
-    delivery_of_code(tag, arg)
-        .ok_or_else(|| SpillError::Corrupt(format!("unknown delivery vector {tag}/{arg}")))
-}
-
-/// Appends the rows of `bytes` to `out`, one column at a time.
-fn decode_rows(bytes: &[u8], out: &mut EventBuffer) -> Result<(), SpillError> {
-    let (rows, _) = bytes.as_chunks::<ROW_BYTES>();
-    out.time.extend(rows.iter().map(|r| time_of(r)));
-    out.campaign.extend(rows.iter().map(|r| u32_at(r, 8)));
-    out.advertised.extend(rows.iter().map(|r| u32_at(r, 12)));
-    out.chaff.extend(rows.iter().map(|r| u32_at(r, 16)));
-    for r in rows {
-        out.target.push(target_of(r)?);
-        out.delivery.push(delivery_of(r)?);
-    }
-    Ok(())
-}
-
-/// Reads records `first..first + count` of `width` bytes each from
-/// `file`, one block at a time, handing each record to `each`.
+/// Reads the [`bucketed`] records `rows` of a scratch or runs file in
+/// order, a block at a time, handing each one's bucket and row to `each`.
 fn for_each_record(
     file: &File,
-    first: usize,
-    count: usize,
-    width: usize,
-    block: &mut [u8],
-    mut each: impl FnMut(&[u8]) -> Result<(), SpillError>,
+    rows: Range<usize>,
+    mut each: impl FnMut(usize, Row) -> Result<(), SpillError>,
 ) -> Result<(), SpillError> {
-    let per_block = (block.len() / width).max(1);
-    let mut done = 0;
-    while done < count {
-        let take = per_block.min(count - done);
-        let bytes = &mut block[..take * width];
-        file.read_exact_at(bytes, ((first + done) * width) as u64)
+    let per_block = IO_BYTES / BUCKETED_BYTES;
+    let mut block = vec![0u8; per_block * BUCKETED_BYTES];
+    for lo in rows.clone().step_by(per_block) {
+        let bytes = &mut block[..per_block.min(rows.end - lo) * BUCKETED_BYTES];
+        file.read_exact_at(bytes, (lo * BUCKETED_BYTES) as u64)
             .map_err(|e| SpillError::io("read", e))?;
-        for record in bytes.chunks_exact(width) {
-            each(record)?;
+        for [row @ .., b0, b1, b2, b3] in bytes.as_chunks::<BUCKETED_BYTES>().0 {
+            let bucket = u32::from_le_bytes([*b0, *b1, *b2, *b3]) as usize;
+            each(bucket, Row::from_bytes(row))?;
         }
-        done += take;
     }
     Ok(())
-}
-
-/// The stable counting sort by second of simulated time that fixes
-/// every spilled row's sorted position. Holds rows per second, then
-/// (after [`TimeSort::start_positions`]) each second's next free sorted
-/// position. Positions go out in the order they are asked for, so
-/// asking in generation order keeps ties in generation order.
-pub(crate) struct TimeSort {
-    slots: Vec<u32>,
-}
-
-impl TimeSort {
-    /// An empty histogram for times up to `latest_secs`.
-    pub(crate) fn new(latest_secs: u64) -> TimeSort {
-        TimeSort {
-            slots: vec![0; latest_secs as usize + 1],
-        }
-    }
-
-    /// Counts one row at `t`; `None` when `t` is past the latest time
-    /// the histogram holds.
-    pub(crate) fn count(&mut self, t: SimTime) -> Option<()> {
-        *self.slots.get_mut(usize::try_from(t.0).ok()?)? += 1;
-        Some(())
-    }
-
-    /// Turns the counts into each second's first sorted position.
-    pub(crate) fn start_positions(&mut self) {
-        let mut next = 0u32;
-        for slot in &mut self.slots {
-            let count = *slot;
-            *slot = next;
-            next += count;
-        }
-    }
-
-    /// The sorted position of the next row at `t`, if `t` was counted.
-    pub(crate) fn position(&mut self, t: SimTime) -> Option<usize> {
-        let slot = self.slots.get_mut(usize::try_from(t.0).ok()?)?;
-        let pos = *slot;
-        *slot += 1;
-        Some(pos as usize)
-    }
 }
 
 /// Width in rows of one sort run for `n` rows under `budget_rows`: the
@@ -328,17 +236,34 @@ pub fn run_rows(n: usize, budget_rows: usize) -> usize {
     budget_rows.min(MAX_RUN_ROWS).max(floor).clamp(1, n.max(1))
 }
 
+/// The sort runs of a log with `counts[b]` rows in bucket `b`: greedy
+/// ranges of whole buckets holding at most `run` rows each, but a bucket
+/// wider than `run` is a run of its own.
+fn bucket_runs(counts: &[usize], run: usize) -> Vec<Range<usize>> {
+    let mut runs = Vec::new();
+    let (mut lo, mut rows) = (0, 0);
+    for (b, &count) in counts.iter().enumerate() {
+        if rows > 0 && rows + count > run {
+            runs.push(lo..b);
+            (lo, rows) = (b, 0);
+        }
+        rows += count;
+    }
+    if rows > 0 {
+        runs.push(lo..counts.len());
+    }
+    runs
+}
+
 /// Collects generated rows in generation order, then sorts them into a
 /// [`Spill`].
 pub(crate) struct SpillBuilder {
     scratch: BufWriter<File>,
-    rows: u64,
-    /// The latest time pushed: the width of the per-second histogram.
-    latest: SimTime,
+    /// Rows pushed per bucket of 2¹¹ seconds.
+    counts: Vec<usize>,
     /// The first write failure; the generator's row sink cannot fail,
     /// so it surfaces from [`SpillBuilder::finish`].
     error: Option<SpillError>,
-    row: [u8; ROW_BYTES],
 }
 
 impl SpillBuilder {
@@ -347,111 +272,85 @@ impl SpillBuilder {
         let file = scratch_file(&std::env::temp_dir(), "rows")?;
         Ok(SpillBuilder {
             scratch: BufWriter::with_capacity(IO_BYTES, file),
-            rows: 0,
-            latest: SimTime::ZERO,
+            counts: Vec::new(),
             error: None,
-            row: [0; ROW_BYTES],
         })
     }
 
-    /// Appends one row in generation order.
+    /// Appends one row in generation order and counts it in its bucket.
     pub(crate) fn push(&mut self, event: &SpamEvent) {
-        if self.error.is_some() {
-            return;
+        let record = bucketed(count_row(&mut self.counts, event.time), Row::of(event));
+        if let Err(e) = self.scratch.write_all(&record) {
+            self.error.get_or_insert(SpillError::io("write", e));
         }
-        encode_row(event, &mut self.row);
-        if let Err(e) = self.scratch.write_all(&self.row) {
-            self.error = Some(SpillError::io("write", e));
-            return;
-        }
-        self.latest = self.latest.max(event.time);
-        self.rows += 1;
     }
 
-    /// Sorts the rows into the spill, in runs of [`run_rows`] sorted
-    /// positions, under `generate/sort/count`, `generate/sort/distribute`
-    /// and `generate/sort/scatter` spans. Freeing the scratch file and
-    /// histogram, and then the runs file, takes seconds at scale 10, so
-    /// each free has a span too: `generate/sort/free_scratch` and
-    /// `generate/sort/free_runs`.
-    pub(crate) fn finish(self, budget_rows: usize, obs: &Obs) -> Result<Spill, SpillError> {
-        let SpillBuilder {
-            scratch,
-            rows,
-            latest,
-            error,
-            ..
-        } = self;
-        if let Some(e) = error {
+    /// Sorts the rows into the spill, in runs of whole buckets at most
+    /// `run` rows wide ([`run_rows`]), under `generate/sort/distribute`
+    /// and `generate/sort/scatter` spans. Freeing the scratch file, then
+    /// the runs file, takes seconds at scale 10, so each free has a span
+    /// too: `generate/sort/free_scratch` and `generate/sort/free_runs`.
+    pub(crate) fn finish(self, run: usize, obs: &Obs) -> Result<Spill, SpillError> {
+        if let Some(e) = self.error {
             return Err(e);
         }
-        let scratch = scratch
+        let scratch = (self.scratch)
             .into_inner()
             .map_err(|e| SpillError::io("write", e.into_error()))?;
-        // The sort's positions and run offsets are `u32`.
-        let n = u32::try_from(rows).map(|n| n as usize).map_err(|_| {
-            SpillError::Corrupt(format!("{rows} rows exceed the u32 sort positions"))
-        })?;
-        let run = run_rows(n, budget_rows);
-        let mut times = {
-            let _span = obs.span("generate/sort/count");
-            count_times(&scratch, n, latest)?
-        };
+        let counts = self.counts;
+        let runs = bucket_runs(&counts, run);
         let runs_file = scratch_file(&std::env::temp_dir(), "runs")?;
         {
             let _span = obs.span("generate/sort/distribute");
-            distribute(&scratch, n, run, &mut times, &runs_file)?;
+            distribute(&scratch, &counts, &runs, run, &runs_file)?;
         }
-        // The scratch rows and the histogram are dead once every row
-        // sits in its run; free them before the run buffer exists.
+        // The scratch rows are dead once every row sits in its run; free
+        // them before the run buffer exists.
         {
             let _span = obs.span("generate/sort/free_scratch");
             drop(scratch);
-            drop(times);
         }
         let (file, sums) = {
             let _span = obs.span("generate/sort/scatter");
-            scatter(&runs_file, n, run)?
+            scatter(&runs_file, &counts, &runs)?
         };
         {
             let _span = obs.span("generate/sort/free_runs");
             drop(runs_file);
         }
-        Spill::open(file, n, n.div_ceil(run), sums)
+        let mut ends = counts;
+        for b in 1..ends.len() {
+            ends[b] += ends[b - 1];
+        }
+        Spill::open(file, ends, runs.len(), sums)
     }
 }
 
-/// Counts the `n` generation-order scratch rows per second, in one
-/// sequential read, and turns the counts into start positions.
-fn count_times(scratch: &File, n: usize, latest: SimTime) -> Result<TimeSort, SpillError> {
-    let mut times = TimeSort::new(latest.0);
-    let mut block = vec![0u8; IO_BYTES];
-    for_each_record(scratch, 0, n, ROW_BYTES, &mut block, |row| {
-        times
-            .count(time_of(row))
-            .ok_or_else(|| SpillError::Corrupt("row time past the latest written".to_string()))
-    })?;
-    times.start_positions();
-    Ok(times)
-}
-
-/// Reads the generation-order scratch rows once and appends each, with
-/// its offset inside its run, to that run's region of `runs_file` (run
-/// `k` covers sorted positions `k × run ..`). [`run_rows`] keeps the
+/// Reads the generation-order scratch rows once and appends each to its
+/// run's region of `runs_file`, in the order they come. `run` keeps the
 /// runs few enough that their write buffers together stay within one
 /// run's row bytes — the run buffer, which is not allocated yet.
 fn distribute(
     scratch: &File,
-    n: usize,
+    counts: &[usize],
+    runs: &[Range<usize>],
     run: usize,
-    times: &mut TimeSort,
     runs_file: &File,
 ) -> Result<(), SpillError> {
-    let runs = n.div_ceil(run);
-    let cap = (run * ROW_BYTES / runs.max(1)).clamp(MIN_RUN_BUFFER, MAX_RUN_BUFFER) / RECORD_BYTES
-        * RECORD_BYTES;
-    let mut buffers: Vec<Vec<u8>> = (0..runs).map(|_| Vec::new()).collect();
-    let mut next: Vec<u64> = (0..runs).map(|k| (k * run * RECORD_BYTES) as u64).collect();
+    let cap = (run.saturating_mul(ROW_BYTES) / runs.len().max(1))
+        .clamp(MIN_RUN_BUFFER, MAX_RUN_BUFFER)
+        / BUCKETED_BYTES
+        * BUCKETED_BYTES;
+    // Each bucket's run, and each run's next byte in `runs_file`.
+    let mut run_of = vec![0; counts.len()];
+    let mut next = Vec::with_capacity(runs.len());
+    let mut rows = 0;
+    for (k, buckets) in runs.iter().enumerate() {
+        run_of[buckets.clone()].fill(k);
+        next.push((rows * BUCKETED_BYTES) as u64);
+        rows += counts[buckets.clone()].iter().sum::<usize>();
+    }
+    let mut buffers: Vec<Vec<u8>> = (0..runs.len()).map(|_| Vec::with_capacity(cap)).collect();
     let flush = |buf: &mut Vec<u8>, at: &mut u64| -> Result<(), SpillError> {
         runs_file
             .write_all_at(buf, *at)
@@ -460,19 +359,13 @@ fn distribute(
         buf.clear();
         Ok(())
     };
-    let mut block = vec![0u8; IO_BYTES];
-    for_each_record(scratch, 0, n, ROW_BYTES, &mut block, |row| {
-        let pos = times
-            .position(time_of(row))
-            .filter(|&p| p < n)
-            .ok_or_else(|| SpillError::Corrupt("row time was never counted".to_string()))?;
-        let k = pos / run;
+    for_each_record(scratch, 0..rows, |bucket, row| {
+        let Some(&k) = run_of.get(bucket) else {
+            let msg = format!("a row of bucket {bucket} was never counted");
+            return Err(SpillError::Corrupt(msg));
+        };
         let buf = &mut buffers[k];
-        if buf.capacity() == 0 {
-            buf.reserve_exact(cap);
-        }
-        buf.extend_from_slice(row);
-        buf.extend_from_slice(&((pos - k * run) as u32).to_le_bytes());
+        buf.extend_from_slice(&bucketed(bucket, row));
         if buf.len() >= cap {
             flush(buf, &mut next[k])?;
         }
@@ -486,33 +379,35 @@ fn distribute(
     Ok(())
 }
 
-/// Scatters each run of `runs_file` into sorted order in a run-sized
-/// buffer and appends it to a new spill file, summing its blocks on the
-/// way; ends the file with the trailer. Returns the file and the sums.
-fn scatter(runs_file: &File, n: usize, run: usize) -> Result<(File, Vec<u64>), SpillError> {
+/// Sorts each run of `runs_file` with [`sort_by_time`] and appends its
+/// rows to a new spill file, summing its blocks on the way; ends the
+/// file with the trailer. Returns the file and the sums.
+fn scatter(
+    runs_file: &File,
+    counts: &[usize],
+    runs: &[Range<usize>],
+) -> Result<(File, Vec<u64>), SpillError> {
     let mut spill =
         BufWriter::with_capacity(IO_BYTES, scratch_file(&std::env::temp_dir(), "sorted")?);
     let mut sums = BlockSums::default();
-    let mut sorted = vec![0u8; run.min(n) * ROW_BYTES];
-    let mut block = vec![0u8; IO_BYTES];
-    for lo in (0..n).step_by(run) {
-        let len = run.min(n - lo);
-        for_each_record(runs_file, lo, len, RECORD_BYTES, &mut block, |rec| {
-            let at = u32_at(rec, ROW_BYTES) as usize;
-            let dst = sorted
-                .get_mut(at * ROW_BYTES..(at + 1) * ROW_BYTES)
-                .filter(|_| at < len)
-                .ok_or_else(|| {
-                    SpillError::Corrupt(format!("run offset {at} outside a {len}-row run"))
-                })?;
-            dst.copy_from_slice(&rec[..ROW_BYTES]);
-            Ok(())
+    let (mut placed, mut bytes) = (Vec::new(), Vec::new());
+    let mut first = 0;
+    for buckets in runs {
+        let counts = &counts[buckets.clone()];
+        let len = counts.iter().sum::<usize>();
+        let records = first..first + len;
+        let fill = |p: &mut Placer| for_each_record(runs_file, records, |b, r| p.put(b, r));
+        sort_by_time(buckets.start, counts, &mut placed, fill, |_, rows| {
+            bytes.clear();
+            for row in rows {
+                bytes.extend_from_slice(&row.to_bytes());
+            }
+            sums.add(&bytes);
+            spill
+                .write_all(&bytes)
+                .map_err(|e| SpillError::io("write", e))
         })?;
-        let out = &sorted[..len * ROW_BYTES];
-        sums.add(out);
-        spill
-            .write_all(out)
-            .map_err(|e| SpillError::io("write", e))?;
+        first += len;
     }
     let sums = sums.finish();
     spill
@@ -524,24 +419,27 @@ fn scatter(runs_file: &File, n: usize, run: usize) -> Result<(File, Vec<u64>), S
     Ok((file, sums))
 }
 
-/// The finished, time-sorted spill: `rows` fixed-width rows plus the
-/// trailer, with the sum of each block. Reads are positioned (`pread`),
-/// so one handle serves any number of readers.
+/// The finished, time-sorted spill: fixed-width rows plus the trailer,
+/// with the sum of each block and the rows of each bucket. Reads are
+/// positioned (`pread`), so one handle serves any number of readers.
 #[derive(Debug)]
 pub struct Spill {
     file: File,
-    rows: usize,
     runs: usize,
     /// Block `k`'s sum, for rows `k × BLOCK_ROWS ..`.
     sums: Vec<u64>,
+    /// The sorted row after bucket `b`'s last: bucket `b` holds rows
+    /// `ends[b - 1] .. ends[b]`.
+    ends: Vec<usize>,
 }
 
 impl Spill {
-    /// Adopts a spill file of `rows` rows, sorted in `runs` runs with
-    /// block sums `sums`, after checking its length and that its
-    /// trailer is the digest of `sums`. The rows themselves are checked
-    /// block by block as they are read.
-    fn open(file: File, rows: usize, runs: usize, sums: Vec<u64>) -> Result<Spill, SpillError> {
+    /// Adopts a spill file whose bucket `b` ends before sorted row
+    /// `ends[b]`, sorted in `runs` runs with block sums `sums`, after
+    /// checking its length and that its trailer is the digest of `sums`.
+    /// The rows themselves are checked block by block as they are read.
+    fn open(file: File, ends: Vec<usize>, runs: usize, sums: Vec<u64>) -> Result<Self, SpillError> {
+        let rows = ends.last().copied().unwrap_or(0);
         debug_assert_eq!(sums.len(), rows.div_ceil(BLOCK_ROWS));
         let body = rows * ROW_BYTES;
         let want = (body + 8) as u64;
@@ -550,9 +448,8 @@ impl Spill {
             .map_err(|e| SpillError::io("stat", e))?
             .len();
         if len != want {
-            return Err(SpillError::Corrupt(format!(
-                "{len} bytes on disk, {want} expected for {rows} rows"
-            )));
+            let msg = format!("{len} bytes on disk, {want} expected for {rows} rows");
+            return Err(SpillError::Corrupt(msg));
         }
         let mut trailer = [0u8; 8];
         file.read_exact_at(&mut trailer, body as u64)
@@ -562,15 +459,15 @@ impl Spill {
         }
         Ok(Spill {
             file,
-            rows,
             runs,
             sums,
+            ends,
         })
     }
 
     /// Rows in the spill.
     pub fn rows(&self) -> usize {
-        self.rows
+        self.ends.last().copied().unwrap_or(0)
     }
 
     /// Sort runs the spill was built from.
@@ -580,7 +477,7 @@ impl Spill {
 
     /// Bytes the spill occupies on disk, trailer included.
     pub fn bytes(&self) -> u64 {
-        (self.rows * ROW_BYTES + 8) as u64
+        (self.rows() * ROW_BYTES + 8) as u64
     }
 
     /// Visits sorted rows `range` (clamped to the spill) in order, at
@@ -597,7 +494,7 @@ impl Spill {
         width: usize,
         mut visit: impl FnMut(&EventBuffer, Range<usize>) -> Result<(), E>,
     ) -> Result<(), E> {
-        let end = range.end.min(self.rows);
+        let end = range.end.min(self.rows());
         let start = range.start.min(end);
         let width = width.clamp(1, MAX_READ_ROWS);
         let mut buf = EventBuffer::with_capacity(width.min(end - start));
@@ -605,6 +502,7 @@ impl Spill {
             spill: self,
             bytes: Vec::new(),
             held: None,
+            bucket: self.ends.partition_point(|&e| e <= start),
         };
         let mut lo = start;
         loop {
@@ -621,35 +519,43 @@ impl Spill {
     }
 }
 
-/// Reads a spill block by block, holding the last block it checked.
+/// Reads a spill block by block, holding the last block it checked,
+/// with a cursor on the bucket of the next row it decodes.
 struct BlockReader<'a> {
     spill: &'a Spill,
     /// The rows of block `held`, which matched its sum.
     bytes: Vec<u8>,
     held: Option<usize>,
+    bucket: usize,
 }
 
 impl BlockReader<'_> {
-    /// Appends sorted rows `rows` to `out`, checking each block they
-    /// touch before decoding any of its rows.
+    /// Appends sorted rows `rows` (from the cursor's bucket on) to
+    /// `out`, checking each block they touch before decoding any of its
+    /// rows.
     fn decode(&mut self, rows: Range<usize>, out: &mut EventBuffer) -> Result<(), SpillError> {
+        let ends = &self.spill.ends;
         let mut lo = rows.start;
         while lo < rows.end {
+            while ends[self.bucket] <= lo {
+                self.bucket += 1;
+            }
             let k = lo / BLOCK_ROWS;
             let base = k * BLOCK_ROWS;
-            let hi = rows.end.min(base + BLOCK_ROWS);
+            let hi = rows.end.min(base + BLOCK_ROWS).min(ends[self.bucket]);
             self.hold(k)?;
-            decode_rows(
-                &self.bytes[(lo - base) * ROW_BYTES..(hi - base) * ROW_BYTES],
-                out,
-            )?;
+            let rows = self.bytes[(lo - base) * ROW_BYTES..(hi - base) * ROW_BYTES]
+                .as_chunks::<ROW_BYTES>()
+                .0;
+            out.extend_bucket(self.bucket, rows.iter().map(Row::from_bytes));
             lo = hi;
         }
         Ok(())
     }
 
     /// Makes block `k` the held block, reading it and checking it
-    /// against its sum unless it is held already.
+    /// against its sum, and its rows' class codes, unless it is held
+    /// already.
     fn hold(&mut self, k: usize) -> Result<(), SpillError> {
         if self.held == Some(k) {
             return Ok(());
@@ -657,15 +563,19 @@ impl BlockReader<'_> {
         self.held = None;
         let first = k * BLOCK_ROWS;
         self.bytes
-            .resize(BLOCK_ROWS.min(self.spill.rows - first) * ROW_BYTES, 0);
+            .resize(BLOCK_ROWS.min(self.spill.rows() - first) * ROW_BYTES, 0);
         self.spill
             .file
             .read_exact_at(&mut self.bytes, (first * ROW_BYTES) as u64)
             .map_err(|e| SpillError::io("read", e))?;
         if block_sum(k, &self.bytes) != self.spill.sums[k] {
-            return Err(SpillError::Corrupt(format!(
-                "checksum mismatch in block {k}"
-            )));
+            let msg = format!("checksum mismatch in block {k}");
+            return Err(SpillError::Corrupt(msg));
+        }
+        let (rows, _) = self.bytes.as_chunks::<ROW_BYTES>();
+        if rows.iter().any(|r| !Row::from_bytes(r).is_known()) {
+            let msg = format!("unknown class codes in block {k}");
+            return Err(SpillError::Corrupt(msg));
         }
         self.held = Some(k);
         Ok(())
@@ -675,8 +585,11 @@ impl BlockReader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::buffer::tests::{edge_logs, stable_sorted as sorted};
+    use crate::campaign::{DeliveryVector, TargetClass};
     use crate::ids::{BotnetId, CampaignId};
     use taster_domain::DomainId;
+    use taster_sim::SimTime;
 
     fn event(t: u64, i: u32) -> SpamEvent {
         SpamEvent {
@@ -698,25 +611,32 @@ mod tests {
         }
     }
 
-    /// Times with heavy ties, so stability is exercised.
+    /// Times with heavy ties, so stability is exercised, all in bucket
+    /// 0: one bucket wider than any run.
     fn rows(n: u32) -> Vec<SpamEvent> {
         (0..n)
             .map(|i| event(u64::from((i * 7919) % 97), i))
             .collect()
     }
 
-    fn sorted(events: &[SpamEvent]) -> Vec<SpamEvent> {
-        let mut want = events.to_vec();
-        want.sort_by_key(|e| e.time);
-        want
+    /// Heavy ties too, but 291 distinct seconds across 48 buckets.
+    fn spread(n: u32) -> Vec<SpamEvent> {
+        (0..n)
+            .map(|i| event(u64::from((i * 7919) % 97 * 1_000 + i % 3), i))
+            .collect()
     }
 
-    fn spill(events: &[SpamEvent], budget_rows: usize) -> Spill {
+    /// Spills `events` in runs of whole buckets at most `run` rows wide.
+    fn spill_in_runs(events: &[SpamEvent], run: usize) -> Spill {
         let mut b = SpillBuilder::new().unwrap();
         for e in events {
             b.push(e);
         }
-        b.finish(budget_rows, &Obs::off()).unwrap()
+        b.finish(run, &Obs::off()).unwrap()
+    }
+
+    fn spill(events: &[SpamEvent], budget_rows: usize) -> Spill {
+        spill_in_runs(events, run_rows(events.len(), budget_rows))
     }
 
     /// Appends sorted rows `range` to `out`, read in visits of `width`
@@ -747,41 +667,15 @@ mod tests {
 
     #[test]
     fn rows_round_trip_through_the_codec() {
-        let events = rows(40);
-        let mut bytes = Vec::new();
-        let mut raw = [0u8; ROW_BYTES];
-        for e in &events {
-            encode_row(e, &mut raw);
-            bytes.extend_from_slice(&raw);
+        for events in [rows(40), spread(40)] {
+            let mut buf = EventBuffer::default();
+            for e in &events {
+                let row = Row::from_bytes(&Row::of(e).to_bytes());
+                buf.extend_bucket(crate::buffer::bucket_of(e.time), [row].into_iter());
+            }
+            let got: Vec<SpamEvent> = (0..buf.len()).map(|r| buf.event(r)).collect();
+            assert_eq!(got, events);
         }
-        let mut buf = EventBuffer::default();
-        decode_rows(&bytes, &mut buf).unwrap();
-        let got: Vec<SpamEvent> = (0..buf.len()).map(|r| buf.event(r)).collect();
-        assert_eq!(got, events);
-    }
-
-    /// The sorted position of every row of `times` (generation order),
-    /// by the spill's count and position passes.
-    fn positions(times: &[SimTime]) -> Vec<usize> {
-        let mut sort = TimeSort::new(times.iter().map(|t| t.0).max().unwrap_or(0));
-        for &t in times {
-            sort.count(t).unwrap();
-        }
-        sort.start_positions();
-        times.iter().map(|&t| sort.position(t).unwrap()).collect()
-    }
-
-    #[test]
-    fn time_sort_positions_are_a_stable_argsort() {
-        let times: Vec<SimTime> = rows(500).iter().map(|e| e.time).collect();
-        let pos = positions(&times);
-        let mut want: Vec<usize> = (0..times.len()).collect();
-        want.sort_by_key(|&g| times[g]);
-        let mut got = vec![0usize; times.len()];
-        for (g, &p) in pos.iter().enumerate() {
-            got[p] = g;
-        }
-        assert_eq!(got, want);
     }
 
     #[test]
@@ -803,16 +697,32 @@ mod tests {
         assert_eq!(run_rows(0, 5), 1);
     }
 
+    /// Runs are greedy ranges of whole buckets; a bucket wider than the
+    /// run is a run of its own, and empty buckets join a neighbour.
+    #[test]
+    fn runs_cut_at_buckets_and_isolate_over_wide_ones() {
+        let counts = [3, 0, 4, 10, 1, 1, 0, 2];
+        assert_eq!(bucket_runs(&counts, 5), [0..2, 2..3, 3..4, 4..8]);
+        assert_eq!(
+            bucket_runs(&counts, 1),
+            [0..1, 1..3, 3..4, 4..5, 5..7, 7..8]
+        );
+        assert_eq!(bucket_runs(&counts, usize::MAX), vec![0..counts.len()]);
+        assert!(bucket_runs(&[0, 0], 5).is_empty());
+    }
+
     #[test]
     fn spill_is_a_stable_time_sort_at_any_run_width() {
         let n = 30_000;
-        let events = rows(n as u32);
+        let events = spread(n as u32);
         let want = sorted(&events);
         // Runs, and reads, that straddle block boundaries.
         assert_ne!(run_rows(n, 7_000) % BLOCK_ROWS, 0);
         for budget in [1, 7_000, n, usize::MAX] {
             let s = spill(&events, budget);
-            assert_eq!(s.runs(), n.div_ceil(run_rows(n, budget)));
+            // Whole buckets fill a run less than full.
+            let runs = n.div_ceil(run_rows(n, budget));
+            assert!((runs..=2 * runs).contains(&s.runs()), "{}", s.runs());
             for width in [1, 7, BLOCK_ROWS - 1, BLOCK_ROWS + 1, n] {
                 let mut got = Vec::new();
                 read(&s, 0..n, width, &mut got).unwrap();
@@ -827,6 +737,34 @@ mod tests {
             spill(&events, 1).runs() >= 3,
             "a 1-row budget sorts in runs"
         );
+        // One bucket wider than any run is a run of its own.
+        let events = rows(n as u32);
+        let s = spill(&events, 1);
+        assert_eq!(s.runs(), 1);
+        let mut got = Vec::new();
+        read(&s, 0..n, BLOCK_ROWS + 1, &mut got).unwrap();
+        assert!(got == sorted(&events));
+    }
+
+    /// The edge cases the in-core sort is checked on, spilled in runs
+    /// of one bucket each (every bucket wider than a 1-row run), of
+    /// several buckets beside one bucket too wide for its run, and in
+    /// one run.
+    #[test]
+    fn edge_logs_spill_as_a_stable_time_sort() {
+        for events in edge_logs() {
+            let want = sorted(&events);
+            for run in [1, 12, usize::MAX] {
+                let s = spill_in_runs(&events, run);
+                let mut got = Vec::new();
+                read(&s, 0..events.len(), 5, &mut got).unwrap();
+                assert!(got == want, "run {run}: {events:?}");
+            }
+        }
+        // The long log's first two buckets (6 and 5 rows) share a run of
+        // 12; its third (600 rows) and its last (4) are runs of their own.
+        let long = edge_logs().pop().unwrap();
+        assert_eq!(spill_in_runs(&long, 12).runs(), 3);
     }
 
     #[test]
@@ -862,12 +800,12 @@ mod tests {
     fn a_truncated_spill_is_rejected() {
         let Spill {
             file,
-            rows,
             runs,
             sums,
+            ends,
         } = spill(&rows(100), 30);
         file.set_len(file.metadata().unwrap().len() - 1).unwrap();
-        let err = Spill::open(file, rows, runs, sums).unwrap_err();
+        let err = Spill::open(file, ends, runs, sums).unwrap_err();
         assert!(matches!(err, SpillError::Corrupt(_)), "{err}");
         assert!(err.to_string().contains("bytes on disk"), "{err}");
     }
@@ -876,12 +814,12 @@ mod tests {
     fn a_flipped_trailer_byte_is_rejected_at_open() {
         let Spill {
             file,
-            rows,
             runs,
             sums,
+            ends,
         } = spill(&rows(100), 30);
-        flip(&file, rows * ROW_BYTES + 3);
-        let err = Spill::open(file, rows, runs, sums).unwrap_err();
+        flip(&file, 100 * ROW_BYTES + 3);
+        let err = Spill::open(file, ends, runs, sums).unwrap_err();
         assert_eq!(err, SpillError::Corrupt("checksum mismatch".to_string()));
     }
 
@@ -893,9 +831,10 @@ mod tests {
         // Three whole blocks and a partial fourth, sorted in runs that
         // straddle them.
         let n = 3 * BLOCK_ROWS + 100;
-        let events = rows(n as u32);
+        let events = spread(n as u32);
         let want = sorted(&events);
-        let s = spill(&events, 5_000);
+        let s = spill_in_runs(&events, 5_000);
+        assert!(s.runs() >= 3);
         flip(&s.file, (BLOCK_ROWS + 17) * ROW_BYTES + 5);
         flip(&s.file, (3 * BLOCK_ROWS + 42) * ROW_BYTES + 9);
         let corrupt = |k: usize| {
@@ -958,12 +897,7 @@ mod tests {
 
     #[test]
     fn changing_any_one_word_changes_the_block_sum() {
-        let mut bytes = Vec::new();
-        let mut raw = [0u8; ROW_BYTES];
-        for e in rows(3) {
-            encode_row(&e, &mut raw);
-            bytes.extend_from_slice(&raw);
-        }
+        let bytes: Vec<u8> = rows(3).iter().flat_map(|e| Row::of(e).to_bytes()).collect();
         let sum = block_sum(5, &bytes);
         assert_ne!(block_sum(4, &bytes), sum, "the block index is summed");
         for word in 0..bytes.len() / 8 {
@@ -977,22 +911,24 @@ mod tests {
         }
     }
 
+    /// A row's class word is its bytes 12–15: byte 13 holds the target
+    /// tag (bits 3–4) and the low bits of its argument (5–7), byte 14
+    /// the delivery tag (bit 5) and the low bits of its argument (6–7),
+    /// and bits 6–7 of byte 15 are unused. A zero tag with a nonzero
+    /// argument, or an unused bit set, is a code no row is packed with.
     #[test]
     fn an_unknown_tag_under_a_matching_block_sum_is_rejected() {
-        for (at, want) in [
-            (20, "unknown target class 9/"),
-            (22, "unknown delivery vector 9/"),
-        ] {
+        for (at, byte) in [(13, 0b0010_0000), (14, 0b0100_0000), (15, 0b1000_0000)] {
             let mut s = spill(&rows(100), 30);
             s.file
-                .write_all_at(&[9], (57 * ROW_BYTES + at) as u64)
+                .write_all_at(&[byte], (57 * ROW_BYTES + at) as u64)
                 .unwrap();
             let mut block = vec![0u8; 100 * ROW_BYTES];
             s.file.read_exact_at(&mut block, 0).unwrap();
             s.sums[0] = block_sum(0, &block);
             let err = read(&s, 0..100, 100, &mut Vec::new()).unwrap_err();
             assert!(
-                matches!(&err, SpillError::Corrupt(m) if m.starts_with(want)),
+                matches!(&err, SpillError::Corrupt(m) if m.starts_with("unknown class codes")),
                 "{err}"
             );
         }

@@ -122,7 +122,7 @@ fn span_in(log: &str, name: &str) -> (String, String) {
 /// `report --trace` writes its log after the render, so the log holds
 /// the `render` stage's span, a top-level one. The full report and
 /// `report --section NAME`, as text or as CSV, alike render inside
-/// that stage, and a section's text under a `render/<name>` child.
+/// that stage, and a section under a `render/<name>` child.
 #[test]
 fn report_trace_logs_the_render() {
     let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("report-trace.jsonl");
@@ -146,8 +146,11 @@ fn report_trace_logs_the_render() {
         let log = std::fs::read_to_string(&path).unwrap();
         let (render, parent) = span_in(&log, "render");
         assert_eq!(parent, "null", "{args:?}: {log}");
-        if !args.contains(&"csv") {
-            assert_eq!(span_in(&log, "render/fig9").1, render, "{args:?}: {log}");
-        }
+        let section = if args.contains(&"csv") {
+            "render/table2"
+        } else {
+            "render/fig9"
+        };
+        assert_eq!(span_in(&log, section).1, render, "{args:?}: {log}");
     }
 }
